@@ -17,7 +17,7 @@ from .hmodule import (
 from .norms import NormKind, ky_fan, ky_fan_dual, norm, schatten, singular_values
 from .transformer import (
     ElementaryOperator, apply, defect_operator, fractional_power_apply,
-    neumann_inverse, power_apply, spectral_radius, vectorize,
+    fractional_power_exact, neumann_inverse, power_apply, spectral_radius, vectorize,
 )
 from .checks import CHECK_ANCHORS, InequalityReport
 from .generators import CheckInstance, GeneratorSpec, build_instance, gen_element
@@ -45,6 +45,7 @@ __all__ = [
     "defect_operator",
     "element",
     "fractional_power_apply",
+    "fractional_power_exact",
     "gen_element",
     "gruss_inner",
     "inner",

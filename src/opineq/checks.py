@@ -29,7 +29,7 @@ from .hmodule import (
 )
 from .norms import ky_fan_profile, norm, schatten, HILBERT_SCHMIDT, OPERATOR, TRACE
 from .transformer import (
-    ElementaryOperator, apply, defect_operator, fractional_power_apply,
+    ElementaryOperator, apply, defect_operator, fractional_power_exact,
     operator_norm_T, spectral_radius,
 )
 
@@ -309,6 +309,11 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
     At alpha = 1 this coincides with check_naopaka branch for branch.
+    (I-T)^alpha a comes from fractional_power_exact: for non-integer
+    alpha and a normal vectorized T (which the normal, commuting
+    hypotheses give) it is the exact eigen form; integer alpha takes the
+    terminating binomial series, and any other case falls back to the
+    series of fractional_power_apply, which stays the independent oracle.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -323,7 +328,7 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     gy = hermitian_part(inner(y, y))
     lo = (psd_power(hermitian_part(eye - gx), alpha / 2) @ a
           @ psd_power(hermitian_part(eye - gy), alpha / 2))
-    hi = fractional_power_apply(ElementaryOperator(x, y), alpha, a, tol)
+    hi = fractional_power_exact(ElementaryOperator(x, y), alpha, a, tol)
     detail, head = _ky_branches(lo, hi)
     dig = _digest(x, digest, params={"alpha": alpha})
     return _finish("check_alpha", {"family": head}, tol, dig, extra_detail=detail)

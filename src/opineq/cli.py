@@ -1,7 +1,8 @@
 """Command-line surface: verify / search / replay / list.
 
-Exit codes: 0 success, 1 at least one check failed (or a replayed
-instance no longer holds), 2 usage errors.
+Exit codes: 0 success, 1 at least one check failed, no trial of a
+verify run could be evaluated, or a replayed instance no longer holds;
+2 usage errors (bad options, tolerances or sizes).
 """
 
 from __future__ import annotations
@@ -120,9 +121,15 @@ def _cmd_verify(args) -> int:
         worst_text = f"{worst:+.3e}" if worst is not None else "n/a"
         print(f"{name:22s} pass {slot['pass']:5d}  fail {slot['fail']:4d}  "
               f"error {slot['error']:4d}  worst margin {worst_text}")
-    verdict = "FAIL" if summary.failed else "OK"
+    evaluated = sum(slot["pass"] + slot["fail"] for slot in summary.counts.values())
+    if summary.failed:
+        verdict = "FAIL"
+    elif not evaluated:
+        verdict = "NOTHING VERIFIED"
+    else:
+        verdict = "OK"
     print(f"{summary.lines} report lines; overall {verdict}")
-    return 1 if summary.failed else 0
+    return 0 if verdict == "OK" else 1
 
 
 def _cmd_search(args) -> int:

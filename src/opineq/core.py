@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, NotPSD, SingularNegativePower
+from .errors import DimMismatch, InvalidSpec, NotHermitian, NotPSD, SingularNegativePower
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,12 @@ class ToleranceConfig:
     max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if min(self.tol_abs, self.tol_rel, self.clamp) < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.epsilon_reg <= 0 or self.series_tail <= 0:
-            raise ValueError("epsilon_reg and series_tail must be positive")
+        if not all(v >= 0 for v in (self.tol_abs, self.tol_rel, self.clamp)):
+            raise InvalidSpec("tolerances must be nonnegative")
+        if not (self.epsilon_reg > 0 and self.series_tail > 0):
+            raise InvalidSpec("epsilon_reg and series_tail must be positive")
         if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
+            raise InvalidSpec("max_terms must be at least 1")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -57,8 +57,11 @@ class BallViolated(OpineqError):
     """An element is outside the ball its check hypothesis places it in."""
 
 
-class InvalidSpec(OpineqError):
-    """A generator or run configuration is out of range."""
+class InvalidSpec(OpineqError, ValueError):
+    """A generator, run, tolerance or context configuration is out of range.
+
+    It is also a ValueError, the type plain configuration validators raise.
+    """
 
 
 class UnknownCheck(OpineqError):

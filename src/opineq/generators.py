@@ -31,6 +31,17 @@ _SEED_MASK = (1 << 64) - 1
 DEFAULT_PQR = (2.0, 2.0, 2.0)
 DEFAULT_ALPHA = 1.0
 
+# Matrix dimensions and tuple lengths the generators accept.
+DIM_RANGE = (1, 8)
+LEN_RANGE = (1, 6)
+
+
+def check_shape(dim: int | None, length: int | None) -> None:
+    """Raise InvalidSpec unless each given size lies in the generators' range."""
+    for tag, value, (lo, hi) in (("dim", dim, DIM_RANGE), ("len", length, LEN_RANGE)):
+        if value is not None and not lo <= value <= hi:
+            raise InvalidSpec(f"{tag} {value} outside [{lo}, {hi}]")
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -47,10 +58,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) <= _SEED_MASK:
             raise InvalidSpec("seed must fit in 64 unsigned bits")
-        if not 1 <= self.dim <= 8:
-            raise InvalidSpec(f"dim {self.dim} outside [1, 8]")
-        if not 1 <= self.length <= 6:
-            raise InvalidSpec(f"len {self.length} outside [1, 6]")
+        check_shape(self.dim, self.length)
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         if not self.scale > 0:

@@ -20,7 +20,7 @@ from .checks import InequalityReport
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, assert_hypotheses, build_instance, evaluate_instance,
+    CheckInstance, assert_hypotheses, build_instance, check_shape, evaluate_instance,
     trial_seed, CHECK_NAMES, _SEED_MASK,
 )
 from .hmodule import ModuleContext, ModuleElement, module_norm, right_mul
@@ -65,6 +65,7 @@ class RunConfig:
         for a in self.alpha_grid:
             if a <= 0:
                 raise InvalidSpec("alpha grid entries must be positive")
+        check_shape(self.dim, self.length)
 
 
 @dataclass
@@ -262,6 +263,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     """
     if check not in SEARCHABLE:
         raise UnknownCheck(f"search does not support {check!r}")
+    check_shape(dim, length)
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     best: tuple[float, InequalityReport, CheckInstance] | None = None
     evals = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, op_norm
-from .errors import CtxMismatch, DimMismatch, NotUnital
+from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,12 @@ class ModuleContext:
 
     def __post_init__(self) -> None:
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise InvalidSpec("dim must be >= 1")
         w = tuple(float(v) for v in self.weights)
         if len(w) < 1:
-            raise ValueError("length must be >= 1")
+            raise InvalidSpec("length must be >= 1")
         if any(not np.isfinite(v) or v <= 0 for v in w):
-            raise ValueError("weights must be strictly positive and finite")
+            raise InvalidSpec("weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
 
     @property

@@ -105,3 +105,35 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "check_cs" in proc.stdout
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "--dim", "9"], "dim 9"),
+    (["verify", "--dim", "0"], "dim 0"),
+    (["verify", "--len", "7"], "len 7"),
+    (["verify", "--tol", "-1"], "nonnegative"),
+    (["verify", "--tol", "nan"], "nonnegative"),
+    (["search", "--check", "check_cs", "--dim", "0"], "dim 0"),
+    (["search", "--check", "check_cs", "--len", "0"], "len 0"),
+])
+def test_bad_sizes_and_tolerances_are_usage_errors(argv, needle, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert needle in captured.err
+    assert "overall" not in captured.out
+
+
+def test_verify_with_no_evaluated_trial_is_not_ok(monkeypatch, capsys):
+    from opineq import cli
+    from opineq.harness import SuiteSummary
+
+    def only_errors(cfg):
+        summary = SuiteSummary()
+        for _ in range(cfg.trials):
+            summary.record("check_cs", "error", None)
+        return summary
+
+    monkeypatch.setattr(cli, "run_suite", only_errors)
+    assert cli_main(["verify", "--checks", "check_cs", "--trials", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "overall NOTHING VERIFIED" in out and "overall OK" not in out

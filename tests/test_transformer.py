@@ -16,10 +16,12 @@ from opineq.errors import (
 )
 from opineq.hmodule import ModuleElement, element, inner, module_norm
 from opineq.transformer import (
+    _PROBE_SEED,
     ElementaryOperator,
     apply,
     defect_operator,
     fractional_power_apply,
+    fractional_power_exact,
     neumann_inverse,
     operator_norm_T,
     power_apply,
@@ -275,3 +277,95 @@ def test_defect_operator_against_partial_sums():
             term = apply(t, term)
         delta = defect_operator(z)
         assert op_norm(delta - psd_power((partial + partial.conj().T) / 2, -0.5)) <= 1e-8
+
+
+def _normal_pair(d, n, scalar=False):
+    """Normal, commuting x and y (separate unitary frames), gamma = 0.81."""
+    if scalar:
+        x = element([complex(*RNG.standard_normal(2)) * np.eye(d) for _ in range(n)])
+        y = ModuleElement(x.ctx, tuple(complex(*RNG.standard_normal(2)) * np.eye(d)
+                                       for _ in range(n)))
+    else:
+        x, y = _normal_element(d, n), _normal_element(d, n)
+    return ElementaryOperator((0.9 / module_norm(x)) * x, (0.9 / module_norm(y)) * y)
+
+
+def test_fractional_power_exact_matches_series():
+    for d in range(1, 7):
+        for scalar in (False, True):
+            t = _normal_pair(d, 1 + d % 3, scalar)
+            a = _cg(d)
+            for alpha in (0.25, 0.5, 1.5):
+                want = fractional_power_apply(t, alpha, a)
+                got = fractional_power_exact(t, alpha, a)
+                assert op_norm(got - want) <= 1e-10 * op_norm(want)
+
+
+def test_fractional_power_exact_falls_back_to_series():
+    # non-normal vectorized T: the series output, bit for bit
+    t = _pair(3, 2)
+    t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
+    a = _cg(3)
+    for alpha in (0.5, 1.5):
+        assert np.array_equal(fractional_power_exact(t, alpha, a),
+                              fractional_power_apply(t, alpha, a))
+    # integer alpha always takes the terminating series, normal or not
+    normal = _normal_pair(3, 2)
+    for tt in (t, normal):
+        for alpha in (1, 2.0, 3):
+            assert np.array_equal(fractional_power_exact(tt, alpha, a),
+                                  fractional_power_apply(tt, alpha, a))
+    # an eigenbasis whose conditioning cannot meet series_tail falls back too
+    strict = ToleranceConfig(series_tail=1e-17)
+    assert np.array_equal(fractional_power_exact(normal, 0.5, a, strict),
+                          fractional_power_apply(normal, 0.5, a, strict))
+
+
+def test_fractional_power_exact_errors():
+    t = _pair(2, 2)
+    with pytest.raises(ValueError):
+        fractional_power_exact(t, 0.0, np.eye(2))
+    with pytest.raises(DimMismatch):
+        fractional_power_exact(_normal_pair(2, 1), 0.5, np.eye(3))
+    ident = element([np.eye(2)])
+    with pytest.raises(NotContractive):
+        fractional_power_exact(ElementaryOperator(ident, ident), 0.5, np.eye(2))
+
+
+def test_defect_operator_guard_by_norm_bound(monkeypatch):
+    # nilpotent: ||z||^2 = 4 but radius 0, so the eigenvalue fallback decides;
+    # G = I + z* z = diag(1, 5)
+    nil = element([np.array([[0.0, 2.0], [0.0, 0.0]])])
+    assert np.allclose(defect_operator(nil), np.diag([1.0, 5.0 ** -0.5]), atol=1e-12)
+    with pytest.raises(NotContractive):
+        defect_operator(element([np.eye(2)]))
+
+    def no_eigvals(m):
+        raise AssertionError("the norm bound should have settled the guard")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    assert np.allclose(defect_operator(element([0.6 * np.eye(3)])), 0.8 * np.eye(3),
+                       atol=1e-10)
+    # ||z||^2 = 1.4 but ||zbar||^2 = 0.7: the conjugate's bound settles it
+    c = np.sqrt(0.7)
+    z = element([c * np.array([[1.0, 0.0], [0.0, 0.0]]), c * np.array([[0.0, 0.0], [1.0, 0.0]])])
+    assert module_norm(z) ** 2 == pytest.approx(1.4)
+    t = ElementaryOperator(z, z)
+    partial = np.zeros((2, 2), dtype=complex)
+    term = np.eye(2, dtype=complex)
+    for _ in range(200):
+        partial += term
+        term = apply(t, term)
+    assert op_norm(defect_operator(z) - psd_power(partial, -0.5)) <= 1e-10
+
+
+def test_operator_norm_probe_product_matches_loop():
+    for d in range(1, 7):
+        t = _pair(d, 1 + d % 4)
+        rng = np.random.default_rng(_PROBE_SEED)
+        probes = [np.eye(d, dtype=complex)]
+        for _ in range(32):
+            probes.append((rng.standard_normal((d, d))
+                           + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0))
+        loop = max(op_norm(apply(t, a)) / op_norm(a) for a in probes)
+        assert abs(operator_norm_T(t).lower - loop) <= 1e-12 * max(1.0, loop)
