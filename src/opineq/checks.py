@@ -7,51 +7,179 @@ comparisons ``margin = rhs - lhs``, for PSD-order comparisons it is the
 smallest eigenvalue of ``rhs - lhs``.  Unitarily-invariant-norm claims are
 certified through the full Ky Fan family (Fan dominance), with a
 Hilbert-Schmidt value recorded as a redundant spot check.
+
+Generators, runner, search and CLI read each check from its one row in
+:data:`CHECK_SPECS`, and every hypothesis from its one predicate here;
+adding a check means one row plus its ``check_*`` function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_part, herm_eig,
-    matrix_abs, op_norm, psd_power,
+    DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_part, matrix_abs, op_norm, psd_power,
 )
 from .errors import (
-    BadExponents, BallViolated, CtxMismatch, NotContractive, NotNormal,
+    BadExponents, BallViolated, CtxMismatch, NotContractive, NotNormal, UnknownCheck,
 )
 from .hmodule import (
     GrussContext, ModuleElement, conjugate, gruss_inner, inner, is_normal,
     left_act, module_norm, right_mul,
 )
-from .norms import ky_fan_profile, norm, schatten, HILBERT_SCHMIDT, OPERATOR, TRACE
+from .norms import fan_gaps, norm, schatten, HILBERT_SCHMIDT, OPERATOR, TRACE
 from .transformer import (
     ElementaryOperator, apply, defect_operator, fractional_power_exact,
-    operator_norm_T, spectral_radius,
+    operator_norm_T, spectral_radius, validate_alpha,
 )
 
 # Contractive hypotheses are enforced with this much slack below 1 so the
 # boundary case ||x|| = 1 is kept strictly out of scope.
 CONTRACTION_MARGIN = 1e-3
 
-# Registry of check names and the display anchors they certify; the order
-# here is the canonical suite order.
-CHECK_ANCHORS = {
-    "check_cs": "Eq. (CS)",
-    "check_basic": "Eq. (1infty)",
-    "check_hs": "Eq. (C2)",
-    "check_refinement": "Eq. (Refinement)",
-    "check_uin": "Eq. (UIN1)",
-    "check_interp": "Eq. (InterP)",
-    "check_naopaka": "Theorem (Naopaka)",
-    "check_alpha": "Eq. (AOTalpha)",
-    "check_defect": "Eq. (Defekt)",
-    "check_gruss": "Eqs. (Gruss3)/(GrussMm)",
-    "check_radius_submult": "Remark (spectral radius)",
-}
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """One verified statement.  ``name`` is its ``check_*`` function here,
+    looked up at call time.  After x and y the function takes the
+    ``operands`` ("a"; "e" as a GrussContext; "ball" = (m, M, p, P)) and
+    then the ``grid`` parameters (p, q, r or alpha).  ``recipe`` draws x
+    and y: "pair", "unit_pair" (norm 1), "contractive_pair" (norm at the
+    contraction target) or "gruss" (ball points around a unit reference);
+    ``kind`` is the element kind its reports record."""
+
+    name: str
+    anchor: str
+    operands: tuple[str, ...]
+    recipe: str
+    kind: str
+    hypotheses: tuple[str, ...] = ()
+    grid: str | None = None
+    searchable: bool = False
+
+    def enforced(self, drop=()) -> tuple[str, ...]:
+        """The hypotheses left once the ``drop`` ones are removed."""
+        return tuple(h for h in self.hypotheses if h not in drop)
+
+
+# The canonical suite order.  check_interp's elements are drawn generic
+# although its reports record "normal_commuting".
+CHECK_SPECS = {spec.name: spec for spec in (
+    CheckSpec("check_cs", "Eq. (CS)", (), "pair", "generic", searchable=True),
+    CheckSpec("check_basic", "Eq. (1infty)", ("a",), "pair", "generic", searchable=True),
+    CheckSpec("check_hs", "Eq. (C2)", ("a",), "pair", "generic", searchable=True),
+    CheckSpec("check_refinement", "Eq. (Refinement)", ("a",), "pair", "generic",
+              searchable=True),
+    CheckSpec("check_uin", "Eq. (UIN1)", ("a",), "pair", "normal_commuting",
+              ("normality",), searchable=True),
+    CheckSpec("check_interp", "Eq. (InterP)", ("a",), "unit_pair", "normal_commuting",
+              grid="pqr"),
+    CheckSpec("check_naopaka", "Theorem (Naopaka)", ("a",), "contractive_pair",
+              "normal_commuting", ("normality", "contraction"), searchable=True),
+    CheckSpec("check_alpha", "Eq. (AOTalpha)", ("a",), "contractive_pair",
+              "normal_commuting", ("normality", "contraction"), grid="alpha"),
+    CheckSpec("check_defect", "Eq. (Defekt)", ("a",), "contractive_pair", "contractive",
+              ("contraction",), grid="pqr"),
+    CheckSpec("check_gruss", "Eqs. (Gruss3)/(GrussMm)", ("a", "e", "ball"), "gruss",
+              "gruss", ("normality",)),
+    CheckSpec("check_radius_submult", "Remark (spectral radius)", (), "pair", "generic"),
+)}
+CHECK_NAMES = tuple(CHECK_SPECS)
+CHECK_ANCHORS = {name: spec.anchor for name, spec in CHECK_SPECS.items()}
+
+
+def check_spec(name: str) -> CheckSpec:
+    try:
+        return CHECK_SPECS[name]
+    except KeyError:
+        raise UnknownCheck(f"no check named {name!r}") from None
+
+
+def grid_params(axis: str | None, value) -> dict:
+    """Report parameters of one grid point: p, q, r or alpha."""
+    if axis == "pqr":
+        return dict(zip("pqr", value))
+    return {} if axis is None else {axis: value}
+
+
+# --------------------------------------------------------------------------
+# hypotheses and parameter rules
+
+def _require_normal(x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
+                    e: ModuleElement | None = None) -> None:
+    """x and y must be normal.  Beside a reference e (the covariance
+    setting) the parts of each must also mutually commute, and every part
+    of e must be a scalar multiple of the identity: a scalar reference
+    keeps the centered elements x - e<e,x> inside the module's normal
+    cone, which is what the covariance bound consumes; a merely commuting
+    non-scalar reference is not enough."""
+    for z, tag in ((x, "x"), (y, "y")):
+        ok, defect = is_normal(z, tol)
+        if not ok:
+            raise NotNormal(f"{tag} has normality defect {defect:.3e}")
+    if e is None:
+        return
+    d = e.ctx.dim
+    worst, scale = 0.0, 1.0
+    for z in (x, y):
+        nz = module_norm(z)
+        scale = max(scale, nz * nz)
+        for i, pi in enumerate(z.parts):
+            for pj in z.parts[i + 1:]:
+                worst = max(worst, op_norm(pi @ pj - pj @ pi))
+    for part in e.parts:
+        worst = max(worst, op_norm(part - np.trace(part) / d * np.eye(d)))
+    if worst > tol.tol_rel * scale:
+        raise NotNormal(f"instance leaves the scalar-reference commuting family "
+                        f"by {worst:.3e}")
+
+
+def _require_contractive(x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
+                         e: ModuleElement | None = None) -> None:
+    for z, tag in ((x, "x"), (y, "y")):
+        top = float(np.linalg.eigvalsh(hermitian_part(inner(z, z)))[-1])
+        if top > 1.0 - CONTRACTION_MARGIN + tol.tol_abs:
+            raise NotContractive(
+                f"<{tag},{tag}> has top eigenvalue {top:.6f}, above 1 - {CONTRACTION_MARGIN:g}")
+
+
+HYPOTHESES = {"normality": _require_normal, "contraction": _require_contractive}
+
+
+def require_hypotheses(names, x: ModuleElement, y: ModuleElement,
+                       tol: ToleranceConfig = DEFAULT_TOL,
+                       e: ModuleElement | None = None) -> None:
+    """Raise the matching error for the first named hypothesis x, y violate."""
+    for name in names:
+        HYPOTHESES[name](x, y, tol, e)
+
+
+def require_in_ball(x: ModuleElement, y: ModuleElement, e: ModuleElement, ball,
+                    tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise BallViolated unless x lies in [me, Me] and y in [pe, Pe]
+    for ``ball = (m, M, p, P)``."""
+    m, big_m, p, big_p = (float(v) for v in ball)
+    d = e.ctx.dim
+    for z, lo, hi, tag in ((x, m, big_m, "x"), (y, p, big_p, "y")):
+        center = right_mul(e, (hi + lo) / 2 * np.eye(d))
+        radius = abs(hi - lo) / 2
+        dist = module_norm(z - center)
+        if dist > radius + tol.tol_abs + tol.tol_rel * max(radius, 1.0):
+            raise BallViolated(
+                f"{tag} sits {dist:.6f} from the ball center, radius {radius:.6f}")
+
+
+def validate_pqr(p: float, q: float, r: float) -> None:
+    """Raise BadExponents unless p, q, r are finite, > 1 and 1/q + 1/r = 2/p."""
+    if not all(math.isfinite(v) for v in (p, q, r)) or min(p, q, r) <= 1:
+        raise BadExponents(f"exponents must be finite and satisfy p, q, r > 1, "
+                           f"got ({p}, {q}, {r})")
+    if abs(1 / q + 1 / r - 2 / p) > 1e-12:
+        raise BadExponents(f"1/q + 1/r != 2/p for (p, q, r) = ({p}, {q}, {r})")
 
 
 @dataclass(frozen=True)
@@ -121,9 +249,7 @@ def _psd_branch(lo: np.ndarray, hi: np.ndarray) -> _Branch:
 
 def _ky_branches(lo: np.ndarray, hi: np.ndarray, prefix: str = "") -> tuple[dict, _Branch]:
     """Ky Fan profile margins of |||lo||| <= |||hi|||, worst k as headline."""
-    pl, ph = ky_fan_profile(lo), ky_fan_profile(hi)
-    scale = max(float(pl[-1]), float(ph[-1]), 1.0)
-    gaps = ph - pl
+    pl, ph, gaps, scale = fan_gaps(lo, hi)
     detail = {f"{prefix}ky_fan_{k + 1}": float(g) / scale for k, g in enumerate(gaps)}
     detail[f"{prefix}hilbert_schmidt"] = (
         norm(hi, HILBERT_SCHMIDT) - norm(lo, HILBERT_SCHMIDT)
@@ -204,12 +330,6 @@ def check_refinement(x: ModuleElement, y: ModuleElement, a, *,
     return _finish("check_refinement", {"psd": branch}, tol, _digest(x, digest))
 
 
-def _require_normal(z: ModuleElement, tag: str, tol: ToleranceConfig) -> None:
-    ok, defect = is_normal(z, tol)
-    if not ok:
-        raise NotNormal(f"{tag} has normality defect {defect:.3e}")
-
-
 def check_uin(x: ModuleElement, y: ModuleElement, a, *,
               tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True,
               digest: dict | None = None) -> InequalityReport:
@@ -220,20 +340,12 @@ def check_uin(x: ModuleElement, y: ModuleElement, a, *,
     counterexample search can probe instances outside the hypotheses.
     """
     if strict:
-        _require_normal(x, "x", tol)
-        _require_normal(y, "y", tol)
+        require_hypotheses(CHECK_SPECS["check_uin"].hypotheses, x, y, tol)
     lo = inner(x, left_act(a, y))
     hi = _sqrt_gram(x) @ np.asarray(a) @ _sqrt_gram(y)
     detail, head = _ky_branches(lo, hi)
     branches = {"family": head}
     return _finish("check_uin", branches, tol, _digest(x, digest), extra_detail=detail)
-
-
-def _validate_pqr(p: float, q: float, r: float) -> None:
-    if min(p, q, r) <= 1:
-        raise BadExponents("exponents must satisfy p, q, r > 1")
-    if abs(1 / q + 1 / r - 2 / p) > 1e-12:
-        raise BadExponents(f"1/q + 1/r != 2/p for (p, q, r) = ({p}, {q}, {r})")
 
 
 def check_interp(x: ModuleElement, y: ModuleElement, a,
@@ -248,7 +360,7 @@ def check_interp(x: ModuleElement, y: ModuleElement, a,
     ``sensitivity`` together with the smallest inner eigenvalue, so
     near-singular instances can be recognized downstream.
     """
-    _validate_pqr(p, q, r)
+    validate_pqr(p, q, r)
     a = np.asarray(a)
     d = x.ctx.dim
     eye = np.eye(d)
@@ -275,11 +387,13 @@ def check_interp(x: ModuleElement, y: ModuleElement, a,
     return _finish("check_interp", {schatten(p).label: branch}, tol, dig, extra_detail=extra)
 
 
-def _require_contractive(z: ModuleElement, tag: str, tol: ToleranceConfig) -> None:
-    top = float(np.linalg.eigvalsh(hermitian_part(inner(z, z)))[-1])
-    if top > 1.0 - CONTRACTION_MARGIN + tol.tol_abs:
-        raise NotContractive(
-            f"<{tag},{tag}> has top eigenvalue {top:.6f}, above 1 - {CONTRACTION_MARGIN:g}")
+def _defect_sandwich(x: ModuleElement, y: ModuleElement, a: np.ndarray,
+                     s: float) -> np.ndarray:
+    """(1 - <x,x>)^s a (1 - <y,y>)^s."""
+    eye = np.eye(x.ctx.dim)
+    gx = hermitian_part(inner(x, x))
+    gy = hermitian_part(inner(y, y))
+    return psd_power(hermitian_part(eye - gx), s) @ a @ psd_power(hermitian_part(eye - gy), s)
 
 
 def check_naopaka(x: ModuleElement, y: ModuleElement, a, *,
@@ -288,15 +402,9 @@ def check_naopaka(x: ModuleElement, y: ModuleElement, a, *,
     """|||(1-<x,x>)^(1/2) a (1-<y,y>)^(1/2)||| <= |||a - <x,ay>||| for
     normal contractive x, y, over the whole Ky Fan family."""
     if strict:
-        _require_normal(x, "x", tol)
-        _require_normal(y, "y", tol)
-        _require_contractive(x, "x", tol)
-        _require_contractive(y, "y", tol)
+        require_hypotheses(CHECK_SPECS["check_naopaka"].hypotheses, x, y, tol)
     a = np.asarray(a)
-    eye = np.eye(x.ctx.dim)
-    gx = hermitian_part(inner(x, x))
-    gy = hermitian_part(inner(y, y))
-    lo = psd_power(hermitian_part(eye - gx), 0.5) @ a @ psd_power(hermitian_part(eye - gy), 0.5)
+    lo = _defect_sandwich(x, y, a, 0.5)
     hi = a - apply(ElementaryOperator(x, y), a)
     detail, head = _ky_branches(lo, hi)
     return _finish("check_naopaka", {"family": head}, tol, _digest(x, digest),
@@ -315,19 +423,11 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     terminating binomial series, and any other case falls back to the
     series of fractional_power_apply, which stays the independent oracle.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    validate_alpha(alpha)
     if strict:
-        _require_normal(x, "x", tol)
-        _require_normal(y, "y", tol)
-        _require_contractive(x, "x", tol)
-        _require_contractive(y, "y", tol)
+        require_hypotheses(CHECK_SPECS["check_alpha"].hypotheses, x, y, tol)
     a = np.asarray(a)
-    eye = np.eye(x.ctx.dim)
-    gx = hermitian_part(inner(x, x))
-    gy = hermitian_part(inner(y, y))
-    lo = (psd_power(hermitian_part(eye - gx), alpha / 2) @ a
-          @ psd_power(hermitian_part(eye - gy), alpha / 2))
+    lo = _defect_sandwich(x, y, a, alpha / 2)
     hi = fractional_power_exact(ElementaryOperator(x, y), alpha, a, tol)
     detail, head = _ky_branches(lo, hi)
     dig = _digest(x, digest, params={"alpha": alpha})
@@ -336,13 +436,16 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
 
 def check_defect(x: ModuleElement, y: ModuleElement, a,
                  p: float, q: float, r: float, *,
-                 tol: ToleranceConfig = DEFAULT_TOL,
+                 tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True,
                  digest: dict | None = None) -> InequalityReport:
-    """Defect-operator bound in Schatten-p norm, no normality required:
+    """Defect-operator bound in Schatten-p norm for contractive x, y, no
+    normality required:
 
     ||D_x^(1-1/q) a D_y^(1-1/r)||_p <= ||D_xbar^(-1/q) (a - <x,ay>) D_ybar^(-1/r)||_p
     """
-    _validate_pqr(p, q, r)
+    validate_pqr(p, q, r)
+    if strict:
+        require_hypotheses(CHECK_SPECS["check_defect"].hypotheses, x, y, tol)
     a = np.asarray(a)
     dx, dy = defect_operator(x, tol), defect_operator(y, tol)
     dxb, dyb = defect_operator(conjugate(x), tol), defect_operator(conjugate(y), tol)
@@ -352,36 +455,6 @@ def check_defect(x: ModuleElement, y: ModuleElement, a,
     branch = _scalar_branch(lhs, rhs)
     dig = _digest(x, digest, params={"p": p, "q": q, "r": r})
     return _finish("check_defect", {schatten(p).label: branch}, tol, dig)
-
-
-def _gruss_family_defect(x: ModuleElement, y: ModuleElement, g: GrussContext,
-                         tol: ToleranceConfig) -> None:
-    """Verify the structural hypotheses of the covariance bounds.
-
-    Each of x and y must be a normal element whose parts mutually commute,
-    and every part of the reference e must be a scalar multiple of the
-    identity.  A scalar reference keeps the centered elements x - e<e,x>
-    inside the module's normal cone, which is what the covariance bound
-    actually consumes; a merely commuting non-scalar reference is not
-    enough.
-    """
-    d = g.e.ctx.dim
-    worst, scale = 0.0, 1.0
-    for z, tag in ((x, "x"), (y, "y")):
-        ok, defect = is_normal(z, tol)
-        nz = module_norm(z)
-        scale = max(scale, nz * nz)
-        if not ok:
-            raise NotNormal(f"{tag} has normality defect {defect:.3e}")
-        for i, pi in enumerate(z.parts):
-            for pj in z.parts[i + 1:]:
-                worst = max(worst, op_norm(pi @ pj - pj @ pi))
-    for part in g.e.parts:
-        diag = np.trace(part) / d
-        worst = max(worst, op_norm(part - diag * np.eye(d)))
-    if worst > tol.tol_rel * scale:
-        raise NotNormal(f"instance leaves the scalar-reference commuting family "
-                        f"by {worst:.3e}")
 
 
 def check_gruss(x: ModuleElement, y: ModuleElement, a, g: GrussContext,
@@ -398,18 +471,11 @@ def check_gruss(x: ModuleElement, y: ModuleElement, a, g: GrussContext,
     if x.ctx != g.e.ctx or y.ctx != g.e.ctx:
         raise CtxMismatch("x, y and the reference element live in different contexts")
     if strict:
-        _gruss_family_defect(x, y, g, tol)
+        require_hypotheses(CHECK_SPECS["check_gruss"].hypotheses, x, y, tol, g.e)
     a = np.asarray(a)
-    d = x.ctx.dim
     if ball is not None:
+        require_in_ball(x, y, g.e, ball, tol)
         m, big_m, p, big_p = (float(v) for v in ball)
-        for z, lo, hi, tag in ((x, m, big_m, "x"), (y, p, big_p, "y")):
-            center = right_mul(g.e, (hi + lo) / 2 * np.eye(d))
-            radius = abs(hi - lo) / 2
-            dist = module_norm(z - center)
-            if dist > radius + tol.tol_abs + tol.tol_rel * max(radius, 1.0):
-                raise BallViolated(
-                    f"{tag} sits {dist:.6f} from the ball center, radius {radius:.6f}")
 
     lo_mat = gruss_inner(x, left_act(a, y), g)
     phi_x = hermitian_part(gruss_inner(x, x, g))

@@ -69,7 +69,7 @@ def hermiticity_defect(m) -> float:
 
 def require_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     a = as_matrix(m)
-    defect = float(np.max(np.abs(a - a.conj().T)))
+    defect = hermiticity_defect(a)
     if defect > cfg.tol_abs:
         raise NotHermitian(
             f"self-adjointness defect {defect:.3e} exceeds tol_abs {cfg.tol_abs:.3e}"

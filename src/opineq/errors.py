@@ -49,10 +49,6 @@ class DimCap(OpineqError):
     """The vectorized d^2 x d^2 representation exceeds the configured cap."""
 
 
-class BadExponents(OpineqError):
-    """Schatten exponents (p, q, r) violate 1/q + 1/r = 2/p or are not all > 1."""
-
-
 class BallViolated(OpineqError):
     """An element is outside the ball its check hypothesis places it in."""
 
@@ -62,6 +58,11 @@ class InvalidSpec(OpineqError, ValueError):
 
     It is also a ValueError, the type plain configuration validators raise.
     """
+
+
+class BadExponents(InvalidSpec):
+    """Schatten exponents (p, q, r) violate 1/q + 1/r = 2/p or are not all
+    finite and > 1; a bad exponent is a bad configuration."""
 
 
 class UnknownCheck(OpineqError):

@@ -9,20 +9,21 @@ can be replayed bit for bit.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checks import (
-    InequalityReport, check_alpha, check_basic, check_cs, check_defect,
-    check_gruss, check_hs, check_interp, check_naopaka, check_radius_submult,
-    check_refinement, check_uin,
+from . import checks
+from .checks import (  # CHECK_NAMES is re-exported
+    CHECK_NAMES, InequalityReport, check_spec, grid_params, require_hypotheses,
+    require_in_ball,
 )
-from .core import DEFAULT_TOL, ToleranceConfig, hermitian_part, op_norm, psd_power
-from .errors import InvalidSpec, UnknownCheck
+from .core import DEFAULT_TOL, ToleranceConfig, hermitian_part, psd_power
+from .errors import InvalidSpec, OpineqError
 from .hmodule import (
     GrussContext, ModuleContext, ModuleElement, element_from_json,
-    element_to_json, inner, is_normal, module_norm, right_mul,
+    element_to_json, inner, matrix_from_json, matrix_to_json, module_norm, require_unit,
+    right_mul,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -30,6 +31,7 @@ _SEED_MASK = (1 << 64) - 1
 
 DEFAULT_PQR = (2.0, 2.0, 2.0)
 DEFAULT_ALPHA = 1.0
+DEFAULT_CONTRACTION = 0.999
 
 # Matrix dimensions and tuple lengths the generators accept.
 DIM_RANGE = (1, 8)
@@ -52,7 +54,7 @@ class GeneratorSpec:
     length: int
     kind: str
     scale: float = 1.0
-    contraction: float = 0.999
+    contraction: float = DEFAULT_CONTRACTION
     weights_mode: str = "uniform"
 
     def __post_init__(self) -> None:
@@ -69,15 +71,15 @@ class GeneratorSpec:
             raise InvalidSpec(f"unknown weights mode {self.weights_mode!r}")
 
 
-def _cgauss(rng: np.random.Generator, rows: int, cols: int | None = None) -> np.ndarray:
-    shape = (rows,) if cols is None else (rows, cols)
+def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array of the given shape."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def _haar(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian with the R-diagonal
     phases absorbed into Q."""
-    q, r = np.linalg.qr(_cgauss(rng, d, d))
+    q, r = np.linalg.qr(_cgauss(rng, (d, d)))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 
@@ -94,6 +96,10 @@ def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, .
     return (1.0,) * n
 
 
+def _gaussian_parts(rng: np.random.Generator, d: int, n: int, scale: float = 1.0):
+    return tuple(scale * _cgauss(rng, (d, d)) for _ in range(n))
+
+
 def _normal_commuting_parts(rng: np.random.Generator, d: int, n: int,
                             scale: float, unitary: np.ndarray | None = None):
     u = _haar(rng, d) if unitary is None else unitary
@@ -106,28 +112,34 @@ def gen_element(spec: GeneratorSpec) -> ModuleElement:
     rng = np.random.default_rng(spec.seed)
     weights = _draw_weights(rng, spec.length, spec.weights_mode)
     ctx = ModuleContext(spec.dim, weights)
-    if spec.kind == "generic":
-        parts = tuple(spec.scale * _cgauss(rng, spec.dim, spec.dim)
-                      for _ in range(spec.length))
-        return ModuleElement(ctx, parts)
     if spec.kind == "normal_commuting":
         return ModuleElement(
             ctx, _normal_commuting_parts(rng, spec.dim, spec.length, spec.scale))
-    if spec.kind == "contractive":
-        parts = tuple(spec.scale * _cgauss(rng, spec.dim, spec.dim)
-                      for _ in range(spec.length))
-        x = ModuleElement(ctx, parts)
-        nx = module_norm(x)
-        if nx == 0:
-            raise InvalidSpec("degenerate zero draw cannot be rescaled")
-        return (spec.contraction / nx) * x
-    # gruss: unit reference with scalar parts, sum_t w_t |lam_t|^2 = 1
-    lam = _cgauss(rng, spec.length)
-    total = np.sqrt(np.sum(np.asarray(weights) * np.abs(lam) ** 2))
+    if spec.kind == "gruss":
+        return _scalar_unit(rng, ctx)
+    x = ModuleElement(ctx, _gaussian_parts(rng, spec.dim, spec.length, spec.scale))
+    if spec.kind == "generic":
+        return x
+    nx = module_norm(x)
+    if nx == 0:
+        raise InvalidSpec("degenerate zero draw cannot be rescaled")
+    return (spec.contraction / nx) * x
+
+
+def _scalar_unit(rng: np.random.Generator, ctx: ModuleContext) -> ModuleElement:
+    """Unit reference with scalar parts lam_t I, sum_t w_t |lam_t|^2 = 1."""
+    lam = _cgauss(rng, ctx.length)
+    total = np.sqrt(np.sum(np.asarray(ctx.weights) * np.abs(lam) ** 2))
     if total == 0:
         raise InvalidSpec("degenerate zero draw cannot be normalized")
     lam = lam / total
-    return ModuleElement(ctx, tuple(v * np.eye(spec.dim) for v in lam))
+    return ModuleElement(ctx, tuple(v * np.eye(ctx.dim) for v in lam))
+
+
+def scaled_to(z: ModuleElement, target: float) -> ModuleElement:
+    """z rescaled to module norm ``target``; a zero z stays zero."""
+    nz = module_norm(z)
+    return (target / nz) * z if nz > 0 else z
 
 
 def trial_seed(master: int, check: str, index: int) -> int:
@@ -162,9 +174,7 @@ class CheckInstance:
                 "len": self.x.ctx.length, "params": params}
 
     def to_json(self) -> dict:
-        a = None
-        if self.a is not None:
-            a = [[float(v.real), float(v.imag)] for v in np.asarray(self.a).reshape(-1)]
+        a = matrix_to_json(self.a) if self.a is not None else None
         return {
             "check": self.check,
             "seed": self.seed,
@@ -180,31 +190,30 @@ class CheckInstance:
 
 
 def instance_from_json(obj: dict) -> CheckInstance:
-    x = element_from_json(obj["x"])
-    a = None
-    if obj.get("a") is not None:
-        d = x.ctx.dim
-        a = np.array([complex(re, im) for re, im in obj["a"]],
-                     dtype=complex).reshape(d, d)
-    ball = obj.get("ball")
-    return CheckInstance(
-        check=obj["check"],
-        seed=obj.get("seed"),
-        kind=obj.get("kind", "generic"),
-        x=x,
-        y=element_from_json(obj["y"]),
-        a=a,
-        e=element_from_json(obj["e"]) if obj.get("e") is not None else None,
-        ball=tuple(float(v) for v in ball) if ball is not None else None,
-        params=dict(obj.get("params", {})),
-        drop=tuple(obj.get("drop", ())),
-    )
+    """Inverse of CheckInstance.to_json; raises InvalidSpec on malformed input."""
+    try:
+        x = element_from_json(obj["x"])
+        a = matrix_from_json(obj["a"], x.ctx.dim) if obj.get("a") is not None else None
+        ball = obj.get("ball")
+        return CheckInstance(
+            check=obj["check"],
+            seed=obj.get("seed"),
+            kind=obj.get("kind", "generic"),
+            x=x,
+            y=element_from_json(obj["y"]),
+            a=a,
+            e=element_from_json(obj["e"]) if obj.get("e") is not None else None,
+            ball=tuple(float(v) for v in ball) if ball is not None else None,
+            params=dict(obj.get("params", {})),
+            drop=tuple(obj.get("drop", ())),
+        )
+    except (LookupError, TypeError, ValueError, OpineqError) as exc:
+        raise InvalidSpec(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
 def _unit_reference(rng: np.random.Generator, ctx: ModuleContext) -> ModuleElement:
     """A generic (non-scalar) unit element: right-normalize a random draw."""
-    raw = ModuleElement(ctx, tuple(_cgauss(rng, ctx.dim, ctx.dim)
-                                   for _ in range(ctx.length)))
+    raw = ModuleElement(ctx, _gaussian_parts(rng, ctx.dim, ctx.length))
     g = hermitian_part(inner(raw, raw))
     return right_mul(raw, psd_power(g, -0.5))
 
@@ -214,7 +223,7 @@ def _ball_point(rng: np.random.Generator, e: ModuleElement, lo: float, hi: float
     """Convex sample strictly inside the ball [lo*e, hi*e]."""
     ctx = e.ctx
     if unitary is None:
-        parts = tuple(_cgauss(rng, ctx.dim, ctx.dim) for _ in range(ctx.length))
+        parts = _gaussian_parts(rng, ctx.dim, ctx.length)
     else:
         parts = _normal_commuting_parts(rng, ctx.dim, ctx.length, 1.0, unitary)
     u = ModuleElement(ctx, parts)
@@ -226,192 +235,112 @@ def _ball_point(rng: np.random.Generator, e: ModuleElement, lo: float, hi: float
     return center + (shrink * (hi - lo) / 2 / nu) * u
 
 
-_GENERIC_CHECKS = {"check_cs", "check_basic", "check_hs", "check_refinement",
-                   "check_radius_submult"}
-_NEEDS_A = {"check_basic", "check_hs", "check_refinement", "check_uin",
-            "check_interp", "check_naopaka", "check_alpha", "check_defect",
-            "check_gruss"}
+def _gruss_operands(rng: np.random.Generator, d: int, n: int, weights_mode: str,
+                    scalar: bool):
+    """Unit reference e, ball bounds (m, M, p, P), and x, y inside their
+    balls; ``scalar`` gives e scalar parts and x, y one shared normal frame."""
+    ctx = ModuleContext(d, _draw_weights(rng, n, weights_mode))
+    if scalar:
+        e_seed = int(rng.integers(0, _SEED_MASK, dtype=np.uint64))
+        e = _scalar_unit(np.random.default_rng(e_seed), ctx)
+        unitary = _haar(rng, d)
+    else:
+        e = _unit_reference(rng, ctx)
+        unitary = None
+    lo_x, hi_x = sorted(rng.normal(0.0, 1.0, 2))
+    lo_y, hi_y = sorted(rng.normal(0.0, 1.0, 2))
+    ball = (float(lo_x), float(hi_x), float(lo_y), float(hi_y))
+    return e, ball, _ball_point(rng, e, *ball[:2], unitary), _ball_point(rng, e, *ball[2:], unitary)
 
 
 def build_instance(check: str, seed: int, *, dim: int | None = None,
                    length: int | None = None, weights_mode: str = "random",
-                   scale: float = 1.0, contraction: float = 0.999,
+                   scale: float = 1.0, contraction: float = DEFAULT_CONTRACTION,
                    pqr: tuple[float, float, float] | None = None,
                    alpha: float | None = None,
                    drop: tuple[str, ...] = (),
                    force_kind: str | None = None) -> CheckInstance:
     """Materialize a random instance satisfying the check's hypotheses.
 
-    ``drop`` removes the named hypotheses from the construction (normality
-    falls back to generic draws, contraction rescales to the unit sphere);
-    the instance records the dropped set so evaluation skips enforcement.
+    The check's registry row picks the recipe.  ``drop`` removes the named
+    hypotheses from the construction (normality falls back to generic
+    draws, contraction rescales to the unit sphere); the instance records
+    the dropped set so evaluation skips enforcing just those.
     ``force_kind`` overrides the element kind the recipe would pick, which
     deliberately lets a run rout hypothesis-violating instances into a
     strict check to exercise its error path.
     """
-    if check not in _CHECK_EVAL:
-        raise UnknownCheck(f"no check named {check!r}")
+    spec = check_spec(check)
     if force_kind is not None and force_kind not in KINDS:
         raise InvalidSpec(f"unknown kind {force_kind!r}")
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     d = int(dim) if dim is not None else int(rng.integers(1, 7))
     n = int(length) if length is not None else int(rng.integers(1, 5))
     no_normal = "normality" in drop
-    target = 1.0 if "contraction" in drop else contraction
 
-    def sub(kind: str, contr: float = contraction) -> ModuleElement:
+    def sub(kind: str) -> ModuleElement:
         sub_seed = int(rng.integers(0, _SEED_MASK, dtype=np.uint64))
         return gen_element(GeneratorSpec(sub_seed, d, n, kind, scale=scale,
-                                         contraction=contr,
+                                         contraction=contraction,
                                          weights_mode=weights_mode))
 
-    a = _cgauss(rng, d, d) if check in _NEEDS_A else None
-    params: dict = {}
-    e = None
-    ball = None
+    a = _cgauss(rng, (d, d)) if "a" in spec.operands else None
+    e = ball = None
+    if spec.recipe == "gruss":
+        scalar = not no_normal and force_kind != "generic"
+        e, ball, x, y = _gruss_operands(rng, d, n, weights_mode, scalar)
+    else:
+        normal = "normality" in spec.enforced(drop)
+        kind = force_kind or ("normal_commuting" if normal else "generic")
+        x, y = sub(kind), sub(kind)
+        y = ModuleElement(x.ctx, y.parts)
+        if spec.recipe != "pair":
+            target = 1.0 if spec.recipe == "unit_pair" or "contraction" in drop else contraction
+            x, y = scaled_to(x, target), scaled_to(y, target)
 
-    if check in _GENERIC_CHECKS:
-        kind = force_kind or "generic"
-        x = sub(kind)
-        y = ModuleElement(x.ctx, sub(kind).parts)
-    elif check == "check_uin":
-        kind = force_kind or ("generic" if no_normal else "normal_commuting")
-        x = sub(kind)
-        y = ModuleElement(x.ctx, sub(kind).parts)
-    elif check == "check_interp":
-        base = force_kind or "generic"
-        x, y = sub(base), sub(base)
-        y = ModuleElement(x.ctx, y.parts)
-        x = (1.0 / module_norm(x)) * x
-        y = (1.0 / module_norm(y)) * y
-        params = {"p": None, "q": None, "r": None}
-    elif check in ("check_naopaka", "check_alpha"):
-        base = force_kind or ("generic" if no_normal else "normal_commuting")
-        x, y = sub(base), sub(base)
-        y = ModuleElement(x.ctx, y.parts)
-        x = (target / module_norm(x)) * x
-        y = (target / module_norm(y)) * y
-        if check == "check_alpha":
-            params = {"alpha": None}
-    elif check == "check_defect":
-        base = force_kind or "generic"
-        x, y = sub(base), sub(base)
-        y = ModuleElement(x.ctx, y.parts)
-        x = (target / module_norm(x)) * x
-        y = (target / module_norm(y)) * y
-        params = {"p": None, "q": None, "r": None}
-    elif check == "check_gruss":
-        ctx = ModuleContext(d, _draw_weights(rng, n, weights_mode))
-        if no_normal or force_kind == "generic":
-            e = _unit_reference(rng, ctx)
-            unitary = None
-        else:
-            e_seed = int(rng.integers(0, _SEED_MASK, dtype=np.uint64))
-            lam_src = np.random.default_rng(e_seed)
-            lam = _cgauss(lam_src, n)
-            lam = lam / np.sqrt(np.sum(np.asarray(ctx.weights) * np.abs(lam) ** 2))
-            e = ModuleElement(ctx, tuple(v * np.eye(d) for v in lam))
-            unitary = _haar(rng, d)
-        lo_x, hi_x = sorted(rng.normal(0.0, 1.0, 2))
-        lo_y, hi_y = sorted(rng.normal(0.0, 1.0, 2))
-        ball = (float(lo_x), float(hi_x), float(lo_y), float(hi_y))
-        x = _ball_point(rng, e, *ball[:2], unitary)
-        y = _ball_point(rng, e, *ball[2:], unitary)
-    else:  # pragma: no cover - guarded by the registry check above
-        raise UnknownCheck(check)
-
-    if pqr is not None and "p" in params:
-        params.update(p=float(pqr[0]), q=float(pqr[1]), r=float(pqr[2]))
-    if alpha is not None and "alpha" in params:
-        params["alpha"] = float(alpha)
-    params = {k: v for k, v in params.items() if v is not None}
-    kind = force_kind or ("gruss" if check == "check_gruss"
-                          else "generic" if check in _GENERIC_CHECKS or no_normal
-                          else "contractive" if check == "check_defect"
-                          else "normal_commuting")
+    value = {"pqr": pqr, "alpha": alpha}.get(spec.grid)
+    params = ({} if value is None else
+              {k: float(v) for k, v in grid_params(spec.grid, value).items()})
+    kind = force_kind or ("generic" if no_normal and spec.recipe != "gruss" else spec.kind)
     return CheckInstance(check=check, seed=int(seed), kind=kind, x=x, y=y, a=a,
                          e=e, ball=ball, params=params, drop=tuple(drop))
 
 
 def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Construction-time guard: a freshly generated instance must satisfy
-    the hypotheses it claims, else the generator itself is broken."""
-    checks_normal = inst.check in ("check_uin", "check_naopaka", "check_alpha")
-    if checks_normal and "normality" not in inst.drop:
-        for tag, z in (("x", inst.x), ("y", inst.y)):
-            ok, defect = is_normal(z, tol)
-            if not ok:
-                raise InvalidSpec(f"generated {tag} has normality defect {defect:.3e}")
-    if inst.check in ("check_naopaka", "check_alpha", "check_defect") \
-            and "contraction" not in inst.drop:
-        for tag, z in (("x", inst.x), ("y", inst.y)):
-            top = op_norm(inner(z, z))
-            if top > 1.0 - 1e-6:
-                raise InvalidSpec(f"generated {tag} has ||<z,z>|| = {top:.6f}")
-    if inst.e is not None:
-        defect = op_norm(inner(inst.e, inst.e) - np.eye(inst.e.ctx.dim))
-        if defect > 1e-10:
-            raise InvalidSpec(f"reference element misses <e,e> = 1 by {defect:.3e}")
-    if inst.ball is not None:
-        lo_x, hi_x, lo_y, hi_y = inst.ball
-        for tag, z, lo, hi in (("x", inst.x, lo_x, hi_x), ("y", inst.y, lo_y, hi_y)):
-            center = right_mul(inst.e, (hi + lo) / 2 * np.eye(inst.e.ctx.dim))
-            if module_norm(z - center) > (hi - lo) / 2 + 1e-10:
-                raise InvalidSpec(f"generated {tag} escapes its ball")
-
-
-_CHECK_EVAL = {
-    "check_cs": lambda inst, tol, strict, p, q, r, al: check_cs(
-        inst.x, inst.y, tol=tol, digest=inst.digest()),
-    "check_basic": lambda inst, tol, strict, p, q, r, al: check_basic(
-        inst.x, inst.y, inst.a, tol=tol, digest=inst.digest()),
-    "check_hs": lambda inst, tol, strict, p, q, r, al: check_hs(
-        inst.x, inst.y, inst.a, tol=tol, digest=inst.digest()),
-    "check_refinement": lambda inst, tol, strict, p, q, r, al: check_refinement(
-        inst.x, inst.y, inst.a, tol=tol, digest=inst.digest()),
-    "check_uin": lambda inst, tol, strict, p, q, r, al: check_uin(
-        inst.x, inst.y, inst.a, tol=tol, strict=strict, digest=inst.digest()),
-    "check_interp": lambda inst, tol, strict, p, q, r, al: check_interp(
-        inst.x, inst.y, inst.a, p, q, r, tol=tol, digest=inst.digest()),
-    "check_naopaka": lambda inst, tol, strict, p, q, r, al: check_naopaka(
-        inst.x, inst.y, inst.a, tol=tol, strict=strict, digest=inst.digest()),
-    "check_alpha": lambda inst, tol, strict, p, q, r, al: check_alpha(
-        inst.x, inst.y, inst.a, al, tol=tol, strict=strict, digest=inst.digest()),
-    "check_defect": lambda inst, tol, strict, p, q, r, al: check_defect(
-        inst.x, inst.y, inst.a, p, q, r, tol=tol, digest=inst.digest()),
-    "check_gruss": lambda inst, tol, strict, p, q, r, al: check_gruss(
-        inst.x, inst.y, inst.a, GrussContext(inst.e), inst.ball, tol=tol,
-        strict=strict, digest=inst.digest()),
-    "check_radius_submult": lambda inst, tol, strict, p, q, r, al: check_radius_submult(
-        inst.x, inst.y, tol=tol, digest=inst.digest()),
-}
-
-CHECK_NAMES = tuple(_CHECK_EVAL)
+    the hypotheses it claims (by the predicates evaluation uses), else the
+    generator itself is broken and InvalidSpec is raised."""
+    spec = check_spec(inst.check)
+    try:
+        require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
+        if "e" in spec.operands:
+            require_unit(inst.e, tol)
+        if "ball" in spec.operands:
+            require_in_ball(inst.x, inst.y, inst.e, inst.ball, tol)
+    except OpineqError as exc:
+        raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
 
 def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
                       pqr: tuple[float, float, float] | None = None,
                       alpha: float | None = None) -> InequalityReport:
-    """Run the instance's check; grid parameters may be overridden per call.
-
-    Evaluation is strict (hypotheses enforced) unless the instance was
-    built with dropped hypotheses.
-    """
-    if inst.check not in _CHECK_EVAL:
-        raise UnknownCheck(f"no check named {inst.check!r}")
+    """Run the instance's check, looked up on :mod:`opineq.checks` at call
+    time, enforcing its hypotheses minus ``inst.drop``; grid parameters may
+    be overridden per call."""
+    spec = check_spec(inst.check)
     params = dict(inst.params)
     if pqr is not None:
-        params.update(p=pqr[0], q=pqr[1], r=pqr[2])
+        params.update(grid_params("pqr", pqr))
     if alpha is not None:
-        params["alpha"] = alpha
-    p = float(params.get("p", DEFAULT_PQR[0]))
-    q = float(params.get("q", DEFAULT_PQR[1]))
-    r = float(params.get("r", DEFAULT_PQR[2]))
-    al = float(params.get("alpha", DEFAULT_ALPHA))
-    strict = not inst.drop
-    inst_for_eval = inst
-    if pqr is not None or alpha is not None:
-        inst_for_eval = CheckInstance(
-            check=inst.check, seed=inst.seed, kind=inst.kind, x=inst.x, y=inst.y,
-            a=inst.a, e=inst.e, ball=inst.ball, params=params, drop=inst.drop)
-    return _CHECK_EVAL[inst.check](inst_for_eval, tol, strict, p, q, r, al)
+        params.update(grid_params("alpha", alpha))
+    args = [inst.x, inst.y]
+    args += [GrussContext(inst.e) if op == "e" else getattr(inst, op) for op in spec.operands]
+    if spec.grid == "pqr":
+        args += [float(params.get(k, v)) for k, v in zip("pqr", DEFAULT_PQR)]
+    elif spec.grid == "alpha":
+        args.append(float(params.get("alpha", DEFAULT_ALPHA)))
+    kwargs = {"tol": tol, "digest": replace(inst, params=params).digest()}
+    if spec.hypotheses:
+        require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
+        kwargs["strict"] = False
+    return getattr(checks, spec.name)(*args, **kwargs)

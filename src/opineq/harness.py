@@ -16,21 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import InequalityReport
-from .core import DEFAULT_TOL, ToleranceConfig
-from .errors import IOFailure, OpineqError, UnknownCheck
-from .generators import (
-    CheckInstance, assert_hypotheses, build_instance, check_shape, evaluate_instance,
-    trial_seed, CHECK_NAMES, _SEED_MASK,
+from .checks import (
+    CHECK_SPECS, InequalityReport, check_spec, grid_params, validate_pqr,
 )
-from .hmodule import ModuleContext, ModuleElement, module_norm, right_mul
-from .errors import InvalidSpec
+from .core import DEFAULT_TOL, ToleranceConfig
+from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
+from .generators import (
+    CheckInstance, DEFAULT_CONTRACTION, assert_hypotheses, build_instance, check_shape,
+    evaluate_instance, scaled_to, trial_seed, _cgauss, _haar, _SEED_MASK,
+)
+from .hmodule import ModuleContext, ModuleElement
+from .transformer import validate_alpha
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
                          (4 / 3, 4 / 3, 4 / 3))
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0)
-
-_GRID_CHECKS = ("check_interp", "check_defect")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class RunConfig:
     length: int | None = None
     weights_mode: str = "random"
     scale: float = 1.0
-    contraction: float = 0.999
+    contraction: float = DEFAULT_CONTRACTION
     kind_override: str | None = None
 
     def __post_init__(self) -> None:
@@ -57,14 +57,11 @@ class RunConfig:
         if not self.checks:
             raise InvalidSpec("at least one check is required")
         for name in self.checks:
-            if name not in CHECK_NAMES:
-                raise UnknownCheck(f"no check named {name!r}")
-        for p, q, r in self.exponent_grid:
-            if min(p, q, r) <= 1 or abs(1 / q + 1 / r - 2 / p) > 1e-12:
-                raise InvalidSpec(f"bad exponent triple ({p}, {q}, {r})")
-        for a in self.alpha_grid:
-            if a <= 0:
-                raise InvalidSpec("alpha grid entries must be positive")
+            check_spec(name)
+        for pqr in self.exponent_grid:
+            validate_pqr(*pqr)
+        for alpha in self.alpha_grid:
+            validate_alpha(alpha)
         check_shape(self.dim, self.length)
 
 
@@ -92,23 +89,12 @@ class SuiteSummary:
 
 def _error_line(check: str, inst: CheckInstance | None, seed: int,
                 exc: OpineqError, extra: dict | None = None) -> dict:
+    """A report line with null margins whose params name the error."""
     digest = inst.digest() if inst is not None else {
         "seed": seed, "dim": None, "len": None, "params": {}}
-    params = dict(digest.get("params", {}))
-    if extra:
-        params.update(extra)
-    params["error"] = f"{type(exc).__name__}: {exc}"
-    return {"name": check, "seed": digest.get("seed"), "dim": digest.get("dim"),
-            "len": digest.get("len"), "params": params, "lhs": None, "rhs": None,
-            "margin": None, "holds": None, "norm_detail": {}}
-
-
-def _grid_points(check: str, cfg: RunConfig) -> list[dict]:
-    if check == "check_interp" or check == "check_defect":
-        return [{"pqr": pqr} for pqr in cfg.exponent_grid]
-    if check == "check_alpha":
-        return [{"alpha": a} for a in cfg.alpha_grid]
-    return [{}]
+    params = {**digest["params"], **(extra or {}), "error": f"{type(exc).__name__}: {exc}"}
+    return InequalityReport(check, None, None, None, None, None,
+                            instance={**digest, "params": params}).to_json_dict()
 
 
 def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
@@ -127,6 +113,7 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
             raise IOFailure(f"cannot open {cfg.output_path!r}: {exc}") from exc
     try:
         for check in cfg.checks:
+            spec = check_spec(check)
             for index in range(cfg.trials):
                 seed = trial_seed(cfg.seed, check, index)
                 try:
@@ -140,16 +127,14 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
                     summary.record(check, "error", None)
                     _emit(writer, _error_line(check, None, seed, exc))
                     continue
-                for point in _grid_points(check, cfg):
+                grid = {"pqr": cfg.exponent_grid, "alpha": cfg.alpha_grid}
+                for value in grid.get(spec.grid, (None,)):
+                    point = {spec.grid: value} if spec.grid else {}
                     try:
                         rep = evaluate_instance(inst, cfg.tolerances, **point)
                     except OpineqError as exc:
                         summary.record(check, "error", None)
-                        extra = {}
-                        if "pqr" in point:
-                            extra = dict(zip(("p", "q", "r"), point["pqr"]))
-                        elif "alpha" in point:
-                            extra = {"alpha": point["alpha"]}
+                        extra = grid_params(spec.grid, value)
                         _emit(writer, _error_line(check, inst, seed, exc, extra))
                         continue
                     summary.record(check, "pass" if rep.holds else "fail",
@@ -173,8 +158,7 @@ def _emit(writer, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 # counterexample search
 
-SEARCHABLE = ("check_cs", "check_basic", "check_hs", "check_refinement",
-              "check_uin", "check_naopaka")
+SEARCHABLE = tuple(name for name, spec in CHECK_SPECS.items() if spec.searchable)
 
 _SIGMAS = (0.5, 0.1, 0.02)
 
@@ -196,36 +180,34 @@ class _SearchState:
 
     def __init__(self, check: str, rng: np.random.Generator, dim: int,
                  length: int, drop: tuple[str, ...]):
+        spec = check_spec(check)
         self.check = check
         self.drop = drop
         self.d, self.n = dim, length
-        self.normal = check in ("check_uin", "check_naopaka") and "normality" not in drop
+        self.normal = "normality" in spec.enforced(drop)
         self.target = None
-        if check == "check_naopaka":
-            self.target = 1.0 if "contraction" in drop else 0.999
+        if "contraction" in spec.hypotheses:
+            self.target = 1.0 if "contraction" in drop else DEFAULT_CONTRACTION
         self.weights = tuple(rng.uniform(0.1, 2.0, length))
         if self.normal:
-            from .generators import _haar  # local: generator internals
             self.ux, self.uy = _haar(rng, dim), _haar(rng, dim)
-            self.px = _gauss(rng, (length, dim))
-            self.py = _gauss(rng, (length, dim))
+            self.px = _cgauss(rng, (length, dim))
+            self.py = _cgauss(rng, (length, dim))
         else:
-            self.px = _gauss(rng, (length, dim, dim))
-            self.py = _gauss(rng, (length, dim, dim))
-        self.a = None
-        if check != "check_cs":
-            self.a = _gauss(rng, (dim, dim))
+            self.px = _cgauss(rng, (length, dim, dim))
+            self.py = _cgauss(rng, (length, dim, dim))
+        self.a = _cgauss(rng, (dim, dim)) if "a" in spec.operands else None
 
     def perturb(self, rng: np.random.Generator, sigma: float) -> "_SearchState":
         out = self.__class__.__new__(self.__class__)
         out.__dict__.update(self.__dict__)
         which = rng.integers(0, 3 if self.a is not None else 2)
         if which == 0:
-            out.px = self.px + sigma * _gauss(rng, self.px.shape)
+            out.px = self.px + sigma * _cgauss(rng, self.px.shape)
         elif which == 1:
-            out.py = self.py + sigma * _gauss(rng, self.py.shape)
+            out.py = self.py + sigma * _cgauss(rng, self.py.shape)
         else:
-            out.a = self.a + sigma * _gauss(rng, self.a.shape)
+            out.a = self.a + sigma * _cgauss(rng, self.a.shape)
         return out
 
     def materialize(self) -> CheckInstance:
@@ -237,17 +219,9 @@ class _SearchState:
             xs, ys = tuple(self.px), tuple(self.py)
         x, y = ModuleElement(ctx, xs), ModuleElement(ctx, ys)
         if self.target is not None:
-            nx, ny = module_norm(x), module_norm(y)
-            if nx > 0:
-                x = (self.target / nx) * x
-            if ny > 0:
-                y = (self.target / ny) * y
+            x, y = scaled_to(x, self.target), scaled_to(y, self.target)
         return CheckInstance(check=self.check, seed=None, kind="search", x=x,
                              y=y, a=self.a, drop=self.drop)
-
-
-def _gauss(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def search_counterexample(check: str, drop: tuple[str, ...] = (),
@@ -285,9 +259,8 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     while evals < budget:
         d = int(dim) if dim is not None else int(rng.integers(2, 6))
         n = int(length) if length is not None else int(rng.integers(1, 4))
-        state = _SearchState(check, rng, d, n, tuple(drop))
-        current = try_eval(state)
-        spent = 1
+        current = None
+        spent = 0
         stale = 0
         while current is None and evals < budget and spent < 5:
             state = _SearchState(check, rng, d, n, tuple(drop))

@@ -115,19 +115,23 @@ def inner(x: ModuleElement, y: ModuleElement) -> np.ndarray:
     return acc
 
 
-def right_mul(x: ModuleElement, a) -> ModuleElement:
-    """Module action x.a = (x_t a)."""
+def _acting(x: ModuleElement, a) -> np.ndarray:
+    """a as a square matrix of x's dimension."""
     m = as_matrix(a)
     if m.shape[0] != x.ctx.dim:
         raise DimMismatch(f"matrix of shape {m.shape} in a dim-{x.ctx.dim} context")
+    return m
+
+
+def right_mul(x: ModuleElement, a) -> ModuleElement:
+    """Module action x.a = (x_t a)."""
+    m = _acting(x, a)
     return ModuleElement(x.ctx, tuple(p @ m for p in x.parts))
 
 
 def left_act(a, x: ModuleElement) -> ModuleElement:
     """Algebra action a.x = (a x_t)."""
-    m = as_matrix(a)
-    if m.shape[0] != x.ctx.dim:
-        raise DimMismatch(f"matrix of shape {m.shape} in a dim-{x.ctx.dim} context")
+    m = _acting(x, a)
     return ModuleElement(x.ctx, tuple(m @ p for p in x.parts))
 
 
@@ -169,10 +173,14 @@ class GrussContext:
     e: ModuleElement
 
     def __post_init__(self) -> None:
-        g = inner(self.e, self.e)
-        defect = op_norm(g - np.eye(self.e.ctx.dim))
-        if defect > DEFAULT_TOL.tol_rel:
-            raise NotUnital(f"<e, e> deviates from the identity by {defect:.3e}")
+        require_unit(self.e)
+
+
+def require_unit(e: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise NotUnital unless <e, e> = I to tol_rel."""
+    defect = op_norm(inner(e, e) - np.eye(e.ctx.dim))
+    if defect > cfg.tol_rel:
+        raise NotUnital(f"<e, e> deviates from the identity by {defect:.3e}")
 
 
 def gruss_inner(x: ModuleElement, y: ModuleElement, g: GrussContext) -> np.ndarray:
@@ -182,14 +190,24 @@ def gruss_inner(x: ModuleElement, y: ModuleElement, g: GrussContext) -> np.ndarr
     return inner(x, y) - inner(x, g.e) @ inner(g.e, y)
 
 
+def matrix_to_json(m) -> list:
+    """Row-major [re, im] entry pairs."""
+    return [[float(v.real), float(v.imag)] for v in np.asarray(m).reshape(-1)]
+
+
+def matrix_from_json(flat, d: int) -> np.ndarray:
+    """Exact inverse of matrix_to_json for a d x d matrix."""
+    if len(flat) != d * d:
+        raise DimMismatch(f"{len(flat)} entries for a dim-{d} matrix")
+    return np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(d, d)
+
+
 def element_to_json(x: ModuleElement) -> dict:
-    """Serialize as {dim, weights, parts} with row-major [re, im] entry pairs."""
+    """Serialize as {dim, weights, parts} with matrix_to_json parts."""
     return {
         "dim": x.ctx.dim,
         "weights": list(x.ctx.weights),
-        "parts": [
-            [[float(v.real), float(v.imag)] for v in p.reshape(-1)] for p in x.parts
-        ],
+        "parts": [matrix_to_json(p) for p in x.parts],
     }
 
 
@@ -197,10 +215,5 @@ def element_from_json(obj) -> ModuleElement:
     """Exact inverse of element_to_json."""
     d = int(obj["dim"])
     weights = tuple(float(w) for w in obj["weights"])
-    parts = []
-    for flat in obj["parts"]:
-        if len(flat) != d * d:
-            raise DimMismatch(f"part with {len(flat)} entries in a dim-{d} context")
-        arr = np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(d, d)
-        parts.append(arr)
-    return ModuleElement(ModuleContext(d, weights), tuple(parts))
+    parts = tuple(matrix_from_json(flat, d) for flat in obj["parts"])
+    return ModuleElement(ModuleContext(d, weights), parts)

@@ -90,6 +90,16 @@ def ky_fan_profile(m) -> np.ndarray:
     return np.cumsum(singular_values(m))
 
 
+def fan_gaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Ky Fan profiles of a and b, their gaps ||b||_(k) - ||a||_(k) for
+    k = 1..d, and the comparison scale max(||a||_1, ||b||_1, 1)."""
+    pa = ky_fan_profile(a)
+    pb = ky_fan_profile(b)
+    if pa.shape != pb.shape:
+        raise DimMismatch(f"dimension mismatch {pa.shape[0]} vs {pb.shape[0]}")
+    return pa, pb, pb - pa, max(float(pa[-1]), float(pb[-1]), 1.0)
+
+
 def fan_dominance_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, int, float]:
     """Test Ky Fan dominance ||a||_(k) <= ||b||_(k) for every k = 1..d.
 
@@ -98,14 +108,7 @@ def fan_dominance_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, i
     norm; each margin tolerates -tol_rel relative to the larger trace
     norm involved.
     """
-    am = as_matrix(a)
-    bm = as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimMismatch(f"shape mismatch {am.shape} vs {bm.shape}")
-    pa = ky_fan_profile(am)
-    pb = ky_fan_profile(bm)
-    margins = pb - pa
-    scale = max(float(pa[-1]), float(pb[-1]), 1.0)
+    _, _, margins, scale = fan_gaps(a, b)
     worst = int(np.argmin(margins))
     holds = bool(np.all(margins >= -cfg.tol_rel * scale))
     return holds, worst + 1, float(margins[worst])

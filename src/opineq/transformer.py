@@ -21,6 +21,7 @@ dense eigenvalues of T_{z,z} are computed only otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -33,13 +34,21 @@ from .core import (
     hermitian_part,
     psd_power,
 )
-from .errors import CtxMismatch, DimCap, DimMismatch, MaxTermsExceeded, NotContractive
+from .errors import (
+    CtxMismatch, DimCap, DimMismatch, InvalidSpec, MaxTermsExceeded, NotContractive,
+)
 from .hmodule import ModuleElement, conjugate, inner, left_act, module_norm
 
 DIM_CAP = 1024
 
 # fixed seed: the probe set for the induced-norm lower bound must be reproducible
 _PROBE_SEED = 0x0FAB
+
+
+def validate_alpha(alpha: float) -> None:
+    """Raise InvalidSpec unless alpha is a finite positive exponent."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidSpec(f"alpha must be finite and positive, got {alpha}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,21 +80,32 @@ def unvec(v, d: int) -> np.ndarray:
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def apply(t: ElementaryOperator, a) -> np.ndarray:
-    """T(a) = <x, a y> = sum_t w_t x_t* a y_t."""
+def _operand(t: ElementaryOperator, a) -> np.ndarray:
+    """a as a square matrix of T's dimension."""
     m = as_matrix(a)
     if m.shape[0] != t.dim:
         raise DimMismatch(f"matrix of shape {m.shape} for a dim-{t.dim} operator")
-    return inner(t.x, left_act(m, t.y))
+    return m
+
+
+def _series_gamma(t: ElementaryOperator, series: str) -> float:
+    """gamma = ||x|| ||y||, which must be below one for the series to converge."""
+    gamma = module_norm(t.x) * module_norm(t.y)
+    if gamma >= 1.0:
+        raise NotContractive(f"{series} series requires ||x|| ||y|| < 1, got {gamma:.6f}")
+    return gamma
+
+
+def apply(t: ElementaryOperator, a) -> np.ndarray:
+    """T(a) = <x, a y> = sum_t w_t x_t* a y_t."""
+    return inner(t.x, left_act(_operand(t, a), t.y))
 
 
 def power_apply(t: ElementaryOperator, a, k: int) -> np.ndarray:
     """T^k(a) by k-fold application; equals the grade-k tensor inner product."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    out = as_matrix(a)
-    if out.shape[0] != t.dim:
-        raise DimMismatch(f"matrix of shape {out.shape} for a dim-{t.dim} operator")
+    out = _operand(t, a)
     for _ in range(k):
         out = inner(t.x, left_act(out, t.y))
     return out
@@ -153,12 +173,8 @@ def neumann_inverse(t: ElementaryOperator, a, cfg: ToleranceConfig = DEFAULT_TOL
     smallest making gamma^(N+1) / (1 - gamma) <= series_tail, so the
     result is within 2 * series_tail * ||a|| of the exact sum.
     """
-    m = as_matrix(a)
-    if m.shape[0] != t.dim:
-        raise DimMismatch(f"matrix of shape {m.shape} for a dim-{t.dim} operator")
-    gamma = module_norm(t.x) * module_norm(t.y)
-    if gamma >= 1.0:
-        raise NotContractive(f"Neumann series requires ||x|| ||y|| < 1, got {gamma:.6f}")
+    m = _operand(t, a)
+    gamma = _series_gamma(t, "Neumann")
     if gamma == 0.0:
         return m.copy(), 1
     terms = max(int(np.ceil(np.log(cfg.series_tail * (1.0 - gamma)) / np.log(gamma))), 1)
@@ -182,14 +198,9 @@ def fractional_power_apply(t: ElementaryOperator, alpha: float, a, cfg: Toleranc
     |C(alpha, N+1)| gamma^(N+1) / (1 - gamma) drops below series_tail
     (valid in the monotone regime N + 1 > alpha).
     """
-    if alpha <= 0:
-        raise ValueError("fractional power must be positive")
-    m = as_matrix(a)
-    if m.shape[0] != t.dim:
-        raise DimMismatch(f"matrix of shape {m.shape} for a dim-{t.dim} operator")
-    gamma = module_norm(t.x) * module_norm(t.y)
-    if gamma >= 1.0:
-        raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}")
+    validate_alpha(alpha)
+    m = _operand(t, a)
+    gamma = _series_gamma(t, "binomial")
     step = _iterate_fn(t)
     acc = m.astype(complex).copy()
     term = m
@@ -225,14 +236,9 @@ def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
     to :func:`fractional_power_apply`, whose output is then returned
     unchanged.
     """
-    if alpha <= 0:
-        raise ValueError("fractional power must be positive")
-    m = as_matrix(a)
-    if m.shape[0] != t.dim:
-        raise DimMismatch(f"matrix of shape {m.shape} for a dim-{t.dim} operator")
-    gamma = module_norm(t.x) * module_norm(t.y)
-    if gamma >= 1.0:
-        raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}")
+    validate_alpha(alpha)
+    m = _operand(t, a)
+    _series_gamma(t, "binomial")
     if float(alpha).is_integer():
         return fractional_power_apply(t, alpha, m, cfg)
     try:

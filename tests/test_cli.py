@@ -137,3 +137,31 @@ def test_verify_with_no_evaluated_trial_is_not_ok(monkeypatch, capsys):
     assert cli_main(["verify", "--checks", "check_cs", "--trials", "3"]) == 1
     out = capsys.readouterr().out
     assert "overall NOTHING VERIFIED" in out and "overall OK" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", "check_interp", "--pqr", "a,b,c"],
+    ["verify", "--checks", "check_interp", "--pqr", "1/0,2,2"],
+    ["verify", "--checks", "check_alpha", "--alpha", "1/0"],
+    ["verify", "--checks", "check_alpha", "--alpha", "nan"],
+    ["verify", "--checks", "check_interp", "--pqr", "nan,nan,nan"],
+])
+def test_bad_exponents_and_alphas_are_usage_errors(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert "overall" not in captured.out
+
+
+def test_replay_of_an_empty_object_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    assert "malformed instance" in capsys.readouterr().err
+
+
+def test_replay_of_a_non_json_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "notes.txt"
+    path.write_text("not json at all\n")
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    assert "not a JSON file" in capsys.readouterr().err

@@ -1,0 +1,110 @@
+"""The check registry: derived views, shared hypothesis predicates, dispatch."""
+
+import dataclasses
+import inspect
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from opineq import checks
+from opineq.checks import (
+    CHECK_ANCHORS, CHECK_NAMES, CHECK_SPECS, HYPOTHESES, validate_pqr,
+)
+from opineq.errors import BadExponents, InvalidSpec, NotContractive, NotNormal
+from opineq.generators import assert_hypotheses, build_instance, evaluate_instance
+from opineq.harness import SEARCHABLE, RunConfig
+from opineq.hmodule import ModuleElement, is_normal, module_norm
+
+
+def test_registry_rows_match_their_functions():
+    assert tuple(CHECK_ANCHORS) == CHECK_NAMES == tuple(CHECK_SPECS)
+    assert SEARCHABLE == ("check_cs", "check_basic", "check_hs", "check_refinement",
+                          "check_uin", "check_naopaka")
+    grid_args = {None: [], "pqr": ["p", "q", "r"], "alpha": ["alpha"]}
+    for name, spec in CHECK_SPECS.items():
+        assert spec.name == name
+        assert set(spec.hypotheses) <= set(HYPOTHESES)
+        params = inspect.signature(getattr(checks, name)).parameters
+        positional = [p for p, v in params.items() if v.kind is v.POSITIONAL_OR_KEYWORD]
+        operands = [{"e": "g"}.get(op, op) for op in spec.operands]
+        assert positional == ["x", "y", *operands, *grid_args[spec.grid]], name
+        assert ("strict" in params) == bool(spec.hypotheses), name
+
+
+def test_recorded_kinds():
+    # check_interp draws generic elements but records "normal_commuting"
+    kinds = {name: build_instance(name, 3, dim=2, length=2).kind for name in CHECK_NAMES}
+    assert kinds == {name: spec.kind for name, spec in CHECK_SPECS.items()}
+    dropped = build_instance("check_defect", 3, dim=2, length=2, drop=("normality",))
+    assert dropped.kind == "generic"
+
+
+def _non_normal_unit(ctx):
+    parts = (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.3, 0.0], [0.2, 0.1]]))
+    x = ModuleElement(ctx, parts)
+    return (1.0 / module_norm(x)) * x
+
+
+def test_drop_removes_only_the_named_hypotheses():
+    inst = build_instance("check_naopaka", 5, dim=2, length=2, drop=("contraction",))
+    assert module_norm(inst.x) == pytest.approx(1.0)
+    evaluate_instance(inst)  # contraction is dropped: norm 1 is allowed
+    x = _non_normal_unit(inst.x.ctx)
+    assert not is_normal(x)[0]
+    with pytest.raises(NotNormal):
+        evaluate_instance(dataclasses.replace(inst, x=x))
+    both = dataclasses.replace(inst, x=x, drop=("normality", "contraction"))
+    assert math.isfinite(evaluate_instance(both).margin)
+
+
+def test_drop_normality_keeps_contraction():
+    inst = build_instance("check_naopaka", 5, dim=2, length=2, drop=("normality",))
+    too_big = dataclasses.replace(inst, x=(1.0 / module_norm(inst.x)) * inst.x)
+    with pytest.raises(NotContractive):
+        evaluate_instance(too_big)
+
+
+def test_guard_and_evaluation_share_the_contraction_rule():
+    # ||<x,x>|| = 0.9998**2 lies between 1 - 1e-3 and 1 - 1e-6
+    inst = build_instance("check_defect", 4, dim=2, length=2, contraction=0.9998)
+    with pytest.raises(InvalidSpec, match="top eigenvalue"):
+        assert_hypotheses(inst)
+    with pytest.raises(NotContractive):
+        evaluate_instance(inst)
+
+
+def test_one_exponent_and_alpha_rule():
+    assert issubclass(BadExponents, InvalidSpec)
+    for bad in ((math.nan,) * 3, (math.inf,) * 3, (2.0, 3.0, 3.0), (1.0, 2.0, 2.0)):
+        with pytest.raises(BadExponents):
+            validate_pqr(*bad)
+        with pytest.raises(BadExponents):
+            RunConfig(trials=1, checks=("check_interp",), exponent_grid=(bad,))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidSpec):
+            RunConfig(trials=1, checks=("check_alpha",), alpha_grid=(bad,))
+
+
+def test_check_dispatch_is_late_bound(monkeypatch):
+    """Rebinding a check function wherever opineq binds it, as a tracer
+    does, must reach every evaluation."""
+    calls = dict.fromkeys(CHECK_NAMES, 0)
+    wrappers = {}
+    for name in CHECK_NAMES:
+        original = getattr(checks, name)
+
+        def wrapper(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        wrappers[id(original)] = wrapper
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "opineq" or module_name.startswith("opineq."):
+            for key, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, key, wrappers[id(value)])
+    for name in CHECK_NAMES:
+        evaluate_instance(build_instance(name, 7, dim=2, length=2))
+    assert calls == dict.fromkeys(CHECK_NAMES, 1)
