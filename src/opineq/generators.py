@@ -255,9 +255,7 @@ def _gruss_operands(rng: np.random.Generator, d: int, n: int, weights_mode: str,
 
 def build_instance(check: str, seed: int, *, dim: int | None = None,
                    length: int | None = None, weights_mode: str = "random",
-                   scale: float = 1.0, contraction: float = DEFAULT_CONTRACTION,
-                   pqr: tuple[float, float, float] | None = None,
-                   alpha: float | None = None,
+                   contraction: float = DEFAULT_CONTRACTION,
                    drop: tuple[str, ...] = (),
                    force_kind: str | None = None) -> CheckInstance:
     """Materialize a random instance satisfying the check's hypotheses.
@@ -271,6 +269,7 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
     strict check to exercise its error path.
     """
     spec = check_spec(check)
+    check_shape(dim, length)
     if force_kind is not None and force_kind not in KINDS:
         raise InvalidSpec(f"unknown kind {force_kind!r}")
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
@@ -280,8 +279,7 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
 
     def sub(kind: str) -> ModuleElement:
         sub_seed = int(rng.integers(0, _SEED_MASK, dtype=np.uint64))
-        return gen_element(GeneratorSpec(sub_seed, d, n, kind, scale=scale,
-                                         contraction=contraction,
+        return gen_element(GeneratorSpec(sub_seed, d, n, kind, contraction=contraction,
                                          weights_mode=weights_mode))
 
     a = _cgauss(rng, (d, d)) if "a" in spec.operands else None
@@ -298,18 +296,15 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
             target = 1.0 if spec.recipe == "unit_pair" or "contraction" in drop else contraction
             x, y = scaled_to(x, target), scaled_to(y, target)
 
-    value = {"pqr": pqr, "alpha": alpha}.get(spec.grid)
-    params = ({} if value is None else
-              {k: float(v) for k, v in grid_params(spec.grid, value).items()})
     kind = force_kind or ("generic" if no_normal and spec.recipe != "gruss" else spec.kind)
     return CheckInstance(check=check, seed=int(seed), kind=kind, x=x, y=y, a=a,
-                         e=e, ball=ball, params=params, drop=tuple(drop))
+                         e=e, ball=ball, drop=tuple(drop))
 
 
 def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Construction-time guard: a freshly generated instance must satisfy
-    the hypotheses it claims (by the predicates evaluation uses), else the
-    generator itself is broken and InvalidSpec is raised."""
+    """Generator self-test: raise InvalidSpec unless the instance satisfies
+    the hypotheses it claims, by the predicates evaluation uses.  Runs do
+    not call it; evaluation alone enforces hypotheses there."""
     spec = check_spec(inst.check)
     try:
         require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
@@ -334,7 +329,8 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
     if alpha is not None:
         params.update(grid_params("alpha", alpha))
     args = [inst.x, inst.y]
-    args += [GrussContext(inst.e) if op == "e" else getattr(inst, op) for op in spec.operands]
+    args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
+             for op in spec.operands]
     if spec.grid == "pqr":
         args += [float(params.get(k, v)) for k, v in zip("pqr", DEFAULT_PQR)]
     elif spec.grid == "alpha":

@@ -22,7 +22,7 @@ from .checks import (
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, DEFAULT_CONTRACTION, assert_hypotheses, build_instance, check_shape,
+    CheckInstance, DEFAULT_CONTRACTION, build_instance, check_shape,
     evaluate_instance, scaled_to, trial_seed, _cgauss, _haar, _SEED_MASK,
 )
 from .hmodule import ModuleContext, ModuleElement
@@ -47,8 +47,6 @@ class RunConfig:
     dim: int | None = None
     length: int | None = None
     weights_mode: str = "random"
-    scale: float = 1.0
-    contraction: float = DEFAULT_CONTRACTION
     kind_override: str | None = None
 
     def __post_init__(self) -> None:
@@ -100,6 +98,10 @@ def _error_line(check: str, inst: CheckInstance | None, seed: int,
 def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
+    A trial is build, then evaluate at each grid point.  Evaluation alone
+    enforces the check's hypotheses, so a violation is one error line per
+    grid point; a build error is one error line without an instance.
+
     ``writer`` may be any object with a ``write`` method; when omitted and
     ``cfg.output_path`` is set, the file is created (overwritten) and each
     report is emitted as one sorted-key JSON line.
@@ -117,12 +119,9 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
             for index in range(cfg.trials):
                 seed = trial_seed(cfg.seed, check, index)
                 try:
-                    inst = build_instance(
-                        check, seed, dim=cfg.dim, length=cfg.length,
-                        weights_mode=cfg.weights_mode, scale=cfg.scale,
-                        contraction=cfg.contraction, force_kind=cfg.kind_override)
-                    if cfg.kind_override is None:
-                        assert_hypotheses(inst, cfg.tolerances)
+                    inst = build_instance(check, seed, dim=cfg.dim, length=cfg.length,
+                                          weights_mode=cfg.weights_mode,
+                                          force_kind=cfg.kind_override)
                 except OpineqError as exc:
                     summary.record(check, "error", None)
                     _emit(writer, _error_line(check, None, seed, exc))

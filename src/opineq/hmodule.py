@@ -163,7 +163,7 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
 
 @dataclass(frozen=True, eq=False)
 class GrussContext:
-    """A unit reference element e with <e, e> = I.
+    """A unit reference element e with <e, e> = I to ``tol.tol_rel``.
 
     Construction rejects non-unit candidates instead of renormalizing
     them, so every downstream covariance quantity can rely on the exact
@@ -171,9 +171,10 @@ class GrussContext:
     """
 
     e: ModuleElement
+    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        require_unit(self.e)
+        require_unit(self.e, self.tol)
 
 
 def require_unit(e: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
