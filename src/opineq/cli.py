@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 at least one check failed, no trial of a
 verify run could be evaluated, or a replayed instance no longer holds;
-2 usage errors (bad options, exponents, alphas, tolerances or sizes, and
-instance files that are not JSON or not an instance).
+2 usage errors (bad options, exponents, alphas, tolerances, budgets or
+sizes, instance files that are not JSON or not an instance, and replayed
+instances whose evaluation overflows to non-finite values).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ for negative round-off eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class ToleranceConfig:
             raise InvalidSpec("tolerances must be nonnegative")
         if not (self.epsilon_reg > 0 and self.series_tail > 0):
             raise InvalidSpec("epsilon_reg and series_tail must be positive")
+        if not all(math.isfinite(v) for v in (self.tol_abs, self.tol_rel, self.clamp,
+                                              self.epsilon_reg, self.series_tail)):
+            raise InvalidSpec("tolerances must be finite")
         if self.max_terms < 1:
             raise InvalidSpec("max_terms must be at least 1")
 
@@ -51,8 +55,8 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    if not np.isfinite(a).all():
+        raise InvalidSpec("matrix has non-finite entries")
     return a
 
 
@@ -85,7 +89,7 @@ def hermitian_part(m) -> np.ndarray:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm."""
-    return float(np.linalg.norm(as_matrix(m), 2))
+    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
 
 
 def herm_eig(h, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -236,6 +236,8 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     """
     if check not in SEARCHABLE:
         raise UnknownCheck(f"search does not support {check!r}")
+    if budget < 1:
+        raise InvalidSpec(f"budget must be >= 1, got {budget}")
     check_shape(dim, length)
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     best: tuple[float, InequalityReport, CheckInstance] | None = None

@@ -9,12 +9,20 @@ matrices; the inner product
 together with componentwise left/right multiplication and the
 componentwise-adjoint conjugation x -> (x_1*, ..., x_n*) provides the
 bimodule structure the transformer calculus and the inequality suite
-are built on.  Elements are immutable after construction.
+are built on.
+
+Elements are immutable, so each computes its Gram matrix, conjugate,
+module norm, normality defect and (through
+:func:`opineq.transformer.defect_operator`, per tolerance) defect
+operator on first use and keeps them, read-only, for its lifetime.
+Verdicts are not cached: :func:`is_normal` compares the cached defect
+against the caller's tolerance on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,27 +54,55 @@ def uniform_context(dim: int, length: int) -> ModuleContext:
     return ModuleContext(dim, (1.0,) * length)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ModuleElement:
     ctx: ModuleContext
     parts: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.parts) != self.ctx.length:
-            raise DimMismatch(
-                f"expected {self.ctx.length} parts, got {len(self.parts)}"
-            )
-        frozen = []
+        n, d = self.ctx.length, self.ctx.dim
+        if len(self.parts) != n:
+            raise DimMismatch(f"expected {n} parts, got {len(self.parts)}")
         for p in self.parts:
-            a = as_matrix(p)
-            if a.shape[0] != self.ctx.dim:
-                raise DimMismatch(
-                    f"part of shape {a.shape} in a dim-{self.ctx.dim} context"
-                )
-            a = a.copy()
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "parts", tuple(frozen))
+            if np.shape(p) != (d, d):
+                raise DimMismatch(f"part of shape {np.shape(p)} in a dim-{d} context")
+        # one cast, one check and one copy for all parts; each part is a
+        # read-only view of the stack
+        stack = np.array(self.parts, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise InvalidSpec("matrix has non-finite entries")
+        object.__setattr__(self, "parts", tuple(_frozen(stack)))
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return _frozen(_weighted_products(self, self))
+
+    @cached_property
+    def _conjugate(self) -> "ModuleElement":
+        return ModuleElement(self.ctx, tuple(p.conj().T for p in self.parts))
+
+    @cached_property
+    def _norm(self) -> float:
+        return float(np.sqrt(op_norm(self._gram)))
+
+    @cached_property
+    def _normality(self) -> tuple[float, float]:
+        """(defect, scale) of :func:`is_normal`, independent of tolerance."""
+        g = self._gram
+        comm = max(op_norm(g @ p - p @ g) for p in self.parts)
+        defect = max(comm, op_norm(g - self._conjugate._gram))
+        nx = self._norm
+        return defect, max(1.0, nx**2, nx**3)
+
+    @cached_property
+    def defect_operators(self) -> dict:
+        """Delta_z per ToleranceConfig, filled by transformer.defect_operator."""
+        return {}
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         _same_ctx(self, other)
@@ -105,14 +141,20 @@ def _same_ctx(x: ModuleElement, y: ModuleElement) -> None:
         raise CtxMismatch("elements belong to different module contexts")
 
 
-def inner(x: ModuleElement, y: ModuleElement) -> np.ndarray:
-    """<x, y> = sum_t w_t x_t* y_t."""
-    _same_ctx(x, y)
+def _weighted_products(x: ModuleElement, y: ModuleElement) -> np.ndarray:
     d = x.ctx.dim
     acc = np.zeros((d, d), dtype=complex)
     for w, xt, yt in zip(x.ctx.weights, x.parts, y.parts):
         acc += w * (xt.conj().T @ yt)
     return acc
+
+
+def inner(x: ModuleElement, y: ModuleElement) -> np.ndarray:
+    """<x, y> = sum_t w_t x_t* y_t; <x, x> is x's cached, read-only Gram matrix."""
+    if x is y:
+        return x._gram
+    _same_ctx(x, y)
+    return _weighted_products(x, y)
 
 
 def _acting(x: ModuleElement, a) -> np.ndarray:
@@ -137,12 +179,12 @@ def left_act(a, x: ModuleElement) -> ModuleElement:
 
 def conjugate(x: ModuleElement) -> ModuleElement:
     """Componentwise adjoint, the modular conjugation of the tuple module."""
-    return ModuleElement(x.ctx, tuple(p.conj().T for p in x.parts))
+    return x._conjugate
 
 
 def module_norm(x: ModuleElement) -> float:
     """||x|| = ||<x, x>||^(1/2) in the operator norm."""
-    return float(np.sqrt(op_norm(inner(x, x))))
+    return x._norm
 
 
 def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
@@ -152,13 +194,8 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
     ||<x,x> - <xbar,xbar>||; it is compared against tol_rel at the scale
     of ||x||^3 (the natural size of the commutator term).
     """
-    g = inner(x, x)
-    gbar = inner(conjugate(x), conjugate(x))
-    comm = max(op_norm(g @ p - p @ g) for p in x.parts)
-    defect = max(comm, op_norm(g - gbar))
-    nx = float(np.sqrt(op_norm(g)))
-    scale = max(1.0, nx**2, nx**3)
-    return bool(defect <= cfg.tol_rel * scale), float(defect)
+    defect, scale = x._normality
+    return bool(defect <= cfg.tol_rel * scale), defect
 
 
 @dataclass(frozen=True, eq=False)

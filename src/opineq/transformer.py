@@ -16,7 +16,8 @@ tail bound and is kept as the oracle the fast path is tested against.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
-dense eigenvalues of T_{z,z} are computed only otherwise.
+dense eigenvalues of T_{z,z} are computed only otherwise.  Each element
+keeps its defect operators, one per tolerance.
 """
 
 from __future__ import annotations
@@ -263,8 +264,12 @@ def defect_operator(z: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> np.
     spectral radius of T_{z,z} is below one; G >= I so the inverse
     square root is well conditioned.  The radius is bounded by
     min(||z||, ||zbar||)^2 (Cauchy-Schwarz); the dense eigenvalues are
-    computed only when that bound does not settle it.
+    computed only when that bound does not settle it.  The result is
+    read-only and kept on z per tolerance, so repeated calls reuse it.
     """
+    cached = z.defect_operators.get(cfg)
+    if cached is not None:
+        return cached
     t = ElementaryOperator(z, z)
     v = vectorize(t)
     # r(T_{z,z}) <= ||T_{z,z}|| <= ||z||^2, and T_{zbar,zbar} is the trace
@@ -277,4 +282,7 @@ def defect_operator(z: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> np.
     eye = np.eye(d, dtype=complex)
     g = np.linalg.solve(np.eye(d * d, dtype=complex) - v.rep, vec(eye))
     gram_sum = hermitian_part(unvec(g, d))
-    return psd_power(gram_sum, -0.5, cfg)
+    delta = psd_power(gram_sum, -0.5, cfg)
+    delta.setflags(write=False)
+    z.defect_operators[cfg] = delta
+    return delta

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from opineq.cli import cli_main
@@ -165,3 +166,27 @@ def test_replay_of_a_non_json_file_is_a_usage_error(tmp_path, capsys):
     path.write_text("not json at all\n")
     assert cli_main(["replay", "--instance", str(path)]) == 2
     assert "not a JSON file" in capsys.readouterr().err
+
+
+def test_replay_with_an_overflowing_part_is_a_usage_error(tmp_path, capsys):
+    obj = build_instance("check_cs", 12, dim=3, length=2).to_json()
+    obj["x"]["parts"][0] = [[1e200 * re, 1e200 * im] for re, im in obj["x"]["parts"][0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["replay", "--instance", str(path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+def test_infinite_tolerance_is_a_usage_error(value, capsys):
+    assert cli_main(["verify", "--trials", "1", "--tol", value]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "overall" not in captured.out
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_search_without_budget_is_a_usage_error(budget, capsys):
+    assert cli_main(["search", "--check", "check_cs", "--budget", budget]) == 2
+    assert "budget" in capsys.readouterr().err

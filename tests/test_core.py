@@ -162,3 +162,9 @@ def test_psd_order_known_pairs():
 def test_op_norm_matches_svd():
     m = _cg(5)
     assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("field", ["tol_abs", "tol_rel", "clamp", "epsilon_reg", "series_tail"])
+def test_tolerance_config_rejects_infinite_values(field):
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceConfig(**{field: np.inf})
