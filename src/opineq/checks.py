@@ -25,7 +25,8 @@ from .core import (
     DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_part, matrix_abs, op_norm, psd_power,
 )
 from .errors import (
-    BadExponents, BallViolated, CtxMismatch, NotContractive, NotNormal, UnknownCheck,
+    BadExponents, BallViolated, CtxMismatch, InvalidSpec, NotContractive, NotNormal,
+    UnknownCheck,
 )
 from .hmodule import (
     GrussContext, ModuleElement, conjugate, gruss_inner, inner, is_normal,
@@ -148,6 +149,17 @@ def _require_contractive(x: ModuleElement, y: ModuleElement, tol: ToleranceConfi
 
 
 HYPOTHESES = {"normality": _require_normal, "contraction": _require_contractive}
+
+
+def validate_drop(drop) -> tuple[str, ...]:
+    """``drop`` as a tuple of hypothesis names; InvalidSpec for a bare string
+    or a name outside :data:`HYPOTHESES`."""
+    if isinstance(drop, str):
+        raise InvalidSpec(f"drop must be a sequence of hypothesis names, not {drop!r}")
+    for name in drop:
+        if name not in HYPOTHESES:
+            raise InvalidSpec(f"unknown hypothesis {name!r}; known: {', '.join(HYPOTHESES)}")
+    return tuple(drop)
 
 
 def require_hypotheses(names, x: ModuleElement, y: ModuleElement,

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 at least one check failed, no trial of a
 verify run could be evaluated, or a replayed instance no longer holds;
 2 usage errors (bad options, exponents, alphas, tolerances, budgets or
-sizes, instance files that are not JSON or not an instance, and replayed
-instances whose evaluation overflows to non-finite values).
+sizes, instance files that are not JSON, not an instance or do not fit
+their check's registry row, and replayed instances whose evaluation
+overflows to non-finite values).  Commands run with numpy's overflow and
+invalid-value warnings off, so such an error prints as one line.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from .checks import CHECK_ANCHORS, CHECK_NAMES, HYPOTHESES
 from .core import DEFAULT_TOL, ToleranceConfig
@@ -173,13 +177,14 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_list()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "verify":
+                return _cmd_verify(args)
+            if args.command == "search":
+                return _cmd_search(args)
+            if args.command == "replay":
+                return _cmd_replay(args)
+            return _cmd_list()
     except (InvalidSpec, UnknownCheck) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,16 @@
 """Seeded instance generators and replayable instance containers.
 
-All randomness in the package flows through this module.  Every generated
-object is a deterministic function of a 64-bit seed, and a materialized
-:class:`CheckInstance` serializes to JSON exactly, so any reported margin
-can be replayed bit for bit.
+Every random instance entry in the package is drawn in this module: the
+generator and the counterexample search both build their instances from
+an :class:`InstanceDraw`, which search perturbs and ``materialize``
+turns into x and y.  Every generated object is a deterministic function
+of a 64-bit seed, and a materialized :class:`CheckInstance` serializes
+to JSON exactly, so any reported margin can be replayed bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -15,8 +18,8 @@ import numpy as np
 
 from . import checks
 from .checks import (  # CHECK_NAMES is re-exported
-    CHECK_NAMES, InequalityReport, check_spec, grid_params, require_hypotheses,
-    require_in_ball,
+    CHECK_NAMES, CheckSpec, InequalityReport, check_spec, grid_params, require_hypotheses,
+    require_in_ball, validate_drop,
 )
 from .core import DEFAULT_TOL, ToleranceConfig, hermitian_part, psd_power
 from .errors import InvalidSpec, OpineqError
@@ -45,6 +48,16 @@ def check_shape(dim: int | None, length: int | None) -> None:
             raise InvalidSpec(f"{tag} {value} outside [{lo}, {hi}]")
 
 
+def _check_options(dim: int | None, length: int | None, weights_mode: str,
+                   contraction: float) -> None:
+    """Raise InvalidSpec unless the draw options are valid, for every recipe."""
+    check_shape(dim, length)
+    if not 0 < contraction < 1:
+        raise InvalidSpec("contraction must lie in (0, 1)")
+    if weights_mode not in ("uniform", "random"):
+        raise InvalidSpec(f"unknown weights mode {weights_mode!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one random module element."""
@@ -53,22 +66,15 @@ class GeneratorSpec:
     dim: int
     length: int
     kind: str
-    scale: float = 1.0
     contraction: float = DEFAULT_CONTRACTION
     weights_mode: str = "uniform"
 
     def __post_init__(self) -> None:
         if not 0 <= int(self.seed) <= _SEED_MASK:
             raise InvalidSpec("seed must fit in 64 unsigned bits")
-        check_shape(self.dim, self.length)
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
-        if not self.scale > 0:
-            raise InvalidSpec("scale must be positive")
-        if not 0 < self.contraction < 1:
-            raise InvalidSpec("contraction must lie in (0, 1)")
-        if self.weights_mode not in ("uniform", "random"):
-            raise InvalidSpec(f"unknown weights mode {self.weights_mode!r}")
+        _check_options(self.dim, self.length, self.weights_mode, self.contraction)
 
 
 def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
@@ -96,34 +102,41 @@ def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, .
     return (1.0,) * n
 
 
-def _gaussian_parts(rng: np.random.Generator, d: int, n: int, scale: float = 1.0):
-    return tuple(scale * _cgauss(rng, (d, d)) for _ in range(n))
+def _free(rng: np.random.Generator, d: int, n: int, frame: np.ndarray | None) -> np.ndarray:
+    """n parts' free parameters, part by part: diagonals in a frame, else matrices."""
+    return np.stack([_cgauss(rng, (d, d) if frame is None else d) for _ in range(n)])
 
 
-def _normal_commuting_parts(rng: np.random.Generator, d: int, n: int,
-                            scale: float, unitary: np.ndarray | None = None):
-    u = _haar(rng, d) if unitary is None else unitary
-    return tuple(u @ np.diag(scale * _cgauss(rng, d)) @ u.conj().T for _ in range(n))
+def _parts(frame: np.ndarray | None, p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Parts from free parameters: the rows of ``p``, or u diag(v) u* for each
+    row v in the unitary frame u, so that the parts are normal and commute."""
+    if frame is None:
+        return tuple(p)
+    return tuple(frame @ np.diag(v) @ frame.conj().T for v in p)
+
+
+def _draw_side(rng: np.random.Generator, d: int, n: int, weights_mode: str, normal: bool):
+    """Weights, frame (Haar if ``normal``, else None), free parameters, in that order."""
+    weights = _draw_weights(rng, n, weights_mode)
+    frame = _haar(rng, d) if normal else None
+    return weights, frame, _free(rng, d, n, frame)
+
+
+def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
+    return np.random.default_rng(int(rng.integers(0, _SEED_MASK, dtype=np.uint64)))
 
 
 def gen_element(spec: GeneratorSpec) -> ModuleElement:
     """Draw one element; the ``gruss`` kind yields the unit reference
     element with scalar parts, ready to seed a :class:`GrussContext`."""
     rng = np.random.default_rng(spec.seed)
-    weights = _draw_weights(rng, spec.length, spec.weights_mode)
-    ctx = ModuleContext(spec.dim, weights)
-    if spec.kind == "normal_commuting":
-        return ModuleElement(
-            ctx, _normal_commuting_parts(rng, spec.dim, spec.length, spec.scale))
     if spec.kind == "gruss":
-        return _scalar_unit(rng, ctx)
-    x = ModuleElement(ctx, _gaussian_parts(rng, spec.dim, spec.length, spec.scale))
-    if spec.kind == "generic":
-        return x
-    nx = module_norm(x)
-    if nx == 0:
-        raise InvalidSpec("degenerate zero draw cannot be rescaled")
-    return (spec.contraction / nx) * x
+        weights = _draw_weights(rng, spec.length, spec.weights_mode)
+        return _scalar_unit(rng, ModuleContext(spec.dim, weights))
+    weights, frame, p = _draw_side(rng, spec.dim, spec.length, spec.weights_mode,
+                                   spec.kind == "normal_commuting")
+    x = ModuleElement(ModuleContext(spec.dim, weights), _parts(frame, p))
+    return x if spec.kind != "contractive" else scaled_to(x, spec.contraction)
 
 
 def _scalar_unit(rng: np.random.Generator, ctx: ModuleContext) -> ModuleElement:
@@ -190,22 +203,33 @@ class CheckInstance:
 
 
 def instance_from_json(obj: dict) -> CheckInstance:
-    """Inverse of CheckInstance.to_json; raises InvalidSpec on malformed input."""
+    """Inverse of CheckInstance.to_json.  Raises InvalidSpec on malformed
+    input: the file must give exactly the operands its check's registry row
+    lists, a ball of 4 finite numbers, and one context for x, y and e."""
     try:
-        x = element_from_json(obj["x"])
-        a = matrix_from_json(obj["a"], x.ctx.dim) if obj.get("a") is not None else None
-        ball = obj.get("ball")
+        spec = check_spec(obj["check"])
+        given = {op for op in ("a", "e", "ball") if obj.get(op) is not None}
+        if given != set(spec.operands):
+            raise InvalidSpec(f"{spec.name} takes operands {list(spec.operands)}, "
+                              f"the file gives {sorted(given)}")
+        x, y = element_from_json(obj["x"]), element_from_json(obj["y"])
+        e = element_from_json(obj["e"]) if "e" in given else None
+        if any(z.ctx != x.ctx for z in (y, e) if z is not None):
+            raise InvalidSpec("x, y and e must share one dim and weights")
+        ball = tuple(float(v) for v in obj["ball"]) if "ball" in given else None
+        if ball is not None and (len(ball) != 4 or not all(map(math.isfinite, ball))):
+            raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball}")
         return CheckInstance(
-            check=obj["check"],
+            check=spec.name,
             seed=obj.get("seed"),
             kind=obj.get("kind", "generic"),
             x=x,
-            y=element_from_json(obj["y"]),
-            a=a,
-            e=element_from_json(obj["e"]) if obj.get("e") is not None else None,
-            ball=tuple(float(v) for v in ball) if ball is not None else None,
+            y=y,
+            a=matrix_from_json(obj["a"], x.ctx.dim) if "a" in given else None,
+            e=e,
+            ball=ball,
             params=dict(obj.get("params", {})),
-            drop=tuple(obj.get("drop", ())),
+            drop=validate_drop(obj.get("drop", ())),
         )
     except (LookupError, TypeError, ValueError, OpineqError) as exc:
         raise InvalidSpec(f"malformed instance: {type(exc).__name__}: {exc}") from exc
@@ -213,7 +237,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
 
 def _unit_reference(rng: np.random.Generator, ctx: ModuleContext) -> ModuleElement:
     """A generic (non-scalar) unit element: right-normalize a random draw."""
-    raw = ModuleElement(ctx, _gaussian_parts(rng, ctx.dim, ctx.length))
+    raw = ModuleElement(ctx, _parts(None, _free(rng, ctx.dim, ctx.length, None)))
     g = hermitian_part(inner(raw, raw))
     return right_mul(raw, psd_power(g, -0.5))
 
@@ -222,11 +246,7 @@ def _ball_point(rng: np.random.Generator, e: ModuleElement, lo: float, hi: float
                 unitary: np.ndarray | None) -> ModuleElement:
     """Convex sample strictly inside the ball [lo*e, hi*e]."""
     ctx = e.ctx
-    if unitary is None:
-        parts = _gaussian_parts(rng, ctx.dim, ctx.length)
-    else:
-        parts = _normal_commuting_parts(rng, ctx.dim, ctx.length, 1.0, unitary)
-    u = ModuleElement(ctx, parts)
+    u = ModuleElement(ctx, _parts(unitary, _free(rng, ctx.dim, ctx.length, unitary)))
     nu = module_norm(u)
     if nu == 0:
         raise InvalidSpec("degenerate zero draw inside ball sampling")
@@ -240,65 +260,98 @@ def _gruss_operands(rng: np.random.Generator, d: int, n: int, weights_mode: str,
     """Unit reference e, ball bounds (m, M, p, P), and x, y inside their
     balls; ``scalar`` gives e scalar parts and x, y one shared normal frame."""
     ctx = ModuleContext(d, _draw_weights(rng, n, weights_mode))
-    if scalar:
-        e_seed = int(rng.integers(0, _SEED_MASK, dtype=np.uint64))
-        e = _scalar_unit(np.random.default_rng(e_seed), ctx)
-        unitary = _haar(rng, d)
-    else:
-        e = _unit_reference(rng, ctx)
-        unitary = None
+    e = _scalar_unit(_sub_rng(rng), ctx) if scalar else _unit_reference(rng, ctx)
+    unitary = _haar(rng, d) if scalar else None
     lo_x, hi_x = sorted(rng.normal(0.0, 1.0, 2))
     lo_y, hi_y = sorted(rng.normal(0.0, 1.0, 2))
     ball = (float(lo_x), float(hi_x), float(lo_y), float(hi_y))
     return e, ball, _ball_point(rng, e, *ball[:2], unitary), _ball_point(rng, e, *ball[2:], unitary)
 
 
+def _recipe(spec: CheckSpec, drop, contraction: float = DEFAULT_CONTRACTION):
+    """(normal, target): x and y are drawn in unitary frames when normality
+    is enforced, and rescaled to module norm ``target``: none for "pair",
+    1 for "unit_pair" or once contraction is dropped, else ``contraction``."""
+    target = None
+    if spec.recipe != "pair":
+        target = 1.0 if spec.recipe == "unit_pair" or "contraction" in drop else contraction
+    return "normality" in spec.enforced(drop), target
+
+
+@dataclass(frozen=True)
+class InstanceDraw:
+    """Free parameters of one pair-recipe instance: ``px``/``py`` are the
+    parts of x and y, or their diagonals in the unitary ``frames`` (ux, uy).
+    The generator draws it, search perturbs it, :meth:`materialize` builds it."""
+
+    check: str
+    weights: tuple[float, ...]
+    px: np.ndarray
+    py: np.ndarray
+    frames: tuple[np.ndarray | None, np.ndarray | None]
+    a: np.ndarray | None
+    target: float | None
+    seed: int | None = None
+    kind: str = "search"
+    drop: tuple[str, ...] = ()
+
+    @classmethod
+    def for_search(cls, check: str, rng: np.random.Generator, dim: int, length: int,
+                   drop: tuple[str, ...]) -> "InstanceDraw":
+        """A search restart: random weights, both frames, px, py, then a."""
+        spec = check_spec(check)
+        normal, target = _recipe(spec, drop)
+        weights = _draw_weights(rng, length, "random")
+        frames = (_haar(rng, dim), _haar(rng, dim)) if normal else (None, None)
+        shape = (length, dim) if normal else (length, dim, dim)
+        px, py = _cgauss(rng, shape), _cgauss(rng, shape)
+        a = _cgauss(rng, (dim, dim)) if "a" in spec.operands else None
+        return cls(check, weights, px, py, frames, a, target, drop=drop)
+
+    def perturbed(self, rng: np.random.Generator, sigma: float) -> "InstanceDraw":
+        """A copy with one of px, py or a moved by sigma times a Gaussian."""
+        name = ("px", "py", "a")[rng.integers(0, 3 if self.a is not None else 2)]
+        value = getattr(self, name)
+        return replace(self, **{name: value + sigma * _cgauss(rng, value.shape)})
+
+    def materialize(self) -> CheckInstance:
+        ctx = ModuleContext(self.px.shape[-1], self.weights)
+        ux, uy = self.frames
+        x, y = ModuleElement(ctx, _parts(ux, self.px)), ModuleElement(ctx, _parts(uy, self.py))
+        if self.target is not None:
+            x, y = scaled_to(x, self.target), scaled_to(y, self.target)
+        return CheckInstance(check=self.check, seed=self.seed, kind=self.kind, x=x,
+                             y=y, a=self.a, drop=self.drop)
+
+
 def build_instance(check: str, seed: int, *, dim: int | None = None,
                    length: int | None = None, weights_mode: str = "random",
                    contraction: float = DEFAULT_CONTRACTION,
-                   drop: tuple[str, ...] = (),
-                   force_kind: str | None = None) -> CheckInstance:
+                   drop: tuple[str, ...] = ()) -> CheckInstance:
     """Materialize a random instance satisfying the check's hypotheses.
 
     The check's registry row picks the recipe.  ``drop`` removes the named
     hypotheses from the construction (normality falls back to generic
     draws, contraction rescales to the unit sphere); the instance records
     the dropped set so evaluation skips enforcing just those.
-    ``force_kind`` overrides the element kind the recipe would pick, which
-    deliberately lets a run rout hypothesis-violating instances into a
-    strict check to exercise its error path.
     """
     spec = check_spec(check)
-    check_shape(dim, length)
-    if force_kind is not None and force_kind not in KINDS:
-        raise InvalidSpec(f"unknown kind {force_kind!r}")
+    _check_options(dim, length, weights_mode, contraction)
+    drop = validate_drop(drop)
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     d = int(dim) if dim is not None else int(rng.integers(1, 7))
     n = int(length) if length is not None else int(rng.integers(1, 5))
-    no_normal = "normality" in drop
-
-    def sub(kind: str) -> ModuleElement:
-        sub_seed = int(rng.integers(0, _SEED_MASK, dtype=np.uint64))
-        return gen_element(GeneratorSpec(sub_seed, d, n, kind, contraction=contraction,
-                                         weights_mode=weights_mode))
-
+    normal, target = _recipe(spec, drop, contraction)
     a = _cgauss(rng, (d, d)) if "a" in spec.operands else None
-    e = ball = None
     if spec.recipe == "gruss":
-        scalar = not no_normal and force_kind != "generic"
-        e, ball, x, y = _gruss_operands(rng, d, n, weights_mode, scalar)
-    else:
-        normal = "normality" in spec.enforced(drop)
-        kind = force_kind or ("normal_commuting" if normal else "generic")
-        x, y = sub(kind), sub(kind)
-        y = ModuleElement(x.ctx, y.parts)
-        if spec.recipe != "pair":
-            target = 1.0 if spec.recipe == "unit_pair" or "contraction" in drop else contraction
-            x, y = scaled_to(x, target), scaled_to(y, target)
+        e, ball, x, y = _gruss_operands(rng, d, n, weights_mode, normal)
+        return CheckInstance(check=check, seed=int(seed), kind=spec.kind, x=x, y=y,
+                             a=a, e=e, ball=ball, drop=drop)
 
-    kind = force_kind or ("generic" if no_normal and spec.recipe != "gruss" else spec.kind)
-    return CheckInstance(check=check, seed=int(seed), kind=kind, x=x, y=y, a=a,
-                         e=e, ball=ball, drop=tuple(drop))
+    (weights, ux, px), (_, uy, py) = (_draw_side(_sub_rng(rng), d, n, weights_mode, normal)
+                                      for _ in range(2))
+    return InstanceDraw(check, weights, px, py, (ux, uy), a, target, int(seed),
+                        "generic" if "normality" in drop else spec.kind, drop).materialize()
 
 
 def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> None:

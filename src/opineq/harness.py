@@ -17,15 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import (
-    CHECK_SPECS, InequalityReport, check_spec, grid_params, validate_pqr,
+    CHECK_SPECS, InequalityReport, check_spec, grid_params, validate_drop, validate_pqr,
 )
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, DEFAULT_CONTRACTION, build_instance, check_shape,
-    evaluate_instance, scaled_to, trial_seed, _cgauss, _haar, _SEED_MASK,
+    CheckInstance, InstanceDraw, build_instance, check_shape, evaluate_instance,
+    trial_seed, _SEED_MASK,
 )
-from .hmodule import ModuleContext, ModuleElement
 from .transformer import validate_alpha
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
@@ -47,7 +46,6 @@ class RunConfig:
     dim: int | None = None
     length: int | None = None
     weights_mode: str = "random"
-    kind_override: str | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -120,8 +118,7 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
                 seed = trial_seed(cfg.seed, check, index)
                 try:
                     inst = build_instance(check, seed, dim=cfg.dim, length=cfg.length,
-                                          weights_mode=cfg.weights_mode,
-                                          force_kind=cfg.kind_override)
+                                          weights_mode=cfg.weights_mode)
                 except OpineqError as exc:
                     summary.record(check, "error", None)
                     _emit(writer, _error_line(check, None, seed, exc))
@@ -170,57 +167,17 @@ class SearchResult:
 
 
 class _SearchState:
-    """Mutable parameterization of one instance family.
-
-    For constrained families the free parameters are the diagonal vectors
-    of a fixed shared-unitary frame, so every perturbation stays inside
-    the hypothesis set; generic families perturb raw part entries.
-    """
+    """One point of the hill climb, holding an :class:`InstanceDraw`: a restart
+    draws one, a step perturbs a copy.  ``perfbench/spans.py`` hooks both."""
 
     def __init__(self, check: str, rng: np.random.Generator, dim: int,
                  length: int, drop: tuple[str, ...]):
-        spec = check_spec(check)
-        self.check = check
-        self.drop = drop
-        self.d, self.n = dim, length
-        self.normal = "normality" in spec.enforced(drop)
-        self.target = None
-        if "contraction" in spec.hypotheses:
-            self.target = 1.0 if "contraction" in drop else DEFAULT_CONTRACTION
-        self.weights = tuple(rng.uniform(0.1, 2.0, length))
-        if self.normal:
-            self.ux, self.uy = _haar(rng, dim), _haar(rng, dim)
-            self.px = _cgauss(rng, (length, dim))
-            self.py = _cgauss(rng, (length, dim))
-        else:
-            self.px = _cgauss(rng, (length, dim, dim))
-            self.py = _cgauss(rng, (length, dim, dim))
-        self.a = _cgauss(rng, (dim, dim)) if "a" in spec.operands else None
+        self.draw = InstanceDraw.for_search(check, rng, dim, length, drop)
 
     def perturb(self, rng: np.random.Generator, sigma: float) -> "_SearchState":
         out = self.__class__.__new__(self.__class__)
-        out.__dict__.update(self.__dict__)
-        which = rng.integers(0, 3 if self.a is not None else 2)
-        if which == 0:
-            out.px = self.px + sigma * _cgauss(rng, self.px.shape)
-        elif which == 1:
-            out.py = self.py + sigma * _cgauss(rng, self.py.shape)
-        else:
-            out.a = self.a + sigma * _cgauss(rng, self.a.shape)
+        out.draw = self.draw.perturbed(rng, sigma)
         return out
-
-    def materialize(self) -> CheckInstance:
-        ctx = ModuleContext(self.d, self.weights)
-        if self.normal:
-            xs = tuple(self.ux @ np.diag(v) @ self.ux.conj().T for v in self.px)
-            ys = tuple(self.uy @ np.diag(v) @ self.uy.conj().T for v in self.py)
-        else:
-            xs, ys = tuple(self.px), tuple(self.py)
-        x, y = ModuleElement(ctx, xs), ModuleElement(ctx, ys)
-        if self.target is not None:
-            x, y = scaled_to(x, self.target), scaled_to(y, self.target)
-        return CheckInstance(check=self.check, seed=None, kind="search", x=x,
-                             y=y, a=self.a, drop=self.drop)
 
 
 def search_counterexample(check: str, drop: tuple[str, ...] = (),
@@ -239,6 +196,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     if budget < 1:
         raise InvalidSpec(f"budget must be >= 1, got {budget}")
     check_shape(dim, length)
+    drop = validate_drop(drop)
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     best: tuple[float, InequalityReport, CheckInstance] | None = None
     evals = 0
@@ -247,7 +205,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     def try_eval(state: _SearchState):
         nonlocal evals, best
         evals += 1
-        inst = state.materialize()
+        inst = state.draw.materialize()
         try:
             rep = evaluate_instance(inst, tol)
         except OpineqError:
@@ -264,7 +222,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
         spent = 0
         stale = 0
         while current is None and evals < budget and spent < 5:
-            state = _SearchState(check, rng, d, n, tuple(drop))
+            state = _SearchState(check, rng, d, n, drop)
             current = try_eval(state)
             spent += 1
         if current is None:

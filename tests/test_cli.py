@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,55 @@ def test_infinite_tolerance_is_a_usage_error(value, capsys):
 def test_search_without_budget_is_a_usage_error(budget, capsys):
     assert cli_main(["search", "--check", "check_cs", "--budget", budget]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def _gruss_without_ball_tail(obj):
+    obj["ball"] = obj["ball"][:2]
+
+
+def _gruss_without_e(obj):
+    obj["e"] = None
+
+
+def _gruss_without_ball(obj):
+    obj["ball"] = None
+
+
+def _basic_without_a(obj):
+    obj["a"] = None
+
+
+def _cs_with_y_in_another_context(obj):
+    obj["y"]["weights"] = [2.0 * w for w in obj["y"]["weights"]]
+
+
+@pytest.mark.parametrize("check, spoil, needle", [
+    ("check_gruss", _gruss_without_ball_tail, "ball must be 4 finite numbers"),
+    ("check_gruss", _gruss_without_e, "takes operands"),
+    ("check_gruss", _gruss_without_ball, "takes operands"),
+    ("check_basic", _basic_without_a, "takes operands"),
+    ("check_cs", _cs_with_y_in_another_context, "share one dim and weights"),
+], ids=["ball_of_2", "e_null", "ball_null", "a_null", "two_contexts"])
+def test_replay_rejects_an_instance_its_registry_row_does_not_fit(
+        check, spoil, needle, tmp_path, capsys):
+    obj = build_instance(check, 12, dim=2, length=2).to_json()
+    spoil(obj)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed instance")
+    assert needle in captured.err and len(captured.err.splitlines()) == 1
+
+
+def test_overflowing_replay_prints_no_runtime_warning(tmp_path, capsys):
+    obj = build_instance("check_cs", 12, dim=3, length=2).to_json()
+    obj["x"]["parts"][0] = [[1e200 * re, 1e200 * im] for re, im in obj["x"]["parts"][0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["replay", "--instance", str(path)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert len(capsys.readouterr().err.splitlines()) == 1
