@@ -8,34 +8,44 @@ smallest eigenvalue of ``rhs - lhs``.  Unitarily-invariant-norm claims are
 certified through the full Ky Fan family (Fan dominance), with a
 Hilbert-Schmidt value recorded as a redundant spot check.
 
+Each check has one numeric implementation, its kernel in :data:`KERNELS`,
+which evaluates a :class:`Batch`: same-shape instances, each at the same
+grid points, as one stack.  :func:`run_batch` validates the points,
+enforces hypotheses, runs the kernel and assembles the reports.  A
+``check_*`` function is a batch of one instance at one point, and a run
+evaluates a group of trials as one batch; since every stacked operation
+treats each matrix on its own, a report is bit for bit the same either
+way.
+
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, and every hypothesis from its one predicate here;
-adding a check means one row plus its ``check_*`` function.
+adding a check means one row, its kernel and its ``check_*`` function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, adjoint, hermitian_part, matrix_abs, op_norm, psd_power,
+    DEFAULT_TOL, ToleranceConfig, ct, eig_powers, eigvalsh, herm, moduli, op_norms,
+    psd_eigs, psd_powers, svdvals,
 )
 from .errors import (
     BadExponents, BallViolated, CtxMismatch, InvalidSpec, NotContractive, NotNormal,
     UnknownCheck,
 )
 from .hmodule import (
-    GrussContext, ModuleElement, conjugate, gruss_inner, inner, is_normal,
-    left_act, module_norm, right_mul,
+    GrussContext, ModuleElement, Stack, _same_ctx, acting, covariances, weighted_products,
 )
-from .norms import fan_gaps, norm, schatten, HILBERT_SCHMIDT, OPERATOR, TRACE
+from .norms import HILBERT_SCHMIDT, TRACE, ky_fan_profiles, norms_of, schatten
 from .transformer import (
-    ElementaryOperator, apply, defect_operator, fractional_power_exact,
-    operator_norm_T, spectral_radius, validate_alpha,
+    ElementaryOperator, applied, defect_operators, eigen_forms, eigen_power,
+    fractional_power_apply, probe_lower_bounds, spectral_radii, validate_alpha, vectorized,
 )
 
 # Contractive hypotheses are enforced with this much slack below 1 so the
@@ -108,10 +118,14 @@ def grid_params(axis: str | None, value) -> dict:
 
 
 # --------------------------------------------------------------------------
-# hypotheses and parameter rules
+# hypotheses and parameter rules: each predicate takes stacks and raises
+# for the first element that fails
 
-def _require_normal(x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
-                    e: ModuleElement | None = None) -> None:
+def _stack(z):
+    return z.stack if isinstance(z, ModuleElement) else z
+
+
+def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = None) -> None:
     """x and y must be normal.  Beside a reference e (the covariance
     setting) the parts of each must also mutually commute, and every part
     of e must be a scalar multiple of the identity: a scalar reference
@@ -119,33 +133,36 @@ def _require_normal(x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
     cone, which is what the covariance bound consumes; a merely commuting
     non-scalar reference is not enough."""
     for z, tag in ((x, "x"), (y, "y")):
-        ok, defect = is_normal(z, tol)
-        if not ok:
-            raise NotNormal(f"{tag} has normality defect {defect:.3e}")
+        defect, scale = z.normality
+        bad = ~(defect <= tol.tol_rel * scale)
+        if bad.any():
+            raise NotNormal(f"{tag} has normality defect {defect[bad][0]:.3e}")
     if e is None:
         return
-    d = e.ctx.dim
-    worst, scale = 0.0, 1.0
+    d = e.parts.shape[-1]
+    scale = np.maximum(1.0, np.maximum(x.norms * x.norms, y.norms * y.norms))
+    worst = np.zeros(len(scale))
+    i, j = np.triu_indices(x.parts.shape[-3], 1)
     for z in (x, y):
-        nz = module_norm(z)
-        scale = max(scale, nz * nz)
-        for i, pi in enumerate(z.parts):
-            for pj in z.parts[i + 1:]:
-                worst = max(worst, op_norm(pi @ pj - pj @ pi))
-    for part in e.parts:
-        worst = max(worst, op_norm(part - np.trace(part) / d * np.eye(d)))
-    if worst > tol.tol_rel * scale:
+        if len(i):
+            pi, pj = z.parts[:, i], z.parts[:, j]
+            worst = np.maximum(worst, op_norms(pi @ pj - pj @ pi).max(axis=-1))
+    centred = e.parts - (np.trace(e.parts, axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
+    worst = np.maximum(worst, op_norms(centred).max(axis=-1))
+    bad = worst > tol.tol_rel * scale
+    if bad.any():
         raise NotNormal(f"instance leaves the scalar-reference commuting family "
-                        f"by {worst:.3e}")
+                        f"by {worst[bad][0]:.3e}")
 
 
-def _require_contractive(x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
-                         e: ModuleElement | None = None) -> None:
+def _require_contractive(x: Stack, y: Stack, tol: ToleranceConfig,
+                         e: Stack | None = None) -> None:
     for z, tag in ((x, "x"), (y, "y")):
-        top = float(np.linalg.eigvalsh(hermitian_part(inner(z, z)))[-1])
-        if top > 1.0 - CONTRACTION_MARGIN + tol.tol_abs:
-            raise NotContractive(
-                f"<{tag},{tag}> has top eigenvalue {top:.6f}, above 1 - {CONTRACTION_MARGIN:g}")
+        top = eigvalsh(herm(z.gram))[:, -1]
+        bad = top > 1.0 - CONTRACTION_MARGIN + tol.tol_abs
+        if bad.any():
+            raise NotContractive(f"<{tag},{tag}> has top eigenvalue {top[bad][0]:.6f}, "
+                                 f"above 1 - {CONTRACTION_MARGIN:g}")
 
 
 HYPOTHESES = {"normality": _require_normal, "contraction": _require_contractive}
@@ -162,27 +179,28 @@ def validate_drop(drop) -> tuple[str, ...]:
     return tuple(drop)
 
 
-def require_hypotheses(names, x: ModuleElement, y: ModuleElement,
-                       tol: ToleranceConfig = DEFAULT_TOL,
-                       e: ModuleElement | None = None) -> None:
-    """Raise the matching error for the first named hypothesis x, y violate."""
+def require_hypotheses(names, x, y, tol: ToleranceConfig = DEFAULT_TOL, e=None) -> None:
+    """Raise the matching error for the first named hypothesis x, y violate.
+    x, y and e are elements or stacks of them."""
     for name in names:
-        HYPOTHESES[name](x, y, tol, e)
+        HYPOTHESES[name](_stack(x), _stack(y), tol, None if e is None else _stack(e))
 
 
-def require_in_ball(x: ModuleElement, y: ModuleElement, e: ModuleElement, ball,
-                    tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise BallViolated unless x lies in [me, Me] and y in [pe, Pe]
-    for ``ball = (m, M, p, P)``."""
-    m, big_m, p, big_p = (float(v) for v in ball)
-    d = e.ctx.dim
-    for z, lo, hi, tag in ((x, m, big_m, "x"), (y, p, big_p, "y")):
-        center = right_mul(e, (hi + lo) / 2 * np.eye(d))
+def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise BallViolated unless x lies in [me, Me] and y in [pe, Pe] for
+    ``(m, M, p, P)`` in ``balls``, one per element of the stacks x, y, e."""
+    bounds = np.array([[float(v) for v in ball] for ball in balls])
+    d = e.parts.shape[-1]
+    for z, lo, hi, tag in ((x, bounds[:, 0], bounds[:, 1], "x"),
+                           (y, bounds[:, 2], bounds[:, 3], "y")):
+        centre = e.parts @ (((hi + lo) / 2)[:, None, None, None] * np.eye(d))
+        off = z.parts - centre
+        dist = np.sqrt(op_norms(weighted_products(z.weights, off, off)))
         radius = abs(hi - lo) / 2
-        dist = module_norm(z - center)
-        if dist > radius + tol.tol_abs + tol.tol_rel * max(radius, 1.0):
-            raise BallViolated(
-                f"{tag} sits {dist:.6f} from the ball center, radius {radius:.6f}")
+        bad = dist > radius + tol.tol_abs + tol.tol_rel * np.maximum(radius, 1.0)
+        if bad.any():
+            raise BallViolated(f"{tag} sits {dist[bad][0]:.6f} from the ball center, "
+                               f"radius {radius[bad][0]:.6f}")
 
 
 def validate_pqr(p: float, q: float, r: float) -> None:
@@ -229,8 +247,58 @@ class InequalityReport:
         }
 
 
-def _digest(x: ModuleElement, digest: dict | None, params: dict | None = None) -> dict:
-    out = {"seed": None, "dim": x.ctx.dim, "len": x.ctx.length, "params": {}}
+# --------------------------------------------------------------------------
+# batches and report assembly
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """B instances of one check with one dimension and length, all evaluated
+    at the same grid ``points`` (argument tuples, ``()`` without a grid).
+    :func:`run_batch` gives one report per (instance, point),
+    instance-major, with ``digests`` in the same order.  A direct
+    ``check_*`` call is a batch of one instance at one point, so every
+    report comes from the same code."""
+
+    xs: tuple[ModuleElement, ...]
+    ys: tuple[ModuleElement, ...]
+    a: np.ndarray | None = None                   # (B, d, d)
+    es: tuple[ModuleElement, ...] | None = None   # unit references
+    balls: tuple | None = None                    # B tuples (m, M, p, P)
+    points: tuple = ((),)
+    digests: tuple = (None,)
+
+    @cached_property
+    def x(self) -> Stack:
+        return Stack.of(self.xs)
+
+    @cached_property
+    def y(self) -> Stack:
+        return Stack.of(self.ys)
+
+    @cached_property
+    def e(self) -> Stack | None:
+        return None if self.es is None else Stack.of(self.es)
+
+
+def _single(x: ModuleElement, y: ModuleElement, digest: dict | None, a=None,
+            point: tuple = (), **extra) -> Batch:
+    """The batch of one directly called check."""
+    _same_ctx(x, y)
+    a = None if a is None else acting(x, a)[None]
+    return Batch((x,), (y,), a, points=(point,), digests=(digest,), **extra)
+
+
+def _joint(fn, stacks: list[np.ndarray]) -> list:
+    """fn on equal-length stacks in one call, its result split back per stack."""
+    out = fn(np.concatenate(stacks))
+    if isinstance(out, tuple):
+        return list(zip(*(np.split(o, len(stacks)) for o in out)))
+    return np.split(out, len(stacks))
+
+
+def _digest(b: Batch, digest: dict | None, params: dict | None = None) -> dict:
+    out = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3],
+           "params": {}}
     if params:
         out["params"].update(params)
     if digest:
@@ -252,23 +320,31 @@ def _scalar_branch(lhs: float, rhs: float) -> _Branch:
     return _Branch(float(lhs), float(rhs), float(rhs - lhs), scale)
 
 
-def _psd_branch(lo: np.ndarray, hi: np.ndarray) -> _Branch:
-    gap = hermitian_part(hi) - hermitian_part(lo)
-    margin = float(np.linalg.eigvalsh(gap)[0])
-    scale = max(op_norm(lo), op_norm(hi), 1.0)
-    return _Branch(op_norm(lo), op_norm(hi), margin, scale)
+def _psd_branches(lo: np.ndarray, hi: np.ndarray) -> list[_Branch]:
+    """lo <= hi in the PSD order, per matrix of the stacks."""
+    margins = eigvalsh(herm(hi) - herm(lo))[:, 0]
+    out = []
+    for l, h, m in zip(op_norms(lo).tolist(), op_norms(hi).tolist(), margins.tolist()):
+        out.append(_Branch(l, h, m, max(l, h, 1.0)))
+    return out
 
 
-def _ky_branches(lo: np.ndarray, hi: np.ndarray, prefix: str = "") -> tuple[dict, _Branch]:
-    """Ky Fan profile margins of |||lo||| <= |||hi|||, worst k as headline."""
-    pl, ph, gaps, scale = fan_gaps(lo, hi)
-    detail = {f"{prefix}ky_fan_{k + 1}": float(g) / scale for k, g in enumerate(gaps)}
-    detail[f"{prefix}hilbert_schmidt"] = (
-        norm(hi, HILBERT_SCHMIDT) - norm(lo, HILBERT_SCHMIDT)
-    ) / scale
-    worst = int(np.argmin(gaps))
-    head = _Branch(float(pl[worst]), float(ph[worst]), float(gaps[worst]), scale)
-    return detail, head
+def _ky_branches(lo: np.ndarray, hi: np.ndarray, prefix: str = "") -> list[tuple[dict, _Branch]]:
+    """Ky Fan profile margins of |||lo||| <= |||hi||| per matrix of the
+    stacks, worst k as headline, with the Hilbert-Schmidt spot check."""
+    s_lo, s_hi = svdvals(lo), svdvals(hi)
+    p_lo, p_hi = ky_fan_profiles(s_lo), ky_fan_profiles(s_hi)
+    gaps = p_hi - p_lo
+    hs = norms_of(s_hi, HILBERT_SCHMIDT) - norms_of(s_lo, HILBERT_SCHMIDT)
+    out = []
+    for pl, ph, gap, h in zip(p_lo, p_hi, gaps, hs.tolist()):
+        scale = max(float(pl[-1]), float(ph[-1]), 1.0)
+        detail = {f"{prefix}ky_fan_{k + 1}": float(g) / scale for k, g in enumerate(gap)}
+        detail[f"{prefix}hilbert_schmidt"] = h / scale
+        worst = int(np.argmin(gap))
+        out.append((detail, _Branch(float(pl[worst]), float(ph[worst]), float(gap[worst]),
+                                    scale)))
+    return out
 
 
 def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
@@ -286,20 +362,226 @@ def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
     )
 
 
-def _sqrt_gram(x: ModuleElement) -> np.ndarray:
-    return psd_power(hermitian_part(inner(x, x)), 0.5)
+def _family_rows(lo: np.ndarray, hi: np.ndarray, params=None) -> list:
+    """Rows whose one branch, "family", is Ky Fan dominance lo <= hi."""
+    params = params or [None] * len(lo)
+    return [({"family": head}, detail, par)
+            for (detail, head), par in zip(_ky_branches(lo, hi), params)]
 
+
+def _instance_major(b: Batch, columns: list) -> list:
+    """(point, value) pairs from one list of per-instance values per point,
+    in report order."""
+    return [(point, v) for row in zip(*columns) for point, v in zip(b.points, row)]
+
+
+def _products(b: Batch) -> np.ndarray:
+    """T(a) = <x, a y> per instance."""
+    return applied(b.x.weights, b.x.parts, b.y.parts, b.a)
+
+
+def _sqrt_grams(z: Stack) -> np.ndarray:
+    return psd_powers(herm(z.gram), 0.5)
+
+
+def _column(values) -> np.ndarray:
+    """Per-instance scalars shaped to scale a stack of matrices."""
+    return np.array(values)[:, None, None]
+
+
+def _pqr(p: float, q: float, r: float) -> dict:
+    return {"p": p, "q": q, "r": r}
+
+
+# --------------------------------------------------------------------------
+# kernels: the numerics of each check over a Batch, one row
+# (branches, extra detail, report params) per report
+
+def _cs(b: Batch, tol: ToleranceConfig) -> list:
+    m = weighted_products(b.x.weights, b.x.parts, b.y.parts)
+    nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
+    gy = herm(b.y.gram)
+    sq = _psd_branches(ct(m) @ m, nx2 * gy)
+    rt = _psd_branches(moduli(m), np.sqrt(nx2) * psd_powers(gy, 0.5))
+    return [({"squared": s1, "sqrt": s2}, None, None) for s1, s2 in zip(sq, rt)]
+
+
+def _basic(b: Batch, tol: ToleranceConfig) -> list:
+    s_val = svdvals(_products(b))
+    rhs_tr = norms_of(svdvals(_sqrt_grams(b.x.conj) @ b.a @ _sqrt_grams(b.y.conj)), TRACE)
+    return [({"op": _scalar_branch(op, nx * ny * na), "tr": _scalar_branch(tr, rtr)}, None, None)
+            for op, tr, nx, ny, na, rtr in zip(
+                s_val[:, 0].tolist(), norms_of(s_val, TRACE).tolist(), b.x.norms.tolist(),
+                b.y.norms.tolist(), op_norms(b.a).tolist(), rhs_tr.tolist())]
+
+
+def _hs(b: Batch, tol: ToleranceConfig) -> list:
+    lhs = norms_of(svdvals(_products(b)), HILBERT_SCHMIDT)
+    rx = norms_of(svdvals(b.a @ _sqrt_grams(b.y.conj)), HILBERT_SCHMIDT)
+    ry = norms_of(svdvals(_sqrt_grams(b.x.conj) @ b.a), HILBERT_SCHMIDT)
+    return [({"x_weighted": _scalar_branch(l, nx * hx),
+              "y_weighted": _scalar_branch(l, ny * hy)}, None, None)
+            for l, nx, ny, hx, hy in zip(lhs.tolist(), b.x.norms.tolist(), b.y.norms.tolist(),
+                                         rx.tolist(), ry.tolist())]
+
+
+def _refinement(b: Batch, tol: ToleranceConfig) -> list:
+    m = _products(b)
+    aha = (ct(b.a) @ b.a)[:, None]
+    nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
+    rhs = nx2 * weighted_products(b.y.weights, b.y.parts, aha @ b.y.parts)
+    return [({"psd": branch}, None, None) for branch in _psd_branches(ct(m) @ m, rhs)]
+
+
+def _uin(b: Batch, tol: ToleranceConfig) -> list:
+    return _family_rows(_products(b), _sqrt_grams(b.x) @ b.a @ _sqrt_grams(b.y))
+
+
+def _interp(b: Batch, tol: ToleranceConfig) -> list:
+    s_lhs = svdvals(_products(b))
+    # K_x = <<x,x>^(q-1) xbar, xbar> per distinct q, K_y likewise per r
+    eigs = _joint(psd_eigs, [herm(b.x.gram), herm(b.y.gram)])
+    ks = {}
+    for z, (lam, u), col in ((b.x, eigs[0], 1), (b.y, eigs[1], 2)):
+        zb = z.conj.parts
+        for s in dict.fromkeys(point[col] - 1 for point in b.points):
+            ks[col, s] = herm(weighted_products(z.weights, eig_powers(lam, u, s)[:, None] @ zb, zb))
+    low = dict(zip(ks, _joint(lambda k: eigvalsh(k)[:, 0], list(ks.values()))))
+    # the outer powers at epsilon_reg and ten times it, each from its own eigh
+    eye = np.eye(b.x.parts.shape[-1])
+    shifts = (tol.epsilon_reg, 10 * tol.epsilon_reg)
+    keys = [(eps, key) for eps in shifts for key in ks]
+    shifted = dict(zip(keys, _joint(psd_eigs, [ks[key] + eps * eye for eps, key in keys])))
+    rhs = [eig_powers(*shifted[eps, (1, q - 1)], 1 / (2 * q)) @ b.a
+           @ eig_powers(*shifted[eps, (2, r - 1)], 1 / (2 * r))
+           for eps in shifts for _, q, r in b.points]
+    s_rhs = svdvals(np.stack(rhs)).reshape(2, len(b.points), *s_lhs.shape)
+    columns = [zip(norms_of(s_lhs, schatten(p)).tolist(), norms_of(s_rhs[0, k], schatten(p)).tolist(),
+                   norms_of(s_rhs[1, k], schatten(p)).tolist(), low[1, q - 1].tolist(),
+                   low[2, r - 1].tolist())
+               for k, (p, q, r) in enumerate(b.points)]
+    return [({schatten(p).label: _scalar_branch(lhs, rhs)},
+             {"sensitivity": float(abs(rhs10 - rhs) / max(rhs, 1.0)),
+              "min_inner_eig": min(mx, my)}, _pqr(p, q, r))
+            for (p, q, r), (lhs, rhs, rhs10, mx, my) in _instance_major(b, columns)]
+
+
+def _defect_eigs(b: Batch) -> list:
+    """Clamped eigensystems of 1 - <x,x> and 1 - <y,y>."""
+    eye = np.eye(b.x.parts.shape[-1])
+    return _joint(psd_eigs, [herm(eye - herm(b.x.gram)), herm(eye - herm(b.y.gram))])
+
+
+def _naopaka(b: Batch, tol: ToleranceConfig) -> list:
+    ex, ey = _defect_eigs(b)
+    return _family_rows(eig_powers(*ex, 0.5) @ b.a @ eig_powers(*ey, 0.5), b.a - _products(b))
+
+
+def _alpha(b: Batch, tol: ToleranceConfig) -> list:
+    ex, ey = _defect_eigs(b)
+    los = [eig_powers(*ex, alpha / 2) @ b.a @ eig_powers(*ey, alpha / 2) for (alpha,) in b.points]
+    for gamma in (b.x.norms * b.y.norms).tolist():
+        if gamma >= 1.0:
+            raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}")
+    # (I - T)^alpha a: the eigen form of fractional_power_exact where it
+    # applies, its series otherwise
+    exact = [not float(alpha).is_integer() for (alpha,) in b.points]
+    forms = eigen_forms(vectorized(b.x.weights, b.x.parts, b.y.parts), b.a, tol) if any(exact) else None
+    his = []
+    for ((alpha,), eigen) in zip(b.points, exact):
+        hi = eigen_power(forms, alpha) if eigen else np.empty_like(b.a)
+        for i, (x, y) in enumerate(zip(b.xs, b.ys)):
+            if not (eigen and forms.ok[i]):
+                hi[i] = fractional_power_apply(ElementaryOperator(x, y), alpha, b.a[i], tol)
+        his.append(hi)
+    params = [{"alpha": alpha} for _ in b.xs for (alpha,) in b.points]
+    d = b.a.shape[-1]
+    # one stack per point, interleaved into report order
+    return _family_rows(np.stack(los, axis=1).reshape(-1, d, d),
+                        np.stack(his, axis=1).reshape(-1, d, d), params)
+
+
+def _defect(b: Batch, tol: ToleranceConfig) -> list:
+    x, y = b.x, b.y
+    four = Stack(np.concatenate([x.weights, y.weights] * 2),
+                 np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
+    ex, ey, exb, eyb = _joint(psd_eigs, np.split(defect_operators(four, tol), 4))
+    resid = b.a - _products(b)
+    lhs = [eig_powers(*ex, 1 - 1 / q) @ b.a @ eig_powers(*ey, 1 - 1 / r) for _, q, r in b.points]
+    rhs = [eig_powers(*exb, -1 / q) @ resid @ eig_powers(*eyb, -1 / r) for _, q, r in b.points]
+    s_lhs, s_rhs = np.split(svdvals(np.stack(lhs + rhs)), 2)
+    columns = [zip(norms_of(s_lhs[k], schatten(p)).tolist(), norms_of(s_rhs[k], schatten(p)).tolist())
+               for k, (p, _, _) in enumerate(b.points)]
+    return [({schatten(p).label: _scalar_branch(l, h)}, None, _pqr(p, q, r))
+            for (p, q, r), (l, h) in _instance_major(b, columns)]
+
+
+def _gruss(b: Batch, tol: ToleranceConfig) -> list:
+    x, y, e, w = b.x, b.y, b.e, b.x.weights
+    if b.balls is not None:
+        require_in_ball(x, y, e, b.balls, tol)
+    lo = covariances(w, x.parts, b.a[:, None] @ y.parts, e.parts)
+    phi_x = herm(covariances(w, x.parts, x.parts, e.parts))
+    phi_y = herm(covariances(w, y.parts, y.parts, e.parts))
+    px, py = _joint(lambda phi: psd_powers(phi, 0.5, tol), [phi_x, phi_y])
+    rows = []
+    for detail, head in _ky_branches(lo, px @ b.a @ py, prefix="g3_"):
+        rows.append(({"g3": head}, detail, {"ball": None}))
+    if b.balls is not None:
+        bounds = [[float(v) for v in ball] for ball in b.balls]
+        diam = [0.25 * abs(big_m - m) * abs(big_p - p) for m, big_m, p, big_p in bounds]
+        for (branches, detail, params), (mm_detail, mm_head), ball in zip(
+                rows, _ky_branches(lo, _column(diam) * b.a, prefix="mm_"), b.balls):
+            branches["mm"] = mm_head
+            detail.update(mm_detail)
+            params["ball"] = list(ball)
+    return rows
+
+
+def _radius_submult(b: Batch, tol: ToleranceConfig) -> list:
+    x, y = b.x, b.y
+    rep = vectorized(np.concatenate([x.weights] * 3), np.concatenate([x.parts, x.parts, y.parts]),
+                     np.concatenate([y.parts, x.parts, y.parts]))
+    r_xy, r_xx, r_yy = (v.tolist() for v in np.split(spectral_radii(rep), 3))
+    lower = probe_lower_bounds(rep[:len(b.xs)]).tolist()
+    return [({"radius_sq": _scalar_branch(rxy ** 2, rxx * ryy),
+              "opnorm_gap": _scalar_branch(low, nx * ny)}, None, None)
+            for rxy, rxx, ryy, low, nx, ny in zip(r_xy, r_xx, r_yy, lower, x.norms.tolist(),
+                                                  y.norms.tolist())]
+
+
+KERNELS = {"check_cs": _cs, "check_basic": _basic, "check_hs": _hs,
+           "check_refinement": _refinement, "check_uin": _uin, "check_interp": _interp,
+           "check_naopaka": _naopaka, "check_alpha": _alpha, "check_defect": _defect,
+           "check_gruss": _gruss, "check_radius_submult": _radius_submult}
+
+
+def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
+              enforce: tuple[str, ...] = ()) -> list[InequalityReport]:
+    """Every report of a batch: validate its grid points, enforce the
+    hypotheses named in ``enforce``, run the check's kernel and assemble."""
+    grid = CHECK_SPECS[name].grid
+    for point in b.points:
+        if grid:
+            (validate_pqr if grid == "pqr" else validate_alpha)(*point)
+    require_hypotheses(enforce, b.x, b.y, tol, b.e)
+    return [_finish(name, branches, tol, _digest(b, digest, params), extra)
+            for (branches, extra, params), digest in zip(KERNELS[name](b, tol), b.digests)]
+
+
+def _one(name: str, b: Batch, tol: ToleranceConfig, strict: bool = False) -> InequalityReport:
+    """A direct check call: its batch of one, hypotheses enforced if ``strict``."""
+    return run_batch(name, b, tol, CHECK_SPECS[name].hypotheses if strict else ())[0]
+
+
+# --------------------------------------------------------------------------
+# checks: each is its kernel on one instance at one point
 
 def check_cs(x: ModuleElement, y: ModuleElement, *,
              tol: ToleranceConfig = DEFAULT_TOL,
              digest: dict | None = None) -> InequalityReport:
     """|<x,y>|^2 <= ||x||^2 <y,y> in the PSD order, plus its square root."""
-    m = inner(x, y)
-    nx2 = module_norm(x) ** 2
-    gy = hermitian_part(inner(y, y))
-    sq = _psd_branch(adjoint(m) @ m, nx2 * gy)
-    rt = _psd_branch(matrix_abs(m), np.sqrt(nx2) * psd_power(gy, 0.5))
-    return _finish("check_cs", {"squared": sq, "sqrt": rt}, tol, _digest(x, digest))
+    return _one("check_cs", _single(x, y, digest), tol)
 
 
 def check_basic(x: ModuleElement, y: ModuleElement, a, *,
@@ -311,12 +593,7 @@ def check_basic(x: ModuleElement, y: ModuleElement, a, *,
     branch compares against the conjugated Gram square roots,
     ||<xbar,xbar>^(1/2) a <ybar,ybar>^(1/2)||_1.
     """
-    val = inner(x, left_act(a, y))
-    op = _scalar_branch(norm(val, OPERATOR),
-                        module_norm(x) * module_norm(y) * norm(a, OPERATOR))
-    rhs_tr = _sqrt_gram(conjugate(x)) @ np.asarray(a) @ _sqrt_gram(conjugate(y))
-    tr = _scalar_branch(norm(val, TRACE), norm(rhs_tr, TRACE))
-    return _finish("check_basic", {"op": op, "tr": tr}, tol, _digest(x, digest))
+    return _one("check_basic", _single(x, y, digest, a), tol)
 
 
 def check_hs(x: ModuleElement, y: ModuleElement, a, *,
@@ -324,22 +601,14 @@ def check_hs(x: ModuleElement, y: ModuleElement, a, *,
              digest: dict | None = None) -> InequalityReport:
     """Hilbert-Schmidt bounds ||<x,ay>||_2 <= ||x|| ||a <ybar,ybar>^(1/2)||_2
     and the mirrored ||y|| ||<xbar,xbar>^(1/2) a||_2."""
-    a = np.asarray(a)
-    lhs = norm(inner(x, left_act(a, y)), HILBERT_SCHMIDT)
-    bx = _scalar_branch(lhs, module_norm(x) * norm(a @ _sqrt_gram(conjugate(y)), HILBERT_SCHMIDT))
-    by = _scalar_branch(lhs, module_norm(y) * norm(_sqrt_gram(conjugate(x)) @ a, HILBERT_SCHMIDT))
-    return _finish("check_hs", {"x_weighted": bx, "y_weighted": by}, tol, _digest(x, digest))
+    return _one("check_hs", _single(x, y, digest, a), tol)
 
 
 def check_refinement(x: ModuleElement, y: ModuleElement, a, *,
                      tol: ToleranceConfig = DEFAULT_TOL,
                      digest: dict | None = None) -> InequalityReport:
     """|<x,ay>|^2 <= ||x||^2 <y, a*a y> in the PSD order."""
-    a = np.asarray(a)
-    m = inner(x, left_act(a, y))
-    rhs = module_norm(x) ** 2 * inner(y, left_act(adjoint(a) @ a, y))
-    branch = _psd_branch(adjoint(m) @ m, rhs)
-    return _finish("check_refinement", {"psd": branch}, tol, _digest(x, digest))
+    return _one("check_refinement", _single(x, y, digest, a), tol)
 
 
 def check_uin(x: ModuleElement, y: ModuleElement, a, *,
@@ -351,13 +620,7 @@ def check_uin(x: ModuleElement, y: ModuleElement, a, *,
     With ``strict=False`` the normality preconditions are skipped so a
     counterexample search can probe instances outside the hypotheses.
     """
-    if strict:
-        require_hypotheses(CHECK_SPECS["check_uin"].hypotheses, x, y, tol)
-    lo = inner(x, left_act(a, y))
-    hi = _sqrt_gram(x) @ np.asarray(a) @ _sqrt_gram(y)
-    detail, head = _ky_branches(lo, hi)
-    branches = {"family": head}
-    return _finish("check_uin", branches, tol, _digest(x, digest), extra_detail=detail)
+    return _one("check_uin", _single(x, y, digest, a), tol, strict)
 
 
 def check_interp(x: ModuleElement, y: ModuleElement, a,
@@ -373,39 +636,7 @@ def check_interp(x: ModuleElement, y: ModuleElement, a,
     near-singular instances can be recognized downstream.
     """
     validate_pqr(p, q, r)
-    a = np.asarray(a)
-    d = x.ctx.dim
-    eye = np.eye(d)
-
-    def inner_power(z: ModuleElement, s: float) -> np.ndarray:
-        gz = hermitian_part(inner(z, z))
-        zb = conjugate(z)
-        return hermitian_part(inner(left_act(psd_power(gz, s), zb), zb))
-
-    kx, ky = inner_power(x, q - 1), inner_power(y, r - 1)
-    min_eig = min(float(np.linalg.eigvalsh(kx)[0]), float(np.linalg.eigvalsh(ky)[0]))
-    lhs = norm(inner(x, left_act(a, y)), schatten(p))
-
-    def rhs_at(eps: float) -> float:
-        fx = psd_power(kx + eps * eye, 1 / (2 * q))
-        fy = psd_power(ky + eps * eye, 1 / (2 * r))
-        return norm(fx @ a @ fy, schatten(p))
-
-    rhs = rhs_at(tol.epsilon_reg)
-    sensitivity = abs(rhs_at(10 * tol.epsilon_reg) - rhs) / max(rhs, 1.0)
-    branch = _scalar_branch(lhs, rhs)
-    extra = {"sensitivity": float(sensitivity), "min_inner_eig": min_eig}
-    dig = _digest(x, digest, params={"p": p, "q": q, "r": r})
-    return _finish("check_interp", {schatten(p).label: branch}, tol, dig, extra_detail=extra)
-
-
-def _defect_sandwich(x: ModuleElement, y: ModuleElement, a: np.ndarray,
-                     s: float) -> np.ndarray:
-    """(1 - <x,x>)^s a (1 - <y,y>)^s."""
-    eye = np.eye(x.ctx.dim)
-    gx = hermitian_part(inner(x, x))
-    gy = hermitian_part(inner(y, y))
-    return psd_power(hermitian_part(eye - gx), s) @ a @ psd_power(hermitian_part(eye - gy), s)
+    return _one("check_interp", _single(x, y, digest, a, (p, q, r)), tol)
 
 
 def check_naopaka(x: ModuleElement, y: ModuleElement, a, *,
@@ -413,14 +644,7 @@ def check_naopaka(x: ModuleElement, y: ModuleElement, a, *,
                   digest: dict | None = None) -> InequalityReport:
     """|||(1-<x,x>)^(1/2) a (1-<y,y>)^(1/2)||| <= |||a - <x,ay>||| for
     normal contractive x, y, over the whole Ky Fan family."""
-    if strict:
-        require_hypotheses(CHECK_SPECS["check_naopaka"].hypotheses, x, y, tol)
-    a = np.asarray(a)
-    lo = _defect_sandwich(x, y, a, 0.5)
-    hi = a - apply(ElementaryOperator(x, y), a)
-    detail, head = _ky_branches(lo, hi)
-    return _finish("check_naopaka", {"family": head}, tol, _digest(x, digest),
-                   extra_detail=detail)
+    return _one("check_naopaka", _single(x, y, digest, a), tol, strict)
 
 
 def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
@@ -429,21 +653,14 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
     At alpha = 1 this coincides with check_naopaka branch for branch.
-    (I-T)^alpha a comes from fractional_power_exact: for non-integer
+    (I-T)^alpha a is :func:`fractional_power_exact`'s: for non-integer
     alpha and a normal vectorized T (which the normal, commuting
     hypotheses give) it is the exact eigen form; integer alpha takes the
     terminating binomial series, and any other case falls back to the
     series of fractional_power_apply, which stays the independent oracle.
     """
     validate_alpha(alpha)
-    if strict:
-        require_hypotheses(CHECK_SPECS["check_alpha"].hypotheses, x, y, tol)
-    a = np.asarray(a)
-    lo = _defect_sandwich(x, y, a, alpha / 2)
-    hi = fractional_power_exact(ElementaryOperator(x, y), alpha, a, tol)
-    detail, head = _ky_branches(lo, hi)
-    dig = _digest(x, digest, params={"alpha": alpha})
-    return _finish("check_alpha", {"family": head}, tol, dig, extra_detail=detail)
+    return _one("check_alpha", _single(x, y, digest, a, (alpha,)), tol, strict)
 
 
 def check_defect(x: ModuleElement, y: ModuleElement, a,
@@ -456,17 +673,7 @@ def check_defect(x: ModuleElement, y: ModuleElement, a,
     ||D_x^(1-1/q) a D_y^(1-1/r)||_p <= ||D_xbar^(-1/q) (a - <x,ay>) D_ybar^(-1/r)||_p
     """
     validate_pqr(p, q, r)
-    if strict:
-        require_hypotheses(CHECK_SPECS["check_defect"].hypotheses, x, y, tol)
-    a = np.asarray(a)
-    dx, dy = defect_operator(x, tol), defect_operator(y, tol)
-    dxb, dyb = defect_operator(conjugate(x), tol), defect_operator(conjugate(y), tol)
-    lhs = norm(psd_power(dx, 1 - 1 / q) @ a @ psd_power(dy, 1 - 1 / r), schatten(p))
-    resid = a - apply(ElementaryOperator(x, y), a)
-    rhs = norm(psd_power(dxb, -1 / q) @ resid @ psd_power(dyb, -1 / r), schatten(p))
-    branch = _scalar_branch(lhs, rhs)
-    dig = _digest(x, digest, params={"p": p, "q": q, "r": r})
-    return _finish("check_defect", {schatten(p).label: branch}, tol, dig)
+    return _one("check_defect", _single(x, y, digest, a, (p, q, r)), tol, strict)
 
 
 def check_gruss(x: ModuleElement, y: ModuleElement, a, g: GrussContext,
@@ -482,26 +689,8 @@ def check_gruss(x: ModuleElement, y: ModuleElement, a, g: GrussContext,
     """
     if x.ctx != g.e.ctx or y.ctx != g.e.ctx:
         raise CtxMismatch("x, y and the reference element live in different contexts")
-    if strict:
-        require_hypotheses(CHECK_SPECS["check_gruss"].hypotheses, x, y, tol, g.e)
-    a = np.asarray(a)
-    if ball is not None:
-        require_in_ball(x, y, g.e, ball, tol)
-        m, big_m, p, big_p = (float(v) for v in ball)
-
-    lo_mat = gruss_inner(x, left_act(a, y), g)
-    phi_x = hermitian_part(gruss_inner(x, x, g))
-    phi_y = hermitian_part(gruss_inner(y, y, g))
-    hi_mat = psd_power(phi_x, 0.5, tol) @ a @ psd_power(phi_y, 0.5, tol)
-    detail, head = _ky_branches(lo_mat, hi_mat, prefix="g3_")
-    branches = {"g3": head}
-    if ball is not None:
-        diam = 0.25 * abs(big_m - m) * abs(big_p - p)
-        mm_detail, mm_head = _ky_branches(lo_mat, diam * a, prefix="mm_")
-        detail.update(mm_detail)
-        branches["mm"] = mm_head
-    dig = _digest(x, digest, params={"ball": list(ball) if ball is not None else None})
-    return _finish("check_gruss", branches, tol, dig, extra_detail=detail)
+    batch = _single(x, y, digest, a, es=(g.e,), balls=None if ball is None else (ball,))
+    return _one("check_gruss", batch, tol, strict)
 
 
 def check_radius_submult(x: ModuleElement, y: ModuleElement, *,
@@ -509,11 +698,4 @@ def check_radius_submult(x: ModuleElement, y: ModuleElement, *,
                          digest: dict | None = None) -> InequalityReport:
     """r(T_{x,y})^2 <= r(T_{x,x}) r(T_{y,y}) via the vectorized spectra,
     with the probe/product bracket on ||T_{x,y}|| as a companion branch."""
-    r_xy = spectral_radius(ElementaryOperator(x, y))
-    r_xx = spectral_radius(ElementaryOperator(x, x))
-    r_yy = spectral_radius(ElementaryOperator(y, y))
-    radius = _scalar_branch(r_xy ** 2, r_xx * r_yy)
-    bounds = operator_norm_T(ElementaryOperator(x, y))
-    bracket = _scalar_branch(bounds.lower, bounds.upper)
-    return _finish("check_radius_submult", {"radius_sq": radius, "opnorm_gap": bracket},
-                   tol, _digest(x, digest))
+    return _one("check_radius_submult", _single(x, y, digest), tol)

@@ -1,9 +1,12 @@
 """Dense complex matrix arithmetic and Hermitian functional calculus.
 
-Matrices are plain numpy arrays of complex128.  Public entry points
-validate squareness, finiteness and (where required) self-adjointness;
-fractional powers go through an eigendecomposition with a small clamp
-for negative round-off eigenvalues.
+Matrices are plain numpy arrays of complex128.  Each operation has one
+stacked form that takes a (..., d, d) stack and treats every matrix on
+its own, so a matrix gives the same bits alone or inside any stack; the
+per-matrix entry points validate squareness, finiteness and (where
+required) self-adjointness, then call it.  Fractional powers go through
+an eigendecomposition with a small clamp for negative round-off
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -55,41 +58,125 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+    return finite(a)
+
+
+# --------------------------------------------------------------------------
+# stacked forms: every function below takes (..., d, d) arrays, acts on each
+# matrix of the stack alone, and gives bit for bit the result it gives that
+# matrix without the leading axes.  The per-matrix entry points validate
+# their input and call them.
+
+def finite(a: np.ndarray) -> np.ndarray:
+    """a itself; InvalidSpec if any entry is not finite."""
     if not np.isfinite(a).all():
         raise InvalidSpec("matrix has non-finite entries")
     return a
 
 
+def ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def herm(a: np.ndarray) -> np.ndarray:
+    """(a + a*)/2 of each matrix in a stack."""
+    return (a + ct(a)) / 2.0
+
+
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix, descending."""
+    return np.linalg.svd(finite(a), compute_uv=False)
+
+
+def op_norms(a: np.ndarray) -> np.ndarray:
+    return svdvals(a)[..., 0]
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(finite(a))
+
+
+def _first(bad: np.ndarray) -> tuple:
+    """Index of the first True entry of a boolean stack."""
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
+def require_hermitians(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """h itself; NotHermitian if a matrix deviates from its adjoint beyond tol_abs."""
+    defect = _hermiticity_defects(finite(h))
+    bad = defect > cfg.tol_abs
+    if bad.any():
+        raise NotHermitian(f"self-adjointness defect {defect[_first(bad)]:.3e} "
+                           f"exceeds tol_abs {cfg.tol_abs:.3e}")
+    return h
+
+
+def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(a - ct(a)), axis=(-2, -1))
+
+
+def herm_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(require_hermitians(h, cfg))
+
+
+def psd_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of PSD matrices with negative round-off clamped to zero."""
+    w, u = herm_eigs(h, cfg)
+    lim = np.maximum(cfg.tol_abs, cfg.tol_rel * np.max(np.abs(w), axis=-1))
+    bad = w[..., 0] < -lim
+    if bad.any():
+        i = _first(bad)
+        raise NotPSD(f"eigenvalue {w[i][0]:.6e} below -{lim[i]:.3e}")
+    return np.maximum(w, 0.0), u
+
+
+def eig_powers(lam: np.ndarray, u: np.ndarray, s: float,
+               cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """u diag(lam^s) u* for each clamped eigensystem from :func:`psd_eigs`."""
+    if s < 0 and (lam.min(axis=-1) <= cfg.clamp).any():
+        raise SingularNegativePower(
+            f"negative power {s} of a matrix with eigenvalue <= {cfg.clamp:.1e}"
+        )
+    vals = lam ** float(s)
+    return (u * vals[..., None, :]) @ ct(u)
+
+
+def psd_powers(h: np.ndarray, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    return eig_powers(*psd_eigs(h, cfg), s, cfg)
+
+
+def moduli(a: np.ndarray) -> np.ndarray:
+    """|m| = (m* m)^(1/2) of each matrix, from its singular value decomposition."""
+    _, s, vh = np.linalg.svd(finite(a))
+    return (ct(vh) * s[..., None, :]) @ vh
+
+
+# --------------------------------------------------------------------------
+# per-matrix entry points
+
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
-    return as_matrix(m).conj().T
+    return ct(as_matrix(m))
 
 
 def hermiticity_defect(m) -> float:
     """Largest entrywise deviation of m from its adjoint."""
-    a = as_matrix(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(_hermiticity_defects(as_matrix(m)))
 
 
 def require_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    a = as_matrix(m)
-    defect = hermiticity_defect(a)
-    if defect > cfg.tol_abs:
-        raise NotHermitian(
-            f"self-adjointness defect {defect:.3e} exceeds tol_abs {cfg.tol_abs:.3e}"
-        )
-    return a
+    return require_hermitians(as_matrix(m), cfg)
 
 
 def hermitian_part(m) -> np.ndarray:
     """(m + m*)/2, hygiene for products that are Hermitian in exact arithmetic."""
-    a = as_matrix(m)
-    return (a + a.conj().T) / 2.0
+    return herm(as_matrix(m))
 
 
 def op_norm(m) -> float:
     """Operator (spectral) norm."""
-    return float(np.linalg.svd(as_matrix(m), compute_uv=False)[0])
+    return float(op_norms(as_matrix(m)))
 
 
 def herm_eig(h, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -101,18 +188,7 @@ def herm_eig(h, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
         Real eigenvalues in ascending order and a unitary whose columns
         are the matching eigenvectors, so that u @ diag(w) @ u* == h.
     """
-    a = require_hermitian(h, cfg)
-    w, u = np.linalg.eigh(a)
-    return w, u
-
-
-def _psd_eigs(h, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of a PSD matrix with negative round-off clamped to zero."""
-    w, u = herm_eig(h, cfg)
-    lim = max(cfg.tol_abs, cfg.tol_rel * float(np.max(np.abs(w))))
-    if float(w[0]) < -lim:
-        raise NotPSD(f"eigenvalue {w[0]:.6e} below -{lim:.3e}")
-    return np.maximum(w, 0.0), u
+    return herm_eigs(as_matrix(h), cfg)
 
 
 def psd_power(h, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -123,13 +199,7 @@ def psd_power(h, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     otherwise SingularNegativePower is raised.  By convention h^0 = I
     even for singular h.
     """
-    lam, u = _psd_eigs(h, cfg)
-    if s < 0 and float(lam.min()) <= cfg.clamp:
-        raise SingularNegativePower(
-            f"negative power {s} of a matrix with eigenvalue <= {cfg.clamp:.1e}"
-        )
-    vals = lam ** float(s)
-    return (u * vals) @ u.conj().T
+    return psd_powers(as_matrix(h), s, cfg)
 
 
 def regularized_inv_power(h, s: float, eps: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -142,16 +212,14 @@ def regularized_inv_power(h, s: float, eps: float, cfg: ToleranceConfig = DEFAUL
         raise ValueError("inverse power exponent must be positive")
     if eps <= 0:
         raise ValueError("regularization shift must be positive")
-    lam, u = _psd_eigs(h, cfg)
+    lam, u = psd_eigs(as_matrix(h), cfg)
     vals = (lam + eps) ** (-float(s))
     return (u * vals) @ u.conj().T
 
 
 def matrix_abs(m) -> np.ndarray:
     """Modulus |m| = (m* m)^(1/2), assembled from the singular value decomposition."""
-    a = as_matrix(m)
-    _, s, vh = np.linalg.svd(a)
-    return (vh.conj().T * s) @ vh
+    return moduli(as_matrix(m))
 
 
 def psd_order_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
@@ -164,6 +232,6 @@ def psd_order_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float
     hb = require_hermitian(b, cfg)
     if ha.shape != hb.shape:
         raise DimMismatch(f"shape mismatch {ha.shape} vs {hb.shape}")
-    margin = float(np.linalg.eigvalsh(hb - ha)[0])
+    margin = float(eigvalsh(hb - ha)[0])
     scale = max(op_norm(ha), op_norm(hb), 1.0)
     return margin >= -cfg.tol_rel * scale, margin

@@ -6,6 +6,10 @@ an :class:`InstanceDraw`, which search perturbs and ``materialize``
 turns into x and y.  Every generated object is a deterministic function
 of a 64-bit seed, and a materialized :class:`CheckInstance` serializes
 to JSON exactly, so any reported margin can be replayed bit for bit.
+
+Evaluation is here too: :func:`evaluate_instance` runs one instance at
+one grid point, :func:`evaluate_group` a same-shape group at every grid
+point in one kernel call, with the same reports.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ import numpy as np
 
 from . import checks
 from .checks import (  # CHECK_NAMES is re-exported
-    CHECK_NAMES, CheckSpec, InequalityReport, check_spec, grid_params, require_hypotheses,
-    require_in_ball, validate_drop,
+    CHECK_NAMES, Batch, CheckSpec, InequalityReport, check_spec, grid_params,
+    require_hypotheses, require_in_ball, run_batch, validate_drop,
 )
 from .core import DEFAULT_TOL, ToleranceConfig, hermitian_part, psd_power
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
     GrussContext, ModuleContext, ModuleElement, element_from_json,
     element_to_json, inner, matrix_from_json, matrix_to_json, module_norm, require_unit,
-    right_mul,
+    require_units, right_mul,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -205,7 +209,8 @@ class CheckInstance:
 def instance_from_json(obj: dict) -> CheckInstance:
     """Inverse of CheckInstance.to_json.  Raises InvalidSpec on malformed
     input: the file must give exactly the operands its check's registry row
-    lists, a ball of 4 finite numbers, and one context for x, y and e."""
+    lists, a ball of 4 finite numbers, one context for x, y and e, and a
+    finite real number for each grid parameter of the row it gives."""
     try:
         spec = check_spec(obj["check"])
         given = {op for op in ("a", "e", "ball") if obj.get(op) is not None}
@@ -219,6 +224,12 @@ def instance_from_json(obj: dict) -> CheckInstance:
         ball = tuple(float(v) for v in obj["ball"]) if "ball" in given else None
         if ball is not None and (len(ball) != 4 or not all(map(math.isfinite, ball))):
             raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball}")
+        params = dict(obj.get("params", {}))
+        for key in {"pqr": "pqr", "alpha": ("alpha",)}.get(spec.grid, ()):
+            value = params.get(key, 0.0)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise InvalidSpec(f"grid parameter {key} must be a finite number, got {value!r}")
         return CheckInstance(
             check=spec.name,
             seed=obj.get("seed"),
@@ -228,7 +239,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
             a=matrix_from_json(obj["a"], x.ctx.dim) if "a" in given else None,
             e=e,
             ball=ball,
-            params=dict(obj.get("params", {})),
+            params=params,
             drop=validate_drop(obj.get("drop", ())),
         )
     except (LookupError, TypeError, ValueError, OpineqError) as exc:
@@ -364,9 +375,30 @@ def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
         if "e" in spec.operands:
             require_unit(inst.e, tol)
         if "ball" in spec.operands:
-            require_in_ball(inst.x, inst.y, inst.e, inst.ball, tol)
+            require_in_ball(inst.x.stack, inst.y.stack, inst.e.stack, (inst.ball,), tol)
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
+
+
+def _call(spec: CheckSpec, inst: CheckInstance, pqr=None, alpha=None) -> tuple[tuple, dict]:
+    """The check's grid arguments for the instance, with the grid parameters
+    overridden per call, and the digest its report records."""
+    params = dict(inst.params)
+    if pqr is not None:
+        params.update(grid_params("pqr", pqr))
+    if alpha is not None:
+        params.update(grid_params("alpha", alpha))
+    args = ()
+    if spec.grid == "pqr":
+        args = tuple(float(params.get(k, v)) for k, v in zip("pqr", DEFAULT_PQR))
+    elif spec.grid == "alpha":
+        args = (float(params.get("alpha", DEFAULT_ALPHA)),)
+    return args, replace(inst, params=params).digest()
+
+
+def grid_point(axis: str | None, value) -> dict:
+    """``value`` of the grid axis as the keyword of :func:`evaluate_instance`."""
+    return {} if axis is None else {axis: value}
 
 
 def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
@@ -374,22 +406,37 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
                       alpha: float | None = None) -> InequalityReport:
     """Run the instance's check, looked up on :mod:`opineq.checks` at call
     time, enforcing its hypotheses minus ``inst.drop``; grid parameters may
-    be overridden per call."""
+    be overridden per call.  The check runs its kernel on a batch of this
+    one instance at this one point."""
     spec = check_spec(inst.check)
-    params = dict(inst.params)
-    if pqr is not None:
-        params.update(grid_params("pqr", pqr))
-    if alpha is not None:
-        params.update(grid_params("alpha", alpha))
+    point, digest = _call(spec, inst, pqr, alpha)
     args = [inst.x, inst.y]
     args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
              for op in spec.operands]
-    if spec.grid == "pqr":
-        args += [float(params.get(k, v)) for k, v in zip("pqr", DEFAULT_PQR)]
-    elif spec.grid == "alpha":
-        args.append(float(params.get("alpha", DEFAULT_ALPHA)))
-    kwargs = {"tol": tol, "digest": replace(inst, params=params).digest()}
+    kwargs = {"tol": tol, "digest": digest}
     if spec.hypotheses:
         require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
         kwargs["strict"] = False
-    return getattr(checks, spec.name)(*args, **kwargs)
+    return getattr(checks, spec.name)(*args, *point, **kwargs)
+
+
+def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
+                   values=(None,)) -> list[InequalityReport]:
+    """Evaluate instances of one check with one dimension, length and drop
+    set at each value of the check's grid axis in one kernel call.  Report
+    ``k * len(values) + j`` is, bit for bit, what evaluate_instance gives
+    for instance k at value j.  Raises the first OpineqError any instance
+    raises, so a caller that needs per-instance errors evaluates the group
+    again one instance and value at a time."""
+    spec = check_spec(insts[0].check)
+    calls = [_call(spec, inst, **grid_point(spec.grid, v)) for inst in insts for v in values]
+    batch = Batch(
+        tuple(inst.x for inst in insts), tuple(inst.y for inst in insts),
+        a=np.array([inst.a for inst in insts], dtype=complex) if "a" in spec.operands else None,
+        es=tuple(inst.e for inst in insts) if "e" in spec.operands else None,
+        balls=tuple(inst.ball for inst in insts) if "ball" in spec.operands else None,
+        points=tuple(args for args, _ in calls[:len(values)]),
+        digests=tuple(digest for _, digest in calls))
+    if batch.es is not None:
+        require_units(batch.e, tol)
+    return run_batch(spec.name, batch, tol, spec.enforced(insts[0].drop))

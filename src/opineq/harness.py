@@ -1,11 +1,15 @@
 """Batch verification runner, counterexample search, and diagnostics.
 
 The runner draws per-trial seeds from a master seed, materializes one
-instance per trial, evaluates it at every requested grid point, and
-streams one JSON object per report line.  Instances that violate a
-check's hypotheses surface as ``error`` lines (null margins), not as
-failures; a run fails only when a hypothesis-satisfying instance yields
-a negative margin beyond tolerance.
+instance per trial, evaluates each group of same-shape instances at
+every requested grid point in one kernel call, and writes one JSON
+object per report line, in trial order.  A report is bit for bit what
+its instance gives alone, so the grouping never shows in the output.
+Instances that violate a check's hypotheses surface as ``error`` lines
+(null margins), not as failures; a run fails only when a
+hypothesis-satisfying instance yields a negative margin beyond
+tolerance.  Search scores one candidate at a time through
+``evaluate_instance``.
 """
 
 from __future__ import annotations
@@ -22,14 +26,18 @@ from .checks import (
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, build_instance, check_shape, evaluate_instance,
-    trial_seed, _SEED_MASK,
+    CheckInstance, InstanceDraw, build_instance, check_shape, evaluate_group,
+    evaluate_instance, grid_point, trial_seed, _SEED_MASK,
 )
 from .transformer import validate_alpha
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
                          (4 / 3, 4 / 3, 4 / 3))
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0)
+
+# Trials built before they are evaluated and written; output does not
+# depend on it, since a report is the same alone or in any group.
+GROUP_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -96,9 +104,13 @@ def _error_line(check: str, inst: CheckInstance | None, seed: int,
 def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
-    A trial is build, then evaluate at each grid point.  Evaluation alone
-    enforces the check's hypotheses, so a violation is one error line per
-    grid point; a build error is one error line without an instance.
+    A trial is build, then evaluate at each grid point.  Trials are built
+    :data:`GROUP_TRIALS` at a time; each group of built trials with one
+    dimension and length is evaluated at every grid point in one kernel
+    call (:func:`evaluate_group`), and its lines are written in trial
+    order.  Evaluation alone enforces the check's hypotheses, so a
+    violation is one error line per grid point; a build error is one error
+    line without an instance.
 
     ``writer`` may be any object with a ``write`` method; when omitted and
     ``cfg.output_path`` is set, the file is created (overwritten) and each
@@ -114,32 +126,69 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     try:
         for check in cfg.checks:
             spec = check_spec(check)
-            for index in range(cfg.trials):
-                seed = trial_seed(cfg.seed, check, index)
-                try:
-                    inst = build_instance(check, seed, dim=cfg.dim, length=cfg.length,
-                                          weights_mode=cfg.weights_mode)
-                except OpineqError as exc:
-                    summary.record(check, "error", None)
-                    _emit(writer, _error_line(check, None, seed, exc))
-                    continue
-                grid = {"pqr": cfg.exponent_grid, "alpha": cfg.alpha_grid}
-                for value in grid.get(spec.grid, (None,)):
-                    point = {spec.grid: value} if spec.grid else {}
-                    try:
-                        rep = evaluate_instance(inst, cfg.tolerances, **point)
-                    except OpineqError as exc:
+            values = {"pqr": cfg.exponent_grid, "alpha": cfg.alpha_grid}.get(spec.grid, (None,))
+            for start in range(0, cfg.trials, GROUP_TRIALS):
+                built = [_build(cfg, check, index)
+                         for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
+                insts = [inst for _, inst in built if isinstance(inst, CheckInstance)]
+                rows = iter(_evaluate(insts, cfg.tolerances, spec.grid, values))
+                for seed, inst in built:
+                    if not isinstance(inst, CheckInstance):
                         summary.record(check, "error", None)
-                        extra = grid_params(spec.grid, value)
-                        _emit(writer, _error_line(check, inst, seed, exc, extra))
+                        _emit(writer, _error_line(check, None, seed, inst))
                         continue
-                    summary.record(check, "pass" if rep.holds else "fail",
-                                   rep.margin / rep.scale)
-                    _emit(writer, rep.to_json_dict())
+                    for value, rep in zip(values, next(rows)):
+                        if isinstance(rep, OpineqError):
+                            summary.record(check, "error", None)
+                            extra = grid_params(spec.grid, value)
+                            _emit(writer, _error_line(check, inst, seed, rep, extra))
+                            continue
+                        summary.record(check, "pass" if rep.holds else "fail",
+                                       rep.margin / rep.scale)
+                        _emit(writer, rep.to_json_dict())
     finally:
         if close_me is not None:
             close_me.close()
     return summary
+
+
+def _build(cfg: RunConfig, check: str, index: int):
+    """(seed, the trial's instance or its build error)."""
+    seed = trial_seed(cfg.seed, check, index)
+    try:
+        return seed, build_instance(check, seed, dim=cfg.dim, length=cfg.length,
+                                    weights_mode=cfg.weights_mode)
+    except OpineqError as exc:
+        return seed, exc
+
+
+def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, axis: str | None,
+              values) -> list[list]:
+    """Per instance, its report or error at each grid value.  Instances of
+    one dimension, length and drop set are evaluated as one group; a group
+    that raises is evaluated again one (instance, value) at a time, so
+    every line is what that instance gives alone."""
+    groups: dict[tuple, list[int]] = {}
+    for k, inst in enumerate(insts):
+        groups.setdefault((inst.x.ctx.dim, inst.x.ctx.length, inst.drop), []).append(k)
+    out: list[list] = [[] for _ in insts]
+    for members in groups.values():
+        group = [insts[k] for k in members]
+        try:
+            reports = evaluate_group(group, tol, values)
+        except OpineqError:
+            reports = [_alone(inst, tol, grid_point(axis, value))
+                       for inst in group for value in values]
+        for i, k in enumerate(members):
+            out[k] = reports[i * len(values):(i + 1) * len(values)]
+    return out
+
+
+def _alone(inst: CheckInstance, tol: ToleranceConfig, point: dict):
+    try:
+        return evaluate_instance(inst, tol, **point)
+    except OpineqError as exc:
+        return exc
 
 
 def _emit(writer, obj: dict) -> None:

@@ -11,12 +11,15 @@ componentwise-adjoint conjugation x -> (x_1*, ..., x_n*) provides the
 bimodule structure the transformer calculus and the inequality suite
 are built on.
 
-Elements are immutable, so each computes its Gram matrix, conjugate,
-module norm, normality defect and (through
-:func:`opineq.transformer.defect_operator`, per tolerance) defect
-operator on first use and keeps them, read-only, for its lifetime.
-Verdicts are not cached: :func:`is_normal` compares the cached defect
-against the caller's tolerance on every call.
+A :class:`Stack` holds B elements of one dimension and length as one
+(B, n, d, d) array and computes their Gram matrices, conjugates, module
+norms and normality defects for the whole stack at once; the checks
+evaluate a group of trials through stacks.  Each element is the B = 1
+case: it keeps its own stack, so it computes these quantities (and,
+through :func:`opineq.transformer.defect_operator`, per tolerance, its
+defect operator) on first use and keeps them, read-only, for its
+lifetime.  Verdicts are not cached: :func:`is_normal` compares the
+cached defect against the caller's tolerance on every call.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, op_norm
+from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, ct, op_norms
 from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 
 
@@ -59,6 +62,56 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def weighted_products(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """sum_t w_t x_t* y_t for (..., n) weights and (..., n, d, d) parts,
+    summed over t in part order."""
+    acc = np.zeros(xs.shape[:-3] + xs.shape[-2:], dtype=complex)
+    for t in range(xs.shape[-3]):
+        acc += w[..., t, None, None] * (ct(xs[..., t, :, :]) @ ys[..., t, :, :])
+    return acc
+
+
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """B elements of one dimension d and length n: ``weights`` (B, n) and
+    ``parts`` (B, n, d, d).  Each quantity is computed for the whole stack
+    on first use and kept; entry b is what element b gives alone."""
+
+    weights: np.ndarray
+    parts: np.ndarray
+
+    @classmethod
+    def of(cls, elements) -> "Stack":
+        """The elements, which share one dimension and length, as a stack;
+        a single element gives its own."""
+        if len(elements) == 1:
+            return elements[0].stack
+        return cls(np.array([z.ctx.weights for z in elements]),
+                   np.stack([z._array for z in elements]))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return _frozen(weighted_products(self.weights, self.parts, self.parts))
+
+    @cached_property
+    def conj(self) -> "Stack":
+        """The componentwise adjoints."""
+        return Stack(self.weights, np.ascontiguousarray(ct(self.parts)))
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        return _frozen(np.sqrt(op_norms(self.gram)))
+
+    @cached_property
+    def normality(self) -> tuple[np.ndarray, np.ndarray]:
+        """(defect, scale) of :func:`is_normal` per element, independent of tolerance."""
+        g = self.gram[:, None]
+        comm = op_norms(g @ self.parts - self.parts @ g).max(axis=-1)
+        defect = np.maximum(comm, op_norms(self.gram - self.conj.gram))
+        scale = np.array([max(1.0, nx**2, nx**3) for nx in self.norms.tolist()])
+        return defect, scale
+
+
 @dataclass(frozen=True, eq=False)
 class ModuleElement:
     ctx: ModuleContext
@@ -76,28 +129,17 @@ class ModuleElement:
         stack = np.array(self.parts, dtype=complex)
         if not np.isfinite(stack).all():
             raise InvalidSpec("matrix has non-finite entries")
-        object.__setattr__(self, "parts", tuple(_frozen(stack)))
+        object.__setattr__(self, "_array", _frozen(stack))
+        object.__setattr__(self, "parts", tuple(stack))
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        return _frozen(_weighted_products(self, self))
+    def stack(self) -> Stack:
+        """This element as a stack of one."""
+        return Stack(np.array([self.ctx.weights]), self._array[None])
 
     @cached_property
     def _conjugate(self) -> "ModuleElement":
-        return ModuleElement(self.ctx, tuple(p.conj().T for p in self.parts))
-
-    @cached_property
-    def _norm(self) -> float:
-        return float(np.sqrt(op_norm(self._gram)))
-
-    @cached_property
-    def _normality(self) -> tuple[float, float]:
-        """(defect, scale) of :func:`is_normal`, independent of tolerance."""
-        g = self._gram
-        comm = max(op_norm(g @ p - p @ g) for p in self.parts)
-        defect = max(comm, op_norm(g - self._conjugate._gram))
-        nx = self._norm
-        return defect, max(1.0, nx**2, nx**3)
+        return ModuleElement(self.ctx, tuple(self.stack.conj.parts[0]))
 
     @cached_property
     def defect_operators(self) -> dict:
@@ -141,23 +183,15 @@ def _same_ctx(x: ModuleElement, y: ModuleElement) -> None:
         raise CtxMismatch("elements belong to different module contexts")
 
 
-def _weighted_products(x: ModuleElement, y: ModuleElement) -> np.ndarray:
-    d = x.ctx.dim
-    acc = np.zeros((d, d), dtype=complex)
-    for w, xt, yt in zip(x.ctx.weights, x.parts, y.parts):
-        acc += w * (xt.conj().T @ yt)
-    return acc
-
-
 def inner(x: ModuleElement, y: ModuleElement) -> np.ndarray:
     """<x, y> = sum_t w_t x_t* y_t; <x, x> is x's cached, read-only Gram matrix."""
     if x is y:
-        return x._gram
+        return x.stack.gram[0]
     _same_ctx(x, y)
-    return _weighted_products(x, y)
+    return weighted_products(x.stack.weights[0], x.stack.parts[0], y.stack.parts[0])
 
 
-def _acting(x: ModuleElement, a) -> np.ndarray:
+def acting(x: ModuleElement, a) -> np.ndarray:
     """a as a square matrix of x's dimension."""
     m = as_matrix(a)
     if m.shape[0] != x.ctx.dim:
@@ -167,13 +201,13 @@ def _acting(x: ModuleElement, a) -> np.ndarray:
 
 def right_mul(x: ModuleElement, a) -> ModuleElement:
     """Module action x.a = (x_t a)."""
-    m = _acting(x, a)
+    m = acting(x, a)
     return ModuleElement(x.ctx, tuple(p @ m for p in x.parts))
 
 
 def left_act(a, x: ModuleElement) -> ModuleElement:
     """Algebra action a.x = (a x_t)."""
-    m = _acting(x, a)
+    m = acting(x, a)
     return ModuleElement(x.ctx, tuple(m @ p for p in x.parts))
 
 
@@ -184,7 +218,7 @@ def conjugate(x: ModuleElement) -> ModuleElement:
 
 def module_norm(x: ModuleElement) -> float:
     """||x|| = ||<x, x>||^(1/2) in the operator norm."""
-    return x._norm
+    return float(x.stack.norms[0])
 
 
 def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
@@ -194,7 +228,7 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
     ||<x,x> - <xbar,xbar>||; it is compared against tol_rel at the scale
     of ||x||^3 (the natural size of the commutator term).
     """
-    defect, scale = x._normality
+    defect, scale = (float(v[0]) for v in x.stack.normality)
     return bool(defect <= cfg.tol_rel * scale), defect
 
 
@@ -216,16 +250,28 @@ class GrussContext:
 
 def require_unit(e: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise NotUnital unless <e, e> = I to tol_rel."""
-    defect = op_norm(inner(e, e) - np.eye(e.ctx.dim))
-    if defect > cfg.tol_rel:
-        raise NotUnital(f"<e, e> deviates from the identity by {defect:.3e}")
+    require_units(e.stack, cfg)
+
+
+def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
+    """require_unit for every element of a stack."""
+    defect = op_norms(es.gram - np.eye(es.parts.shape[-1]))
+    bad = defect > cfg.tol_rel
+    if bad.any():
+        raise NotUnital(f"<e, e> deviates from the identity by {defect[bad][0]:.3e}")
 
 
 def gruss_inner(x: ModuleElement, y: ModuleElement, g: GrussContext) -> np.ndarray:
     """Covariance form Phi(x, y) = <x, y> - <x, e><e, y>."""
     _same_ctx(x, g.e)
     _same_ctx(y, g.e)
-    return inner(x, y) - inner(x, g.e) @ inner(g.e, y)
+    return covariances(x.stack.weights[0], x._array, y._array, g.e._array)
+
+
+def covariances(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, es: np.ndarray) -> np.ndarray:
+    """Phi(x, y) = <x, y> - <x, e><e, y> for stacks of weights and parts."""
+    return (weighted_products(w, xs, ys)
+            - weighted_products(w, xs, es) @ weighted_products(w, es, ys))
 
 
 def matrix_to_json(m) -> list:

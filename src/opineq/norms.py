@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, svdvals
 from .errors import DimMismatch, InvalidK
 
 _TAGS = {"operator", "trace", "hilbert_schmidt", "schatten", "ky_fan", "ky_fan_dual"}
@@ -63,31 +63,43 @@ def ky_fan_dual(k: int) -> NormKind:
 
 def singular_values(m) -> np.ndarray:
     """Singular values in descending order."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
+    return svdvals(as_matrix(m))
+
+
+def norms_of(s: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
+    """One norm of the family for each row of descending singular values
+    ``s`` (..., d): the stacked form of :func:`norm`."""
+    d = s.shape[-1]
+    if kind.tag == "operator":
+        return s[..., 0]
+    if kind.tag == "trace":
+        return s.sum(axis=-1)
+    if kind.tag == "hilbert_schmidt":
+        return np.sqrt((s**2).sum(axis=-1))
+    if kind.tag == "schatten":
+        # the outer root is taken per value, as a scalar power
+        sums = (s**kind.p).sum(axis=-1)
+        return np.array([v ** (1.0 / kind.p) for v in sums.reshape(-1)]).reshape(sums.shape)
+    if kind.k > d:
+        raise InvalidK(f"Ky Fan order {kind.k} exceeds dimension {d}")
+    if kind.tag == "ky_fan":
+        return s[..., : kind.k].sum(axis=-1)
+    return np.maximum(s[..., 0], s.sum(axis=-1) / kind.k)
 
 
 def norm(m, kind: NormKind = OPERATOR) -> float:
     """Evaluate one norm of the family selected by `kind`."""
-    s = singular_values(m)
-    d = s.shape[0]
-    if kind.tag == "operator":
-        return float(s[0])
-    if kind.tag == "trace":
-        return float(s.sum())
-    if kind.tag == "hilbert_schmidt":
-        return float(np.sqrt((s**2).sum()))
-    if kind.tag == "schatten":
-        return float((s**kind.p).sum() ** (1.0 / kind.p))
-    if kind.k > d:
-        raise InvalidK(f"Ky Fan order {kind.k} exceeds dimension {d}")
-    if kind.tag == "ky_fan":
-        return float(s[: kind.k].sum())
-    return float(max(s[0], s.sum() / kind.k))
+    return float(norms_of(singular_values(m), kind))
+
+
+def ky_fan_profiles(s: np.ndarray) -> np.ndarray:
+    """All Ky Fan norms of each row of descending singular values."""
+    return np.cumsum(s, axis=-1)
 
 
 def ky_fan_profile(m) -> np.ndarray:
     """All Ky Fan norms at once: cumulative sums of descending singular values."""
-    return np.cumsum(singular_values(m))
+    return ky_fan_profiles(singular_values(m))
 
 
 def fan_gaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -18,6 +18,11 @@ The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
 dense eigenvalues of T_{z,z} are computed only otherwise.  Each element
 keeps its defect operators, one per tolerance.
+
+Application, vectorization, spectral radii, the probe bound, the eigen
+form of (I - T)^alpha and the defect operators each have one stacked
+form over many operators at once, which the check kernels call; the
+per-operator functions are its case of one.
 """
 
 from __future__ import annotations
@@ -28,17 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    hermitian_part,
-    psd_power,
-)
+from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, ct, herm, psd_powers
 from .errors import (
     CtxMismatch, DimCap, DimMismatch, InvalidSpec, MaxTermsExceeded, NotContractive,
 )
-from .hmodule import ModuleElement, conjugate, inner, left_act, module_norm
+from .hmodule import ModuleElement, Stack, inner, left_act, module_norm, weighted_products
 
 DIM_CAP = 1024
 
@@ -73,12 +72,15 @@ class VectorizedOperator:
 
 
 def vec(a) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(a).reshape(-1, order="F")
+    """Column-stacking vectorization of each matrix in a stack."""
+    a = np.asarray(a)
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def unvec(v, d: int) -> np.ndarray:
-    return np.asarray(v).reshape((d, d), order="F")
+    """Inverse of :func:`vec` for each vector in a stack."""
+    v = np.asarray(v)
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
 def _operand(t: ElementaryOperator, a) -> np.ndarray:
@@ -97,9 +99,15 @@ def _series_gamma(t: ElementaryOperator, series: str) -> float:
     return gamma
 
 
+def applied(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """T_{x,y}(a) for stacks of weights (..., n), parts (..., n, d, d) and a (..., d, d)."""
+    return weighted_products(w, xs, a[..., None, :, :] @ ys)
+
+
 def apply(t: ElementaryOperator, a) -> np.ndarray:
     """T(a) = <x, a y> = sum_t w_t x_t* a y_t."""
-    return inner(t.x, left_act(_operand(t, a), t.y))
+    x, y = t.x.stack, t.y.stack
+    return applied(x.weights[0], x.parts[0], y.parts[0], _operand(t, a))
 
 
 def power_apply(t: ElementaryOperator, a, k: int) -> np.ndarray:
@@ -112,26 +120,54 @@ def power_apply(t: ElementaryOperator, a, k: int) -> np.ndarray:
     return out
 
 
+def vectorized(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Kronecker matrices of T_{x,y} for stacks of weights (..., n) and parts
+    (..., n, d, d): rep @ vec(a) == vec(T(a))."""
+    d = xs.shape[-1]
+    # sum_t w_t kron(y_t^T, x_t^*): entry ((i, k), (j, l)) is
+    # sum_t w_t y_t[j, i] conj(x_t[l, k])
+    rep = np.einsum("...t,...tji,...tlk->...ikjl", w, ys, xs.conj())
+    return rep.reshape(rep.shape[:-4] + (d * d, d * d))
+
+
 def vectorize(t: ElementaryOperator, cap: int = DIM_CAP) -> VectorizedOperator:
     """Kronecker representation: rep @ vec(a) == vec(T(a))."""
     d = t.dim
     if d * d > cap:
         raise DimCap(f"vectorized size {d * d} exceeds cap {cap}")
-    # sum_t w_t kron(y_t^T, x_t^*): entry ((i, k), (j, l)) is
-    # sum_t w_t y_t[j, i] conj(x_t[l, k])
-    rep = np.einsum("t,tji,tlk->ikjl", np.asarray(t.x.ctx.weights),
-                    np.stack(t.y.parts), np.stack(t.x.parts).conj())
-    return VectorizedOperator(d, rep.reshape(d * d, d * d))
+    x, y = t.x.stack, t.y.stack
+    return VectorizedOperator(d, vectorized(x.weights[0], x.parts[0], y.parts[0]))
+
+
+def spectral_radii(rep: np.ndarray) -> np.ndarray:
+    """Spectral radius of each vectorized operator in a stack."""
+    return np.abs(np.linalg.eigvals(rep)).max(axis=-1)
 
 
 def spectral_radius(t: ElementaryOperator, cap: int = DIM_CAP) -> float:
-    v = vectorize(t, cap)
-    return float(np.max(np.abs(np.linalg.eigvals(v.rep))))
+    return float(spectral_radii(vectorize(t, cap).rep))
 
 
 class OperatorNormBounds(NamedTuple):
     lower: float
     upper: float
+
+
+def probe_lower_bounds(rep: np.ndarray, samples: int = 32) -> np.ndarray:
+    """max ||T(a)|| / ||a|| over the identity and ``samples`` seeded Gaussian
+    probes, for each vectorized operator in a stack."""
+    d = math.isqrt(rep.shape[-1])
+    rng = np.random.default_rng(_PROBE_SEED)
+    gauss = rng.standard_normal((samples, 2, d, d))
+    probes = np.concatenate([np.eye(d, dtype=complex)[None],
+                             (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)])
+    # row k of probes_vec is vec(probe_k); the images come back transposed,
+    # which leaves their operator norms unchanged
+    probes_vec = probes.transpose(0, 2, 1).reshape(samples + 1, d * d)
+    images = (probes_vec @ rep.swapaxes(-1, -2)).reshape(rep.shape[:-2] + (samples + 1, d, d))
+    ratios = (np.linalg.norm(images, ord=2, axis=(-2, -1))
+              / np.linalg.norm(probes, ord=2, axis=(1, 2)))
+    return ratios.max(axis=-1)
 
 
 def operator_norm_T(t: ElementaryOperator, samples: int = 32, cap: int = DIM_CAP) -> OperatorNormBounds:
@@ -141,20 +177,8 @@ def operator_norm_T(t: ElementaryOperator, samples: int = 32, cap: int = DIM_CAP
     deterministic set of Gaussian probes; the upper bound is the product
     bound ||x|| ||y||.
     """
-    d = t.dim
-    rep = vectorize(t, cap).rep
-    upper = module_norm(t.x) * module_norm(t.y)
-    rng = np.random.default_rng(_PROBE_SEED)
-    gauss = rng.standard_normal((samples, 2, d, d))
-    probes = np.concatenate([np.eye(d, dtype=complex)[None],
-                             (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)])
-    # row k of probes_vec is vec(probe_k); the images come back transposed,
-    # which leaves their operator norms unchanged
-    probes_vec = probes.transpose(0, 2, 1).reshape(samples + 1, d * d)
-    images = (probes_vec @ rep.T).reshape(samples + 1, d, d)
-    ratios = (np.linalg.norm(images, ord=2, axis=(1, 2))
-              / np.linalg.norm(probes, ord=2, axis=(1, 2)))
-    return OperatorNormBounds(float(ratios.max()), float(upper))
+    lower = probe_lower_bounds(vectorize(t, cap).rep, samples)
+    return OperatorNormBounds(float(lower), module_norm(t.x) * module_norm(t.y))
 
 
 def _iterate_fn(t: ElementaryOperator) -> Callable[[np.ndarray], np.ndarray]:
@@ -225,6 +249,45 @@ def fractional_power_apply(t: ElementaryOperator, alpha: float, a, cfg: Toleranc
     return acc
 
 
+class EigenForms(NamedTuple):
+    """Per operator of a stack: eigenvalues ``w`` and eigenvectors ``v`` of the
+    vectorized T, ``sol`` = V^(-1) vec(a), and ``ok``: whether the eigen form
+    applies (T normal to tol_rel, cond(V) eps <= series_tail).  Rows that
+    are not ``ok`` hold zeros."""
+
+    w: np.ndarray
+    v: np.ndarray
+    sol: np.ndarray
+    ok: np.ndarray
+
+
+def eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> EigenForms:
+    """The alpha-independent part of (I - T)^alpha a for a stack of
+    vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d)."""
+    b, k = rep.shape[0], rep.shape[-1]
+    rep_h = ct(rep)
+    comm = rep @ rep_h - rep_h @ rep
+    ok = np.zeros(b, dtype=bool)
+    for i in range(b):
+        size = np.linalg.norm(rep[i])
+        ok[i] = not np.linalg.norm(comm[i]) > cfg.tol_rel * size * size
+    w, v = np.zeros((b, k), dtype=complex), np.zeros((b, k, k), dtype=complex)
+    if ok.any():
+        w[ok], v[ok] = np.linalg.eig(rep[ok])
+        ok[ok] = ~(np.linalg.cond(v[ok]) * np.finfo(float).eps > cfg.series_tail)
+    sol = np.zeros((b, k), dtype=complex)
+    if ok.any():
+        sol[ok] = np.linalg.solve(v[ok], vec(a[ok])[..., None])[..., 0]
+    return EigenForms(w, v, sol, ok)
+
+
+def eigen_power(forms: EigenForms, alpha: float) -> np.ndarray:
+    """(I - T)^alpha a = V (1 - w)^alpha V^(-1) vec(a) for each operator."""
+    d = math.isqrt(forms.w.shape[-1])
+    coeffs = (1.0 - forms.w) ** alpha * forms.sol
+    return unvec((forms.v @ coeffs[..., None])[..., 0], d)
+
+
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
                            cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(I - T)^alpha a by the eigendecomposition of the vectorized T.
@@ -235,7 +298,8 @@ def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
     non-normal R, an R beyond the vectorization cap, or a V whose
     condition number would cost more than series_tail in accuracy all go
     to :func:`fractional_power_apply`, whose output is then returned
-    unchanged.
+    unchanged.  The eigen form is :func:`eigen_forms` and
+    :func:`eigen_power` on a stack of one.
     """
     validate_alpha(alpha)
     m = _operand(t, a)
@@ -246,14 +310,27 @@ def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
         rep = vectorize(t).rep
     except DimCap:
         return fractional_power_apply(t, alpha, m, cfg)
-    rep_h = rep.conj().T
-    size = np.linalg.norm(rep)
-    if np.linalg.norm(rep @ rep_h - rep_h @ rep) > cfg.tol_rel * size * size:
+    forms = eigen_forms(rep[None], m[None], cfg)
+    if not forms.ok[0]:
         return fractional_power_apply(t, alpha, m, cfg)
-    w, v = np.linalg.eig(rep)
-    if np.linalg.cond(v) * np.finfo(float).eps > cfg.series_tail:
-        return fractional_power_apply(t, alpha, m, cfg)
-    return unvec(v @ ((1.0 - w) ** alpha * np.linalg.solve(v, vec(m))), t.dim)
+    return eigen_power(forms, alpha)[0]
+
+
+def defect_operators(zs: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Delta_z of every element of a stack; see :func:`defect_operator`."""
+    rep = vectorized(zs.weights, zs.parts, zs.parts)
+    # r(T_{z,z}) <= ||T_{z,z}|| <= ||z||^2, and T_{zbar,zbar} is the trace
+    # adjoint of T_{z,z}, so either squared norm below one settles the guard
+    unsettled = (zs.norms >= 1.0) & (zs.conj.norms >= 1.0)
+    if unsettled.any():
+        radius = spectral_radii(rep[unsettled])
+        if (radius >= 1.0).any():
+            raise NotContractive(f"defect needs spectral radius < 1, "
+                                 f"got {radius[radius >= 1.0][0]:.6f}")
+    d = zs.parts.shape[-1]
+    rhs = np.broadcast_to(vec(np.eye(d, dtype=complex))[:, None], rep.shape[:-1] + (1,))
+    g = np.linalg.solve(np.eye(d * d, dtype=complex) - rep, rhs)[..., 0]
+    return psd_powers(herm(unvec(g, d)), -0.5, cfg)
 
 
 def defect_operator(z: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -268,21 +345,7 @@ def defect_operator(z: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> np.
     read-only and kept on z per tolerance, so repeated calls reuse it.
     """
     cached = z.defect_operators.get(cfg)
-    if cached is not None:
-        return cached
-    t = ElementaryOperator(z, z)
-    v = vectorize(t)
-    # r(T_{z,z}) <= ||T_{z,z}|| <= ||z||^2, and T_{zbar,zbar} is the trace
-    # adjoint of T_{z,z}, so either squared norm below one settles the guard
-    if module_norm(z) >= 1.0 and module_norm(conjugate(z)) >= 1.0:
-        radius = float(np.max(np.abs(np.linalg.eigvals(v.rep))))
-        if radius >= 1.0:
-            raise NotContractive(f"defect needs spectral radius < 1, got {radius:.6f}")
-    d = t.dim
-    eye = np.eye(d, dtype=complex)
-    g = np.linalg.solve(np.eye(d * d, dtype=complex) - v.rep, vec(eye))
-    gram_sum = hermitian_part(unvec(g, d))
-    delta = psd_power(gram_sum, -0.5, cfg)
-    delta.setflags(write=False)
-    z.defect_operators[cfg] = delta
-    return delta
+    if cached is None:
+        cached = z.defect_operators[cfg] = defect_operators(z.stack, cfg)[0]
+        cached.setflags(write=False)
+    return cached

@@ -243,3 +243,21 @@ def test_overflowing_replay_prints_no_runtime_warning(tmp_path, capsys):
         assert cli_main(["replay", "--instance", str(path)]) == 2
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("check, params", [
+    ("check_alpha", {"alpha": "abc"}),
+    ("check_interp", {"p": [1]}),
+    ("check_defect", {"q": True}),
+    ("check_interp", {"r": float("nan")}),
+], ids=["alpha_string", "p_list", "q_bool", "r_nan"])
+def test_replay_rejects_a_grid_parameter_that_is_not_a_number(check, params, tmp_path, capsys):
+    obj = build_instance(check, 12, dim=2, length=2).to_json()
+    obj["params"] = params
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed instance")
+    assert "grid parameter" in captured.err and len(captured.err.splitlines()) == 1

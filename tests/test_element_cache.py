@@ -27,17 +27,18 @@ def _contractive(d=3, n=2):
 
 def test_defect_trial_vectorizes_each_element_once(monkeypatch):
     calls = []
-    original = transformer.vectorize
+    original = transformer.vectorized
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(w, *args):
+        calls.append(len(w))
+        return original(w, *args)
 
-    monkeypatch.setattr(transformer, "vectorize", counted)
+    monkeypatch.setattr(transformer, "vectorized", counted)
     summary = run_suite(RunConfig(trials=1, checks=("check_defect",), seed=3))
     assert summary.counts["check_defect"]["pass"] == len(DEFAULT_EXPONENT_GRID) == 4
-    # x, y and their conjugates: one defect operator each, 16 if recomputed
-    assert len(calls) == 4
+    # x, y and their conjugates, in one stack: one defect operator each,
+    # 16 if recomputed per grid point
+    assert calls == [4]
 
 
 @pytest.mark.parametrize("loose_first", [False, True])

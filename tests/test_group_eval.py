@@ -1,0 +1,98 @@
+"""A run evaluates each same-shape group of trials in one kernel call; every
+line is what the same instance gives alone."""
+
+import dataclasses
+import io
+import json
+
+import numpy as np
+import pytest
+
+from opineq import harness
+from opineq.cli import cli_main
+from opineq.generators import CHECK_NAMES, build_instance, evaluate_instance, trial_seed
+from opineq.harness import (
+    DEFAULT_ALPHA_GRID, DEFAULT_EXPONENT_GRID, RunConfig, run_suite,
+)
+from opineq.checks import CHECK_SPECS, KERNELS
+
+
+def _lines(cfg):
+    out = io.StringIO()
+    run_suite(cfg, out)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _alone(check, cfg):
+    """Each trial built and evaluated alone, one grid point at a time."""
+    grid = CHECK_SPECS[check].grid
+    values = {"pqr": DEFAULT_EXPONENT_GRID, "alpha": DEFAULT_ALPHA_GRID}.get(grid, (None,))
+    out = []
+    for index in range(cfg.trials):
+        inst = build_instance(check, trial_seed(cfg.seed, check, index), dim=cfg.dim,
+                              length=cfg.length, weights_mode=cfg.weights_mode)
+        for value in values:
+            point = {grid: value} if grid else {}
+            out.append(evaluate_instance(inst, cfg.tolerances, **point).to_json_dict())
+    return out
+
+
+def test_every_check_has_one_kernel():
+    assert set(KERNELS) == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+@pytest.mark.parametrize("shape", [(3, 2), (None, None)], ids=["dim3_len2", "random"])
+def test_grouped_lines_equal_each_instance_alone(check, shape):
+    cfg = RunConfig(trials=6, checks=(check,), seed=17, dim=shape[0], length=shape[1])
+    assert _lines(cfg) == _alone(check, cfg)
+
+
+def test_an_error_stays_with_its_trial(monkeypatch):
+    cfg = RunConfig(trials=5, checks=("check_uin",), seed=2, dim=3, length=2)
+    clean = io.StringIO()
+    run_suite(cfg, clean)
+    spoiled_seed = trial_seed(cfg.seed, "check_uin", 2)
+    original = harness.build_instance
+
+    def build(check, seed, **kwargs):
+        if seed != spoiled_seed:
+            return original(check, seed, **kwargs)
+        generic = original(check, seed, drop=("normality",), **kwargs)
+        return dataclasses.replace(generic, drop=())
+
+    monkeypatch.setattr(harness, "build_instance", build)
+    out = io.StringIO()
+    summary = run_suite(cfg, out)
+    lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()
+    assert summary.counts["check_uin"] == {"pass": 4, "fail": 0, "error": 1}
+    assert json.loads(lines[2])["params"]["error"].startswith("NotNormal: x has normality")
+    assert [lines[k] for k in (0, 1, 3, 4)] == [before[k] for k in (0, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("args", [
+    ["--trials", "3", "--seed", "8"],
+    ["--trials", "4", "--seed", "9", "--dim", "6", "--len", "4"],
+], ids=["default", "dim6_len4"])
+def test_output_does_not_depend_on_the_group_size(args, monkeypatch, tmp_path, capsys):
+    cli_main(["verify", *args, "--out", str(tmp_path / "grouped.jsonl")])
+    monkeypatch.setattr(harness, "GROUP_TRIALS", 1)
+    cli_main(["verify", *args, "--out", str(tmp_path / "alone.jsonl")])
+    capsys.readouterr()
+    grouped = (tmp_path / "grouped.jsonl").read_bytes()
+    assert grouped and grouped == (tmp_path / "alone.jsonl").read_bytes()
+
+
+def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    summary = run_suite(RunConfig(trials=1, checks=("check_defect",), seed=3))
+    assert summary.counts["check_defect"]["pass"] == len(DEFAULT_EXPONENT_GRID)
+    # the four defect operators: their Gram sums, then their own eigenpairs
+    assert len(calls) <= 4 and [shape[0] for shape in calls] == [4, 4]
