@@ -45,7 +45,8 @@ from .hmodule import (
 from .norms import HILBERT_SCHMIDT, TRACE, ky_fan_profiles, norms_of, schatten
 from .transformer import (
     ElementaryOperator, applied, defect_operators, eigen_forms, eigen_power,
-    fractional_power_apply, probe_lower_bounds, spectral_radii, validate_alpha, vectorized,
+    fractional_power_apply, probe_lower_bounds, spectral_radii, terminating_powers,
+    validate_alpha, vectorized,
 )
 
 # Contractive hypotheses are enforced with this much slack below 1 so the
@@ -480,19 +481,22 @@ def _naopaka(b: Batch, tol: ToleranceConfig) -> list:
 def _alpha(b: Batch, tol: ToleranceConfig) -> list:
     ex, ey = _defect_eigs(b)
     los = [eig_powers(*ex, alpha / 2) @ b.a @ eig_powers(*ey, alpha / 2) for (alpha,) in b.points]
-    for gamma in (b.x.norms * b.y.norms).tolist():
+    gammas = b.x.norms * b.y.norms
+    for gamma in gammas.tolist():
         if gamma >= 1.0:
             raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}")
-    # (I - T)^alpha a: the eigen form of fractional_power_exact where it
-    # applies, its series otherwise
-    exact = [not float(alpha).is_integer() for (alpha,) in b.points]
-    forms = eigen_forms(vectorized(b.x.weights, b.x.parts, b.y.parts), b.a, tol) if any(exact) else None
-    his = []
-    for ((alpha,), eigen) in zip(b.points, exact):
-        hi = eigen_power(forms, alpha) if eigen else np.empty_like(b.a)
-        for i, (x, y) in enumerate(zip(b.xs, b.ys)):
-            if not (eigen and forms.ok[i]):
-                hi[i] = fractional_power_apply(ElementaryOperator(x, y), alpha, b.a[i], tol)
+    # (I - T)^alpha a: the series' terminating sum for integer alpha, else the
+    # eigen form of fractional_power_exact where it applies, its series otherwise
+    rep, forms, his = vectorized(b.x.weights, b.x.parts, b.y.parts), None, []
+    for (alpha,) in b.points:
+        if float(alpha).is_integer():
+            his.append(terminating_powers(rep, b.a, alpha, gammas, tol))
+            continue
+        if forms is None:
+            forms = eigen_forms(rep, b.a, tol)
+        hi = eigen_power(forms, alpha)
+        for i in np.flatnonzero(~forms.ok):
+            hi[i] = fractional_power_apply(ElementaryOperator(b.xs[i], b.ys[i]), alpha, b.a[i], tol)
         his.append(hi)
     params = [{"alpha": alpha} for _ in b.xs for (alpha,) in b.points]
     d = b.a.shape[-1]

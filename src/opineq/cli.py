@@ -12,6 +12,7 @@ invalid-value warnings off, so such an error prints as one line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -57,6 +58,7 @@ def _parse_checks(values: list[str] | None) -> tuple[str, ...]:
     return tuple(v.strip() for item in values for v in item.split(",") if v.strip())
 
 
+@functools.cache  # parsing leaves no state in the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opineq",

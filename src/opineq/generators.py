@@ -1,11 +1,11 @@
 """Seeded instance generators and replayable instance containers.
 
-Every random instance entry in the package is drawn in this module: the
-generator and the counterexample search both build their instances from
-an :class:`InstanceDraw`, which search perturbs and ``materialize``
-turns into x and y.  Every generated object is a deterministic function
-of a 64-bit seed, and a materialized :class:`CheckInstance` serializes
-to JSON exactly, so any reported margin can be replayed bit for bit.
+Every random instance entry in the package is drawn in this module.
+:func:`build_group` draws each trial from its own 64-bit seed's stream
+and builds each same-shape group as one stack; :func:`build_instance`
+is its group of one, as search's :meth:`InstanceDraw.materialize` is of
+:func:`materialize_group`.  A :class:`CheckInstance` serializes to JSON
+exactly, so any reported margin can be replayed bit for bit.
 
 Evaluation is here too: :func:`evaluate_instance` runs one instance at
 one grid point, :func:`evaluate_group` a same-shape group at every grid
@@ -25,12 +25,11 @@ from .checks import (  # CHECK_NAMES is re-exported
     CHECK_NAMES, Batch, CheckSpec, InequalityReport, check_spec, grid_params,
     require_hypotheses, require_in_ball, run_batch, validate_drop,
 )
-from .core import DEFAULT_TOL, ToleranceConfig, hermitian_part, psd_power
+from .core import DEFAULT_TOL, ToleranceConfig, ct, herm, psd_powers
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
-    GrussContext, ModuleContext, ModuleElement, element_from_json,
-    element_to_json, inner, matrix_from_json, matrix_to_json, module_norm, require_unit,
-    require_units, right_mul,
+    GrussContext, ModuleContext, ModuleElement, Stack, element_from_json, element_to_json,
+    matrix_from_json, matrix_to_json, require_unit, require_units,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -81,23 +80,25 @@ class GeneratorSpec:
         _check_options(self.dim, self.length, self.weights_mode, self.contraction)
 
 
-def _cgauss(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian array of the given shape."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+def _cgauss(rng: np.random.Generator, shape, count: int = 1) -> np.ndarray:
+    """``count`` standard complex Gaussian arrays of the given shape, stacked;
+    each is drawn as its real part, then its imaginary part."""
+    g = rng.standard_normal((count, 2, *shape))
+    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
 
 
-def _haar(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with the R-diagonal
-    phases absorbed into Q."""
-    q, r = np.linalg.qr(_cgauss(rng, (d, d)))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+def _haars(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a stack of complex Gaussian matrices:
+    one QR, with the R-diagonal phases absorbed into Q."""
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def gen_haar_unitary(seed: int, d: int) -> np.ndarray:
     if d < 1:
         raise InvalidSpec("dimension must be >= 1")
-    return _haar(np.random.default_rng(seed), d)
+    return _haars(_cgauss(np.random.default_rng(seed), (d, d)))[0]
 
 
 def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, ...]:
@@ -106,24 +107,18 @@ def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, .
     return (1.0,) * n
 
 
-def _free(rng: np.random.Generator, d: int, n: int, frame: np.ndarray | None) -> np.ndarray:
-    """n parts' free parameters, part by part: diagonals in a frame, else matrices."""
-    return np.stack([_cgauss(rng, (d, d) if frame is None else d) for _ in range(n)])
-
-
-def _parts(frame: np.ndarray | None, p: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Parts from free parameters: the rows of ``p``, or u diag(v) u* for each
-    row v in the unitary frame u, so that the parts are normal and commute."""
-    if frame is None:
-        return tuple(p)
-    return tuple(frame @ np.diag(v) @ frame.conj().T for v in p)
-
-
 def _draw_side(rng: np.random.Generator, d: int, n: int, weights_mode: str, normal: bool):
-    """Weights, frame (Haar if ``normal``, else None), free parameters, in that order."""
-    weights = _draw_weights(rng, n, weights_mode)
-    frame = _haar(rng, d) if normal else None
-    return weights, frame, _free(rng, d, n, frame)
+    """Weights, a Haar frame's Gaussian (if ``normal``, else None), then the n
+    parts' free parameters: diagonals in the frame, else matrices."""
+    return (_draw_weights(rng, n, weights_mode), _cgauss(rng, (d, d))[0] if normal else None,
+            _cgauss(rng, (d,) if normal else (d, d), n))
+
+
+def _framed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u diag(v) u* for unitary frames u (..., d, d) and diagonals v
+    (..., n, d): parts that are normal and commute."""
+    diag = v[..., None] * np.eye(v.shape[-1])
+    return u[..., None, :, :] @ diag @ ct(u)[..., None, :, :]
 
 
 def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -135,28 +130,21 @@ def gen_element(spec: GeneratorSpec) -> ModuleElement:
     element with scalar parts, ready to seed a :class:`GrussContext`."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "gruss":
-        weights = _draw_weights(rng, spec.length, spec.weights_mode)
-        return _scalar_unit(rng, ModuleContext(spec.dim, weights))
-    weights, frame, p = _draw_side(rng, spec.dim, spec.length, spec.weights_mode,
-                                   spec.kind == "normal_commuting")
-    x = ModuleElement(ModuleContext(spec.dim, weights), _parts(frame, p))
-    return x if spec.kind != "contractive" else scaled_to(x, spec.contraction)
+        ctx = ModuleContext(spec.dim, _draw_weights(rng, spec.length, spec.weights_mode))
+        return ModuleElement.rows([ctx], _scalar_unit_parts([ctx], _cgauss(rng, (spec.length,))))[0]
+    weights, g, p = _draw_side(rng, spec.dim, spec.length, spec.weights_mode,
+                               spec.kind == "normal_commuting")
+    parts = p[None] if g is None else _framed(_haars(g[None]), p[None])
+    target = spec.contraction if spec.kind == "contractive" else None
+    return ModuleElement.rows([ModuleContext(spec.dim, weights)], parts, target)[0]
 
 
-def _scalar_unit(rng: np.random.Generator, ctx: ModuleContext) -> ModuleElement:
-    """Unit reference with scalar parts lam_t I, sum_t w_t |lam_t|^2 = 1."""
-    lam = _cgauss(rng, ctx.length)
-    total = np.sqrt(np.sum(np.asarray(ctx.weights) * np.abs(lam) ** 2))
-    if total == 0:
+def _scalar_unit_parts(ctxs, lam: np.ndarray) -> np.ndarray:
+    """Parts lam_t I, sum_t w_t |lam_t|^2 = 1, of unit references in ctxs[b]."""
+    totals = np.sqrt(np.sum(np.array([c.weights for c in ctxs]) * np.abs(lam) ** 2, axis=-1))
+    if (totals == 0).any():
         raise InvalidSpec("degenerate zero draw cannot be normalized")
-    lam = lam / total
-    return ModuleElement(ctx, tuple(v * np.eye(ctx.dim) for v in lam))
-
-
-def scaled_to(z: ModuleElement, target: float) -> ModuleElement:
-    """z rescaled to module norm ``target``; a zero z stays zero."""
-    nz = module_norm(z)
-    return (target / nz) * z if nz > 0 else z
+    return (lam / totals[:, None])[..., None, None] * np.eye(ctxs[0].dim)
 
 
 def trial_seed(master: int, check: str, index: int) -> int:
@@ -246,37 +234,40 @@ def instance_from_json(obj: dict) -> CheckInstance:
         raise InvalidSpec(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
-def _unit_reference(rng: np.random.Generator, ctx: ModuleContext) -> ModuleElement:
-    """A generic (non-scalar) unit element: right-normalize a random draw."""
-    raw = ModuleElement(ctx, _parts(None, _free(rng, ctx.dim, ctx.length, None)))
-    g = hermitian_part(inner(raw, raw))
-    return right_mul(raw, psd_power(g, -0.5))
+def _draw_gruss(rng: np.random.Generator, d: int, n: int, weights_mode: str, scalar: bool):
+    """The gruss draws in stream order: weights; e's scalars (from a sub-stream)
+    if ``scalar``, else its n matrices; the Gaussian of x and y's one frame if
+    ``scalar``; the balls (m, M, p, P); per ball point, its parts and shrink."""
+    weights = _draw_weights(rng, n, weights_mode)
+    e = _cgauss(_sub_rng(rng), (n,))[0] if scalar else _cgauss(rng, (d, d), n)
+    frame = _cgauss(rng, (d, d))[0] if scalar else None
+    ball = tuple(float(v) for _ in range(2) for v in sorted(rng.normal(0.0, 1.0, 2)))
+    points = [(_cgauss(rng, (d,) if scalar else (d, d), n), rng.uniform(0.0, 0.95))
+              for _ in range(2)]
+    return weights, e, frame, ball, points
 
 
-def _ball_point(rng: np.random.Generator, e: ModuleElement, lo: float, hi: float,
-                unitary: np.ndarray | None) -> ModuleElement:
-    """Convex sample strictly inside the ball [lo*e, hi*e]."""
-    ctx = e.ctx
-    u = ModuleElement(ctx, _parts(unitary, _free(rng, ctx.dim, ctx.length, unitary)))
-    nu = module_norm(u)
-    if nu == 0:
+def _gruss_group(spec: CheckSpec, d: int, trials, scalar: bool, drop) -> list[CheckInstance]:
+    """Per trial, a unit reference e (scalar, else a right-normalized draw) and
+    x, y strictly inside the balls [lo e, hi e] (in one frame if ``scalar``)."""
+    weights, e, frames, balls, points = zip(*(draw for _, _, draw in trials))
+    ctxs = [ModuleContext(d, w) for w in weights]
+    w, e = np.array([ctx.weights for ctx in ctxs]), np.array(e)
+    e = (_scalar_unit_parts(ctxs, e) if scalar
+         else e @ psd_powers(herm(Stack(w, e).gram), -0.5)[:, None])
+    u = np.array([[free for free, _ in pts] for pts in points])
+    u = _framed(_haars(np.array(frames))[:, None], u) if scalar else u
+    nus = Stack(np.repeat(w, 2, axis=0), u.reshape(-1, *u.shape[2:])).norms.reshape(-1, 2)
+    if (nus == 0).any():
         raise InvalidSpec("degenerate zero draw inside ball sampling")
-    center = right_mul(e, (hi + lo) / 2 * np.eye(ctx.dim))
-    shrink = rng.uniform(0.0, 0.95)
-    return center + (shrink * (hi - lo) / 2 / nu) * u
-
-
-def _gruss_operands(rng: np.random.Generator, d: int, n: int, weights_mode: str,
-                    scalar: bool):
-    """Unit reference e, ball bounds (m, M, p, P), and x, y inside their
-    balls; ``scalar`` gives e scalar parts and x, y one shared normal frame."""
-    ctx = ModuleContext(d, _draw_weights(rng, n, weights_mode))
-    e = _scalar_unit(_sub_rng(rng), ctx) if scalar else _unit_reference(rng, ctx)
-    unitary = _haar(rng, d) if scalar else None
-    lo_x, hi_x = sorted(rng.normal(0.0, 1.0, 2))
-    lo_y, hi_y = sorted(rng.normal(0.0, 1.0, 2))
-    ball = (float(lo_x), float(hi_x), float(lo_y), float(hi_y))
-    return e, ball, _ball_point(rng, e, *ball[:2], unitary), _ball_point(rng, e, *ball[2:], unitary)
+    lo, hi = np.moveaxis(np.reshape(balls, (-1, 2, 2)), -1, 0)
+    shrink = np.array([[s for _, s in pts] for pts in points])
+    centers = e[:, None] @ (((hi + lo) / 2)[..., None, None, None] * np.eye(d)).astype(complex)
+    xy = centers + (shrink * (hi - lo) / 2 / nus)[..., None, None, None] * u
+    xy = ModuleElement.rows([c for c in ctxs for _ in range(2)], xy.reshape(-1, *u.shape[2:]))
+    return [CheckInstance(check=spec.name, seed=seed, kind=spec.kind, x=xy[2 * k],
+                          y=xy[2 * k + 1], a=a, e=ek, ball=balls[k], drop=drop)
+            for k, ((seed, a, _), ek) in enumerate(zip(trials, ModuleElement.rows(ctxs, e)))]
 
 
 def _recipe(spec: CheckSpec, drop, contraction: float = DEFAULT_CONTRACTION):
@@ -313,26 +304,77 @@ class InstanceDraw:
         spec = check_spec(check)
         normal, target = _recipe(spec, drop)
         weights = _draw_weights(rng, length, "random")
-        frames = (_haar(rng, dim), _haar(rng, dim)) if normal else (None, None)
-        shape = (length, dim) if normal else (length, dim, dim)
-        px, py = _cgauss(rng, shape), _cgauss(rng, shape)
-        a = _cgauss(rng, (dim, dim)) if "a" in spec.operands else None
+        frames = tuple(_haars(_cgauss(rng, (dim, dim), 2))) if normal else (None, None)
+        px, py = _cgauss(rng, (length, dim) if normal else (length, dim, dim), 2)
+        a = _cgauss(rng, (dim, dim))[0] if "a" in spec.operands else None
         return cls(check, weights, px, py, frames, a, target, drop=drop)
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "InstanceDraw":
         """A copy with one of px, py or a moved by sigma times a Gaussian."""
         name = ("px", "py", "a")[rng.integers(0, 3 if self.a is not None else 2)]
         value = getattr(self, name)
-        return replace(self, **{name: value + sigma * _cgauss(rng, value.shape)})
+        return replace(self, **{name: value + sigma * _cgauss(rng, value.shape)[0]})
 
     def materialize(self) -> CheckInstance:
-        ctx = ModuleContext(self.px.shape[-1], self.weights)
-        ux, uy = self.frames
-        x, y = ModuleElement(ctx, _parts(ux, self.px)), ModuleElement(ctx, _parts(uy, self.py))
-        if self.target is not None:
-            x, y = scaled_to(x, self.target), scaled_to(y, self.target)
-        return CheckInstance(check=self.check, seed=self.seed, kind=self.kind, x=x,
-                             y=y, a=self.a, drop=self.drop)
+        return materialize_group((self,))[0]
+
+
+def materialize_group(draws) -> list[CheckInstance]:
+    """Each draw's instance, for draws of one shape, frame use and target."""
+    p = np.array([(draw.px, draw.py) for draw in draws])
+    if draws[0].frames[0] is not None:
+        p = _framed(np.array([draw.frames for draw in draws]), p)
+    ctxs = [ModuleContext(p.shape[-1], draw.weights) for draw in draws]
+    xy = ModuleElement.rows([ctx for ctx in ctxs for _ in range(2)],
+                            p.reshape(-1, *p.shape[2:]), draws[0].target)
+    return [CheckInstance(check=draw.check, seed=draw.seed, kind=draw.kind, x=xy[2 * k],
+                          y=xy[2 * k + 1], a=draw.a, drop=draw.drop)
+            for k, draw in enumerate(draws)]
+
+
+def build_group(check: str, seeds, *, dim: int | None = None, length: int | None = None,
+                weights_mode: str = "random", contraction: float = DEFAULT_CONTRACTION,
+                drop: tuple[str, ...] = ()) -> list[CheckInstance]:
+    """:func:`build_instance` for each seed, each drawing from its own stream;
+    the work after the draws runs once per same-shape group.  Raises the
+    first OpineqError raised."""
+    spec = check_spec(check)
+    _check_options(dim, length, weights_mode, contraction)
+    drop = validate_drop(drop)
+    normal, target = _recipe(spec, drop, contraction)
+    groups: dict[tuple, list] = {}
+    for k, seed in enumerate(seeds):
+        shape, trial = _draw(spec, seed, dim, length, weights_mode, normal)
+        groups.setdefault(shape, []).append((k, trial))
+    built = {}
+    for (d, _), members in groups.items():
+        ks, trials = zip(*members)
+        built.update(zip(ks, _gruss_group(spec, d, trials, normal, drop) if spec.recipe == "gruss"
+                         else _pair_group(spec, trials, normal, target, drop)))
+    return [built[k] for k in range(len(seeds))]
+
+
+def _draw(spec: CheckSpec, seed: int, dim: int | None, length: int | None,
+          weights_mode: str, normal: bool):
+    """((d, n), (seed, a, the recipe's draws)) of one trial from its stream:
+    d and n unless given, a, then the gruss draws or x's and y's sides."""
+    rng = np.random.default_rng(int(seed) & _SEED_MASK)
+    d = int(dim) if dim is not None else int(rng.integers(1, 7))
+    n = int(length) if length is not None else int(rng.integers(1, 5))
+    a = _cgauss(rng, (d, d))[0] if "a" in spec.operands else None
+    draw = (_draw_gruss(rng, d, n, weights_mode, normal) if spec.recipe == "gruss" else
+            [_draw_side(_sub_rng(rng), d, n, weights_mode, normal) for _ in range(2)])
+    return (d, n), (int(seed), a, draw)
+
+
+def _pair_group(spec: CheckSpec, trials, normal: bool, target, drop) -> list[CheckInstance]:
+    """Each trial's sides as one draw (y's weights drawn, then discarded)."""
+    kind = "generic" if "normality" in drop else spec.kind
+    frames = (_haars(np.array([[side[1] for side in sides] for *_, sides in trials]))
+              if normal else [(None, None)] * len(trials))
+    return materialize_group([
+        InstanceDraw(spec.name, sx[0], sx[2], sy[2], tuple(f), a, target, seed, kind, drop)
+        for (seed, a, (sx, sy)), f in zip(trials, frames)])
 
 
 def build_instance(check: str, seed: int, *, dim: int | None = None,
@@ -346,23 +388,8 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
     draws, contraction rescales to the unit sphere); the instance records
     the dropped set so evaluation skips enforcing just those.
     """
-    spec = check_spec(check)
-    _check_options(dim, length, weights_mode, contraction)
-    drop = validate_drop(drop)
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
-    d = int(dim) if dim is not None else int(rng.integers(1, 7))
-    n = int(length) if length is not None else int(rng.integers(1, 5))
-    normal, target = _recipe(spec, drop, contraction)
-    a = _cgauss(rng, (d, d)) if "a" in spec.operands else None
-    if spec.recipe == "gruss":
-        e, ball, x, y = _gruss_operands(rng, d, n, weights_mode, normal)
-        return CheckInstance(check=check, seed=int(seed), kind=spec.kind, x=x, y=y,
-                             a=a, e=e, ball=ball, drop=drop)
-
-    (weights, ux, px), (_, uy, py) = (_draw_side(_sub_rng(rng), d, n, weights_mode, normal)
-                                      for _ in range(2))
-    return InstanceDraw(check, weights, px, py, (ux, uy), a, target, int(seed),
-                        "generic" if "normality" in drop else spec.kind, drop).materialize()
+    return build_group(check, (seed,), dim=dim, length=length, weights_mode=weights_mode,
+                       contraction=contraction, drop=drop)[0]
 
 
 def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> None:

@@ -1,10 +1,10 @@
 """Batch verification runner, counterexample search, and diagnostics.
 
-The runner draws per-trial seeds from a master seed, materializes one
-instance per trial, evaluates each group of same-shape instances at
+The runner draws per-trial seeds from a master seed, builds each group
+of trials in one call, evaluates each group of same-shape instances at
 every requested grid point in one kernel call, and writes one JSON
-object per report line, in trial order.  A report is bit for bit what
-its instance gives alone, so the grouping never shows in the output.
+object per report line, in trial order.  Instances and reports are bit
+for bit what each trial gives alone, so grouping never shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
 (null margins), not as failures; a run fails only when a
 hypothesis-satisfying instance yields a negative margin beyond
@@ -26,7 +26,7 @@ from .checks import (
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, build_instance, check_shape, evaluate_group,
+    CheckInstance, InstanceDraw, build_group, build_instance, check_shape, evaluate_group,
     evaluate_instance, grid_point, trial_seed, _SEED_MASK,
 )
 from .transformer import validate_alpha
@@ -35,8 +35,8 @@ DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
                          (4 / 3, 4 / 3, 4 / 3))
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0)
 
-# Trials built before they are evaluated and written; output does not
-# depend on it, since a report is the same alone or in any group.
+# Trials built as one group, then evaluated and written; output does not
+# depend on it: an instance or report is the same alone or in any group.
 GROUP_TRIALS = 64
 
 
@@ -105,12 +105,12 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
     A trial is build, then evaluate at each grid point.  Trials are built
-    :data:`GROUP_TRIALS` at a time; each group of built trials with one
-    dimension and length is evaluated at every grid point in one kernel
-    call (:func:`evaluate_group`), and its lines are written in trial
-    order.  Evaluation alone enforces the check's hypotheses, so a
-    violation is one error line per grid point; a build error is one error
-    line without an instance.
+    :data:`GROUP_TRIALS` at a time in one :func:`build_group` call; each
+    group with one dimension and length is evaluated at every grid point
+    in one kernel call (:func:`evaluate_group`), and its lines are written
+    in trial order.  Evaluation alone enforces the check's hypotheses, so
+    a violation is one error line per grid point; a build error is one
+    error line without an instance.
 
     ``writer`` may be any object with a ``write`` method; when omitted and
     ``cfg.output_path`` is set, the file is created (overwritten) and each
@@ -128,11 +128,12 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
             spec = check_spec(check)
             values = {"pqr": cfg.exponent_grid, "alpha": cfg.alpha_grid}.get(spec.grid, (None,))
             for start in range(0, cfg.trials, GROUP_TRIALS):
-                built = [_build(cfg, check, index)
+                seeds = [trial_seed(cfg.seed, check, index)
                          for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
-                insts = [inst for _, inst in built if isinstance(inst, CheckInstance)]
+                built = _build(cfg, check, seeds)
+                insts = [inst for inst in built if isinstance(inst, CheckInstance)]
                 rows = iter(_evaluate(insts, cfg.tolerances, spec.grid, values))
-                for seed, inst in built:
+                for seed, inst in zip(seeds, built):
                     if not isinstance(inst, CheckInstance):
                         summary.record(check, "error", None)
                         _emit(writer, _error_line(check, None, seed, inst))
@@ -152,14 +153,14 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     return summary
 
 
-def _build(cfg: RunConfig, check: str, index: int):
-    """(seed, the trial's instance or its build error)."""
-    seed = trial_seed(cfg.seed, check, index)
+def _build(cfg: RunConfig, check: str, seeds: list[int]) -> list:
+    """Each seed's instance or build error: the seeds are built as one group,
+    or one at a time if the group raises, so an error stays with its trial."""
+    options = {"dim": cfg.dim, "length": cfg.length, "weights_mode": cfg.weights_mode}
     try:
-        return seed, build_instance(check, seed, dim=cfg.dim, length=cfg.length,
-                                    weights_mode=cfg.weights_mode)
-    except OpineqError as exc:
-        return seed, exc
+        return build_group(check, seeds, **options)
+    except OpineqError:
+        return [_attempt(build_instance, check, seed, **options) for seed in seeds]
 
 
 def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, axis: str | None,
@@ -177,16 +178,17 @@ def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, axis: str | None
         try:
             reports = evaluate_group(group, tol, values)
         except OpineqError:
-            reports = [_alone(inst, tol, grid_point(axis, value))
+            reports = [_attempt(evaluate_instance, inst, tol, **grid_point(axis, value))
                        for inst in group for value in values]
         for i, k in enumerate(members):
             out[k] = reports[i * len(values):(i + 1) * len(values)]
     return out
 
 
-def _alone(inst: CheckInstance, tol: ToleranceConfig, point: dict):
+def _attempt(fn, *args, **kwargs):
+    """fn's result, or the OpineqError it raises."""
     try:
-        return evaluate_instance(inst, tol, **point)
+        return fn(*args, **kwargs)
     except OpineqError as exc:
         return exc
 
@@ -302,12 +304,9 @@ def naopaka_delta_sweep(seed: int = 0, deltas: tuple[float, ...] = (0.9, 0.99, 0
     """
     out = []
     for delta in deltas:
-        worst = math.inf
-        for index in range(trials):
-            s = trial_seed(seed, f"delta_{delta}", index)
-            inst = build_instance("check_naopaka", s, dim=dim, length=length,
-                                  contraction=delta)
-            rep = evaluate_instance(inst, tol)
-            worst = min(worst, rep.margin / rep.scale)
+        seeds = [trial_seed(seed, f"delta_{delta}", index) for index in range(trials)]
+        reps = [evaluate_instance(inst, tol) for inst in build_group(
+            "check_naopaka", seeds, dim=dim, length=length, contraction=delta)]
+        worst = min((rep.margin / rep.scale for rep in reps), default=math.inf)
         out.append({"delta": delta, "worst_margin": worst, "trials": trials})
     return out

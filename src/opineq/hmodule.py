@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, ct, op_norms
+from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, ct, finite, op_norms
 from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 
 
@@ -126,11 +126,22 @@ class ModuleElement:
                 raise DimMismatch(f"part of shape {np.shape(p)} in a dim-{d} context")
         # one cast, one check and one copy for all parts; each part is a
         # read-only view of the stack
-        stack = np.array(self.parts, dtype=complex)
-        if not np.isfinite(stack).all():
-            raise InvalidSpec("matrix has non-finite entries")
-        object.__setattr__(self, "_array", _frozen(stack))
-        object.__setattr__(self, "parts", tuple(stack))
+        stack = _frozen(finite(np.array(self.parts, dtype=complex)))
+        self.__dict__.update(_array=stack, parts=tuple(stack))
+
+    @classmethod
+    def rows(cls, ctxs, parts: np.ndarray, norm: float | None = None) -> list["ModuleElement"]:
+        """Elements in contexts ctxs[b] with parts parts[b], rescaled to module norm
+        ``norm`` if given (a zero one stays zero): one cast, check and copy."""
+        if norm is not None:
+            norms = Stack(np.array([ctx.weights for ctx in ctxs]), parts).norms.tolist()
+            scale = [norm / nz if nz > 0 else 1.0 for nz in norms]
+            parts = np.array(scale)[:, None, None, None] * parts
+        stack = _frozen(finite(np.array(parts, dtype=complex)))
+        out = [cls.__new__(cls) for _ in ctxs]
+        for z, ctx, row in zip(out, ctxs, stack):
+            z.__dict__.update(ctx=ctx, _array=row, parts=tuple(row))
+        return out
 
     @cached_property
     def stack(self) -> Stack:

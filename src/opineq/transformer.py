@@ -288,6 +288,23 @@ def eigen_power(forms: EigenForms, alpha: float) -> np.ndarray:
     return unvec((forms.v @ coeffs[..., None])[..., 0], d)
 
 
+def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float, gammas: np.ndarray,
+                       cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """fractional_power_apply's sum for integer alpha by its recurrence, order and
+    stops, on stacks of vectorized T, a and gamma = ||x|| ||y||: the same bits."""
+    acc, term, live, coeff, n = a.copy(), a, np.ones(len(a), dtype=bool), 1.0, 0
+    while (nxt := coeff * (alpha - n) / (n + 1.0)) != 0.0:
+        live &= (gammas > 0.0) | (n < 1)
+        if not live.any():
+            break
+        if n + 1 >= cfg.max_terms:
+            raise MaxTermsExceeded(f"binomial series exceeded {cfg.max_terms} terms")
+        term = unvec((rep @ vec(term)[..., None])[..., 0], a.shape[-1])
+        acc[live] += ((-1.0 if (n + 1) % 2 else 1.0) * nxt) * term[live]
+        coeff, n = nxt, n + 1
+    return acc
+
+
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
                            cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(I - T)^alpha a by the eigendecomposition of the vectorized T.

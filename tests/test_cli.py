@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opineq.cli import cli_main
+from opineq.cli import _build_parser, cli_main
 from opineq.generators import build_instance, evaluate_instance, instance_from_json
 
 
@@ -261,3 +261,25 @@ def test_replay_rejects_a_grid_parameter_that_is_not_a_number(check, params, tmp
     assert captured.out == ""
     assert captured.err.startswith("error: malformed instance")
     assert "grid parameter" in captured.err and len(captured.err.splitlines()) == 1
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    assert cli_main(["verify", "--checks", "check_alpha", "--checks", "check_defect",
+                     "--alpha", "0.25", "--pqr", "4,4,4", "--trials", "1", "--seed", "1",
+                     "--out", str(first)]) == 0
+    assert cli_main(["verify", "--checks", "check_interp", "--checks", "check_alpha",
+                     "--alpha", "1.5", "--alpha", "2",
+                     "--pqr", "3,2,6", "--trials", "1", "--seed", "1",
+                     "--out", str(second)]) == 0
+    capsys.readouterr()
+
+    def points(path):
+        return [(line["name"], {k: v for k, v in line["params"].items() if k != "kind"})
+                for line in map(json.loads, path.read_text().splitlines())]
+
+    assert points(first) == [("check_alpha", {"alpha": 0.25}),
+                             ("check_defect", {"p": 4.0, "q": 4.0, "r": 4.0})]
+    assert points(second) == [("check_interp", {"p": 3.0, "q": 2.0, "r": 6.0}),
+                              ("check_alpha", {"alpha": 1.5}), ("check_alpha", {"alpha": 2.0})]

@@ -1,0 +1,111 @@
+"""A run builds each same-shape group of trials as one stack; every instance
+is what its seed builds alone, and a build error stays with its trial."""
+
+import io
+import json
+
+import numpy as np
+import pytest
+
+from opineq import checks, generators, transformer
+from opineq.checks import CHECK_SPECS
+from opineq.errors import InvalidSpec
+from opineq.generators import CHECK_NAMES, build_group, build_instance, trial_seed
+from opineq.harness import RunConfig, run_suite
+from opineq.transformer import ElementaryOperator, fractional_power_apply
+
+
+def _drop_sets(check):
+    hyps = CHECK_SPECS[check].hypotheses
+    return [()] + [(h,) for h in hyps] + ([hyps] if len(hyps) > 1 else [])
+
+
+def _text(inst):
+    return json.dumps(inst.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_grouped_build_equals_each_seed_alone(check):
+    seeds = [trial_seed(5, check, index) for index in range(16)]
+    for drop in _drop_sets(check):
+        for dim, length in ((6, 4), (1, 1), (None, None)):
+            for weights_mode in ("random", "uniform"):
+                options = dict(dim=dim, length=length, weights_mode=weights_mode, drop=drop)
+                grouped = build_group(check, seeds, **options)
+                alone = [build_instance(check, seed, **options) for seed in seeds]
+                assert [_text(inst) for inst in grouped] == [_text(inst) for inst in alone]
+
+
+def test_a_group_takes_one_stacked_qr(monkeypatch):
+    shapes = []
+    original = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    summary = run_suite(RunConfig(trials=5, checks=("check_uin",), seed=4, dim=6, length=4))
+    assert summary.counts["check_uin"]["pass"] == 5
+    assert shapes == [(5, 2, 6, 6)]
+
+
+def test_a_build_error_stays_with_its_trial(monkeypatch):
+    cfg = RunConfig(trials=5, checks=("check_naopaka",), seed=6, dim=3, length=2)
+    clean = io.StringIO()
+    run_suite(cfg, clean)
+    spoiled_seed = trial_seed(cfg.seed, "check_naopaka", 3)
+    original = generators._draw
+
+    def draw(spec, seed, *args):
+        if seed == spoiled_seed:
+            raise InvalidSpec("spoiled draw")
+        return original(spec, seed, *args)
+
+    monkeypatch.setattr(generators, "_draw", draw)
+    out = io.StringIO()
+    summary = run_suite(cfg, out)
+    lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()
+    assert summary.counts["check_naopaka"] == {"pass": 4, "fail": 0, "error": 1}
+    spoiled = json.loads(lines[3])
+    assert spoiled["seed"] == spoiled_seed and spoiled["dim"] is None
+    assert spoiled["params"]["error"] == "InvalidSpec: spoiled draw"
+    assert [lines[k] for k in (0, 1, 2, 4)] == [before[k] for k in (0, 1, 2, 4)]
+
+
+@pytest.mark.parametrize("seed, dim, length", [(1, None, None), (2, 3, 2), (3, 1, 1), (4, 6, 4)])
+def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, length, monkeypatch):
+    cfg = RunConfig(trials=1, checks=("check_alpha",), seed=seed, dim=dim, length=length)
+    calls = []
+    original = transformer.vectorize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transformer, "vectorize", counted)
+    kernel = io.StringIO()
+    run_suite(cfg, kernel)
+    assert calls == []
+
+    inst = build_instance("check_alpha", trial_seed(seed, "check_alpha", 0), dim=dim, length=length)
+
+    def series(rep, a, alpha, gammas, tol):
+        return fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, a[0], tol)[None]
+
+    monkeypatch.setattr(checks, "terminating_powers", series)
+    reference = io.StringIO()
+    run_suite(cfg, reference)
+    assert calls and kernel.getvalue() == reference.getvalue()
+
+
+def test_stacked_terminating_sum_is_each_series():
+    insts = build_group("check_alpha", list(range(6)), dim=3, length=2)
+    xs, ys = checks.Stack.of([i.x for i in insts]), checks.Stack.of([i.y for i in insts])
+    rep = transformer.vectorized(xs.weights, xs.parts, ys.parts)
+    a = np.array([inst.a for inst in insts])
+    for alpha in (1.0, 2.0, 3.0):
+        stacked = transformer.terminating_powers(rep, a, alpha, xs.norms * ys.norms)
+        for inst, got in zip(insts, stacked):
+            want = fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
+            assert np.array_equal(got, want)

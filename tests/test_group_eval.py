@@ -53,15 +53,16 @@ def test_an_error_stays_with_its_trial(monkeypatch):
     clean = io.StringIO()
     run_suite(cfg, clean)
     spoiled_seed = trial_seed(cfg.seed, "check_uin", 2)
-    original = harness.build_instance
+    original = harness.build_group
 
-    def build(check, seed, **kwargs):
-        if seed != spoiled_seed:
-            return original(check, seed, **kwargs)
-        generic = original(check, seed, drop=("normality",), **kwargs)
-        return dataclasses.replace(generic, drop=())
+    def build(check, seeds, **kwargs):
+        def spoiled(seed):
+            generic = original(check, [seed], drop=("normality",), **kwargs)[0]
+            return dataclasses.replace(generic, drop=())
+        insts = original(check, seeds, **kwargs)
+        return [spoiled(seed) if seed == spoiled_seed else inst for seed, inst in zip(seeds, insts)]
 
-    monkeypatch.setattr(harness, "build_instance", build)
+    monkeypatch.setattr(harness, "build_group", build)
     out = io.StringIO()
     summary = run_suite(cfg, out)
     lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()

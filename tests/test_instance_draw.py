@@ -1,5 +1,5 @@
 """One instance parameterization: generator and search build through
-InstanceDraw.materialize; build options and drop names are validated once."""
+one stacked materialize; build options and drop names are validated once."""
 
 import json
 import re
@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from opineq import generators
 from opineq.checks import CHECK_SPECS, validate_drop
 from opineq.errors import InvalidSpec
 from opineq.generators import (
@@ -20,13 +21,13 @@ PAIR_RECIPES = ("pair", "unit_pair", "contractive_pair")
 @pytest.fixture
 def materialize_calls(monkeypatch):
     calls = []
-    original = InstanceDraw.materialize
+    original = generators.materialize_group
 
-    def counted(draw):
-        calls.append(draw.check)
-        return original(draw)
+    def counted(draws):
+        calls.extend(draw.check for draw in draws)
+        return original(draws)
 
-    monkeypatch.setattr(InstanceDraw, "materialize", counted)
+    monkeypatch.setattr(generators, "materialize_group", counted)
     return calls
 
 
