@@ -18,8 +18,9 @@ treats each matrix on its own, a report is bit for bit the same either
 way.
 
 Generators, runner, search and CLI read each check from its one row in
-:data:`CHECK_SPECS`, and every hypothesis from its one predicate here;
-adding a check means one row, its kernel and its ``check_*`` function.
+:data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
+and every hypothesis from its one predicate here; adding a check means
+one row, its kernel and its ``check_*`` function.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from itertools import cycle
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL, ToleranceConfig, ct, eig_powers, eigvalsh, herm, moduli, op_norms,
-    psd_eigs, psd_powers, svdvals,
+    psd_eigs, psd_order_gaps, psd_powers, svdvals,
 )
 from .errors import (
     BadExponents, BallViolated, CtxMismatch, InvalidSpec, NotContractive, NotNormal,
@@ -42,10 +44,9 @@ from .errors import (
 from .hmodule import (
     GrussContext, ModuleElement, Stack, _same_ctx, acting, covariances, weighted_products,
 )
-from .norms import HILBERT_SCHMIDT, TRACE, ky_fan_profiles, norms_of, schatten
+from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
-    ElementaryOperator, applied, defect_operators, eigen_forms, eigen_power,
-    fractional_power_apply, probe_lower_bounds, spectral_radii, terminating_powers,
+    applied, defect_operators, fractional_powers, probe_lower_bounds, spectral_radii,
     validate_alpha, vectorized,
 )
 
@@ -59,7 +60,7 @@ class CheckSpec:
     """One verified statement.  ``name`` is its ``check_*`` function here,
     looked up at call time.  After x and y the function takes the
     ``operands`` ("a"; "e" as a GrussContext; "ball" = (m, M, p, P)) and
-    then the ``grid`` parameters (p, q, r or alpha).  ``recipe`` draws x
+    then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` draws x
     and y: "pair", "unit_pair" (norm 1), "contractive_pair" (norm at the
     contraction target) or "gruss" (ball points around a unit reference);
     ``kind`` is the element kind its reports record."""
@@ -111,13 +112,6 @@ def check_spec(name: str) -> CheckSpec:
         raise UnknownCheck(f"no check named {name!r}") from None
 
 
-def grid_params(axis: str | None, value) -> dict:
-    """Report parameters of one grid point: p, q, r or alpha."""
-    if axis == "pqr":
-        return dict(zip("pqr", value))
-    return {} if axis is None else {axis: value}
-
-
 # --------------------------------------------------------------------------
 # hypotheses and parameter rules: each predicate takes stacks and raises
 # for the first element that fails
@@ -134,10 +128,9 @@ def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = 
     cone, which is what the covariance bound consumes; a merely commuting
     non-scalar reference is not enough."""
     for z, tag in ((x, "x"), (y, "y")):
-        defect, scale = z.normality
-        bad = ~(defect <= tol.tol_rel * scale)
-        if bad.any():
-            raise NotNormal(f"{tag} has normality defect {defect[bad][0]:.3e}")
+        ok, defect = z.is_normal(tol)
+        if not ok.all():
+            raise NotNormal(f"{tag} has normality defect {defect[~ok][0]:.3e}")
     if e is None:
         return
     d = e.parts.shape[-1]
@@ -211,6 +204,26 @@ def validate_pqr(p: float, q: float, r: float) -> None:
                            f"got ({p}, {q}, {r})")
     if abs(1 / q + 1 / r - 2 / p) > 1e-12:
         raise BadExponents(f"1/q + 1/r != 2/p for (p, q, r) = ({p}, {q}, {r})")
+
+
+@dataclass(frozen=True)
+class GridAxis:
+    """One grid axis: the report keys of a point (a tuple of numbers), the
+    point of an instance that records none, and the point's validator."""
+
+    keys: tuple[str, ...]
+    default: tuple
+    validate: Callable[..., None]
+
+    def params(self, point) -> dict:
+        """Report parameters of one point."""
+        return dict(zip(self.keys, point))
+
+
+# The axis of each CheckSpec.grid; a check without a grid has the one point ().
+GRIDS = {None: GridAxis((), (), lambda: None),
+         "pqr": GridAxis(("p", "q", "r"), (2.0, 2.0, 2.0), validate_pqr),
+         "alpha": GridAxis(("alpha",), (1.0,), validate_alpha)}
 
 
 @dataclass(frozen=True)
@@ -323,23 +336,18 @@ def _scalar_branch(lhs: float, rhs: float) -> _Branch:
 
 def _psd_branches(lo: np.ndarray, hi: np.ndarray) -> list[_Branch]:
     """lo <= hi in the PSD order, per matrix of the stacks."""
-    margins = eigvalsh(herm(hi) - herm(lo))[:, 0]
-    out = []
-    for l, h, m in zip(op_norms(lo).tolist(), op_norms(hi).tolist(), margins.tolist()):
-        out.append(_Branch(l, h, m, max(l, h, 1.0)))
-    return out
+    margins, n_lo, n_hi, scales = (v.tolist() for v in psd_order_gaps(lo, hi))
+    return [_Branch(*branch) for branch in zip(n_lo, n_hi, margins, scales)]
 
 
 def _ky_branches(lo: np.ndarray, hi: np.ndarray, prefix: str = "") -> list[tuple[dict, _Branch]]:
     """Ky Fan profile margins of |||lo||| <= |||hi||| per matrix of the
     stacks, worst k as headline, with the Hilbert-Schmidt spot check."""
     s_lo, s_hi = svdvals(lo), svdvals(hi)
-    p_lo, p_hi = ky_fan_profiles(s_lo), ky_fan_profiles(s_hi)
-    gaps = p_hi - p_lo
+    p_lo, p_hi, gaps, scales = fan_gaps(s_lo, s_hi)
     hs = norms_of(s_hi, HILBERT_SCHMIDT) - norms_of(s_lo, HILBERT_SCHMIDT)
     out = []
-    for pl, ph, gap, h in zip(p_lo, p_hi, gaps, hs.tolist()):
-        scale = max(float(pl[-1]), float(ph[-1]), 1.0)
+    for pl, ph, gap, h, scale in zip(p_lo, p_hi, gaps, hs.tolist(), scales.tolist()):
         detail = {f"{prefix}ky_fan_{k + 1}": float(g) / scale for k, g in enumerate(gap)}
         detail[f"{prefix}hilbert_schmidt"] = h / scale
         worst = int(np.argmin(gap))
@@ -363,11 +371,9 @@ def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
     )
 
 
-def _family_rows(lo: np.ndarray, hi: np.ndarray, params=None) -> list:
+def _family_rows(lo: np.ndarray, hi: np.ndarray) -> list:
     """Rows whose one branch, "family", is Ky Fan dominance lo <= hi."""
-    params = params or [None] * len(lo)
-    return [({"family": head}, detail, par)
-            for (detail, head), par in zip(_ky_branches(lo, hi), params)]
+    return [({"family": head}, detail, None) for detail, head in _ky_branches(lo, hi)]
 
 
 def _instance_major(b: Batch, columns: list) -> list:
@@ -390,13 +396,9 @@ def _column(values) -> np.ndarray:
     return np.array(values)[:, None, None]
 
 
-def _pqr(p: float, q: float, r: float) -> dict:
-    return {"p": p, "q": q, "r": r}
-
-
 # --------------------------------------------------------------------------
 # kernels: the numerics of each check over a Batch, one row
-# (branches, extra detail, report params) per report
+# (branches, extra detail, report params besides the grid point's) per report
 
 def _cs(b: Batch, tol: ToleranceConfig) -> list:
     m = weighted_products(b.x.weights, b.x.parts, b.y.parts)
@@ -463,8 +465,8 @@ def _interp(b: Batch, tol: ToleranceConfig) -> list:
                for k, (p, q, r) in enumerate(b.points)]
     return [({schatten(p).label: _scalar_branch(lhs, rhs)},
              {"sensitivity": float(abs(rhs10 - rhs) / max(rhs, 1.0)),
-              "min_inner_eig": min(mx, my)}, _pqr(p, q, r))
-            for (p, q, r), (lhs, rhs, rhs10, mx, my) in _instance_major(b, columns)]
+              "min_inner_eig": min(mx, my)}, None)
+            for (p, _, _), (lhs, rhs, rhs10, mx, my) in _instance_major(b, columns)]
 
 
 def _defect_eigs(b: Batch) -> list:
@@ -480,29 +482,13 @@ def _naopaka(b: Batch, tol: ToleranceConfig) -> list:
 
 def _alpha(b: Batch, tol: ToleranceConfig) -> list:
     ex, ey = _defect_eigs(b)
-    los = [eig_powers(*ex, alpha / 2) @ b.a @ eig_powers(*ey, alpha / 2) for (alpha,) in b.points]
-    gammas = b.x.norms * b.y.norms
-    for gamma in gammas.tolist():
-        if gamma >= 1.0:
-            raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}")
-    # (I - T)^alpha a: the series' terminating sum for integer alpha, else the
-    # eigen form of fractional_power_exact where it applies, its series otherwise
-    rep, forms, his = vectorized(b.x.weights, b.x.parts, b.y.parts), None, []
-    for (alpha,) in b.points:
-        if float(alpha).is_integer():
-            his.append(terminating_powers(rep, b.a, alpha, gammas, tol))
-            continue
-        if forms is None:
-            forms = eigen_forms(rep, b.a, tol)
-        hi = eigen_power(forms, alpha)
-        for i in np.flatnonzero(~forms.ok):
-            hi[i] = fractional_power_apply(ElementaryOperator(b.xs[i], b.ys[i]), alpha, b.a[i], tol)
-        his.append(hi)
-    params = [{"alpha": alpha} for _ in b.xs for (alpha,) in b.points]
+    alphas = [alpha for (alpha,) in b.points]
+    los = [eig_powers(*ex, alpha / 2) @ b.a @ eig_powers(*ey, alpha / 2) for alpha in alphas]
+    his = fractional_powers(b.x, b.y, b.a, alphas, tol)
     d = b.a.shape[-1]
     # one stack per point, interleaved into report order
     return _family_rows(np.stack(los, axis=1).reshape(-1, d, d),
-                        np.stack(his, axis=1).reshape(-1, d, d), params)
+                        np.stack(his, axis=1).reshape(-1, d, d))
 
 
 def _defect(b: Batch, tol: ToleranceConfig) -> list:
@@ -516,8 +502,8 @@ def _defect(b: Batch, tol: ToleranceConfig) -> list:
     s_lhs, s_rhs = np.split(svdvals(np.stack(lhs + rhs)), 2)
     columns = [zip(norms_of(s_lhs[k], schatten(p)).tolist(), norms_of(s_rhs[k], schatten(p)).tolist())
                for k, (p, _, _) in enumerate(b.points)]
-    return [({schatten(p).label: _scalar_branch(l, h)}, None, _pqr(p, q, r))
-            for (p, q, r), (l, h) in _instance_major(b, columns)]
+    return [({schatten(p).label: _scalar_branch(l, h)}, None, None)
+            for (p, _, _), (l, h) in _instance_major(b, columns)]
 
 
 def _gruss(b: Batch, tol: ToleranceConfig) -> list:
@@ -563,14 +549,16 @@ KERNELS = {"check_cs": _cs, "check_basic": _basic, "check_hs": _hs,
 def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
               enforce: tuple[str, ...] = ()) -> list[InequalityReport]:
     """Every report of a batch: validate its grid points, enforce the
-    hypotheses named in ``enforce``, run the check's kernel and assemble."""
-    grid = CHECK_SPECS[name].grid
+    hypotheses named in ``enforce``, run the check's kernel and assemble,
+    attaching each report's grid point to its params."""
+    axis = GRIDS[CHECK_SPECS[name].grid]
     for point in b.points:
-        if grid:
-            (validate_pqr if grid == "pqr" else validate_alpha)(*point)
+        axis.validate(*point)
     require_hypotheses(enforce, b.x, b.y, tol, b.e)
-    return [_finish(name, branches, tol, _digest(b, digest, params), extra)
-            for (branches, extra, params), digest in zip(KERNELS[name](b, tol), b.digests)]
+    return [_finish(name, branches, tol,
+                    _digest(b, digest, {**axis.params(point), **(params or {})}), extra)
+            for (branches, extra, params), digest, point
+            in zip(KERNELS[name](b, tol), b.digests, cycle(b.points))]
 
 
 def _one(name: str, b: Batch, tol: ToleranceConfig, strict: bool = False) -> InequalityReport:
@@ -639,7 +627,6 @@ def check_interp(x: ModuleElement, y: ModuleElement, a,
     ``sensitivity`` together with the smallest inner eigenvalue, so
     near-singular instances can be recognized downstream.
     """
-    validate_pqr(p, q, r)
     return _one("check_interp", _single(x, y, digest, a, (p, q, r)), tol)
 
 
@@ -657,13 +644,13 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
     At alpha = 1 this coincides with check_naopaka branch for branch.
-    (I-T)^alpha a is :func:`fractional_power_exact`'s: for non-integer
+    (I-T)^alpha a is :func:`fractional_powers`', which
+    :func:`fractional_power_exact` runs on one operator: for non-integer
     alpha and a normal vectorized T (which the normal, commuting
     hypotheses give) it is the exact eigen form; integer alpha takes the
     terminating binomial series, and any other case falls back to the
     series of fractional_power_apply, which stays the independent oracle.
     """
-    validate_alpha(alpha)
     return _one("check_alpha", _single(x, y, digest, a, (alpha,)), tol, strict)
 
 
@@ -676,7 +663,6 @@ def check_defect(x: ModuleElement, y: ModuleElement, a,
 
     ||D_x^(1-1/q) a D_y^(1-1/r)||_p <= ||D_xbar^(-1/q) (a - <x,ay>) D_ybar^(-1/r)||_p
     """
-    validate_pqr(p, q, r)
     return _one("check_defect", _single(x, y, digest, a, (p, q, r)), tol, strict)
 
 

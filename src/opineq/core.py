@@ -146,6 +146,15 @@ def psd_powers(h: np.ndarray, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> n
     return eig_powers(*psd_eigs(h, cfg), s, cfg)
 
 
+def psd_order_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """lo <= hi in the PSD order for each pair of matrices of two stacks: the
+    margin (smallest eigenvalue of herm(hi) - herm(lo)), ||lo||, ||hi|| and
+    the comparison scale max(||lo||, ||hi||, 1)."""
+    n_lo, n_hi = op_norms(lo), op_norms(hi)
+    return (eigvalsh(herm(hi) - herm(lo))[..., 0], n_lo, n_hi,
+            np.maximum(np.maximum(n_lo, n_hi), 1.0))
+
+
 def moduli(a: np.ndarray) -> np.ndarray:
     """|m| = (m* m)^(1/2) of each matrix, from its singular value decomposition."""
     _, s, vh = np.linalg.svd(finite(a))
@@ -225,13 +234,12 @@ def matrix_abs(m) -> np.ndarray:
 def psd_order_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether a <= b in the positive semidefinite order, with a signed margin.
 
-    The margin is the smallest eigenvalue of b - a; the comparison
+    The margin and scale are :func:`psd_order_gaps`'; the comparison
     tolerates -tol_rel relative to max(||a||, ||b||, 1).
     """
     ha = require_hermitian(a, cfg)
     hb = require_hermitian(b, cfg)
     if ha.shape != hb.shape:
         raise DimMismatch(f"shape mismatch {ha.shape} vs {hb.shape}")
-    margin = float(eigvalsh(hb - ha)[0])
-    scale = max(op_norm(ha), op_norm(hb), 1.0)
-    return margin >= -cfg.tol_rel * scale, margin
+    margin, _, _, scale = psd_order_gaps(ha, hb)
+    return bool(margin >= -cfg.tol_rel * scale), float(margin)

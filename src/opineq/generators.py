@@ -8,8 +8,9 @@ is its group of one, as search's :meth:`InstanceDraw.materialize` is of
 exactly, so any reported margin can be replayed bit for bit.
 
 Evaluation is here too: :func:`evaluate_instance` runs one instance at
-one grid point, :func:`evaluate_group` a same-shape group at every grid
-point in one kernel call, with the same reports.
+one grid point, :func:`evaluate_group` a same-shape group at every given
+grid point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel
+call, with the same reports.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import checks
 from .checks import (  # CHECK_NAMES is re-exported
-    CHECK_NAMES, Batch, CheckSpec, InequalityReport, check_spec, grid_params,
-    require_hypotheses, require_in_ball, run_batch, validate_drop,
+    CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, check_spec, require_hypotheses,
+    require_in_ball, run_batch, validate_drop,
 )
 from .core import DEFAULT_TOL, ToleranceConfig, ct, herm, psd_powers
 from .errors import InvalidSpec, OpineqError
@@ -35,8 +36,6 @@ from .hmodule import (
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
 _SEED_MASK = (1 << 64) - 1
 
-DEFAULT_PQR = (2.0, 2.0, 2.0)
-DEFAULT_ALPHA = 1.0
 DEFAULT_CONTRACTION = 0.999
 
 # Matrix dimensions and tuple lengths the generators accept.
@@ -213,7 +212,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
         if ball is not None and (len(ball) != 4 or not all(map(math.isfinite, ball))):
             raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball}")
         params = dict(obj.get("params", {}))
-        for key in {"pqr": "pqr", "alpha": ("alpha",)}.get(spec.grid, ()):
+        for key in GRIDS[spec.grid].keys:
             value = params.get(key, 0.0)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
@@ -407,25 +406,14 @@ def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
 
-def _call(spec: CheckSpec, inst: CheckInstance, pqr=None, alpha=None) -> tuple[tuple, dict]:
-    """The check's grid arguments for the instance, with the grid parameters
-    overridden per call, and the digest its report records."""
-    params = dict(inst.params)
-    if pqr is not None:
-        params.update(grid_params("pqr", pqr))
-    if alpha is not None:
-        params.update(grid_params("alpha", alpha))
-    args = ()
-    if spec.grid == "pqr":
-        args = tuple(float(params.get(k, v)) for k, v in zip("pqr", DEFAULT_PQR))
-    elif spec.grid == "alpha":
-        args = (float(params.get("alpha", DEFAULT_ALPHA)),)
-    return args, replace(inst, params=params).digest()
-
-
-def grid_point(axis: str | None, value) -> dict:
-    """``value`` of the grid axis as the keyword of :func:`evaluate_instance`."""
-    return {} if axis is None else {axis: value}
+def _call(spec: CheckSpec, inst: CheckInstance, point=None) -> tuple[tuple, dict]:
+    """The check's grid point for the instance and the digest its report
+    records: the instance's params, ``point``'s numbers (if given) in their
+    place, and the axis default for a key neither gives."""
+    axis = GRIDS[spec.grid]
+    params = {**inst.params, **axis.params(point or ())}
+    return (tuple(float(params.get(k, v)) for k, v in zip(axis.keys, axis.default)),
+            replace(inst, params=params).digest())
 
 
 def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
@@ -433,10 +421,15 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
                       alpha: float | None = None) -> InequalityReport:
     """Run the instance's check, looked up on :mod:`opineq.checks` at call
     time, enforcing its hypotheses minus ``inst.drop``; grid parameters may
-    be overridden per call.  The check runs its kernel on a batch of this
-    one instance at this one point."""
+    be overridden per call, on the check's own axis only (InvalidSpec
+    otherwise).  The check runs its kernel on a batch of this one instance
+    at this one point."""
     spec = check_spec(inst.check)
-    point, digest = _call(spec, inst, pqr, alpha)
+    given = {"pqr": pqr, "alpha": None if alpha is None else (alpha,)}
+    for axis, point in given.items():
+        if point is not None and axis != spec.grid:
+            raise InvalidSpec(f"{spec.name} has no {axis} grid axis")
+    point, digest = _call(spec, inst, given.get(spec.grid))
     args = [inst.x, inst.y]
     args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
              for op in spec.operands]
@@ -448,21 +441,26 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
 
 
 def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
-                   values=(None,)) -> list[InequalityReport]:
+                   points=None) -> list[InequalityReport]:
     """Evaluate instances of one check with one dimension, length and drop
-    set at each value of the check's grid axis in one kernel call.  Report
-    ``k * len(values) + j`` is, bit for bit, what evaluate_instance gives
-    for instance k at value j.  Raises the first OpineqError any instance
-    raises, so a caller that needs per-instance errors evaluates the group
-    again one instance and value at a time."""
+    set at each of ``points`` in one kernel call; a check with a grid needs
+    them given (InvalidSpec otherwise), as its instances may record their
+    own.  Report ``k * len(points) + j`` is, bit for bit, what
+    evaluate_instance gives for instance k at point j.  Raises the first
+    OpineqError any instance raises, so a caller that needs per-instance
+    errors evaluates the group again one instance and point at a time."""
     spec = check_spec(insts[0].check)
-    calls = [_call(spec, inst, **grid_point(spec.grid, v)) for inst in insts for v in values]
+    if points is None:
+        if spec.grid is not None:
+            raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
+        points = ((),)
+    calls = [_call(spec, inst, point) for inst in insts for point in points]
     batch = Batch(
         tuple(inst.x for inst in insts), tuple(inst.y for inst in insts),
         a=np.array([inst.a for inst in insts], dtype=complex) if "a" in spec.operands else None,
         es=tuple(inst.e for inst in insts) if "e" in spec.operands else None,
         balls=tuple(inst.ball for inst in insts) if "ball" in spec.operands else None,
-        points=tuple(args for args, _ in calls[:len(values)]),
+        points=tuple(args for args, _ in calls[:len(points)]),
         digests=tuple(digest for _, digest in calls))
     if batch.es is not None:
         require_units(batch.e, tol)

@@ -2,9 +2,10 @@
 
 The runner draws per-trial seeds from a master seed, builds each group
 of trials in one call, evaluates each group of same-shape instances at
-every requested grid point in one kernel call, and writes one JSON
-object per report line, in trial order.  Instances and reports are bit
-for bit what each trial gives alone, so grouping never shows.
+each point :meth:`RunConfig.points` gives for the check's grid axis in
+one kernel call, and writes one JSON object per report line, in trial
+order.  Instances and reports are bit for bit what each trial gives
+alone, so grouping never shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
 (null margins), not as failures; a run fails only when a
 hypothesis-satisfying instance yields a negative margin beyond
@@ -20,16 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import (
-    CHECK_SPECS, InequalityReport, check_spec, grid_params, validate_drop, validate_pqr,
-)
+from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_drop
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
     CheckInstance, InstanceDraw, build_group, build_instance, check_shape, evaluate_group,
-    evaluate_instance, grid_point, trial_seed, _SEED_MASK,
+    evaluate_instance, trial_seed, _SEED_MASK,
 )
-from .transformer import validate_alpha
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
                          (4 / 3, 4 / 3, 4 / 3))
@@ -62,11 +60,15 @@ class RunConfig:
             raise InvalidSpec("at least one check is required")
         for name in self.checks:
             check_spec(name)
-        for pqr in self.exponent_grid:
-            validate_pqr(*pqr)
-        for alpha in self.alpha_grid:
-            validate_alpha(alpha)
+        for axis, row in GRIDS.items():
+            for point in self.points(axis):
+                row.validate(*point)
         check_shape(self.dim, self.length)
+
+    def points(self, axis: str | None) -> tuple[tuple, ...]:
+        """The grid points the run evaluates a check of this axis at."""
+        return {None: ((),), "pqr": self.exponent_grid,
+                "alpha": tuple((alpha,) for alpha in self.alpha_grid)}[axis]
 
 
 @dataclass
@@ -126,22 +128,22 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     try:
         for check in cfg.checks:
             spec = check_spec(check)
-            values = {"pqr": cfg.exponent_grid, "alpha": cfg.alpha_grid}.get(spec.grid, (None,))
+            points = cfg.points(spec.grid)
             for start in range(0, cfg.trials, GROUP_TRIALS):
                 seeds = [trial_seed(cfg.seed, check, index)
                          for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
                 built = _build(cfg, check, seeds)
                 insts = [inst for inst in built if isinstance(inst, CheckInstance)]
-                rows = iter(_evaluate(insts, cfg.tolerances, spec.grid, values))
+                rows = iter(_evaluate(insts, cfg.tolerances, points))
                 for seed, inst in zip(seeds, built):
                     if not isinstance(inst, CheckInstance):
                         summary.record(check, "error", None)
                         _emit(writer, _error_line(check, None, seed, inst))
                         continue
-                    for value, rep in zip(values, next(rows)):
+                    for point, rep in zip(points, next(rows)):
                         if isinstance(rep, OpineqError):
                             summary.record(check, "error", None)
-                            extra = grid_params(spec.grid, value)
+                            extra = GRIDS[spec.grid].params(point)
                             _emit(writer, _error_line(check, inst, seed, rep, extra))
                             continue
                         summary.record(check, "pass" if rep.holds else "fail",
@@ -163,11 +165,10 @@ def _build(cfg: RunConfig, check: str, seeds: list[int]) -> list:
         return [_attempt(build_instance, check, seed, **options) for seed in seeds]
 
 
-def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, axis: str | None,
-              values) -> list[list]:
-    """Per instance, its report or error at each grid value.  Instances of
+def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, points) -> list[list]:
+    """Per instance, its report or error at each grid point.  Instances of
     one dimension, length and drop set are evaluated as one group; a group
-    that raises is evaluated again one (instance, value) at a time, so
+    that raises is evaluated again one (instance, point) at a time, so
     every line is what that instance gives alone."""
     groups: dict[tuple, list[int]] = {}
     for k, inst in enumerate(insts):
@@ -176,13 +177,17 @@ def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, axis: str | None
     for members in groups.values():
         group = [insts[k] for k in members]
         try:
-            reports = evaluate_group(group, tol, values)
+            reports = evaluate_group(group, tol, points)
         except OpineqError:
-            reports = [_attempt(evaluate_instance, inst, tol, **grid_point(axis, value))
-                       for inst in group for value in values]
+            reports = [_attempt(_evaluate_one, inst, tol, point)
+                       for inst in group for point in points]
         for i, k in enumerate(members):
-            out[k] = reports[i * len(values):(i + 1) * len(values)]
+            out[k] = reports[i * len(points):(i + 1) * len(points)]
     return out
+
+
+def _evaluate_one(inst: CheckInstance, tol: ToleranceConfig, point: tuple) -> InequalityReport:
+    return evaluate_group([inst], tol, (point,))[0]
 
 
 def _attempt(fn, *args, **kwargs):

@@ -111,6 +111,12 @@ class Stack:
         scale = np.array([max(1.0, nx**2, nx**3) for nx in self.norms.tolist()])
         return defect, scale
 
+    def is_normal(self, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Per element, whether its normality defect is within tol_rel at its
+        scale, and the defect; see :func:`is_normal`."""
+        defect, scale = self.normality
+        return defect <= cfg.tol_rel * scale, defect
+
 
 @dataclass(frozen=True, eq=False)
 class ModuleElement:
@@ -239,8 +245,8 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
     ||<x,x> - <xbar,xbar>||; it is compared against tol_rel at the scale
     of ||x||^3 (the natural size of the commutator term).
     """
-    defect, scale = (float(v[0]) for v in x.stack.normality)
-    return bool(defect <= cfg.tol_rel * scale), defect
+    ok, defect = x.stack.is_normal(cfg)
+    return bool(ok[0]), float(defect[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,14 +102,14 @@ def ky_fan_profile(m) -> np.ndarray:
     return ky_fan_profiles(singular_values(m))
 
 
-def fan_gaps(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Ky Fan profiles of a and b, their gaps ||b||_(k) - ||a||_(k) for
-    k = 1..d, and the comparison scale max(||a||_1, ||b||_1, 1)."""
-    pa = ky_fan_profile(a)
-    pb = ky_fan_profile(b)
-    if pa.shape != pb.shape:
-        raise DimMismatch(f"dimension mismatch {pa.shape[0]} vs {pb.shape[0]}")
-    return pa, pb, pb - pa, max(float(pa[-1]), float(pb[-1]), 1.0)
+def fan_gaps(s_lo: np.ndarray, s_hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ky Fan dominance lo <= hi for each pair of rows of descending singular
+    values (..., d): the profiles of lo and hi, their gaps ||hi||_(k) -
+    ||lo||_(k) for k = 1..d, and the scale max(||lo||_1, ||hi||_1, 1)."""
+    p_lo, p_hi = ky_fan_profiles(s_lo), ky_fan_profiles(s_hi)
+    if p_lo.shape != p_hi.shape:
+        raise DimMismatch(f"dimension mismatch {p_lo.shape[-1]} vs {p_hi.shape[-1]}")
+    return p_lo, p_hi, p_hi - p_lo, np.maximum(np.maximum(p_lo[..., -1], p_hi[..., -1]), 1.0)
 
 
 def fan_dominance_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, int, float]:
@@ -120,7 +120,7 @@ def fan_dominance_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, i
     norm; each margin tolerates -tol_rel relative to the larger trace
     norm involved.
     """
-    _, _, margins, scale = fan_gaps(a, b)
+    _, _, margins, scale = fan_gaps(singular_values(a), singular_values(b))
     worst = int(np.argmin(margins))
     holds = bool(np.all(margins >= -cfg.tol_rel * scale))
     return holds, worst + 1, float(margins[worst])

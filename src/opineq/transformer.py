@@ -6,13 +6,10 @@ Neumann inversion of I - T, (I - T)^alpha, and the defect operator built
 from the resolvent-summed Gram matrix.
 
 (I - T)^alpha a has two independent implementations.
-:func:`fractional_power_exact` is the fast path: for non-integer alpha
-and a vectorized T that is normal to tolerance it applies (1 - w)^alpha
-in the eigenbasis of T; integer alpha takes the terminating binomial
-series, and a non-normal T, a vectorization beyond the cap or an
-ill-conditioned eigenbasis fall back to the series.
-:func:`fractional_power_apply` sums that binomial series up to a proven
-tail bound and is kept as the oracle the fast path is tested against.
+:func:`fractional_powers` is the fast path, over a stack of operators:
+the eigen form where it applies, else the binomial series.
+:func:`fractional_power_apply` sums that series up to a proven tail
+bound and is kept as the oracle the fast path is tested against.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
@@ -20,9 +17,9 @@ dense eigenvalues of T_{z,z} are computed only otherwise.  Each element
 keeps its defect operators, one per tolerance.
 
 Application, vectorization, spectral radii, the probe bound, the eigen
-form of (I - T)^alpha and the defect operators each have one stacked
-form over many operators at once, which the check kernels call; the
-per-operator functions are its case of one.
+(I - T)^alpha and the defect operators each have one stacked form over
+many operators at once, which the check kernels call; the per-operator
+functions are its case of one.
 """
 
 from __future__ import annotations
@@ -33,13 +30,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, ct, herm, psd_powers
-from .errors import (
-    CtxMismatch, DimCap, DimMismatch, InvalidSpec, MaxTermsExceeded, NotContractive,
+from .core import DEFAULT_TOL, ToleranceConfig, ct, herm, psd_powers
+from .errors import CtxMismatch, DimCap, InvalidSpec, MaxTermsExceeded, NotContractive
+from .hmodule import (
+    ModuleContext, ModuleElement, Stack, acting, inner, left_act, module_norm, weighted_products,
 )
-from .hmodule import ModuleElement, Stack, inner, left_act, module_norm, weighted_products
 
+# largest vectorized size d^2 that vectorize builds
 DIM_CAP = 1024
+# Gaussian probes of the induced-norm lower bound, besides the identity
+PROBE_SAMPLES = 32
 
 # fixed seed: the probe set for the induced-norm lower bound must be reproducible
 _PROBE_SEED = 0x0FAB
@@ -83,20 +83,18 @@ def unvec(v, d: int) -> np.ndarray:
     return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
-def _operand(t: ElementaryOperator, a) -> np.ndarray:
-    """a as a square matrix of T's dimension."""
-    m = as_matrix(a)
-    if m.shape[0] != t.dim:
-        raise DimMismatch(f"matrix of shape {m.shape} for a dim-{t.dim} operator")
-    return m
+def _series_gammas(x: Stack, y: Stack, series: str) -> np.ndarray:
+    """gamma = ||x|| ||y|| per operator of the stacks, which must be below one
+    for the series to converge."""
+    gammas = x.norms * y.norms
+    bad = gammas >= 1.0
+    if bad.any():
+        raise NotContractive(f"{series} series requires ||x|| ||y|| < 1, got {gammas[bad][0]:.6f}")
+    return gammas
 
 
 def _series_gamma(t: ElementaryOperator, series: str) -> float:
-    """gamma = ||x|| ||y||, which must be below one for the series to converge."""
-    gamma = module_norm(t.x) * module_norm(t.y)
-    if gamma >= 1.0:
-        raise NotContractive(f"{series} series requires ||x|| ||y|| < 1, got {gamma:.6f}")
-    return gamma
+    return float(_series_gammas(t.x.stack, t.y.stack, series)[0])
 
 
 def applied(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -107,14 +105,14 @@ def applied(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.
 def apply(t: ElementaryOperator, a) -> np.ndarray:
     """T(a) = <x, a y> = sum_t w_t x_t* a y_t."""
     x, y = t.x.stack, t.y.stack
-    return applied(x.weights[0], x.parts[0], y.parts[0], _operand(t, a))
+    return applied(x.weights[0], x.parts[0], y.parts[0], acting(t.x, a))
 
 
 def power_apply(t: ElementaryOperator, a, k: int) -> np.ndarray:
     """T^k(a) by k-fold application; equals the grade-k tensor inner product."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    out = _operand(t, a)
+    out = acting(t.x, a)
     for _ in range(k):
         out = inner(t.x, left_act(out, t.y))
     return out
@@ -130,11 +128,11 @@ def vectorized(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return rep.reshape(rep.shape[:-4] + (d * d, d * d))
 
 
-def vectorize(t: ElementaryOperator, cap: int = DIM_CAP) -> VectorizedOperator:
+def vectorize(t: ElementaryOperator) -> VectorizedOperator:
     """Kronecker representation: rep @ vec(a) == vec(T(a))."""
     d = t.dim
-    if d * d > cap:
-        raise DimCap(f"vectorized size {d * d} exceeds cap {cap}")
+    if d * d > DIM_CAP:
+        raise DimCap(f"vectorized size {d * d} exceeds cap {DIM_CAP}")
     x, y = t.x.stack, t.y.stack
     return VectorizedOperator(d, vectorized(x.weights[0], x.parts[0], y.parts[0]))
 
@@ -144,8 +142,8 @@ def spectral_radii(rep: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvals(rep)).max(axis=-1)
 
 
-def spectral_radius(t: ElementaryOperator, cap: int = DIM_CAP) -> float:
-    return float(spectral_radii(vectorize(t, cap).rep))
+def spectral_radius(t: ElementaryOperator) -> float:
+    return float(spectral_radii(vectorize(t).rep))
 
 
 class OperatorNormBounds(NamedTuple):
@@ -153,31 +151,31 @@ class OperatorNormBounds(NamedTuple):
     upper: float
 
 
-def probe_lower_bounds(rep: np.ndarray, samples: int = 32) -> np.ndarray:
-    """max ||T(a)|| / ||a|| over the identity and ``samples`` seeded Gaussian
-    probes, for each vectorized operator in a stack."""
+def probe_lower_bounds(rep: np.ndarray) -> np.ndarray:
+    """max ||T(a)|| / ||a|| over the identity and PROBE_SAMPLES seeded
+    Gaussian probes, for each vectorized operator in a stack."""
     d = math.isqrt(rep.shape[-1])
     rng = np.random.default_rng(_PROBE_SEED)
-    gauss = rng.standard_normal((samples, 2, d, d))
+    gauss = rng.standard_normal((PROBE_SAMPLES, 2, d, d))
     probes = np.concatenate([np.eye(d, dtype=complex)[None],
                              (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)])
     # row k of probes_vec is vec(probe_k); the images come back transposed,
     # which leaves their operator norms unchanged
-    probes_vec = probes.transpose(0, 2, 1).reshape(samples + 1, d * d)
-    images = (probes_vec @ rep.swapaxes(-1, -2)).reshape(rep.shape[:-2] + (samples + 1, d, d))
+    probes_vec = probes.transpose(0, 2, 1).reshape(PROBE_SAMPLES + 1, d * d)
+    images = (probes_vec @ rep.swapaxes(-1, -2)).reshape(rep.shape[:-2] + (PROBE_SAMPLES + 1, d, d))
     ratios = (np.linalg.norm(images, ord=2, axis=(-2, -1))
               / np.linalg.norm(probes, ord=2, axis=(1, 2)))
     return ratios.max(axis=-1)
 
 
-def operator_norm_T(t: ElementaryOperator, samples: int = 32, cap: int = DIM_CAP) -> OperatorNormBounds:
+def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:
     """Bracket the induced operator norm of T.
 
     The lower bound maximizes ||T(a)|| / ||a|| over the identity plus a
     deterministic set of Gaussian probes; the upper bound is the product
     bound ||x|| ||y||.
     """
-    lower = probe_lower_bounds(vectorize(t, cap).rep, samples)
+    lower = probe_lower_bounds(vectorize(t).rep)
     return OperatorNormBounds(float(lower), module_norm(t.x) * module_norm(t.y))
 
 
@@ -198,7 +196,7 @@ def neumann_inverse(t: ElementaryOperator, a, cfg: ToleranceConfig = DEFAULT_TOL
     smallest making gamma^(N+1) / (1 - gamma) <= series_tail, so the
     result is within 2 * series_tail * ||a|| of the exact sum.
     """
-    m = _operand(t, a)
+    m = acting(t.x, a)
     gamma = _series_gamma(t, "Neumann")
     if gamma == 0.0:
         return m.copy(), 1
@@ -224,7 +222,7 @@ def fractional_power_apply(t: ElementaryOperator, alpha: float, a, cfg: Toleranc
     (valid in the monotone regime N + 1 > alpha).
     """
     validate_alpha(alpha)
-    m = _operand(t, a)
+    m = acting(t.x, a)
     gamma = _series_gamma(t, "binomial")
     step = _iterate_fn(t)
     acc = m.astype(complex).copy()
@@ -249,21 +247,12 @@ def fractional_power_apply(t: ElementaryOperator, alpha: float, a, cfg: Toleranc
     return acc
 
 
-class EigenForms(NamedTuple):
-    """Per operator of a stack: eigenvalues ``w`` and eigenvectors ``v`` of the
-    vectorized T, ``sol`` = V^(-1) vec(a), and ``ok``: whether the eigen form
-    applies (T normal to tol_rel, cond(V) eps <= series_tail).  Rows that
-    are not ``ok`` hold zeros."""
-
-    w: np.ndarray
-    v: np.ndarray
-    sol: np.ndarray
-    ok: np.ndarray
-
-
-def eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> EigenForms:
+def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
     """The alpha-independent part of (I - T)^alpha a for a stack of
-    vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d)."""
+    vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d),
+    per operator: eigenvalues w and eigenvectors V of T, V^(-1) vec(a), and
+    whether the eigen form applies (T normal to tol_rel, cond(V) eps <=
+    series_tail).  Rows where it does not hold zeros."""
     b, k = rep.shape[0], rep.shape[-1]
     rep_h = ct(rep)
     comm = rep @ rep_h - rep_h @ rep
@@ -278,14 +267,7 @@ def eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig = DEFAULT_T
     sol = np.zeros((b, k), dtype=complex)
     if ok.any():
         sol[ok] = np.linalg.solve(v[ok], vec(a[ok])[..., None])[..., 0]
-    return EigenForms(w, v, sol, ok)
-
-
-def eigen_power(forms: EigenForms, alpha: float) -> np.ndarray:
-    """(I - T)^alpha a = V (1 - w)^alpha V^(-1) vec(a) for each operator."""
-    d = math.isqrt(forms.w.shape[-1])
-    coeffs = (1.0 - forms.w) ** alpha * forms.sol
-    return unvec((forms.v @ coeffs[..., None])[..., 0], d)
+    return w, v, sol, ok
 
 
 def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float, gammas: np.ndarray,
@@ -305,32 +287,45 @@ def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float, gammas: np.
     return acc
 
 
+def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
+                      cfg: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+    """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
+    (B, d, d), one stack per (valid) alpha; requires ||x|| ||y|| < 1.
+
+    Integer alpha takes :func:`terminating_powers`.  Otherwise, where the
+    vectorized R is normal to tol_rel, R = V diag(w) V^(-1) with |w| < 1
+    and V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series
+    sums; a non-normal R, or a V whose condition number would cost more
+    than series_tail, gets fractional_power_apply's output.
+    """
+    gammas = _series_gammas(x, y, "binomial")
+    rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
+    for alpha in alphas:
+        if float(alpha).is_integer():
+            out.append(terminating_powers(rep, a, alpha, gammas, cfg))
+            continue
+        if forms is None:
+            forms = _eigen_forms(rep, a, cfg)
+        w, v, sol, ok = forms
+        hi = unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1])
+        for i in np.flatnonzero(~ok):
+            ctx = ModuleContext(x.parts.shape[-1], x.weights[i])
+            pair = ModuleElement.rows([ctx] * 2, np.stack([x.parts[i], y.parts[i]]))
+            hi[i] = fractional_power_apply(ElementaryOperator(*pair), alpha, a[i], cfg)
+        out.append(hi)
+    return out
+
+
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
                            cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(I - T)^alpha a by the eigendecomposition of the vectorized T.
-
-    When the d^2 x d^2 matrix R of T is normal to tol_rel, R = V diag(w)
-    V^(-1) with |w| <= gamma < 1, and (1 - w)^alpha on the principal
-    branch is exactly what the binomial series sums.  Integer alpha, a
-    non-normal R, an R beyond the vectorization cap, or a V whose
-    condition number would cost more than series_tail in accuracy all go
-    to :func:`fractional_power_apply`, whose output is then returned
-    unchanged.  The eigen form is :func:`eigen_forms` and
-    :func:`eigen_power` on a stack of one.
-    """
+    """(I - T)^alpha a: :func:`fractional_powers` on a stack of one, except
+    that an operator beyond the vectorization cap goes to
+    :func:`fractional_power_apply`."""
     validate_alpha(alpha)
-    m = _operand(t, a)
-    _series_gamma(t, "binomial")
-    if float(alpha).is_integer():
+    m = acting(t.x, a)
+    if t.dim * t.dim > DIM_CAP:
         return fractional_power_apply(t, alpha, m, cfg)
-    try:
-        rep = vectorize(t).rep
-    except DimCap:
-        return fractional_power_apply(t, alpha, m, cfg)
-    forms = eigen_forms(rep[None], m[None], cfg)
-    if not forms.ok[0]:
-        return fractional_power_apply(t, alpha, m, cfg)
-    return eigen_power(forms, alpha)[0]
+    return fractional_powers(t.x.stack, t.y.stack, m[None], (alpha,), cfg)[0][0]
 
 
 def defect_operators(zs: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

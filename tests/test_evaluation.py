@@ -42,6 +42,15 @@ def test_rejected_instance_gives_one_error_line_per_grid_point():
         assert line["params"]["error"].startswith("NotNormal: ")
 
 
+def test_a_grid_override_on_an_axis_the_check_lacks_is_rejected():
+    cases = (("check_alpha", {"pqr": (1.0, 1.0, 1.0)}), ("check_interp", {"alpha": 0.5}),
+             ("check_cs", {"alpha": 0.5}), ("check_alpha", {"pqr": (2.0, 2.0, 2.0), "alpha": 1.0}))
+    for name, override in cases:
+        axis = "pqr" if "pqr" in override else "alpha"
+        with pytest.raises(InvalidSpec, match=f"no {axis} grid axis"):
+            evaluate_instance(build_instance(name, 1), **override)
+
+
 def test_build_instance_checks_the_shape_for_every_recipe():
     for name in CHECK_NAMES:
         for dim, length in ((9, 2), (2, 7), (0, 2)):

@@ -93,7 +93,7 @@ def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, leng
     def series(rep, a, alpha, gammas, tol):
         return fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, a[0], tol)[None]
 
-    monkeypatch.setattr(checks, "terminating_powers", series)
+    monkeypatch.setattr(transformer, "terminating_powers", series)
     reference = io.StringIO()
     run_suite(cfg, reference)
     assert calls and kernel.getvalue() == reference.getvalue()

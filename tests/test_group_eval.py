@@ -10,7 +10,10 @@ import pytest
 
 from opineq import harness
 from opineq.cli import cli_main
-from opineq.generators import CHECK_NAMES, build_instance, evaluate_instance, trial_seed
+from opineq.errors import InvalidSpec
+from opineq.generators import (
+    CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
+)
 from opineq.harness import (
     DEFAULT_ALPHA_GRID, DEFAULT_EXPONENT_GRID, RunConfig, run_suite,
 )
@@ -46,6 +49,18 @@ def test_every_check_has_one_kernel():
 def test_grouped_lines_equal_each_instance_alone(check, shape):
     cfg = RunConfig(trials=6, checks=(check,), seed=17, dim=shape[0], length=shape[1])
     assert _lines(cfg) == _alone(check, cfg)
+
+
+def test_a_grid_check_group_is_evaluated_at_given_points():
+    insts = [build_instance("check_interp", seed, dim=2, length=2) for seed in (1, 2)]
+    insts[1] = dataclasses.replace(insts[1], params={"p": 3.0, "q": 2.0, "r": 6.0})
+    with pytest.raises(InvalidSpec, match="given pqr points"):
+        evaluate_group(insts)
+    points = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0))
+    grouped = [rep.to_json_dict() for rep in evaluate_group(insts, points=points)]
+    assert grouped == [evaluate_instance(inst, pqr=point).to_json_dict()
+                       for inst in insts for point in points]
+    assert evaluate_instance(insts[1]).to_json_dict() == grouped[3]
 
 
 def test_an_error_stays_with_its_trial(monkeypatch):

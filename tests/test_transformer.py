@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from opineq import transformer
 from opineq.core import ToleranceConfig, op_norm, psd_power
 from opineq.errors import (
     CtxMismatch,
@@ -131,7 +132,7 @@ def test_power_apply_scalar_and_decay():
         assert op_norm(power_apply(t, a3 := _cg(3), k)) <= gamma ** k * op_norm(a3) * (1 + 1e-10)
 
 
-def test_vectorize_matches_apply():
+def test_vectorize_matches_apply(monkeypatch):
     t = ElementaryOperator(element([np.eye(2)]), element([np.eye(2)]))
     assert np.allclose(vectorize(t).rep, np.eye(4))
     # one-dimensional case: the representation is the 1x1 w * conj(x) * y
@@ -144,8 +145,9 @@ def test_vectorize_matches_apply():
         v = vectorize(t)
         a = _cg(3)
         assert np.allclose(unvec(v.rep @ vec(a), 3), apply(t, a), atol=1e-10)
+    monkeypatch.setattr(transformer, "DIM_CAP", 3)
     with pytest.raises(DimCap):
-        vectorize(_pair(2, 1), cap=3)
+        vectorize(_pair(2, 1))
 
 
 def test_spectral_radius():
