@@ -42,7 +42,7 @@ from .errors import (
     UnknownCheck,
 )
 from .hmodule import (
-    GrussContext, ModuleElement, Stack, _same_ctx, acting, covariances, weighted_products,
+    GrussContext, ModuleElement, Stack, _same_ctx, acting, covariances, weighted_products, within,
 )
 from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
@@ -134,19 +134,14 @@ def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = 
     if e is None:
         return
     d = e.parts.shape[-1]
-    scale = np.maximum(1.0, np.maximum(x.norms * x.norms, y.norms * y.norms))
-    worst = np.zeros(len(scale))
     i, j = np.triu_indices(x.parts.shape[-3], 1)
-    for z in (x, y):
-        if len(i):
-            pi, pj = z.parts[:, i], z.parts[:, j]
-            worst = np.maximum(worst, op_norms(pi @ pj - pj @ pi).max(axis=-1))
+    commutators = [z.parts[:, i] @ z.parts[:, j] - z.parts[:, j] @ z.parts[:, i] for z in (x, y)]
     centred = e.parts - (np.trace(e.parts, axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
-    worst = np.maximum(worst, op_norms(centred).max(axis=-1))
-    bad = worst > tol.tol_rel * scale
-    if bad.any():
+    ok, worst = within(np.concatenate([*commutators, centred], axis=1), tol.tol_rel, lambda r: (
+        np.maximum(1.0, np.maximum(x.norms[r] * x.norms[r], y.norms[r] * y.norms[r]))))
+    if not ok.all():
         raise NotNormal(f"instance leaves the scalar-reference commuting family "
-                        f"by {worst[bad][0]:.3e}")
+                        f"by {worst[~ok][0]:.3e}")
 
 
 def _require_contractive(x: Stack, y: Stack, tol: ToleranceConfig,
@@ -216,7 +211,10 @@ class GridAxis:
     validate: Callable[..., None]
 
     def params(self, point) -> dict:
-        """Report parameters of one point."""
+        """Report parameters of one point; InvalidSpec unless one number per key."""
+        if len(point) != len(self.keys):
+            raise InvalidSpec(f"grid point {tuple(point)} needs one number per key "
+                              f"of ({', '.join(self.keys)})")
         return dict(zip(self.keys, point))
 
 

@@ -74,6 +74,13 @@ def finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def complex_normals(g: np.ndarray, axis: int) -> np.ndarray:
+    """Standard complex Gaussians (re + i im) / sqrt(2) from standard normal
+    draws whose real and imaginary parts lie along ``axis``."""
+    re, im = np.moveaxis(g, axis, 0)
+    return (re + 1j * im) / np.sqrt(2)
+
+
 def ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)

@@ -10,7 +10,7 @@ exactly, so any reported margin can be replayed bit for bit.
 Evaluation is here too: :func:`evaluate_instance` runs one instance at
 one grid point, :func:`evaluate_group` a same-shape group at every given
 grid point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel
-call, with the same reports.
+call, with the same reports (:func:`evaluate_each`: each one's own).
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from .checks import (  # CHECK_NAMES is re-exported
     CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, check_spec, require_hypotheses,
     require_in_ball, run_batch, validate_drop,
 )
-from .core import DEFAULT_TOL, ToleranceConfig, ct, herm, psd_powers
+from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
     GrussContext, ModuleContext, ModuleElement, Stack, element_from_json, element_to_json,
-    matrix_from_json, matrix_to_json, require_unit, require_units,
+    matrix_from_json, matrix_to_json, require_units,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -79,11 +79,14 @@ class GeneratorSpec:
         _check_options(self.dim, self.length, self.weights_mode, self.contraction)
 
 
+def _gaussians(rng: np.random.Generator, shape, count: int = 1) -> np.ndarray:
+    """Raw draws (count, 2, *shape) of ``count`` complex Gaussian arrays, each
+    real part then imaginary part, for ``complex_normals`` to combine."""
+    return rng.standard_normal((count, 2, *shape))
+
+
 def _cgauss(rng: np.random.Generator, shape, count: int = 1) -> np.ndarray:
-    """``count`` standard complex Gaussian arrays of the given shape, stacked;
-    each is drawn as its real part, then its imaginary part."""
-    g = rng.standard_normal((count, 2, *shape))
-    return (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+    return complex_normals(_gaussians(rng, shape, count), 1)
 
 
 def _haars(g: np.ndarray) -> np.ndarray:
@@ -107,10 +110,10 @@ def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, .
 
 
 def _draw_side(rng: np.random.Generator, d: int, n: int, weights_mode: str, normal: bool):
-    """Weights, a Haar frame's Gaussian (if ``normal``, else None), then the n
-    parts' free parameters: diagonals in the frame, else matrices."""
-    return (_draw_weights(rng, n, weights_mode), _cgauss(rng, (d, d))[0] if normal else None,
-            _cgauss(rng, (d,) if normal else (d, d), n))
+    """Weights, a Haar frame's raw Gaussian (if ``normal``, else None), then
+    the n parts' raw free parameters: diagonals in the frame, else matrices."""
+    return (_draw_weights(rng, n, weights_mode), _gaussians(rng, (d, d)) if normal else None,
+            _gaussians(rng, (d,) if normal else (d, d), n))
 
 
 def _framed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -133,7 +136,8 @@ def gen_element(spec: GeneratorSpec) -> ModuleElement:
         return ModuleElement.rows([ctx], _scalar_unit_parts([ctx], _cgauss(rng, (spec.length,))))[0]
     weights, g, p = _draw_side(rng, spec.dim, spec.length, spec.weights_mode,
                                spec.kind == "normal_commuting")
-    parts = p[None] if g is None else _framed(_haars(g[None]), p[None])
+    p = complex_normals(p, 1)[None]
+    parts = p if g is None else _framed(_haars(complex_normals(g, 1)), p)
     target = spec.contraction if spec.kind == "contractive" else None
     return ModuleElement.rows([ModuleContext(spec.dim, weights)], parts, target)[0]
 
@@ -234,28 +238,29 @@ def instance_from_json(obj: dict) -> CheckInstance:
 
 
 def _draw_gruss(rng: np.random.Generator, d: int, n: int, weights_mode: str, scalar: bool):
-    """The gruss draws in stream order: weights; e's scalars (from a sub-stream)
-    if ``scalar``, else its n matrices; the Gaussian of x and y's one frame if
-    ``scalar``; the balls (m, M, p, P); per ball point, its parts and shrink."""
+    """The gruss draws in stream order, raw: weights; e's scalars (from a sub-
+    stream) if ``scalar``, else its n matrices; the Gaussian of x and y's one
+    frame if ``scalar``; the balls (m, M, p, P); per ball point, parts, shrink."""
     weights = _draw_weights(rng, n, weights_mode)
-    e = _cgauss(_sub_rng(rng), (n,))[0] if scalar else _cgauss(rng, (d, d), n)
-    frame = _cgauss(rng, (d, d))[0] if scalar else None
+    e = _gaussians(_sub_rng(rng), (n,)) if scalar else _gaussians(rng, (d, d), n)
+    frame = _gaussians(rng, (d, d)) if scalar else None
     ball = tuple(float(v) for _ in range(2) for v in sorted(rng.normal(0.0, 1.0, 2)))
-    points = [(_cgauss(rng, (d,) if scalar else (d, d), n), rng.uniform(0.0, 0.95))
+    points = [(_gaussians(rng, (d,) if scalar else (d, d), n), rng.uniform(0.0, 0.95))
               for _ in range(2)]
     return weights, e, frame, ball, points
 
 
-def _gruss_group(spec: CheckSpec, d: int, trials, scalar: bool, drop) -> list[CheckInstance]:
+def _gruss_group(spec: CheckSpec, d: int, seeds, a, draws, scalar: bool,
+                 drop) -> list[CheckInstance]:
     """Per trial, a unit reference e (scalar, else a right-normalized draw) and
     x, y strictly inside the balls [lo e, hi e] (in one frame if ``scalar``)."""
-    weights, e, frames, balls, points = zip(*(draw for _, _, draw in trials))
+    weights, e, frames, balls, points = zip(*draws)
     ctxs = [ModuleContext(d, w) for w in weights]
-    w, e = np.array([ctx.weights for ctx in ctxs]), np.array(e)
-    e = (_scalar_unit_parts(ctxs, e) if scalar
+    w, e = np.array([ctx.weights for ctx in ctxs]), complex_normals(np.array(e), 2)
+    e = (_scalar_unit_parts(ctxs, e[:, 0]) if scalar
          else e @ psd_powers(herm(Stack(w, e).gram), -0.5)[:, None])
-    u = np.array([[free for free, _ in pts] for pts in points])
-    u = _framed(_haars(np.array(frames))[:, None], u) if scalar else u
+    u = complex_normals(np.array([[free for free, _ in pts] for pts in points]), 3)
+    u = _framed(_haars(complex_normals(np.array(frames), 2)), u) if scalar else u
     nus = Stack(np.repeat(w, 2, axis=0), u.reshape(-1, *u.shape[2:])).norms.reshape(-1, 2)
     if (nus == 0).any():
         raise InvalidSpec("degenerate zero draw inside ball sampling")
@@ -265,8 +270,8 @@ def _gruss_group(spec: CheckSpec, d: int, trials, scalar: bool, drop) -> list[Ch
     xy = centers + (shrink * (hi - lo) / 2 / nus)[..., None, None, None] * u
     xy = ModuleElement.rows([c for c in ctxs for _ in range(2)], xy.reshape(-1, *u.shape[2:]))
     return [CheckInstance(check=spec.name, seed=seed, kind=spec.kind, x=xy[2 * k],
-                          y=xy[2 * k + 1], a=a, e=ek, ball=balls[k], drop=drop)
-            for k, ((seed, a, _), ek) in enumerate(zip(trials, ModuleElement.rows(ctxs, e)))]
+                          y=xy[2 * k + 1], a=ak, e=ek, ball=balls[k], drop=drop)
+            for k, (seed, ak, ek) in enumerate(zip(seeds, a, ModuleElement.rows(ctxs, e)))]
 
 
 def _recipe(spec: CheckSpec, drop, contraction: float = DEFAULT_CONTRACTION):
@@ -348,32 +353,38 @@ def build_group(check: str, seeds, *, dim: int | None = None, length: int | None
     built = {}
     for (d, _), members in groups.items():
         ks, trials = zip(*members)
-        built.update(zip(ks, _gruss_group(spec, d, trials, normal, drop) if spec.recipe == "gruss"
-                         else _pair_group(spec, trials, normal, target, drop)))
+        group_seeds, a, draws = zip(*trials)
+        a = complex_normals(np.array(a), 1) if "a" in spec.operands else a
+        built.update(zip(ks, _gruss_group(spec, d, group_seeds, a, draws, normal, drop)
+                         if spec.recipe == "gruss"
+                         else _pair_group(spec, group_seeds, a, draws, normal, target, drop)))
     return [built[k] for k in range(len(seeds))]
 
 
 def _draw(spec: CheckSpec, seed: int, dim: int | None, length: int | None,
           weights_mode: str, normal: bool):
     """((d, n), (seed, a, the recipe's draws)) of one trial from its stream:
-    d and n unless given, a, then the gruss draws or x's and y's sides."""
+    d and n unless given, a (raw), then the gruss draws or x's and y's sides."""
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     d = int(dim) if dim is not None else int(rng.integers(1, 7))
     n = int(length) if length is not None else int(rng.integers(1, 5))
-    a = _cgauss(rng, (d, d))[0] if "a" in spec.operands else None
+    a = _gaussians(rng, (d, d))[0] if "a" in spec.operands else None
     draw = (_draw_gruss(rng, d, n, weights_mode, normal) if spec.recipe == "gruss" else
             [_draw_side(_sub_rng(rng), d, n, weights_mode, normal) for _ in range(2)])
     return (d, n), (int(seed), a, draw)
 
 
-def _pair_group(spec: CheckSpec, trials, normal: bool, target, drop) -> list[CheckInstance]:
+def _pair_group(spec: CheckSpec, seeds, a, draws, normal: bool, target,
+                drop) -> list[CheckInstance]:
     """Each trial's sides as one draw (y's weights drawn, then discarded)."""
     kind = "generic" if "normality" in drop else spec.kind
-    frames = (_haars(np.array([[side[1] for side in sides] for *_, sides in trials]))
-              if normal else [(None, None)] * len(trials))
+    p = complex_normals(np.array([[side[2] for side in sides] for sides in draws]), 3)
+    frames = ([(None, None)] * len(seeds) if not normal else
+              _haars(complex_normals(np.array([[side[1][0] for side in sides]
+                                               for sides in draws]), 2)))
     return materialize_group([
-        InstanceDraw(spec.name, sx[0], sx[2], sy[2], tuple(f), a, target, seed, kind, drop)
-        for (seed, a, (sx, sy)), f in zip(trials, frames)])
+        InstanceDraw(spec.name, sx[0], pk[0], pk[1], tuple(f), ak, target, seed, kind, drop)
+        for seed, ak, (sx, _), pk, f in zip(seeds, a, draws, p, frames)])
 
 
 def build_instance(check: str, seed: int, *, dim: int | None = None,
@@ -399,21 +410,11 @@ def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
     try:
         require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
         if "e" in spec.operands:
-            require_unit(inst.e, tol)
+            require_units(inst.e.stack, tol)
         if "ball" in spec.operands:
             require_in_ball(inst.x.stack, inst.y.stack, inst.e.stack, (inst.ball,), tol)
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
-
-
-def _call(spec: CheckSpec, inst: CheckInstance, point=None) -> tuple[tuple, dict]:
-    """The check's grid point for the instance and the digest its report
-    records: the instance's params, ``point``'s numbers (if given) in their
-    place, and the axis default for a key neither gives."""
-    axis = GRIDS[spec.grid]
-    params = {**inst.params, **axis.params(point or ())}
-    return (tuple(float(params.get(k, v)) for k, v in zip(axis.keys, axis.default)),
-            replace(inst, params=params).digest())
 
 
 def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
@@ -423,17 +424,19 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
     time, enforcing its hypotheses minus ``inst.drop``; grid parameters may
     be overridden per call, on the check's own axis only (InvalidSpec
     otherwise).  The check runs its kernel on a batch of this one instance
-    at this one point."""
+    at this one point: the override, else its params, else the axis default."""
     spec = check_spec(inst.check)
     given = {"pqr": pqr, "alpha": None if alpha is None else (alpha,)}
-    for axis, point in given.items():
-        if point is not None and axis != spec.grid:
-            raise InvalidSpec(f"{spec.name} has no {axis} grid axis")
-    point, digest = _call(spec, inst, given.get(spec.grid))
+    for name, point in given.items():
+        if point is not None and name != spec.grid:
+            raise InvalidSpec(f"{spec.name} has no {name} grid axis")
+    axis, override = GRIDS[spec.grid], given.get(spec.grid)
+    params = {**inst.params, **({} if override is None else axis.params(override))}
+    point = tuple(float(params.get(k, v)) for k, v in zip(axis.keys, axis.default))
     args = [inst.x, inst.y]
     args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
              for op in spec.operands]
-    kwargs = {"tol": tol, "digest": digest}
+    kwargs = {"tol": tol, "digest": replace(inst, params=params).digest()}
     if spec.hypotheses:
         require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
         kwargs["strict"] = False
@@ -447,21 +450,50 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
     them given (InvalidSpec otherwise), as its instances may record their
     own.  Report ``k * len(points) + j`` is, bit for bit, what
     evaluate_instance gives for instance k at point j.  Raises the first
-    OpineqError any instance raises, so a caller that needs per-instance
-    errors evaluates the group again one instance and point at a time."""
+    OpineqError any instance raises; :func:`evaluate_each` gives each
+    instance's own."""
     spec = check_spec(insts[0].check)
     if points is None:
         if spec.grid is not None:
             raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
         points = ((),)
-    calls = [_call(spec, inst, point) for inst in insts for point in points]
-    batch = Batch(
+    batch = _batch(spec, insts, points)
+    if batch.es is not None:
+        require_units(batch.e, tol)
+    return run_batch(spec.name, batch, tol, spec.enforced(insts[0].drop))
+
+
+def evaluate_each(insts, tol: ToleranceConfig, points) -> list:
+    """What :func:`evaluate_group` gives each instance alone at each point, or
+    its OpineqError: hypotheses (unit reference first) are enforced once per
+    instance, and only the instances that meet them are evaluated per point."""
+    spec = check_spec(insts[0].check)
+    out = []
+    for inst in insts:
+        try:
+            if inst.e is not None:
+                require_units(inst.e.stack, tol)
+            require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
+        except OpineqError as exc:
+            out += [exc] * len(points)
+            continue
+        for point in points:
+            try:
+                out += run_batch(spec.name, _batch(spec, [inst], (point,)), tol)
+            except OpineqError as exc:
+                out.append(exc)
+    return out
+
+
+def _batch(spec: CheckSpec, insts, points) -> Batch:
+    """The instances at every point as one batch; each digest is built once
+    per instance, then each point's params merged in."""
+    grid = [GRIDS[spec.grid].params(point) for point in points]
+    return Batch(
         tuple(inst.x for inst in insts), tuple(inst.y for inst in insts),
         a=np.array([inst.a for inst in insts], dtype=complex) if "a" in spec.operands else None,
         es=tuple(inst.e for inst in insts) if "e" in spec.operands else None,
         balls=tuple(inst.ball for inst in insts) if "ball" in spec.operands else None,
-        points=tuple(args for args, _ in calls[:len(points)]),
-        digests=tuple(digest for _, digest in calls))
-    if batch.es is not None:
-        require_units(batch.e, tol)
-    return run_batch(spec.name, batch, tol, spec.enforced(insts[0].drop))
+        points=tuple(tuple(float(v) for v in point) for point in points),
+        digests=tuple({**base, "params": {**base["params"], **params}}
+                      for base in (inst.digest() for inst in insts) for params in grid))

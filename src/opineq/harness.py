@@ -25,8 +25,8 @@ from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_d
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, build_group, build_instance, check_shape, evaluate_group,
-    evaluate_instance, trial_seed, _SEED_MASK,
+    CheckInstance, InstanceDraw, build_group, build_instance, check_shape, evaluate_each,
+    evaluate_group, evaluate_instance, trial_seed, _SEED_MASK,
 )
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
@@ -62,7 +62,7 @@ class RunConfig:
             check_spec(name)
         for axis, row in GRIDS.items():
             for point in self.points(axis):
-                row.validate(*point)
+                row.validate(*row.params(point).values())
         check_shape(self.dim, self.length)
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
@@ -168,8 +168,8 @@ def _build(cfg: RunConfig, check: str, seeds: list[int]) -> list:
 def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, points) -> list[list]:
     """Per instance, its report or error at each grid point.  Instances of
     one dimension, length and drop set are evaluated as one group; a group
-    that raises is evaluated again one (instance, point) at a time, so
-    every line is what that instance gives alone."""
+    that raises is evaluated again by :func:`evaluate_each`, so every line
+    is what that instance gives alone."""
     groups: dict[tuple, list[int]] = {}
     for k, inst in enumerate(insts):
         groups.setdefault((inst.x.ctx.dim, inst.x.ctx.length, inst.drop), []).append(k)
@@ -179,15 +179,10 @@ def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, points) -> list[
         try:
             reports = evaluate_group(group, tol, points)
         except OpineqError:
-            reports = [_attempt(_evaluate_one, inst, tol, point)
-                       for inst in group for point in points]
+            reports = evaluate_each(group, tol, points)
         for i, k in enumerate(members):
             out[k] = reports[i * len(points):(i + 1) * len(points)]
     return out
-
-
-def _evaluate_one(inst: CheckInstance, tol: ToleranceConfig, point: tuple) -> InequalityReport:
-    return evaluate_group([inst], tol, (point,))[0]
 
 
 def _attempt(fn, *args, **kwargs):

@@ -13,13 +13,14 @@ are built on.
 
 A :class:`Stack` holds B elements of one dimension and length as one
 (B, n, d, d) array and computes their Gram matrices, conjugates, module
-norms and normality defects for the whole stack at once; the checks
-evaluate a group of trials through stacks.  Each element is the B = 1
-case: it keeps its own stack, so it computes these quantities (and,
+norms and normality defect matrices for the whole stack at once; the
+checks evaluate a group of trials through stacks.  Each element is the
+B = 1 case: it keeps its own stack, so it computes these quantities (and,
 through :func:`opineq.transformer.defect_operator`, per tolerance, its
 defect operator) on first use and keeps them, read-only, for its
-lifetime.  Verdicts are not cached: :func:`is_normal` compares the
-cached defect against the caller's tolerance on every call.
+lifetime.  Verdicts are not cached: :func:`within` decides each at the
+caller's tolerance, by a Frobenius screen first (||m|| <= ||m||_F) and
+the SVD only for the elements the screen does not pass.
 """
 
 from __future__ import annotations
@@ -63,12 +64,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def weighted_products(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """sum_t w_t x_t* y_t for (..., n) weights and (..., n, d, d) parts,
-    summed over t in part order."""
-    acc = np.zeros(xs.shape[:-3] + xs.shape[-2:], dtype=complex)
-    for t in range(xs.shape[-3]):
-        acc += w[..., t, None, None] * (ct(xs[..., t, :, :]) @ ys[..., t, :, :])
-    return acc
+    """sum_t w_t x_t* y_t for (..., n) weights and (..., n, d, d) parts: all
+    terms in one product, summed over t in part order from +0.0."""
+    terms = w[..., None, None] * (ct(xs) @ ys)
+    return sum((terms[..., t, :, :] for t in range(terms.shape[-3])), 0j)
+
+
+def within(defects: np.ndarray, tol_rel: float, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Per element b of a (B, k, d, d) stack of defect matrices: whether
+    max_j ||defects[b, j]|| <= tol_rel * scale(rows)[b], and that norm where the
+    SVD ran.  Frobenius norms within tol_rel / 2 pass b without it, as the SVD
+    would at any scale >= 1 (``scale`` sees only the rows left open)."""
+    limit = tol_rel / 2  # below 1e-150 squares may underflow, so only zero defects pass
+    ok = (np.linalg.norm(defects, axis=(-2, -1)).max(axis=-1) <= limit if limit >= 1e-150
+          else ~defects.any(axis=(-3, -2, -1)))
+    defect = np.full(len(defects), np.nan)
+    rows = np.flatnonzero(~ok)
+    if len(rows):
+        defect[rows] = op_norms(defects[rows]).max(axis=-1)
+        ok[rows] = defect[rows] <= tol_rel * scale(rows)
+    return ok, defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,19 +118,18 @@ class Stack:
         return _frozen(np.sqrt(op_norms(self.gram)))
 
     @cached_property
-    def normality(self) -> tuple[np.ndarray, np.ndarray]:
-        """(defect, scale) of :func:`is_normal` per element, independent of tolerance."""
+    def normality_defects(self) -> np.ndarray:
+        """(B, n + 1, d, d): per element, <x,x> x_t - x_t <x,x> for each t,
+        then <x,x> - <xbar,xbar>; independent of tolerance."""
         g = self.gram[:, None]
-        comm = op_norms(g @ self.parts - self.parts @ g).max(axis=-1)
-        defect = np.maximum(comm, op_norms(self.gram - self.conj.gram))
-        scale = np.array([max(1.0, nx**2, nx**3) for nx in self.norms.tolist()])
-        return defect, scale
+        return _frozen(np.concatenate([g @ self.parts - self.parts @ g,
+                                       (self.gram - self.conj.gram)[:, None]], axis=1))
 
     def is_normal(self, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         """Per element, whether its normality defect is within tol_rel at its
-        scale, and the defect; see :func:`is_normal`."""
-        defect, scale = self.normality
-        return defect <= cfg.tol_rel * scale, defect
+        scale, and the defect where the SVD ran; see :func:`is_normal`."""
+        return within(self.normality_defects, cfg.tol_rel, lambda rows: np.array(
+            [max(1.0, nx**2, nx**3) for nx in self.norms[rows].tolist()]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,10 +257,10 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
 
     The defect is the larger of max_t ||<x,x> x_t - x_t <x,x>|| and
     ||<x,x> - <xbar,xbar>||; it is compared against tol_rel at the scale
-    of ||x||^3 (the natural size of the commutator term).
+    of ||x||^3 (the natural size of the commutator term); the defect is the SVD's.
     """
-    ok, defect = x.stack.is_normal(cfg)
-    return bool(ok[0]), float(defect[0])
+    ok, _ = x.stack.is_normal(cfg)
+    return bool(ok[0]), float(op_norms(x.stack.normality_defects[0]).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,20 +276,14 @@ class GrussContext:
     tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        require_unit(self.e, self.tol)
-
-
-def require_unit(e: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise NotUnital unless <e, e> = I to tol_rel."""
-    require_units(e.stack, cfg)
+        require_units(self.e.stack, self.tol)
 
 
 def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
-    """require_unit for every element of a stack."""
-    defect = op_norms(es.gram - np.eye(es.parts.shape[-1]))
-    bad = defect > cfg.tol_rel
-    if bad.any():
-        raise NotUnital(f"<e, e> deviates from the identity by {defect[bad][0]:.3e}")
+    """Raise NotUnital unless <e, e> = I to tol_rel, for every element e of a stack."""
+    ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], cfg.tol_rel, lambda r: 1)
+    if not ok.all():
+        raise NotUnital(f"<e, e> deviates from the identity by {defect[~ok][0]:.3e}")
 
 
 def gruss_inner(x: ModuleElement, y: ModuleElement, g: GrussContext) -> np.ndarray:

@@ -24,16 +24,18 @@ functions are its case of one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, ct, herm, psd_powers
+from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
 from .errors import CtxMismatch, DimCap, InvalidSpec, MaxTermsExceeded, NotContractive
 from .hmodule import (
-    ModuleContext, ModuleElement, Stack, acting, inner, left_act, module_norm, weighted_products,
+    ModuleContext, ModuleElement, Stack, _frozen, acting, inner, left_act, module_norm,
+    weighted_products,
 )
 
 # largest vectorized size d^2 that vectorize builds
@@ -151,21 +153,26 @@ class OperatorNormBounds(NamedTuple):
     upper: float
 
 
+@functools.cache
+def _probes(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows vec(probe_k) of the identity and PROBE_SAMPLES seeded Gaussian
+    probes of dimension d, and their operator norms; both read-only."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    gauss = rng.standard_normal((PROBE_SAMPLES, 2, d, d))
+    probes = np.concatenate([np.eye(d, dtype=complex)[None], complex_normals(gauss, 1)])
+    probes_vec = probes.transpose(0, 2, 1).reshape(PROBE_SAMPLES + 1, d * d)
+    norms = np.linalg.norm(probes, ord=2, axis=(1, 2))
+    return _frozen(probes_vec), _frozen(norms)
+
+
 def probe_lower_bounds(rep: np.ndarray) -> np.ndarray:
     """max ||T(a)|| / ||a|| over the identity and PROBE_SAMPLES seeded
     Gaussian probes, for each vectorized operator in a stack."""
     d = math.isqrt(rep.shape[-1])
-    rng = np.random.default_rng(_PROBE_SEED)
-    gauss = rng.standard_normal((PROBE_SAMPLES, 2, d, d))
-    probes = np.concatenate([np.eye(d, dtype=complex)[None],
-                             (gauss[:, 0] + 1j * gauss[:, 1]) / np.sqrt(2.0)])
-    # row k of probes_vec is vec(probe_k); the images come back transposed,
-    # which leaves their operator norms unchanged
-    probes_vec = probes.transpose(0, 2, 1).reshape(PROBE_SAMPLES + 1, d * d)
+    probes_vec, norms = _probes(d)
+    # the images come back transposed, which leaves their operator norms unchanged
     images = (probes_vec @ rep.swapaxes(-1, -2)).reshape(rep.shape[:-2] + (PROBE_SAMPLES + 1, d, d))
-    ratios = (np.linalg.norm(images, ord=2, axis=(-2, -1))
-              / np.linalg.norm(probes, ord=2, axis=(1, 2)))
-    return ratios.max(axis=-1)
+    return (np.linalg.norm(images, ord=2, axis=(-2, -1)) / norms).max(axis=-1)
 
 
 def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:

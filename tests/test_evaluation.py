@@ -6,10 +6,12 @@ import json
 
 import pytest
 
-from opineq import checks
+from opineq import checks, harness
 from opineq.core import ToleranceConfig
-from opineq.errors import InvalidSpec, NotUnital
-from opineq.generators import CHECK_NAMES, build_instance, evaluate_instance
+from opineq.errors import InvalidSpec, NotUnital, OpineqError
+from opineq.generators import (
+    CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
+)
 from opineq.harness import DEFAULT_ALPHA_GRID, RunConfig, run_suite
 from opineq.hmodule import GrussContext
 
@@ -68,3 +70,66 @@ def test_unit_reference_checked_at_the_run_tolerance():
     GrussContext(off.e)  # library callers keep the default tolerance
     with pytest.raises(NotUnital):
         GrussContext(off.e, tight)
+
+
+def _each_alone(cfg, check, spoil=lambda inst: inst):
+    """Each trial's lines as evaluate_instance gives them, one point at a time."""
+    out = []
+    for index in range(cfg.trials):
+        seed = trial_seed(cfg.seed, check, index)
+        inst = spoil(build_instance(check, seed, dim=cfg.dim, length=cfg.length))
+        for alpha in cfg.alpha_grid:
+            try:
+                out.append(evaluate_instance(inst, cfg.tolerances, alpha=alpha).to_json_dict())
+            except OpineqError as exc:
+                out.append(harness._error_line(check, inst, seed, exc, {"alpha": alpha}))
+    return out
+
+
+@pytest.mark.parametrize("spoiled", [False, True], ids=["tol0", "one_generic"])
+def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
+    """At tol 0 every instance breaks normality: the group's call, then one
+    per instance, 5 in all (13 if enforced per point).  With one generic
+    instance at the default tolerance, the others are evaluated at every
+    point without enforcing again: 5 calls, not 13."""
+    tol = ToleranceConfig() if spoiled else ToleranceConfig(tol_rel=0.0)
+    cfg = RunConfig(trials=4, checks=("check_alpha",), seed=1, dim=3, length=2, tolerances=tol)
+    bad = trial_seed(cfg.seed, "check_alpha", 2)
+
+    def spoil(inst):
+        if not spoiled or inst.seed != bad:
+            return inst
+        generic = build_instance("check_alpha", bad, dim=3, length=2, drop=("normality",))
+        return dataclasses.replace(generic, drop=())
+
+    original = harness.build_group
+    monkeypatch.setattr(harness, "build_group", lambda check, seeds, **kw: [
+        spoil(inst) for inst in original(check, seeds, **kw)])
+    calls = []
+    normality = checks.HYPOTHESES["normality"]
+
+    def counted(*args):
+        calls.append(args)
+        return normality(*args)
+
+    monkeypatch.setitem(checks.HYPOTHESES, "normality", counted)
+    out = io.StringIO()
+    summary = run_suite(cfg, out)
+    assert len(calls) == 5
+    errors = 3 if spoiled else 12
+    assert summary.counts["check_alpha"]["error"] == errors
+    assert [json.loads(line) for line in out.getvalue().splitlines()] == _each_alone(
+        cfg, "check_alpha", spoil)
+
+
+def test_a_grid_point_of_the_wrong_length_is_rejected():
+    inst = build_instance("check_interp", 1)
+    for pqr in ((2.0, 2.0), (4.0, 4.0), (2.0, 2.0, 2.0, 2.0)):
+        with pytest.raises(InvalidSpec, match=r"needs one number per key of \(p, q, r\)"):
+            evaluate_instance(inst, pqr=pqr)
+        with pytest.raises(InvalidSpec, match="needs one number per key"):
+            evaluate_group([inst], points=(pqr,))
+        with pytest.raises(InvalidSpec, match="needs one number per key"):
+            RunConfig(trials=1, checks=("check_interp",), exponent_grid=(pqr,))
+    with pytest.raises(InvalidSpec, match="needs one number per key"):
+        evaluate_group([build_instance("check_cs", 1)], points=((2.0,),))
