@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, ct, eig_powers, eigvalsh, herm, moduli, op_norms,
+    DEFAULT_TOL, TOL_ABS, ToleranceConfig, ct, eig_powers, eigvalsh, herm, moduli, op_norms,
     psd_eigs, psd_order_gaps, psd_powers, svdvals,
 )
 from .errors import (
@@ -53,6 +53,8 @@ from .transformer import (
 # Contractive hypotheses are enforced with this much slack below 1 so the
 # boundary case ||x|| = 1 is kept strictly out of scope.
 CONTRACTION_MARGIN = 1e-3
+# check_interp shifts K by this, which keeps its outer powers defined for singular K
+EPSILON_REG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _require_contractive(x: Stack, y: Stack, tol: ToleranceConfig,
                          e: Stack | None = None) -> None:
     for z, tag in ((x, "x"), (y, "y")):
         top = eigvalsh(herm(z.gram))[:, -1]
-        bad = top > 1.0 - CONTRACTION_MARGIN + tol.tol_abs
+        bad = top > 1.0 - CONTRACTION_MARGIN + TOL_ABS
         if bad.any():
             raise NotContractive(f"<{tag},{tag}> has top eigenvalue {top[bad][0]:.6f}, "
                                  f"above 1 - {CONTRACTION_MARGIN:g}")
@@ -186,7 +188,7 @@ def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         off = z.parts - centre
         dist = np.sqrt(op_norms(weighted_products(z.weights, off, off)))
         radius = abs(hi - lo) / 2
-        bad = dist > radius + tol.tol_abs + tol.tol_rel * np.maximum(radius, 1.0)
+        bad = dist > radius + TOL_ABS + tol.tol_rel * np.maximum(radius, 1.0)
         if bad.any():
             raise BallViolated(f"{tag} sits {dist[bad][0]:.6f} from the ball center, "
                                f"radius {radius[bad][0]:.6f}")
@@ -211,11 +213,14 @@ class GridAxis:
     validate: Callable[..., None]
 
     def params(self, point) -> dict:
-        """Report parameters of one point; InvalidSpec unless one number per key."""
+        """One point's report parameters, as floats; InvalidSpec unless one int or float per key."""
         if len(point) != len(self.keys):
             raise InvalidSpec(f"grid point {tuple(point)} needs one number per key "
                               f"of ({', '.join(self.keys)})")
-        return dict(zip(self.keys, point))
+        if any(isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
+               for v in point):
+            raise InvalidSpec(f"grid parameters must be real numbers, got {tuple(point)}")
+        return dict(zip(self.keys, map(float, point)))
 
 
 # The axis of each CheckSpec.grid; a check without a grid has the one point ().
@@ -448,9 +453,9 @@ def _interp(b: Batch, tol: ToleranceConfig) -> list:
         for s in dict.fromkeys(point[col] - 1 for point in b.points):
             ks[col, s] = herm(weighted_products(z.weights, eig_powers(lam, u, s)[:, None] @ zb, zb))
     low = dict(zip(ks, _joint(lambda k: eigvalsh(k)[:, 0], list(ks.values()))))
-    # the outer powers at epsilon_reg and ten times it, each from its own eigh
+    # the outer powers at EPSILON_REG and ten times it, each from its own eigh
     eye = np.eye(b.x.parts.shape[-1])
-    shifts = (tol.epsilon_reg, 10 * tol.epsilon_reg)
+    shifts = (EPSILON_REG, 10 * EPSILON_REG)
     keys = [(eps, key) for eps in shifts for key in ks]
     shifted = dict(zip(keys, _joint(psd_eigs, [ks[key] + eps * eye for eps, key in keys])))
     rhs = [eig_powers(*shifted[eps, (1, q - 1)], 1 / (2 * q)) @ b.a
@@ -550,13 +555,13 @@ def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
     hypotheses named in ``enforce``, run the check's kernel and assemble,
     attaching each report's grid point to its params."""
     axis = GRIDS[CHECK_SPECS[name].grid]
-    for point in b.points:
-        axis.validate(*point)
+    grid = [axis.params(point) for point in b.points]
+    for point in grid:
+        axis.validate(*point.values())
     require_hypotheses(enforce, b.x, b.y, tol, b.e)
-    return [_finish(name, branches, tol,
-                    _digest(b, digest, {**axis.params(point), **(params or {})}), extra)
+    return [_finish(name, branches, tol, _digest(b, digest, {**point, **(params or {})}), extra)
             for (branches, extra, params), digest, point
-            in zip(KERNELS[name](b, tol), b.digests, cycle(b.points))]
+            in zip(KERNELS[name](b, tol), b.digests, cycle(grid))]
 
 
 def _one(name: str, b: Batch, tol: ToleranceConfig, strict: bool = False) -> InequalityReport:
@@ -620,10 +625,10 @@ def check_interp(x: ModuleElement, y: ModuleElement, a,
     """Schatten-p interpolation bound for exponents with 1/q + 1/r = 2/p.
 
     lhs = ||<x,ay>||_p, rhs = ||K_x^(1/2q) a K_y^(1/2r)||_p with
-    K_x = <<x,x>^(q-1) xbar, xbar>.  The outer powers are evaluated at
-    ``epsilon_reg`` and at ten times it; the relative shift is reported as
-    ``sensitivity`` together with the smallest inner eigenvalue, so
-    near-singular instances can be recognized downstream.
+    K_x = <<x,x>^(q-1) xbar, xbar>.  The outer powers are taken of
+    K + EPSILON_REG and of K + 10 EPSILON_REG; their relative shift is
+    reported as ``sensitivity`` together with the smallest inner
+    eigenvalue, so near-singular instances can be recognized downstream.
     """
     return _one("check_interp", _single(x, y, digest, a, (p, q, r)), tol)
 

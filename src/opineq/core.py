@@ -5,8 +5,7 @@ stacked form that takes a (..., d, d) stack and treats every matrix on
 its own, so a matrix gives the same bits alone or inside any stack; the
 per-matrix entry points validate squareness, finiteness and (where
 required) self-adjointness, then call it.  Fractional powers go through
-an eigendecomposition with a small clamp for negative round-off
-eigenvalues.
+an eigendecomposition that clamps negative round-off eigenvalues to zero.
 """
 
 from __future__ import annotations
@@ -19,35 +18,25 @@ import numpy as np
 from .errors import DimMismatch, InvalidSpec, NotHermitian, NotPSD, SingularNegativePower
 
 
+# absolute limit of self-adjointness defects, PSD round-off and hypothesis slack
+TOL_ABS = 1e-10
+# eigenvalues at or below this make a negative power singular
+CLAMP = 1e-12
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Tolerances and truncation controls used throughout the package.
+    """The one tolerance a run chooses: ``tol_rel``, relative, for margins,
+    hypothesis verdicts and the PSD round-off limit.  Fixed limits are
+    module constants next to the code that reads them."""
 
-    tol_abs      absolute tolerance (self-adjointness defects)
-    tol_rel      relative tolerance (reconstructions, inequality margins)
-    clamp        eigenvalues in [-clamp, 0) count as exact zeros
-    epsilon_reg  default shift for regularized inverse powers
-    series_tail  relative truncation target for operator series
-    max_terms    hard cap on series length
-    """
-
-    tol_abs: float = 1e-10
     tol_rel: float = 1e-8
-    clamp: float = 1e-12
-    epsilon_reg: float = 1e-10
-    series_tail: float = 1e-10
-    max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if not all(v >= 0 for v in (self.tol_abs, self.tol_rel, self.clamp)):
+        if not self.tol_rel >= 0:
             raise InvalidSpec("tolerances must be nonnegative")
-        if not (self.epsilon_reg > 0 and self.series_tail > 0):
-            raise InvalidSpec("epsilon_reg and series_tail must be positive")
-        if not all(math.isfinite(v) for v in (self.tol_abs, self.tol_rel, self.clamp,
-                                              self.epsilon_reg, self.series_tail)):
+        if not math.isfinite(self.tol_rel):
             raise InvalidSpec("tolerances must be finite")
-        if self.max_terms < 1:
-            raise InvalidSpec("max_terms must be at least 1")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -109,13 +98,13 @@ def _first(bad: np.ndarray) -> tuple:
     return np.unravel_index(int(np.argmax(bad)), bad.shape)
 
 
-def require_hermitians(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """h itself; NotHermitian if a matrix deviates from its adjoint beyond tol_abs."""
+def require_hermitians(h: np.ndarray) -> np.ndarray:
+    """h itself; NotHermitian if a matrix deviates from its adjoint beyond TOL_ABS."""
     defect = _hermiticity_defects(finite(h))
-    bad = defect > cfg.tol_abs
+    bad = defect > TOL_ABS
     if bad.any():
         raise NotHermitian(f"self-adjointness defect {defect[_first(bad)]:.3e} "
-                           f"exceeds tol_abs {cfg.tol_abs:.3e}")
+                           f"exceeds tol_abs {TOL_ABS:.3e}")
     return h
 
 
@@ -123,14 +112,14 @@ def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - ct(a)), axis=(-2, -1))
 
 
-def herm_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(require_hermitians(h, cfg))
+def herm_eigs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(require_hermitians(h))
 
 
 def psd_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of PSD matrices with negative round-off clamped to zero."""
-    w, u = herm_eigs(h, cfg)
-    lim = np.maximum(cfg.tol_abs, cfg.tol_rel * np.max(np.abs(w), axis=-1))
+    w, u = herm_eigs(h)
+    lim = np.maximum(TOL_ABS, cfg.tol_rel * np.max(np.abs(w), axis=-1))
     bad = w[..., 0] < -lim
     if bad.any():
         i = _first(bad)
@@ -138,19 +127,18 @@ def psd_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     return np.maximum(w, 0.0), u
 
 
-def eig_powers(lam: np.ndarray, u: np.ndarray, s: float,
-               cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def eig_powers(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
     """u diag(lam^s) u* for each clamped eigensystem from :func:`psd_eigs`."""
-    if s < 0 and (lam.min(axis=-1) <= cfg.clamp).any():
+    if s < 0 and (lam.min(axis=-1) <= CLAMP).any():
         raise SingularNegativePower(
-            f"negative power {s} of a matrix with eigenvalue <= {cfg.clamp:.1e}"
+            f"negative power {s} of a matrix with eigenvalue <= {CLAMP:.1e}"
         )
     vals = lam ** float(s)
     return (u * vals[..., None, :]) @ ct(u)
 
 
 def psd_powers(h: np.ndarray, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    return eig_powers(*psd_eigs(h, cfg), s, cfg)
+    return eig_powers(*psd_eigs(h, cfg), s)
 
 
 def psd_order_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -181,8 +169,8 @@ def hermiticity_defect(m) -> float:
     return float(_hermiticity_defects(as_matrix(m)))
 
 
-def require_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    return require_hermitians(as_matrix(m), cfg)
+def require_hermitian(m) -> np.ndarray:
+    return require_hermitians(as_matrix(m))
 
 
 def hermitian_part(m) -> np.ndarray:
@@ -195,7 +183,7 @@ def op_norm(m) -> float:
     return float(op_norms(as_matrix(m)))
 
 
-def herm_eig(h, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a self-adjoint matrix.
 
     Returns
@@ -204,33 +192,18 @@ def herm_eig(h, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
         Real eigenvalues in ascending order and a unitary whose columns
         are the matching eigenvectors, so that u @ diag(w) @ u* == h.
     """
-    return herm_eigs(as_matrix(h), cfg)
+    return herm_eigs(as_matrix(h))
 
 
 def psd_power(h, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Fractional power h^s of a positive semidefinite matrix.
 
     Computed as u @ diag(max(w, 0)^s) @ u* from the eigendecomposition.
-    Negative powers require the spectrum to stay above the clamp;
+    Negative powers require the spectrum to stay above CLAMP;
     otherwise SingularNegativePower is raised.  By convention h^0 = I
     even for singular h.
     """
     return psd_powers(as_matrix(h), s, cfg)
-
-
-def regularized_inv_power(h, s: float, eps: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(h + eps)^(-s) for PSD h, s > 0 and eps > 0.
-
-    The shift makes the inverse power total: the clamped spectrum is
-    moved to [eps, inf) before the power is taken.
-    """
-    if s <= 0:
-        raise ValueError("inverse power exponent must be positive")
-    if eps <= 0:
-        raise ValueError("regularization shift must be positive")
-    lam, u = psd_eigs(as_matrix(h), cfg)
-    vals = (lam + eps) ** (-float(s))
-    return (u * vals) @ u.conj().T
 
 
 def matrix_abs(m) -> np.ndarray:
@@ -244,8 +217,8 @@ def psd_order_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float
     The margin and scale are :func:`psd_order_gaps`'; the comparison
     tolerates -tol_rel relative to max(||a||, ||b||, 1).
     """
-    ha = require_hermitian(a, cfg)
-    hb = require_hermitian(b, cfg)
+    ha = require_hermitian(a)
+    hb = require_hermitian(b)
     if ha.shape != hb.shape:
         raise DimMismatch(f"shape mismatch {ha.shape} vs {hb.shape}")
     margin, _, _, scale = psd_order_gaps(ha, hb)

@@ -201,7 +201,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
     """Inverse of CheckInstance.to_json.  Raises InvalidSpec on malformed
     input: the file must give exactly the operands its check's registry row
     lists, a ball of 4 finite numbers, one context for x, y and e, and a
-    finite real number for each grid parameter of the row it gives."""
+    valid point of its grid axis (a key it omits takes the default)."""
     try:
         spec = check_spec(obj["check"])
         given = {op for op in ("a", "e", "ball") if obj.get(op) is not None}
@@ -216,11 +216,12 @@ def instance_from_json(obj: dict) -> CheckInstance:
         if ball is not None and (len(ball) != 4 or not all(map(math.isfinite, ball))):
             raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball}")
         params = dict(obj.get("params", {}))
-        for key in GRIDS[spec.grid].keys:
-            value = params.get(key, 0.0)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise InvalidSpec(f"grid parameter {key} must be a finite number, got {value!r}")
+        axis = GRIDS[spec.grid]
+        point = axis.params([params.get(k, v) for k, v in zip(axis.keys, axis.default)])
+        try:
+            axis.validate(*point.values())
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"grid parameters {point}: {exc}") from None
         return CheckInstance(
             check=spec.name,
             seed=obj.get("seed"),
@@ -402,41 +403,33 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
                        contraction=contraction, drop=drop)[0]
 
 
-def assert_hypotheses(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Generator self-test: raise InvalidSpec unless the instance satisfies
-    the hypotheses it claims, by the predicates evaluation uses.  Runs do
-    not call it; evaluation alone enforces hypotheses there."""
+def assert_hypotheses(inst: CheckInstance) -> None:
+    """Generator self-test at the default tolerance: raise InvalidSpec unless
+    the instance satisfies the hypotheses it claims, by the predicates
+    evaluation uses.  Runs do not call it; evaluation alone enforces them."""
     spec = check_spec(inst.check)
     try:
-        require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
+        require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, e=inst.e)
         if "e" in spec.operands:
-            require_units(inst.e.stack, tol)
+            require_units(inst.e.stack)
         if "ball" in spec.operands:
-            require_in_ball(inst.x.stack, inst.y.stack, inst.e.stack, (inst.ball,), tol)
+            require_in_ball(inst.x.stack, inst.y.stack, inst.e.stack, (inst.ball,))
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
 
-def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL,
-                      pqr: tuple[float, float, float] | None = None,
-                      alpha: float | None = None) -> InequalityReport:
+def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> InequalityReport:
     """Run the instance's check, looked up on :mod:`opineq.checks` at call
-    time, enforcing its hypotheses minus ``inst.drop``; grid parameters may
-    be overridden per call, on the check's own axis only (InvalidSpec
-    otherwise).  The check runs its kernel on a batch of this one instance
-    at this one point: the override, else its params, else the axis default."""
+    time, enforcing its hypotheses minus ``inst.drop``.  The check runs its
+    kernel on a batch of this one instance at the grid point its params
+    record, each key it omits at the axis default."""
     spec = check_spec(inst.check)
-    given = {"pqr": pqr, "alpha": None if alpha is None else (alpha,)}
-    for name, point in given.items():
-        if point is not None and name != spec.grid:
-            raise InvalidSpec(f"{spec.name} has no {name} grid axis")
-    axis, override = GRIDS[spec.grid], given.get(spec.grid)
-    params = {**inst.params, **({} if override is None else axis.params(override))}
-    point = tuple(float(params.get(k, v)) for k, v in zip(axis.keys, axis.default))
+    axis = GRIDS[spec.grid]
+    point = tuple(float(inst.params.get(k, v)) for k, v in zip(axis.keys, axis.default))
     args = [inst.x, inst.y]
     args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
              for op in spec.operands]
-    kwargs = {"tol": tol, "digest": replace(inst, params=params).digest()}
+    kwargs = {"tol": tol, "digest": inst.digest()}
     if spec.hypotheses:
         require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
         kwargs["strict"] = False
@@ -494,6 +487,6 @@ def _batch(spec: CheckSpec, insts, points) -> Batch:
         a=np.array([inst.a for inst in insts], dtype=complex) if "a" in spec.operands else None,
         es=tuple(inst.e for inst in insts) if "e" in spec.operands else None,
         balls=tuple(inst.ball for inst in insts) if "ball" in spec.operands else None,
-        points=tuple(tuple(float(v) for v in point) for point in points),
+        points=tuple(tuple(params.values()) for params in grid),
         digests=tuple({**base, "params": {**base["params"], **params}}
                       for base in (inst.digest() for inst in insts) for params in grid))

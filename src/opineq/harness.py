@@ -233,8 +233,7 @@ class _SearchState:
 
 def search_counterexample(check: str, drop: tuple[str, ...] = (),
                           budget: int = 1000, seed: int = 0,
-                          dim: int | None = None, length: int | None = None,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> SearchResult:
+                          dim: int | None = None, length: int | None = None) -> SearchResult:
     """Random-restart hill climbing on the normalized margin.
 
     Perturbations that raise an :class:`OpineqError` (for example a
@@ -258,7 +257,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
         evals += 1
         inst = state.draw.materialize()
         try:
-            rep = evaluate_instance(inst, tol)
+            rep = evaluate_instance(inst)
         except OpineqError:
             return None
         value = rep.margin / rep.scale
@@ -295,8 +294,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
 
 def naopaka_delta_sweep(seed: int = 0, deltas: tuple[float, ...] = (0.9, 0.99, 0.999),
                         trials: int = 20, dim: int | None = None,
-                        length: int | None = None,
-                        tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
+                        length: int | None = None) -> list[dict]:
     """Diagnostic margin profile as the contraction approaches the boundary.
 
     Reports the worst normalized margin per contraction level; nothing is
@@ -305,7 +303,7 @@ def naopaka_delta_sweep(seed: int = 0, deltas: tuple[float, ...] = (0.9, 0.99, 0
     out = []
     for delta in deltas:
         seeds = [trial_seed(seed, f"delta_{delta}", index) for index in range(trials)]
-        reps = [evaluate_instance(inst, tol) for inst in build_group(
+        reps = [evaluate_instance(inst) for inst in build_group(
             "check_naopaka", seeds, dim=dim, length=length, contraction=delta)]
         worst = min((rep.margin / rep.scale for rep in reps), default=math.inf)
         out.append({"delta": delta, "worst_margin": worst, "trials": trials})

@@ -15,12 +15,10 @@ A :class:`Stack` holds B elements of one dimension and length as one
 (B, n, d, d) array and computes their Gram matrices, conjugates, module
 norms and normality defect matrices for the whole stack at once; the
 checks evaluate a group of trials through stacks.  Each element is the
-B = 1 case: it keeps its own stack, so it computes these quantities (and,
-through :func:`opineq.transformer.defect_operator`, per tolerance, its
-defect operator) on first use and keeps them, read-only, for its
-lifetime.  Verdicts are not cached: :func:`within` decides each at the
-caller's tolerance, by a Frobenius screen first (||m|| <= ||m||_F) and
-the SVD only for the elements the screen does not pass.
+B = 1 case: it keeps its own stack, so it computes these quantities on
+first use and keeps them, read-only.  Verdicts are not cached:
+:func:`within` decides each at the caller's tolerance, by a Frobenius
+screen first (||m|| <= ||m||_F) and the SVD only where it does not pass.
 """
 
 from __future__ import annotations
@@ -171,11 +169,6 @@ class ModuleElement:
     @cached_property
     def _conjugate(self) -> "ModuleElement":
         return ModuleElement(self.ctx, tuple(self.stack.conj.parts[0]))
-
-    @cached_property
-    def defect_operators(self) -> dict:
-        """Delta_z per ToleranceConfig, filled by transformer.defect_operator."""
-        return {}
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         _same_ctx(self, other)

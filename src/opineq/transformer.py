@@ -5,6 +5,7 @@ k-fold application), the Kronecker d^2 x d^2 vectorized representation,
 Neumann inversion of I - T, (I - T)^alpha, and the defect operator built
 from the resolvent-summed Gram matrix.
 
+The series are truncated at SERIES_TAIL and capped at MAX_TERMS terms.
 (I - T)^alpha a has two independent implementations.
 :func:`fractional_powers` is the fast path, over a stack of operators:
 the eigen form where it applies, else the binomial series.
@@ -13,8 +14,7 @@ bound and is kept as the oracle the fast path is tested against.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
-dense eigenvalues of T_{z,z} are computed only otherwise.  Each element
-keeps its defect operators, one per tolerance.
+dense eigenvalues of T_{z,z} are computed only otherwise.
 
 Application, vectorization, spectral radii, the probe bound, the eigen
 (I - T)^alpha and the defect operators each have one stacked form over
@@ -42,6 +42,11 @@ from .hmodule import (
 DIM_CAP = 1024
 # Gaussian probes of the induced-norm lower bound, besides the identity
 PROBE_SAMPLES = 32
+
+# truncation target of the series, and the limit of cond(V) eps for the eigen form
+SERIES_TAIL = 1e-10
+# most terms a series may take
+MAX_TERMS = 10_000
 
 # fixed seed: the probe set for the induced-norm lower bound must be reproducible
 _PROBE_SEED = 0x0FAB
@@ -196,20 +201,20 @@ def _iterate_fn(t: ElementaryOperator) -> Callable[[np.ndarray], np.ndarray]:
     return lambda a: unvec(rep @ vec(a), d)
 
 
-def neumann_inverse(t: ElementaryOperator, a, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+def neumann_inverse(t: ElementaryOperator, a) -> tuple[np.ndarray, int]:
     """(I - T)^(-1) a = sum_k T^k a, truncated by the geometric tail bound.
 
     Requires gamma = ||x|| ||y|| < 1.  The number of terms N + 1 is the
-    smallest making gamma^(N+1) / (1 - gamma) <= series_tail, so the
-    result is within 2 * series_tail * ||a|| of the exact sum.
+    smallest making gamma^(N+1) / (1 - gamma) <= SERIES_TAIL, so the
+    result is within 2 * SERIES_TAIL * ||a|| of the exact sum.
     """
     m = acting(t.x, a)
     gamma = _series_gamma(t, "Neumann")
     if gamma == 0.0:
         return m.copy(), 1
-    terms = max(int(np.ceil(np.log(cfg.series_tail * (1.0 - gamma)) / np.log(gamma))), 1)
-    if terms > cfg.max_terms:
-        raise MaxTermsExceeded(f"series needs {terms} terms, cap is {cfg.max_terms}")
+    terms = max(int(np.ceil(np.log(SERIES_TAIL * (1.0 - gamma)) / np.log(gamma))), 1)
+    if terms > MAX_TERMS:
+        raise MaxTermsExceeded(f"series needs {terms} terms, cap is {MAX_TERMS}")
     step = _iterate_fn(t)
     acc = m.astype(complex).copy()
     term = m
@@ -219,13 +224,13 @@ def neumann_inverse(t: ElementaryOperator, a, cfg: ToleranceConfig = DEFAULT_TOL
     return acc, terms
 
 
-def fractional_power_apply(t: ElementaryOperator, alpha: float, a, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def fractional_power_apply(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
     """(I - T)^alpha a via the binomial series sum_n (-1)^n C(alpha, n) T^n a.
 
     Coefficients follow the recurrence C(alpha, n+1) = C(alpha, n)
     (alpha - n) / (n + 1); the series terminates exactly for integer
     alpha and is otherwise truncated once the geometric tail bound
-    |C(alpha, N+1)| gamma^(N+1) / (1 - gamma) drops below series_tail
+    |C(alpha, N+1)| gamma^(N+1) / (1 - gamma) drops below SERIES_TAIL
     (valid in the monotone regime N + 1 > alpha).
     """
     validate_alpha(alpha)
@@ -240,12 +245,12 @@ def fractional_power_apply(t: ElementaryOperator, alpha: float, a, cfg: Toleranc
         nxt = coeff * (alpha - n) / (n + 1.0)
         if nxt == 0.0:
             break
-        if n + 1 > alpha and gamma > 0.0 and abs(nxt) * gamma ** (n + 1) / (1.0 - gamma) <= cfg.series_tail:
+        if n + 1 > alpha and gamma > 0.0 and abs(nxt) * gamma ** (n + 1) / (1.0 - gamma) <= SERIES_TAIL:
             break
         if gamma == 0.0 and n >= 1:
             break
-        if n + 1 >= cfg.max_terms:
-            raise MaxTermsExceeded(f"binomial series exceeded {cfg.max_terms} terms")
+        if n + 1 >= MAX_TERMS:
+            raise MaxTermsExceeded(f"binomial series exceeded {MAX_TERMS} terms")
         term = step(term)
         sign = -1.0 if (n + 1) % 2 else 1.0
         acc += (sign * nxt) * term
@@ -259,7 +264,7 @@ def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
     vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d),
     per operator: eigenvalues w and eigenvectors V of T, V^(-1) vec(a), and
     whether the eigen form applies (T normal to tol_rel, cond(V) eps <=
-    series_tail).  Rows where it does not hold zeros."""
+    SERIES_TAIL).  Rows where it does not hold zeros."""
     b, k = rep.shape[0], rep.shape[-1]
     rep_h = ct(rep)
     comm = rep @ rep_h - rep_h @ rep
@@ -270,15 +275,15 @@ def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
     w, v = np.zeros((b, k), dtype=complex), np.zeros((b, k, k), dtype=complex)
     if ok.any():
         w[ok], v[ok] = np.linalg.eig(rep[ok])
-        ok[ok] = ~(np.linalg.cond(v[ok]) * np.finfo(float).eps > cfg.series_tail)
+        ok[ok] = ~(np.linalg.cond(v[ok]) * np.finfo(float).eps > SERIES_TAIL)
     sol = np.zeros((b, k), dtype=complex)
     if ok.any():
         sol[ok] = np.linalg.solve(v[ok], vec(a[ok])[..., None])[..., 0]
     return w, v, sol, ok
 
 
-def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float, gammas: np.ndarray,
-                       cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float,
+                       gammas: np.ndarray) -> np.ndarray:
     """fractional_power_apply's sum for integer alpha by its recurrence, order and
     stops, on stacks of vectorized T, a and gamma = ||x|| ||y||: the same bits."""
     acc, term, live, coeff, n = a.copy(), a, np.ones(len(a), dtype=bool), 1.0, 0
@@ -286,8 +291,8 @@ def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float, gammas: np.
         live &= (gammas > 0.0) | (n < 1)
         if not live.any():
             break
-        if n + 1 >= cfg.max_terms:
-            raise MaxTermsExceeded(f"binomial series exceeded {cfg.max_terms} terms")
+        if n + 1 >= MAX_TERMS:
+            raise MaxTermsExceeded(f"binomial series exceeded {MAX_TERMS} terms")
         term = unvec((rep @ vec(term)[..., None])[..., 0], a.shape[-1])
         acc[live] += ((-1.0 if (n + 1) % 2 else 1.0) * nxt) * term[live]
         coeff, n = nxt, n + 1
@@ -303,13 +308,13 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
     vectorized R is normal to tol_rel, R = V diag(w) V^(-1) with |w| < 1
     and V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series
     sums; a non-normal R, or a V whose condition number would cost more
-    than series_tail, gets fractional_power_apply's output.
+    than SERIES_TAIL, gets fractional_power_apply's output.
     """
     gammas = _series_gammas(x, y, "binomial")
     rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
     for alpha in alphas:
         if float(alpha).is_integer():
-            out.append(terminating_powers(rep, a, alpha, gammas, cfg))
+            out.append(terminating_powers(rep, a, alpha, gammas))
             continue
         if forms is None:
             forms = _eigen_forms(rep, a, cfg)
@@ -318,21 +323,20 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
         for i in np.flatnonzero(~ok):
             ctx = ModuleContext(x.parts.shape[-1], x.weights[i])
             pair = ModuleElement.rows([ctx] * 2, np.stack([x.parts[i], y.parts[i]]))
-            hi[i] = fractional_power_apply(ElementaryOperator(*pair), alpha, a[i], cfg)
+            hi[i] = fractional_power_apply(ElementaryOperator(*pair), alpha, a[i])
         out.append(hi)
     return out
 
 
-def fractional_power_exact(t: ElementaryOperator, alpha: float, a,
-                           cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def fractional_power_exact(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
     """(I - T)^alpha a: :func:`fractional_powers` on a stack of one, except
     that an operator beyond the vectorization cap goes to
     :func:`fractional_power_apply`."""
     validate_alpha(alpha)
     m = acting(t.x, a)
     if t.dim * t.dim > DIM_CAP:
-        return fractional_power_apply(t, alpha, m, cfg)
-    return fractional_powers(t.x.stack, t.y.stack, m[None], (alpha,), cfg)[0][0]
+        return fractional_power_apply(t, alpha, m)
+    return fractional_powers(t.x.stack, t.y.stack, m[None], (alpha,))[0][0]
 
 
 def defect_operators(zs: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -352,7 +356,7 @@ def defect_operators(zs: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
     return psd_powers(herm(unvec(g, d)), -0.5, cfg)
 
 
-def defect_operator(z: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def defect_operator(z: ModuleElement) -> np.ndarray:
     """Delta_z = G^(-1/2) with G = sum_n T_{z,z}^n (I) = (I - T_{z,z})^(-1) I.
 
     The sum of the grade-n Gram matrices is obtained from the resolvent
@@ -360,11 +364,7 @@ def defect_operator(z: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> np.
     spectral radius of T_{z,z} is below one; G >= I so the inverse
     square root is well conditioned.  The radius is bounded by
     min(||z||, ||zbar||)^2 (Cauchy-Schwarz); the dense eigenvalues are
-    computed only when that bound does not settle it.  The result is
-    read-only and kept on z per tolerance, so repeated calls reuse it.
+    computed only when that bound does not settle it.  It is
+    :func:`defect_operators` on z's stack of one.
     """
-    cached = z.defect_operators.get(cfg)
-    if cached is None:
-        cached = z.defect_operators[cfg] = defect_operators(z.stack, cfg)[0]
-        cached.setflags(write=False)
-    return cached
+    return defect_operators(z.stack)[0]

@@ -5,13 +5,14 @@ dimensions stay <= 6 and tuple lengths <= 4 throughout.  Every test
 prints a single PASS/FAIL summary line for its criterion.
 """
 
+import dataclasses
 import itertools
 import json
 from functools import reduce
 
 import numpy as np
 
-from opineq.checks import check_basic, check_cs, check_naopaka
+from opineq.checks import CHECK_SPECS, GRIDS, check_basic, check_cs, check_naopaka
 from opineq.core import hermitian_part, op_norm, psd_power
 from opineq.generators import (
     GeneratorSpec,
@@ -75,6 +76,12 @@ def _margins(rep):
 def _verdict(num, desc, ok, extra=""):
     print(f"criterion {num:2d} [{'PASS' if ok else 'FAIL'}] {desc}{extra}")
     return ok
+
+
+def _at(inst, point):
+    """inst with its params recording ``point`` on its check's grid axis."""
+    axis = GRIDS[CHECK_SPECS[inst.check].grid]
+    return dataclasses.replace(inst, params={**inst.params, **axis.params(point)})
 
 
 def _cg(rng, d):
@@ -149,7 +156,7 @@ def test_criterion_05_schatten_interpolation():
     for i in range(500):
         inst = build_instance("check_interp", trial_seed(MASTER, "acc5", i))
         for pqr in DEFAULT_EXPONENT_GRID:
-            rep = evaluate_instance(inst, pqr=pqr)
+            rep = evaluate_instance(_at(inst, pqr))
             worst = min(worst, min(_margins(rep)))
             if rep.norm_detail["min_inner_eig"] >= 1e-4:
                 checked += 1
@@ -182,7 +189,7 @@ def test_criterion_07_fractional_powers():
     for i in range(300):
         inst = build_instance("check_alpha", trial_seed(MASTER, "acc7", i))
         for alpha in (0.5, 1.0, 2.0):
-            rep = evaluate_instance(inst, alpha=alpha)
+            rep = evaluate_instance(_at(inst, (alpha,)))
             worst = min(worst, min(_margins(rep)))
             if alpha == 1.0:
                 base = check_naopaka(inst.x, inst.y, inst.a)
@@ -198,7 +205,7 @@ def test_criterion_08_defect_operators():
     for i in range(300):
         inst = build_instance("check_defect", trial_seed(MASTER, "acc8", i))
         for pqr in DEFAULT_EXPONENT_GRID:
-            rep = evaluate_instance(inst, pqr=pqr)
+            rep = evaluate_instance(_at(inst, pqr))
             worst = min(worst, min(_margins(rep)))
     closed = 0.0
     for i in range(100):

@@ -1,11 +1,13 @@
 """The per-matrix entry points give, bit for bit, what the check kernels give:
 Fan dominance, the PSD order and (I - T)^alpha each have one implementation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from opineq import transformer
-from opineq.checks import check_refinement, check_uin
+from opineq.checks import GRIDS, check_refinement, check_uin
 from opineq.core import ct, eig_powers, herm, op_norm, psd_eigs, psd_order_leq, psd_powers, svdvals
 from opineq.generators import build_instance, evaluate_instance
 from opineq.hmodule import module_norm, weighted_products
@@ -64,7 +66,8 @@ def test_fractional_power_exact_is_check_alpha_rhs(alpha, drop, monkeypatch):
         lo = (eig_powers(*dx, alpha / 2) @ a[None] @ eig_powers(*dy, alpha / 2))[0]
         hi = fractional_power_exact(ElementaryOperator(x, y), alpha, a)
         _, _, gaps, scale = fan_gaps(svdvals(lo), svdvals(hi))
-        rep = evaluate_instance(inst, alpha=alpha)
+        inst = dataclasses.replace(inst, params={**inst.params, **GRIDS["alpha"].params((alpha,))})
+        rep = evaluate_instance(inst)
         assert [rep.norm_detail[f"ky_fan_{k + 1}"] for k in range(3)] == (gaps / scale).tolist()
         assert rep.margin == gaps.min()
     # a non-normal T at non-integer alpha takes the series, in both

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opineq import core
 from opineq.core import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -15,7 +16,6 @@ from opineq.core import (
     op_norm,
     psd_order_leq,
     psd_power,
-    regularized_inv_power,
     require_hermitian,
 )
 from opineq.errors import DimMismatch, NotHermitian, NotPSD, SingularNegativePower
@@ -46,14 +46,8 @@ def _rand_psd(d):
 
 
 def test_tolerance_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        ToleranceConfig(tol_abs=-1.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(epsilon_reg=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(series_tail=-1e-3)
-    with pytest.raises(ValueError):
-        ToleranceConfig(max_terms=0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ToleranceConfig(tol_rel=-1.0)
     # defaults construct fine
     assert DEFAULT_TOL.tol_rel == 1e-8
 
@@ -126,16 +120,27 @@ def test_psd_power_negative_and_rejections():
     assert np.allclose(psd_power(noisy, 0.5), np.diag([1.0, 0.0]), atol=1e-7)
 
 
-def test_regularized_inv_power():
-    h = _rand_psd(4)
-    eps = 1e-3
-    out = regularized_inv_power(h, 0.5, eps)
-    recon = out @ psd_power(h + eps * np.eye(4), 0.5)
-    assert np.allclose(recon, np.eye(4), atol=1e-9)
-    with pytest.raises(ValueError):
-        regularized_inv_power(h, 0.0, eps)
-    with pytest.raises(ValueError):
-        regularized_inv_power(h, 0.5, 0.0)
+def test_herm_eig_rejects_a_self_adjointness_defect_above_tol_abs(monkeypatch):
+    def skewed(defect):
+        return np.array([[1.0, defect], [0.0, 2.0]])
+
+    herm_eig(skewed(0.5e-10))
+    with pytest.raises(NotHermitian, match="exceeds tol_abs 1.000e-10"):
+        herm_eig(skewed(2e-10))
+    # the check reads core.TOL_ABS at call time
+    monkeypatch.setattr(core, "TOL_ABS", 1e-9)
+    herm_eig(skewed(2e-10))
+
+
+def test_a_negative_power_needs_the_spectrum_above_clamp(monkeypatch):
+    def smallest(lam):
+        return np.diag([1.0, lam])
+
+    psd_power(smallest(2e-12), -0.5)
+    with pytest.raises(SingularNegativePower, match="eigenvalue <= 1.0e-12"):
+        psd_power(smallest(0.5e-12), -0.5)
+    monkeypatch.setattr(core, "CLAMP", 1e-13)
+    psd_power(smallest(0.5e-12), -0.5)
 
 
 def test_matrix_abs_agrees_with_gram_sqrt():
@@ -164,7 +169,7 @@ def test_op_norm_matches_svd():
     assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
 
 
-@pytest.mark.parametrize("field", ["tol_abs", "tol_rel", "clamp", "epsilon_reg", "series_tail"])
+@pytest.mark.parametrize("field", ["tol_rel"])
 def test_tolerance_config_rejects_infinite_values(field):
     with pytest.raises(ValueError, match="finite"):
         ToleranceConfig(**{field: np.inf})

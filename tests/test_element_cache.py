@@ -7,7 +7,6 @@ from opineq import transformer
 from opineq.core import ToleranceConfig
 from opineq.hmodule import conjugate, element, inner, is_normal, module_norm
 from opineq.harness import DEFAULT_EXPONENT_GRID, RunConfig, run_suite
-from opineq.transformer import defect_operator
 
 RNG = np.random.default_rng(20260)
 
@@ -58,9 +57,6 @@ def test_cached_arrays_are_read_only():
         inner(z, z)[0, 0] = 1
     with pytest.raises(ValueError):
         conjugate(z).parts[0][0, 0] = 1
-    delta = defect_operator(z)
-    with pytest.raises(ValueError):
-        delta[0, 0] = 1
 
 
 def test_cached_quantities_match_a_fresh_computation():
@@ -70,13 +66,3 @@ def test_cached_quantities_match_a_fresh_computation():
     assert conjugate(x) is conjugate(x)
     assert all(np.array_equal(p, q) for p, q in zip(conjugate(conjugate(x)).parts, x.parts))
     assert module_norm(x) == np.sqrt(np.linalg.svd(inner(x, x), compute_uv=False)[0])
-
-
-def test_defect_operator_is_kept_per_tolerance():
-    z = _contractive()
-    other = ToleranceConfig(clamp=1e-13)
-    first = defect_operator(z)
-    assert defect_operator(z) is first
-    second = defect_operator(z, other)
-    assert second is not first and defect_operator(z, other) is second
-    assert np.allclose(first, second)

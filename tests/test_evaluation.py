@@ -7,6 +7,7 @@ import json
 import pytest
 
 from opineq import checks, harness
+from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig
 from opineq.errors import InvalidSpec, NotUnital, OpineqError
 from opineq.generators import (
@@ -44,15 +45,6 @@ def test_rejected_instance_gives_one_error_line_per_grid_point():
         assert line["params"]["error"].startswith("NotNormal: ")
 
 
-def test_a_grid_override_on_an_axis_the_check_lacks_is_rejected():
-    cases = (("check_alpha", {"pqr": (1.0, 1.0, 1.0)}), ("check_interp", {"alpha": 0.5}),
-             ("check_cs", {"alpha": 0.5}), ("check_alpha", {"pqr": (2.0, 2.0, 2.0), "alpha": 1.0}))
-    for name, override in cases:
-        axis = "pqr" if "pqr" in override else "alpha"
-        with pytest.raises(InvalidSpec, match=f"no {axis} grid axis"):
-            evaluate_instance(build_instance(name, 1), **override)
-
-
 def test_build_instance_checks_the_shape_for_every_recipe():
     for name in CHECK_NAMES:
         for dim, length in ((9, 2), (2, 7), (0, 2)):
@@ -80,7 +72,9 @@ def _each_alone(cfg, check, spoil=lambda inst: inst):
         inst = spoil(build_instance(check, seed, dim=cfg.dim, length=cfg.length))
         for alpha in cfg.alpha_grid:
             try:
-                out.append(evaluate_instance(inst, cfg.tolerances, alpha=alpha).to_json_dict())
+                at = dataclasses.replace(inst, params={**inst.params,
+                                                       **GRIDS["alpha"].params((alpha,))})
+                out.append(evaluate_instance(at, cfg.tolerances).to_json_dict())
             except OpineqError as exc:
                 out.append(harness._error_line(check, inst, seed, exc, {"alpha": alpha}))
     return out
@@ -125,11 +119,31 @@ def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
 def test_a_grid_point_of_the_wrong_length_is_rejected():
     inst = build_instance("check_interp", 1)
     for pqr in ((2.0, 2.0), (4.0, 4.0), (2.0, 2.0, 2.0, 2.0)):
-        with pytest.raises(InvalidSpec, match=r"needs one number per key of \(p, q, r\)"):
-            evaluate_instance(inst, pqr=pqr)
         with pytest.raises(InvalidSpec, match="needs one number per key"):
             evaluate_group([inst], points=(pqr,))
         with pytest.raises(InvalidSpec, match="needs one number per key"):
             RunConfig(trials=1, checks=("check_interp",), exponent_grid=(pqr,))
     with pytest.raises(InvalidSpec, match="needs one number per key"):
         evaluate_group([build_instance("check_cs", 1)], points=((2.0,),))
+
+
+@pytest.mark.parametrize("check, grid", [
+    ("check_alpha", {"alpha_grid": ((0.5, 1.0),)}),
+    ("check_alpha", {"alpha_grid": (True,)}),
+    ("check_interp", {"exponent_grid": (("a", 2.0, 2.0),)}),
+    ("check_defect", {"exponent_grid": ((2.0, False, 2.0),)}),
+], ids=["alpha_tuple", "alpha_bool", "p_string", "q_bool"])
+def test_a_grid_entry_that_is_not_a_real_number_is_rejected(check, grid):
+    with pytest.raises(InvalidSpec, match="grid parameters must be real numbers"):
+        RunConfig(trials=1, checks=(check,), **grid)
+
+
+def test_integer_grid_entries_give_the_lines_of_their_floats():
+    def lines(**grid):
+        out = io.StringIO()
+        run_suite(RunConfig(trials=2, checks=("check_interp", "check_alpha"), seed=1, **grid), out)
+        return out.getvalue()
+
+    ints = lines(exponent_grid=((2, 2, 2), (4, 4, 4)), alpha_grid=(1, 2))
+    assert ints == lines(exponent_grid=((2.0, 2.0, 2.0), (4.0, 4.0, 4.0)), alpha_grid=(1.0, 2.0))
+    assert '"p": 2.0' in ints and '"alpha": 1.0' in ints

@@ -90,8 +90,8 @@ def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, leng
 
     inst = build_instance("check_alpha", trial_seed(seed, "check_alpha", 0), dim=dim, length=length)
 
-    def series(rep, a, alpha, gammas, tol):
-        return fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, a[0], tol)[None]
+    def series(rep, a, alpha, gammas):
+        return fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, a[0])[None]
 
     monkeypatch.setattr(transformer, "terminating_powers", series)
     reference = io.StringIO()

@@ -17,7 +17,7 @@ from opineq.generators import (
 from opineq.harness import (
     DEFAULT_ALPHA_GRID, DEFAULT_EXPONENT_GRID, RunConfig, run_suite,
 )
-from opineq.checks import CHECK_SPECS, KERNELS
+from opineq.checks import CHECK_SPECS, GRIDS, KERNELS
 
 
 def _lines(cfg):
@@ -26,17 +26,23 @@ def _lines(cfg):
     return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
+def _at(inst, point):
+    """inst with its params recording ``point`` on its check's grid axis."""
+    axis = GRIDS[CHECK_SPECS[inst.check].grid]
+    return dataclasses.replace(inst, params={**inst.params, **axis.params(point)})
+
+
 def _alone(check, cfg):
     """Each trial built and evaluated alone, one grid point at a time."""
     grid = CHECK_SPECS[check].grid
-    values = {"pqr": DEFAULT_EXPONENT_GRID, "alpha": DEFAULT_ALPHA_GRID}.get(grid, (None,))
+    points = {"pqr": DEFAULT_EXPONENT_GRID,
+              "alpha": [(alpha,) for alpha in DEFAULT_ALPHA_GRID]}.get(grid, [()])
     out = []
     for index in range(cfg.trials):
         inst = build_instance(check, trial_seed(cfg.seed, check, index), dim=cfg.dim,
                               length=cfg.length, weights_mode=cfg.weights_mode)
-        for value in values:
-            point = {grid: value} if grid else {}
-            out.append(evaluate_instance(inst, cfg.tolerances, **point).to_json_dict())
+        for point in points:
+            out.append(evaluate_instance(_at(inst, point), cfg.tolerances).to_json_dict())
     return out
 
 
@@ -58,7 +64,7 @@ def test_a_grid_check_group_is_evaluated_at_given_points():
         evaluate_group(insts)
     points = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0))
     grouped = [rep.to_json_dict() for rep in evaluate_group(insts, points=points)]
-    assert grouped == [evaluate_instance(inst, pqr=point).to_json_dict()
+    assert grouped == [evaluate_instance(_at(inst, point)).to_json_dict()
                        for inst in insts for point in points]
     assert evaluate_instance(insts[1]).to_json_dict() == grouped[3]
 

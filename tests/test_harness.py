@@ -1,11 +1,13 @@
 """Generators, batch runner, counterexample search: determinism and routing."""
 
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
+from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig, op_norm
 from opineq.errors import InvalidSpec, UnknownCheck
 from opineq.generators import (
@@ -138,11 +140,13 @@ def test_build_instance_drop_and_overrides():
     rep = evaluate_instance(inst)  # strict enforcement is off
     assert isinstance(rep.holds, bool)
     inst = build_instance("check_interp", 3, dim=3, length=2)
-    rep = evaluate_instance(inst, pqr=(3.0, 2.0, 6.0))
+    inst = dataclasses.replace(inst, params={**inst.params, **GRIDS["pqr"].params((3.0, 2.0, 6.0))})
+    rep = evaluate_instance(inst)
     assert rep.instance["params"]["p"] == 3.0
     assert rep.instance["params"]["r"] == 6.0
     inst = build_instance("check_alpha", 3, dim=3, length=2)
-    rep = evaluate_instance(inst, alpha=0.5)
+    inst = dataclasses.replace(inst, params={**inst.params, **GRIDS["alpha"].params((0.5,))})
+    rep = evaluate_instance(inst)
     assert rep.instance["params"]["alpha"] == 0.5
     with pytest.raises(UnknownCheck):
         build_instance("check_bogus", 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from opineq import transformer
-from opineq.core import ToleranceConfig, op_norm, psd_power
+from opineq.core import op_norm, psd_power
 from opineq.errors import (
     CtxMismatch,
     DimCap,
@@ -192,7 +192,7 @@ def test_neumann_inverse_geometric_case():
     assert np.array_equal(b, a) and terms == 1
 
 
-def test_neumann_inverse_solve_oracle_and_errors():
+def test_neumann_inverse_solve_oracle_and_errors(monkeypatch):
     for _ in range(10):
         d, n = int(RNG.integers(2, 4)), int(RNG.integers(1, 3))
         t = _pair(d, n)
@@ -209,9 +209,9 @@ def test_neumann_inverse_solve_oracle_and_errors():
     with pytest.raises(NotContractive):
         neumann_inverse(ElementaryOperator(ident, ident), np.eye(2))
     slow = element([0.95 * np.eye(2)])
-    tight = ToleranceConfig(max_terms=3)
+    monkeypatch.setattr(transformer, "MAX_TERMS", 3)
     with pytest.raises(MaxTermsExceeded):
-        neumann_inverse(ElementaryOperator(slow, slow), np.eye(2), tight)
+        neumann_inverse(ElementaryOperator(slow, slow), np.eye(2))
 
 
 def test_fractional_power_special_cases():
@@ -238,7 +238,7 @@ def test_fractional_power_special_cases():
     assert np.allclose(half_half, once, atol=1e-8 * max(1.0, op_norm(once)))
 
 
-def test_fractional_power_errors():
+def test_fractional_power_errors(monkeypatch):
     t = _pair(2, 2)
     with pytest.raises(ValueError):
         fractional_power_apply(t, 0.0, np.eye(2))
@@ -246,9 +246,9 @@ def test_fractional_power_errors():
     with pytest.raises(NotContractive):
         fractional_power_apply(ElementaryOperator(ident, ident), 0.5, np.eye(2))
     slow = element([0.97 * np.eye(2)])
-    tight = ToleranceConfig(max_terms=5)
+    monkeypatch.setattr(transformer, "MAX_TERMS", 5)
     with pytest.raises(MaxTermsExceeded):
-        fractional_power_apply(ElementaryOperator(slow, slow), 0.5, np.eye(2), tight)
+        fractional_power_apply(ElementaryOperator(slow, slow), 0.5, np.eye(2))
 
 
 def test_defect_operator():
@@ -303,7 +303,7 @@ def test_fractional_power_exact_matches_series():
                 assert op_norm(got - want) <= 1e-10 * op_norm(want)
 
 
-def test_fractional_power_exact_falls_back_to_series():
+def test_fractional_power_exact_falls_back_to_series(monkeypatch):
     # non-normal vectorized T: the series output, bit for bit
     t = _pair(3, 2)
     t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
@@ -317,10 +317,10 @@ def test_fractional_power_exact_falls_back_to_series():
         for alpha in (1, 2.0, 3):
             assert np.array_equal(fractional_power_exact(tt, alpha, a),
                                   fractional_power_apply(tt, alpha, a))
-    # an eigenbasis whose conditioning cannot meet series_tail falls back too
-    strict = ToleranceConfig(series_tail=1e-17)
-    assert np.array_equal(fractional_power_exact(normal, 0.5, a, strict),
-                          fractional_power_apply(normal, 0.5, a, strict))
+    # an eigenbasis whose conditioning cannot meet SERIES_TAIL falls back too
+    monkeypatch.setattr(transformer, "SERIES_TAIL", 1e-17)
+    assert np.array_equal(fractional_power_exact(normal, 0.5, a),
+                          fractional_power_apply(normal, 0.5, a))
 
 
 def test_fractional_power_exact_errors():
