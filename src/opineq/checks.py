@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import cycle
 from typing import Callable, NamedTuple
 
@@ -42,7 +41,8 @@ from .errors import (
     UnknownCheck,
 )
 from .hmodule import (
-    GrussContext, ModuleElement, Stack, _same_ctx, acting, covariances, weighted_products, within,
+    GrussContext, ModuleElement, Stack, _same_ctx, acting, cached_property, covariances,
+    weighted_products, within,
 )
 from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
@@ -129,8 +129,7 @@ def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = 
     keeps the centered elements x - e<e,x> inside the module's normal
     cone, which is what the covariance bound consumes; a merely commuting
     non-scalar reference is not enough."""
-    for z, tag in ((x, "x"), (y, "y")):
-        ok, defect = z.is_normal(tol)
+    for tag, ok, defect in zip("xy", *(v.reshape(2, -1) for v in x.is_normal(tol, y))):
         if not ok.all():
             raise NotNormal(f"{tag} has normality defect {defect[~ok][0]:.3e}")
     if e is None:
@@ -148,8 +147,8 @@ def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = 
 
 def _require_contractive(x: Stack, y: Stack, tol: ToleranceConfig,
                          e: Stack | None = None) -> None:
-    for z, tag in ((x, "x"), (y, "y")):
-        top = eigvalsh(herm(z.gram))[:, -1]
+    tops = eigvalsh(herm(np.stack([x.gram, y.gram])))[..., -1]
+    for top, tag in zip(tops, "xy"):
         bad = top > 1.0 - CONTRACTION_MARGIN + TOL_ABS
         if bad.any():
             raise NotContractive(f"<{tag},{tag}> has top eigenvalue {top[bad][0]:.6f}, "
@@ -305,24 +304,12 @@ def _single(x: ModuleElement, y: ModuleElement, digest: dict | None, a=None,
     return Batch((x,), (y,), a, points=(point,), digests=(digest,), **extra)
 
 
-def _joint(fn, stacks: list[np.ndarray]) -> list:
-    """fn on equal-length stacks in one call, its result split back per stack."""
-    out = fn(np.concatenate(stacks))
-    if isinstance(out, tuple):
-        return list(zip(*(np.split(o, len(stacks)) for o in out)))
-    return np.split(out, len(stacks))
-
-
-def _digest(b: Batch, digest: dict | None, params: dict | None = None) -> dict:
-    out = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3],
-           "params": {}}
-    if params:
-        out["params"].update(params)
-    if digest:
-        extra = dict(digest)
-        out["params"].update(extra.pop("params", {}))
-        out.update(extra)
-    return out
+def _digest(b: Batch, digest: dict | None, params: dict) -> dict:
+    """A report's instance: the batch's shape, then ``digest``, whose params
+    are merged over ``params``."""
+    digest = digest or {}
+    return {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3], **digest,
+            "params": {**params, **digest.get("params", {})}}
 
 
 class _Branch(NamedTuple):
@@ -343,19 +330,21 @@ def _psd_branches(lo: np.ndarray, hi: np.ndarray) -> list[_Branch]:
     return [_Branch(*branch) for branch in zip(n_lo, n_hi, margins, scales)]
 
 
-def _ky_branches(lo: np.ndarray, hi: np.ndarray, prefix: str = "") -> list[tuple[dict, _Branch]]:
-    """Ky Fan profile margins of |||lo||| <= |||hi||| per matrix of the
-    stacks, worst k as headline, with the Hilbert-Schmidt spot check."""
-    s_lo, s_hi = svdvals(lo), svdvals(hi)
+def _ky_branches(s_lo: np.ndarray, s_hi: np.ndarray,
+                 prefix: str = "") -> list[tuple[dict, _Branch]]:
+    """Ky Fan profile margins of |||lo||| <= |||hi||| per row of singular
+    values of the stacks, worst k as headline, with the Hilbert-Schmidt
+    spot check."""
     p_lo, p_hi, gaps, scales = fan_gaps(s_lo, s_hi)
     hs = norms_of(s_hi, HILBERT_SCHMIDT) - norms_of(s_lo, HILBERT_SCHMIDT)
+    labels = [f"{prefix}ky_fan_{k + 1}" for k in range(gaps.shape[-1])]
     out = []
-    for pl, ph, gap, h, scale in zip(p_lo, p_hi, gaps, hs.tolist(), scales.tolist()):
-        detail = {f"{prefix}ky_fan_{k + 1}": float(g) / scale for k, g in enumerate(gap)}
+    for pl, ph, gap, k, h, scale in zip(p_lo.tolist(), p_hi.tolist(), gaps.tolist(),
+                                        np.argmin(gaps, axis=-1).tolist(), hs.tolist(),
+                                        scales.tolist()):
+        detail = {label: g / scale for label, g in zip(labels, gap)}
         detail[f"{prefix}hilbert_schmidt"] = h / scale
-        worst = int(np.argmin(gap))
-        out.append((detail, _Branch(float(pl[worst]), float(ph[worst]), float(gap[worst]),
-                                    scale)))
+        out.append((detail, _Branch(pl[k], ph[k], gap[k], scale)))
     return out
 
 
@@ -363,10 +352,9 @@ def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
             digest: dict, extra_detail: dict | None = None) -> InequalityReport:
     """Assemble a report: headline is the branch with the worst margin/scale."""
     detail = {label: b.margin / b.scale for label, b in branches.items()}
+    head = branches[min(detail, key=detail.__getitem__)]
     if extra_detail:
         detail.update(extra_detail)
-    worst_label = min(branches, key=lambda lb: branches[lb].margin / branches[lb].scale)
-    head = branches[worst_label]
     holds = all(b.margin >= -tol.tol_rel * b.scale for b in branches.values())
     return InequalityReport(
         name=name, lhs=head.lhs, rhs=head.rhs, margin=head.margin,
@@ -376,7 +364,8 @@ def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
 
 def _family_rows(lo: np.ndarray, hi: np.ndarray) -> list:
     """Rows whose one branch, "family", is Ky Fan dominance lo <= hi."""
-    return [({"family": head}, detail, None) for detail, head in _ky_branches(lo, hi)]
+    return [({"family": head}, detail, None)
+            for detail, head in _ky_branches(*svdvals(np.stack([lo, hi])))]
 
 
 def _instance_major(b: Batch, columns: list) -> list:
@@ -390,8 +379,9 @@ def _products(b: Batch) -> np.ndarray:
     return applied(b.x.weights, b.x.parts, b.y.parts, b.a)
 
 
-def _sqrt_grams(z: Stack) -> np.ndarray:
-    return psd_powers(herm(z.gram), 0.5)
+def _sqrt_grams(*zs: Stack) -> np.ndarray:
+    """<z,z>^(1/2) of each stack, stacked, from one eigendecomposition."""
+    return psd_powers(herm(np.stack([z.gram for z in zs])), 0.5)
 
 
 def _column(values) -> np.ndarray:
@@ -399,36 +389,46 @@ def _column(values) -> np.ndarray:
     return np.array(values)[:, None, None]
 
 
+def _powers(eigs: tuple, exps: list) -> np.ndarray:
+    """Entry i of stacked eigensystems at each exponent of the equal-length
+    exps[i], from one :func:`eig_powers` call: (len(exps), K, B, d, d)."""
+    lam, u = (np.repeat(v, len(exps[0]), axis=0) for v in eigs)
+    return eig_powers(lam, u, [s for row in exps for s in row]).reshape(
+        len(exps), len(exps[0]), *u.shape[1:])
+
+
 # --------------------------------------------------------------------------
 # kernels: the numerics of each check over a Batch, one row
-# (branches, extra detail, report params besides the grid point's) per report
+# (branches, extra detail, report params besides the grid point's) per report;
+# each stage makes one LAPACK call, over every instance and grid point
 
 def _cs(b: Batch, tol: ToleranceConfig) -> list:
     m = weighted_products(b.x.weights, b.x.parts, b.y.parts)
     nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
     gy = herm(b.y.gram)
-    sq = _psd_branches(ct(m) @ m, nx2 * gy)
-    rt = _psd_branches(moduli(m), np.sqrt(nx2) * psd_powers(gy, 0.5))
-    return [({"squared": s1, "sqrt": s2}, None, None) for s1, s2 in zip(sq, rt)]
+    # the squared branches, then the square-root ones
+    branches = _psd_branches(np.concatenate([ct(m) @ m, moduli(m)]),
+                             np.concatenate([nx2 * gy, np.sqrt(nx2) * psd_powers(gy, 0.5)]))
+    return [({"squared": s1, "sqrt": s2}, None, None)
+            for s1, s2 in zip(branches[:len(m)], branches[len(m):])]
 
 
 def _basic(b: Batch, tol: ToleranceConfig) -> list:
-    s_val = svdvals(_products(b))
-    rhs_tr = norms_of(svdvals(_sqrt_grams(b.x.conj) @ b.a @ _sqrt_grams(b.y.conj)), TRACE)
+    gx, gy = _sqrt_grams(b.x.conj, b.y.conj)
+    s_val, s_rhs, s_a = svdvals(np.stack([_products(b), gx @ b.a @ gy, b.a]))
     return [({"op": _scalar_branch(op, nx * ny * na), "tr": _scalar_branch(tr, rtr)}, None, None)
             for op, tr, nx, ny, na, rtr in zip(
                 s_val[:, 0].tolist(), norms_of(s_val, TRACE).tolist(), b.x.norms.tolist(),
-                b.y.norms.tolist(), op_norms(b.a).tolist(), rhs_tr.tolist())]
+                b.y.norms.tolist(), s_a[:, 0].tolist(), norms_of(s_rhs, TRACE).tolist())]
 
 
 def _hs(b: Batch, tol: ToleranceConfig) -> list:
-    lhs = norms_of(svdvals(_products(b)), HILBERT_SCHMIDT)
-    rx = norms_of(svdvals(b.a @ _sqrt_grams(b.y.conj)), HILBERT_SCHMIDT)
-    ry = norms_of(svdvals(_sqrt_grams(b.x.conj) @ b.a), HILBERT_SCHMIDT)
+    gx, gy = _sqrt_grams(b.x.conj, b.y.conj)
+    lhs, rx, ry = norms_of(svdvals(np.stack([_products(b), b.a @ gy, gx @ b.a])),
+                           HILBERT_SCHMIDT).tolist()
     return [({"x_weighted": _scalar_branch(l, nx * hx),
               "y_weighted": _scalar_branch(l, ny * hy)}, None, None)
-            for l, nx, ny, hx, hy in zip(lhs.tolist(), b.x.norms.tolist(), b.y.norms.tolist(),
-                                         rx.tolist(), ry.tolist())]
+            for l, nx, ny, hx, hy in zip(lhs, b.x.norms.tolist(), b.y.norms.tolist(), rx, ry)]
 
 
 def _refinement(b: Batch, tol: ToleranceConfig) -> list:
@@ -440,31 +440,34 @@ def _refinement(b: Batch, tol: ToleranceConfig) -> list:
 
 
 def _uin(b: Batch, tol: ToleranceConfig) -> list:
-    return _family_rows(_products(b), _sqrt_grams(b.x) @ b.a @ _sqrt_grams(b.y))
+    gx, gy = _sqrt_grams(b.x, b.y)
+    return _family_rows(_products(b), gx @ b.a @ gy)
 
 
 def _interp(b: Batch, tol: ToleranceConfig) -> list:
     s_lhs = svdvals(_products(b))
-    # K_x = <<x,x>^(q-1) xbar, xbar> per distinct q, K_y likewise per r
-    eigs = _joint(psd_eigs, [herm(b.x.gram), herm(b.y.gram)])
-    ks = {}
-    for z, (lam, u), col in ((b.x, eigs[0], 1), (b.y, eigs[1], 2)):
-        zb = z.conj.parts
-        for s in dict.fromkeys(point[col] - 1 for point in b.points):
-            ks[col, s] = herm(weighted_products(z.weights, eig_powers(lam, u, s)[:, None] @ zb, zb))
-    low = dict(zip(ks, _joint(lambda k: eigvalsh(k)[:, 0], list(ks.values()))))
-    # the outer powers at EPSILON_REG and ten times it, each from its own eigh
+    # K_x = <<x,x>^(q-1) xbar, xbar> per distinct q, then K_y likewise per r
+    keys = [(side, s) for side in (0, 1)
+            for s in dict.fromkeys(point[side + 1] - 1 for point in b.points)]
+    sides = [side for side, _ in keys]
+    lam, u = psd_eigs(herm(np.stack([b.x.gram, b.y.gram])))
+    zb = np.stack([b.x.conj.parts, b.y.conj.parts])[sides]
+    inner = eig_powers(lam[sides], u[sides], [s for _, s in keys])
+    ks = herm(weighted_products(np.stack([b.x.weights, b.y.weights])[sides],
+                                inner[:, :, None] @ zb, zb))
+    low = dict(zip(keys, eigvalsh(ks)[..., 0].tolist()))
+    # the outer powers at EPSILON_REG and ten times it, each from its own eigh:
+    # K_x^(1/2q) at each shift and point, then K_y^(1/2r)
     eye = np.eye(b.x.parts.shape[-1])
-    shifts = (EPSILON_REG, 10 * EPSILON_REG)
-    keys = [(eps, key) for eps in shifts for key in ks]
-    shifted = dict(zip(keys, _joint(psd_eigs, [ks[key] + eps * eye for eps, key in keys])))
-    rhs = [eig_powers(*shifted[eps, (1, q - 1)], 1 / (2 * q)) @ b.a
-           @ eig_powers(*shifted[eps, (2, r - 1)], 1 / (2 * r))
-           for eps in shifts for _, q, r in b.points]
-    s_rhs = svdvals(np.stack(rhs)).reshape(2, len(b.points), *s_lhs.shape)
-    columns = [zip(norms_of(s_lhs, schatten(p)).tolist(), norms_of(s_rhs[0, k], schatten(p)).tolist(),
-                   norms_of(s_rhs[1, k], schatten(p)).tolist(), low[1, q - 1].tolist(),
-                   low[2, r - 1].tolist())
+    shifted = psd_eigs(np.concatenate([ks + EPSILON_REG * eye, ks + 10 * EPSILON_REG * eye]))
+    picks, exps = zip(*((shift * len(keys) + keys.index((side, point[side + 1] - 1)),
+                         1 / (2 * point[side + 1]))
+                        for side in (0, 1) for shift in (0, 1) for point in b.points))
+    outer = eig_powers(*(v[list(picks)] for v in shifted), exps)
+    half = len(picks) // 2
+    s_rhs = svdvals(outer[:half] @ b.a @ outer[half:]).reshape(2, len(b.points), *s_lhs.shape)
+    columns = [zip(norms_of(s_lhs, schatten(p)).tolist(), *norms_of(s_rhs[:, k], schatten(p)).tolist(),
+                   low[0, q - 1], low[1, r - 1])
                for k, (p, q, r) in enumerate(b.points)]
     return [({schatten(p).label: _scalar_branch(lhs, rhs)},
              {"sensitivity": float(abs(rhs10 - rhs) / max(rhs, 1.0)),
@@ -472,25 +475,25 @@ def _interp(b: Batch, tol: ToleranceConfig) -> list:
             for (p, _, _), (lhs, rhs, rhs10, mx, my) in _instance_major(b, columns)]
 
 
-def _defect_eigs(b: Batch) -> list:
-    """Clamped eigensystems of 1 - <x,x> and 1 - <y,y>."""
+def _defect_eigs(b: Batch) -> tuple:
+    """Clamped eigensystems of 1 - <x,x> and 1 - <y,y>, stacked (2, B, ...)."""
     eye = np.eye(b.x.parts.shape[-1])
-    return _joint(psd_eigs, [herm(eye - herm(b.x.gram)), herm(eye - herm(b.y.gram))])
+    return psd_eigs(herm(eye - herm(np.stack([b.x.gram, b.y.gram]))))
 
 
 def _naopaka(b: Batch, tol: ToleranceConfig) -> list:
-    ex, ey = _defect_eigs(b)
-    return _family_rows(eig_powers(*ex, 0.5) @ b.a @ eig_powers(*ey, 0.5), b.a - _products(b))
+    dx, dy = eig_powers(*_defect_eigs(b), 0.5)
+    return _family_rows(dx @ b.a @ dy, b.a - _products(b))
 
 
 def _alpha(b: Batch, tol: ToleranceConfig) -> list:
-    ex, ey = _defect_eigs(b)
     alphas = [alpha for (alpha,) in b.points]
-    los = [eig_powers(*ex, alpha / 2) @ b.a @ eig_powers(*ey, alpha / 2) for alpha in alphas]
+    px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)
+    los = px @ b.a @ py
     his = fractional_powers(b.x, b.y, b.a, alphas, tol)
     d = b.a.shape[-1]
     # one stack per point, interleaved into report order
-    return _family_rows(np.stack(los, axis=1).reshape(-1, d, d),
+    return _family_rows(los.swapaxes(0, 1).reshape(-1, d, d),
                         np.stack(his, axis=1).reshape(-1, d, d))
 
 
@@ -498,11 +501,12 @@ def _defect(b: Batch, tol: ToleranceConfig) -> list:
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
-    ex, ey, exb, eyb = _joint(psd_eigs, np.split(defect_operators(four, tol), 4))
-    resid = b.a - _products(b)
-    lhs = [eig_powers(*ex, 1 - 1 / q) @ b.a @ eig_powers(*ey, 1 - 1 / r) for _, q, r in b.points]
-    rhs = [eig_powers(*exb, -1 / q) @ resid @ eig_powers(*eyb, -1 / r) for _, q, r in b.points]
-    s_lhs, s_rhs = np.split(svdvals(np.stack(lhs + rhs)), 2)
+    eigs = (v.reshape(4, len(b.xs), *v.shape[1:]) for v in psd_eigs(defect_operators(four, tol)))
+    qs, rs = [q for _, q, _ in b.points], [r for _, _, r in b.points]
+    # D_x^(1-1/q), D_y^(1-1/r), D_xbar^(-1/q) and D_ybar^(-1/r) at every point
+    dx, dy, dxb, dyb = _powers(eigs, [[1 - 1 / q for q in qs], [1 - 1 / r for r in rs],
+                                      [-1 / q for q in qs], [-1 / r for r in rs]])
+    s_lhs, s_rhs = svdvals(np.stack([dx @ b.a @ dy, dxb @ (b.a - _products(b)) @ dyb]))
     columns = [zip(norms_of(s_lhs[k], schatten(p)).tolist(), norms_of(s_rhs[k], schatten(p)).tolist())
                for k, (p, _, _) in enumerate(b.points)]
     return [({schatten(p).label: _scalar_branch(l, h)}, None, None)
@@ -513,18 +517,22 @@ def _gruss(b: Batch, tol: ToleranceConfig) -> list:
     x, y, e, w = b.x, b.y, b.e, b.x.weights
     if b.balls is not None:
         require_in_ball(x, y, e, b.balls, tol)
-    lo = covariances(w, x.parts, b.a[:, None] @ y.parts, e.parts)
-    phi_x = herm(covariances(w, x.parts, x.parts, e.parts))
-    phi_y = herm(covariances(w, y.parts, y.parts, e.parts))
-    px, py = _joint(lambda phi: psd_powers(phi, 0.5, tol), [phi_x, phi_y])
-    rows = []
-    for detail, head in _ky_branches(lo, px @ b.a @ py, prefix="g3_"):
-        rows.append(({"g3": head}, detail, {"ball": None}))
+    # Phi(x, ay), Phi(x, x) and Phi(y, y) in one stack
+    lo, phi_x, phi_y = covariances(np.stack([w] * 3), np.stack([x.parts, x.parts, y.parts]),
+                                   np.stack([b.a[:, None] @ y.parts, x.parts, y.parts]),
+                                   np.stack([e.parts] * 3))
+    px, py = psd_powers(herm(np.stack([phi_x, phi_y])), 0.5, tol)
+    his = [px @ b.a @ py]
     if b.balls is not None:
         bounds = [[float(v) for v in ball] for ball in b.balls]
-        diam = [0.25 * abs(big_m - m) * abs(big_p - p) for m, big_m, p, big_p in bounds]
+        his.append(_column([0.25 * abs(big_m - m) * abs(big_p - p)
+                            for m, big_m, p, big_p in bounds]) * b.a)
+    s_lo, *s_his = svdvals(np.stack([lo, *his]))
+    rows = [({"g3": head}, detail, {"ball": None})
+            for detail, head in _ky_branches(s_lo, s_his[0], prefix="g3_")]
+    if b.balls is not None:
         for (branches, detail, params), (mm_detail, mm_head), ball in zip(
-                rows, _ky_branches(lo, _column(diam) * b.a, prefix="mm_"), b.balls):
+                rows, _ky_branches(s_lo, s_his[1], prefix="mm_"), b.balls):
             branches["mm"] = mm_head
             detail.update(mm_detail)
             params["ball"] = list(ball)
@@ -532,11 +540,11 @@ def _gruss(b: Batch, tol: ToleranceConfig) -> list:
 
 
 def _radius_submult(b: Batch, tol: ToleranceConfig) -> list:
-    x, y = b.x, b.y
+    x, y, n = b.x, b.y, len(b.xs)
     rep = vectorized(np.concatenate([x.weights] * 3), np.concatenate([x.parts, x.parts, y.parts]),
                      np.concatenate([y.parts, x.parts, y.parts]))
-    r_xy, r_xx, r_yy = (v.tolist() for v in np.split(spectral_radii(rep), 3))
-    lower = probe_lower_bounds(rep[:len(b.xs)]).tolist()
+    r_xy, r_xx, r_yy = spectral_radii(rep).reshape(3, n).tolist()
+    lower = probe_lower_bounds(rep[:n]).tolist()
     return [({"radius_sq": _scalar_branch(rxy ** 2, rxx * ryy),
               "opnorm_gap": _scalar_branch(low, nx * ny)}, None, None)
             for rxy, rxx, ryy, low, nx, ny in zip(r_xy, r_xx, r_yy, lower, x.norms.tolist(),

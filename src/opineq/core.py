@@ -22,6 +22,7 @@ from .errors import DimMismatch, InvalidSpec, NotHermitian, NotPSD, SingularNega
 TOL_ABS = 1e-10
 # eigenvalues at or below this make a negative power singular
 CLAMP = 1e-12
+_SQRT2 = math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ def finite(a: np.ndarray) -> np.ndarray:
 def complex_normals(g: np.ndarray, axis: int) -> np.ndarray:
     """Standard complex Gaussians (re + i im) / sqrt(2) from standard normal
     draws whose real and imaginary parts lie along ``axis``."""
-    re, im = np.moveaxis(g, axis, 0)
-    return (re + 1j * im) / np.sqrt(2)
+    index = (slice(None),) * (axis % g.ndim)
+    return (g[index + (0,)] + 1j * g[index + (1,)]) / _SQRT2
 
 
 def ct(a: np.ndarray) -> np.ndarray:
@@ -127,13 +128,16 @@ def psd_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndar
     return np.maximum(w, 0.0), u
 
 
-def eig_powers(lam: np.ndarray, u: np.ndarray, s: float) -> np.ndarray:
-    """u diag(lam^s) u* for each clamped eigensystem from :func:`psd_eigs`."""
-    if s < 0 and (lam.min(axis=-1) <= CLAMP).any():
-        raise SingularNegativePower(
-            f"negative power {s} of a matrix with eigenvalue <= {CLAMP:.1e}"
-        )
-    vals = lam ** float(s)
+def eig_powers(lam: np.ndarray, u: np.ndarray, s) -> np.ndarray:
+    """u diag(lam^s) u* for each clamped eigensystem from :func:`psd_eigs`.
+    ``s`` is one exponent, or one per leading entry k of the stacks
+    (lam[k]^s[k]); each is taken as one scalar power."""
+    pairs = [(s, lam)] if np.ndim(s) == 0 else list(zip(s, lam))
+    for sk, lk in pairs:
+        if sk < 0 and (lk.min(axis=-1) <= CLAMP).any():
+            raise SingularNegativePower(f"negative power {sk} of a matrix with "
+                                        f"eigenvalue <= {CLAMP:.1e}")
+    vals = lam ** float(s) if np.ndim(s) == 0 else np.stack([lk ** float(sk) for sk, lk in pairs])
     return (u * vals[..., None, :]) @ ct(u)
 
 
@@ -145,7 +149,7 @@ def psd_order_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """lo <= hi in the PSD order for each pair of matrices of two stacks: the
     margin (smallest eigenvalue of herm(hi) - herm(lo)), ||lo||, ||hi|| and
     the comparison scale max(||lo||, ||hi||, 1)."""
-    n_lo, n_hi = op_norms(lo), op_norms(hi)
+    n_lo, n_hi = op_norms(np.stack([lo, hi]))
     return (eigvalsh(herm(hi) - herm(lo))[..., 0], n_lo, n_hi,
             np.maximum(np.maximum(n_lo, n_hi), 1.0))
 

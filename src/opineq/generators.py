@@ -105,7 +105,7 @@ def gen_haar_unitary(seed: int, d: int) -> np.ndarray:
 
 def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, ...]:
     if mode == "random":
-        return tuple(rng.uniform(0.1, 2.0, n))
+        return tuple(rng.uniform(0.1, 2.0, n).tolist())
     return (1.0,) * n
 
 

@@ -37,6 +37,8 @@ DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0)
 # depend on it: an instance or report is the same alone or in any group.
 GROUP_TRIALS = 64
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,8 +63,12 @@ class RunConfig:
         for name in self.checks:
             check_spec(name)
         for axis, row in GRIDS.items():
-            for point in self.points(axis):
-                row.validate(*row.params(point).values())
+            try:
+                grid = [row.params(point) for point in self.points(axis)]
+            except TypeError:
+                raise InvalidSpec(f"the {axis} grid must be a sequence of points") from None
+            for params in grid:
+                row.validate(*params.values())
         check_shape(self.dim, self.length)
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
@@ -197,7 +203,7 @@ def _emit(writer, obj: dict) -> None:
     if writer is None:
         return
     try:
-        writer.write(json.dumps(obj, sort_keys=True) + "\n")
+        writer.write(_ENCODER.encode(obj) + "\n")
     except OSError as exc:  # pragma: no cover - exercised via bad paths only
         raise IOFailure(f"cannot write report line: {exc}") from exc
 

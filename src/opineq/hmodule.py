@@ -23,8 +23,8 @@ screen first (||m|| <= ||m||_F) and the SVD only where it does not pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class ModuleContext:
         w = tuple(float(v) for v in self.weights)
         if len(w) < 1:
             raise InvalidSpec("length must be >= 1")
-        if any(not np.isfinite(v) or v <= 0 for v in w):
+        if any(not math.isfinite(v) or v <= 0 for v in w):
             raise InvalidSpec("weights must be strictly positive and finite")
         object.__setattr__(self, "weights", w)
 
@@ -56,6 +56,21 @@ def uniform_context(dim: int, length: int) -> ModuleContext:
     return ModuleContext(dim, (1.0,) * length)
 
 
+class cached_property:
+    """functools.cached_property without the lock it takes on each first
+    access before Python 3.12: the value goes into the instance's
+    ``__dict__``, which shadows this descriptor from then on."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -65,7 +80,10 @@ def weighted_products(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     """sum_t w_t x_t* y_t for (..., n) weights and (..., n, d, d) parts: all
     terms in one product, summed over t in part order from +0.0."""
     terms = w[..., None, None] * (ct(xs) @ ys)
-    return sum((terms[..., t, :, :] for t in range(terms.shape[-3])), 0j)
+    total = 0j
+    for t in range(terms.shape[-3]):
+        total = total + terms[..., t, :, :]
+    return total
 
 
 def within(defects: np.ndarray, tol_rel: float, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -123,11 +141,14 @@ class Stack:
         return _frozen(np.concatenate([g @ self.parts - self.parts @ g,
                                        (self.gram - self.conj.gram)[:, None]], axis=1))
 
-    def is_normal(self, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-        """Per element, whether its normality defect is within tol_rel at its
-        scale, and the defect where the SVD ran; see :func:`is_normal`."""
-        return within(self.normality_defects, cfg.tol_rel, lambda rows: np.array(
-            [max(1.0, nx**2, nx**3) for nx in self.norms[rows].tolist()]))
+    def is_normal(self, cfg: ToleranceConfig = DEFAULT_TOL,
+                  *others: "Stack") -> tuple[np.ndarray, np.ndarray]:
+        """Per element of this stack, then of ``others``, whether its normality defect
+        is within tol_rel at its scale, and the defect where the SVD ran; see :func:`is_normal`."""
+        zs = (self, *others)
+        return within(np.concatenate([z.normality_defects for z in zs]), cfg.tol_rel, lambda rows: (
+            np.array([max(1.0, nx**2, nx**3)
+                      for nx in np.concatenate([z.norms for z in zs])[rows].tolist()])))
 
 
 @dataclass(frozen=True, eq=False)

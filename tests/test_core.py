@@ -12,8 +12,12 @@ from opineq.core import (
     herm_eig,
     hermitian_part,
     hermiticity_defect,
+    eig_powers,
     matrix_abs,
     op_norm,
+    op_norms,
+    psd_eigs,
+    psd_order_gaps,
     psd_order_leq,
     psd_power,
     require_hermitian,
@@ -141,6 +145,41 @@ def test_a_negative_power_needs_the_spectrum_above_clamp(monkeypatch):
         psd_power(smallest(0.5e-12), -0.5)
     monkeypatch.setattr(core, "CLAMP", 1e-13)
     psd_power(smallest(0.5e-12), -0.5)
+
+
+EXPONENTS = (1 / 3, 0.5, 1.0, 2.0, -0.25)
+
+
+def test_one_exponent_per_stack_entry_gives_the_bits_of_each_exponent_alone():
+    lam, u = psd_eigs(np.stack([_rand_psd(3) + 0.1 * np.eye(3) for _ in EXPONENTS]))
+    stacked = eig_powers(np.stack([lam] * len(EXPONENTS)), u, EXPONENTS)
+    for k, s in enumerate(EXPONENTS):
+        assert np.array_equal(stacked[k], eig_powers(lam, u, s))
+    # entries need not share an eigensystem: a stack of one per exponent
+    single = eig_powers(lam, u, EXPONENTS)
+    for k, s in enumerate(EXPONENTS):
+        assert np.array_equal(single[k], eig_powers(lam[k], u[k], s))
+
+
+def test_one_exponent_per_stack_entry_keeps_the_singular_negative_power_guard():
+    v = _cg(3)[:, :1]
+    lam, u = psd_eigs(np.stack([_rand_psd(3) + np.eye(3), v @ v.conj().T]))
+    with pytest.raises(SingularNegativePower) as alone:
+        eig_powers(lam[1], u[1], -0.25)
+    with pytest.raises(SingularNegativePower) as stacked:
+        eig_powers(lam, u, [-0.5, -0.25])
+    assert str(stacked.value) == str(alone.value) == (
+        "negative power -0.25 of a matrix with eigenvalue <= 1.0e-12")
+    # a positive exponent on the singular entry is not guarded
+    eig_powers(lam, u, [-0.5, 0.25])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)], ids=["matrix", "stack"])
+def test_psd_order_gaps_norms_are_each_stacks_own(shape):
+    lo, hi = (RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape) for _ in range(2))
+    _, n_lo, n_hi, scale = psd_order_gaps(lo, hi)
+    assert np.array_equal(n_lo, op_norms(lo)) and np.array_equal(n_hi, op_norms(hi))
+    assert np.array_equal(scale, np.maximum(np.maximum(op_norms(lo), op_norms(hi)), 1.0))
 
 
 def test_matrix_abs_agrees_with_gram_sqrt():

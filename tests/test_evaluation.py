@@ -138,6 +138,17 @@ def test_a_grid_entry_that_is_not_a_real_number_is_rejected(check, grid):
         RunConfig(trials=1, checks=(check,), **grid)
 
 
+@pytest.mark.parametrize("grid", [
+    {"exponent_grid": (2.0,)},
+    {"exponent_grid": 2.0},
+    {"alpha_grid": 0.5},
+    {"alpha_grid": None},
+], ids=["pqr_of_numbers", "pqr_number", "alpha_number", "alpha_none"])
+def test_a_grid_that_is_not_a_sequence_of_points_is_rejected(grid):
+    with pytest.raises(InvalidSpec, match="grid must be a sequence"):
+        RunConfig(trials=1, checks=("check_interp", "check_alpha"), **grid)
+
+
 def test_integer_grid_entries_give_the_lines_of_their_floats():
     def lines(**grid):
         out = io.StringIO()
