@@ -10,12 +10,12 @@ Hilbert-Schmidt value recorded as a redundant spot check.
 
 Each check has one numeric implementation, its kernel in :data:`KERNELS`,
 which evaluates a :class:`Batch`: same-shape instances, each at the same
-grid points, as one stack.  :func:`run_batch` validates the points,
-enforces hypotheses, runs the kernel and assembles the reports.  A
-``check_*`` function is a batch of one instance at one point, and a run
-evaluates a group of trials as one batch; since every stacked operation
-treats each matrix on its own, a report is bit for bit the same either
-way.
+grid points, as one stack.  :func:`require_preconditions` enforces its
+preconditions, and :func:`run_batch` runs the kernel and assembles the
+reports.  A ``check_*`` function is a batch of one instance at one point
+(its ``drop`` names hypotheses not to enforce), and a run evaluates a
+group of trials as one batch; since every stacked operation treats each
+matrix on its own, a report is bit for bit the same either way.
 
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import cycle
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .hmodule import (
     GrussContext, ModuleElement, Stack, _same_ctx, acting, cached_property, covariances,
-    weighted_products, within,
+    require_units, weighted_products, within,
 )
 from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
@@ -118,10 +117,6 @@ def check_spec(name: str) -> CheckSpec:
 # hypotheses and parameter rules: each predicate takes stacks and raises
 # for the first element that fails
 
-def _stack(z):
-    return z.stack if isinstance(z, ModuleElement) else z
-
-
 def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = None) -> None:
     """x and y must be normal.  Beside a reference e (the covariance
     setting) the parts of each must also mutually commute, and every part
@@ -167,13 +162,6 @@ def validate_drop(drop) -> tuple[str, ...]:
         if name not in HYPOTHESES:
             raise InvalidSpec(f"unknown hypothesis {name!r}; known: {', '.join(HYPOTHESES)}")
     return tuple(drop)
-
-
-def require_hypotheses(names, x, y, tol: ToleranceConfig = DEFAULT_TOL, e=None) -> None:
-    """Raise the matching error for the first named hypothesis x, y violate.
-    x, y and e are elements or stacks of them."""
-    for name in names:
-        HYPOTHESES[name](_stack(x), _stack(y), tol, None if e is None else _stack(e))
 
 
 def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -271,7 +259,7 @@ class Batch:
     """B instances of one check with one dimension and length, all evaluated
     at the same grid ``points`` (argument tuples, ``()`` without a grid).
     :func:`run_batch` gives one report per (instance, point),
-    instance-major, with ``digests`` in the same order.  A direct
+    instance-major; each instance has one digest.  A direct
     ``check_*`` call is a batch of one instance at one point, so every
     report comes from the same code."""
 
@@ -281,7 +269,7 @@ class Batch:
     es: tuple[ModuleElement, ...] | None = None   # unit references
     balls: tuple | None = None                    # B tuples (m, M, p, P)
     points: tuple = ((),)
-    digests: tuple = (None,)
+    digests: tuple = (None,)                      # one per instance
 
     @cached_property
     def x(self) -> Stack:
@@ -294,22 +282,6 @@ class Batch:
     @cached_property
     def e(self) -> Stack | None:
         return None if self.es is None else Stack.of(self.es)
-
-
-def _single(x: ModuleElement, y: ModuleElement, digest: dict | None, a=None,
-            point: tuple = (), **extra) -> Batch:
-    """The batch of one directly called check."""
-    _same_ctx(x, y)
-    a = None if a is None else acting(x, a)[None]
-    return Batch((x,), (y,), a, points=(point,), digests=(digest,), **extra)
-
-
-def _digest(b: Batch, digest: dict | None, params: dict) -> dict:
-    """A report's instance: the batch's shape, then ``digest``, whose params
-    are merged over ``params``."""
-    digest = digest or {}
-    return {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3], **digest,
-            "params": {**params, **digest.get("params", {})}}
 
 
 class _Branch(NamedTuple):
@@ -501,7 +473,7 @@ def _defect(b: Batch, tol: ToleranceConfig) -> list:
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
-    eigs = (v.reshape(4, len(b.xs), *v.shape[1:]) for v in psd_eigs(defect_operators(four, tol)))
+    eigs = (v.reshape(4, len(b.xs), *v.shape[1:]) for v in psd_eigs(defect_operators(four)))
     qs, rs = [q for _, q, _ in b.points], [r for _, _, r in b.points]
     # D_x^(1-1/q), D_y^(1-1/r), D_xbar^(-1/q) and D_ybar^(-1/r) at every point
     dx, dy, dxb, dyb = _powers(eigs, [[1 - 1 / q for q in qs], [1 - 1 / r for r in rs],
@@ -515,13 +487,11 @@ def _defect(b: Batch, tol: ToleranceConfig) -> list:
 
 def _gruss(b: Batch, tol: ToleranceConfig) -> list:
     x, y, e, w = b.x, b.y, b.e, b.x.weights
-    if b.balls is not None:
-        require_in_ball(x, y, e, b.balls, tol)
     # Phi(x, ay), Phi(x, x) and Phi(y, y) in one stack
     lo, phi_x, phi_y = covariances(np.stack([w] * 3), np.stack([x.parts, x.parts, y.parts]),
                                    np.stack([b.a[:, None] @ y.parts, x.parts, y.parts]),
                                    np.stack([e.parts] * 3))
-    px, py = psd_powers(herm(np.stack([phi_x, phi_y])), 0.5, tol)
+    px, py = psd_powers(herm(np.stack([phi_x, phi_y])), 0.5)
     his = [px @ b.a @ py]
     if b.balls is not None:
         bounds = [[float(v) for v in ball] for ball in b.balls]
@@ -557,24 +527,50 @@ KERNELS = {"check_cs": _cs, "check_basic": _basic, "check_hs": _hs,
            "check_gruss": _gruss, "check_radius_submult": _radius_submult}
 
 
-def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
-              enforce: tuple[str, ...] = ()) -> list[InequalityReport]:
-    """Every report of a batch: validate its grid points, enforce the
-    hypotheses named in ``enforce``, run the check's kernel and assemble,
-    attaching each report's grid point to its params."""
+def require_preconditions(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
+                          drop=()) -> None:
+    """Raise for the first precondition of check ``name`` the batch breaks, in
+    this order: each grid point, the unit reference (if ``b.e`` is set), the
+    row's hypotheses minus ``drop`` (see :func:`validate_drop`), the ball (if
+    ``b.balls`` is set).  Every route that evaluates a check calls this."""
+    spec = CHECK_SPECS[name]
+    axis = GRIDS[spec.grid]
+    for point in b.points:
+        axis.validate(*axis.params(point).values())
+    if b.e is not None:
+        require_units(b.e, tol)
+    for hypothesis in spec.enforced(validate_drop(drop)):
+        HYPOTHESES[hypothesis](b.x, b.y, tol, b.e)
+    if b.balls is not None:
+        require_in_ball(b.x, b.y, b.e, b.balls, tol)
+
+
+def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityReport]:
+    """Every report of a batch whose preconditions hold: run the check's
+    kernel and assemble.  A report's instance is built in one merge: the
+    batch's shape, then its instance's digest, whose params get the grid
+    point's, then the kernel's, laid over them."""
     axis = GRIDS[CHECK_SPECS[name].grid]
     grid = [axis.params(point) for point in b.points]
-    for point in grid:
-        axis.validate(*point.values())
-    require_hypotheses(enforce, b.x, b.y, tol, b.e)
-    return [_finish(name, branches, tol, _digest(b, digest, {**point, **(params or {})}), extra)
-            for (branches, extra, params), digest, point
-            in zip(KERNELS[name](b, tol), b.digests, cycle(grid))]
+    shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
+    rows = [(digest or {}, point) for digest in b.digests for point in grid]
+    return [_finish(name, branches, tol, {**shape, **digest, "params": {
+                **digest.get("params", {}), **point, **(params or {})}}, extra)
+            for (branches, extra, params), (digest, point) in zip(KERNELS[name](b, tol), rows)]
 
 
-def _one(name: str, b: Batch, tol: ToleranceConfig, strict: bool = False) -> InequalityReport:
-    """A direct check call: its batch of one, hypotheses enforced if ``strict``."""
-    return run_batch(name, b, tol, CHECK_SPECS[name].hypotheses if strict else ())[0]
+def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
+         digest: dict | None, a=None, point: tuple = (), drop=(), g: GrussContext | None = None,
+         ball=None) -> InequalityReport:
+    """A direct check call: the batch of this one instance at one point, its
+    preconditions enforced minus ``drop``, then run."""
+    if g is not None and (x.ctx != g.e.ctx or y.ctx != g.e.ctx):
+        raise CtxMismatch("x, y and the reference element live in different contexts")
+    _same_ctx(x, y)
+    b = Batch((x,), (y,), None if a is None else acting(x, a)[None],
+              None if g is None else (g.e,), None if ball is None else (ball,), (point,), (digest,))
+    require_preconditions(name, b, tol, drop)
+    return run_batch(name, b, tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -584,7 +580,7 @@ def check_cs(x: ModuleElement, y: ModuleElement, *,
              tol: ToleranceConfig = DEFAULT_TOL,
              digest: dict | None = None) -> InequalityReport:
     """|<x,y>|^2 <= ||x||^2 <y,y> in the PSD order, plus its square root."""
-    return _one("check_cs", _single(x, y, digest), tol)
+    return _one("check_cs", x, y, tol, digest)
 
 
 def check_basic(x: ModuleElement, y: ModuleElement, a, *,
@@ -596,7 +592,7 @@ def check_basic(x: ModuleElement, y: ModuleElement, a, *,
     branch compares against the conjugated Gram square roots,
     ||<xbar,xbar>^(1/2) a <ybar,ybar>^(1/2)||_1.
     """
-    return _one("check_basic", _single(x, y, digest, a), tol)
+    return _one("check_basic", x, y, tol, digest, a)
 
 
 def check_hs(x: ModuleElement, y: ModuleElement, a, *,
@@ -604,26 +600,26 @@ def check_hs(x: ModuleElement, y: ModuleElement, a, *,
              digest: dict | None = None) -> InequalityReport:
     """Hilbert-Schmidt bounds ||<x,ay>||_2 <= ||x|| ||a <ybar,ybar>^(1/2)||_2
     and the mirrored ||y|| ||<xbar,xbar>^(1/2) a||_2."""
-    return _one("check_hs", _single(x, y, digest, a), tol)
+    return _one("check_hs", x, y, tol, digest, a)
 
 
 def check_refinement(x: ModuleElement, y: ModuleElement, a, *,
                      tol: ToleranceConfig = DEFAULT_TOL,
                      digest: dict | None = None) -> InequalityReport:
     """|<x,ay>|^2 <= ||x||^2 <y, a*a y> in the PSD order."""
-    return _one("check_refinement", _single(x, y, digest, a), tol)
+    return _one("check_refinement", x, y, tol, digest, a)
 
 
 def check_uin(x: ModuleElement, y: ModuleElement, a, *,
-              tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True,
+              tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
               digest: dict | None = None) -> InequalityReport:
     """|||<x,ay>||| <= |||<x,x>^(1/2) a <y,y>^(1/2)||| for normal x, y,
     certified over the whole Ky Fan family.
 
-    With ``strict=False`` the normality preconditions are skipped so a
-    counterexample search can probe instances outside the hypotheses.
+    ``drop=("normality",)`` skips that precondition so a counterexample
+    search can probe instances outside the hypotheses.
     """
-    return _one("check_uin", _single(x, y, digest, a), tol, strict)
+    return _one("check_uin", x, y, tol, digest, a, drop=drop)
 
 
 def check_interp(x: ModuleElement, y: ModuleElement, a,
@@ -638,19 +634,19 @@ def check_interp(x: ModuleElement, y: ModuleElement, a,
     reported as ``sensitivity`` together with the smallest inner
     eigenvalue, so near-singular instances can be recognized downstream.
     """
-    return _one("check_interp", _single(x, y, digest, a, (p, q, r)), tol)
+    return _one("check_interp", x, y, tol, digest, a, (p, q, r))
 
 
 def check_naopaka(x: ModuleElement, y: ModuleElement, a, *,
-                  tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True,
+                  tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
                   digest: dict | None = None) -> InequalityReport:
     """|||(1-<x,x>)^(1/2) a (1-<y,y>)^(1/2)||| <= |||a - <x,ay>||| for
     normal contractive x, y, over the whole Ky Fan family."""
-    return _one("check_naopaka", _single(x, y, digest, a), tol, strict)
+    return _one("check_naopaka", x, y, tol, digest, a, drop=drop)
 
 
 def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
-                tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True,
+                tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
                 digest: dict | None = None) -> InequalityReport:
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
@@ -662,36 +658,34 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     terminating binomial series, and any other case falls back to the
     series of fractional_power_apply, which stays the independent oracle.
     """
-    return _one("check_alpha", _single(x, y, digest, a, (alpha,)), tol, strict)
+    return _one("check_alpha", x, y, tol, digest, a, (alpha,), drop)
 
 
 def check_defect(x: ModuleElement, y: ModuleElement, a,
                  p: float, q: float, r: float, *,
-                 tol: ToleranceConfig = DEFAULT_TOL, strict: bool = True,
+                 tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
                  digest: dict | None = None) -> InequalityReport:
     """Defect-operator bound in Schatten-p norm for contractive x, y, no
     normality required:
 
     ||D_x^(1-1/q) a D_y^(1-1/r)||_p <= ||D_xbar^(-1/q) (a - <x,ay>) D_ybar^(-1/r)||_p
     """
-    return _one("check_defect", _single(x, y, digest, a, (p, q, r)), tol, strict)
+    return _one("check_defect", x, y, tol, digest, a, (p, q, r), drop)
 
 
 def check_gruss(x: ModuleElement, y: ModuleElement, a, g: GrussContext,
                 ball=None, *, tol: ToleranceConfig = DEFAULT_TOL,
-                strict: bool = True, digest: dict | None = None) -> InequalityReport:
+                drop: tuple[str, ...] = (), digest: dict | None = None) -> InequalityReport:
     """Covariance (Gruss-type) bounds for Phi(x, ay) = <x,ay> - <x,e><e,ay>.
 
     The main branch compares |||Phi(x,ay)||| with
-    |||Phi(x,x)^(1/2) a Phi(y,y)^(1/2)||| over the Ky Fan family.  When
-    ``ball = (m, M, p, P)`` is given, membership of x in the ball [me, Me]
-    and y in [pe, Pe] is verified first, and the diameter bound
-    |||Phi(x,ay)||| <= (1/4) |||a||| |M-m| |P-p| is reported as well.
+    |||Phi(x,x)^(1/2) a Phi(y,y)^(1/2)||| over the Ky Fan family.  First
+    <e,e> = I is checked at ``tol``, then normality unless ``drop`` names
+    it, then, if ``ball = (m, M, p, P)`` is given, that x lies in [me, Me]
+    and y in [pe, Pe]; the diameter bound
+    |||Phi(x,ay)||| <= (1/4) |||a||| |M-m| |P-p| is then reported as well.
     """
-    if x.ctx != g.e.ctx or y.ctx != g.e.ctx:
-        raise CtxMismatch("x, y and the reference element live in different contexts")
-    batch = _single(x, y, digest, a, es=(g.e,), balls=None if ball is None else (ball,))
-    return _one("check_gruss", batch, tol, strict)
+    return _one("check_gruss", x, y, tol, digest, a, drop=drop, g=g, ball=ball)
 
 
 def check_radius_submult(x: ModuleElement, y: ModuleElement, *,
@@ -699,4 +693,4 @@ def check_radius_submult(x: ModuleElement, y: ModuleElement, *,
                          digest: dict | None = None) -> InequalityReport:
     """r(T_{x,y})^2 <= r(T_{x,x}) r(T_{y,y}) via the vectorized spectra,
     with the probe/product bracket on ||T_{x,y}|| as a companion branch."""
-    return _one("check_radius_submult", _single(x, y, digest), tol)
+    return _one("check_radius_submult", x, y, tol, digest)

@@ -20,6 +20,8 @@ from .errors import DimMismatch, InvalidSpec, NotHermitian, NotPSD, SingularNega
 
 # absolute limit of self-adjointness defects, PSD round-off and hypothesis slack
 TOL_ABS = 1e-10
+# relative limit of PSD round-off, at the scale ||h|| (see psd_eigs)
+PSD_REL = 1e-8
 # eigenvalues at or below this make a negative power singular
 CLAMP = 1e-12
 _SQRT2 = math.sqrt(2)
@@ -27,9 +29,9 @@ _SQRT2 = math.sqrt(2)
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The one tolerance a run chooses: ``tol_rel``, relative, for margins,
-    hypothesis verdicts and the PSD round-off limit.  Fixed limits are
-    module constants next to the code that reads them."""
+    """The one tolerance a run chooses: ``tol_rel``, relative, decides
+    margins and hypothesis verdicts.  Fixed limits, the PSD round-off
+    limit too, are module constants next to the code that reads them."""
 
     tol_rel: float = 1e-8
 
@@ -117,10 +119,10 @@ def herm_eigs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(require_hermitians(h))
 
 
-def psd_eigs(h: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystems of PSD matrices with negative round-off clamped to zero."""
+def psd_eigs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems of PSD matrices, round-off down to -max(TOL_ABS, PSD_REL ||h||) clamped to 0."""
     w, u = herm_eigs(h)
-    lim = np.maximum(TOL_ABS, cfg.tol_rel * np.max(np.abs(w), axis=-1))
+    lim = np.maximum(TOL_ABS, PSD_REL * np.max(np.abs(w), axis=-1))
     bad = w[..., 0] < -lim
     if bad.any():
         i = _first(bad)
@@ -141,8 +143,8 @@ def eig_powers(lam: np.ndarray, u: np.ndarray, s) -> np.ndarray:
     return (u * vals[..., None, :]) @ ct(u)
 
 
-def psd_powers(h: np.ndarray, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    return eig_powers(*psd_eigs(h, cfg), s)
+def psd_powers(h: np.ndarray, s: float) -> np.ndarray:
+    return eig_powers(*psd_eigs(h), s)
 
 
 def psd_order_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -199,7 +201,7 @@ def herm_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return herm_eigs(as_matrix(h))
 
 
-def psd_power(h, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def psd_power(h, s: float) -> np.ndarray:
     """Fractional power h^s of a positive semidefinite matrix.
 
     Computed as u @ diag(max(w, 0)^s) @ u* from the eigendecomposition.
@@ -207,7 +209,7 @@ def psd_power(h, s: float, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     otherwise SingularNegativePower is raised.  By convention h^0 = I
     even for singular h.
     """
-    return psd_powers(as_matrix(h), s, cfg)
+    return psd_powers(as_matrix(h), s)
 
 
 def matrix_abs(m) -> np.ndarray:

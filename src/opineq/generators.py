@@ -11,6 +11,8 @@ Evaluation is here too: :func:`evaluate_instance` runs one instance at
 one grid point, :func:`evaluate_group` a same-shape group at every given
 grid point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel
 call, with the same reports (:func:`evaluate_each`: each one's own).
+Every route, :func:`assert_hypotheses` too, enforces an instance's
+preconditions by :func:`opineq.checks.require_preconditions`.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ import numpy as np
 
 from . import checks
 from .checks import (  # CHECK_NAMES is re-exported
-    CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, check_spec, require_hypotheses,
-    require_in_ball, run_batch, validate_drop,
+    CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, check_spec, require_preconditions,
+    run_batch, validate_drop,
 )
 from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
     GrussContext, ModuleContext, ModuleElement, Stack, element_from_json, element_to_json,
-    matrix_from_json, matrix_to_json, require_units,
+    matrix_from_json, matrix_to_json,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -216,10 +218,9 @@ def instance_from_json(obj: dict) -> CheckInstance:
         if ball is not None and (len(ball) != 4 or not all(map(math.isfinite, ball))):
             raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball}")
         params = dict(obj.get("params", {}))
-        axis = GRIDS[spec.grid]
-        point = axis.params([params.get(k, v) for k, v in zip(axis.keys, axis.default)])
+        point = _point(spec, params)
         try:
-            axis.validate(*point.values())
+            GRIDS[spec.grid].validate(*point.values())
         except InvalidSpec as exc:
             raise InvalidSpec(f"grid parameters {point}: {exc}") from None
         return CheckInstance(
@@ -403,37 +404,37 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
                        contraction=contraction, drop=drop)[0]
 
 
+def _point(spec: CheckSpec, params: dict) -> dict:
+    """The grid point ``params`` record, as report params; a key they omit
+    takes the axis default."""
+    axis = GRIDS[spec.grid]
+    return axis.params([params.get(k, v) for k, v in zip(axis.keys, axis.default)])
+
+
 def assert_hypotheses(inst: CheckInstance) -> None:
     """Generator self-test at the default tolerance: raise InvalidSpec unless
-    the instance satisfies the hypotheses it claims, by the predicates
-    evaluation uses.  Runs do not call it; evaluation alone enforces them."""
+    the instance meets the preconditions it claims, checked as evaluation
+    checks them.  Runs do not call it; evaluation alone enforces them."""
     spec = check_spec(inst.check)
     try:
-        require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, e=inst.e)
-        if "e" in spec.operands:
-            require_units(inst.e.stack)
-        if "ball" in spec.operands:
-            require_in_ball(inst.x.stack, inst.y.stack, inst.e.stack, (inst.ball,))
+        point = tuple(_point(spec, inst.params).values())
+        require_preconditions(spec.name, _batch(spec, [inst], (point,)), drop=inst.drop)
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
 
 def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> InequalityReport:
     """Run the instance's check, looked up on :mod:`opineq.checks` at call
-    time, enforcing its hypotheses minus ``inst.drop``.  The check runs its
-    kernel on a batch of this one instance at the grid point its params
-    record, each key it omits at the axis default."""
+    time, at the grid point its params record (each key they omit at the axis
+    default); the check enforces its preconditions minus ``inst.drop``."""
     spec = check_spec(inst.check)
-    axis = GRIDS[spec.grid]
-    point = tuple(float(inst.params.get(k, v)) for k, v in zip(axis.keys, axis.default))
     args = [inst.x, inst.y]
     args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
              for op in spec.operands]
     kwargs = {"tol": tol, "digest": inst.digest()}
     if spec.hypotheses:
-        require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
-        kwargs["strict"] = False
-    return getattr(checks, spec.name)(*args, *point, **kwargs)
+        kwargs["drop"] = inst.drop
+    return getattr(checks, spec.name)(*args, *_point(spec, inst.params).values(), **kwargs)
 
 
 def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
@@ -451,22 +452,20 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
             raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
         points = ((),)
     batch = _batch(spec, insts, points)
-    if batch.es is not None:
-        require_units(batch.e, tol)
-    return run_batch(spec.name, batch, tol, spec.enforced(insts[0].drop))
+    require_preconditions(spec.name, batch, tol, insts[0].drop)
+    return run_batch(spec.name, batch, tol)
 
 
 def evaluate_each(insts, tol: ToleranceConfig, points) -> list:
     """What :func:`evaluate_group` gives each instance alone at each point, or
-    its OpineqError: hypotheses (unit reference first) are enforced once per
-    instance, and only the instances that meet them are evaluated per point."""
+    its OpineqError: preconditions are enforced once per instance, on a batch
+    of it at every point, and only the instances that meet them are
+    evaluated per point."""
     spec = check_spec(insts[0].check)
     out = []
     for inst in insts:
         try:
-            if inst.e is not None:
-                require_units(inst.e.stack, tol)
-            require_hypotheses(spec.enforced(inst.drop), inst.x, inst.y, tol, inst.e)
+            require_preconditions(spec.name, _batch(spec, [inst], points), tol, inst.drop)
         except OpineqError as exc:
             out += [exc] * len(points)
             continue
@@ -479,14 +478,13 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list:
 
 
 def _batch(spec: CheckSpec, insts, points) -> Batch:
-    """The instances at every point as one batch; each digest is built once
-    per instance, then each point's params merged in."""
-    grid = [GRIDS[spec.grid].params(point) for point in points]
+    """The instances at every point, as floats, as one batch, with one digest
+    per instance."""
+    axis = GRIDS[spec.grid]
     return Batch(
         tuple(inst.x for inst in insts), tuple(inst.y for inst in insts),
         a=np.array([inst.a for inst in insts], dtype=complex) if "a" in spec.operands else None,
         es=tuple(inst.e for inst in insts) if "e" in spec.operands else None,
         balls=tuple(inst.ball for inst in insts) if "ball" in spec.operands else None,
-        points=tuple(tuple(params.values()) for params in grid),
-        digests=tuple({**base, "params": {**base["params"], **params}}
-                      for base in (inst.digest() for inst in insts) for params in grid))
+        points=tuple(tuple(axis.params(point).values()) for point in points),
+        digests=tuple(inst.digest() for inst in insts))

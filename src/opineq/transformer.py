@@ -339,7 +339,7 @@ def fractional_power_exact(t: ElementaryOperator, alpha: float, a) -> np.ndarray
     return fractional_powers(t.x.stack, t.y.stack, m[None], (alpha,))[0][0]
 
 
-def defect_operators(zs: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def defect_operators(zs: Stack) -> np.ndarray:
     """Delta_z of every element of a stack; see :func:`defect_operator`."""
     rep = vectorized(zs.weights, zs.parts, zs.parts)
     # r(T_{z,z}) <= ||T_{z,z}|| <= ||z||^2, and T_{zbar,zbar} is the trace
@@ -353,7 +353,7 @@ def defect_operators(zs: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarra
     d = zs.parts.shape[-1]
     rhs = np.broadcast_to(vec(np.eye(d, dtype=complex))[:, None], rep.shape[:-1] + (1,))
     g = np.linalg.solve(np.eye(d * d, dtype=complex) - rep, rhs)[..., 0]
-    return psd_powers(herm(unvec(g, d)), -0.5, cfg)
+    return psd_powers(herm(unvec(g, d)), -0.5)
 
 
 def defect_operator(z: ModuleElement) -> np.ndarray:

@@ -21,6 +21,7 @@ from opineq.errors import (
     BadExponents,
     BallViolated,
     CtxMismatch,
+    InvalidSpec,
     NotContractive,
     NotNormal,
 )
@@ -189,7 +190,7 @@ def test_uin_normal_holds_and_error_routing():
     x, y = _pair(d=2, n=2)
     with pytest.raises(NotNormal):
         check_uin(x, y, _cg(2))
-    rep = check_uin(x, y, _cg(2), strict=False)  # forced evaluation
+    rep = check_uin(x, y, _cg(2), drop=("normality",))  # forced evaluation
     assert isinstance(rep.holds, bool)
 
 
@@ -272,8 +273,23 @@ def test_naopaka_hypothesis_errors():
     x, y = (0.9 / module_norm(x)) * x, (0.9 / module_norm(y)) * y
     with pytest.raises(NotNormal):
         check_naopaka(x, y, _cg(2))
-    rep = check_naopaka(x, y, _cg(2), strict=False)
+    rep = check_naopaka(x, y, _cg(2), drop=("normality",))
     assert isinstance(rep.holds, bool)
+
+
+def test_drop_skips_only_the_named_hypotheses():
+    x, y = _pair(d=2, n=2)
+    x, y = (1.0 / module_norm(x)) * x, (0.9 / module_norm(y)) * y
+    with pytest.raises(NotContractive):
+        check_naopaka(x, y, _cg(2), drop=("normality",))
+    assert isinstance(check_naopaka(x, y, _cg(2), drop=("normality", "contraction")).holds, bool)
+
+
+@pytest.mark.parametrize("drop", ["normality", ("bogus",)], ids=["bare_string", "unknown"])
+def test_drop_must_be_a_sequence_of_known_hypotheses(drop):
+    x, y = _pair(d=2, n=2)
+    with pytest.raises(InvalidSpec):
+        check_uin(x, y, _cg(2), drop=drop)
 
 
 def test_alpha_one_matches_naopaka():
@@ -407,7 +423,7 @@ def test_gruss_rejects_nonscalar_reference():
     x = ModuleElement(e.ctx, (np.diag([0.3, 0.1]), np.diag([0.2, 0.4])))
     with pytest.raises(NotNormal):
         check_gruss(x, x, _cg(2), g)
-    rep = check_gruss(x, x, _cg(2), g, strict=False)
+    rep = check_gruss(x, x, _cg(2), g, drop=("normality",))
     assert isinstance(rep.holds, bool)
 
 

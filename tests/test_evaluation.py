@@ -4,17 +4,18 @@ import dataclasses
 import io
 import json
 
+import numpy as np
 import pytest
 
 from opineq import checks, harness
 from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig
-from opineq.errors import InvalidSpec, NotUnital, OpineqError
+from opineq.errors import BallViolated, InvalidSpec, NotUnital, OpineqError
 from opineq.generators import (
-    CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
+    CHECK_NAMES, assert_hypotheses, build_instance, evaluate_group, evaluate_instance, trial_seed,
 )
 from opineq.harness import DEFAULT_ALPHA_GRID, RunConfig, run_suite
-from opineq.hmodule import GrussContext
+from opineq.hmodule import GrussContext, ModuleElement
 
 
 def test_run_checks_each_hypothesis_once_per_evaluation(monkeypatch):
@@ -158,3 +159,69 @@ def test_integer_grid_entries_give_the_lines_of_their_floats():
     ints = lines(exponent_grid=((2, 2, 2), (4, 4, 4)), alpha_grid=(1, 2))
     assert ints == lines(exponent_grid=((2.0, 2.0, 2.0), (4.0, 4.0, 4.0)), alpha_grid=(1.0, 2.0))
     assert '"p": 2.0' in ints and '"alpha": 1.0' in ints
+
+
+def _first_errors(monkeypatch, spoil) -> list[str]:
+    """The first error of one spoiled check_gruss instance through each route,
+    as ``"Type: message"``: a direct call, evaluate_instance, evaluate_group,
+    a run's error line (the group raises, so evaluate_each) and
+    assert_hypotheses (inside its InvalidSpec)."""
+    cfg = RunConfig(trials=1, checks=("check_gruss",), seed=3, dim=2, length=2)
+    inst = spoil(build_instance("check_gruss", trial_seed(cfg.seed, "check_gruss", 0),
+                                dim=2, length=2))
+    out = []
+
+    def record(fn, *args, **kwargs):
+        with pytest.raises(OpineqError) as info:
+            fn(*args, **kwargs)
+        out.append(f"{type(info.value).__name__}: {info.value}")
+
+    loose = GrussContext(inst.e, ToleranceConfig(tol_rel=1.0))
+    record(checks.check_gruss, inst.x, inst.y, inst.a, loose, inst.ball)
+    record(evaluate_instance, inst)
+    record(evaluate_group, [inst])
+    original = harness.build_group
+    monkeypatch.setattr(harness, "build_group", lambda check, seeds, **kw: [
+        spoil(inst) for inst in original(check, seeds, **kw)])
+    lines = io.StringIO()
+    run_suite(cfg, lines)
+    out.append(json.loads(lines.getvalue())["params"]["error"])
+    with pytest.raises(InvalidSpec) as info:
+        assert_hypotheses(inst)
+    cause = info.value.__cause__
+    assert str(info.value) == f"generated check_gruss instance: {cause}"
+    out.append(f"{type(cause).__name__}: {cause}")
+    return out
+
+
+def _non_normal(inst, scale):
+    """The instance with x replaced by a non-normal element scaled by ``scale``."""
+    nilpotent = scale * np.array([[0.0, 1.0], [0.0, 0.0]])
+    return dataclasses.replace(inst, x=ModuleElement(inst.x.ctx, (nilpotent, nilpotent.T)))
+
+
+def test_a_broken_unit_reference_is_the_first_error_on_every_route(monkeypatch):
+    def spoil(inst):
+        return dataclasses.replace(_non_normal(inst, 0.1), e=(1 + 1e-3) * inst.e)
+
+    errors = _first_errors(monkeypatch, spoil)
+    assert len(set(errors)) == 1 and errors[0].startswith("NotUnital: "), errors
+
+
+def test_normality_comes_before_the_ball_on_every_route(monkeypatch):
+    errors = _first_errors(monkeypatch, lambda inst: _non_normal(inst, 50.0))
+    assert len(set(errors)) == 1 and errors[0].startswith("NotNormal: "), errors
+    outside = _non_normal(build_instance("check_gruss", trial_seed(3, "check_gruss", 0),
+                                         dim=2, length=2), 50.0)
+    with pytest.raises(BallViolated):  # the instance breaks the ball too
+        evaluate_group([dataclasses.replace(outside, drop=("normality",))])
+
+
+def test_an_integer_point_is_recorded_as_the_float_it_is_evaluated_at():
+    inst = dataclasses.replace(build_instance("check_interp", 5, dim=2, length=2),
+                               params={"p": 3, "q": 2, "r": 6})
+    alone = json.dumps(evaluate_instance(inst).to_json_dict(), sort_keys=True)
+    grouped = json.dumps(evaluate_group([inst], points=((3, 2, 6),))[0].to_json_dict(),
+                         sort_keys=True)
+    assert alone == grouped
+    assert '"p": 3.0' in alone

@@ -137,7 +137,7 @@ def test_build_instance_drop_and_overrides():
     inst = build_instance("check_uin", 3, drop=("normality",))
     assert inst.kind == "generic" and inst.drop == ("normality",)
     assert inst.digest()["params"]["drop"] == ["normality"]
-    rep = evaluate_instance(inst)  # strict enforcement is off
+    rep = evaluate_instance(inst)  # normality is not enforced
     assert isinstance(rep.holds, bool)
     inst = build_instance("check_interp", 3, dim=3, length=2)
     inst = dataclasses.replace(inst, params={**inst.params, **GRIDS["pqr"].params((3.0, 2.0, 6.0))})

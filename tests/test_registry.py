@@ -30,7 +30,7 @@ def test_registry_rows_match_their_functions():
         positional = [p for p, v in params.items() if v.kind is v.POSITIONAL_OR_KEYWORD]
         operands = [{"e": "g"}.get(op, op) for op in spec.operands]
         assert positional == ["x", "y", *operands, *grid_args[spec.grid]], name
-        assert ("strict" in params) == bool(spec.hypotheses), name
+        assert ("drop" in params) == bool(spec.hypotheses), name
 
 
 def test_recorded_kinds():
