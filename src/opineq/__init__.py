@@ -11,8 +11,8 @@ with replayable instances.
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import OpineqError
 from .hmodule import (
-    GrussContext, ModuleContext, ModuleElement, conjugate, element, gruss_inner,
-    inner, is_normal, left_act, module_norm, right_mul, uniform_context,
+    ModuleContext, ModuleElement, conjugate, element, gruss_inner, inner, is_normal,
+    left_act, module_norm, right_mul, uniform_context,
 )
 from .norms import NormKind, ky_fan, ky_fan_dual, norm, schatten, singular_values
 from .transformer import (
@@ -31,7 +31,6 @@ __all__ = [
     "DEFAULT_TOL",
     "ElementaryOperator",
     "GeneratorSpec",
-    "GrussContext",
     "InequalityReport",
     "ModuleContext",
     "ModuleElement",

@@ -26,6 +26,7 @@ one row, its kernel and its ``check_*`` function.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -40,8 +41,8 @@ from .errors import (
     UnknownCheck,
 )
 from .hmodule import (
-    GrussContext, ModuleElement, Stack, _same_ctx, acting, cached_property, covariances,
-    require_units, weighted_products, within,
+    ModuleElement, Stack, _same_ctx, acting, covariances, require_units, weighted_products,
+    within,
 )
 from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
@@ -60,7 +61,7 @@ EPSILON_REG = 1e-10
 class CheckSpec:
     """One verified statement.  ``name`` is its ``check_*`` function here,
     looked up at call time.  After x and y the function takes the
-    ``operands`` ("a"; "e" as a GrussContext; "ball" = (m, M, p, P)) and
+    ``operands`` ("a"; "e", an element; "ball" = (m, M, p, P)) and
     then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` draws x
     and y: "pair", "unit_pair" (norm 1), "contractive_pair" (norm at the
     contraction target) or "gruss" (ball points around a unit reference);
@@ -154,20 +155,36 @@ HYPOTHESES = {"normality": _require_normal, "contraction": _require_contractive}
 
 
 def validate_drop(drop) -> tuple[str, ...]:
-    """``drop`` as a tuple of hypothesis names; InvalidSpec for a bare string
-    or a name outside :data:`HYPOTHESES`."""
-    if isinstance(drop, str):
-        raise InvalidSpec(f"drop must be a sequence of hypothesis names, not {drop!r}")
+    """``drop`` as a tuple of hypothesis names; InvalidSpec for anything but a
+    tuple or list, or for a name outside :data:`HYPOTHESES`."""
+    if not isinstance(drop, (tuple, list)):
+        raise InvalidSpec(f"drop must be a tuple or list of hypothesis names, not {drop!r}")
     for name in drop:
         if name not in HYPOTHESES:
             raise InvalidSpec(f"unknown hypothesis {name!r}; known: {', '.join(HYPOTHESES)}")
     return tuple(drop)
 
 
+def _is_real(v) -> bool:
+    """Whether v is a float, or an int (not a bool) small enough for float()."""
+    return isinstance(v, (float, np.floating)) or (
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max)
+
+
+def ball_bounds(ball) -> tuple[float, ...]:
+    """``ball`` as the floats (m, M, p, P); InvalidSpec unless it is 4 finite
+    real numbers."""
+    if (not isinstance(ball, (tuple, list, np.ndarray)) or len(ball) != 4
+            or not all(_is_real(v) and math.isfinite(v) for v in ball)):
+        raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball!r}")
+    return tuple(map(float, ball))
+
+
 def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise BallViolated unless x lies in [me, Me] and y in [pe, Pe] for
     ``(m, M, p, P)`` in ``balls``, one per element of the stacks x, y, e."""
-    bounds = np.array([[float(v) for v in ball] for ball in balls])
+    bounds = np.array(balls, dtype=float)
     d = e.parts.shape[-1]
     for z, lo, hi, tag in ((x, bounds[:, 0], bounds[:, 1], "x"),
                            (y, bounds[:, 2], bounds[:, 3], "y")):
@@ -204,8 +221,7 @@ class GridAxis:
         if len(point) != len(self.keys):
             raise InvalidSpec(f"grid point {tuple(point)} needs one number per key "
                               f"of ({', '.join(self.keys)})")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating))
-               for v in point):
+        if not all(map(_is_real, point)):
             raise InvalidSpec(f"grid parameters must be real numbers, got {tuple(point)}")
         return dict(zip(self.keys, map(float, point)))
 
@@ -257,31 +273,29 @@ class InequalityReport:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """B instances of one check with one dimension and length, all evaluated
-    at the same grid ``points`` (argument tuples, ``()`` without a grid).
+    at the same grid ``points`` (tuples of floats, ``()`` without a grid).
     :func:`run_batch` gives one report per (instance, point),
     instance-major; each instance has one digest.  A direct
     ``check_*`` call is a batch of one instance at one point, so every
-    report comes from the same code."""
+    report comes from the same code.  Build it with :meth:`of`."""
 
-    xs: tuple[ModuleElement, ...]
-    ys: tuple[ModuleElement, ...]
-    a: np.ndarray | None = None                   # (B, d, d)
-    es: tuple[ModuleElement, ...] | None = None   # unit references
-    balls: tuple | None = None                    # B tuples (m, M, p, P)
-    points: tuple = ((),)
-    digests: tuple = (None,)                      # one per instance
+    x: Stack
+    y: Stack
+    a: np.ndarray | None          # (B, d, d)
+    e: Stack | None               # unit references
+    balls: tuple | None           # B tuples of floats (m, M, p, P)
+    points: tuple
+    digests: tuple                # one per instance
 
-    @cached_property
-    def x(self) -> Stack:
-        return Stack.of(self.xs)
-
-    @cached_property
-    def y(self) -> Stack:
-        return Stack.of(self.ys)
-
-    @cached_property
-    def e(self) -> Stack | None:
-        return None if self.es is None else Stack.of(self.es)
+    @classmethod
+    def of(cls, name: str, xs, ys, a, es, balls, points, digests) -> "Batch":
+        """The batch of check ``name``: the elements as stacks, and each ball
+        (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`) as
+        floats, once; ``es`` and ``balls`` are None for a check without them."""
+        axis = GRIDS[CHECK_SPECS[name].grid]
+        return cls(Stack.of(xs), Stack.of(ys), a, None if es is None else Stack.of(es),
+                   None if balls is None else tuple(map(ball_bounds, balls)),
+                   tuple(tuple(axis.params(point).values()) for point in points), tuple(digests))
 
 
 class _Branch(NamedTuple):
@@ -473,7 +487,7 @@ def _defect(b: Batch, tol: ToleranceConfig) -> list:
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
-    eigs = (v.reshape(4, len(b.xs), *v.shape[1:]) for v in psd_eigs(defect_operators(four)))
+    eigs = (v.reshape(4, len(x.parts), *v.shape[1:]) for v in psd_eigs(defect_operators(four)))
     qs, rs = [q for _, q, _ in b.points], [r for _, _, r in b.points]
     # D_x^(1-1/q), D_y^(1-1/r), D_xbar^(-1/q) and D_ybar^(-1/r) at every point
     dx, dy, dxb, dyb = _powers(eigs, [[1 - 1 / q for q in qs], [1 - 1 / r for r in rs],
@@ -494,9 +508,8 @@ def _gruss(b: Batch, tol: ToleranceConfig) -> list:
     px, py = psd_powers(herm(np.stack([phi_x, phi_y])), 0.5)
     his = [px @ b.a @ py]
     if b.balls is not None:
-        bounds = [[float(v) for v in ball] for ball in b.balls]
         his.append(_column([0.25 * abs(big_m - m) * abs(big_p - p)
-                            for m, big_m, p, big_p in bounds]) * b.a)
+                            for m, big_m, p, big_p in b.balls]) * b.a)
     s_lo, *s_his = svdvals(np.stack([lo, *his]))
     rows = [({"g3": head}, detail, {"ball": None})
             for detail, head in _ky_branches(s_lo, s_his[0], prefix="g3_")]
@@ -510,7 +523,7 @@ def _gruss(b: Batch, tol: ToleranceConfig) -> list:
 
 
 def _radius_submult(b: Batch, tol: ToleranceConfig) -> list:
-    x, y, n = b.x, b.y, len(b.xs)
+    x, y, n = b.x, b.y, len(b.x.parts)
     rep = vectorized(np.concatenate([x.weights] * 3), np.concatenate([x.parts, x.parts, y.parts]),
                      np.concatenate([y.parts, x.parts, y.parts]))
     r_xy, r_xx, r_yy = spectral_radii(rep).reshape(3, n).tolist()
@@ -536,7 +549,7 @@ def require_preconditions(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TO
     spec = CHECK_SPECS[name]
     axis = GRIDS[spec.grid]
     for point in b.points:
-        axis.validate(*axis.params(point).values())
+        axis.validate(*point)
     if b.e is not None:
         require_units(b.e, tol)
     for hypothesis in spec.enforced(validate_drop(drop)):
@@ -550,8 +563,8 @@ def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[I
     kernel and assemble.  A report's instance is built in one merge: the
     batch's shape, then its instance's digest, whose params get the grid
     point's, then the kernel's, laid over them."""
-    axis = GRIDS[CHECK_SPECS[name].grid]
-    grid = [axis.params(point) for point in b.points]
+    keys = GRIDS[CHECK_SPECS[name].grid].keys
+    grid = [dict(zip(keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
     rows = [(digest or {}, point) for digest in b.digests for point in grid]
     return [_finish(name, branches, tol, {**shape, **digest, "params": {
@@ -560,15 +573,16 @@ def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[I
 
 
 def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
-         digest: dict | None, a=None, point: tuple = (), drop=(), g: GrussContext | None = None,
+         digest: dict | None, a=None, point: tuple = (), drop=(), e: ModuleElement | None = None,
          ball=None) -> InequalityReport:
     """A direct check call: the batch of this one instance at one point, its
     preconditions enforced minus ``drop``, then run."""
-    if g is not None and (x.ctx != g.e.ctx or y.ctx != g.e.ctx):
+    if e is not None and (x.ctx != e.ctx or y.ctx != e.ctx):
         raise CtxMismatch("x, y and the reference element live in different contexts")
     _same_ctx(x, y)
-    b = Batch((x,), (y,), None if a is None else acting(x, a)[None],
-              None if g is None else (g.e,), None if ball is None else (ball,), (point,), (digest,))
+    b = Batch.of(name, (x,), (y,), None if a is None else acting(x, a)[None],
+                 None if e is None else (e,), None if ball is None else (ball,), (point,),
+                 (digest,))
     require_preconditions(name, b, tol, drop)
     return run_batch(name, b, tol)[0]
 
@@ -673,19 +687,20 @@ def check_defect(x: ModuleElement, y: ModuleElement, a,
     return _one("check_defect", x, y, tol, digest, a, (p, q, r), drop)
 
 
-def check_gruss(x: ModuleElement, y: ModuleElement, a, g: GrussContext,
+def check_gruss(x: ModuleElement, y: ModuleElement, a, e: ModuleElement,
                 ball=None, *, tol: ToleranceConfig = DEFAULT_TOL,
                 drop: tuple[str, ...] = (), digest: dict | None = None) -> InequalityReport:
-    """Covariance (Gruss-type) bounds for Phi(x, ay) = <x,ay> - <x,e><e,ay>.
+    """Covariance (Gruss-type) bounds for Phi(x, ay) = <x,ay> - <x,e><e,ay>
+    with a unit reference element e of x's and y's context.
 
     The main branch compares |||Phi(x,ay)||| with
-    |||Phi(x,x)^(1/2) a Phi(y,y)^(1/2)||| over the Ky Fan family.  First
-    <e,e> = I is checked at ``tol``, then normality unless ``drop`` names
-    it, then, if ``ball = (m, M, p, P)`` is given, that x lies in [me, Me]
-    and y in [pe, Pe]; the diameter bound
+    |||Phi(x,x)^(1/2) a Phi(y,y)^(1/2)||| over the Ky Fan family.  A ball
+    (m, M, p, P), if given, must be 4 finite numbers.  First <e,e> = I is
+    checked at ``tol``, then normality unless ``drop`` names it, then, with a
+    ball, that x lies in [me, Me] and y in [pe, Pe]; the diameter bound
     |||Phi(x,ay)||| <= (1/4) |||a||| |M-m| |P-p| is then reported as well.
     """
-    return _one("check_gruss", x, y, tol, digest, a, drop=drop, g=g, ball=ball)
+    return _one("check_gruss", x, y, tol, digest, a, drop=drop, e=e, ball=ball)
 
 
 def check_radius_submult(x: ModuleElement, y: ModuleElement, *,

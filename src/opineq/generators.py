@@ -17,7 +17,6 @@ preconditions by :func:`opineq.checks.require_preconditions`.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -25,14 +24,14 @@ import numpy as np
 
 from . import checks
 from .checks import (  # CHECK_NAMES is re-exported
-    CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, check_spec, require_preconditions,
-    run_batch, validate_drop,
+    CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, ball_bounds, check_spec,
+    require_preconditions, run_batch, validate_drop,
 )
 from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
-    GrussContext, ModuleContext, ModuleElement, Stack, element_from_json, element_to_json,
-    matrix_from_json, matrix_to_json,
+    ModuleContext, ModuleElement, Stack, element_from_json, element_to_json, matrix_from_json,
+    matrix_to_json,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -130,8 +129,8 @@ def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
 
 
 def gen_element(spec: GeneratorSpec) -> ModuleElement:
-    """Draw one element; the ``gruss`` kind yields the unit reference
-    element with scalar parts, ready to seed a :class:`GrussContext`."""
+    """Draw one element; the ``gruss`` kind yields a unit reference element
+    with scalar parts, the ``e`` operand of ``check_gruss``."""
     rng = np.random.default_rng(spec.seed)
     if spec.kind == "gruss":
         ctx = ModuleContext(spec.dim, _draw_weights(rng, spec.length, spec.weights_mode))
@@ -202,8 +201,9 @@ class CheckInstance:
 def instance_from_json(obj: dict) -> CheckInstance:
     """Inverse of CheckInstance.to_json.  Raises InvalidSpec on malformed
     input: the file must give exactly the operands its check's registry row
-    lists, a ball of 4 finite numbers, one context for x, y and e, and a
-    valid point of its grid axis (a key it omits takes the default)."""
+    lists, a ball of 4 finite numbers (:func:`opineq.checks.ball_bounds`), one
+    context for x, y and e, and a valid point of its grid axis (a key it omits
+    takes the default)."""
     try:
         spec = check_spec(obj["check"])
         given = {op for op in ("a", "e", "ball") if obj.get(op) is not None}
@@ -214,9 +214,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
         e = element_from_json(obj["e"]) if "e" in given else None
         if any(z.ctx != x.ctx for z in (y, e) if z is not None):
             raise InvalidSpec("x, y and e must share one dim and weights")
-        ball = tuple(float(v) for v in obj["ball"]) if "ball" in given else None
-        if ball is not None and (len(ball) != 4 or not all(map(math.isfinite, ball))):
-            raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball}")
+        ball = ball_bounds(obj["ball"]) if "ball" in given else None
         params = dict(obj.get("params", {}))
         point = _point(spec, params)
         try:
@@ -418,7 +416,7 @@ def assert_hypotheses(inst: CheckInstance) -> None:
     spec = check_spec(inst.check)
     try:
         point = tuple(_point(spec, inst.params).values())
-        require_preconditions(spec.name, _batch(spec, [inst], (point,)), drop=inst.drop)
+        require_preconditions(spec.name, _batch([inst], (point,)), drop=inst.drop)
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
@@ -428,9 +426,7 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
     time, at the grid point its params record (each key they omit at the axis
     default); the check enforces its preconditions minus ``inst.drop``."""
     spec = check_spec(inst.check)
-    args = [inst.x, inst.y]
-    args += [GrussContext(inst.e, tol) if op == "e" else getattr(inst, op)
-             for op in spec.operands]
+    args = [inst.x, inst.y, *(getattr(inst, op) for op in spec.operands)]
     kwargs = {"tol": tol, "digest": inst.digest()}
     if spec.hypotheses:
         kwargs["drop"] = inst.drop
@@ -440,10 +436,10 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
 def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
                    points=None) -> list[InequalityReport]:
     """Evaluate instances of one check with one dimension, length and drop
-    set at each of ``points`` in one kernel call; a check with a grid needs
-    them given (InvalidSpec otherwise), as its instances may record their
-    own.  Report ``k * len(points) + j`` is, bit for bit, what
-    evaluate_instance gives for instance k at point j.  Raises the first
+    set (InvalidSpec for a mix) at each of ``points`` in one kernel call; a
+    check with a grid needs them given (InvalidSpec otherwise), as its
+    instances may record their own.  Report ``k * len(points) + j`` is, bit
+    for bit, what evaluate_instance gives for instance k at point j.  Raises the first
     OpineqError any instance raises; :func:`evaluate_each` gives each
     instance's own."""
     spec = check_spec(insts[0].check)
@@ -451,7 +447,7 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
         if spec.grid is not None:
             raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
         points = ((),)
-    batch = _batch(spec, insts, points)
+    batch = _batch(insts, points)
     require_preconditions(spec.name, batch, tol, insts[0].drop)
     return run_batch(spec.name, batch, tol)
 
@@ -465,26 +461,27 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list:
     out = []
     for inst in insts:
         try:
-            require_preconditions(spec.name, _batch(spec, [inst], points), tol, inst.drop)
+            require_preconditions(spec.name, _batch([inst], points), tol, inst.drop)
         except OpineqError as exc:
             out += [exc] * len(points)
             continue
         for point in points:
             try:
-                out += run_batch(spec.name, _batch(spec, [inst], (point,)), tol)
+                out += run_batch(spec.name, _batch([inst], (point,)), tol)
             except OpineqError as exc:
                 out.append(exc)
     return out
 
 
-def _batch(spec: CheckSpec, insts, points) -> Batch:
-    """The instances at every point, as floats, as one batch, with one digest
-    per instance."""
-    axis = GRIDS[spec.grid]
-    return Batch(
-        tuple(inst.x for inst in insts), tuple(inst.y for inst in insts),
-        a=np.array([inst.a for inst in insts], dtype=complex) if "a" in spec.operands else None,
-        es=tuple(inst.e for inst in insts) if "e" in spec.operands else None,
-        balls=tuple(inst.ball for inst in insts) if "ball" in spec.operands else None,
-        points=tuple(tuple(axis.params(point).values()) for point in points),
-        digests=tuple(inst.digest() for inst in insts))
+def _batch(insts, points) -> Batch:
+    """The instances at every point as one batch, with one digest per
+    instance; InvalidSpec unless they share one check, dimension, length and
+    drop set."""
+    groups = {(inst.check, inst.x.ctx.dim, inst.x.ctx.length, inst.drop) for inst in insts}
+    if len(groups) > 1:
+        raise InvalidSpec(f"a group needs one (check, dim, len, drop), got {sorted(groups)}")
+    spec = check_spec(insts[0].check)
+    ops = {op: [getattr(inst, op) for inst in insts] for op in spec.operands}
+    return Batch.of(spec.name, [inst.x for inst in insts], [inst.y for inst in insts],
+                    np.array(ops["a"], dtype=complex) if "a" in ops else None, ops.get("e"),
+                    ops.get("ball"), points, [inst.digest() for inst in insts])

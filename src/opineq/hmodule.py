@@ -277,22 +277,6 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
     return bool(ok[0]), float(op_norms(x.stack.normality_defects[0]).max())
 
 
-@dataclass(frozen=True, eq=False)
-class GrussContext:
-    """A unit reference element e with <e, e> = I to ``tol.tol_rel``.
-
-    Construction rejects non-unit candidates instead of renormalizing
-    them, so every downstream covariance quantity can rely on the exact
-    hypothesis.
-    """
-
-    e: ModuleElement
-    tol: ToleranceConfig = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        require_units(self.e.stack, self.tol)
-
-
 def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise NotUnital unless <e, e> = I to tol_rel, for every element e of a stack."""
     ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], cfg.tol_rel, lambda r: 1)
@@ -300,11 +284,15 @@ def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
         raise NotUnital(f"<e, e> deviates from the identity by {defect[~ok][0]:.3e}")
 
 
-def gruss_inner(x: ModuleElement, y: ModuleElement, g: GrussContext) -> np.ndarray:
-    """Covariance form Phi(x, y) = <x, y> - <x, e><e, y>."""
-    _same_ctx(x, g.e)
-    _same_ctx(y, g.e)
-    return covariances(x.stack.weights[0], x._array, y._array, g.e._array)
+def gruss_inner(x: ModuleElement, y: ModuleElement, e: ModuleElement,
+                tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Covariance form Phi(x, y) = <x, y> - <x, e><e, y>.  Raises NotUnital
+    unless <e, e> = I to ``tol.tol_rel``, so every covariance quantity can
+    rely on the exact hypothesis; a non-unit e is rejected, not renormalized."""
+    _same_ctx(x, e)
+    _same_ctx(y, e)
+    require_units(e.stack, tol)
+    return covariances(x.stack.weights[0], x._array, y._array, e._array)
 
 
 def covariances(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, es: np.ndarray) -> np.ndarray:

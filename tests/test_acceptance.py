@@ -29,7 +29,6 @@ from opineq.harness import (
     search_counterexample,
 )
 from opineq.hmodule import (
-    GrussContext,
     ModuleElement,
     element,
     gruss_inner,
@@ -237,7 +236,7 @@ def test_criterion_09_covariance_bounds():
         g = hermitian_part(inner(raw, raw))
         e = right_mul(raw, psd_power(g, -0.5))
         x = ModuleElement(e.ctx, tuple(_cg(rng, d) for _ in range(n)))
-        phi = hermitian_part(gruss_inner(x, x, GrussContext(e)))
+        phi = hermitian_part(gruss_inner(x, x, e))
         psd_floor = min(psd_floor, float(np.linalg.eigvalsh(phi)[0]))
     ok = worst >= -MARGIN_TOL and psd_floor >= -1e-10
     assert _verdict(9, "covariance bounds with constructed balls, n=500; "

@@ -27,7 +27,6 @@ from opineq.errors import (
 )
 from opineq.generators import CHECK_NAMES
 from opineq.hmodule import (
-    GrussContext,
     ModuleElement,
     element,
     gruss_inner,
@@ -285,7 +284,8 @@ def test_drop_skips_only_the_named_hypotheses():
     assert isinstance(check_naopaka(x, y, _cg(2), drop=("normality", "contraction")).holds, bool)
 
 
-@pytest.mark.parametrize("drop", ["normality", ("bogus",)], ids=["bare_string", "unknown"])
+@pytest.mark.parametrize("drop", ["normality", ("bogus",), None, 5, {"normality"}],
+                         ids=["bare_string", "unknown", "none", "int", "set"])
 def test_drop_must_be_a_sequence_of_known_hypotheses(drop):
     x, y = _pair(d=2, n=2)
     with pytest.raises(InvalidSpec):
@@ -372,33 +372,31 @@ def _gruss_family(d=2, n=2, seed_shift=0):
 
 def test_gruss_reference_annihilation():
     e, member = _gruss_family()
-    g = GrussContext(e)
     y = member(0.4, 0.2)
-    rep = check_gruss(e, y, _cg(2), g)
+    rep = check_gruss(e, y, _cg(2), e)
     assert rep.holds and rep.lhs == 0.0
 
 
 def test_gruss_cs_consistency_equality():
     e, member = _gruss_family()
-    g = GrussContext(e)
     x = member(0.5, 0.3)
-    rep = check_gruss(x, x, np.eye(2), g)
+    rep = check_gruss(x, x, np.eye(2), e)
     assert rep.holds
     assert all(abs(v) <= EQ_TOL for v in _margin_entries(rep))
 
 
 def test_gruss_ball_branch_against_profile_oracle():
     e, member = _gruss_family()
-    g = GrussContext(e)
     x = member(0.5, 0.3)
     y = member(0.5, 0.25)
     a = _cg(2)
-    ball = (0.0, 1.0, 0.0, 1.0)
-    rep = check_gruss(x, y, a, g, ball)
+    ball = (0, 1, 0, 1)  # recorded as the floats it is evaluated at
+    rep = check_gruss(x, y, a, e, ball)
     assert rep.holds
-    assert rep.instance["params"]["ball"] == [0.0, 1.0, 0.0, 1.0]
+    recorded = rep.instance["params"]["ball"]
+    assert recorded == [0.0, 1.0, 0.0, 1.0] and all(type(v) is float for v in recorded)
     # re-derive the diameter-bound margins: rhs is the profile of |a| / 4
-    lo = gruss_inner(x, left_act(a, y), g)
+    lo = gruss_inner(x, left_act(a, y), e)
     pl, ph = ky_fan_profile(lo), ky_fan_profile(0.25 * a)
     scale = max(pl[-1], ph[-1], 1.0)
     for k in range(2):
@@ -408,33 +406,40 @@ def test_gruss_ball_branch_against_profile_oracle():
 
 def test_gruss_ball_violation():
     e, member = _gruss_family()
-    g = GrussContext(e)
     x = member(0.1, 0.3)
     y = member(0.1, 0.05)
     with pytest.raises(BallViolated):
-        check_gruss(x, y, _cg(2), g, (0.0, 0.2, 0.0, 0.2))
+        check_gruss(x, y, _cg(2), e, (0.0, 0.2, 0.0, 0.2))
 
 
 def test_gruss_rejects_nonscalar_reference():
     # a diagonal position-dependent unit reference is outside the certified
     # family even though <e,e> = I holds
     e = element([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    g = GrussContext(e)
     x = ModuleElement(e.ctx, (np.diag([0.3, 0.1]), np.diag([0.2, 0.4])))
     with pytest.raises(NotNormal):
-        check_gruss(x, x, _cg(2), g)
-    rep = check_gruss(x, x, _cg(2), g, drop=("normality",))
+        check_gruss(x, x, _cg(2), e)
+    rep = check_gruss(x, x, _cg(2), e, drop=("normality",))
     assert isinstance(rep.holds, bool)
 
 
 def test_gruss_rejects_noncommuting_and_mismatch():
     e, member = _gruss_family()
-    g = GrussContext(e)
     bad = ModuleElement(e.ctx, tuple(_cg(2) for _ in range(2)))
     with pytest.raises(NotNormal):
-        check_gruss(bad, member(0.2, 0.1), _cg(2), g)
+        check_gruss(bad, member(0.2, 0.1), _cg(2), e)
     with pytest.raises(CtxMismatch):
-        check_gruss(_generic(d=3), member(0.2, 0.1), _cg(2), g)
+        check_gruss(_generic(d=3), member(0.2, 0.1), _cg(2), e)
+
+
+@pytest.mark.parametrize("ball", [(0, 1, 0), ("a", 1, 0, 1), (0, 1, 0, 1, 2), (np.nan, 1, 0, 1),
+                                  (0, 1, 0, True), (10 ** 400, 1, 0, 1), 0.5],
+                         ids=["three", "string", "five", "nan", "bool", "huge_int", "scalar"])
+def test_gruss_rejects_a_malformed_ball(ball):
+    e, member = _gruss_family()
+    x = member(0.5, 0.3)
+    with pytest.raises(InvalidSpec, match="ball must be 4 finite numbers"):
+        check_gruss(x, x, np.eye(2), e, ball)
 
 
 def test_radius_submult():

@@ -197,6 +197,10 @@ def _gruss_without_ball_tail(obj):
     obj["ball"] = obj["ball"][:2]
 
 
+def _gruss_with_a_huge_int_bound(obj):
+    obj["ball"][0] = 10 ** 400
+
+
 def _gruss_without_e(obj):
     obj["e"] = None
 
@@ -215,11 +219,12 @@ def _cs_with_y_in_another_context(obj):
 
 @pytest.mark.parametrize("check, spoil, needle", [
     ("check_gruss", _gruss_without_ball_tail, "ball must be 4 finite numbers"),
+    ("check_gruss", _gruss_with_a_huge_int_bound, "ball must be 4 finite numbers"),
     ("check_gruss", _gruss_without_e, "takes operands"),
     ("check_gruss", _gruss_without_ball, "takes operands"),
     ("check_basic", _basic_without_a, "takes operands"),
     ("check_cs", _cs_with_y_in_another_context, "share one dim and weights"),
-], ids=["ball_of_2", "e_null", "ball_null", "a_null", "two_contexts"])
+], ids=["ball_of_2", "ball_huge_int", "e_null", "ball_null", "a_null", "two_contexts"])
 def test_replay_rejects_an_instance_its_registry_row_does_not_fit(
         check, spoil, needle, tmp_path, capsys):
     obj = build_instance(check, 12, dim=2, length=2).to_json()
@@ -250,7 +255,8 @@ def test_overflowing_replay_prints_no_runtime_warning(tmp_path, capsys):
     ("check_interp", {"p": [1]}),
     ("check_defect", {"q": True}),
     ("check_interp", {"r": float("nan")}),
-], ids=["alpha_string", "p_list", "q_bool", "r_nan"])
+    ("check_interp", {"p": 10 ** 400}),
+], ids=["alpha_string", "p_list", "q_bool", "r_nan", "p_huge_int"])
 def test_replay_rejects_a_grid_parameter_that_is_not_a_number(check, params, tmp_path, capsys):
     obj = build_instance(check, 12, dim=2, length=2).to_json()
     obj["params"] = params

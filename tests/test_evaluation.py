@@ -7,15 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from opineq import checks, harness
+from opineq import checks, harness, hmodule
 from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig
-from opineq.errors import BallViolated, InvalidSpec, NotUnital, OpineqError
+from opineq.errors import BallViolated, InvalidSpec, NotNormal, NotUnital, OpineqError
 from opineq.generators import (
     CHECK_NAMES, assert_hypotheses, build_instance, evaluate_group, evaluate_instance, trial_seed,
 )
 from opineq.harness import DEFAULT_ALPHA_GRID, RunConfig, run_suite
-from opineq.hmodule import GrussContext, ModuleElement
+from opineq.hmodule import ModuleElement
 
 
 def test_run_checks_each_hypothesis_once_per_evaluation(monkeypatch):
@@ -60,9 +60,39 @@ def test_unit_reference_checked_at_the_run_tolerance():
     with pytest.raises(NotUnital):
         evaluate_instance(off, tight)
     assert evaluate_instance(off).holds
-    GrussContext(off.e)  # library callers keep the default tolerance
-    with pytest.raises(NotUnital):
-        GrussContext(off.e, tight)
+
+
+def test_gruss_evaluation_checks_the_unit_reference_once(monkeypatch):
+    calls = []
+    original = hmodule.require_units
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hmodule, "require_units", counted)
+    monkeypatch.setattr(checks, "require_units", counted)
+    assert evaluate_instance(build_instance("check_gruss", 11, dim=3, length=2)).holds
+    assert len(calls) == 1
+
+
+def _mixed_groups():
+    generic = build_instance("check_uin", 5, dim=2, length=2, drop=("normality",))
+    return {"drop": [generic, dataclasses.replace(generic, drop=())],
+            "check": [build_instance("check_cs", 5, dim=2, length=2),
+                      build_instance("check_basic", 5, dim=2, length=2)],
+            "shape": [generic, build_instance("check_uin", 6, dim=3, length=2,
+                                              drop=("normality",))]}
+
+
+@pytest.mark.parametrize("mix", ["drop", "check", "shape"])
+def test_evaluate_group_rejects_a_mixed_group(mix):
+    group = _mixed_groups()[mix]
+    with pytest.raises(InvalidSpec, match="a group needs one"):
+        evaluate_group(group)
+    if mix == "drop":  # alone, the second instance is not normal
+        with pytest.raises(NotNormal):
+            evaluate_instance(group[1])
 
 
 def _each_alone(cfg, check, spoil=lambda inst: inst):
@@ -176,8 +206,7 @@ def _first_errors(monkeypatch, spoil) -> list[str]:
             fn(*args, **kwargs)
         out.append(f"{type(info.value).__name__}: {info.value}")
 
-    loose = GrussContext(inst.e, ToleranceConfig(tol_rel=1.0))
-    record(checks.check_gruss, inst.x, inst.y, inst.a, loose, inst.ball)
+    record(checks.check_gruss, inst.x, inst.y, inst.a, inst.e, inst.ball)
     record(evaluate_instance, inst)
     record(evaluate_group, [inst])
     original = harness.build_group

@@ -4,10 +4,9 @@ normality, the covariance form, and JSON serialization."""
 import numpy as np
 import pytest
 
-from opineq.core import adjoint, hermitian_part, op_norm
+from opineq.core import ToleranceConfig, adjoint, hermitian_part, op_norm
 from opineq.errors import CtxMismatch, DimMismatch, NotUnital
 from opineq.hmodule import (
-    GrussContext,
     ModuleContext,
     ModuleElement,
     conjugate,
@@ -182,36 +181,40 @@ def test_is_normal():
     assert not ok
 
 
-def test_gruss_context_requires_unit_reference():
+def test_gruss_inner_requires_unit_reference():
+    x = element([np.eye(2)])
     with pytest.raises(NotUnital):
-        GrussContext(element([2.0 * np.eye(2)]))
-    GrussContext(element([np.eye(2)]))  # unit, fine
+        gruss_inner(x, x, element([2.0 * np.eye(2)]))
+    gruss_inner(x, x, x)  # unit, fine
     # scalar two-part reference: (3/5) I and (4i/5) I has <e,e> = I
     e = element([0.6 * np.eye(2), 0.8j * np.eye(2)])
-    GrussContext(e)
+    gruss_inner(e, e, e)
+    off = (1 + 1e-12) * e
+    gruss_inner(e, e, off)  # within the default tolerance
+    with pytest.raises(NotUnital):
+        gruss_inner(e, e, off, ToleranceConfig(tol_rel=1e-14))
 
 
 def test_gruss_inner_semi_inner_product():
     e = element([0.6 * np.eye(2), 0.8j * np.eye(2)])
-    g = GrussContext(e)
     x = ModuleElement(e.ctx, tuple(_cg(2) for _ in range(2)))
     y = ModuleElement(e.ctx, tuple(_cg(2) for _ in range(2)))
     # the reference is annihilated on either side
-    assert np.allclose(gruss_inner(e, y, g), 0, atol=1e-12)
-    assert np.allclose(gruss_inner(x, e, g), 0, atol=1e-12)
+    assert np.allclose(gruss_inner(e, y, e), 0, atol=1e-12)
+    assert np.allclose(gruss_inner(x, e, e), 0, atol=1e-12)
     # scalar multiples of e are annihilated too
     xc = right_mul(e, (1.3 - 0.4j) * np.eye(2))
-    assert np.allclose(gruss_inner(xc, xc, g), 0, atol=1e-12)
+    assert np.allclose(gruss_inner(xc, xc, e), 0, atol=1e-12)
     # positivity of the diagonal
-    eigs = np.linalg.eigvalsh(hermitian_part(gruss_inner(x, x, g)))
+    eigs = np.linalg.eigvalsh(hermitian_part(gruss_inner(x, x, e)))
     assert eigs[0] >= -1e-10
     # sesquilinearity
     c = 1.1 + 0.2j
-    lhs = gruss_inner(c * x + y, y, g)
-    rhs = np.conj(c) * gruss_inner(x, y, g) + gruss_inner(y, y, g)
+    lhs = gruss_inner(c * x + y, y, e)
+    rhs = np.conj(c) * gruss_inner(x, y, e) + gruss_inner(y, y, e)
     assert np.allclose(lhs, rhs, atol=1e-12)
     with pytest.raises(CtxMismatch):
-        gruss_inner(_rand_element(d=3, n=2), y, g)
+        gruss_inner(_rand_element(d=3, n=2), y, e)
 
 
 def test_json_roundtrip_is_exact():

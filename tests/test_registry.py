@@ -28,8 +28,7 @@ def test_registry_rows_match_their_functions():
         assert set(spec.hypotheses) <= set(HYPOTHESES)
         params = inspect.signature(getattr(checks, name)).parameters
         positional = [p for p, v in params.items() if v.kind is v.POSITIONAL_OR_KEYWORD]
-        operands = [{"e": "g"}.get(op, op) for op in spec.operands]
-        assert positional == ["x", "y", *operands, *grid_args[spec.grid]], name
+        assert positional == ["x", "y", *spec.operands, *grid_args[spec.grid]], name
         assert ("drop" in params) == bool(spec.hypotheses), name
 
 
