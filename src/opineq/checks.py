@@ -26,23 +26,21 @@ one row, its kernel and its ``check_*`` function.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, TOL_ABS, ToleranceConfig, ct, eig_powers, eigvalsh, herm, moduli, op_norms,
-    psd_eigs, psd_order_gaps, psd_powers, svdvals,
+    DEFAULT_TOL, TOL_ABS, ToleranceConfig, ct, eig_powers, eigvalsh, herm, is_real, moduli,
+    op_norms, psd_eigs, psd_order_gaps, psd_powers, svdvals,
 )
 from .errors import (
-    BadExponents, BallViolated, CtxMismatch, InvalidSpec, NotContractive, NotNormal,
-    UnknownCheck,
+    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, UnknownCheck,
 )
 from .hmodule import (
-    ModuleElement, Stack, _same_ctx, acting, covariances, require_units, weighted_products,
-    within,
+    ModuleElement, Stack, _same_ctx, acting_stack, covariances, require_units,
+    weighted_products, within,
 )
 from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
@@ -165,18 +163,11 @@ def validate_drop(drop) -> tuple[str, ...]:
     return tuple(drop)
 
 
-def _is_real(v) -> bool:
-    """Whether v is a float, or an int (not a bool) small enough for float()."""
-    return isinstance(v, (float, np.floating)) or (
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max)
-
-
 def ball_bounds(ball) -> tuple[float, ...]:
     """``ball`` as the floats (m, M, p, P); InvalidSpec unless it is 4 finite
     real numbers."""
     if (not isinstance(ball, (tuple, list, np.ndarray)) or len(ball) != 4
-            or not all(_is_real(v) and math.isfinite(v) for v in ball)):
+            or not all(is_real(v) and math.isfinite(v) for v in ball)):
         raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball!r}")
     return tuple(map(float, ball))
 
@@ -221,7 +212,7 @@ class GridAxis:
         if len(point) != len(self.keys):
             raise InvalidSpec(f"grid point {tuple(point)} needs one number per key "
                               f"of ({', '.join(self.keys)})")
-        if not all(map(_is_real, point)):
+        if not all(map(is_real, point)):
             raise InvalidSpec(f"grid parameters must be real numbers, got {tuple(point)}")
         return dict(zip(self.keys, map(float, point)))
 
@@ -289,11 +280,14 @@ class Batch:
 
     @classmethod
     def of(cls, name: str, xs, ys, a, es, balls, points, digests) -> "Batch":
-        """The batch of check ``name``: the elements as stacks, and each ball
-        (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`) as
-        floats, once; ``es`` and ``balls`` are None for a check without them."""
+        """The batch of check ``name``, its operands checked in this order: per instance
+        x, y and e in one context, each ``a`` (:func:`acting_stack`), ball (:func:`ball_bounds`)
+        and grid point (:meth:`GridAxis.params`); ``a``, ``es`` and ``balls`` may be None."""
+        for operands in zip(xs, ys, *(() if es is None else (es,))):
+            _same_ctx(*operands)
         axis = GRIDS[CHECK_SPECS[name].grid]
-        return cls(Stack.of(xs), Stack.of(ys), a, None if es is None else Stack.of(es),
+        return cls(Stack.of(xs), Stack.of(ys), None if a is None else acting_stack(xs, a),
+                   None if es is None else Stack.of(es),
                    None if balls is None else tuple(map(ball_bounds, balls)),
                    tuple(tuple(axis.params(point).values()) for point in points), tuple(digests))
 
@@ -542,10 +536,10 @@ KERNELS = {"check_cs": _cs, "check_basic": _basic, "check_hs": _hs,
 
 def require_preconditions(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
                           drop=()) -> None:
-    """Raise for the first precondition of check ``name`` the batch breaks, in
-    this order: each grid point, the unit reference (if ``b.e`` is set), the
-    row's hypotheses minus ``drop`` (see :func:`validate_drop`), the ball (if
-    ``b.balls`` is set).  Every route that evaluates a check calls this."""
+    """Raise for the first precondition of check ``name`` the batch breaks, in this
+    order: each grid point, the unit reference (if ``b.e`` is set), the row's
+    hypotheses minus ``drop`` (:func:`validate_drop`), the ball (if ``b.balls`` is
+    set).  Every route calls this, after :meth:`Batch.of` has checked the operands."""
     spec = CHECK_SPECS[name]
     axis = GRIDS[spec.grid]
     for point in b.points:
@@ -577,12 +571,8 @@ def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
          ball=None) -> InequalityReport:
     """A direct check call: the batch of this one instance at one point, its
     preconditions enforced minus ``drop``, then run."""
-    if e is not None and (x.ctx != e.ctx or y.ctx != e.ctx):
-        raise CtxMismatch("x, y and the reference element live in different contexts")
-    _same_ctx(x, y)
-    b = Batch.of(name, (x,), (y,), None if a is None else acting(x, a)[None],
-                 None if e is None else (e,), None if ball is None else (ball,), (point,),
-                 (digest,))
+    b = Batch.of(name, (x,), (y,), None if a is None else (a,), None if e is None else (e,),
+                 None if ball is None else (ball,), (point,), (digest,))
     require_preconditions(name, b, tol, drop)
     return run_batch(name, b, tol)[0]
 
@@ -665,12 +655,11 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
     At alpha = 1 this coincides with check_naopaka branch for branch.
-    (I-T)^alpha a is :func:`fractional_powers`', which
-    :func:`fractional_power_exact` runs on one operator: for non-integer
-    alpha and a normal vectorized T (which the normal, commuting
-    hypotheses give) it is the exact eigen form; integer alpha takes the
-    terminating binomial series, and any other case falls back to the
-    series of fractional_power_apply, which stays the independent oracle.
+    (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form for
+    non-integer alpha and a normal vectorized T (which the normal, commuting
+    hypotheses give), else the stacked binomial series :func:`series_powers`,
+    bit for bit the sum of the oracle fractional_power_apply, which no engine
+    code calls.
     """
     return _one("check_alpha", x, y, tol, digest, a, (alpha,), drop)
 

@@ -11,6 +11,7 @@ an eigendecomposition that clamps negative round-off eigenvalues to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,25 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def is_real(v) -> bool:
+    """Whether v is a float, or an int (not a bool) small enough for float()."""
+    return isinstance(v, (float, np.floating)) or (
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max)
+
+
+def complex_array(m) -> np.ndarray:
+    """np.array(m, dtype=complex); InvalidSpec if an entry is an int too large
+    for a float, as :func:`is_real` rules."""
+    try:
+        return np.array(m, dtype=complex)
+    except OverflowError:
+        raise InvalidSpec("matrix has an entry too large for a float") from None
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a square complex matrix, rejecting non-finite entries."""
-    a = np.asarray(m, dtype=complex)
+    a = complex_array(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     return finite(a)

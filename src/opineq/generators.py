@@ -30,8 +30,8 @@ from .checks import (  # CHECK_NAMES is re-exported
 from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
-    ModuleContext, ModuleElement, Stack, element_from_json, element_to_json, matrix_from_json,
-    matrix_to_json,
+    ModuleContext, ModuleElement, Stack, _same_ctx, element_from_json, element_to_json,
+    matrix_from_json, matrix_to_json,
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
@@ -212,11 +212,10 @@ def instance_from_json(obj: dict) -> CheckInstance:
                               f"the file gives {sorted(given)}")
         x, y = element_from_json(obj["x"]), element_from_json(obj["y"])
         e = element_from_json(obj["e"]) if "e" in given else None
-        if any(z.ctx != x.ctx for z in (y, e) if z is not None):
-            raise InvalidSpec("x, y and e must share one dim and weights")
+        _same_ctx(x, *(z for z in (y, e) if z is not None))
         ball = ball_bounds(obj["ball"]) if "ball" in given else None
         params = dict(obj.get("params", {}))
-        point = _point(spec, params)
+        point = GRIDS[spec.grid].params(_point(spec, params))
         try:
             GRIDS[spec.grid].validate(*point.values())
         except InvalidSpec as exc:
@@ -233,7 +232,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
             params=params,
             drop=validate_drop(obj.get("drop", ())),
         )
-    except (LookupError, TypeError, ValueError, OpineqError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, OpineqError) as exc:
         raise InvalidSpec(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
@@ -402,11 +401,11 @@ def build_instance(check: str, seed: int, *, dim: int | None = None,
                        contraction=contraction, drop=drop)[0]
 
 
-def _point(spec: CheckSpec, params: dict) -> dict:
-    """The grid point ``params`` record, as report params; a key they omit
-    takes the axis default."""
+def _point(spec: CheckSpec, params: dict) -> tuple:
+    """The grid point ``params`` record, as given (Batch.of converts it); a key
+    they omit takes the axis default."""
     axis = GRIDS[spec.grid]
-    return axis.params([params.get(k, v) for k, v in zip(axis.keys, axis.default)])
+    return tuple(params.get(k, v) for k, v in zip(axis.keys, axis.default))
 
 
 def assert_hypotheses(inst: CheckInstance) -> None:
@@ -415,7 +414,7 @@ def assert_hypotheses(inst: CheckInstance) -> None:
     checks them.  Runs do not call it; evaluation alone enforces them."""
     spec = check_spec(inst.check)
     try:
-        point = tuple(_point(spec, inst.params).values())
+        point = _point(spec, inst.params)
         require_preconditions(spec.name, _batch([inst], (point,)), drop=inst.drop)
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
@@ -430,7 +429,7 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
     kwargs = {"tol": tol, "digest": inst.digest()}
     if spec.hypotheses:
         kwargs["drop"] = inst.drop
-    return getattr(checks, spec.name)(*args, *_point(spec, inst.params).values(), **kwargs)
+    return getattr(checks, spec.name)(*args, *_point(spec, inst.params), **kwargs)
 
 
 def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
@@ -481,7 +480,6 @@ def _batch(insts, points) -> Batch:
     if len(groups) > 1:
         raise InvalidSpec(f"a group needs one (check, dim, len, drop), got {sorted(groups)}")
     spec = check_spec(insts[0].check)
-    ops = {op: [getattr(inst, op) for inst in insts] for op in spec.operands}
-    return Batch.of(spec.name, [inst.x for inst in insts], [inst.y for inst in insts],
-                    np.array(ops["a"], dtype=complex) if "a" in ops else None, ops.get("e"),
-                    ops.get("ball"), points, [inst.digest() for inst in insts])
+    ops = {op: [getattr(inst, op) for inst in insts] for op in ("x", "y", *spec.operands)}
+    return Batch.of(spec.name, ops["x"], ops["y"], ops.get("a"), ops.get("e"), ops.get("ball"),
+                    points, [inst.digest() for inst in insts])

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, ct, finite, op_norms
+from .core import (
+    DEFAULT_TOL, ToleranceConfig, as_matrix, complex_array, ct, finite, is_real, op_norms,
+)
 from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 
 
@@ -40,12 +42,11 @@ class ModuleContext:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InvalidSpec("dim must be >= 1")
-        w = tuple(float(v) for v in self.weights)
-        if len(w) < 1:
+        if len(self.weights) < 1:
             raise InvalidSpec("length must be >= 1")
-        if any(not math.isfinite(v) or v <= 0 for v in w):
+        if not all(is_real(v) and math.isfinite(v) and v > 0 for v in self.weights):
             raise InvalidSpec("weights must be strictly positive and finite")
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
 
     @property
     def length(self) -> int:
@@ -165,7 +166,7 @@ class ModuleElement:
                 raise DimMismatch(f"part of shape {np.shape(p)} in a dim-{d} context")
         # one cast, one check and one copy for all parts; each part is a
         # read-only view of the stack
-        stack = _frozen(finite(np.array(self.parts, dtype=complex)))
+        stack = _frozen(finite(complex_array(self.parts)))
         self.__dict__.update(_array=stack, parts=tuple(stack))
 
     @classmethod
@@ -176,7 +177,7 @@ class ModuleElement:
             norms = Stack(np.array([ctx.weights for ctx in ctxs]), parts).norms.tolist()
             scale = [norm / nz if nz > 0 else 1.0 for nz in norms]
             parts = np.array(scale)[:, None, None, None] * parts
-        stack = _frozen(finite(np.array(parts, dtype=complex)))
+        stack = _frozen(finite(complex_array(parts)))
         out = [cls.__new__(cls) for _ in ctxs]
         for z, ctx, row in zip(out, ctxs, stack):
             z.__dict__.update(ctx=ctx, _array=row, parts=tuple(row))
@@ -223,9 +224,9 @@ def element(parts, weights=None) -> ModuleElement:
     return ModuleElement(ctx, tuple(mats))
 
 
-def _same_ctx(x: ModuleElement, y: ModuleElement) -> None:
-    if x.ctx != y.ctx:
-        raise CtxMismatch("elements belong to different module contexts")
+def _same_ctx(x: ModuleElement, *others: ModuleElement) -> None:
+    if any(z.ctx != x.ctx for z in others):
+        raise CtxMismatch("elements must share one dim and weights")
 
 
 def inner(x: ModuleElement, y: ModuleElement) -> np.ndarray:
@@ -242,6 +243,15 @@ def acting(x: ModuleElement, a) -> np.ndarray:
     if m.shape[0] != x.ctx.dim:
         raise DimMismatch(f"matrix of shape {m.shape} in a dim-{x.ctx.dim} context")
     return m
+
+
+def acting_stack(xs, mats) -> np.ndarray:
+    """acting(xs[b], mats[b]) for each b, as one (B, d, d) stack: checked once, and
+    matrix by matrix only to word an error."""
+    d = xs[0].ctx.dim
+    if all(np.shape(a) == (d, d) for a in mats) and np.isfinite(m := complex_array(mats)).all():
+        return m
+    return np.stack([acting(x, a) for x, a in zip(xs, mats)])
 
 
 def right_mul(x: ModuleElement, a) -> ModuleElement:
@@ -289,8 +299,7 @@ def gruss_inner(x: ModuleElement, y: ModuleElement, e: ModuleElement,
     """Covariance form Phi(x, y) = <x, y> - <x, e><e, y>.  Raises NotUnital
     unless <e, e> = I to ``tol.tol_rel``, so every covariance quantity can
     rely on the exact hypothesis; a non-unit e is rejected, not renormalized."""
-    _same_ctx(x, e)
-    _same_ctx(y, e)
+    _same_ctx(e, x, y)
     require_units(e.stack, tol)
     return covariances(x.stack.weights[0], x._array, y._array, e._array)
 
@@ -310,6 +319,8 @@ def matrix_from_json(flat, d: int) -> np.ndarray:
     """Exact inverse of matrix_to_json for a d x d matrix."""
     if len(flat) != d * d:
         raise DimMismatch(f"{len(flat)} entries for a dim-{d} matrix")
+    if not all(is_real(v) for pair in flat for v in pair):
+        raise InvalidSpec("matrix entries must be [re, im] pairs of real numbers")
     return np.array([complex(re, im) for re, im in flat], dtype=complex).reshape(d, d)
 
 
@@ -325,6 +336,6 @@ def element_to_json(x: ModuleElement) -> dict:
 def element_from_json(obj) -> ModuleElement:
     """Exact inverse of element_to_json."""
     d = int(obj["dim"])
-    weights = tuple(float(w) for w in obj["weights"])
+    weights = tuple(obj["weights"])
     parts = tuple(matrix_from_json(flat, d) for flat in obj["parts"])
     return ModuleElement(ModuleContext(d, weights), parts)

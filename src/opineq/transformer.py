@@ -8,9 +8,9 @@ from the resolvent-summed Gram matrix.
 The series are truncated at SERIES_TAIL and capped at MAX_TERMS terms.
 (I - T)^alpha a has two independent implementations.
 :func:`fractional_powers` is the fast path, over a stack of operators:
-the eigen form where it applies, else the binomial series.
-:func:`fractional_power_apply` sums that series up to a proven tail
-bound and is kept as the oracle the fast path is tested against.
+the eigen form where it applies, else :func:`series_powers`, the binomial
+series stacked.  :func:`fractional_power_apply` sums it for one operator,
+as the oracle the fast path is tested against; no engine code calls it.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
@@ -31,10 +31,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
-from .errors import CtxMismatch, DimCap, InvalidSpec, MaxTermsExceeded, NotContractive
+from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, finite, herm, psd_powers
+from .errors import DimCap, InvalidSpec, MaxTermsExceeded, NotContractive
 from .hmodule import (
-    ModuleContext, ModuleElement, Stack, _frozen, acting, inner, left_act, module_norm,
+    ModuleElement, Stack, _frozen, _same_ctx, acting, inner, left_act, module_norm,
     weighted_products,
 )
 
@@ -64,8 +64,7 @@ class ElementaryOperator:
     y: ModuleElement
 
     def __post_init__(self) -> None:
-        if self.x.ctx != self.y.ctx:
-            raise CtxMismatch("operator factors live in different module contexts")
+        _same_ctx(self.x, self.y)
 
     @property
     def dim(self) -> int:
@@ -98,10 +97,6 @@ def _series_gammas(x: Stack, y: Stack, series: str) -> np.ndarray:
     if bad.any():
         raise NotContractive(f"{series} series requires ||x|| ||y|| < 1, got {gammas[bad][0]:.6f}")
     return gammas
-
-
-def _series_gamma(t: ElementaryOperator, series: str) -> float:
-    return float(_series_gammas(t.x.stack, t.y.stack, series)[0])
 
 
 def applied(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -146,7 +141,7 @@ def vectorize(t: ElementaryOperator) -> VectorizedOperator:
 
 def spectral_radii(rep: np.ndarray) -> np.ndarray:
     """Spectral radius of each vectorized operator in a stack."""
-    return np.abs(np.linalg.eigvals(rep)).max(axis=-1)
+    return np.abs(np.linalg.eigvals(finite(rep))).max(axis=-1)
 
 
 def spectral_radius(t: ElementaryOperator) -> float:
@@ -209,7 +204,7 @@ def neumann_inverse(t: ElementaryOperator, a) -> tuple[np.ndarray, int]:
     result is within 2 * SERIES_TAIL * ||a|| of the exact sum.
     """
     m = acting(t.x, a)
-    gamma = _series_gamma(t, "Neumann")
+    gamma = float(_series_gammas(t.x.stack, t.y.stack, "Neumann")[0])
     if gamma == 0.0:
         return m.copy(), 1
     terms = max(int(np.ceil(np.log(SERIES_TAIL * (1.0 - gamma)) / np.log(gamma))), 1)
@@ -235,7 +230,7 @@ def fractional_power_apply(t: ElementaryOperator, alpha: float, a) -> np.ndarray
     """
     validate_alpha(alpha)
     m = acting(t.x, a)
-    gamma = _series_gamma(t, "binomial")
+    gamma = float(_series_gammas(t.x.stack, t.y.stack, "binomial")[0])
     step = _iterate_fn(t)
     acc = m.astype(complex).copy()
     term = m
@@ -282,13 +277,16 @@ def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
     return w, v, sol, ok
 
 
-def terminating_powers(rep: np.ndarray, a: np.ndarray, alpha: float,
-                       gammas: np.ndarray) -> np.ndarray:
-    """fractional_power_apply's sum for integer alpha by its recurrence, order and
-    stops, on stacks of vectorized T, a and gamma = ||x|| ||y||: the same bits."""
+def series_powers(rep: np.ndarray, a: np.ndarray, alpha: float,
+                  gammas: np.ndarray) -> np.ndarray:
+    """fractional_power_apply's sum by its recurrence, order and stops, each row's
+    own, on stacks of vectorized T, a and gamma = ||x|| ||y||: the same bits."""
     acc, term, live, coeff, n = a.copy(), a, np.ones(len(a), dtype=bool), 1.0, 0
     while (nxt := coeff * (alpha - n) / (n + 1.0)) != 0.0:
         live &= (gammas > 0.0) | (n < 1)
+        if n + 1 > alpha:  # each row's tail bound, in fractional_power_apply's arithmetic
+            tails = [abs(nxt) * g ** (n + 1) / (1.0 - g) for g in gammas.tolist()]
+            live &= (gammas <= 0.0) | (np.array(tails) > SERIES_TAIL)
         if not live.any():
             break
         if n + 1 >= MAX_TERMS:
@@ -304,26 +302,24 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
     """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
     (B, d, d), one stack per (valid) alpha; requires ||x|| ||y|| < 1.
 
-    Integer alpha takes :func:`terminating_powers`.  Otherwise, where the
+    Integer alpha takes :func:`series_powers`.  Otherwise, where the
     vectorized R is normal to tol_rel, R = V diag(w) V^(-1) with |w| < 1
     and V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series
-    sums; a non-normal R, or a V whose condition number would cost more
-    than SERIES_TAIL, gets fractional_power_apply's output.
+    sums; the rows of a non-normal R, or of a V whose condition number
+    would cost more than SERIES_TAIL, take :func:`series_powers` in one call.
     """
     gammas = _series_gammas(x, y, "binomial")
     rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
     for alpha in alphas:
         if float(alpha).is_integer():
-            out.append(terminating_powers(rep, a, alpha, gammas))
+            out.append(series_powers(rep, a, alpha, gammas))
             continue
         if forms is None:
             forms = _eigen_forms(rep, a, cfg)
         w, v, sol, ok = forms
         hi = unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1])
-        for i in np.flatnonzero(~ok):
-            ctx = ModuleContext(x.parts.shape[-1], x.weights[i])
-            pair = ModuleElement.rows([ctx] * 2, np.stack([x.parts[i], y.parts[i]]))
-            hi[i] = fractional_power_apply(ElementaryOperator(*pair), alpha, a[i])
+        if not ok.all():
+            hi[~ok] = series_powers(rep[~ok], a[~ok], alpha, gammas[~ok])
         out.append(hi)
     return out
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, artifact round trips."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opineq.cli import _build_parser, cli_main
-from opineq.generators import build_instance, evaluate_instance, instance_from_json
+from opineq.generators import CHECK_NAMES, build_instance, evaluate_instance, instance_from_json
 
 
 def test_list_prints_registry(capsys):
@@ -289,3 +291,79 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys):
                              ("check_defect", {"p": 4.0, "q": 4.0, "r": 4.0})]
     assert points(second) == [("check_interp", {"p": 3.0, "q": 2.0, "r": 6.0}),
                               ("check_alpha", {"alpha": 1.5}), ("check_alpha", {"alpha": 2.0})]
+
+
+def _x_weight_too_large(obj):
+    obj["x"]["weights"][0] = 10 ** 400
+
+
+def _y_part_too_large(obj):
+    obj["y"]["parts"][1][0][1] = -10 ** 400
+
+
+def _a_entry_too_large(obj):
+    obj["a"][3][0] = 10 ** 400
+
+
+def _infinite_dim(obj):
+    obj["x"]["dim"] = float("inf")
+
+
+@pytest.mark.parametrize("spoil", [_x_weight_too_large, _y_part_too_large, _a_entry_too_large,
+                                   _infinite_dim], ids=["weight", "part", "a", "dim"])
+def test_replay_rejects_a_number_a_float_cannot_hold(spoil, tmp_path, capsys):
+    obj = build_instance("check_basic", 12, dim=2, length=2).to_json()
+    spoil(obj)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed instance")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_replay_of_a_spectrum_that_overflows_is_a_usage_error(tmp_path, capsys):
+    obj = build_instance("check_radius_submult", 12, dim=2, length=2).to_json()
+    obj["x"]["parts"][0][0] = [1e308, 0.0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err and len(captured.err.splitlines()) == 1
+
+
+# values a hand-edited or corrupted instance file may hold in place of any leaf
+_AWKWARD = (10 ** 400, -10 ** 400, 1e308, -1e308, float("nan"), "", "x", None, True, [], {},
+            0, -0.0, 1e-320, 2 ** 63)
+
+
+@functools.cache
+def _built_file(check):
+    return json.dumps(build_instance(check, 12, dim=2, length=2).to_json())
+
+
+def _leaves(node, path=()):
+    """Paths to the scalars and empty containers of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    paths = [leaf for key, child in items for leaf in _leaves(child, path + (key,))]
+    return paths or [path]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_replay_of_a_mutated_instance_file_exits_cleanly(data, tmp_path):
+    """One or two leaves of a built instance file replaced by awkward values:
+    replay exits 0, 1 or 2, and no exception escapes."""
+    obj = json.loads(_built_file(data.draw(st.sampled_from(CHECK_NAMES))))
+    for path in data.draw(st.lists(st.sampled_from(_leaves(obj)), min_size=1, max_size=2,
+                                   unique=True)):
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(st.sampled_from(_AWKWARD))
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(target)]) in (0, 1, 2)

@@ -15,7 +15,7 @@ from opineq.generators import (
     CHECK_NAMES, assert_hypotheses, build_instance, evaluate_group, evaluate_instance, trial_seed,
 )
 from opineq.harness import DEFAULT_ALPHA_GRID, RunConfig, run_suite
-from opineq.hmodule import ModuleElement
+from opineq.hmodule import ModuleContext, ModuleElement
 
 
 def test_run_checks_each_hypothesis_once_per_evaluation(monkeypatch):
@@ -254,3 +254,34 @@ def test_an_integer_point_is_recorded_as_the_float_it_is_evaluated_at():
                          sort_keys=True)
     assert alone == grouped
     assert '"p": 3.0' in alone
+
+
+def _reweighted(z):
+    """z with every weight doubled: the same parts in another context."""
+    return ModuleElement(ModuleContext(z.ctx.dim, tuple(2 * w for w in z.ctx.weights)), z.parts)
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (lambda inst: dataclasses.replace(inst, y=_reweighted(inst.y)), "CtxMismatch"),
+    (lambda inst: dataclasses.replace(inst, e=_reweighted(inst.e)), "CtxMismatch"),
+    (lambda inst: dataclasses.replace(inst, a=np.eye(3, dtype=complex)), "DimMismatch"),
+    (lambda inst: dataclasses.replace(inst, a=np.full((2, 2), np.nan + 0j)), "InvalidSpec"),
+], ids=["y_weights", "e_weights", "a_3x3", "a_nan"])
+def test_a_bad_operand_is_the_first_error_on_every_route(monkeypatch, spoil, error):
+    errors = _first_errors(monkeypatch, spoil)
+    assert len(set(errors)) == 1 and errors[0].startswith(f"{error}: "), errors
+
+
+def test_evaluate_instance_turns_its_grid_point_into_floats_once(monkeypatch):
+    calls = []
+    params = checks.GridAxis.params
+
+    def counted(axis, point):
+        calls.append(point)
+        return params(axis, point)
+
+    monkeypatch.setattr(checks.GridAxis, "params", counted)
+    inst = build_instance("check_interp", 1, dim=2, length=2)
+    rep = evaluate_instance(dataclasses.replace(inst, params={"p": 3, "q": 2, "r": 6}))
+    assert rep.instance["params"]["p"] == 3.0
+    assert calls == [(3, 2, 6)]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from opineq.core import ToleranceConfig, adjoint, hermitian_part, op_norm
-from opineq.errors import CtxMismatch, DimMismatch, NotUnital
+from opineq.checks import check_basic
+from opineq.errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 from opineq.hmodule import (
     ModuleContext,
     ModuleElement,
@@ -17,6 +18,7 @@ from opineq.hmodule import (
     inner,
     is_normal,
     left_act,
+    matrix_from_json,
     module_norm,
     right_mul,
     uniform_context,
@@ -228,3 +230,19 @@ def test_json_roundtrip_is_exact():
     bad["parts"] = [obj["parts"][0][:-1], obj["parts"][1]]
     with pytest.raises(DimMismatch):
         element_from_json(bad)
+
+
+def test_a_number_too_large_for_a_float_is_an_invalid_spec():
+    """Weights, parts and operands follow the rule balls and grid points do."""
+    huge = [[10 ** 400, 0], [0, 1]]
+    with pytest.raises(InvalidSpec):
+        ModuleContext(2, (10 ** 400, 1.0))
+    with pytest.raises(InvalidSpec):
+        element([huge])
+    with pytest.raises(InvalidSpec):
+        ModuleElement(uniform_context(2, 1), (huge,))
+    with pytest.raises(InvalidSpec):
+        matrix_from_json([[-10 ** 400, 0.0]], 1)
+    x = element([np.eye(2) / 2])
+    with pytest.raises(InvalidSpec):
+        check_basic(x, x, huge)
