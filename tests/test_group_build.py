@@ -99,8 +99,20 @@ def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, leng
     assert calls and kernel.getvalue() == reference.getvalue()
 
 
+def test_stacked_terminating_sum_is_each_series():
+    insts = build_group("check_alpha", list(range(6)), dim=3, length=2)
+    xs, ys = checks.Stack.of([i.x for i in insts]), checks.Stack.of([i.y for i in insts])
+    rep = transformer.vectorized(xs.weights, xs.parts, ys.parts)
+    a = np.array([inst.a for inst in insts])
+    for alpha in (1.0, 2.0, 3.0):
+        stacked = transformer.series_powers(rep, a, alpha, xs.norms * ys.norms)
+        for inst, got in zip(insts, stacked):
+            want = fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("dim, length", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 1), (6, 2)])
-def test_stacked_terminating_sum_is_each_series(dim, length):
+def test_stacked_series_stops_where_each_row_does(dim, length):
     """Each row of one stack stops where its own series does: generic (non-normal)
     operators at three contraction targets, so the rows' series differ in length."""
     insts = [inst for seeds, target in (([0], 0.999), ([1, 2], 0.9), ([3, 4], 0.5))
