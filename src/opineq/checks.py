@@ -201,20 +201,26 @@ def validate_pqr(p: float, q: float, r: float) -> None:
 @dataclass(frozen=True)
 class GridAxis:
     """One grid axis: the report keys of a point (a tuple of numbers), the
-    point of an instance that records none, and the point's validator."""
+    point of an instance that records none, and the rule :meth:`params` applies."""
 
     keys: tuple[str, ...]
     default: tuple
     validate: Callable[..., None]
 
     def params(self, point) -> dict:
-        """One point's report parameters, as floats; InvalidSpec unless one int or float per key."""
+        """One point's report parameters, as floats; InvalidSpec unless one int or
+        float per key, then what the axis rule ``validate`` raises for them."""
         if len(point) != len(self.keys):
             raise InvalidSpec(f"grid point {tuple(point)} needs one number per key "
                               f"of ({', '.join(self.keys)})")
         if not all(map(is_real, point)):
             raise InvalidSpec(f"grid parameters must be real numbers, got {tuple(point)}")
-        return dict(zip(self.keys, map(float, point)))
+        params = dict(zip(self.keys, map(float, point)))
+        try:
+            self.validate(*params.values())
+        except InvalidSpec as exc:
+            raise type(exc)(f"grid parameters {params}: {exc}") from None
+        return params
 
 
 # The axis of each CheckSpec.grid; a check without a grid has the one point ().
@@ -263,13 +269,15 @@ class InequalityReport:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """B instances of one check with one dimension and length, all evaluated
-    at the same grid ``points`` (tuples of floats, ``()`` without a grid).
+    """A whole request: B instances of check ``name`` with one dimension, length
+    and ``drop`` set (hypotheses not to enforce, as given), all evaluated at
+    the same grid ``points`` (tuples of floats, ``()`` without a grid).
     :func:`run_batch` gives one report per (instance, point),
-    instance-major; each instance has one digest.  A direct
-    ``check_*`` call is a batch of one instance at one point, so every
-    report comes from the same code.  Build it with :meth:`of`."""
+    instance-major; each instance has one digest.  A direct ``check_*`` call
+    is a batch of one instance at one point, so every report comes from the
+    same code.  Build it with :meth:`of`."""
 
+    name: str
     x: Stack
     y: Stack
     a: np.ndarray | None          # (B, d, d)
@@ -277,19 +285,21 @@ class Batch:
     balls: tuple | None           # B tuples of floats (m, M, p, P)
     points: tuple
     digests: tuple                # one per instance
+    drop: tuple
 
     @classmethod
-    def of(cls, name: str, xs, ys, a, es, balls, points, digests) -> "Batch":
+    def of(cls, name: str, xs, ys, a, es, balls, points, digests, drop=()) -> "Batch":
         """The batch of check ``name``, its operands checked in this order: per instance
         x, y and e in one context, each ``a`` (:func:`acting_stack`), ball (:func:`ball_bounds`)
         and grid point (:meth:`GridAxis.params`); ``a``, ``es`` and ``balls`` may be None."""
         for operands in zip(xs, ys, *(() if es is None else (es,))):
             _same_ctx(*operands)
         axis = GRIDS[CHECK_SPECS[name].grid]
-        return cls(Stack.of(xs), Stack.of(ys), None if a is None else acting_stack(xs, a),
+        return cls(name, Stack.of(xs), Stack.of(ys), None if a is None else acting_stack(xs, a),
                    None if es is None else Stack.of(es),
                    None if balls is None else tuple(map(ball_bounds, balls)),
-                   tuple(tuple(axis.params(point).values()) for point in points), tuple(digests))
+                   tuple(tuple(axis.params(point).values()) for point in points), tuple(digests),
+                   drop)
 
 
 class _Branch(NamedTuple):
@@ -534,36 +544,31 @@ KERNELS = {"check_cs": _cs, "check_basic": _basic, "check_hs": _hs,
            "check_gruss": _gruss, "check_radius_submult": _radius_submult}
 
 
-def require_preconditions(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL,
-                          drop=()) -> None:
-    """Raise for the first precondition of check ``name`` the batch breaks, in this
-    order: each grid point, the unit reference (if ``b.e`` is set), the row's
-    hypotheses minus ``drop`` (:func:`validate_drop`), the ball (if ``b.balls`` is
-    set).  Every route calls this, after :meth:`Batch.of` has checked the operands."""
-    spec = CHECK_SPECS[name]
-    axis = GRIDS[spec.grid]
-    for point in b.points:
-        axis.validate(*point)
+def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Raise for the first precondition of the batch's check it breaks, in this
+    order: the unit reference (if ``b.e`` is set), the row's hypotheses minus
+    ``b.drop`` (:func:`validate_drop`), the ball (if ``b.balls`` is set).  Every
+    route calls this, after :meth:`Batch.of` has checked the operands and points."""
     if b.e is not None:
         require_units(b.e, tol)
-    for hypothesis in spec.enforced(validate_drop(drop)):
+    for hypothesis in CHECK_SPECS[b.name].enforced(validate_drop(b.drop)):
         HYPOTHESES[hypothesis](b.x, b.y, tol, b.e)
     if b.balls is not None:
         require_in_ball(b.x, b.y, b.e, b.balls, tol)
 
 
-def run_batch(name: str, b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityReport]:
-    """Every report of a batch whose preconditions hold: run the check's
+def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityReport]:
+    """Every report of a batch whose preconditions hold: run its check's
     kernel and assemble.  A report's instance is built in one merge: the
     batch's shape, then its instance's digest, whose params get the grid
     point's, then the kernel's, laid over them."""
-    keys = GRIDS[CHECK_SPECS[name].grid].keys
+    keys = GRIDS[CHECK_SPECS[b.name].grid].keys
     grid = [dict(zip(keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
     rows = [(digest or {}, point) for digest in b.digests for point in grid]
-    return [_finish(name, branches, tol, {**shape, **digest, "params": {
+    return [_finish(b.name, branches, tol, {**shape, **digest, "params": {
                 **digest.get("params", {}), **point, **(params or {})}}, extra)
-            for (branches, extra, params), (digest, point) in zip(KERNELS[name](b, tol), rows)]
+            for (branches, extra, params), (digest, point) in zip(KERNELS[b.name](b, tol), rows)]
 
 
 def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
@@ -572,9 +577,9 @@ def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
     """A direct check call: the batch of this one instance at one point, its
     preconditions enforced minus ``drop``, then run."""
     b = Batch.of(name, (x,), (y,), None if a is None else (a,), None if e is None else (e,),
-                 None if ball is None else (ball,), (point,), (digest,))
-    require_preconditions(name, b, tol, drop)
-    return run_batch(name, b, tol)[0]
+                 None if ball is None else (ball,), (point,), (digest,), drop)
+    require_preconditions(b, tol)
+    return run_batch(b, tol)[0]
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,8 @@ exactly, so any reported margin can be replayed bit for bit.
 Evaluation is here too: :func:`evaluate_instance` runs one instance at
 one grid point, :func:`evaluate_group` a same-shape group at every given
 grid point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel
-call, with the same reports (:func:`evaluate_each`: each one's own).
+call, with the same reports, and :func:`evaluate_each`, the policy of a
+run, groups any instances and gives each one's own reports or errors.
 Every route, :func:`assert_hypotheses` too, enforces an instance's
 preconditions by :func:`opineq.checks.require_preconditions`.
 """
@@ -215,11 +216,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
         _same_ctx(x, *(z for z in (y, e) if z is not None))
         ball = ball_bounds(obj["ball"]) if "ball" in given else None
         params = dict(obj.get("params", {}))
-        point = GRIDS[spec.grid].params(_point(spec, params))
-        try:
-            GRIDS[spec.grid].validate(*point.values())
-        except InvalidSpec as exc:
-            raise InvalidSpec(f"grid parameters {point}: {exc}") from None
+        GRIDS[spec.grid].params(_point(spec, params))
         return CheckInstance(
             check=spec.name,
             seed=obj.get("seed"),
@@ -412,10 +409,8 @@ def assert_hypotheses(inst: CheckInstance) -> None:
     """Generator self-test at the default tolerance: raise InvalidSpec unless
     the instance meets the preconditions it claims, checked as evaluation
     checks them.  Runs do not call it; evaluation alone enforces them."""
-    spec = check_spec(inst.check)
     try:
-        point = _point(spec, inst.params)
-        require_preconditions(spec.name, _batch([inst], (point,)), drop=inst.drop)
+        require_preconditions(_batch([inst], (_point(check_spec(inst.check), inst.params),)))
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
@@ -447,29 +442,46 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
             raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
         points = ((),)
     batch = _batch(insts, points)
-    require_preconditions(spec.name, batch, tol, insts[0].drop)
-    return run_batch(spec.name, batch, tol)
+    require_preconditions(batch, tol)
+    return run_batch(batch, tol)
 
 
-def evaluate_each(insts, tol: ToleranceConfig, points) -> list:
-    """What :func:`evaluate_group` gives each instance alone at each point, or
-    its OpineqError: preconditions are enforced once per instance, on a batch
-    of it at every point, and only the instances that meet them are
-    evaluated per point."""
-    spec = check_spec(insts[0].check)
-    out = []
-    for inst in insts:
+def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
+    """The evaluation policy of a run: per instance, its report or OpineqError
+    at each of ``points``, each what :func:`evaluate_group` gives it alone.
+    Instances of one dimension, length and drop set are evaluated as one
+    group in one kernel call.  A group that raises is evaluated again
+    instance by instance: its preconditions are enforced once, on a batch of
+    it at every point, and an instance that meets them runs each point
+    alone."""
+    groups: dict[tuple, list[int]] = {}
+    for k, inst in enumerate(insts):
+        groups.setdefault((inst.x.ctx.dim, inst.x.ctx.length, inst.drop), []).append(k)
+    out = {}
+    for members in groups.values():
+        group = [insts[k] for k in members]
         try:
-            require_preconditions(spec.name, _batch([inst], points), tol, inst.drop)
+            reports = evaluate_group(group, tol, points)
+            rows = [reports[i * len(points):(i + 1) * len(points)] for i in range(len(group))]
+        except OpineqError:
+            rows = [_alone(inst, tol, points) for inst in group]
+        out.update(zip(members, rows))
+    return [out[k] for k in range(len(insts))]
+
+
+def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
+    """One instance's report or OpineqError at each point, preconditions enforced once."""
+    try:
+        require_preconditions(_batch([inst], points), tol)
+    except OpineqError as exc:
+        return [exc] * len(points)
+    row = []
+    for point in points:
+        try:
+            row += run_batch(_batch([inst], (point,)), tol)
         except OpineqError as exc:
-            out += [exc] * len(points)
-            continue
-        for point in points:
-            try:
-                out += run_batch(spec.name, _batch([inst], (point,)), tol)
-            except OpineqError as exc:
-                out.append(exc)
-    return out
+            row.append(exc)
+    return row
 
 
 def _batch(insts, points) -> Batch:
@@ -482,4 +494,4 @@ def _batch(insts, points) -> Batch:
     spec = check_spec(insts[0].check)
     ops = {op: [getattr(inst, op) for inst in insts] for op in ("x", "y", *spec.operands)}
     return Batch.of(spec.name, ops["x"], ops["y"], ops.get("a"), ops.get("e"), ops.get("ball"),
-                    points, [inst.digest() for inst in insts])
+                    points, [inst.digest() for inst in insts], insts[0].drop)

@@ -25,8 +25,8 @@ from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_d
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, build_group, build_instance, check_shape, evaluate_each,
-    evaluate_group, evaluate_instance, trial_seed, _SEED_MASK,
+    CheckInstance, InstanceDraw, build_group, check_shape, evaluate_each, evaluate_instance,
+    trial_seed, _SEED_MASK,
 )
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
@@ -64,11 +64,10 @@ class RunConfig:
             check_spec(name)
         for axis, row in GRIDS.items():
             try:
-                grid = [row.params(point) for point in self.points(axis)]
+                for point in self.points(axis):
+                    row.params(point)
             except TypeError:
                 raise InvalidSpec(f"the {axis} grid must be a sequence of points") from None
-            for params in grid:
-                row.validate(*params.values())
         check_shape(self.dim, self.length)
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
@@ -113,10 +112,10 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
     A trial is build, then evaluate at each grid point.  Trials are built
-    :data:`GROUP_TRIALS` at a time in one :func:`build_group` call; each
-    group with one dimension and length is evaluated at every grid point
-    in one kernel call (:func:`evaluate_group`), and its lines are written
-    in trial order.  Evaluation alone enforces the check's hypotheses, so
+    :data:`GROUP_TRIALS` at a time in one :func:`build_group` call and
+    evaluated by :func:`evaluate_each`, which evaluates each group with one
+    dimension, length and drop set at every grid point in one kernel call;
+    their lines are written in trial order.  Evaluation alone enforces the check's hypotheses, so
     a violation is one error line per grid point; a build error is one
     error line without an instance.
 
@@ -140,7 +139,7 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
                          for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
                 built = _build(cfg, check, seeds)
                 insts = [inst for inst in built if isinstance(inst, CheckInstance)]
-                rows = iter(_evaluate(insts, cfg.tolerances, points))
+                rows = iter(evaluate_each(insts, cfg.tolerances, points))
                 for seed, inst in zip(seeds, built):
                     if not isinstance(inst, CheckInstance):
                         summary.record(check, "error", None)
@@ -164,39 +163,13 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
 def _build(cfg: RunConfig, check: str, seeds: list[int]) -> list:
     """Each seed's instance or build error: the seeds are built as one group,
     or one at a time if the group raises, so an error stays with its trial."""
-    options = {"dim": cfg.dim, "length": cfg.length, "weights_mode": cfg.weights_mode}
     try:
-        return build_group(check, seeds, **options)
-    except OpineqError:
-        return [_attempt(build_instance, check, seed, **options) for seed in seeds]
-
-
-def _evaluate(insts: list[CheckInstance], tol: ToleranceConfig, points) -> list[list]:
-    """Per instance, its report or error at each grid point.  Instances of
-    one dimension, length and drop set are evaluated as one group; a group
-    that raises is evaluated again by :func:`evaluate_each`, so every line
-    is what that instance gives alone."""
-    groups: dict[tuple, list[int]] = {}
-    for k, inst in enumerate(insts):
-        groups.setdefault((inst.x.ctx.dim, inst.x.ctx.length, inst.drop), []).append(k)
-    out: list[list] = [[] for _ in insts]
-    for members in groups.values():
-        group = [insts[k] for k in members]
-        try:
-            reports = evaluate_group(group, tol, points)
-        except OpineqError:
-            reports = evaluate_each(group, tol, points)
-        for i, k in enumerate(members):
-            out[k] = reports[i * len(points):(i + 1) * len(points)]
-    return out
-
-
-def _attempt(fn, *args, **kwargs):
-    """fn's result, or the OpineqError it raises."""
-    try:
-        return fn(*args, **kwargs)
+        return build_group(check, seeds, dim=cfg.dim, length=cfg.length,
+                           weights_mode=cfg.weights_mode)
     except OpineqError as exc:
-        return exc
+        if len(seeds) == 1:
+            return [exc]
+        return [inst for seed in seeds for inst in _build(cfg, check, [seed])]
 
 
 def _emit(writer, obj: dict) -> None:

@@ -5,18 +5,19 @@ dimensions stay <= 6 and tuple lengths <= 4 throughout.  Every test
 prints a single PASS/FAIL summary line for its criterion.
 """
 
-import dataclasses
 import itertools
 import json
 from functools import reduce
 
 import numpy as np
 
-from opineq.checks import CHECK_SPECS, GRIDS, check_basic, check_cs, check_naopaka
-from opineq.core import hermitian_part, op_norm, psd_power
+from opineq.checks import check_basic, check_cs, check_naopaka
+from opineq.core import DEFAULT_TOL, hermitian_part, op_norm, psd_power
+from opineq.errors import OpineqError
 from opineq.generators import (
     GeneratorSpec,
-    build_instance,
+    build_group,
+    evaluate_each,
     evaluate_instance,
     gen_element,
     gen_haar_unitary,
@@ -25,6 +26,7 @@ from opineq.generators import (
 )
 from opineq.harness import (
     DEFAULT_EXPONENT_GRID,
+    GROUP_TRIALS,
     naopaka_delta_sweep,
     search_counterexample,
 )
@@ -77,10 +79,26 @@ def _verdict(num, desc, ok, extra=""):
     return ok
 
 
-def _at(inst, point):
-    """inst with its params recording ``point`` on its check's grid axis."""
-    axis = GRIDS[CHECK_SPECS[inst.check].grid]
-    return dataclasses.replace(inst, params={**inst.params, **axis.params(point)})
+def _trials(check, tag, count, points=((),)):
+    """(instance, its reports at each of ``points``) for the criterion's trials
+    trial_seed(MASTER, tag, i), i < count: built GROUP_TRIALS at a time and
+    evaluated by evaluate_each, as a run evaluates them; any error re-raised."""
+    out = []
+    for start in range(0, count, GROUP_TRIALS):
+        insts = build_group(check, [trial_seed(MASTER, tag, i)
+                                    for i in range(start, min(start + GROUP_TRIALS, count))])
+        for inst, reps in zip(insts, evaluate_each(insts, DEFAULT_TOL, points)):
+            for rep in reps:
+                if isinstance(rep, OpineqError):
+                    raise rep
+            out.append((inst, reps))
+    return out
+
+
+def _worst(check, tag, count, points=((),)):
+    """The smallest margin of every report of :func:`_trials`."""
+    return min(min(_margins(rep)) for _, reps in _trials(check, tag, count, points)
+               for rep in reps)
 
 
 def _cg(rng, d):
@@ -93,10 +111,7 @@ def _haar(rng, d):
 
 
 def test_criterion_01_cauchy_schwarz():
-    worst = np.inf
-    for i in range(1000):
-        rep = evaluate_instance(build_instance("check_cs", trial_seed(MASTER, "acc1", i)))
-        worst = min(worst, min(_margins(rep)))
+    worst = _worst("check_cs", "acc1", 1000)
     x = element([gen_haar_unitary(1, 4)])
     eq = max(abs(v) for v in _margins(check_cs(x, x)))
     ok = worst >= -MARGIN_TOL and eq <= EQ_TOL
@@ -105,11 +120,7 @@ def test_criterion_01_cauchy_schwarz():
 
 
 def test_criterion_02_operator_and_trace_bounds():
-    worst = np.inf
-    for name in ("check_basic", "check_hs"):
-        for i in range(1000):
-            rep = evaluate_instance(build_instance(name, trial_seed(MASTER, "acc2", i)))
-            worst = min(worst, min(_margins(rep)))
+    worst = min(_worst(name, "acc2", 1000) for name in ("check_basic", "check_hs"))
     rng = np.random.default_rng(2)
     x = element([np.eye(3)])
     eq = max(abs(v) for v in _margins(check_basic(x, x, _cg(rng, 3))))
@@ -119,11 +130,7 @@ def test_criterion_02_operator_and_trace_bounds():
 
 
 def test_criterion_03_refinement():
-    worst = np.inf
-    for i in range(1000):
-        rep = evaluate_instance(
-            build_instance("check_refinement", trial_seed(MASTER, "acc3", i)))
-        worst = min(worst, min(_margins(rep)))
+    worst = _worst("check_refinement", "acc3", 1000)
     ok = worst >= -MARGIN_TOL
     assert _verdict(3, "PSD refinement bound, n=1000", ok, f"; worst={worst:+.3e}")
 
@@ -131,9 +138,7 @@ def test_criterion_03_refinement():
 def test_criterion_04_unitarily_invariant_family():
     worst = np.inf
     consistency = 0.0
-    for i in range(1000):
-        inst = build_instance("check_uin", trial_seed(MASTER, "acc4", i))
-        rep = evaluate_instance(inst)
+    for i, (inst, (rep,)) in enumerate(_trials("check_uin", "acc4", 1000)):
         worst = min(worst, min(_margins(rep)))
         if i < 200:
             # the top Ky Fan margin is the trace comparison of the
@@ -152,10 +157,8 @@ def test_criterion_05_schatten_interpolation():
     worst = np.inf
     checked = 0
     sens_ok = True
-    for i in range(500):
-        inst = build_instance("check_interp", trial_seed(MASTER, "acc5", i))
-        for pqr in DEFAULT_EXPONENT_GRID:
-            rep = evaluate_instance(_at(inst, pqr))
+    for _, reps in _trials("check_interp", "acc5", 500, DEFAULT_EXPONENT_GRID):
+        for rep in reps:
             worst = min(worst, min(_margins(rep)))
             if rep.norm_detail["min_inner_eig"] >= 1e-4:
                 checked += 1
@@ -167,11 +170,7 @@ def test_criterion_05_schatten_interpolation():
 
 
 def test_criterion_06_difference_bound():
-    worst = np.inf
-    for i in range(1000):
-        rep = evaluate_instance(
-            build_instance("check_naopaka", trial_seed(MASTER, "acc6", i)))
-        worst = min(worst, min(_margins(rep)))
+    worst = _worst("check_naopaka", "acc6", 1000)
     rng = np.random.default_rng(6)
     x = element([0.9 * np.eye(3)])
     eq = max(abs(v) for v in _margins(check_naopaka(x, x, _cg(rng, 3))))
@@ -185,10 +184,8 @@ def test_criterion_06_difference_bound():
 def test_criterion_07_fractional_powers():
     worst = np.inf
     agreement = 0.0
-    for i in range(300):
-        inst = build_instance("check_alpha", trial_seed(MASTER, "acc7", i))
-        for alpha in (0.5, 1.0, 2.0):
-            rep = evaluate_instance(_at(inst, (alpha,)))
+    for inst, reps in _trials("check_alpha", "acc7", 300, ((0.5,), (1.0,), (2.0,))):
+        for alpha, rep in zip((0.5, 1.0, 2.0), reps):
             worst = min(worst, min(_margins(rep)))
             if alpha == 1.0:
                 base = check_naopaka(inst.x, inst.y, inst.a)
@@ -200,12 +197,7 @@ def test_criterion_07_fractional_powers():
 
 
 def test_criterion_08_defect_operators():
-    worst = np.inf
-    for i in range(300):
-        inst = build_instance("check_defect", trial_seed(MASTER, "acc8", i))
-        for pqr in DEFAULT_EXPONENT_GRID:
-            rep = evaluate_instance(_at(inst, pqr))
-            worst = min(worst, min(_margins(rep)))
+    worst = _worst("check_defect", "acc8", 300, DEFAULT_EXPONENT_GRID)
     closed = 0.0
     for i in range(100):
         z = gen_element(GeneratorSpec(trial_seed(MASTER, "acc8n", i),
@@ -220,11 +212,7 @@ def test_criterion_08_defect_operators():
 
 
 def test_criterion_09_covariance_bounds():
-    worst = np.inf
-    for i in range(500):
-        rep = evaluate_instance(
-            build_instance("check_gruss", trial_seed(MASTER, "acc9", i)))
-        worst = min(worst, min(_margins(rep)))
+    worst = _worst("check_gruss", "acc9", 500)
     # the covariance form is PSD on arbitrary tuples against any unit
     # reference, without the commuting-family hypotheses
     rng = np.random.default_rng(MASTER + 9)
@@ -291,11 +279,7 @@ def test_criterion_10_oracle_equivalences():
             grade_gap = max(grade_gap,
                             op_norm(got - want) / max(1.0, op_norm(want)))
 
-    radius_worst = np.inf
-    for i in range(500):
-        rep = evaluate_instance(
-            build_instance("check_radius_submult", trial_seed(MASTER, "acc10", i)))
-        radius_worst = min(radius_worst, min(_margins(rep)))
+    radius_worst = _worst("check_radius_submult", "acc10", 500)
 
     probe_gap = 0.0
     for _ in range(100):

@@ -59,7 +59,7 @@ def test_every_check_has_one_kernel():
 @pytest.mark.parametrize("shape", [(3, 2), (None, None), (1, 4), (6, 4)],
                          ids=["dim3_len2", "random", "dim1_len4", "dim6_len4"])
 def test_grouped_lines_equal_each_instance_alone(check, shape):
-    cfg = RunConfig(trials=6, checks=(check,), seed=17, dim=shape[0], length=shape[1])
+    cfg = RunConfig(trials=25, checks=(check,), seed=17, dim=shape[0], length=shape[1])
     assert _serialized(_lines(cfg)) == _serialized(_alone(check, cfg))
 
 
