@@ -269,15 +269,17 @@ class InequalityReport:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """A whole request: B instances of check ``name`` with one dimension, length
-    and ``drop`` set (hypotheses not to enforce, as given), all evaluated at
-    the same grid ``points`` (tuples of floats, ``()`` without a grid).
+    """A whole request: check ``name`` with its ``drop`` set (hypotheses not to
+    enforce, as given), on B instances of one dimension and length, all
+    evaluated at the same grid ``points`` (tuples of floats, ``()`` without a
+    grid).
     :func:`run_batch` gives one report per (instance, point),
     instance-major; each instance has one digest.  A direct ``check_*`` call
     is a batch of one instance at one point, so every report comes from the
     same code.  Build it with :meth:`of`."""
 
     name: str
+    drop: tuple
     x: Stack
     y: Stack
     a: np.ndarray | None          # (B, d, d)
@@ -285,21 +287,22 @@ class Batch:
     balls: tuple | None           # B tuples of floats (m, M, p, P)
     points: tuple
     digests: tuple                # one per instance
-    drop: tuple
 
     @classmethod
-    def of(cls, name: str, xs, ys, a, es, balls, points, digests, drop=()) -> "Batch":
-        """The batch of check ``name``, its operands checked in this order: per instance
-        x, y and e in one context, each ``a`` (:func:`acting_stack`), ball (:func:`ball_bounds`)
-        and grid point (:meth:`GridAxis.params`); ``a``, ``es`` and ``balls`` may be None."""
+    def of(cls, name: str, drop, xs, ys, a, es, balls, points, digests) -> "Batch":
+        """The batch of check ``name`` and ``drop``, its operands checked in this order:
+        per instance x, y and e in one context, each ``a`` (:func:`acting_stack`; read only
+        if the check takes one), ball (:func:`ball_bounds`) and grid point
+        (:meth:`GridAxis.params`); ``es`` and ``balls`` may be None."""
         for operands in zip(xs, ys, *(() if es is None else (es,))):
             _same_ctx(*operands)
-        axis = GRIDS[CHECK_SPECS[name].grid]
-        return cls(name, Stack.of(xs), Stack.of(ys), None if a is None else acting_stack(xs, a),
+        spec = CHECK_SPECS[name]
+        axis = GRIDS[spec.grid]
+        return cls(name, drop, Stack.of(xs), Stack.of(ys),
+                   acting_stack(xs, a) if "a" in spec.operands else None,
                    None if es is None else Stack.of(es),
                    None if balls is None else tuple(map(ball_bounds, balls)),
-                   tuple(tuple(axis.params(point).values()) for point in points), tuple(digests),
-                   drop)
+                   tuple(tuple(axis.params(point).values()) for point in points), tuple(digests))
 
 
 class _Branch(NamedTuple):
@@ -576,8 +579,8 @@ def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
          ball=None) -> InequalityReport:
     """A direct check call: the batch of this one instance at one point, its
     preconditions enforced minus ``drop``, then run."""
-    b = Batch.of(name, (x,), (y,), None if a is None else (a,), None if e is None else (e,),
-                 None if ball is None else (ball,), (point,), (digest,), drop)
+    b = Batch.of(name, drop, (x,), (y,), (a,), None if e is None else (e,),
+                 None if ball is None else (ball,), (point,), (digest,))
     require_preconditions(b, tol)
     return run_batch(b, tol)[0]
 

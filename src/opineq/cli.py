@@ -5,8 +5,9 @@ verify run could be evaluated, or a replayed instance no longer holds;
 2 usage errors (bad options, exponents, alphas, tolerances, budgets or
 sizes, instance files that are not JSON, not an instance or do not fit
 their check's registry row, and replayed instances whose evaluation
-overflows to non-finite values).  Commands run with numpy's overflow and
-invalid-value warnings off, so such an error prints as one line.
+overflows to non-finite values or whose T is too large to vectorize).
+Commands run with numpy's overflow and invalid-value warnings off, so
+such an error prints as one line.
 """
 
 from __future__ import annotations

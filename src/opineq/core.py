@@ -54,12 +54,22 @@ def is_real(v) -> bool:
 
 
 def complex_array(m) -> np.ndarray:
-    """np.array(m, dtype=complex); InvalidSpec if an entry is an int too large
-    for a float, as :func:`is_real` rules."""
+    """m as a new complex array; InvalidSpec unless it is an array of numbers:
+    real ones as :func:`is_real` rules (so no bool, no string, no int too
+    large for a float) or complex ones."""
     try:
-        return np.array(m, dtype=complex)
-    except OverflowError:
-        raise InvalidSpec("matrix has an entry too large for a float") from None
+        a = np.asarray(m)
+    except ValueError:
+        raise InvalidSpec("matrix rows must be arrays of numbers of one length") from None
+    if a.dtype.kind == "O" and any(isinstance(v, int) and abs(v) > sys.float_info.max
+                                   for v in a.flat):
+        raise InvalidSpec("matrix has an entry too large for a float")
+    if a.dtype.kind == "O" and all(is_real(v) or isinstance(v, (complex, np.complexfloating))
+                                   for v in a.flat):
+        a = a.astype(complex)  # ints beyond int64 that a float holds
+    if a.dtype.kind not in "iufc":
+        raise InvalidSpec(f"matrix entries must be numbers, got an array of {a.dtype}")
+    return a.astype(complex)
 
 
 def as_matrix(m) -> np.ndarray:

@@ -45,10 +45,6 @@ class MaxTermsExceeded(OpineqError):
     """An operator series would need more terms than the configured cap."""
 
 
-class DimCap(OpineqError):
-    """The vectorized d^2 x d^2 representation exceeds the configured cap."""
-
-
 class BallViolated(OpineqError):
     """An element is outside the ball its check hypothesis places it in."""
 
@@ -58,6 +54,11 @@ class InvalidSpec(OpineqError, ValueError):
 
     It is also a ValueError, the type plain configuration validators raise.
     """
+
+
+class DimCap(InvalidSpec):
+    """The vectorized d^2 x d^2 representation exceeds the cap: an input the
+    lab cannot hold."""
 
 
 class BadExponents(InvalidSpec):

@@ -409,8 +409,9 @@ def assert_hypotheses(inst: CheckInstance) -> None:
     """Generator self-test at the default tolerance: raise InvalidSpec unless
     the instance meets the preconditions it claims, checked as evaluation
     checks them.  Runs do not call it; evaluation alone enforces them."""
+    spec = check_spec(inst.check)
     try:
-        require_preconditions(_batch([inst], (_point(check_spec(inst.check), inst.params),)))
+        require_preconditions(_batch([inst], (_point(spec, inst.params),)))
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
@@ -493,5 +494,5 @@ def _batch(insts, points) -> Batch:
         raise InvalidSpec(f"a group needs one (check, dim, len, drop), got {sorted(groups)}")
     spec = check_spec(insts[0].check)
     ops = {op: [getattr(inst, op) for inst in insts] for op in ("x", "y", *spec.operands)}
-    return Batch.of(spec.name, ops["x"], ops["y"], ops.get("a"), ops.get("e"), ops.get("ball"),
-                    points, [inst.digest() for inst in insts], insts[0].drop)
+    return Batch.of(spec.name, insts[0].drop, ops["x"], ops["y"], ops.get("a"), ops.get("e"),
+                    ops.get("ball"), points, [inst.digest() for inst in insts])

@@ -115,9 +115,9 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     :data:`GROUP_TRIALS` at a time in one :func:`build_group` call and
     evaluated by :func:`evaluate_each`, which evaluates each group with one
     dimension, length and drop set at every grid point in one kernel call;
-    their lines are written in trial order.  Evaluation alone enforces the check's hypotheses, so
-    a violation is one error line per grid point; a build error is one
-    error line without an instance.
+    their lines are written in trial order.  Evaluation alone enforces the
+    check's hypotheses, so a violation is one error line per grid point; a
+    build error is one error line without an instance.
 
     ``writer`` may be any object with a ``write`` method; when omitted and
     ``cfg.output_path`` is set, the file is created (overwritten) and each

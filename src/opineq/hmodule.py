@@ -161,12 +161,13 @@ class ModuleElement:
         n, d = self.ctx.length, self.ctx.dim
         if len(self.parts) != n:
             raise DimMismatch(f"expected {n} parts, got {len(self.parts)}")
-        for p in self.parts:
-            if np.shape(p) != (d, d):
-                raise DimMismatch(f"part of shape {np.shape(p)} in a dim-{d} context")
-        # one cast, one check and one copy for all parts; each part is a
-        # read-only view of the stack
-        stack = _frozen(finite(complex_array(self.parts)))
+        parts = [complex_array(p) for p in self.parts]
+        for p in parts:
+            if p.shape != (d, d):
+                raise DimMismatch(f"part of shape {p.shape} in a dim-{d} context")
+        # one check and one copy for all parts; each part is a read-only
+        # view of the stack
+        stack = _frozen(finite(np.stack(parts)))
         self.__dict__.update(_array=stack, parts=tuple(stack))
 
     @classmethod
@@ -249,8 +250,12 @@ def acting_stack(xs, mats) -> np.ndarray:
     """acting(xs[b], mats[b]) for each b, as one (B, d, d) stack: checked once, and
     matrix by matrix only to word an error."""
     d = xs[0].ctx.dim
-    if all(np.shape(a) == (d, d) for a in mats) and np.isfinite(m := complex_array(mats)).all():
-        return m
+    try:
+        m = complex_array(mats)
+        if m.shape == (len(mats), d, d) and np.isfinite(m).all():
+            return m
+    except InvalidSpec:
+        pass
     return np.stack([acting(x, a) for x, a in zip(xs, mats)])
 
 
@@ -334,8 +339,12 @@ def element_to_json(x: ModuleElement) -> dict:
 
 
 def element_from_json(obj) -> ModuleElement:
-    """Exact inverse of element_to_json."""
-    d = int(obj["dim"])
+    """Exact inverse of element_to_json; InvalidSpec unless ``dim`` is an integer
+    by the number rule :func:`is_real`."""
+    d = obj["dim"]
+    if not (is_real(d) and float(d).is_integer()):
+        raise InvalidSpec(f"dim must be an integer, got {d!r}")
+    d = int(d)
     weights = tuple(obj["weights"])
     parts = tuple(matrix_from_json(flat, d) for flat in obj["parts"])
     return ModuleElement(ModuleContext(d, weights), parts)

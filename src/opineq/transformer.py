@@ -38,7 +38,7 @@ from .hmodule import (
     weighted_products,
 )
 
-# largest vectorized size d^2 that vectorize builds
+# largest vectorized size d^2 that vectorized builds
 DIM_CAP = 1024
 # Gaussian probes of the induced-norm lower bound, besides the identity
 PROBE_SAMPLES = 32
@@ -122,8 +122,11 @@ def power_apply(t: ElementaryOperator, a, k: int) -> np.ndarray:
 
 def vectorized(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Kronecker matrices of T_{x,y} for stacks of weights (..., n) and parts
-    (..., n, d, d): rep @ vec(a) == vec(T(a))."""
+    (..., n, d, d): rep @ vec(a) == vec(T(a)).  DimCap, before anything is
+    allocated, if d^2 exceeds DIM_CAP."""
     d = xs.shape[-1]
+    if d * d > DIM_CAP:
+        raise DimCap(f"vectorized size {d * d} exceeds cap {DIM_CAP}")
     # sum_t w_t kron(y_t^T, x_t^*): entry ((i, k), (j, l)) is
     # sum_t w_t y_t[j, i] conj(x_t[l, k])
     rep = np.einsum("...t,...tji,...tlk->...ikjl", w, ys, xs.conj())
@@ -132,11 +135,8 @@ def vectorized(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def vectorize(t: ElementaryOperator) -> VectorizedOperator:
     """Kronecker representation: rep @ vec(a) == vec(T(a))."""
-    d = t.dim
-    if d * d > DIM_CAP:
-        raise DimCap(f"vectorized size {d * d} exceeds cap {DIM_CAP}")
     x, y = t.x.stack, t.y.stack
-    return VectorizedOperator(d, vectorized(x.weights[0], x.parts[0], y.parts[0]))
+    return VectorizedOperator(t.dim, vectorized(x.weights[0], x.parts[0], y.parts[0]))
 
 
 def spectral_radii(rep: np.ndarray) -> np.ndarray:
@@ -187,13 +187,9 @@ def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:
 
 
 def _iterate_fn(t: ElementaryOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """One T-application, through the vectorized representation when it fits."""
-    try:
-        v = vectorize(t)
-    except DimCap:
-        return lambda a: inner(t.x, left_act(a, t.y))
-    rep, d = v.rep, v.dim
-    return lambda a: unvec(rep @ vec(a), d)
+    """One T-application, through the vectorized representation."""
+    v = vectorize(t)
+    return lambda a: unvec(v.rep @ vec(a), v.dim)
 
 
 def neumann_inverse(t: ElementaryOperator, a) -> tuple[np.ndarray, int]:
@@ -325,13 +321,11 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
 
 
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
-    """(I - T)^alpha a: :func:`fractional_powers` on a stack of one, except
-    that an operator beyond the vectorization cap goes to
-    :func:`fractional_power_apply`."""
+    """(I - T)^alpha a: :func:`fractional_powers` on a stack of one, so DimCap
+    beyond the vectorization cap; the oracle :func:`fractional_power_apply`
+    is never its fallback."""
     validate_alpha(alpha)
     m = acting(t.x, a)
-    if t.dim * t.dim > DIM_CAP:
-        return fractional_power_apply(t, alpha, m)
     return fractional_powers(t.x.stack, t.y.stack, m[None], (alpha,))[0][0]
 
 

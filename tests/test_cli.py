@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from opineq.checks import CHECK_SPECS
 from opineq.cli import _build_parser, cli_main
-from opineq.generators import CHECK_NAMES, build_instance, evaluate_instance, instance_from_json
+from opineq.generators import (
+    CHECK_NAMES, CheckInstance, build_instance, evaluate_instance, instance_from_json,
+)
+from opineq.hmodule import element
 
 
 def test_list_prints_registry(capsys):
@@ -367,3 +371,30 @@ def test_replay_of_a_mutated_instance_file_exits_cleanly(data, tmp_path):
     target = tmp_path / "mutated.json"
     target.write_text(json.dumps(obj))
     assert cli_main(["replay", "--instance", str(target)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("dim", [2.7, "2"], ids=["fraction", "string"])
+def test_replay_refuses_a_dim_that_is_not_an_integer(dim, tmp_path, capsys):
+    obj = build_instance("check_cs", 12, dim=2, length=2).to_json()
+    obj["x"]["dim"] = obj["y"]["dim"] = dim
+    path = tmp_path / "dim.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: malformed instance: InvalidSpec: dim must be an integer, " \
+                           f"got {dim!r}\n"
+
+
+@pytest.mark.parametrize("check, params", [
+    ("check_alpha", {"alpha": 0.5}), ("check_defect", {}), ("check_radius_submult", {}),
+])
+def test_replay_refuses_a_kronecker_t_beyond_the_size_cap(check, params, tmp_path, capsys):
+    x = element([0.5 * np.eye(33)])
+    a = np.eye(33) if "a" in CHECK_SPECS[check].operands else None
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(CheckInstance(check, None, "generic", x, x, a, params=params)
+                               .to_json()))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: vectorized size 1089 exceeds cap 1024\n"

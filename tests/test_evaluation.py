@@ -285,3 +285,16 @@ def test_evaluate_instance_turns_its_grid_point_into_floats_once(monkeypatch):
     rep = evaluate_instance(dataclasses.replace(inst, params={"p": 3, "q": 2, "r": 6}))
     assert rep.instance["params"]["p"] == 3.0
     assert calls == [(3, 2, 6)]
+
+
+NOT_NUMBERS = {"ragged": [[1, 2], [3]], "string": "x", "none": None,
+               "strings": [["1", "2"], ["3", "4"]]}
+
+
+@pytest.mark.parametrize("a", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_an_a_that_is_not_an_array_of_numbers_is_invalid_on_every_route(monkeypatch, a):
+    x = hmodule.element([np.eye(2)])
+    with pytest.raises(InvalidSpec):
+        checks.check_basic(x, x, a)
+    errors = _first_errors(monkeypatch, lambda inst: dataclasses.replace(inst, a=a))
+    assert len(set(errors)) == 1 and errors[0].startswith("InvalidSpec: "), errors

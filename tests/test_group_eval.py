@@ -10,7 +10,7 @@ import pytest
 
 from opineq import harness
 from opineq.cli import cli_main
-from opineq.errors import InvalidSpec
+from opineq.errors import InvalidSpec, MaxTermsExceeded
 from opineq.generators import (
     CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
 )
@@ -124,3 +124,25 @@ def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
     assert summary.counts["check_defect"]["pass"] == len(DEFAULT_EXPONENT_GRID)
     # the four defect operators: their Gram sums, then their own eigenpairs
     assert len(calls) <= 4 and [shape[0] for shape in calls] == [4, 4]
+
+
+def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
+    """One instance's kernel raises at alpha = 0.5 only: the group raises, and
+    evaluate_each evaluates each instance alone, point by point."""
+    cfg = RunConfig(trials=4, checks=("check_alpha",), seed=5, dim=3, length=2)
+    clean = _serialized(_lines(cfg))
+    bad = trial_seed(cfg.seed, "check_alpha", 1)
+    original = KERNELS["check_alpha"]
+
+    def kernel(b, tol):
+        if (0.5,) in b.points and any(digest["seed"] == bad for digest in b.digests):
+            raise MaxTermsExceeded("spoiled at alpha 0.5")
+        return original(b, tol)
+
+    monkeypatch.setitem(KERNELS, "check_alpha", kernel)
+    lines = _lines(cfg)
+    k = len(DEFAULT_ALPHA_GRID) + DEFAULT_ALPHA_GRID.index(0.5)
+    assert lines[k]["params"]["alpha"] == 0.5 and lines[k]["margin"] is None
+    assert lines[k]["params"]["error"] == "MaxTermsExceeded: spoiled at alpha 0.5"
+    lines = _serialized(lines)
+    assert lines[:k] + lines[k + 1:] == clean[:k] + clean[k + 1:]

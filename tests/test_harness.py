@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from opineq import harness
 from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig, op_norm
-from opineq.errors import InvalidSpec, UnknownCheck
+from opineq.errors import InvalidSpec, NotNormal, OpineqError, UnknownCheck
 from opineq.generators import (
     CHECK_NAMES,
     CheckInstance,
@@ -274,3 +275,12 @@ def test_default_grids_satisfy_relations():
         assert min(p, q, r) > 1
         assert abs(1 / q + 1 / r - 2 / p) <= 1e-12
     assert all(a > 0 for a in DEFAULT_ALPHA_GRID)
+
+
+def test_search_with_no_evaluable_candidate_says_so(monkeypatch):
+    def refuse(inst, tol=None):
+        raise NotNormal("refused")
+
+    monkeypatch.setattr(harness, "evaluate_instance", refuse)
+    with pytest.raises(OpineqError, match="search on check_cs produced no evaluable instance"):
+        search_counterexample("check_cs", budget=12, seed=1)

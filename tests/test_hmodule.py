@@ -246,3 +246,13 @@ def test_a_number_too_large_for_a_float_is_an_invalid_spec():
     x = element([np.eye(2) / 2])
     with pytest.raises(InvalidSpec):
         check_basic(x, x, huge)
+
+
+@pytest.mark.parametrize("part", [
+    [["1", "2"], ["3", "4"]], [[1, 2], [3]], [[True, False], [False, True]],
+], ids=["strings", "ragged", "bools"])
+def test_an_element_part_must_be_an_array_of_numbers(part):
+    with pytest.raises(InvalidSpec):
+        element([part])
+    with pytest.raises(InvalidSpec):
+        ModuleElement(uniform_context(2, 1), (part,))

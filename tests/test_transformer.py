@@ -1,17 +1,20 @@
 """Two-sided multiplication operators: powers, vectorization, series."""
 
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from opineq import transformer
+from opineq.checks import check_alpha, check_defect, check_radius_submult
 from opineq.core import op_norm, psd_power
 from opineq.errors import (
     CtxMismatch,
     DimCap,
     DimMismatch,
+    InvalidSpec,
     MaxTermsExceeded,
     NotContractive,
 )
@@ -371,3 +374,24 @@ def test_operator_norm_probe_product_matches_loop():
                            + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0))
         loop = max(op_norm(apply(t, a)) / op_norm(a) for a in probes)
         assert abs(operator_norm_T(t).lower - loop) <= 1e-12 * max(1.0, loop)
+
+
+def test_every_kronecker_t_beyond_the_cap_is_refused_before_it_is_allocated():
+    """d = 33 gives d^2 = 1089 > DIM_CAP: the three checks that vectorize T and
+    fractional_power_exact raise DimCap, an InvalidSpec, and never hold one
+    (d^2 x d^2) complex matrix."""
+    assert issubclass(DimCap, InvalidSpec)
+    x, a = element([0.5 * np.eye(33)]), np.eye(33)
+    one_rep = (33 * 33) ** 2 * np.dtype(complex).itemsize
+    for call in (lambda: check_alpha(x, x, a, 0.5),
+                 lambda: check_defect(x, x, a, 2.0, 2.0, 2.0),
+                 lambda: check_radius_submult(x, x),
+                 lambda: fractional_power_exact(ElementaryOperator(x, x), 0.5, a)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimCap, match="vectorized size 1089 exceeds cap 1024"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_rep
