@@ -11,13 +11,12 @@ with replayable instances.
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import OpineqError
 from .hmodule import (
-    ModuleContext, ModuleElement, conjugate, element, gruss_inner, inner, is_normal,
-    left_act, module_norm, right_mul, uniform_context,
+    ModuleContext, ModuleElement, conjugate, element, inner, is_normal, left_act, module_norm,
+    right_mul, uniform_context,
 )
 from .norms import NormKind, ky_fan, ky_fan_dual, norm, schatten, singular_values
 from .transformer import (
-    ElementaryOperator, apply, defect_operator, fractional_power_apply,
-    fractional_power_exact, neumann_inverse, power_apply, spectral_radius, vectorize,
+    ElementaryOperator, apply, defect_operator, fractional_power_exact, spectral_radius, vectorize,
 )
 from .checks import CHECK_ANCHORS, InequalityReport
 from .generators import CheckInstance, GeneratorSpec, build_instance, gen_element
@@ -43,19 +42,15 @@ __all__ = [
     "conjugate",
     "defect_operator",
     "element",
-    "fractional_power_apply",
     "fractional_power_exact",
     "gen_element",
-    "gruss_inner",
     "inner",
     "is_normal",
     "ky_fan",
     "ky_fan_dual",
     "left_act",
     "module_norm",
-    "neumann_inverse",
     "norm",
-    "power_apply",
     "right_mul",
     "run_suite",
     "schatten",

@@ -15,7 +15,11 @@ preconditions, and :func:`run_batch` runs the kernel and assembles the
 reports.  A ``check_*`` function is a batch of one instance at one point
 (its ``drop`` names hypotheses not to enforce), and a run evaluates a
 group of trials as one batch; since every stacked operation treats each
-matrix on its own, a report is bit for bit the same either way.
+matrix on its own, a report is bit for bit the same either way.  Every
+route builds its batch with :meth:`Batch.of`, the one operand gate: an x,
+y or e that is not a module element, or a missing e, is InvalidSpec there
+before anything else is read.  The tests hold the kernels against
+:mod:`opineq.reference`, the paper's formulas coded plainly.
 
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
@@ -291,12 +295,19 @@ class Batch:
     @classmethod
     def of(cls, name: str, drop, xs, ys, a, es, balls, points, digests) -> "Batch":
         """The batch of check ``name`` and ``drop``, its operands checked in this order:
-        per instance x, y and e in one context, each ``a`` (:func:`acting_stack`; read only
-        if the check takes one), ball (:func:`ball_bounds`) and grid point
-        (:meth:`GridAxis.params`); ``es`` and ``balls`` may be None."""
+        each x and y, and each e of a check that takes one, a module element
+        (InvalidSpec, also for an e that is None or missing), per instance x, y and e
+        in one context, each ``a`` (:func:`acting_stack`; read only if the check takes
+        one), ball (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`);
+        ``balls`` may be None."""
+        spec = CHECK_SPECS[name]
+        es = (es or [None] * len(xs)) if "e" in spec.operands else None
+        for z in (*xs, *ys, *(es or ())):
+            if not isinstance(z, ModuleElement):
+                raise InvalidSpec(f"{name} takes module elements as "
+                                  f"{'x, y and e' if es else 'x and y'}, got {type(z).__name__}")
         for operands in zip(xs, ys, *(() if es is None else (es,))):
             _same_ctx(*operands)
-        spec = CHECK_SPECS[name]
         axis = GRIDS[spec.grid]
         return cls(name, drop, Stack.of(xs), Stack.of(ys),
                    acting_stack(xs, a) if "a" in spec.operands else None,
@@ -579,8 +590,8 @@ def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
          ball=None) -> InequalityReport:
     """A direct check call: the batch of this one instance at one point, its
     preconditions enforced minus ``drop``, then run."""
-    b = Batch.of(name, drop, (x,), (y,), (a,), None if e is None else (e,),
-                 None if ball is None else (ball,), (point,), (digest,))
+    b = Batch.of(name, drop, (x,), (y,), (a,), (e,), None if ball is None else (ball,),
+                 (point,), (digest,))
     require_preconditions(b, tol)
     return run_batch(b, tol)[0]
 
@@ -665,9 +676,7 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     At alpha = 1 this coincides with check_naopaka branch for branch.
     (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form for
     non-integer alpha and a normal vectorized T (which the normal, commuting
-    hypotheses give), else the stacked binomial series :func:`series_powers`,
-    bit for bit the sum of the oracle fractional_power_apply, which no engine
-    code calls.
+    hypotheses give), else the stacked binomial series :func:`series_powers`.
     """
     return _one("check_alpha", x, y, tol, digest, a, (alpha,), drop)
 

@@ -53,6 +53,14 @@ def is_real(v) -> bool:
         and abs(v) <= sys.float_info.max)
 
 
+def as_integer(tag: str, v) -> int:
+    """v as an int; InvalidSpec, naming ``tag``, unless it is a number by
+    :func:`is_real` whose value is an integer (so 3.0, not 2.7, True or "3")."""
+    if not (is_real(v) and float(v).is_integer()):
+        raise InvalidSpec(f"{tag} must be an integer, got {v!r}")
+    return int(v)
+
+
 def complex_array(m) -> np.ndarray:
     """m as a new complex array; InvalidSpec unless it is an array of numbers:
     real ones as :func:`is_real` rules (so no bool, no string, no int too
@@ -130,16 +138,12 @@ def _first(bad: np.ndarray) -> tuple:
 
 def require_hermitians(h: np.ndarray) -> np.ndarray:
     """h itself; NotHermitian if a matrix deviates from its adjoint beyond TOL_ABS."""
-    defect = _hermiticity_defects(finite(h))
+    defect = np.max(np.abs(finite(h) - ct(h)), axis=(-2, -1))
     bad = defect > TOL_ABS
     if bad.any():
         raise NotHermitian(f"self-adjointness defect {defect[_first(bad)]:.3e} "
                            f"exceeds tol_abs {TOL_ABS:.3e}")
     return h
-
-
-def _hermiticity_defects(a: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(a - ct(a)), axis=(-2, -1))
 
 
 def herm_eigs(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,20 +196,6 @@ def moduli(a: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # per-matrix entry points
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return ct(as_matrix(m))
-
-
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation of m from its adjoint."""
-    return float(_hermiticity_defects(as_matrix(m)))
-
-
-def require_hermitian(m) -> np.ndarray:
-    return require_hermitians(as_matrix(m))
-
-
 def hermitian_part(m) -> np.ndarray:
     """(m + m*)/2, hygiene for products that are Hermitian in exact arithmetic."""
     return herm(as_matrix(m))
@@ -242,17 +232,3 @@ def psd_power(h, s: float) -> np.ndarray:
 def matrix_abs(m) -> np.ndarray:
     """Modulus |m| = (m* m)^(1/2), assembled from the singular value decomposition."""
     return moduli(as_matrix(m))
-
-
-def psd_order_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether a <= b in the positive semidefinite order, with a signed margin.
-
-    The margin and scale are :func:`psd_order_gaps`'; the comparison
-    tolerates -tol_rel relative to max(||a||, ||b||, 1).
-    """
-    ha = require_hermitian(a)
-    hb = require_hermitian(b)
-    if ha.shape != hb.shape:
-        raise DimMismatch(f"shape mismatch {ha.shape} vs {hb.shape}")
-    margin, _, _, scale = psd_order_gaps(ha, hb)
-    return bool(margin >= -cfg.tol_rel * scale), float(margin)

@@ -28,7 +28,9 @@ from .checks import (  # CHECK_NAMES is re-exported
     CHECK_NAMES, GRIDS, Batch, CheckSpec, InequalityReport, ball_bounds, check_spec,
     require_preconditions, run_batch, validate_drop,
 )
-from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, herm, psd_powers
+from .core import (
+    DEFAULT_TOL, ToleranceConfig, as_integer, complex_normals, ct, herm, psd_powers,
+)
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
     ModuleContext, ModuleElement, Stack, _same_ctx, element_from_json, element_to_json,
@@ -46,9 +48,10 @@ LEN_RANGE = (1, 6)
 
 
 def check_shape(dim: int | None, length: int | None) -> None:
-    """Raise InvalidSpec unless each given size lies in the generators' range."""
+    """Raise InvalidSpec unless each given size is an integer (:func:`as_integer`)
+    in the generators' range."""
     for tag, value, (lo, hi) in (("dim", dim, DIM_RANGE), ("len", length, LEN_RANGE)):
-        if value is not None and not lo <= value <= hi:
+        if value is not None and not lo <= as_integer(tag, value) <= hi:
             raise InvalidSpec(f"{tag} {value} outside [{lo}, {hi}]")
 
 
@@ -74,7 +77,9 @@ class GeneratorSpec:
     weights_mode: str = "uniform"
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) <= _SEED_MASK:
+        for tag, name in (("seed", "seed"), ("dim", "dim"), ("len", "length")):
+            object.__setattr__(self, name, as_integer(tag, getattr(self, name)))
+        if not 0 <= self.seed <= _SEED_MASK:
             raise InvalidSpec("seed must fit in 64 unsigned bits")
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
@@ -97,12 +102,6 @@ def _haars(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
-
-
-def gen_haar_unitary(seed: int, d: int) -> np.ndarray:
-    if d < 1:
-        raise InvalidSpec("dimension must be >= 1")
-    return _haars(_cgauss(np.random.default_rng(seed), (d, d)))[0]
 
 
 def _draw_weights(rng: np.random.Generator, n: int, mode: str) -> tuple[float, ...]:

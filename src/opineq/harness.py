@@ -1,4 +1,4 @@
-"""Batch verification runner, counterexample search, and diagnostics.
+"""Batch verification runner and counterexample search.
 
 The runner draws per-trial seeds from a master seed, builds each group
 of trials in one call, evaluates each group of same-shape instances at
@@ -16,13 +16,12 @@ tolerance.  Search scores one candidate at a time through
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_drop
-from .core import DEFAULT_TOL, ToleranceConfig
+from .core import DEFAULT_TOL, ToleranceConfig, as_integer
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
     CheckInstance, InstanceDraw, build_group, check_shape, evaluate_each, evaluate_instance,
@@ -56,6 +55,8 @@ class RunConfig:
     weights_mode: str = "random"
 
     def __post_init__(self) -> None:
+        for tag in ("trials", "seed"):  # as ints, by the one integer rule
+            object.__setattr__(self, tag, as_integer(tag, getattr(self, tag)))
         if self.trials < 1:
             raise InvalidSpec("trials must be >= 1")
         if not self.checks:
@@ -269,21 +270,3 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     if best is None:  # every evaluation errored; report the fact loudly
         raise OpineqError(f"search on {check} produced no evaluable instance")
     return SearchResult(report=best[1], instance=best[2], evaluations=evals)
-
-
-def naopaka_delta_sweep(seed: int = 0, deltas: tuple[float, ...] = (0.9, 0.99, 0.999),
-                        trials: int = 20, dim: int | None = None,
-                        length: int | None = None) -> list[dict]:
-    """Diagnostic margin profile as the contraction approaches the boundary.
-
-    Reports the worst normalized margin per contraction level; nothing is
-    asserted about the limit, the table is for inspection only.
-    """
-    out = []
-    for delta in deltas:
-        seeds = [trial_seed(seed, f"delta_{delta}", index) for index in range(trials)]
-        reps = [evaluate_instance(inst) for inst in build_group(
-            "check_naopaka", seeds, dim=dim, length=length, contraction=delta)]
-        worst = min((rep.margin / rep.scale for rep in reps), default=math.inf)
-        out.append({"delta": delta, "worst_margin": worst, "trials": trials})
-    return out

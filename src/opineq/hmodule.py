@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, as_matrix, complex_array, ct, finite, is_real, op_norms,
+    DEFAULT_TOL, ToleranceConfig, as_integer, as_matrix, complex_array, ct, finite, is_real,
+    op_norms,
 )
 from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 
@@ -299,16 +300,6 @@ def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
         raise NotUnital(f"<e, e> deviates from the identity by {defect[~ok][0]:.3e}")
 
 
-def gruss_inner(x: ModuleElement, y: ModuleElement, e: ModuleElement,
-                tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Covariance form Phi(x, y) = <x, y> - <x, e><e, y>.  Raises NotUnital
-    unless <e, e> = I to ``tol.tol_rel``, so every covariance quantity can
-    rely on the exact hypothesis; a non-unit e is rejected, not renormalized."""
-    _same_ctx(e, x, y)
-    require_units(e.stack, tol)
-    return covariances(x.stack.weights[0], x._array, y._array, e._array)
-
-
 def covariances(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, es: np.ndarray) -> np.ndarray:
     """Phi(x, y) = <x, y> - <x, e><e, y> for stacks of weights and parts."""
     return (weighted_products(w, xs, ys)
@@ -340,11 +331,8 @@ def element_to_json(x: ModuleElement) -> dict:
 
 def element_from_json(obj) -> ModuleElement:
     """Exact inverse of element_to_json; InvalidSpec unless ``dim`` is an integer
-    by the number rule :func:`is_real`."""
-    d = obj["dim"]
-    if not (is_real(d) and float(d).is_integer()):
-        raise InvalidSpec(f"dim must be an integer, got {d!r}")
-    d = int(d)
+    (:func:`as_integer`)."""
+    d = as_integer("dim", obj["dim"])
     weights = tuple(obj["weights"])
     parts = tuple(matrix_from_json(flat, d) for flat in obj["parts"])
     return ModuleElement(ModuleContext(d, weights), parts)

@@ -8,14 +8,17 @@ norms" at finite cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, as_matrix, svdvals
+from .core import as_matrix, svdvals
 from .errors import DimMismatch, InvalidK
 
 _TAGS = {"operator", "trace", "hilbert_schmidt", "schatten", "ky_fan", "ky_fan_dual"}
+# smallest normal float: a Schatten sum below it has lost precision
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,8 @@ class NormKind:
     def __post_init__(self) -> None:
         if self.tag not in _TAGS:
             raise ValueError(f"unknown norm tag {self.tag!r}")
-        if self.tag == "schatten" and (self.p is None or self.p < 1):
-            raise ValueError("Schatten exponent must satisfy p >= 1")
+        if self.tag == "schatten" and (self.p is None or not 1 <= self.p < math.inf):
+            raise ValueError(f"Schatten exponent must be finite and satisfy p >= 1, got {self.p}")
         if self.tag in {"ky_fan", "ky_fan_dual"} and (self.k is None or self.k < 1):
             raise InvalidK("Ky Fan order must satisfy k >= 1")
 
@@ -77,9 +80,17 @@ def norms_of(s: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
     if kind.tag == "hilbert_schmidt":
         return np.sqrt((s**2).sum(axis=-1))
     if kind.tag == "schatten":
-        # the outer root is taken per value, as a scalar power
+        # the outer root is taken per value, as a scalar power; a row whose sum
+        # overflows (numpy warns, unless warnings are off as in the CLI) or falls
+        # below the normal floats with a nonzero top value is summed again as
+        # s_1 (sum (s / s_1)^p)^(1/p), so every other row keeps its bits
         sums = (s**kind.p).sum(axis=-1)
-        return np.array([v ** (1.0 / kind.p) for v in sums.reshape(-1)]).reshape(sums.shape)
+        out = np.array([v ** (1.0 / kind.p) for v in sums.reshape(-1)]).reshape(sums.shape)
+        if not all(_TINY <= v < math.inf for v in sums.reshape(-1).tolist()):
+            redo = ~np.isfinite(sums) | ((sums < _TINY) & (s[..., 0] > 0))
+            top = s[redo][..., 0]
+            out[redo] = top * ((s[redo] / top[..., None]) ** kind.p).sum(axis=-1) ** (1.0 / kind.p)
+        return out
     if kind.k > d:
         raise InvalidK(f"Ky Fan order {kind.k} exceeds dimension {d}")
     if kind.tag == "ky_fan":
@@ -110,34 +121,3 @@ def fan_gaps(s_lo: np.ndarray, s_hi: np.ndarray) -> tuple[np.ndarray, ...]:
     if p_lo.shape != p_hi.shape:
         raise DimMismatch(f"dimension mismatch {p_lo.shape[-1]} vs {p_hi.shape[-1]}")
     return p_lo, p_hi, p_hi - p_lo, np.maximum(np.maximum(p_lo[..., -1], p_hi[..., -1]), 1.0)
-
-
-def fan_dominance_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, int, float]:
-    """Test Ky Fan dominance ||a||_(k) <= ||b||_(k) for every k = 1..d.
-
-    Returns (holds, worst_k, margin_at_worst_k).  Dominance across the
-    whole family certifies the comparison for every unitarily invariant
-    norm; each margin tolerates -tol_rel relative to the larger trace
-    norm involved.
-    """
-    _, _, margins, scale = fan_gaps(singular_values(a), singular_values(b))
-    worst = int(np.argmin(margins))
-    holds = bool(np.all(margins >= -cfg.tol_rel * scale))
-    return holds, worst + 1, float(margins[worst])
-
-
-def dual_pairing_check(m, kind: NormKind = TRACE) -> float:
-    """Value |tr(m y)| at the dual-optimal y, which must equal norm(m, kind).
-
-    For the trace norm y = V U* from the SVD m = U S V*; for the
-    operator norm y is the rank-one pairing v1 u1*.
-    """
-    a = as_matrix(m)
-    u, _, vh = np.linalg.svd(a)
-    if kind.tag == "trace":
-        y = vh.conj().T @ u.conj().T
-    elif kind.tag == "operator":
-        y = np.outer(vh[0].conj(), u[:, 0].conj())
-    else:
-        raise ValueError("dual pairing is defined for the operator and trace kinds")
-    return float(abs(np.trace(a @ y)))

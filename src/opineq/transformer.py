@@ -1,16 +1,15 @@
 """Two-sided multiplication operators T(a) = <x, a y> and their calculus.
 
-Covers iterated powers (tensor grades are never materialized, only the
-k-fold application), the Kronecker d^2 x d^2 vectorized representation,
-Neumann inversion of I - T, (I - T)^alpha, and the defect operator built
-from the resolvent-summed Gram matrix.
+Covers application, the Kronecker d^2 x d^2 vectorized representation,
+spectral radii and norm bounds, (I - T)^alpha, and the defect operator
+built from the resolvent-summed Gram matrix.
 
-The series are truncated at SERIES_TAIL and capped at MAX_TERMS terms.
-(I - T)^alpha a has two independent implementations.
-:func:`fractional_powers` is the fast path, over a stack of operators:
-the eigen form where it applies, else :func:`series_powers`, the binomial
-series stacked.  :func:`fractional_power_apply` sums it for one operator,
-as the oracle the fast path is tested against; no engine code calls it.
+(I - T)^alpha a has one path, :func:`fractional_powers`, over a stack of
+operators: the eigen form where it applies, else :func:`series_powers`,
+the binomial series stacked, truncated at SERIES_TAIL and capped at
+MAX_TERMS terms.  Its oracle, the series of one operator, and the other
+plain forms the engine is tested against live in :mod:`opineq.reference`;
+no engine code calls them.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
@@ -27,16 +26,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, finite, herm, psd_powers
 from .errors import DimCap, InvalidSpec, MaxTermsExceeded, NotContractive
 from .hmodule import (
-    ModuleElement, Stack, _frozen, _same_ctx, acting, inner, left_act, module_norm,
-    weighted_products,
+    ModuleElement, Stack, _frozen, _same_ctx, acting, module_norm, weighted_products,
 )
+# bound here only because perfbench/spans.py traces transformer.fractional_power_apply by name
+from .reference import binomial_series as fractional_power_apply  # noqa: F401
 
 # largest vectorized size d^2 that vectorized builds
 DIM_CAP = 1024
@@ -89,16 +89,6 @@ def unvec(v, d: int) -> np.ndarray:
     return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2)
 
 
-def _series_gammas(x: Stack, y: Stack, series: str) -> np.ndarray:
-    """gamma = ||x|| ||y|| per operator of the stacks, which must be below one
-    for the series to converge."""
-    gammas = x.norms * y.norms
-    bad = gammas >= 1.0
-    if bad.any():
-        raise NotContractive(f"{series} series requires ||x|| ||y|| < 1, got {gammas[bad][0]:.6f}")
-    return gammas
-
-
 def applied(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, a: np.ndarray) -> np.ndarray:
     """T_{x,y}(a) for stacks of weights (..., n), parts (..., n, d, d) and a (..., d, d)."""
     return weighted_products(w, xs, a[..., None, :, :] @ ys)
@@ -108,16 +98,6 @@ def apply(t: ElementaryOperator, a) -> np.ndarray:
     """T(a) = <x, a y> = sum_t w_t x_t* a y_t."""
     x, y = t.x.stack, t.y.stack
     return applied(x.weights[0], x.parts[0], y.parts[0], acting(t.x, a))
-
-
-def power_apply(t: ElementaryOperator, a, k: int) -> np.ndarray:
-    """T^k(a) by k-fold application; equals the grade-k tensor inner product."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    out = acting(t.x, a)
-    for _ in range(k):
-        out = inner(t.x, left_act(out, t.y))
-    return out
 
 
 def vectorized(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -186,70 +166,6 @@ def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:
     return OperatorNormBounds(float(lower), module_norm(t.x) * module_norm(t.y))
 
 
-def _iterate_fn(t: ElementaryOperator) -> Callable[[np.ndarray], np.ndarray]:
-    """One T-application, through the vectorized representation."""
-    v = vectorize(t)
-    return lambda a: unvec(v.rep @ vec(a), v.dim)
-
-
-def neumann_inverse(t: ElementaryOperator, a) -> tuple[np.ndarray, int]:
-    """(I - T)^(-1) a = sum_k T^k a, truncated by the geometric tail bound.
-
-    Requires gamma = ||x|| ||y|| < 1.  The number of terms N + 1 is the
-    smallest making gamma^(N+1) / (1 - gamma) <= SERIES_TAIL, so the
-    result is within 2 * SERIES_TAIL * ||a|| of the exact sum.
-    """
-    m = acting(t.x, a)
-    gamma = float(_series_gammas(t.x.stack, t.y.stack, "Neumann")[0])
-    if gamma == 0.0:
-        return m.copy(), 1
-    terms = max(int(np.ceil(np.log(SERIES_TAIL * (1.0 - gamma)) / np.log(gamma))), 1)
-    if terms > MAX_TERMS:
-        raise MaxTermsExceeded(f"series needs {terms} terms, cap is {MAX_TERMS}")
-    step = _iterate_fn(t)
-    acc = m.astype(complex).copy()
-    term = m
-    for _ in range(terms - 1):
-        term = step(term)
-        acc += term
-    return acc, terms
-
-
-def fractional_power_apply(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
-    """(I - T)^alpha a via the binomial series sum_n (-1)^n C(alpha, n) T^n a.
-
-    Coefficients follow the recurrence C(alpha, n+1) = C(alpha, n)
-    (alpha - n) / (n + 1); the series terminates exactly for integer
-    alpha and is otherwise truncated once the geometric tail bound
-    |C(alpha, N+1)| gamma^(N+1) / (1 - gamma) drops below SERIES_TAIL
-    (valid in the monotone regime N + 1 > alpha).
-    """
-    validate_alpha(alpha)
-    m = acting(t.x, a)
-    gamma = float(_series_gammas(t.x.stack, t.y.stack, "binomial")[0])
-    step = _iterate_fn(t)
-    acc = m.astype(complex).copy()
-    term = m
-    coeff = 1.0  # C(alpha, n) at n = 0
-    n = 0
-    while True:
-        nxt = coeff * (alpha - n) / (n + 1.0)
-        if nxt == 0.0:
-            break
-        if n + 1 > alpha and gamma > 0.0 and abs(nxt) * gamma ** (n + 1) / (1.0 - gamma) <= SERIES_TAIL:
-            break
-        if gamma == 0.0 and n >= 1:
-            break
-        if n + 1 >= MAX_TERMS:
-            raise MaxTermsExceeded(f"binomial series exceeded {MAX_TERMS} terms")
-        term = step(term)
-        sign = -1.0 if (n + 1) % 2 else 1.0
-        acc += (sign * nxt) * term
-        coeff = nxt
-        n += 1
-    return acc
-
-
 def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
     """The alpha-independent part of (I - T)^alpha a for a stack of
     vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d),
@@ -275,12 +191,13 @@ def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
 
 def series_powers(rep: np.ndarray, a: np.ndarray, alpha: float,
                   gammas: np.ndarray) -> np.ndarray:
-    """fractional_power_apply's sum by its recurrence, order and stops, each row's
-    own, on stacks of vectorized T, a and gamma = ||x|| ||y||: the same bits."""
+    """:func:`opineq.reference.binomial_series` by its recurrence, order and
+    stops, each row's own, on stacks of vectorized T, a and gamma = ||x|| ||y||:
+    the same bits as that series fed each row's Kronecker step."""
     acc, term, live, coeff, n = a.copy(), a, np.ones(len(a), dtype=bool), 1.0, 0
     while (nxt := coeff * (alpha - n) / (n + 1.0)) != 0.0:
         live &= (gammas > 0.0) | (n < 1)
-        if n + 1 > alpha:  # each row's tail bound, in fractional_power_apply's arithmetic
+        if n + 1 > alpha:  # each row's tail bound, in the reference series' arithmetic
             tails = [abs(nxt) * g ** (n + 1) / (1.0 - g) for g in gammas.tolist()]
             live &= (gammas <= 0.0) | (np.array(tails) > SERIES_TAIL)
         if not live.any():
@@ -304,7 +221,9 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
     sums; the rows of a non-normal R, or of a V whose condition number
     would cost more than SERIES_TAIL, take :func:`series_powers` in one call.
     """
-    gammas = _series_gammas(x, y, "binomial")
+    gammas = x.norms * y.norms  # below one for the series to converge
+    if (bad := gammas >= 1.0).any():
+        raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gammas[bad][0]:.6f}")
     rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
     for alpha in alphas:
         if float(alpha).is_integer():
@@ -322,8 +241,7 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
 
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
     """(I - T)^alpha a: :func:`fractional_powers` on a stack of one, so DimCap
-    beyond the vectorization cap; the oracle :func:`fractional_power_apply`
-    is never its fallback."""
+    beyond the vectorization cap."""
     validate_alpha(alpha)
     m = acting(t.x, a)
     return fractional_powers(t.x.stack, t.y.stack, m[None], (alpha,))[0][0]

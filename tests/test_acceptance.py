@@ -11,6 +11,7 @@ from functools import reduce
 
 import numpy as np
 
+from opineq import reference
 from opineq.checks import check_basic, check_cs, check_naopaka
 from opineq.core import DEFAULT_TOL, hermitian_part, op_norm, psd_power
 from opineq.errors import OpineqError
@@ -20,20 +21,17 @@ from opineq.generators import (
     evaluate_each,
     evaluate_instance,
     gen_element,
-    gen_haar_unitary,
     instance_from_json,
     trial_seed,
 )
 from opineq.harness import (
     DEFAULT_EXPONENT_GRID,
     GROUP_TRIALS,
-    naopaka_delta_sweep,
     search_counterexample,
 )
 from opineq.hmodule import (
     ModuleElement,
     element,
-    gruss_inner,
     inner,
     module_norm,
     right_mul,
@@ -42,8 +40,6 @@ from opineq.norms import (
     HILBERT_SCHMIDT,
     OPERATOR,
     TRACE,
-    fan_dominance_leq,
-    dual_pairing_check,
     ky_fan,
     ky_fan_dual,
     norm,
@@ -53,9 +49,7 @@ from opineq.transformer import (
     ElementaryOperator,
     apply,
     defect_operator,
-    neumann_inverse,
     operator_norm_T,
-    power_apply,
     unvec,
     vec,
     vectorize,
@@ -112,7 +106,7 @@ def _haar(rng, d):
 
 def test_criterion_01_cauchy_schwarz():
     worst = _worst("check_cs", "acc1", 1000)
-    x = element([gen_haar_unitary(1, 4)])
+    x = element([reference.haar_unitary(1, 4)])
     eq = max(abs(v) for v in _margins(check_cs(x, x)))
     ok = worst >= -MARGIN_TOL and eq <= EQ_TOL
     assert _verdict(1, "operator Cauchy-Schwarz, both PSD forms, n=1000",
@@ -174,8 +168,15 @@ def test_criterion_06_difference_bound():
     rng = np.random.default_rng(6)
     x = element([0.9 * np.eye(3)])
     eq = max(abs(v) for v in _margins(check_naopaka(x, x, _cg(rng, 3))))
-    sweep = naopaka_delta_sweep(seed=MASTER, deltas=(0.9, 0.99, 0.999), trials=8)
-    table = ", ".join(f"{row['delta']}:{row['worst_margin']:+.2e}" for row in sweep)
+    # diagnostic margin profile as the contraction approaches the boundary:
+    # the worst normalized margin of 8 trials per level, for inspection only
+    sweep = []
+    for delta in (0.9, 0.99, 0.999):
+        seeds = [trial_seed(MASTER, f"delta_{delta}", index) for index in range(8)]
+        reps = [evaluate_instance(inst)
+                for inst in build_group("check_naopaka", seeds, contraction=delta)]
+        sweep.append((delta, min(rep.margin / rep.scale for rep in reps)))
+    table = ", ".join(f"{delta}:{worst:+.2e}" for delta, worst in sweep)
     ok = worst >= -MARGIN_TOL and eq <= EQ_TOL
     assert _verdict(6, "difference bound on normal contractions, n=1000",
                     ok, f"; worst={worst:+.3e} eq={eq:.1e}; sweep {table}")
@@ -203,9 +204,12 @@ def test_criterion_08_defect_operators():
         z = gen_element(GeneratorSpec(trial_seed(MASTER, "acc8n", i),
                                       3, 2, "normal_commuting"))
         z = (0.9 / module_norm(z)) * z
-        delta = defect_operator(z)
-        want = psd_power(np.eye(3) - hermitian_part(inner(z, z)), 0.5)
-        closed = max(closed, op_norm(delta - want))
+        w, zs = z.ctx.weights, z.parts
+        # the closed form (I - <z,z>)^(1/2) for normal z, against the engine
+        # and against the reference's partial sums of the defining series
+        want = reference.psd_power(np.eye(3) - reference.inner(w, zs, zs), 0.5)
+        closed = max(closed, op_norm(defect_operator(z) - want),
+                     op_norm(reference.defect_operator(w, zs, 300) - want))
     ok = worst >= -MARGIN_TOL and closed <= 1e-8
     assert _verdict(8, "defect-operator bound over the exponent grid, n=300x4",
                     ok, f"; worst={worst:+.3e} closed-form gap={closed:.1e}")
@@ -224,7 +228,7 @@ def test_criterion_09_covariance_bounds():
         g = hermitian_part(inner(raw, raw))
         e = right_mul(raw, psd_power(g, -0.5))
         x = ModuleElement(e.ctx, tuple(_cg(rng, d) for _ in range(n)))
-        phi = hermitian_part(gruss_inner(x, x, e))
+        phi = hermitian_part(reference.covariance(e.ctx.weights, x.parts, x.parts, e.parts))
         psd_floor = min(psd_floor, float(np.linalg.eigvalsh(phi)[0]))
     ok = worst >= -MARGIN_TOL and psd_floor >= -1e-10
     assert _verdict(9, "covariance bounds with constructed balls, n=500; "
@@ -248,7 +252,9 @@ def test_criterion_10_oracle_equivalences():
     for _ in range(200):
         t, d = rand_pair(contraction=rng.uniform(0.3, 0.85))
         a = _cg(rng, d)
-        b, _ = neumann_inverse(t, a)
+        operands = (t.x.ctx.weights, t.x.parts, t.y.parts)
+        b, _ = reference.neumann_series(reference.transformer(*operands), a,
+                                        reference.gamma(*operands))
         rep = vectorize(t).rep
         direct = unvec(np.linalg.solve(np.eye(d * d) - rep, vec(a)), d)
         neumann_gap = max(neumann_gap,
@@ -274,7 +280,7 @@ def test_criterion_10_oracle_equivalences():
         t = ElementaryOperator(x, y)
         a = _cg(rng, d)
         for k in range(4):
-            got = power_apply(t, a, k)
+            got = reference.grade_power(lambda m: apply(t, m), a, k)
             want = grade_inner(x, y, a, k)
             grade_gap = max(grade_gap,
                             op_norm(got - want) / max(1.0, op_norm(want)))
@@ -319,9 +325,9 @@ def test_criterion_11_norm_engine():
     for _ in range(1000):  # duality pairings
         d = int(rng.integers(2, 7))
         m = _cg(rng, d)
-        ok = ok and abs(dual_pairing_check(m, TRACE) - norm(m, TRACE)) \
+        ok = ok and abs(reference.dual_pairing(m, "trace") - norm(m, TRACE)) \
             <= 1e-8 * max(1.0, norm(m, TRACE))
-        ok = ok and abs(dual_pairing_check(m, OPERATOR) - norm(m, OPERATOR)) \
+        ok = ok and abs(reference.dual_pairing(m, "operator") - norm(m, OPERATOR)) \
             <= 1e-8 * max(1.0, norm(m, OPERATOR))
         b = _cg(rng, d)
         k = int(rng.integers(1, d + 1))
@@ -334,7 +340,7 @@ def test_criterion_11_norm_engine():
         m, e = _cg(rng, d), _cg(rng, d)
         a = m @ m.conj().T
         b = a + e @ e.conj().T
-        holds, _, _ = fan_dominance_leq(a, b)
+        holds, _, _ = reference.fan_dominance_leq(a, b)
         ok = ok and holds
         for p in (1.0, 1.5, 2.0, 3.0):
             ok = ok and norm(a, schatten(p)) <= norm(b, schatten(p)) \

@@ -25,17 +25,17 @@ from opineq.errors import (
     NotContractive,
     NotNormal,
 )
-from opineq.generators import CHECK_NAMES
+from opineq.generators import CHECK_NAMES, build_group, trial_seed
 from opineq.hmodule import (
     ModuleElement,
     element,
-    gruss_inner,
     inner,
     left_act,
     module_norm,
     right_mul,
 )
 from opineq.norms import ky_fan_profile, norm, schatten
+from opineq.reference import covariance
 
 RNG = np.random.default_rng(90210)
 
@@ -396,7 +396,7 @@ def test_gruss_ball_branch_against_profile_oracle():
     recorded = rep.instance["params"]["ball"]
     assert recorded == [0.0, 1.0, 0.0, 1.0] and all(type(v) is float for v in recorded)
     # re-derive the diameter-bound margins: rhs is the profile of |a| / 4
-    lo = gruss_inner(x, left_act(a, y), e)
+    lo = covariance(x.ctx.weights, x.parts, left_act(a, y).parts, e.parts)
     pl, ph = ky_fan_profile(lo), ky_fan_profile(0.25 * a)
     scale = max(pl[-1], ph[-1], 1.0)
     for k in range(2):
@@ -471,3 +471,17 @@ def test_scale_equivariance_in_a():
         # normalized margins are scale-free
         for key, v in rep1.norm_detail.items():
             assert rep2.norm_detail[key] == pytest.approx(v, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+@pytest.mark.parametrize("check", [check_interp, check_defect])
+def test_large_schatten_exponents_give_finite_verdicts(check):
+    """At p = q = r = 800 the Schatten sums overflowed: check_interp passed with
+    an infinite margin and check_defect failed 3 of these 20 trials."""
+    name = check.__name__
+    for inst in build_group(name, [trial_seed(1, name, i) for i in range(20)]):
+        rep = check(inst.x, inst.y, inst.a, 800.0, 800.0, 800.0, drop=inst.drop) \
+            if name == "check_defect" else check(inst.x, inst.y, inst.a, 800.0, 800.0, 800.0)
+        assert rep.holds
+        assert all(np.isfinite(v) for v in (rep.lhs, rep.rhs, rep.margin,
+                                            *rep.norm_detail.values()))

@@ -266,7 +266,11 @@ def _reweighted(z):
     (lambda inst: dataclasses.replace(inst, e=_reweighted(inst.e)), "CtxMismatch"),
     (lambda inst: dataclasses.replace(inst, a=np.eye(3, dtype=complex)), "DimMismatch"),
     (lambda inst: dataclasses.replace(inst, a=np.full((2, 2), np.nan + 0j)), "InvalidSpec"),
-], ids=["y_weights", "e_weights", "a_3x3", "a_nan"])
+    (lambda inst: dataclasses.replace(inst, y="y"), "InvalidSpec"),
+    (lambda inst: dataclasses.replace(inst, e="e"), "InvalidSpec"),
+    (lambda inst: dataclasses.replace(inst, e=None), "InvalidSpec"),
+], ids=["y_weights", "e_weights", "a_3x3", "a_nan", "y_not_an_element", "e_not_an_element",
+        "e_missing"])
 def test_a_bad_operand_is_the_first_error_on_every_route(monkeypatch, spoil, error):
     errors = _first_errors(monkeypatch, spoil)
     assert len(set(errors)) == 1 and errors[0].startswith(f"{error}: "), errors
@@ -298,3 +302,16 @@ def test_an_a_that_is_not_an_array_of_numbers_is_invalid_on_every_route(monkeypa
         checks.check_basic(x, x, a)
     errors = _first_errors(monkeypatch, lambda inst: dataclasses.replace(inst, a=a))
     assert len(set(errors)) == 1 and errors[0].startswith("InvalidSpec: "), errors
+
+
+@pytest.mark.parametrize("call", [
+    lambda x, y, a, e: checks.check_gruss(x, y, a, None),
+    lambda x, y, a, e: checks.check_gruss(x, y, a, "x"),
+    lambda x, y, a, e: checks.check_cs(x, None),
+    lambda x, y, a, e: checks.check_basic("x", y, a),
+    lambda x, y, a, e: checks.check_radius_submult(np.eye(2), y),
+], ids=["gruss_e_none", "gruss_e_string", "cs_y_none", "basic_x_string", "radius_x_matrix"])
+def test_an_operand_that_is_not_an_element_is_invalid_on_a_direct_call(call):
+    inst = build_instance("check_gruss", 1, dim=2, length=2)
+    with pytest.raises(InvalidSpec, match="takes module elements as"):
+        call(inst.x, inst.y, inst.a, inst.e)

@@ -12,7 +12,6 @@ from opineq.checks import CHECK_SPECS
 from opineq.errors import InvalidSpec
 from opineq.generators import CHECK_NAMES, build_group, build_instance, trial_seed
 from opineq.harness import RunConfig, run_suite
-from opineq.transformer import ElementaryOperator, fractional_power_apply
 
 
 def _drop_sets(check):
@@ -74,7 +73,8 @@ def test_a_build_error_stays_with_its_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, dim, length", [(1, None, None), (2, 3, 2), (3, 1, 1), (4, 6, 4)])
-def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, length, monkeypatch):
+def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, length, monkeypatch,
+                                                                kron_series):
     cfg = RunConfig(trials=1, checks=("check_alpha",), seed=seed, dim=dim, length=length)
     calls = []
     original = transformer.vectorize
@@ -91,7 +91,7 @@ def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, leng
     inst = build_instance("check_alpha", trial_seed(seed, "check_alpha", 0), dim=dim, length=length)
 
     def series(rep, a, alpha, gammas):
-        return fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, a[0])[None]
+        return kron_series(inst.x, inst.y, a[0], alpha)[None]
 
     monkeypatch.setattr(transformer, "series_powers", series)
     reference = io.StringIO()
@@ -99,7 +99,7 @@ def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, leng
     assert calls and kernel.getvalue() == reference.getvalue()
 
 
-def test_stacked_terminating_sum_is_each_series():
+def test_stacked_terminating_sum_is_each_series(kron_series):
     insts = build_group("check_alpha", list(range(6)), dim=3, length=2)
     xs, ys = checks.Stack.of([i.x for i in insts]), checks.Stack.of([i.y for i in insts])
     rep = transformer.vectorized(xs.weights, xs.parts, ys.parts)
@@ -107,12 +107,11 @@ def test_stacked_terminating_sum_is_each_series():
     for alpha in (1.0, 2.0, 3.0):
         stacked = transformer.series_powers(rep, a, alpha, xs.norms * ys.norms)
         for inst, got in zip(insts, stacked):
-            want = fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, kron_series(inst.x, inst.y, inst.a, alpha))
 
 
 @pytest.mark.parametrize("dim, length", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 1), (6, 2)])
-def test_stacked_series_stops_where_each_row_does(dim, length):
+def test_stacked_series_stops_where_each_row_does(dim, length, kron_series):
     """Each row of one stack stops where its own series does: generic (non-normal)
     operators at three contraction targets, so the rows' series differ in length."""
     insts = [inst for seeds, target in (([0], 0.999), ([1, 2], 0.9), ([3, 4], 0.5))
@@ -124,5 +123,4 @@ def test_stacked_series_stops_where_each_row_does(dim, length):
     for alpha in (1.0, 2.0, 3.0, 0.5, 1.5, 1 / 3, 2.7):
         stacked = transformer.series_powers(rep, a, alpha, xs.norms * ys.norms)
         for inst, got in zip(insts, stacked):
-            want = fractional_power_apply(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, kron_series(inst.x, inst.y, inst.a, alpha))

@@ -19,7 +19,6 @@ from opineq.generators import (
     build_instance,
     evaluate_instance,
     gen_element,
-    gen_haar_unitary,
     instance_from_json,
     trial_seed,
 )
@@ -27,11 +26,11 @@ from opineq.harness import (
     DEFAULT_ALPHA_GRID,
     DEFAULT_EXPONENT_GRID,
     RunConfig,
-    naopaka_delta_sweep,
     run_suite,
     search_counterexample,
 )
-from opineq.hmodule import inner, is_normal, module_norm, right_mul
+from opineq.hmodule import element_to_json, inner, is_normal, module_norm, right_mul
+from opineq.reference import haar_unitary
 
 JSON_KEYS = {"name", "seed", "dim", "len", "params", "lhs", "rhs", "margin",
              "holds", "norm_detail"}
@@ -81,13 +80,13 @@ def test_gen_element_weights_and_determinism():
 
 
 def test_gen_haar_unitary():
-    u = gen_haar_unitary(11, 4)
+    u = haar_unitary(11, 4)
     assert op_norm(u.conj().T @ u - np.eye(4)) <= 1e-12
-    assert np.array_equal(u, gen_haar_unitary(11, 4))
-    scalar = gen_haar_unitary(2, 1)
+    assert np.array_equal(u, haar_unitary(11, 4))
+    scalar = haar_unitary(2, 1)
     assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-12
     with pytest.raises(InvalidSpec):
-        gen_haar_unitary(1, 0)
+        haar_unitary(1, 0)
 
 
 def test_trial_seed_derivation():
@@ -154,6 +153,43 @@ def test_build_instance_drop_and_overrides():
     with pytest.raises(UnknownCheck):
         evaluate_instance(CheckInstance(check="nope", seed=0, kind="generic",
                                         x=inst.x, y=inst.y))
+
+
+@pytest.mark.parametrize("size", [{"dim": 2.7}, {"dim": "2"}, {"length": True}, {"length": 1.5}],
+                         ids=["dim_2.7", "dim_string", "len_bool", "len_1.5"])
+def test_sizes_are_integers_on_every_library_route(size):
+    for call in (lambda: build_instance("check_cs", 1, **size),
+                 lambda: search_counterexample("check_cs", budget=3, **size),
+                 lambda: RunConfig(trials=1, checks=("check_cs",), **size)):
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("field, value", [("trials", 2.5), ("trials", True), ("trials", "2"),
+                                          ("seed", 1.5), ("seed", None)])
+def test_run_counts_are_integers(field, value):
+    with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+        RunConfig(**{"trials": 1, "checks": ("check_cs",), field: value})
+
+
+def test_generator_spec_takes_integers_by_the_one_rule():
+    for field, value in (("seed", 1.5), ("dim", 2.7), ("length", True)):
+        with pytest.raises(InvalidSpec, match="must be an integer"):
+            GeneratorSpec(**{"seed": 1, "dim": 2, "length": 2, "kind": "generic", field: value})
+    spec = GeneratorSpec(7.0, 3.0, 2.0, "generic")
+    assert (spec.seed, spec.dim, spec.length) == (7, 3, 2)
+    twin = gen_element(GeneratorSpec(7, 3, 2, "generic"))
+    assert element_to_json(gen_element(spec)) == element_to_json(twin)
+
+
+def test_integral_floats_run_as_their_ints():
+    lines = []
+    for number in (float, int):
+        out = io.StringIO()
+        run_suite(RunConfig(trials=number(2), checks=("check_cs",), seed=number(3),
+                            dim=number(2), length=number(1)), out)
+        lines.append(out.getvalue())
+    assert lines[0] == lines[1] and len(lines[0].splitlines()) == 2
 
 
 def test_run_config_validation():
@@ -260,14 +296,6 @@ def test_search_rejects_unsupported_checks():
         search_counterexample("check_gruss")
     with pytest.raises(UnknownCheck):
         search_counterexample("check_bogus")
-
-
-def test_delta_sweep_structure():
-    rows = naopaka_delta_sweep(seed=4, deltas=(0.9, 0.99), trials=3, dim=2, length=1)
-    assert [r["delta"] for r in rows] == [0.9, 0.99]
-    for row in rows:
-        assert row["trials"] == 3
-        assert np.isfinite(row["worst_margin"])
 
 
 def test_default_grids_satisfy_relations():

@@ -10,8 +10,7 @@ from opineq.norms import (
     OPERATOR,
     TRACE,
     NormKind,
-    dual_pairing_check,
-    fan_dominance_leq,
+    norms_of,
     ky_fan,
     ky_fan_dual,
     ky_fan_profile,
@@ -20,6 +19,7 @@ from opineq.norms import (
     singular_values,
 )
 from opineq.errors import DimMismatch, InvalidK
+from opineq.reference import dual_pairing, fan_dominance_leq
 
 RNG = np.random.default_rng(48151623)
 DIM = 4
@@ -72,6 +72,36 @@ def test_norm_kind_validation():
     assert ky_fan(2).label == "ky_fan_2"
     assert ky_fan_dual(3).label == "ky_fan_dual_3"
     assert OPERATOR.label == "operator"
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan, -np.inf])
+def test_schatten_refuses_an_exponent_that_is_not_finite(p):
+    with pytest.raises(ValueError, match="must be finite"):
+        schatten(p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_large_schatten_exponents_stay_finite():
+    """At p = 800 the plain sum 4^800 overflows, and 0.4^800 is subnormal; at
+    p = 1e5 every term below one underflows to 0.  Such rows are summed again
+    scaled by s_1."""
+    for p in (800.0, 1000.0, 1e5):
+        assert norm(np.diag([3.0, 4.0]), schatten(p)) == pytest.approx(
+            4.0 * (1.0 + 0.75 ** p) ** (1.0 / p), rel=1e-15)
+        assert norm(np.diag([0.3, 0.4]), schatten(p)) == pytest.approx(
+            0.4 * (1.0 + 0.75 ** p) ** (1.0 / p), rel=1e-15)
+    assert norm(np.zeros((2, 2)), schatten(1e5)) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_a_finite_schatten_sum_keeps_its_bits():
+    s = np.array([[3.0, 2.0, 1.0], [1e300, 1.0, 0.5], [0.5, 0.25, 0.0], [0.0, 0.0, 0.0],
+                  [1e-80, 0.0, 0.0]])
+    got = norms_of(s, schatten(4.0))
+    for row in (0, 2, 3):
+        assert got[row] == float((s[row] ** 4.0).sum()) ** 0.25
+    assert got[1] == pytest.approx(1e300, rel=1e-15)
+    assert got[4] == pytest.approx(1e-80, rel=1e-15)
 
 
 def test_sandwich_and_schatten_monotonicity():
@@ -129,14 +159,14 @@ def test_fan_dominance_implies_schatten_ordering():
 
 
 def test_dual_pairing_reaches_the_norm():
-    assert dual_pairing_check(np.diag([2.0, 3.0]), TRACE) == pytest.approx(5.0)
-    assert dual_pairing_check([[0, 1], [0, 0]], OPERATOR) == pytest.approx(1.0)
+    assert dual_pairing(np.diag([2.0, 3.0]), "trace") == pytest.approx(5.0)
+    assert dual_pairing([[0, 1], [0, 0]], "operator") == pytest.approx(1.0)
     for _ in range(25):
         m = _cg()
-        assert dual_pairing_check(m, TRACE) == pytest.approx(norm(m, TRACE), rel=1e-10)
-        assert dual_pairing_check(m, OPERATOR) == pytest.approx(norm(m, OPERATOR), rel=1e-10)
+        assert dual_pairing(m, "trace") == pytest.approx(norm(m, TRACE), rel=1e-10)
+        assert dual_pairing(m, "operator") == pytest.approx(norm(m, OPERATOR), rel=1e-10)
     with pytest.raises(ValueError):
-        dual_pairing_check(_cg(), HILBERT_SCHMIDT)
+        dual_pairing(_cg(), HILBERT_SCHMIDT.tag)
 
 
 def test_ky_fan_duality_inequality():

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from opineq import transformer
+from opineq import reference, transformer
 from opineq.checks import check_alpha, check_defect, check_radius_submult
 from opineq.core import op_norm, psd_power
 from opineq.errors import (
@@ -24,11 +24,8 @@ from opineq.transformer import (
     ElementaryOperator,
     apply,
     defect_operator,
-    fractional_power_apply,
     fractional_power_exact,
-    neumann_inverse,
     operator_norm_T,
-    power_apply,
     spectral_radius,
     unvec,
     vec,
@@ -64,11 +61,21 @@ def _pair(d=2, n=2):
     return ElementaryOperator(x, y)
 
 
+def _step(t):
+    """The reference T of the operator, applied term by term."""
+    return reference.transformer(t.x.ctx.weights, t.x.parts, t.y.parts)
+
+
+def _gamma(t):
+    return reference.gamma(t.x.ctx.weights, t.x.parts, t.y.parts)
+
+
 def _grade_inner(x, y, a, k):
     """Explicit multi-index evaluation of the grade-k inner product.
 
     Builds the length-k products of parts outright instead of iterating
-    the operator, so it is an independent oracle for power_apply.
+    the operator, so it is an independent oracle for the reference's
+    grade powers.
     """
     d = x.ctx.dim
     w = x.ctx.weights
@@ -118,21 +125,22 @@ def test_power_apply_against_explicit_grades():
         t = _pair(d, n)
         a = _cg(d)
         for k in range(4):
-            got = power_apply(t, a, k)
+            got = reference.grade_power(_step(t), a, k)
             want = _grade_inner(t.x, t.y, a, k)
             assert np.allclose(got, want, atol=1e-10 * max(1.0, op_norm(want)))
     with pytest.raises(ValueError):
-        power_apply(_pair(), np.eye(2), -1)
+        reference.grade_power(_step(_pair()), np.eye(2), -1)
 
 
 def test_power_apply_scalar_and_decay():
     tscal = ElementaryOperator(element([0.7 * np.eye(2)]), element([0.7 * np.eye(2)]))
     a = _cg(2)
-    assert np.allclose(power_apply(tscal, a, 3), 0.7 ** 6 * a, atol=1e-12)
+    assert np.allclose(reference.grade_power(_step(tscal), a, 3), 0.7 ** 6 * a, atol=1e-12)
     t = _pair(3, 2)
     gamma = module_norm(t.x) * module_norm(t.y)
     for k in range(5):
-        assert op_norm(power_apply(t, a3 := _cg(3), k)) <= gamma ** k * op_norm(a3) * (1 + 1e-10)
+        assert (op_norm(reference.grade_power(_step(t), a3 := _cg(3), k))
+                <= gamma ** k * op_norm(a3) * (1 + 1e-10))
 
 
 def test_vectorize_matches_apply(monkeypatch):
@@ -148,6 +156,9 @@ def test_vectorize_matches_apply(monkeypatch):
         v = vectorize(t)
         a = _cg(3)
         assert np.allclose(unvec(v.rep @ vec(a), 3), apply(t, a), atol=1e-10)
+        kron = reference.kron_matrix(t.x.ctx.weights, t.x.parts, t.y.parts)
+        assert np.allclose(v.rep, kron, atol=1e-12)
+        assert np.allclose(kron @ a.reshape(-1, order="F"), vec(apply(t, a)), atol=1e-10)
     monkeypatch.setattr(transformer, "DIM_CAP", 3)
     with pytest.raises(DimCap):
         vectorize(_pair(2, 1))
@@ -187,11 +198,11 @@ def test_neumann_inverse_geometric_case():
     half = element([0.5 * np.eye(2)])
     t = ElementaryOperator(half, half)
     a = _cg(2)
-    b, terms = neumann_inverse(t, a)
+    b, terms = reference.neumann_series(_step(t), a, _gamma(t))
     assert np.allclose(b, (4.0 / 3.0) * a, atol=3e-10 * op_norm(a))
     assert terms > 1
-    zero = element([np.zeros((2, 2))])
-    b, terms = neumann_inverse(ElementaryOperator(zero, zero), a)
+    zero = ElementaryOperator(*[element([np.zeros((2, 2))])] * 2)
+    b, terms = reference.neumann_series(_step(zero), a, _gamma(zero))
     assert np.array_equal(b, a) and terms == 1
 
 
@@ -204,17 +215,17 @@ def test_neumann_inverse_solve_oracle_and_errors(monkeypatch):
         y = (np.sqrt(contraction) / module_norm(t.y)) * t.y
         t = ElementaryOperator(x, y)
         a = _cg(d)
-        b, _ = neumann_inverse(t, a)
+        b, _ = reference.neumann_series(_step(t), a, _gamma(t))
         rep = vectorize(t).rep
         direct = unvec(np.linalg.solve(np.eye(d * d) - rep, vec(a)), d)
         assert op_norm(b - direct) <= 1e-6 * max(1.0, op_norm(direct))
-    ident = element([np.eye(2)])
+    ident = ElementaryOperator(*[element([np.eye(2)])] * 2)
     with pytest.raises(NotContractive):
-        neumann_inverse(ElementaryOperator(ident, ident), np.eye(2))
-    slow = element([0.95 * np.eye(2)])
-    monkeypatch.setattr(transformer, "MAX_TERMS", 3)
+        reference.neumann_series(_step(ident), np.eye(2), _gamma(ident))
+    slow = ElementaryOperator(*[element([0.95 * np.eye(2)])] * 2)
+    monkeypatch.setattr(reference, "MAX_TERMS", 3)
     with pytest.raises(MaxTermsExceeded):
-        neumann_inverse(ElementaryOperator(slow, slow), np.eye(2))
+        reference.neumann_series(_step(slow), np.eye(2), _gamma(slow))
 
 
 def test_fractional_power_special_cases():
@@ -223,35 +234,38 @@ def test_fractional_power_special_cases():
     y = (0.9 / module_norm(t.y)) * t.y
     t = ElementaryOperator(x, y)
     a = _cg(3)
+    step, gamma = _step(t), _gamma(t)
     # alpha = 1 terminates after one application
-    assert np.allclose(fractional_power_apply(t, 1.0, a), a - apply(t, a), atol=1e-12)
+    assert np.allclose(reference.binomial_series(step, a, 1.0, gamma), a - apply(t, a),
+                       atol=1e-12)
     # integer alpha = 2: (I - T)^2 a, also terminating
-    twice = a - 2.0 * apply(t, a) + power_apply(t, a, 2)
-    assert np.allclose(fractional_power_apply(t, 2.0, a), twice, atol=1e-12)
+    twice = a - 2.0 * apply(t, a) + apply(t, apply(t, a))
+    assert np.allclose(reference.binomial_series(step, a, 2.0, gamma), twice, atol=1e-12)
     # scalar tuples follow the numeric binomial exactly
     scal = element([0.8 * np.eye(2)])
     ts = ElementaryOperator(scal, scal)
     a2 = _cg(2)
     want = (1 - 0.64) ** 0.5 * a2
-    got = fractional_power_apply(ts, 0.5, a2)
+    got = reference.binomial_series(_step(ts), a2, 0.5, _gamma(ts))
     assert np.allclose(got, want, atol=1e-8 * op_norm(a2))
     # half-power composed twice recovers the full power
-    once = fractional_power_apply(t, 1.0, a)
-    half_half = fractional_power_apply(t, 0.5, fractional_power_apply(t, 0.5, a))
+    once = reference.binomial_series(step, a, 1.0, gamma)
+    half_half = reference.binomial_series(step, reference.binomial_series(step, a, 0.5, gamma),
+                                          0.5, gamma)
     assert np.allclose(half_half, once, atol=1e-8 * max(1.0, op_norm(once)))
 
 
 def test_fractional_power_errors(monkeypatch):
     t = _pair(2, 2)
     with pytest.raises(ValueError):
-        fractional_power_apply(t, 0.0, np.eye(2))
-    ident = element([np.eye(2)])
+        reference.binomial_series(_step(t), np.eye(2), 0.0, 0.5)
+    ident = ElementaryOperator(*[element([np.eye(2)])] * 2)
     with pytest.raises(NotContractive):
-        fractional_power_apply(ElementaryOperator(ident, ident), 0.5, np.eye(2))
-    slow = element([0.97 * np.eye(2)])
-    monkeypatch.setattr(transformer, "MAX_TERMS", 5)
+        reference.binomial_series(_step(ident), np.eye(2), 0.5, _gamma(ident))
+    slow = ElementaryOperator(*[element([0.97 * np.eye(2)])] * 2)
+    monkeypatch.setattr(reference, "MAX_TERMS", 5)
     with pytest.raises(MaxTermsExceeded):
-        fractional_power_apply(ElementaryOperator(slow, slow), 0.5, np.eye(2))
+        reference.binomial_series(_step(slow), np.eye(2), 0.5, _gamma(slow))
 
 
 def test_defect_operator():
@@ -274,14 +288,8 @@ def test_defect_operator_against_partial_sums():
     for _ in range(5):
         z = _rand_element(3, 2)
         z = (0.7 / module_norm(z)) * z
-        t = ElementaryOperator(z, z)
-        partial = np.zeros((3, 3), dtype=complex)
-        term = np.eye(3, dtype=complex)
-        for _ in range(120):
-            partial += term
-            term = apply(t, term)
-        delta = defect_operator(z)
-        assert op_norm(delta - psd_power((partial + partial.conj().T) / 2, -0.5)) <= 1e-8
+        partial = reference.defect_operator(z.ctx.weights, z.parts, 120)
+        assert op_norm(defect_operator(z) - partial) <= 1e-8
 
 
 def _normal_pair(d, n, scalar=False):
@@ -301,29 +309,29 @@ def test_fractional_power_exact_matches_series():
             t = _normal_pair(d, 1 + d % 3, scalar)
             a = _cg(d)
             for alpha in (0.25, 0.5, 1.5):
-                want = fractional_power_apply(t, alpha, a)
+                want = reference.binomial_series(_step(t), a, alpha, _gamma(t))
                 got = fractional_power_exact(t, alpha, a)
                 assert op_norm(got - want) <= 1e-10 * op_norm(want)
 
 
-def test_fractional_power_exact_falls_back_to_series(monkeypatch):
+def test_fractional_power_exact_falls_back_to_series(monkeypatch, kron_series):
     # non-normal vectorized T: the series output, bit for bit
     t = _pair(3, 2)
     t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
     a = _cg(3)
     for alpha in (0.5, 1.5):
-        assert np.array_equal(fractional_power_exact(t, alpha, a),
-                              fractional_power_apply(t, alpha, a))
+        assert np.array_equal(fractional_power_exact(t, alpha, a), kron_series(t.x, t.y, a, alpha))
     # integer alpha always takes the terminating series, normal or not
     normal = _normal_pair(3, 2)
     for tt in (t, normal):
         for alpha in (1, 2.0, 3):
             assert np.array_equal(fractional_power_exact(tt, alpha, a),
-                                  fractional_power_apply(tt, alpha, a))
+                                  kron_series(tt.x, tt.y, a, alpha))
     # an eigenbasis whose conditioning cannot meet SERIES_TAIL falls back too
     monkeypatch.setattr(transformer, "SERIES_TAIL", 1e-17)
+    monkeypatch.setattr(reference, "SERIES_TAIL", 1e-17)
     assert np.array_equal(fractional_power_exact(normal, 0.5, a),
-                          fractional_power_apply(normal, 0.5, a))
+                          kron_series(normal.x, normal.y, a, 0.5))
 
 
 def test_fractional_power_exact_errors():
@@ -355,13 +363,8 @@ def test_defect_operator_guard_by_norm_bound(monkeypatch):
     c = np.sqrt(0.7)
     z = element([c * np.array([[1.0, 0.0], [0.0, 0.0]]), c * np.array([[0.0, 0.0], [1.0, 0.0]])])
     assert module_norm(z) ** 2 == pytest.approx(1.4)
-    t = ElementaryOperator(z, z)
-    partial = np.zeros((2, 2), dtype=complex)
-    term = np.eye(2, dtype=complex)
-    for _ in range(200):
-        partial += term
-        term = apply(t, term)
-    assert op_norm(defect_operator(z) - psd_power(partial, -0.5)) <= 1e-10
+    partial = reference.defect_operator(z.ctx.weights, z.parts, 200)
+    assert op_norm(defect_operator(z) - partial) <= 1e-10
 
 
 def test_operator_norm_probe_product_matches_loop():
