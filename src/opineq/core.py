@@ -61,6 +61,17 @@ def as_integer(tag: str, v) -> int:
     return int(v)
 
 
+def as_seed(tag: str, v) -> int:
+    """v as a seed: an int by :func:`as_integer` in [0, 2^64); InvalidSpec,
+    naming ``tag`` and that range, otherwise (so -1, 2^64, 2.7 and True)."""
+    try:
+        if 0 <= (seed := as_integer(tag, v)) < 1 << 64:
+            return seed
+    except InvalidSpec:
+        pass
+    raise InvalidSpec(f"{tag} must be an integer in [0, 2^64), got {v!r}")
+
+
 def complex_array(m) -> np.ndarray:
     """m as a new complex array; InvalidSpec unless it is an array of numbers:
     real ones as :func:`is_real` rules (so no bool, no string, no int too

@@ -7,12 +7,12 @@ is its group of one, as search's :meth:`InstanceDraw.materialize` is of
 :func:`materialize_group`.  A :class:`CheckInstance` serializes to JSON
 exactly, so any reported margin can be replayed bit for bit.
 
-Evaluation is here too: :func:`evaluate_instance` runs one instance at
-one grid point, :func:`evaluate_group` a same-shape group at every given
-grid point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel
-call, with the same reports, and :func:`evaluate_each`, the policy of a
-run, groups any instances and gives each one's own reports or errors.
-Every route, :func:`assert_hypotheses` too, enforces an instance's
+Evaluation is here too: :func:`evaluate_instance` runs one instance at one
+grid point, :func:`evaluate_group` a same-shape group at every given grid
+point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel call,
+with the same reports, :func:`evaluate_each` groups any instances and gives
+each its own reports or errors, and :func:`run_trials`, a run's one path,
+builds trials from their seeds and evaluates them so.  Every route enforces
 preconditions by :func:`opineq.checks.require_preconditions`.
 """
 
@@ -29,7 +29,7 @@ from .checks import (  # CHECK_NAMES is re-exported
     require_preconditions, run_batch, validate_drop,
 )
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, as_integer, complex_normals, ct, herm, psd_powers,
+    DEFAULT_TOL, ToleranceConfig, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
 )
 from .errors import InvalidSpec, OpineqError
 from .hmodule import (
@@ -38,7 +38,6 @@ from .hmodule import (
 )
 
 KINDS = ("generic", "normal_commuting", "contractive", "gruss")
-_SEED_MASK = (1 << 64) - 1
 
 DEFAULT_CONTRACTION = 0.999
 
@@ -77,10 +76,9 @@ class GeneratorSpec:
     weights_mode: str = "uniform"
 
     def __post_init__(self) -> None:
-        for tag, name in (("seed", "seed"), ("dim", "dim"), ("len", "length")):
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
+        for tag, name in (("dim", "dim"), ("len", "length")):
             object.__setattr__(self, name, as_integer(tag, getattr(self, name)))
-        if not 0 <= self.seed <= _SEED_MASK:
-            raise InvalidSpec("seed must fit in 64 unsigned bits")
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}")
         _check_options(self.dim, self.length, self.weights_mode, self.contraction)
@@ -125,7 +123,7 @@ def _framed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
-    return np.random.default_rng(int(rng.integers(0, _SEED_MASK, dtype=np.uint64)))
+    return np.random.default_rng(int(rng.integers(0, 2**64 - 1, dtype=np.uint64)))
 
 
 def gen_element(spec: GeneratorSpec) -> ModuleElement:
@@ -155,7 +153,7 @@ def trial_seed(master: int, check: str, index: int) -> int:
     """Derive an independent per-trial seed from the master seed, the check
     name and the trial counter; stable across runs and platforms."""
     ss = np.random.SeedSequence(
-        [int(master) & _SEED_MASK, zlib.crc32(check.encode("utf-8")), int(index)])
+        [as_seed("seed", master), zlib.crc32(check.encode("utf-8")), int(index)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -174,13 +172,21 @@ class CheckInstance:
     params: dict = field(default_factory=dict)
     drop: tuple[str, ...] = ()
 
+    @property
+    def shape(self) -> tuple:
+        """(dim, len) of x; (None, None) for an x that is not a module element,
+        which every evaluation route refuses in :meth:`Batch.of`."""
+        if not isinstance(self.x, ModuleElement):
+            return None, None
+        return self.x.ctx.dim, self.x.ctx.length
+
     def digest(self) -> dict:
         params = dict(self.params)
         params["kind"] = self.kind
         if self.drop:
             params["drop"] = list(self.drop)
-        return {"seed": self.seed, "dim": self.x.ctx.dim,
-                "len": self.x.ctx.length, "params": params}
+        dim, length = self.shape
+        return {"seed": self.seed, "dim": dim, "len": length, "params": params}
 
     def to_json(self) -> dict:
         a = matrix_to_json(self.a) if self.a is not None else None
@@ -360,13 +366,14 @@ def _draw(spec: CheckSpec, seed: int, dim: int | None, length: int | None,
           weights_mode: str, normal: bool):
     """((d, n), (seed, a, the recipe's draws)) of one trial from its stream:
     d and n unless given, a (raw), then the gruss draws or x's and y's sides."""
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
+    seed = as_seed("seed", seed)
+    rng = np.random.default_rng(seed)
     d = int(dim) if dim is not None else int(rng.integers(1, 7))
     n = int(length) if length is not None else int(rng.integers(1, 5))
     a = _gaussians(rng, (d, d))[0] if "a" in spec.operands else None
     draw = (_draw_gruss(rng, d, n, weights_mode, normal) if spec.recipe == "gruss" else
             [_draw_side(_sub_rng(rng), d, n, weights_mode, normal) for _ in range(2)])
-    return (d, n), (int(seed), a, draw)
+    return (d, n), (seed, a, draw)
 
 
 def _pair_group(spec: CheckSpec, seeds, a, draws, normal: bool, target,
@@ -456,7 +463,7 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     alone."""
     groups: dict[tuple, list[int]] = {}
     for k, inst in enumerate(insts):
-        groups.setdefault((inst.x.ctx.dim, inst.x.ctx.length, inst.drop), []).append(k)
+        groups.setdefault((*inst.shape, inst.drop), []).append(k)
     out = {}
     for members in groups.values():
         group = [insts[k] for k in members]
@@ -467,6 +474,23 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
             rows = [_alone(inst, tol, points) for inst in group]
         out.update(zip(members, rows))
     return [out[k] for k in range(len(insts))]
+
+
+def run_trials(check: str, seeds, tol: ToleranceConfig, points, **draw) -> list[tuple]:
+    """Per seed, its instance or build OpineqError, and its report or OpineqError at
+    each of ``points`` (none after a build error): one :func:`build_group` with
+    options ``draw``, seed by seed if it raises, then :func:`evaluate_each`."""
+    try:
+        built = build_group(check, seeds, **draw)
+    except OpineqError:
+        built = []
+        for seed in seeds:
+            try:
+                built += build_group(check, (seed,), **draw)
+            except OpineqError as exc:
+                built.append(exc)
+    rows = iter(evaluate_each([i for i in built if isinstance(i, CheckInstance)], tol, points))
+    return [(inst, next(rows) if isinstance(inst, CheckInstance) else []) for inst in built]
 
 
 def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
@@ -488,9 +512,10 @@ def _batch(insts, points) -> Batch:
     """The instances at every point as one batch, with one digest per
     instance; InvalidSpec unless they share one check, dimension, length and
     drop set."""
-    groups = {(inst.check, inst.x.ctx.dim, inst.x.ctx.length, inst.drop) for inst in insts}
+    groups = {(inst.check, *inst.shape, inst.drop) for inst in insts}
     if len(groups) > 1:
-        raise InvalidSpec(f"a group needs one (check, dim, len, drop), got {sorted(groups)}")
+        raise InvalidSpec(f"a group needs one (check, dim, len, drop), "
+                          f"got {sorted(groups, key=str)}")
     spec = check_spec(insts[0].check)
     ops = {op: [getattr(inst, op) for inst in insts] for op in ("x", "y", *spec.operands)}
     return Batch.of(spec.name, insts[0].drop, ops["x"], ops["y"], ops.get("a"), ops.get("e"),

@@ -1,9 +1,9 @@
 """Batch verification runner and counterexample search.
 
-The runner draws per-trial seeds from a master seed, builds each group
-of trials in one call, evaluates each group of same-shape instances at
-each point :meth:`RunConfig.points` gives for the check's grid axis in
-one kernel call, and writes one JSON object per report line, in trial
+The runner derives per-trial seeds from a master seed, passes them in
+chunks to :func:`opineq.generators.run_trials`, which builds and
+evaluates them at each point :meth:`RunConfig.points` gives for the
+check's grid axis, and writes one JSON object per report line, in trial
 order.  Instances and reports are bit for bit what each trial gives
 alone, so grouping never shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_drop
-from .core import DEFAULT_TOL, ToleranceConfig, as_integer
+from .core import DEFAULT_TOL, ToleranceConfig, as_integer, as_seed
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, build_group, check_shape, evaluate_each, evaluate_instance,
-    trial_seed, _SEED_MASK,
+    CheckInstance, InstanceDraw, check_shape, evaluate_instance, run_trials, trial_seed,
 )
 
 DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
@@ -55,8 +54,8 @@ class RunConfig:
     weights_mode: str = "random"
 
     def __post_init__(self) -> None:
-        for tag in ("trials", "seed"):  # as ints, by the one integer rule
-            object.__setattr__(self, tag, as_integer(tag, getattr(self, tag)))
+        object.__setattr__(self, "trials", as_integer("trials", self.trials))
+        object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.trials < 1:
             raise InvalidSpec("trials must be >= 1")
         if not self.checks:
@@ -112,13 +111,11 @@ def _error_line(check: str, inst: CheckInstance | None, seed: int,
 def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
-    A trial is build, then evaluate at each grid point.  Trials are built
-    :data:`GROUP_TRIALS` at a time in one :func:`build_group` call and
-    evaluated by :func:`evaluate_each`, which evaluates each group with one
-    dimension, length and drop set at every grid point in one kernel call;
-    their lines are written in trial order.  Evaluation alone enforces the
-    check's hypotheses, so a violation is one error line per grid point; a
-    build error is one error line without an instance.
+    The trial seeds go :data:`GROUP_TRIALS` at a time through
+    :func:`run_trials`, which builds and evaluates them; their lines are
+    written in trial order.  Evaluation alone enforces the check's
+    hypotheses, so a violation is one error line per grid point; a build
+    error is one error line without an instance.
 
     ``writer`` may be any object with a ``write`` method; when omitted and
     ``cfg.output_path`` is set, the file is created (overwritten) and each
@@ -138,15 +135,13 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
             for start in range(0, cfg.trials, GROUP_TRIALS):
                 seeds = [trial_seed(cfg.seed, check, index)
                          for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
-                built = _build(cfg, check, seeds)
-                insts = [inst for inst in built if isinstance(inst, CheckInstance)]
-                rows = iter(evaluate_each(insts, cfg.tolerances, points))
-                for seed, inst in zip(seeds, built):
+                trials = run_trials(check, seeds, cfg.tolerances, points, dim=cfg.dim,
+                                    length=cfg.length, weights_mode=cfg.weights_mode)
+                for seed, (inst, row) in zip(seeds, trials):
                     if not isinstance(inst, CheckInstance):
                         summary.record(check, "error", None)
                         _emit(writer, _error_line(check, None, seed, inst))
-                        continue
-                    for point, rep in zip(points, next(rows)):
+                    for point, rep in zip(points, row):
                         if isinstance(rep, OpineqError):
                             summary.record(check, "error", None)
                             extra = GRIDS[spec.grid].params(point)
@@ -159,18 +154,6 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
         if close_me is not None:
             close_me.close()
     return summary
-
-
-def _build(cfg: RunConfig, check: str, seeds: list[int]) -> list:
-    """Each seed's instance or build error: the seeds are built as one group,
-    or one at a time if the group raises, so an error stays with its trial."""
-    try:
-        return build_group(check, seeds, dim=cfg.dim, length=cfg.length,
-                           weights_mode=cfg.weights_mode)
-    except OpineqError as exc:
-        if len(seeds) == 1:
-            return [exc]
-        return [inst for seed in seeds for inst in _build(cfg, check, [seed])]
 
 
 def _emit(writer, obj: dict) -> None:
@@ -227,7 +210,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
         raise InvalidSpec(f"budget must be >= 1, got {budget}")
     check_shape(dim, length)
     drop = validate_drop(drop)
-    rng = np.random.default_rng(int(seed) & _SEED_MASK)
+    rng = np.random.default_rng(as_seed("seed", seed))
     best: tuple[float, InequalityReport, CheckInstance] | None = None
     evals = 0
     block = max(40, budget // 8)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, finite, herm, psd_powers
-from .errors import DimCap, InvalidSpec, MaxTermsExceeded, NotContractive
+from .errors import DimCap, InvalidSpec, MaxTermsExceeded, NotContractive, OpineqError
 from .hmodule import (
     ModuleElement, Stack, _frozen, _same_ctx, acting, module_norm, weighted_products,
 )
@@ -44,6 +44,7 @@ DIM_CAP = 1024
 PROBE_SAMPLES = 32
 
 # truncation target of the series, and the limit of cond(V) eps for the eigen form
+# and of eps (1 + gamma)^alpha, the roundoff of a terminating series
 SERIES_TAIL = 1e-10
 # most terms a series may take
 MAX_TERMS = 10_000
@@ -215,26 +216,36 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
     """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
     (B, d, d), one stack per (valid) alpha; requires ||x|| ||y|| < 1.
 
-    Integer alpha takes :func:`series_powers`.  Otherwise, where the
-    vectorized R is normal to tol_rel, R = V diag(w) V^(-1) with |w| < 1
-    and V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series
-    sums; the rows of a non-normal R, or of a V whose condition number
-    would cost more than SERIES_TAIL, take :func:`series_powers` in one call.
+    Where the vectorized R is normal to tol_rel, R = V diag(w) V^(-1) with
+    |w| < 1 and V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial
+    series sums.  A row takes this eigen form at non-integer alpha, and at
+    integer alpha where the terminating series' roundoff bound
+    eps (1 + gamma)^alpha exceeds SERIES_TAIL (so never below alpha = 18.8);
+    such an integer row whose R is not normal, or whose V's condition number
+    would cost more than SERIES_TAIL, raises OpineqError.  The other rows
+    take :func:`series_powers` in one call.
     """
     gammas = x.norms * y.norms  # below one for the series to converge
     if (bad := gammas >= 1.0).any():
         raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gammas[bad][0]:.6f}")
     rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
     for alpha in alphas:
-        if float(alpha).is_integer():
+        integer = float(alpha).is_integer()
+        # eps (1 + gamma)^alpha > SERIES_TAIL, taken in logarithms so that it cannot overflow
+        eigen = alpha * np.log1p(gammas) > math.log(SERIES_TAIL / np.finfo(float).eps)
+        eigen |= not integer
+        if not eigen.any():
             out.append(series_powers(rep, a, alpha, gammas))
             continue
         if forms is None:
             forms = _eigen_forms(rep, a, cfg)
         w, v, sol, ok = forms
+        if integer and (eigen & ~ok).any():
+            raise OpineqError(f"integer alpha {alpha}: roundoff bound eps (1 + gamma)^alpha > "
+                              f"SERIES_TAIL, and T is not normal or its eigenbasis ill-conditioned")
         hi = unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1])
-        if not ok.all():
-            hi[~ok] = series_powers(rep[~ok], a[~ok], alpha, gammas[~ok])
+        if (series := ~(eigen & ok)).any():
+            hi[series] = series_powers(rep[series], a[series], alpha, gammas[series])
         out.append(hi)
     return out
 

@@ -18,10 +18,10 @@ from opineq.errors import OpineqError
 from opineq.generators import (
     GeneratorSpec,
     build_group,
-    evaluate_each,
     evaluate_instance,
     gen_element,
     instance_from_json,
+    run_trials,
     trial_seed,
 )
 from opineq.harness import (
@@ -75,14 +75,13 @@ def _verdict(num, desc, ok, extra=""):
 
 def _trials(check, tag, count, points=((),)):
     """(instance, its reports at each of ``points``) for the criterion's trials
-    trial_seed(MASTER, tag, i), i < count: built GROUP_TRIALS at a time and
-    evaluated by evaluate_each, as a run evaluates them; any error re-raised."""
+    trial_seed(MASTER, tag, i), i < count: GROUP_TRIALS at a time through
+    run_trials, the path a run takes; any build or evaluation error re-raised."""
     out = []
     for start in range(0, count, GROUP_TRIALS):
-        insts = build_group(check, [trial_seed(MASTER, tag, i)
-                                    for i in range(start, min(start + GROUP_TRIALS, count))])
-        for inst, reps in zip(insts, evaluate_each(insts, DEFAULT_TOL, points)):
-            for rep in reps:
+        seeds = [trial_seed(MASTER, tag, i) for i in range(start, min(start + GROUP_TRIALS, count))]
+        for inst, reps in run_trials(check, seeds, DEFAULT_TOL, points):
+            for rep in (inst, *reps):
                 if isinstance(rep, OpineqError):
                     raise rep
             out.append((inst, reps))

@@ -193,6 +193,18 @@ def test_infinite_tolerance_is_a_usage_error(value, capsys):
     assert "overall" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "1", "--seed", "-1"],
+    ["verify", "--trials", "1", "--seed", str(2 ** 64)],
+    ["search", "--check", "check_cs", "--budget", "3", "--seed", "-1"],
+], ids=["verify_negative", "verify_2^64", "search_negative"])
+def test_a_seed_outside_64_bits_is_a_usage_error(argv, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: seed must be an integer in [0, 2^64), got {int(argv[-1])}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_search_without_budget_is_a_usage_error(budget, capsys):
     assert cli_main(["search", "--check", "check_cs", "--budget", budget]) == 2

@@ -7,12 +7,13 @@ import json
 import numpy as np
 import pytest
 
-from opineq import checks, harness, hmodule
+from opineq import checks, generators, harness, hmodule
 from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig
 from opineq.errors import BallViolated, InvalidSpec, NotNormal, NotUnital, OpineqError
 from opineq.generators import (
-    CHECK_NAMES, assert_hypotheses, build_instance, evaluate_group, evaluate_instance, trial_seed,
+    CHECK_NAMES, assert_hypotheses, build_instance, evaluate_each, evaluate_group,
+    evaluate_instance, trial_seed,
 )
 from opineq.harness import DEFAULT_ALPHA_GRID, RunConfig, run_suite
 from opineq.hmodule import ModuleContext, ModuleElement
@@ -121,14 +122,14 @@ def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
     cfg = RunConfig(trials=4, checks=("check_alpha",), seed=1, dim=3, length=2, tolerances=tol)
     bad = trial_seed(cfg.seed, "check_alpha", 2)
 
-    def spoil(inst):
-        if not spoiled or inst.seed != bad:
-            return inst
-        generic = build_instance("check_alpha", bad, dim=3, length=2, drop=("normality",))
-        return dataclasses.replace(generic, drop=())
+    generic = dataclasses.replace(
+        build_instance("check_alpha", bad, dim=3, length=2, drop=("normality",)), drop=())
 
-    original = harness.build_group
-    monkeypatch.setattr(harness, "build_group", lambda check, seeds, **kw: [
+    def spoil(inst):
+        return generic if spoiled and inst.seed == bad else inst
+
+    original = generators.build_group
+    monkeypatch.setattr(generators, "build_group", lambda check, seeds, **kw: [
         spoil(inst) for inst in original(check, seeds, **kw)])
     calls = []
     normality = checks.HYPOTHESES["normality"]
@@ -209,11 +210,12 @@ def _first_errors(monkeypatch, spoil) -> list[str]:
     record(checks.check_gruss, inst.x, inst.y, inst.a, inst.e, inst.ball)
     record(evaluate_instance, inst)
     record(evaluate_group, [inst])
-    original = harness.build_group
-    monkeypatch.setattr(harness, "build_group", lambda check, seeds, **kw: [
-        spoil(inst) for inst in original(check, seeds, **kw)])
+    original = generators.build_group
     lines = io.StringIO()
-    run_suite(cfg, lines)
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "build_group", lambda check, seeds, **kw: [
+            spoil(inst) for inst in original(check, seeds, **kw)])
+        run_suite(cfg, lines)
     out.append(json.loads(lines.getvalue())["params"]["error"])
     with pytest.raises(InvalidSpec) as info:
         assert_hypotheses(inst)
@@ -266,14 +268,25 @@ def _reweighted(z):
     (lambda inst: dataclasses.replace(inst, e=_reweighted(inst.e)), "CtxMismatch"),
     (lambda inst: dataclasses.replace(inst, a=np.eye(3, dtype=complex)), "DimMismatch"),
     (lambda inst: dataclasses.replace(inst, a=np.full((2, 2), np.nan + 0j)), "InvalidSpec"),
+    (lambda inst: dataclasses.replace(inst, x="x"), "InvalidSpec"),
     (lambda inst: dataclasses.replace(inst, y="y"), "InvalidSpec"),
     (lambda inst: dataclasses.replace(inst, e="e"), "InvalidSpec"),
     (lambda inst: dataclasses.replace(inst, e=None), "InvalidSpec"),
-], ids=["y_weights", "e_weights", "a_3x3", "a_nan", "y_not_an_element", "e_not_an_element",
-        "e_missing"])
+], ids=["y_weights", "e_weights", "a_3x3", "a_nan", "x_not_an_element", "y_not_an_element",
+        "e_not_an_element", "e_missing"])
 def test_a_bad_operand_is_the_first_error_on_every_route(monkeypatch, spoil, error):
     errors = _first_errors(monkeypatch, spoil)
     assert len(set(errors)) == 1 and errors[0].startswith(f"{error}: "), errors
+
+
+def test_an_x_that_is_not_an_element_is_refused_beside_a_good_instance():
+    good = build_instance("check_cs", 1)
+    bad = dataclasses.replace(good, x="x")
+    with pytest.raises(InvalidSpec, match="a group needs one"):
+        evaluate_group([good, bad])
+    (report,), (error,) = evaluate_each([good, bad], ToleranceConfig(), ((),))
+    assert report.to_json_dict() == evaluate_instance(good).to_json_dict()
+    assert isinstance(error, InvalidSpec) and "takes module elements" in str(error)
 
 
 def test_evaluate_instance_turns_its_grid_point_into_floats_once(monkeypatch):

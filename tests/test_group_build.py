@@ -9,8 +9,9 @@ import pytest
 
 from opineq import checks, generators, transformer
 from opineq.checks import CHECK_SPECS
+from opineq.core import DEFAULT_TOL
 from opineq.errors import InvalidSpec
-from opineq.generators import CHECK_NAMES, build_group, build_instance, trial_seed
+from opineq.generators import CHECK_NAMES, build_group, build_instance, run_trials, trial_seed
 from opineq.harness import RunConfig, run_suite
 
 
@@ -70,6 +71,27 @@ def test_a_build_error_stays_with_its_trial(monkeypatch):
     assert spoiled["seed"] == spoiled_seed and spoiled["dim"] is None
     assert spoiled["params"]["error"] == "InvalidSpec: spoiled draw"
     assert [lines[k] for k in (0, 1, 2, 4)] == [before[k] for k in (0, 1, 2, 4)]
+
+
+def test_run_trials_gives_each_seed_of_a_failed_group_build_its_own_error(monkeypatch):
+    seeds = [trial_seed(6, "check_alpha", index) for index in range(5)]
+    points = ((0.5,), (2.0,))
+    clean = run_trials("check_alpha", seeds, DEFAULT_TOL, points, dim=3, length=2)
+    original = generators._draw
+
+    def draw(spec, seed, *args):
+        if seed in (seeds[1], seeds[3]):
+            raise InvalidSpec(f"spoiled draw {seed}")
+        return original(spec, seed, *args)
+
+    monkeypatch.setattr(generators, "_draw", draw)
+    trials = run_trials("check_alpha", seeds, DEFAULT_TOL, points, dim=3, length=2)
+    for k, ((inst, row), (want, want_row)) in enumerate(zip(trials, clean)):
+        if k in (1, 3):
+            assert str(inst) == f"spoiled draw {seeds[k]}" and row == []
+        else:
+            assert _text(inst) == _text(want) and len(row) == 2
+            assert [r.to_json_dict() for r in row] == [r.to_json_dict() for r in want_row]
 
 
 @pytest.mark.parametrize("seed, dim, length", [(1, None, None), (2, 3, 2), (3, 1, 1), (4, 6, 4)])

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import harness
+from opineq import generators, harness
 from opineq.cli import cli_main
 from opineq.errors import InvalidSpec, MaxTermsExceeded
 from opineq.generators import (
@@ -80,7 +80,7 @@ def test_an_error_stays_with_its_trial(monkeypatch):
     clean = io.StringIO()
     run_suite(cfg, clean)
     spoiled_seed = trial_seed(cfg.seed, "check_uin", 2)
-    original = harness.build_group
+    original = generators.build_group
 
     def build(check, seeds, **kwargs):
         def spoiled(seed):
@@ -89,7 +89,7 @@ def test_an_error_stays_with_its_trial(monkeypatch):
         insts = original(check, seeds, **kwargs)
         return [spoiled(seed) if seed == spoiled_seed else inst for seed, inst in zip(seeds, insts)]
 
-    monkeypatch.setattr(harness, "build_group", build)
+    monkeypatch.setattr(generators, "build_group", build)
     out = io.StringIO()
     summary = run_suite(cfg, out)
     lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()

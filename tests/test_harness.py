@@ -16,6 +16,7 @@ from opineq.generators import (
     CheckInstance,
     GeneratorSpec,
     assert_hypotheses,
+    build_group,
     build_instance,
     evaluate_instance,
     gen_element,
@@ -180,6 +181,34 @@ def test_generator_spec_takes_integers_by_the_one_rule():
     assert (spec.seed, spec.dim, spec.length) == (7, 3, 2)
     twin = gen_element(GeneratorSpec(7, 3, 2, "generic"))
     assert element_to_json(gen_element(spec)) == element_to_json(twin)
+
+
+BAD_SEEDS = {"negative": -1, "2^64": 2 ** 64, "fraction": 2.7, "bool": True}
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS.values(), ids=BAD_SEEDS)
+def test_every_route_refuses_a_seed_outside_64_bits_with_one_message(seed):
+    messages = set()
+    for route in (lambda: build_group("check_cs", [1, seed]),
+                  lambda: build_instance("check_cs", seed),
+                  lambda: GeneratorSpec(seed, 2, 2, "generic"),
+                  lambda: RunConfig(trials=1, checks=("check_cs",), seed=seed),
+                  lambda: trial_seed(seed, "check_cs", 0),
+                  lambda: search_counterexample("check_cs", budget=3, seed=seed)):
+        with pytest.raises(InvalidSpec) as info:
+            route()
+        messages.add(str(info.value))
+    assert messages == {f"seed must be an integer in [0, 2^64), got {seed!r}"}
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_seeds_at_both_ends_of_64_bits_run(seed):
+    assert build_instance("check_cs", seed).seed == seed
+    assert GeneratorSpec(seed, 2, 2, "generic").seed == seed
+    assert 0 <= trial_seed(seed, "check_cs", 0) < 2 ** 64
+    summary = run_suite(RunConfig(trials=2, checks=("check_cs",), seed=seed))
+    assert summary.counts["check_cs"] == {"pass": 2, "fail": 0, "error": 0}
+    assert search_counterexample("check_cs", budget=3, seed=seed).evaluations == 3
 
 
 def test_integral_floats_run_as_their_ints():

@@ -10,6 +10,7 @@ import pytest
 from opineq import reference, transformer
 from opineq.checks import check_alpha, check_defect, check_radius_submult
 from opineq.core import op_norm, psd_power
+from opineq.generators import build_group
 from opineq.errors import (
     CtxMismatch,
     DimCap,
@@ -17,6 +18,7 @@ from opineq.errors import (
     InvalidSpec,
     MaxTermsExceeded,
     NotContractive,
+    OpineqError,
 )
 from opineq.hmodule import ModuleElement, element, inner, module_norm
 from opineq.transformer import (
@@ -321,7 +323,7 @@ def test_fractional_power_exact_falls_back_to_series(monkeypatch, kron_series):
     a = _cg(3)
     for alpha in (0.5, 1.5):
         assert np.array_equal(fractional_power_exact(t, alpha, a), kron_series(t.x, t.y, a, alpha))
-    # integer alpha always takes the terminating series, normal or not
+    # integer alpha below the roundoff bound takes the terminating series, normal or not
     normal = _normal_pair(3, 2)
     for tt in (t, normal):
         for alpha in (1, 2.0, 3):
@@ -332,6 +334,25 @@ def test_fractional_power_exact_falls_back_to_series(monkeypatch, kron_series):
     monkeypatch.setattr(reference, "SERIES_TAIL", 1e-17)
     assert np.array_equal(fractional_power_exact(normal, 0.5, a),
                           kron_series(normal.x, normal.y, a, 0.5))
+
+
+@pytest.mark.parametrize("alpha", [20, 60, 100, 400])
+def test_large_integer_alpha_agrees_with_matrix_power(alpha):
+    """Where eps (1 + gamma)^alpha exceeds SERIES_TAIL, an integer alpha takes
+    the eigen form; the terminating series is off by 1.1 at alpha = 100."""
+    for inst in build_group("check_alpha", range(20)):
+        rep = reference.kron_matrix(inst.x.ctx.weights, inst.x.parts, inst.y.parts)
+        want = unvec(np.linalg.matrix_power(np.eye(len(rep)) - rep, alpha) @ vec(inst.a),
+                     inst.x.ctx.dim)
+        got = fractional_power_exact(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+def test_large_integer_alpha_without_the_eigen_form_is_an_error():
+    t = _pair(3, 2)  # a non-normal vectorized T, gamma = 0.64
+    t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
+    with pytest.raises(OpineqError, match=r"roundoff bound eps \(1 \+ gamma\)\^alpha"):
+        fractional_power_exact(t, 100, _cg(3))
 
 
 def test_fractional_power_exact_errors():
