@@ -76,7 +76,6 @@ class CheckSpec:
     kind: str
     hypotheses: tuple[str, ...] = ()
     grid: str | None = None
-    searchable: bool = False
 
     def enforced(self, drop=()) -> tuple[str, ...]:
         """The hypotheses left once the ``drop`` ones are removed."""
@@ -86,17 +85,14 @@ class CheckSpec:
 # The canonical suite order.  check_interp's elements are drawn generic
 # although its reports record "normal_commuting".
 CHECK_SPECS = {spec.name: spec for spec in (
-    CheckSpec("check_cs", "Eq. (CS)", (), "pair", "generic", searchable=True),
-    CheckSpec("check_basic", "Eq. (1infty)", ("a",), "pair", "generic", searchable=True),
-    CheckSpec("check_hs", "Eq. (C2)", ("a",), "pair", "generic", searchable=True),
-    CheckSpec("check_refinement", "Eq. (Refinement)", ("a",), "pair", "generic",
-              searchable=True),
-    CheckSpec("check_uin", "Eq. (UIN1)", ("a",), "pair", "normal_commuting",
-              ("normality",), searchable=True),
-    CheckSpec("check_interp", "Eq. (InterP)", ("a",), "unit_pair", "normal_commuting",
-              grid="pqr"),
+    CheckSpec("check_cs", "Eq. (CS)", (), "pair", "generic"),
+    CheckSpec("check_basic", "Eq. (1infty)", ("a",), "pair", "generic"),
+    CheckSpec("check_hs", "Eq. (C2)", ("a",), "pair", "generic"),
+    CheckSpec("check_refinement", "Eq. (Refinement)", ("a",), "pair", "generic"),
+    CheckSpec("check_uin", "Eq. (UIN1)", ("a",), "pair", "normal_commuting", ("normality",)),
+    CheckSpec("check_interp", "Eq. (InterP)", ("a",), "unit_pair", "normal_commuting", grid="pqr"),
     CheckSpec("check_naopaka", "Theorem (Naopaka)", ("a",), "contractive_pair",
-              "normal_commuting", ("normality", "contraction"), searchable=True),
+              "normal_commuting", ("normality", "contraction")),
     CheckSpec("check_alpha", "Eq. (AOTalpha)", ("a",), "contractive_pair",
               "normal_commuting", ("normality", "contraction"), grid="alpha"),
     CheckSpec("check_defect", "Eq. (Defekt)", ("a",), "contractive_pair", "contractive",
@@ -205,10 +201,12 @@ def validate_pqr(p: float, q: float, r: float) -> None:
 @dataclass(frozen=True)
 class GridAxis:
     """One grid axis: the report keys of a point (a tuple of numbers), the
-    point of an instance that records none, and the rule :meth:`params` applies."""
+    point of an instance that records none, the points a run evaluates when
+    given none, and the rule :meth:`params` applies."""
 
     keys: tuple[str, ...]
     default: tuple
+    points: tuple[tuple, ...]
     validate: Callable[..., None]
 
     def params(self, point) -> dict:
@@ -228,9 +226,11 @@ class GridAxis:
 
 
 # The axis of each CheckSpec.grid; a check without a grid has the one point ().
-GRIDS = {None: GridAxis((), (), lambda: None),
-         "pqr": GridAxis(("p", "q", "r"), (2.0, 2.0, 2.0), validate_pqr),
-         "alpha": GridAxis(("alpha",), (1.0,), validate_alpha)}
+GRIDS = {None: GridAxis((), (), ((),), lambda: None),
+         "pqr": GridAxis(("p", "q", "r"), (2.0, 2.0, 2.0),
+                         ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0), (4 / 3, 4 / 3, 4 / 3)),
+                         validate_pqr),
+         "alpha": GridAxis(("alpha",), (1.0,), ((0.5,), (1.0,), (2.0,)), validate_alpha)}
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,11 @@ import sys
 
 import numpy as np
 
-from .checks import CHECK_ANCHORS, CHECK_NAMES, HYPOTHESES
+from .checks import CHECK_ANCHORS, CHECK_NAMES, GRIDS, HYPOTHESES
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, OpineqError, UnknownCheck
 from .generators import evaluate_instance, instance_from_json
-from .harness import (
-    DEFAULT_ALPHA_GRID, DEFAULT_EXPONENT_GRID, RunConfig, run_suite,
-    search_counterexample,
-)
+from .harness import RunConfig, run_suite, search_counterexample
 
 
 def _ratio(text: str) -> float:
@@ -40,16 +37,12 @@ def _ratio(text: str) -> float:
         raise InvalidSpec(f"not a number or a/b fraction: {text!r}") from None
 
 
-def _parse_pqr(values: list[str] | None):
-    if not values:
-        return DEFAULT_EXPONENT_GRID
-    grid = []
-    for item in values:
-        parts = [p.strip() for p in item.split(",")]
-        if len(parts) != 3:
-            raise InvalidSpec(f"--pqr needs three comma-separated values, got {item!r}")
-        grid.append(tuple(_ratio(p) for p in parts))
-    return tuple(grid)
+def _parse_grids(args) -> dict:
+    """The points of each grid axis given by its option; each value is one
+    point, comma-separated numbers or a/b fractions, one per key."""
+    return {axis: tuple(tuple(_ratio(v.strip()) for v in item.split(","))
+                        for item in getattr(args, axis))
+            for axis in GRIDS if axis and getattr(args, axis)}
 
 
 def _parse_checks(values: list[str] | None) -> tuple[str, ...]:
@@ -78,11 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", type=float, default=None,
                         help="override the relative tolerance")
-    verify.add_argument("--pqr", action="append", metavar="P,Q,R",
-                        help="exponent triple with 1/q + 1/r = 2/p; repeatable; "
-                             "fractions like 4/3 are accepted")
-    verify.add_argument("--alpha", action="append", type=_ratio,
-                        help="fractional power; repeatable")
+    for axis, row in GRIDS.items():
+        if axis:
+            default = " ".join(",".join(f"{v:g}" for v in point) for point in row.points)
+            verify.add_argument(f"--{axis}", action="append", metavar=",".join(row.keys).upper(),
+                                help=f"a point of the {axis} grid; repeatable; fractions like "
+                                     f"4/3 are accepted (default: {default})")
     verify.add_argument("--out", default=None, help="write JSONL reports here")
     verify.add_argument("--weights", choices=("uniform", "random"), default="random")
 
@@ -113,8 +107,7 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         checks=_parse_checks(args.checks),
         tolerances=tolerances,
-        exponent_grid=_parse_pqr(args.pqr),
-        alpha_grid=tuple(args.alpha) if args.alpha else DEFAULT_ALPHA_GRID,
+        grids=_parse_grids(args),
         output_path=args.out,
         seed=args.seed,
         dim=args.dim,

@@ -151,9 +151,12 @@ def _scalar_unit_parts(ctxs, lam: np.ndarray) -> np.ndarray:
 
 def trial_seed(master: int, check: str, index: int) -> int:
     """Derive an independent per-trial seed from the master seed, the check
-    name and the trial counter; stable across runs and platforms."""
+    name and the trial counter, an integer >= 0 (:func:`as_integer`); stable
+    across runs and platforms."""
+    if (index := as_integer("index", index)) < 0:
+        raise InvalidSpec(f"index must be >= 0, got {index}")
     ss = np.random.SeedSequence(
-        [as_seed("seed", master), zlib.crc32(check.encode("utf-8")), int(index)])
+        [as_seed("seed", master), zlib.crc32(check.encode("utf-8")), index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -27,10 +27,6 @@ from .generators import (
     CheckInstance, InstanceDraw, check_shape, evaluate_instance, run_trials, trial_seed,
 )
 
-DEFAULT_EXPONENT_GRID = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0), (4.0, 4.0, 4.0),
-                         (4 / 3, 4 / 3, 4 / 3))
-DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0)
-
 # Trials built as one group, then evaluated and written; output does not
 # depend on it: an instance or report is the same alone or in any group.
 GROUP_TRIALS = 64
@@ -40,13 +36,13 @@ _ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a verification run depends on, explicitly."""
+    """Everything a verification run depends on, explicitly; ``grids`` maps a
+    :data:`GRIDS` axis to its points, and an axis it omits takes its row's."""
 
     trials: int
     checks: tuple[str, ...]
     tolerances: ToleranceConfig = DEFAULT_TOL
-    exponent_grid: tuple[tuple[float, float, float], ...] = DEFAULT_EXPONENT_GRID
-    alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
+    grids: dict = field(default_factory=dict, hash=False)
     output_path: str | None = None
     seed: int = 0
     dim: int | None = None
@@ -62,6 +58,8 @@ class RunConfig:
             raise InvalidSpec("at least one check is required")
         for name in self.checks:
             check_spec(name)
+        if not isinstance(self.grids, dict) or not set(self.grids) <= set(GRIDS):
+            raise InvalidSpec(f"grids must map axes {[*filter(None, GRIDS)]}, got {self.grids!r}")
         for axis, row in GRIDS.items():
             try:
                 for point in self.points(axis):
@@ -72,8 +70,7 @@ class RunConfig:
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
         """The grid points the run evaluates a check of this axis at."""
-        return {None: ((),), "pqr": self.exponent_grid,
-                "alpha": tuple((alpha,) for alpha in self.alpha_grid)}[axis]
+        return tuple(self.grids.get(axis, GRIDS[axis].points))
 
 
 @dataclass
@@ -168,7 +165,8 @@ def _emit(writer, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 # counterexample search
 
-SEARCHABLE = tuple(name for name, spec in CHECK_SPECS.items() if spec.searchable)
+# Search climbs an InstanceDraw, which draws every recipe but the gruss balls.
+SEARCHABLE = tuple(name for name, spec in CHECK_SPECS.items() if spec.recipe != "gruss")
 
 _SIGMAS = (0.5, 0.1, 0.02)
 
@@ -197,7 +195,8 @@ class _SearchState:
 def search_counterexample(check: str, drop: tuple[str, ...] = (),
                           budget: int = 1000, seed: int = 0,
                           dim: int | None = None, length: int | None = None) -> SearchResult:
-    """Random-restart hill climbing on the normalized margin.
+    """Random-restart hill climbing on the normalized margin, at the axis
+    default point of a check with a grid (where replay evaluates its witness).
 
     Perturbations that raise an :class:`OpineqError` (for example a
     contraction pushed past the series boundary) count against the budget
@@ -206,7 +205,7 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     """
     if check not in SEARCHABLE:
         raise UnknownCheck(f"search does not support {check!r}")
-    if budget < 1:
+    if (budget := as_integer("budget", budget)) < 1:
         raise InvalidSpec(f"budget must be >= 1, got {budget}")
     check_shape(dim, length)
     drop = validate_drop(drop)

@@ -12,7 +12,7 @@ from functools import reduce
 import numpy as np
 
 from opineq import reference
-from opineq.checks import check_basic, check_cs, check_naopaka
+from opineq.checks import GRIDS, check_basic, check_cs, check_naopaka
 from opineq.core import DEFAULT_TOL, hermitian_part, op_norm, psd_power
 from opineq.errors import OpineqError
 from opineq.generators import (
@@ -25,7 +25,6 @@ from opineq.generators import (
     trial_seed,
 )
 from opineq.harness import (
-    DEFAULT_EXPONENT_GRID,
     GROUP_TRIALS,
     search_counterexample,
 )
@@ -150,7 +149,7 @@ def test_criterion_05_schatten_interpolation():
     worst = np.inf
     checked = 0
     sens_ok = True
-    for _, reps in _trials("check_interp", "acc5", 500, DEFAULT_EXPONENT_GRID):
+    for _, reps in _trials("check_interp", "acc5", 500, GRIDS["pqr"].points):
         for rep in reps:
             worst = min(worst, min(_margins(rep)))
             if rep.norm_detail["min_inner_eig"] >= 1e-4:
@@ -197,7 +196,7 @@ def test_criterion_07_fractional_powers():
 
 
 def test_criterion_08_defect_operators():
-    worst = _worst("check_defect", "acc8", 300, DEFAULT_EXPONENT_GRID)
+    worst = _worst("check_defect", "acc8", 300, GRIDS["pqr"].points)
     closed = 0.0
     for i in range(100):
         z = gen_element(GeneratorSpec(trial_seed(MASTER, "acc8n", i),

@@ -205,7 +205,7 @@ def test_a_seed_outside_64_bits_is_a_usage_error(argv, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("budget", ["0", "-3", "2.5", "True"])
 def test_search_without_budget_is_a_usage_error(budget, capsys):
     assert cli_main(["search", "--check", "check_cs", "--budget", budget]) == 2
     assert "budget" in capsys.readouterr().err

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from opineq import transformer
+from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig
 from opineq.hmodule import conjugate, element, inner, is_normal, module_norm
-from opineq.harness import DEFAULT_EXPONENT_GRID, RunConfig, run_suite
+from opineq.harness import RunConfig, run_suite
 
 RNG = np.random.default_rng(20260)
 
@@ -34,7 +35,7 @@ def test_defect_trial_vectorizes_each_element_once(monkeypatch):
 
     monkeypatch.setattr(transformer, "vectorized", counted)
     summary = run_suite(RunConfig(trials=1, checks=("check_defect",), seed=3))
-    assert summary.counts["check_defect"]["pass"] == len(DEFAULT_EXPONENT_GRID) == 4
+    assert summary.counts["check_defect"]["pass"] == len(GRIDS["pqr"].points) == 4
     # x, y and their conjugates, in one stack: one defect operator each,
     # 16 if recomputed per grid point
     assert calls == [4]

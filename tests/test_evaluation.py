@@ -15,7 +15,7 @@ from opineq.generators import (
     CHECK_NAMES, assert_hypotheses, build_instance, evaluate_each, evaluate_group,
     evaluate_instance, trial_seed,
 )
-from opineq.harness import DEFAULT_ALPHA_GRID, RunConfig, run_suite
+from opineq.harness import RunConfig, run_suite
 from opineq.hmodule import ModuleContext, ModuleElement
 
 
@@ -40,7 +40,7 @@ def test_rejected_instance_gives_one_error_line_per_grid_point():
     summary = run_suite(cfg, out)
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
     assert summary.counts["check_alpha"]["error"] == len(lines) == 6
-    assert [line["params"]["alpha"] for line in lines] == list(DEFAULT_ALPHA_GRID) * 2
+    assert [(line["params"]["alpha"],) for line in lines] == list(GRIDS["alpha"].points) * 2
     for line in lines:
         assert line["dim"] == 3 and line["len"] is not None and line["margin"] is None
         assert line["params"]["kind"] == "normal_commuting"
@@ -102,13 +102,13 @@ def _each_alone(cfg, check, spoil=lambda inst: inst):
     for index in range(cfg.trials):
         seed = trial_seed(cfg.seed, check, index)
         inst = spoil(build_instance(check, seed, dim=cfg.dim, length=cfg.length))
-        for alpha in cfg.alpha_grid:
+        for point in cfg.points("alpha"):
+            params = GRIDS["alpha"].params(point)
             try:
-                at = dataclasses.replace(inst, params={**inst.params,
-                                                       **GRIDS["alpha"].params((alpha,))})
+                at = dataclasses.replace(inst, params={**inst.params, **params})
                 out.append(evaluate_instance(at, cfg.tolerances).to_json_dict())
             except OpineqError as exc:
-                out.append(harness._error_line(check, inst, seed, exc, {"alpha": alpha}))
+                out.append(harness._error_line(check, inst, seed, exc, params))
     return out
 
 
@@ -154,31 +154,49 @@ def test_a_grid_point_of_the_wrong_length_is_rejected():
         with pytest.raises(InvalidSpec, match="needs one number per key"):
             evaluate_group([inst], points=(pqr,))
         with pytest.raises(InvalidSpec, match="needs one number per key"):
-            RunConfig(trials=1, checks=("check_interp",), exponent_grid=(pqr,))
+            RunConfig(trials=1, checks=("check_interp",), grids={"pqr": (pqr,)})
     with pytest.raises(InvalidSpec, match="needs one number per key"):
         evaluate_group([build_instance("check_cs", 1)], points=((2.0,),))
 
 
 @pytest.mark.parametrize("check, grid", [
-    ("check_alpha", {"alpha_grid": ((0.5, 1.0),)}),
-    ("check_alpha", {"alpha_grid": (True,)}),
-    ("check_interp", {"exponent_grid": (("a", 2.0, 2.0),)}),
-    ("check_defect", {"exponent_grid": ((2.0, False, 2.0),)}),
+    ("check_alpha", {"alpha": (((0.5, 1.0),),)}),
+    ("check_alpha", {"alpha": ((True,),)}),
+    ("check_interp", {"pqr": (("a", 2.0, 2.0),)}),
+    ("check_defect", {"pqr": ((2.0, False, 2.0),)}),
 ], ids=["alpha_tuple", "alpha_bool", "p_string", "q_bool"])
 def test_a_grid_entry_that_is_not_a_real_number_is_rejected(check, grid):
     with pytest.raises(InvalidSpec, match="grid parameters must be real numbers"):
-        RunConfig(trials=1, checks=(check,), **grid)
+        RunConfig(trials=1, checks=(check,), grids=grid)
 
 
 @pytest.mark.parametrize("grid", [
-    {"exponent_grid": (2.0,)},
-    {"exponent_grid": 2.0},
-    {"alpha_grid": 0.5},
-    {"alpha_grid": None},
-], ids=["pqr_of_numbers", "pqr_number", "alpha_number", "alpha_none"])
+    {"pqr": (2.0,)},
+    {"pqr": 2.0},
+    {"alpha": 0.5},
+    {"alpha": None},
+    {"alpha": (0.5, 1.0)},
+], ids=["pqr_of_numbers", "pqr_number", "alpha_number", "alpha_none", "alpha_of_numbers"])
 def test_a_grid_that_is_not_a_sequence_of_points_is_rejected(grid):
     with pytest.raises(InvalidSpec, match="grid must be a sequence"):
-        RunConfig(trials=1, checks=("check_interp", "check_alpha"), **grid)
+        RunConfig(trials=1, checks=("check_interp", "check_alpha"), grids=grid)
+
+
+@pytest.mark.parametrize("grids", [{"beta": ((1.0,),)}, {"Pqr": ((2.0, 2.0, 2.0),)},
+                                   (("pqr", ((2.0, 2.0, 2.0),)),), None],
+                         ids=["unknown_axis", "axis_case", "pairs", "none"])
+def test_grids_must_map_known_axes(grids):
+    with pytest.raises(InvalidSpec, match="grids must map axes"):
+        RunConfig(trials=1, checks=("check_cs",), grids=grids)
+
+
+def test_an_axis_the_grids_omit_takes_its_row_points():
+    cfg = RunConfig(trials=1, checks=("check_alpha",), grids={"alpha": [(3,), (0.5,)]})
+    assert cfg.points("alpha") == ((3,), (0.5,))
+    assert cfg.points("pqr") == GRIDS["pqr"].points
+    assert cfg.points(None) == ((),)
+    hash(cfg)  # a frozen config stays hashable
+    assert RunConfig(trials=1, checks=("check_cs",)).points("alpha") == GRIDS["alpha"].points
 
 
 def test_integer_grid_entries_give_the_lines_of_their_floats():
@@ -187,8 +205,9 @@ def test_integer_grid_entries_give_the_lines_of_their_floats():
         run_suite(RunConfig(trials=2, checks=("check_interp", "check_alpha"), seed=1, **grid), out)
         return out.getvalue()
 
-    ints = lines(exponent_grid=((2, 2, 2), (4, 4, 4)), alpha_grid=(1, 2))
-    assert ints == lines(exponent_grid=((2.0, 2.0, 2.0), (4.0, 4.0, 4.0)), alpha_grid=(1.0, 2.0))
+    ints = lines(grids={"pqr": ((2, 2, 2), (4, 4, 4)), "alpha": ((1,), (2,))})
+    assert ints == lines(grids={"pqr": ((2.0, 2.0, 2.0), (4.0, 4.0, 4.0)),
+                                "alpha": ((1.0,), (2.0,))})
     assert '"p": 2.0' in ints and '"alpha": 1.0' in ints
 
 

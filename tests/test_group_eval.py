@@ -14,9 +14,7 @@ from opineq.errors import InvalidSpec, MaxTermsExceeded
 from opineq.generators import (
     CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
 )
-from opineq.harness import (
-    DEFAULT_ALPHA_GRID, DEFAULT_EXPONENT_GRID, RunConfig, run_suite,
-)
+from opineq.harness import RunConfig, run_suite
 from opineq.checks import CHECK_SPECS, GRIDS, KERNELS
 
 
@@ -39,9 +37,7 @@ def _at(inst, point):
 
 def _alone(check, cfg):
     """Each trial built and evaluated alone, one grid point at a time."""
-    grid = CHECK_SPECS[check].grid
-    points = {"pqr": DEFAULT_EXPONENT_GRID,
-              "alpha": [(alpha,) for alpha in DEFAULT_ALPHA_GRID]}.get(grid, [()])
+    points = GRIDS[CHECK_SPECS[check].grid].points
     out = []
     for index in range(cfg.trials):
         inst = build_instance(check, trial_seed(cfg.seed, check, index), dim=cfg.dim,
@@ -121,7 +117,7 @@ def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     summary = run_suite(RunConfig(trials=1, checks=("check_defect",), seed=3))
-    assert summary.counts["check_defect"]["pass"] == len(DEFAULT_EXPONENT_GRID)
+    assert summary.counts["check_defect"]["pass"] == len(GRIDS["pqr"].points)
     # the four defect operators: their Gram sums, then their own eigenpairs
     assert len(calls) <= 4 and [shape[0] for shape in calls] == [4, 4]
 
@@ -141,7 +137,8 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
 
     monkeypatch.setitem(KERNELS, "check_alpha", kernel)
     lines = _lines(cfg)
-    k = len(DEFAULT_ALPHA_GRID) + DEFAULT_ALPHA_GRID.index(0.5)
+    alphas = GRIDS["alpha"].points
+    k = len(alphas) + alphas.index((0.5,))
     assert lines[k]["params"]["alpha"] == 0.5 and lines[k]["margin"] is None
     assert lines[k]["params"]["error"] == "MaxTermsExceeded: spoiled at alpha 0.5"
     lines = _serialized(lines)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from opineq import harness
-from opineq.checks import GRIDS
+from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.core import ToleranceConfig, op_norm
 from opineq.errors import InvalidSpec, NotNormal, OpineqError, UnknownCheck
 from opineq.generators import (
@@ -24,8 +24,6 @@ from opineq.generators import (
     trial_seed,
 )
 from opineq.harness import (
-    DEFAULT_ALPHA_GRID,
-    DEFAULT_EXPONENT_GRID,
     RunConfig,
     run_suite,
     search_counterexample,
@@ -97,6 +95,17 @@ def test_trial_seed_derivation():
     assert a != trial_seed(0, "check_basic", 0)
     assert a != trial_seed(1, "check_cs", 0)
     assert 0 <= a < 2 ** 64
+
+
+def test_trial_index_follows_the_integer_rule():
+    for index, message in ((2.7, "index must be an integer, got 2.7"),
+                           (True, "index must be an integer, got True"),
+                           (-1, "index must be >= 0, got -1")):
+        with pytest.raises(InvalidSpec) as info:
+            trial_seed(1, "check_cs", index)
+        assert str(info.value) == message
+    assert trial_seed(1, "check_cs", 2.0) == trial_seed(1, "check_cs", np.int64(2)) \
+        == trial_seed(1, "check_cs", 2)
 
 
 def test_build_instance_satisfies_hypotheses():
@@ -231,9 +240,9 @@ def test_run_config_validation():
     with pytest.raises(UnknownCheck):
         RunConfig(trials=1, checks=("check_nope",))
     with pytest.raises(InvalidSpec):
-        RunConfig(trials=1, checks=("check_cs",), exponent_grid=((2, 3, 3),))
+        RunConfig(trials=1, checks=("check_cs",), grids={"pqr": ((2, 3, 3),)})
     with pytest.raises(InvalidSpec):
-        RunConfig(trials=1, checks=("check_cs",), alpha_grid=(-1.0,))
+        RunConfig(trials=1, checks=("check_cs",), grids={"alpha": ((-1.0,),)})
 
 
 def test_run_suite_counts_and_determinism():
@@ -244,8 +253,8 @@ def test_run_suite_counts_and_determinism():
     assert out1.getvalue() == out2.getvalue()
     assert s1.counts["check_cs"] == {"pass": 4, "fail": 0, "error": 0}
     # interp evaluates every instance at all four default exponent triples
-    assert s1.counts["check_interp"]["pass"] == 4 * len(DEFAULT_EXPONENT_GRID)
-    assert s1.lines == 4 + 4 * len(DEFAULT_EXPONENT_GRID)
+    assert s1.counts["check_interp"]["pass"] == 4 * len(GRIDS["pqr"].points)
+    assert s1.lines == 4 + 4 * len(GRIDS["pqr"].points)
     assert not s1.failed
     for line in out1.getvalue().splitlines():
         obj = json.loads(line)
@@ -254,7 +263,7 @@ def test_run_suite_counts_and_determinism():
 
 def test_run_suite_alpha_grid():
     cfg = RunConfig(trials=2, checks=("check_alpha",), seed=9, dim=2, length=2,
-                    alpha_grid=(1.0, 2.0))
+                    grids={"alpha": ((1.0,), (2.0,))})
     out = io.StringIO()
     summary = run_suite(cfg, out)
     assert summary.counts["check_alpha"]["pass"] == 2 * 2
@@ -320,6 +329,36 @@ def test_search_finds_violation_without_normality():
     assert abs(rep.margin - result.report.margin) <= 1e-12
 
 
+@pytest.mark.parametrize("budget, message", [
+    (2.5, "budget must be an integer, got 2.5"), (True, "budget must be an integer, got True"),
+    (0, "budget must be >= 1, got 0"), (-3, "budget must be >= 1, got -3")],
+    ids=["fraction", "bool", "zero", "negative"])
+def test_search_budget_follows_the_integer_rule(budget, message):
+    with pytest.raises(InvalidSpec) as info:
+        search_counterexample("check_cs", budget=budget)
+    assert str(info.value) == message
+
+
+_DRAWN_CHECKS = ("check_interp", "check_alpha", "check_defect", "check_radius_submult")
+
+
+@pytest.mark.parametrize("check, drop", [
+    (check, drop) for check in _DRAWN_CHECKS
+    for drop in dict.fromkeys(((), CHECK_SPECS[check].hypotheses))])
+def test_grid_and_unconditional_checks_search_at_the_default_point_and_replay(check, drop):
+    """Search climbs a grid check at its axis default point, and its witness
+    replays bit for bit from JSON text, with no hypothesis or all dropped."""
+    result = search_counterexample(check, drop=drop, budget=200, seed=3)
+    assert result.evaluations == 200 and result.instance.drop == drop
+    axis = GRIDS[CHECK_SPECS[check].grid]
+    params = result.report.instance["params"]
+    assert tuple(params[k] for k in axis.keys) == axis.default
+    text = json.dumps(result.instance.to_json(), sort_keys=True)
+    rep = evaluate_instance(instance_from_json(json.loads(text)))
+    assert json.dumps(rep.to_json_dict(), sort_keys=True) == json.dumps(
+        result.report.to_json_dict(), sort_keys=True)
+
+
 def test_search_rejects_unsupported_checks():
     with pytest.raises(UnknownCheck):
         search_counterexample("check_gruss")
@@ -328,10 +367,13 @@ def test_search_rejects_unsupported_checks():
 
 
 def test_default_grids_satisfy_relations():
-    for p, q, r in DEFAULT_EXPONENT_GRID:
+    for p, q, r in GRIDS["pqr"].points:
         assert min(p, q, r) > 1
         assert abs(1 / q + 1 / r - 2 / p) <= 1e-12
-    assert all(a > 0 for a in DEFAULT_ALPHA_GRID)
+    assert all(a > 0 for (a,) in GRIDS["alpha"].points)
+    for row in GRIDS.values():
+        for point in row.points:
+            row.params(point)
 
 
 def test_search_with_no_evaluable_candidate_says_so(monkeypatch):

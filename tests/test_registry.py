@@ -21,7 +21,8 @@ from opineq.hmodule import ModuleElement, is_normal, module_norm
 def test_registry_rows_match_their_functions():
     assert tuple(CHECK_ANCHORS) == CHECK_NAMES == tuple(CHECK_SPECS)
     assert SEARCHABLE == ("check_cs", "check_basic", "check_hs", "check_refinement",
-                          "check_uin", "check_naopaka")
+                          "check_uin", "check_interp", "check_naopaka", "check_alpha",
+                          "check_defect", "check_radius_submult")
     grid_args = {None: [], "pqr": ["p", "q", "r"], "alpha": ["alpha"]}
     for name, spec in CHECK_SPECS.items():
         assert spec.name == name
@@ -80,10 +81,10 @@ def test_one_exponent_and_alpha_rule():
         with pytest.raises(BadExponents):
             validate_pqr(*bad)
         with pytest.raises(BadExponents):
-            RunConfig(trials=1, checks=("check_interp",), exponent_grid=(bad,))
+            RunConfig(trials=1, checks=("check_interp",), grids={"pqr": (bad,)})
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidSpec):
-            RunConfig(trials=1, checks=("check_alpha",), alpha_grid=(bad,))
+            RunConfig(trials=1, checks=("check_alpha",), grids={"alpha": ((bad,),)})
 
 
 def test_check_dispatch_is_late_bound(monkeypatch):
