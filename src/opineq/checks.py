@@ -494,7 +494,7 @@ def _alpha(b: Batch, tol: ToleranceConfig) -> list:
     alphas = [alpha for (alpha,) in b.points]
     px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)
     los = px @ b.a @ py
-    his = fractional_powers(b.x, b.y, b.a, alphas, tol)
+    his = fractional_powers(b.x, b.y, b.a, alphas)
     d = b.a.shape[-1]
     # one stack per point, interleaved into report order
     return _family_rows(los.swapaxes(0, 1).reshape(-1, d, d),
@@ -674,9 +674,10 @@ def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
     At alpha = 1 this coincides with check_naopaka branch for branch.
-    (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form for
-    non-integer alpha and a normal vectorized T (which the normal, commuting
-    hypotheses give), else the stacked binomial series :func:`series_powers`.
+    (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form
+    wherever the vectorized T has a well-conditioned eigenbasis, normal or
+    not, at non-integer alpha and at integer alpha past the roundoff bound;
+    else the stacked binomial series :func:`series_powers`.
     """
     return _one("check_alpha", x, y, tol, digest, a, (alpha,), drop)
 

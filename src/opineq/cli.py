@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -166,10 +167,23 @@ def _cmd_list() -> int:
     return 0
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """``--<axis> VALUE`` as ``--<axis>=VALUE`` where VALUE starts with '-'
+    and a digit or '.', such as ``--alpha -1,2``: argparse would read it as
+    an option, not as the point the grid rule must name."""
+    options, out = {f"--{axis}" for axis in GRIDS if axis}, []
+    for token in argv:
+        if out and out[-1] in options and re.match(r"-[0-9.]", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,11 +5,13 @@ spectral radii and norm bounds, (I - T)^alpha, and the defect operator
 built from the resolvent-summed Gram matrix.
 
 (I - T)^alpha a has one path, :func:`fractional_powers`, over a stack of
-operators: the eigen form where it applies, else :func:`series_powers`,
-the binomial series stacked, truncated at SERIES_TAIL and capped at
-MAX_TERMS terms.  Its oracle, the series of one operator, and the other
-plain forms the engine is tested against live in :mod:`opineq.reference`;
-no engine code calls them.
+operators, and one rule for its eigen form V (1 - w)^alpha V^(-1): a row
+takes it exactly when cond(V) eps <= SERIES_TAIL, normal or not.  The
+other rows, and integer alpha below the terminating series' roundoff
+bound, take :func:`series_powers`, the binomial series stacked, truncated
+at SERIES_TAIL and capped at MAX_TERMS terms.  Its oracle, the series of
+one operator, and the other plain forms the engine is tested against live
+in :mod:`opineq.reference`; no engine code calls them.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceConfig, complex_normals, ct, finite, herm, psd_powers
+from .core import complex_normals, finite, herm, psd_powers
 from .errors import DimCap, InvalidSpec, MaxTermsExceeded, NotContractive, OpineqError
 from .hmodule import (
     ModuleElement, Stack, _frozen, _same_ctx, acting, module_norm, weighted_products,
@@ -167,24 +169,16 @@ def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:
     return OperatorNormBounds(float(lower), module_norm(t.x) * module_norm(t.y))
 
 
-def _eigen_forms(rep: np.ndarray, a: np.ndarray, cfg: ToleranceConfig) -> tuple:
+def _eigen_forms(rep: np.ndarray, a: np.ndarray) -> tuple:
     """The alpha-independent part of (I - T)^alpha a for a stack of
     vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d),
     per operator: eigenvalues w and eigenvectors V of T, V^(-1) vec(a), and
-    whether the eigen form applies (T normal to tol_rel, cond(V) eps <=
-    SERIES_TAIL).  Rows where it does not hold zeros."""
-    b, k = rep.shape[0], rep.shape[-1]
-    rep_h = ct(rep)
-    comm = rep @ rep_h - rep_h @ rep
-    ok = np.zeros(b, dtype=bool)
-    for i in range(b):
-        size = np.linalg.norm(rep[i])
-        ok[i] = not np.linalg.norm(comm[i]) > cfg.tol_rel * size * size
-    w, v = np.zeros((b, k), dtype=complex), np.zeros((b, k, k), dtype=complex)
-    if ok.any():
-        w[ok], v[ok] = np.linalg.eig(rep[ok])
-        ok[ok] = ~(np.linalg.cond(v[ok]) * np.finfo(float).eps > SERIES_TAIL)
-    sol = np.zeros((b, k), dtype=complex)
+    whether the eigen form applies, that is cond(V) eps <= SERIES_TAIL.
+    Rows where it does not (an ill-conditioned or defective eigenbasis) hold
+    zeros in V^(-1) vec(a)."""
+    w, v = np.linalg.eig(rep)
+    ok = ~(np.linalg.cond(v) * np.finfo(float).eps > SERIES_TAIL)
+    sol = np.zeros(w.shape, dtype=complex)
     if ok.any():
         sol[ok] = np.linalg.solve(v[ok], vec(a[ok])[..., None])[..., 0]
     return w, v, sol, ok
@@ -211,19 +205,19 @@ def series_powers(rep: np.ndarray, a: np.ndarray, alpha: float,
     return acc
 
 
-def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
-                      cfg: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
+def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> list[np.ndarray]:
     """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
     (B, d, d), one stack per (valid) alpha; requires ||x|| ||y|| < 1.
 
-    Where the vectorized R is normal to tol_rel, R = V diag(w) V^(-1) with
-    |w| < 1 and V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial
-    series sums.  A row takes this eigen form at non-integer alpha, and at
-    integer alpha where the terminating series' roundoff bound
-    eps (1 + gamma)^alpha exceeds SERIES_TAIL (so never below alpha = 18.8);
-    such an integer row whose R is not normal, or whose V's condition number
-    would cost more than SERIES_TAIL, raises OpineqError.  The other rows
-    take :func:`series_powers` in one call.
+    The spectrum of the vectorized R lies in the disc of radius
+    gamma = ||x|| ||y|| < 1, so wherever R = V diag(w) V^(-1),
+    V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series sums,
+    with an error of order cond(V) eps.  A row takes this eigen form when
+    cond(V) eps <= SERIES_TAIL, at non-integer alpha, and at integer alpha
+    where the terminating series' roundoff bound eps (1 + gamma)^alpha
+    exceeds SERIES_TAIL (so never below alpha = 18.8); such an integer row
+    whose eigenbasis is ill-conditioned or defective raises OpineqError.
+    The other rows take :func:`series_powers` in one call.
     """
     gammas = x.norms * y.norms  # below one for the series to converge
     if (bad := gammas >= 1.0).any():
@@ -238,11 +232,11 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas,
             out.append(series_powers(rep, a, alpha, gammas))
             continue
         if forms is None:
-            forms = _eigen_forms(rep, a, cfg)
+            forms = _eigen_forms(rep, a)
         w, v, sol, ok = forms
         if integer and (eigen & ~ok).any():
             raise OpineqError(f"integer alpha {alpha}: roundoff bound eps (1 + gamma)^alpha > "
-                              f"SERIES_TAIL, and T is not normal or its eigenbasis ill-conditioned")
+                              f"SERIES_TAIL, and T's eigenbasis is ill-conditioned or defective")
         hi = unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1])
         if (series := ~(eigen & ok)).any():
             hi[series] = series_powers(rep[series], a[series], alpha, gammas[series])

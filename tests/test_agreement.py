@@ -67,8 +67,12 @@ def test_fractional_power_exact_is_check_alpha_rhs(alpha, drop, monkeypatch, kro
         dx, dy = (psd_eigs(herm(eye - herm(z.stack.gram))) for z in (x, y))
         lo = (eig_powers(*dx, alpha / 2) @ a[None] @ eig_powers(*dy, alpha / 2))[0]
         hi = fractional_power_exact(ElementaryOperator(x, y), alpha, a)
-        if drop:  # the engine's stacked series is the oracle's sum, bit for bit
-            assert np.array_equal(hi, kron_series(x, y, a, alpha))
+        if drop:
+            series = kron_series(x, y, a, alpha)
+            if alpha.is_integer():  # the terminating series is the oracle's sum, bit for bit
+                assert np.array_equal(hi, series)
+            else:  # the eigen form, within the two sums' tail bounds
+                assert op_norm(hi - series) <= 2 * reference.SERIES_TAIL * op_norm(a)
         _, _, gaps, scale = fan_gaps(svdvals(lo), svdvals(hi))
         inst = dataclasses.replace(inst, params={**inst.params, **GRIDS["alpha"].params((alpha,))})
         rep = evaluate_instance(inst)
@@ -85,9 +89,9 @@ def test_term_by_term_series_agrees_with_the_engine(drop):
     Both sums stop at tail bounds of SERIES_TAIL ||a||, so they may differ by
     twice that; integer alpha terminates, leaving only roundoff.  Measured on
     these 2 x 360 cases, in units of ||a||: for non-integer alpha 2.0e-12
-    (normal, the eigen form) and 1.1e-15 (non-normal, both series), for
-    integer alpha 8.0e-16 and 5.9e-16; on twice the seeds, 5.0e-11, 1.4e-11,
-    8.8e-16 and 1.1e-15."""
+    (normal) and 6.8e-15 (non-normal), both the eigen form, for integer alpha
+    8.0e-16 and 5.9e-16; on twice the seeds, 5.0e-11, 1.4e-11, 8.8e-16 and
+    1.1e-15."""
     worst = {False: 0.0, True: 0.0}
     for dim in range(1, 7):
         for inst in build_group("check_alpha", list(range(10)), dim=dim, contraction=0.9,

@@ -161,6 +161,17 @@ def test_bad_exponents_and_alphas_are_usage_errors(argv, capsys):
     assert "overall" not in captured.out
 
 
+@pytest.mark.parametrize("check, option, value", [("check_alpha", "--alpha", "-1,2"),
+                                                  ("check_interp", "--pqr", "-2,2,2")])
+def test_a_grid_value_that_starts_with_a_minus_is_a_point(check, option, value, capsys):
+    """``--alpha -1,2`` reaches the grid rule as ``--alpha=-1,2`` does."""
+    errs = []
+    for given in ([option, value], [f"{option}={value}"]):
+        assert cli_main(["verify", "--checks", check, *given, "--trials", "1"]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and "grid" in errs[0]
+
+
 def test_replay_of_an_empty_object_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("{}")

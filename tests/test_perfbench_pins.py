@@ -1,12 +1,17 @@
-"""The names the benchmark's tracer binds by lookup must exist in the package."""
+"""The names the benchmark's tracer binds by lookup must exist in the package,
+and the margins its references pin must still come out."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from opineq import core, harness, hmodule, transformer
+from opineq import cli, core, errors, generators, harness, hmodule, transformer
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _load_spans():
@@ -31,3 +36,19 @@ def test_tracer_hooks_exist():
                         (harness._SearchState, "__init__"),
                         (harness._SearchState, "perturb")):
         assert callable(getattr(owner, name, None)), name
+
+
+def test_reference_margins_hold(monkeypatch, tmp_path):
+    """Every workload's pinned verdicts and normalized margins, within the
+    benchmark's REFERENCE_TOL, from the package already imported: the
+    benchmark's own load_opineq would re-import it mid-session."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
+    api = SimpleNamespace(cli=cli, errors=errors, generators=generators, harness=harness)
+    for name in workloads.WORKLOADS:
+        count, problems = workloads.check_reference(api, name)
+        assert count > 0 and problems == [], name

@@ -20,7 +20,7 @@ from opineq.errors import (
     NotContractive,
     OpineqError,
 )
-from opineq.hmodule import ModuleElement, element, inner, module_norm
+from opineq.hmodule import ModuleElement, Stack, element, inner, module_norm
 from opineq.transformer import (
     _PROBE_SEED,
     ElementaryOperator,
@@ -316,13 +316,22 @@ def test_fractional_power_exact_matches_series():
                 assert op_norm(got - want) <= 1e-10 * op_norm(want)
 
 
+def _defective_pair():
+    """x = y = 0.8 J_3, one part, with J_3 the nilpotent 3 x 3 Jordan block:
+    the vectorized T is defective, so no eigenbasis diagonalizes it; gamma = 0.64."""
+    z = element([0.8 * np.eye(3, k=1)])
+    return ElementaryOperator(z, z)
+
+
 def test_fractional_power_exact_falls_back_to_series(monkeypatch, kron_series):
-    # non-normal vectorized T: the series output, bit for bit
-    t = _pair(3, 2)
+    t = _pair(3, 2)  # a non-normal vectorized T
     t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
     a = _cg(3)
+    # a defective vectorized T has no eigen form: the series output, bit for bit
+    defective = _defective_pair()
     for alpha in (0.5, 1.5):
-        assert np.array_equal(fractional_power_exact(t, alpha, a), kron_series(t.x, t.y, a, alpha))
+        assert np.array_equal(fractional_power_exact(defective, alpha, a),
+                              kron_series(defective.x, defective.y, a, alpha))
     # integer alpha below the roundoff bound takes the terminating series, normal or not
     normal = _normal_pair(3, 2)
     for tt in (t, normal):
@@ -339,20 +348,44 @@ def test_fractional_power_exact_falls_back_to_series(monkeypatch, kron_series):
 @pytest.mark.parametrize("alpha", [20, 60, 100, 400])
 def test_large_integer_alpha_agrees_with_matrix_power(alpha):
     """Where eps (1 + gamma)^alpha exceeds SERIES_TAIL, an integer alpha takes
-    the eigen form; the terminating series is off by 1.1 at alpha = 100."""
-    for inst in build_group("check_alpha", range(20)):
-        rep = reference.kron_matrix(inst.x.ctx.weights, inst.x.parts, inst.y.parts)
-        want = unvec(np.linalg.matrix_power(np.eye(len(rep)) - rep, alpha) @ vec(inst.a),
-                     inst.x.ctx.dim)
-        got = fractional_power_exact(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
-        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+    the eigen form, normal or not; the terminating series is off by 1.1 at
+    alpha = 100."""
+    for drop in ((), ("normality",)):
+        for inst in build_group("check_alpha", range(20), drop=drop):
+            rep = reference.kron_matrix(inst.x.ctx.weights, inst.x.parts, inst.y.parts)
+            want = unvec(np.linalg.matrix_power(np.eye(len(rep)) - rep, alpha) @ vec(inst.a),
+                         inst.x.ctx.dim)
+            got = fractional_power_exact(ElementaryOperator(inst.x, inst.y), alpha, inst.a)
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_large_integer_alpha_without_the_eigen_form_is_an_error():
-    t = _pair(3, 2)  # a non-normal vectorized T, gamma = 0.64
-    t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
     with pytest.raises(OpineqError, match=r"roundoff bound eps \(1 \+ gamma\)\^alpha"):
-        fractional_power_exact(t, 100, _cg(3))
+        fractional_power_exact(_defective_pair(), 100, _cg(3))
+
+
+def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch):
+    """Normal or not, a row reaches series_powers exactly when its eigenbasis
+    has cond(V) eps > SERIES_TAIL: eight built non-normal rows and the
+    defective 0.8 J_3 in one stack, at non-integer alpha."""
+    insts = build_group("check_alpha", list(range(8)), dim=3, length=1, drop=("normality",))
+    z = _defective_pair().x
+    xs, ys = Stack.of([i.x for i in insts] + [z]), Stack.of([i.y for i in insts] + [z])
+    a = np.array([i.a for i in insts] + [_cg(3)])
+    rep = transformer.vectorized(xs.weights, xs.parts, ys.parts)
+    rep_h, size = rep.conj().swapaxes(-1, -2), np.linalg.norm(rep, axis=(-2, -1))
+    assert (np.linalg.norm(rep @ rep_h - rep_h @ rep, axis=(-2, -1)) > 1e-3 * size ** 2).all()
+    ill = np.linalg.cond(np.linalg.eig(rep)[1]) * np.finfo(float).eps > transformer.SERIES_TAIL
+    assert ill.tolist() == [False] * 8 + [True]
+    seen, original = [], transformer.series_powers
+
+    def counted(rep, a, alpha, gammas):
+        seen.append(a)
+        return original(rep, a, alpha, gammas)
+
+    monkeypatch.setattr(transformer, "series_powers", counted)
+    transformer.fractional_powers(xs, ys, a, (0.5, 1 / 3))
+    assert len(seen) == 2 and all(np.array_equal(rows, a[ill]) for rows in seen)
 
 
 def test_fractional_power_exact_errors():
