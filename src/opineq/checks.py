@@ -8,13 +8,14 @@ smallest eigenvalue of ``rhs - lhs``.  Unitarily-invariant-norm claims are
 certified through the full Ky Fan family (Fan dominance), with a
 Hilbert-Schmidt value recorded as a redundant spot check.
 
-Each check has one numeric implementation, its kernel in :data:`KERNELS`,
-which evaluates a :class:`Batch`: same-shape instances, each at the same
-grid points, as one stack.  :func:`require_preconditions` enforces its
-preconditions, and :func:`run_batch` runs the kernel and assembles the
-reports.  A ``check_*`` function is a batch of one instance at one point
-(its ``drop`` names hypotheses not to enforce), and a run evaluates a
-group of trials as one batch; since every stacked operation treats each
+Each check has one numeric implementation, the kernel its
+:data:`CHECK_SPECS` row names, which evaluates a :class:`Batch`:
+same-shape instances, each at the same grid points, as one stack.
+:func:`require_preconditions` enforces its preconditions, and
+:func:`run_batch` runs the kernel and assembles the reports.  A
+``check_*`` function is a batch of one instance at one point (its
+``drop`` names hypotheses not to enforce), and a run evaluates a group
+of trials as one batch; since every stacked operation treats each
 matrix on its own, a report is bit for bit the same either way.  Every
 route builds its batch with :meth:`Batch.of`, the one operand gate: an x,
 y or e that is not a module element, or a missing e, is InvalidSpec there
@@ -24,13 +25,12 @@ before anything else is read.  The tests hold the kernels against
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
 and every hypothesis from its one predicate here; adding a check means
-one row, its kernel and its ``check_*`` function.
+one row that names its kernel, plus its ``check_*`` function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,50 +59,28 @@ CONTRACTION_MARGIN = 1e-3
 EPSILON_REG = 1e-10
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """One verified statement.  ``name`` is its ``check_*`` function here,
     looked up at call time.  After x and y the function takes the
     ``operands`` ("a"; "e", an element; "ball" = (m, M, p, P)) and
     then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` draws x
     and y: "pair", "unit_pair" (norm 1), "contractive_pair" (norm at the
     contraction target) or "gruss" (ball points around a unit reference);
-    ``kind`` is the element kind its reports record."""
+    ``kind`` is the element kind its reports record, and ``kernel`` its
+    numerics over a :class:`Batch`, one row per report."""
 
     name: str
     anchor: str
     operands: tuple[str, ...]
     recipe: str
     kind: str
+    kernel: Callable[[Batch, ToleranceConfig], list]
     hypotheses: tuple[str, ...] = ()
     grid: str | None = None
 
     def enforced(self, drop=()) -> tuple[str, ...]:
         """The hypotheses left once the ``drop`` ones are removed."""
         return tuple(h for h in self.hypotheses if h not in drop)
-
-
-# The canonical suite order.  check_interp's elements are drawn generic
-# although its reports record "normal_commuting".
-CHECK_SPECS = {spec.name: spec for spec in (
-    CheckSpec("check_cs", "Eq. (CS)", (), "pair", "generic"),
-    CheckSpec("check_basic", "Eq. (1infty)", ("a",), "pair", "generic"),
-    CheckSpec("check_hs", "Eq. (C2)", ("a",), "pair", "generic"),
-    CheckSpec("check_refinement", "Eq. (Refinement)", ("a",), "pair", "generic"),
-    CheckSpec("check_uin", "Eq. (UIN1)", ("a",), "pair", "normal_commuting", ("normality",)),
-    CheckSpec("check_interp", "Eq. (InterP)", ("a",), "unit_pair", "normal_commuting", grid="pqr"),
-    CheckSpec("check_naopaka", "Theorem (Naopaka)", ("a",), "contractive_pair",
-              "normal_commuting", ("normality", "contraction")),
-    CheckSpec("check_alpha", "Eq. (AOTalpha)", ("a",), "contractive_pair",
-              "normal_commuting", ("normality", "contraction"), grid="alpha"),
-    CheckSpec("check_defect", "Eq. (Defekt)", ("a",), "contractive_pair", "contractive",
-              ("contraction",), grid="pqr"),
-    CheckSpec("check_gruss", "Eqs. (Gruss3)/(GrussMm)", ("a", "e", "ball"), "gruss",
-              "gruss", ("normality",)),
-    CheckSpec("check_radius_submult", "Remark (spectral radius)", (), "pair", "generic"),
-)}
-CHECK_NAMES = tuple(CHECK_SPECS)
-CHECK_ANCHORS = {name: spec.anchor for name, spec in CHECK_SPECS.items()}
 
 
 def check_spec(name: str) -> CheckSpec:
@@ -154,12 +132,14 @@ HYPOTHESES = {"normality": _require_normal, "contraction": _require_contractive}
 
 def validate_drop(drop) -> tuple[str, ...]:
     """``drop`` as a tuple of hypothesis names; InvalidSpec for anything but a
-    tuple or list, or for a name outside :data:`HYPOTHESES`."""
+    tuple or list, for a name outside :data:`HYPOTHESES` or for a name given twice."""
     if not isinstance(drop, (tuple, list)):
         raise InvalidSpec(f"drop must be a tuple or list of hypothesis names, not {drop!r}")
-    for name in drop:
+    for k, name in enumerate(drop):
         if name not in HYPOTHESES:
             raise InvalidSpec(f"unknown hypothesis {name!r}; known: {', '.join(HYPOTHESES)}")
+        if name in drop[:k]:
+            raise InvalidSpec(f"hypothesis {name!r} is dropped twice")
     return tuple(drop)
 
 
@@ -198,8 +178,7 @@ def validate_pqr(p: float, q: float, r: float) -> None:
         raise BadExponents(f"1/q + 1/r != 2/p for (p, q, r) = ({p}, {q}, {r})")
 
 
-@dataclass(frozen=True)
-class GridAxis:
+class GridAxis(NamedTuple):
     """One grid axis: the report keys of a point (a tuple of numbers), the
     point of an instance that records none, the points a run evaluates when
     given none, and the rule :meth:`params` applies."""
@@ -233,8 +212,7 @@ GRIDS = {None: GridAxis((), (), ((),), lambda: None),
          "alpha": GridAxis(("alpha",), (1.0,), ((0.5,), (1.0,), (2.0,)), validate_alpha)}
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of one inequality check on one instance.
 
     ``margin`` and ``scale`` are raw: ``holds`` is equivalent to
@@ -250,8 +228,8 @@ class InequalityReport:
     margin: float
     holds: bool
     scale: float
-    norm_detail: dict = field(default_factory=dict)
-    instance: dict = field(default_factory=dict)
+    norm_detail: dict
+    instance: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,8 +249,7 @@ class InequalityReport:
 # --------------------------------------------------------------------------
 # batches and report assembly
 
-@dataclass(frozen=True, eq=False)
-class Batch:
+class Batch(NamedTuple):
     """A whole request: check ``name`` with its ``drop`` set (hypotheses not to
     enforce, as given), on B instances of one dimension and length, all
     evaluated at the same grid ``points`` (tuples of floats, ``()`` without a
@@ -552,10 +529,29 @@ def _radius_submult(b: Batch, tol: ToleranceConfig) -> list:
                                                   y.norms.tolist())]
 
 
-KERNELS = {"check_cs": _cs, "check_basic": _basic, "check_hs": _hs,
-           "check_refinement": _refinement, "check_uin": _uin, "check_interp": _interp,
-           "check_naopaka": _naopaka, "check_alpha": _alpha, "check_defect": _defect,
-           "check_gruss": _gruss, "check_radius_submult": _radius_submult}
+# The canonical suite order.  check_interp's elements are drawn generic
+# although its reports record "normal_commuting".
+CHECK_SPECS = {spec.name: spec for spec in (
+    CheckSpec("check_cs", "Eq. (CS)", (), "pair", "generic", _cs),
+    CheckSpec("check_basic", "Eq. (1infty)", ("a",), "pair", "generic", _basic),
+    CheckSpec("check_hs", "Eq. (C2)", ("a",), "pair", "generic", _hs),
+    CheckSpec("check_refinement", "Eq. (Refinement)", ("a",), "pair", "generic", _refinement),
+    CheckSpec("check_uin", "Eq. (UIN1)", ("a",), "pair", "normal_commuting", _uin, ("normality",)),
+    CheckSpec("check_interp", "Eq. (InterP)", ("a",), "unit_pair", "normal_commuting", _interp,
+              grid="pqr"),
+    CheckSpec("check_naopaka", "Theorem (Naopaka)", ("a",), "contractive_pair",
+              "normal_commuting", _naopaka, ("normality", "contraction")),
+    CheckSpec("check_alpha", "Eq. (AOTalpha)", ("a",), "contractive_pair",
+              "normal_commuting", _alpha, ("normality", "contraction"), grid="alpha"),
+    CheckSpec("check_defect", "Eq. (Defekt)", ("a",), "contractive_pair", "contractive",
+              _defect, ("contraction",), grid="pqr"),
+    CheckSpec("check_gruss", "Eqs. (Gruss3)/(GrussMm)", ("a", "e", "ball"), "gruss",
+              "gruss", _gruss, ("normality",)),
+    CheckSpec("check_radius_submult", "Remark (spectral radius)", (), "pair", "generic",
+              _radius_submult),
+)}
+CHECK_NAMES = tuple(CHECK_SPECS)
+CHECK_ANCHORS = {name: spec.anchor for name, spec in CHECK_SPECS.items()}
 
 
 def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> None:
@@ -576,13 +572,13 @@ def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityRe
     kernel and assemble.  A report's instance is built in one merge: the
     batch's shape, then its instance's digest, whose params get the grid
     point's, then the kernel's, laid over them."""
-    keys = GRIDS[CHECK_SPECS[b.name].grid].keys
-    grid = [dict(zip(keys, point)) for point in b.points]
+    spec = CHECK_SPECS[b.name]
+    grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
     rows = [(digest or {}, point) for digest in b.digests for point in grid]
     return [_finish(b.name, branches, tol, {**shape, **digest, "params": {
                 **digest.get("params", {}), **point, **(params or {})}}, extra)
-            for (branches, extra, params), (digest, point) in zip(KERNELS[b.name](b, tol), rows)]
+            for (branches, extra, params), (digest, point) in zip(spec.kernel(b, tol), rows)]
 
 
 def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,

@@ -170,10 +170,13 @@ def _cmd_list() -> int:
 def _join_grid_values(argv: list[str]) -> list[str]:
     """``--<axis> VALUE`` as ``--<axis>=VALUE`` where VALUE starts with '-'
     and a digit or '.', such as ``--alpha -1,2``: argparse would read it as
-    an option, not as the point the grid rule must name."""
-    options, out = {f"--{axis}" for axis in GRIDS if axis}, []
+    an option, not as the point the grid rule must name.  So is an
+    abbreviation such as ``--al -1,2`` (but not ``--``, which ends the
+    options): argparse resolves ``--al=-1,2`` as it resolves ``--al``."""
+    options, out = [f"--{axis}" for axis in GRIDS if axis], []
     for token in argv:
-        if out and out[-1] in options and re.match(r"-[0-9.]", token):
+        if (out and len(out[-1]) > 2 and any(o.startswith(out[-1]) for o in options)
+                and re.match(r"-[0-9.]", token)):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -19,7 +19,8 @@ preconditions by :func:`opineq.checks.require_preconditions`.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -288,8 +289,7 @@ def _recipe(spec: CheckSpec, drop, contraction: float = DEFAULT_CONTRACTION):
     return "normality" in spec.enforced(drop), target
 
 
-@dataclass(frozen=True)
-class InstanceDraw:
+class InstanceDraw(NamedTuple):
     """Free parameters of one pair-recipe instance: ``px``/``py`` are the
     parts of x and y, or their diagonals in the unitary ``frames`` (ux, uy).
     The generator draws it, search perturbs it, :meth:`materialize` builds it."""
@@ -321,7 +321,7 @@ class InstanceDraw:
         """A copy with one of px, py or a moved by sigma times a Gaussian."""
         name = ("px", "py", "a")[rng.integers(0, 3 if self.a is not None else 2)]
         value = getattr(self, name)
-        return replace(self, **{name: value + sigma * _cgauss(rng, value.shape)[0]})
+        return self._replace(**{name: value + sigma * _cgauss(rng, value.shape)[0]})
 
     def materialize(self) -> CheckInstance:
         return materialize_group((self,))[0]

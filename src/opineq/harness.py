@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,10 @@ class RunConfig:
             raise InvalidSpec("trials must be >= 1")
         if not self.checks:
             raise InvalidSpec("at least one check is required")
-        for name in self.checks:
+        for k, name in enumerate(self.checks):
             check_spec(name)
+            if name in self.checks[:k]:
+                raise InvalidSpec(f"check {name!r} is named twice")
         if not isinstance(self.grids, dict) or not set(self.grids) <= set(GRIDS):
             raise InvalidSpec(f"grids must map axes {[*filter(None, GRIDS)]}, got {self.grids!r}")
         for axis, row in GRIDS.items():
@@ -101,7 +104,7 @@ def _error_line(check: str, inst: CheckInstance | None, seed: int,
     digest = inst.digest() if inst is not None else {
         "seed": seed, "dim": None, "len": None, "params": {}}
     params = {**digest["params"], **(extra or {}), "error": f"{type(exc).__name__}: {exc}"}
-    return InequalityReport(check, None, None, None, None, None,
+    return InequalityReport(check, None, None, None, None, None, norm_detail={},
                             instance={**digest, "params": params}).to_json_dict()
 
 
@@ -171,8 +174,7 @@ SEARCHABLE = tuple(name for name, spec in CHECK_SPECS.items() if spec.recipe != 
 _SIGMAS = (0.5, 0.1, 0.02)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     report: InequalityReport
     instance: CheckInstance
     evaluations: int

@@ -37,6 +37,8 @@ from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
 
 @dataclass(frozen=True)
 class ModuleContext:
+    """The module of n-tuples of d x d matrices with positive weights."""
+
     dim: int
     weights: tuple[float, ...]
 
@@ -155,6 +157,8 @@ class Stack:
 
 @dataclass(frozen=True, eq=False)
 class ModuleElement:
+    """An n-tuple of d x d matrices in its context; its parts are read-only."""
+
     ctx: ModuleContext
     parts: tuple[np.ndarray, ...]
 

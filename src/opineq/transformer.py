@@ -63,6 +63,8 @@ def validate_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ElementaryOperator:
+    """T_{x,y}(a) = <x, a y> for x and y of one context."""
+
     x: ModuleElement
     y: ModuleElement
 
@@ -74,8 +76,7 @@ class ElementaryOperator:
         return self.x.ctx.dim
 
 
-@dataclass(frozen=True, eq=False)
-class VectorizedOperator:
+class VectorizedOperator(NamedTuple):
     dim: int
     rep: np.ndarray
 

@@ -162,14 +162,34 @@ def test_bad_exponents_and_alphas_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("check, option, value", [("check_alpha", "--alpha", "-1,2"),
-                                                  ("check_interp", "--pqr", "-2,2,2")])
+                                                  ("check_interp", "--pqr", "-2,2,2"),
+                                                  ("check_alpha", "--alph", "-1,2"),
+                                                  ("check_alpha", "--al", "-1,2"),
+                                                  ("check_interp", "--pq", "-2,2,2")])
 def test_a_grid_value_that_starts_with_a_minus_is_a_point(check, option, value, capsys):
-    """``--alpha -1,2`` reaches the grid rule as ``--alpha=-1,2`` does."""
+    """``--alpha -1,2`` reaches the grid rule as ``--alpha=-1,2`` does, also
+    under an abbreviation argparse resolves to the option."""
     errs = []
     for given in ([option, value], [f"{option}={value}"]):
         assert cli_main(["verify", "--checks", check, *given, "--trials", "1"]) == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] and "grid" in errs[0]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "--checks", "check_cs,check_cs", "--trials", "2", "--seed", "1"],
+     "check 'check_cs' is named twice"),
+    (["verify", "--checks", "check_uin", "--checks", "check_cs,check_uin", "--trials", "1"],
+     "check 'check_uin' is named twice"),
+    (["search", "--check", "check_uin", "--drop", "normality", "--drop", "normality",
+      "--budget", "5"], "hypothesis 'normality' is dropped twice"),
+])
+def test_a_repeated_name_is_a_usage_error(argv, needle, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {needle}\n"
+    assert not out.exists()
 
 
 def test_replay_of_an_empty_object_is_a_usage_error(tmp_path, capsys):

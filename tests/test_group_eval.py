@@ -15,7 +15,7 @@ from opineq.generators import (
     CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
-from opineq.checks import CHECK_SPECS, GRIDS, KERNELS
+from opineq.checks import CHECK_SPECS, GRIDS
 
 
 def _lines(cfg):
@@ -48,7 +48,8 @@ def _alone(check, cfg):
 
 
 def test_every_check_has_one_kernel():
-    assert set(KERNELS) == set(CHECK_NAMES)
+    kernels = [CHECK_SPECS[name].kernel for name in CHECK_NAMES]
+    assert all(map(callable, kernels)) and len(set(kernels)) == len(CHECK_NAMES)
 
 
 @pytest.mark.parametrize("check", CHECK_NAMES)
@@ -128,14 +129,15 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
     cfg = RunConfig(trials=4, checks=("check_alpha",), seed=5, dim=3, length=2)
     clean = _serialized(_lines(cfg))
     bad = trial_seed(cfg.seed, "check_alpha", 1)
-    original = KERNELS["check_alpha"]
+    row = CHECK_SPECS["check_alpha"]
+    original = row.kernel
 
     def kernel(b, tol):
         if (0.5,) in b.points and any(digest["seed"] == bad for digest in b.digests):
             raise MaxTermsExceeded("spoiled at alpha 0.5")
         return original(b, tol)
 
-    monkeypatch.setitem(KERNELS, "check_alpha", kernel)
+    monkeypatch.setitem(CHECK_SPECS, "check_alpha", row._replace(kernel=kernel))
     lines = _lines(cfg)
     alphas = GRIDS["alpha"].points
     k = len(alphas) + alphas.index((0.5,))
@@ -143,3 +145,10 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
     assert lines[k]["params"]["error"] == "MaxTermsExceeded: spoiled at alpha 0.5"
     lines = _serialized(lines)
     assert lines[:k] + lines[k + 1:] == clean[:k] + clean[k + 1:]
+    # the other routes read the same row
+    inst = build_instance("check_alpha", bad, dim=3, length=2)
+    with pytest.raises(MaxTermsExceeded, match="spoiled at alpha 0.5"):
+        evaluate_group([inst], points=((0.5,),))
+    with pytest.raises(MaxTermsExceeded, match="spoiled at alpha 0.5"):
+        evaluate_instance(_at(inst, (0.5,)))
+    assert evaluate_instance(_at(inst, (2.0,))).holds

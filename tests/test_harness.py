@@ -245,6 +245,13 @@ def test_run_config_validation():
         RunConfig(trials=1, checks=("check_cs",), grids={"alpha": ((-1.0,),)})
 
 
+@pytest.mark.parametrize("checks", [("check_cs", "check_cs"),
+                                    ["check_uin", "check_cs", "check_uin"]])
+def test_a_run_refuses_a_check_named_twice(checks):
+    with pytest.raises(InvalidSpec, match=f"check '{checks[0]}' is named twice"):
+        RunConfig(trials=2, checks=checks)
+
+
 def test_run_suite_counts_and_determinism():
     cfg = RunConfig(trials=4, checks=("check_cs", "check_interp"), seed=42)
     out1, out2 = io.StringIO(), io.StringIO()

@@ -90,6 +90,19 @@ def test_build_and_search_reject_bad_drop_names(drop):
         search_counterexample("check_uin", drop=drop, budget=20, seed=7)
 
 
+def test_a_hypothesis_dropped_twice_is_refused_on_every_route():
+    twice = ("normality", "normality")
+    for route in (lambda: validate_drop(twice), lambda: validate_drop(list(twice)),
+                  lambda: build_instance("check_uin", 3, drop=twice),
+                  lambda: search_counterexample("check_uin", drop=twice, budget=20, seed=7)):
+        with pytest.raises(InvalidSpec, match="'normality' is dropped twice"):
+            route()
+    obj = build_instance("check_naopaka", 3, dim=2, length=2, drop=("normality",)).to_json()
+    obj["drop"] = ["normality", "contraction", "normality"]
+    with pytest.raises(InvalidSpec, match="malformed instance.*dropped twice"):
+        instance_from_json(obj)
+
+
 @pytest.mark.parametrize("drop", ["normality", ["normalty"]])
 def test_instance_files_with_bad_drop_names_are_malformed(drop):
     obj = json.loads(json.dumps(build_instance("check_uin", 3, dim=2, length=2).to_json()))

@@ -10,12 +10,13 @@ import pytest
 
 from opineq import checks
 from opineq.checks import (
-    CHECK_ANCHORS, CHECK_NAMES, CHECK_SPECS, HYPOTHESES, validate_pqr,
+    CHECK_ANCHORS, CHECK_NAMES, CHECK_SPECS, GRIDS, HYPOTHESES, Batch, validate_pqr,
 )
 from opineq.errors import BadExponents, InvalidSpec, NotContractive, NotNormal
-from opineq.generators import assert_hypotheses, build_instance, evaluate_instance
-from opineq.harness import SEARCHABLE, RunConfig
+from opineq.generators import InstanceDraw, assert_hypotheses, build_instance, evaluate_instance
+from opineq.harness import SEARCHABLE, RunConfig, search_counterexample
 from opineq.hmodule import ModuleElement, is_normal, module_norm
+from opineq.transformer import ElementaryOperator, vectorize
 
 
 def test_registry_rows_match_their_functions():
@@ -108,3 +109,20 @@ def test_check_dispatch_is_late_bound(monkeypatch):
     for name in CHECK_NAMES:
         evaluate_instance(build_instance(name, 7, dim=2, length=2))
     assert calls == dict.fromkeys(CHECK_NAMES, 1)
+
+
+def test_records_refuse_assignment():
+    """The plain records are named tuples: immutable, and no dataclasses."""
+    inst = build_instance("check_cs", 2, dim=2, length=2)
+    records = [
+        CHECK_SPECS["check_cs"], GRIDS["pqr"], evaluate_instance(inst),
+        Batch.of("check_cs", (), (inst.x,), (inst.y,), None, None, None, ((),), (None,)),
+        InstanceDraw.for_search("check_uin", np.random.default_rng(0), 2, 2, ()),
+        search_counterexample("check_cs", budget=1, dim=2, length=2),
+        vectorize(ElementaryOperator(inst.x, inst.y)),
+    ]
+    for record in records:
+        name = type(record).__name__
+        assert isinstance(record, tuple) and not dataclasses.is_dataclass(record), name
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
