@@ -22,7 +22,7 @@ import numpy as np
 
 from .checks import CHECK_ANCHORS, CHECK_NAMES, GRIDS, HYPOTHESES
 from .core import DEFAULT_TOL, ToleranceConfig
-from .errors import InvalidSpec, OpineqError, UnknownCheck
+from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import evaluate_instance, instance_from_json
 from .harness import RunConfig, run_suite, search_counterexample
 
@@ -109,28 +109,28 @@ def _cmd_verify(args) -> int:
         checks=_parse_checks(args.checks),
         tolerances=tolerances,
         grids=_parse_grids(args),
-        output_path=args.out,
         seed=args.seed,
         dim=args.dim,
         length=args.length,
         weights_mode=args.weights,
     )
-    summary = run_suite(cfg)
+    if args.out:  # opened only once the run is valid, so a usage error leaves it alone
+        try:
+            out = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise IOFailure(f"cannot open {args.out!r}: {exc}") from exc
+        with out:
+            summary = run_suite(cfg, out)
+    else:
+        summary = run_suite(cfg)
     for name in cfg.checks:
         slot = summary.counts.get(name, {"pass": 0, "fail": 0, "error": 0})
         worst = summary.worst_margin.get(name)
         worst_text = f"{worst:+.3e}" if worst is not None else "n/a"
         print(f"{name:22s} pass {slot['pass']:5d}  fail {slot['fail']:4d}  "
               f"error {slot['error']:4d}  worst margin {worst_text}")
-    evaluated = sum(slot["pass"] + slot["fail"] for slot in summary.counts.values())
-    if summary.failed:
-        verdict = "FAIL"
-    elif not evaluated:
-        verdict = "NOTHING VERIFIED"
-    else:
-        verdict = "OK"
-    print(f"{summary.lines} report lines; overall {verdict}")
-    return 0 if verdict == "OK" else 1
+    print(f"{summary.lines} report lines; overall {summary.verdict}")
+    return 0 if summary.verdict == "OK" else 1
 
 
 def _cmd_search(args) -> int:

@@ -212,8 +212,8 @@ def instance_from_json(obj: dict) -> CheckInstance:
     """Inverse of CheckInstance.to_json.  Raises InvalidSpec on malformed
     input: the file must give exactly the operands its check's registry row
     lists, a ball of 4 finite numbers (:func:`opineq.checks.ball_bounds`), one
-    context for x, y and e, and a valid point of its grid axis (a key it omits
-    takes the default)."""
+    context for x, y and e, a valid point of its grid axis (a key it omits
+    takes the default) and a seed that is null or passes :func:`opineq.core.as_seed`."""
     try:
         spec = check_spec(obj["check"])
         given = {op for op in ("a", "e", "ball") if obj.get(op) is not None}
@@ -228,7 +228,7 @@ def instance_from_json(obj: dict) -> CheckInstance:
         GRIDS[spec.grid].params(_point(spec, params))
         return CheckInstance(
             check=spec.name,
-            seed=obj.get("seed"),
+            seed=None if obj.get("seed") is None else as_seed("seed", obj["seed"]),
             kind=obj.get("kind", "generic"),
             x=x,
             y=y,

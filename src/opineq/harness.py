@@ -4,7 +4,7 @@ The runner derives per-trial seeds from a master seed, passes them in
 chunks to :func:`opineq.generators.run_trials`, which builds and
 evaluates them at each point :meth:`RunConfig.points` gives for the
 check's grid axis, and writes one JSON object per report line, in trial
-order.  Instances and reports are bit for bit what each trial gives
+order, to the writer it is given.  Instances and reports are bit for bit what each trial gives
 alone, so grouping never shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
 (null margins), not as failures; a run fails only when a
@@ -44,7 +44,6 @@ class RunConfig:
     checks: tuple[str, ...]
     tolerances: ToleranceConfig = DEFAULT_TOL
     grids: dict = field(default_factory=dict, hash=False)
-    output_path: str | None = None
     seed: int = 0
     dim: int | None = None
     length: int | None = None
@@ -55,6 +54,9 @@ class RunConfig:
         object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.trials < 1:
             raise InvalidSpec("trials must be >= 1")
+        if not isinstance(self.checks, (tuple, list)):
+            raise InvalidSpec(f"checks must be a tuple or list of check names, not {self.checks!r}")
+        object.__setattr__(self, "checks", tuple(self.checks))
         if not self.checks:
             raise InvalidSpec("at least one check is required")
         for k, name in enumerate(self.checks):
@@ -65,10 +67,14 @@ class RunConfig:
             raise InvalidSpec(f"grids must map axes {[*filter(None, GRIDS)]}, got {self.grids!r}")
         for axis, row in GRIDS.items():
             try:
-                for point in self.points(axis):
-                    row.params(point)
+                params = [row.params(point) for point in self.points(axis)]
             except TypeError:
                 raise InvalidSpec(f"the {axis} grid must be a sequence of points") from None
+            if not params:
+                raise InvalidSpec(f"the {axis} grid has no points")
+            for k, point in enumerate(params):
+                if point in params[:k]:
+                    raise InvalidSpec(f"grid point {point} is given twice")
         check_shape(self.dim, self.length)
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
@@ -78,7 +84,7 @@ class RunConfig:
 
 @dataclass
 class SuiteSummary:
-    """Counts and extremes per check; ``failed`` drives the exit status."""
+    """Counts and extremes per check; ``verdict`` drives the exit status."""
 
     counts: dict = field(default_factory=dict)
     worst_margin: dict = field(default_factory=dict)
@@ -96,6 +102,15 @@ class SuiteSummary:
     @property
     def failed(self) -> bool:
         return any(slot["fail"] for slot in self.counts.values())
+
+    @property
+    def verdict(self) -> str:
+        """One of "OK", "FAIL" (a report failed) and "NOTHING VERIFIED" (none passed)."""
+        if self.failed:
+            return "FAIL"
+        if not any(slot["pass"] for slot in self.counts.values()):
+            return "NOTHING VERIFIED"
+        return "OK"
 
 
 def _error_line(check: str, inst: CheckInstance | None, seed: int,
@@ -117,42 +132,31 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     hypotheses, so a violation is one error line per grid point; a build
     error is one error line without an instance.
 
-    ``writer`` may be any object with a ``write`` method; when omitted and
-    ``cfg.output_path`` is set, the file is created (overwritten) and each
-    report is emitted as one sorted-key JSON line.
+    Each report is written to ``writer``, any object with a ``write``
+    method, as one sorted-key JSON line; without one, nothing is written.
     """
     summary = SuiteSummary()
-    close_me = None
-    if writer is None and cfg.output_path:
-        try:
-            close_me = writer = open(cfg.output_path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise IOFailure(f"cannot open {cfg.output_path!r}: {exc}") from exc
-    try:
-        for check in cfg.checks:
-            spec = check_spec(check)
-            points = cfg.points(spec.grid)
-            for start in range(0, cfg.trials, GROUP_TRIALS):
-                seeds = [trial_seed(cfg.seed, check, index)
-                         for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
-                trials = run_trials(check, seeds, cfg.tolerances, points, dim=cfg.dim,
-                                    length=cfg.length, weights_mode=cfg.weights_mode)
-                for seed, (inst, row) in zip(seeds, trials):
-                    if not isinstance(inst, CheckInstance):
+    for check in cfg.checks:
+        spec = check_spec(check)
+        points = cfg.points(spec.grid)
+        for start in range(0, cfg.trials, GROUP_TRIALS):
+            seeds = [trial_seed(cfg.seed, check, index)
+                     for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
+            trials = run_trials(check, seeds, cfg.tolerances, points, dim=cfg.dim,
+                                length=cfg.length, weights_mode=cfg.weights_mode)
+            for seed, (inst, row) in zip(seeds, trials):
+                if not isinstance(inst, CheckInstance):
+                    summary.record(check, "error", None)
+                    _emit(writer, _error_line(check, None, seed, inst))
+                for point, rep in zip(points, row):
+                    if isinstance(rep, OpineqError):
                         summary.record(check, "error", None)
-                        _emit(writer, _error_line(check, None, seed, inst))
-                    for point, rep in zip(points, row):
-                        if isinstance(rep, OpineqError):
-                            summary.record(check, "error", None)
-                            extra = GRIDS[spec.grid].params(point)
-                            _emit(writer, _error_line(check, inst, seed, rep, extra))
-                            continue
-                        summary.record(check, "pass" if rep.holds else "fail",
-                                       rep.margin / rep.scale)
-                        _emit(writer, rep.to_json_dict())
-    finally:
-        if close_me is not None:
-            close_me.close()
+                        extra = GRIDS[spec.grid].params(point)
+                        _emit(writer, _error_line(check, inst, seed, rep, extra))
+                        continue
+                    summary.record(check, "pass" if rep.holds else "fail",
+                                   rep.margin / rep.scale)
+                    _emit(writer, rep.to_json_dict())
     return summary
 
 

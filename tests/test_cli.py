@@ -192,6 +192,60 @@ def test_a_repeated_name_is_a_usage_error(argv, needle, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["--checks", "check_alpha", "--alpha", "1", "--alpha", "1.0"],
+     "grid point {'alpha': 1.0} is given twice"),
+    (["--checks", "check_interp", "--pqr", "2,2,2", "--pqr", "2,2,2"],
+     "grid point {'p': 2.0, 'q': 2.0, 'r': 2.0} is given twice"),
+    (["--checks", "check_defect", "--pqr", "3,2,6", "--pqr", "3,2.0,6/1"],
+     "grid point {'p': 3.0, 'q': 2.0, 'r': 6.0} is given twice"),
+], ids=["alpha", "pqr", "pqr_fraction"])
+def test_a_grid_point_given_twice_is_a_usage_error(argv, needle, capsys):
+    assert cli_main(["verify", *argv, "--trials", "1", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {needle}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--trials", "0"],
+    ["--checks", "check_alpha", "--alpha", "1", "--alpha", "1.0"],
+    ["--checks", "check_cs,check_cs"],
+    ["--seed", "-1"],
+], ids=["trials_0", "point_twice", "check_twice", "seed_negative"])
+def test_a_usage_error_leaves_an_existing_out_file_alone(argv, tmp_path, capsys):
+    out = tmp_path / "reports.jsonl"
+    out.write_bytes(b'{"earlier": "run"}\n')
+    assert cli_main(["verify", *argv, "--out", str(out)]) == 2
+    assert out.read_bytes() == b'{"earlier": "run"}\n'
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("seed", [-5, "abc", 2.5, True, 2 ** 70],
+                         ids=["negative", "string", "fraction", "bool", "2^70"])
+def test_replay_refuses_a_seed_outside_the_seed_rule(seed, tmp_path, capsys):
+    obj = build_instance("check_cs", 12, dim=2, length=2).to_json()
+    obj["seed"] = seed
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: malformed instance: InvalidSpec: seed must be an integer "
+                            f"in [0, 2^64), got {seed!r}\n")
+
+
+@pytest.mark.parametrize("seed, printed", [(None, None), (3.0, 3), (2 ** 64 - 1, 2 ** 64 - 1)],
+                         ids=["null", "integral_float", "largest"])
+def test_replay_prints_the_seed_the_seed_rule_gives(seed, printed, tmp_path, capsys):
+    obj = build_instance("check_cs", 12, dim=2, length=2).to_json()
+    obj["seed"] = seed
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(obj))
+    assert cli_main(["replay", "--instance", str(path)]) == 0
+    shown = json.loads(capsys.readouterr().out)["seed"]
+    assert shown == printed and type(shown) is type(printed)
+
+
 def test_replay_of_an_empty_object_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text("{}")

@@ -9,6 +9,7 @@ import pytest
 
 from opineq import harness
 from opineq.checks import CHECK_SPECS, GRIDS
+from opineq.cli import cli_main
 from opineq.core import ToleranceConfig, op_norm
 from opineq.errors import InvalidSpec, NotNormal, OpineqError, UnknownCheck
 from opineq.generators import (
@@ -25,6 +26,7 @@ from opineq.generators import (
 )
 from opineq.harness import (
     RunConfig,
+    SuiteSummary,
     run_suite,
     search_counterexample,
 )
@@ -297,17 +299,65 @@ def test_run_suite_error_routing():
         assert set(obj) == JSON_KEYS
 
 
-def test_run_suite_file_output(tmp_path):
+def test_run_suite_file_output(tmp_path, capsys):
     path = tmp_path / "reports.jsonl"
-    cfg = RunConfig(trials=3, checks=("check_hs",), seed=8, output_path=str(path))
-    summary = run_suite(cfg)
+    assert cli_main(["verify", "--checks", "check_hs", "--trials", "3", "--seed", "8",
+                     "--out", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert len(lines) == summary.lines == 3
-    from opineq.errors import IOFailure
-    bad = RunConfig(trials=1, checks=("check_hs",),
-                    output_path=str(tmp_path / "missing" / "x.jsonl"))
-    with pytest.raises(IOFailure):
-        run_suite(bad)
+    assert len(lines) == 3 and "\n3 report lines; overall OK" in capsys.readouterr().out
+    bad = str(tmp_path / "missing" / "x.jsonl")
+    assert cli_main(["verify", "--checks", "check_hs", "--trials", "1", "--out", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot open {bad!r}: [Errno") and len(err.splitlines()) == 1
+
+
+def test_run_suite_without_a_writer_creates_no_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    summary = run_suite(RunConfig(trials=2, checks=("check_cs", "check_alpha"), seed=1))
+    assert summary.lines == 2 + 2 * len(GRIDS["alpha"].points)
+    assert list(tmp_path.iterdir()) == []
+    assert "output_path" not in {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("outcomes, verdict", [
+    (("pass", "error"), "OK"),
+    (("pass", "fail", "error"), "FAIL"),
+    (("fail",), "FAIL"),
+    (("error", "error"), "NOTHING VERIFIED"),
+    ((), "NOTHING VERIFIED"),
+], ids=["pass", "fail_beside_pass", "fail", "only_errors", "empty"])
+def test_suite_summary_verdict(outcomes, verdict):
+    summary = SuiteSummary()
+    for outcome in outcomes:
+        summary.record("check_cs", outcome, None if outcome == "error" else 0.5)
+    assert summary.verdict == verdict
+
+
+@pytest.mark.parametrize("axis, points, point", [
+    ("alpha", ((1,), (1.0,)), {"alpha": 1.0}),
+    ("alpha", ((0.5,), (2.0,), (1 / 2,)), {"alpha": 0.5}),
+    ("pqr", ((2, 2, 2), (4 / 3, 4 / 3, 4 / 3), (2.0, 2.0, 2.0)), {"p": 2.0, "q": 2.0, "r": 2.0}),
+], ids=["alpha_int_float", "alpha_apart", "pqr"])
+def test_a_run_refuses_a_grid_point_given_twice(axis, points, point):
+    with pytest.raises(InvalidSpec) as info:
+        RunConfig(trials=1, checks=("check_cs",), grids={axis: points})
+    assert str(info.value) == f"grid point {point} is given twice"
+
+
+@pytest.mark.parametrize("axis", ["alpha", "pqr"])
+def test_a_run_refuses_a_grid_without_points(axis):
+    with pytest.raises(InvalidSpec) as info:
+        RunConfig(trials=1, checks=("check_cs",), grids={axis: ()})
+    assert str(info.value) == f"the {axis} grid has no points"
+
+
+def test_run_config_checks_is_a_tuple():
+    with pytest.raises(InvalidSpec) as info:
+        RunConfig(trials=1, checks="check_cs")
+    assert str(info.value) == "checks must be a tuple or list of check names, not 'check_cs'"
+    cfg = RunConfig(trials=1, checks=["check_cs", "check_uin"])
+    assert cfg.checks == ("check_cs", "check_uin")
+    assert hash(cfg) == hash(RunConfig(trials=1, checks=("check_cs", "check_uin")))
 
 
 def test_search_respects_budget_and_stays_positive():
