@@ -13,6 +13,7 @@ such an error prints as one line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -24,7 +25,7 @@ from .checks import CHECK_ANCHORS, CHECK_NAMES, GRIDS, HYPOTHESES
 from .core import DEFAULT_TOL, ToleranceConfig
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import evaluate_instance, instance_from_json
-from .harness import RunConfig, run_suite, search_counterexample
+from .harness import RunConfig, run_suite, search_counterexample, search_options
 
 
 def _ratio(text: str) -> float:
@@ -114,15 +115,8 @@ def _cmd_verify(args) -> int:
         length=args.length,
         weights_mode=args.weights,
     )
-    if args.out:  # opened only once the run is valid, so a usage error leaves it alone
-        try:
-            out = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise IOFailure(f"cannot open {args.out!r}: {exc}") from exc
-        with out:
-            summary = run_suite(cfg, out)
-    else:
-        summary = run_suite(cfg)
+    with _open_out(args.out) as out:
+        summary = run_suite(cfg, out) if out else run_suite(cfg)
     for name in cfg.checks:
         slot = summary.counts.get(name, {"pass": 0, "fail": 0, "error": 0})
         worst = summary.worst_margin.get(name)
@@ -134,19 +128,33 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    result = search_counterexample(
-        args.check, drop=tuple(args.drop or ()), budget=args.budget,
-        seed=args.seed, dim=args.dim, length=args.length)
-    rep = result.report
-    print(f"{args.check}: best normalized margin {rep.margin / rep.scale:+.6e} "
-          f"after {result.evaluations} evaluations "
-          f"(drop: {', '.join(args.drop) if args.drop else 'none'})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(result.instance.to_json(), fh, sort_keys=True)
-            fh.write("\n")
-        print(f"instance written to {args.out}")
+    options = dict(drop=tuple(args.drop or ()), budget=args.budget, seed=args.seed,
+                   dim=args.dim, length=args.length)
+    search_options(args.check, **options)
+    with _open_out(args.out) as out:
+        result = search_counterexample(args.check, **options)
+        rep = result.report
+        print(f"{args.check}: best normalized margin {rep.margin / rep.scale:+.6e} "
+              f"after {result.evaluations} evaluations "
+              f"(drop: {', '.join(args.drop) if args.drop else 'none'})")
+        if out:
+            json.dump(result.instance.to_json(), out, sort_keys=True)
+            out.write("\n")
+            print(f"instance written to {args.out}")
     return 0
+
+
+def _open_out(path: str | None):
+    """``--out`` opened for writing (IOFailure if it cannot be), or a context
+    giving None without one.  Commands open it once their options are valid,
+    so a usage error leaves it alone, and before any work, so a path that
+    cannot be written costs none."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise IOFailure(f"cannot open {path!r}: {exc}") from exc
 
 
 def _cmd_replay(args) -> int:

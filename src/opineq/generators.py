@@ -1,23 +1,27 @@
 """Seeded instance generators and replayable instance containers.
 
 Every random instance entry in the package is drawn in this module.
-:func:`build_group` draws each trial from its own 64-bit seed's stream
-and builds each same-shape group as one stack; :func:`build_instance`
-is its group of one, as search's :meth:`InstanceDraw.materialize` is of
-:func:`materialize_group`.  A :class:`CheckInstance` serializes to JSON
-exactly, so any reported margin can be replayed bit for bit.
+:func:`build_window` draws each trial from its own 64-bit seed's stream,
+numpy's ``default_rng(seed)``, seeding a window's streams in stacked
+passes (:func:`pcg64_states`), and builds each same-shape group of a
+check as one stack; :func:`build_group` is its window of one check and
+:func:`build_instance` its group of one, as search's
+:meth:`InstanceDraw.materialize` is of :func:`materialize_group`.  A
+:class:`CheckInstance` serializes to JSON exactly, so any reported
+margin can be replayed bit for bit.
 
 Evaluation is here too: :func:`evaluate_instance` runs one instance at one
 grid point, :func:`evaluate_group` a same-shape group at every given grid
 point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel call,
 with the same reports, :func:`evaluate_each` groups any instances and gives
 each its own reports or errors, and :func:`run_trials`, a run's one path,
-builds trials from their seeds and evaluates them so.  Every route enforces
+builds a window of trials from their seeds and evaluates them so.  Every route enforces
 preconditions by :func:`opineq.checks.require_preconditions`.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -123,8 +127,9 @@ def _framed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., None, :, :] @ diag @ ct(u)[..., None, :, :]
 
 
-def _sub_rng(rng: np.random.Generator) -> np.random.Generator:
-    return np.random.default_rng(int(rng.integers(0, 2**64 - 1, dtype=np.uint64)))
+def _sub_seed(rng: np.random.Generator) -> int:
+    """The seed of a sub-stream, drawn from its parent stream."""
+    return int(rng.integers(0, 2**64 - 1, dtype=np.uint64))
 
 
 def gen_element(spec: GeneratorSpec) -> ModuleElement:
@@ -150,15 +155,127 @@ def _scalar_unit_parts(ctxs, lam: np.ndarray) -> np.ndarray:
     return (lam / totals[:, None])[..., None, None] * np.eye(ctxs[0].dim)
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64's set-seed
+# step (O'Neill, "PCG", HMC-CS-2014-0905), both kept stable by NumPy NEP 19.
+# The hash constants do not depend on the entropy, so many entropies are
+# hashed in one stacked uint32 pass.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4                                       # SeedSequence's pool, in words
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(2, count) uint32, read-only: per hash call, the constant xored in and
+    the one multiplied by (the first times ``mult``), as SeedSequence steps
+    them."""
+    steps = [init]
+    for _ in range(count):
+        steps.append(steps[-1] * mult & _MASK32)
+    out = np.array([steps[:-1], steps[1:]], np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def _mix_hash(width: int) -> np.ndarray:
+    """mix_entropy's constants for ``width`` >= 4 entropy words: its 4 * width calls."""
+    return _hash_constants(0x43B0D7E5, 0x931E8875, _POOL * width)
+
+
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    v = v ^ consts[0]
+    v *= consts[1]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x
+    r -= _MIX_R * y
+    r ^= r >> _SHIFT
+    return r
+
+
+def _words(v: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: 32-bit words, low first."""
+    out = [v & _MASK32]
+    while v := v >> 32:
+        out.append(v & _MASK32)
+    return out
+
+
+def _seed_state(words: np.ndarray, count: int, lengths=None) -> list[list[int]]:
+    """``SeedSequence(entropy).generate_state(count, np.uint64)`` for each row
+    of ``words``, an (N, W >= 4) uint32 array of entropies as words, all
+    hashed in one stacked pass.  A row is zero past its entropy's end, which
+    hashes as SeedSequence pads its pool; past the pool, its length is given
+    in ``lengths``."""
+    width = words.shape[1]
+    consts = _mix_hash(width)
+    pool = _hashmix(words[:, :_POOL], consts[:, :_POOL])
+    for i in range(_POOL):  # each pool word mixes into every other, in turn
+        others, at = [j for j in range(_POOL) if j != i], _POOL + (_POOL - 1) * i
+        pool[:, others] = _mix(pool[:, others],
+                               _hashmix(pool[:, i, None], consts[:, at:at + _POOL - 1]))
+    for j in range(_POOL, width):  # words past the pool mix into every word
+        mixed = _mix(pool, _hashmix(words[:, j, None], consts[:, _POOL * j:_POOL * (j + 1)]))
+        pool = np.where((lengths > j)[:, None], mixed, pool)
+    state = _hashmix(pool[:, np.arange(2 * count) % _POOL], _STATE_HASH[:, :2 * count])
+    return np.ascontiguousarray(state, "<u4").view("<u8").tolist()
+
+
+def pcg64_states(seeds) -> list[tuple[int, int]]:
+    """For each seed, an int that :func:`as_seed` passes, the PCG64
+    (state, inc) that ``np.random.default_rng(seed)`` starts from: its
+    SeedSequence's four 64-bit words give the initial state and the
+    stream, then PCG64's set-seed step runs.  All seeds are hashed in one
+    stacked pass."""
+    seeds = np.array(seeds, np.uint64)
+    words = np.zeros((len(seeds), _POOL), np.uint32)
+    words[:, 0], words[:, 1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in _seed_state(words, 4):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        out.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return out
+
+
+def _streams(seeds):
+    """One Generator, set in turn to each seed's ``default_rng(seed)`` stream;
+    draw each stream whole before taking the next."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state, inc in pcg64_states(seeds):
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
+        yield rng
+
+
+def trial_seeds(master: int, pairs) -> list[int]:
+    """:func:`trial_seed` of each (check, index) pair, in one stacked pass."""
+    master_words, rows = _words(as_seed("seed", master)), []
+    for check, index in pairs:
+        if (index := as_integer("index", index)) < 0:
+            raise InvalidSpec(f"index must be >= 0, got {index}")
+        rows.append(master_words + [zlib.crc32(check.encode("utf-8"))] + _words(index))
+    if not rows:
+        return []
+    width = max(_POOL, *map(len, rows))
+    words = np.array([row + [0] * (width - len(row)) for row in rows], np.uint32)
+    return [seed for seed, in _seed_state(words, 1, np.array([len(row) for row in rows]))]
+
+
 def trial_seed(master: int, check: str, index: int) -> int:
     """Derive an independent per-trial seed from the master seed, the check
-    name and the trial counter, an integer >= 0 (:func:`as_integer`); stable
+    name and the trial counter, an integer >= 0 (:func:`as_integer`): the
+    first uint64 of ``SeedSequence([master, crc32(check), index])``; stable
     across runs and platforms."""
-    if (index := as_integer("index", index)) < 0:
-        raise InvalidSpec(f"index must be >= 0, got {index}")
-    ss = np.random.SeedSequence(
-        [as_seed("seed", master), zlib.crc32(check.encode("utf-8")), index])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return trial_seeds(master, [(check, index)])[0]
 
 
 @dataclass(frozen=True)
@@ -243,16 +360,17 @@ def instance_from_json(obj: dict) -> CheckInstance:
 
 
 def _draw_gruss(rng: np.random.Generator, d: int, n: int, weights_mode: str, scalar: bool):
-    """The gruss draws in stream order, raw: weights; e's scalars (from a sub-
-    stream) if ``scalar``, else its n matrices; the Gaussian of x and y's one
-    frame if ``scalar``; the balls (m, M, p, P); per ball point, parts, shrink."""
+    """The gruss draws in stream order, raw: weights; if ``scalar`` the seed
+    of the sub-stream e's n scalars come from, else e's n matrices; the
+    Gaussian of x and y's one frame if ``scalar``; the balls (m, M, p, P);
+    per ball point, parts, shrink."""
     weights = _draw_weights(rng, n, weights_mode)
-    e = _gaussians(_sub_rng(rng), (n,)) if scalar else _gaussians(rng, (d, d), n)
+    e = _sub_seed(rng) if scalar else _gaussians(rng, (d, d), n)
     frame = _gaussians(rng, (d, d)) if scalar else None
     ball = tuple(float(v) for _ in range(2) for v in sorted(rng.normal(0.0, 1.0, 2)))
     points = [(_gaussians(rng, (d,) if scalar else (d, d), n), rng.uniform(0.0, 0.95))
               for _ in range(2)]
-    return weights, e, frame, ball, points
+    return [weights, e, frame, ball, points]
 
 
 def _gruss_group(spec: CheckSpec, d: int, seeds, a, draws, scalar: bool,
@@ -340,43 +458,75 @@ def materialize_group(draws) -> list[CheckInstance]:
             for k, draw in enumerate(draws)]
 
 
-def build_group(check: str, seeds, *, dim: int | None = None, length: int | None = None,
-                weights_mode: str = "random", contraction: float = DEFAULT_CONTRACTION,
-                drop: tuple[str, ...] = ()) -> list[CheckInstance]:
-    """:func:`build_instance` for each seed, each drawing from its own stream;
-    the work after the draws runs once per same-shape group.  Raises the
+def build_window(segments, *, dim: int | None = None, length: int | None = None,
+                 weights_mode: str = "random", contraction: float = DEFAULT_CONTRACTION,
+                 drop: tuple[str, ...] = ()) -> list[list[CheckInstance]]:
+    """:func:`build_group` of each (check, seeds) segment.  A trial draws from
+    its seed's ``default_rng`` stream and from sub-streams seeded by it; the
+    window sets up all parent streams in one stacked pass (:func:`pcg64_states`),
+    then all sub-streams in another, and draws each stream whole.  Raises the
     first OpineqError raised."""
-    spec = check_spec(check)
+    specs = [check_spec(check) for check, _ in segments]
     _check_options(dim, length, weights_mode, contraction)
     drop = validate_drop(drop)
-    normal, target = _recipe(spec, drop, contraction)
-    groups: dict[tuple, list] = {}
-    for k, seed in enumerate(seeds):
-        shape, trial = _draw(spec, seed, dim, length, weights_mode, normal)
-        groups.setdefault(shape, []).append((k, trial))
-    built = {}
-    for (d, _), members in groups.items():
-        ks, trials = zip(*members)
-        group_seeds, a, draws = zip(*trials)
-        a = complex_normals(np.array(a), 1) if "a" in spec.operands else a
-        built.update(zip(ks, _gruss_group(spec, d, group_seeds, a, draws, normal, drop)
-                         if spec.recipe == "gruss"
-                         else _pair_group(spec, group_seeds, a, draws, normal, target, drop)))
-    return [built[k] for k in range(len(seeds))]
+    seeds = [[as_seed("seed", seed) for seed in group] for _, group in segments]
+    drawn, subs = [], []
+    parents = _streams([seed for group in seeds for seed in group])
+    for spec, group in zip(specs, seeds):
+        normal = _recipe(spec, drop, contraction)[0]
+        drawn.append([])
+        for seed, rng in zip(group, parents):
+            shape, trial, trial_subs = _draw(spec, seed, rng, dim, length, weights_mode, normal)
+            drawn[-1].append((shape, trial))
+            subs += trial_subs
+    for (draws, slot, drawer), rng in zip(subs, _streams([d[slot] for d, slot, _ in subs])):
+        draws[slot] = drawer(rng)
+    return [_build_drawn(spec, trials, drop, contraction) for spec, trials in zip(specs, drawn)]
 
 
-def _draw(spec: CheckSpec, seed: int, dim: int | None, length: int | None,
-          weights_mode: str, normal: bool):
-    """((d, n), (seed, a, the recipe's draws)) of one trial from its stream:
-    d and n unless given, a (raw), then the gruss draws or x's and y's sides."""
-    seed = as_seed("seed", seed)
-    rng = np.random.default_rng(seed)
+def build_group(check: str, seeds, **options) -> list[CheckInstance]:
+    """:func:`build_instance` for each seed, each drawing from its own stream;
+    the work after the draws runs once per same-shape group.  Raises the
+    first OpineqError raised.  A :func:`build_window` of one segment."""
+    return build_window([(check, seeds)], **options)[0]
+
+
+def _draw(spec: CheckSpec, seed: int, rng: np.random.Generator, dim: int | None,
+          length: int | None, weights_mode: str, normal: bool):
+    """((d, n), (seed, a, the recipe's draws), sub-streams) of one trial, from
+    ``rng`` set to its stream: d and n unless given, a (raw), then the gruss
+    draws or the seeds of x's and y's sides.  A sub-stream (draws, slot,
+    drawer) is a slot that holds its seed until ``drawer``, on its stream,
+    replaces it."""
     d = int(dim) if dim is not None else int(rng.integers(1, 7))
     n = int(length) if length is not None else int(rng.integers(1, 5))
     a = _gaussians(rng, (d, d))[0] if "a" in spec.operands else None
-    draw = (_draw_gruss(rng, d, n, weights_mode, normal) if spec.recipe == "gruss" else
-            [_draw_side(_sub_rng(rng), d, n, weights_mode, normal) for _ in range(2)])
-    return (d, n), (seed, a, draw)
+    if spec.recipe == "gruss":
+        draw = _draw_gruss(rng, d, n, weights_mode, normal)
+        subs = [(draw, 1, functools.partial(_gaussians, shape=(n,)))] if normal else []
+    else:
+        draw = [_sub_seed(rng), _sub_seed(rng)]
+        side = functools.partial(_draw_side, d=d, n=n, weights_mode=weights_mode, normal=normal)
+        subs = [(draw, 0, side), (draw, 1, side)]
+    return (d, n), (seed, a, draw), subs
+
+
+def _build_drawn(spec: CheckSpec, trials, drop, contraction: float) -> list[CheckInstance]:
+    """Each drawn trial's instance; the work after the draws runs once per
+    same-shape group."""
+    normal, target = _recipe(spec, drop, contraction)
+    groups: dict[tuple, list] = {}
+    for k, (shape, trial) in enumerate(trials):
+        groups.setdefault(shape, []).append((k, trial))
+    built = {}
+    for (d, _), members in groups.items():
+        ks, group = zip(*members)
+        seeds, a, draws = zip(*group)
+        a = complex_normals(np.array(a), 1) if "a" in spec.operands else a
+        built.update(zip(ks, _gruss_group(spec, d, seeds, a, draws, normal, drop)
+                         if spec.recipe == "gruss"
+                         else _pair_group(spec, seeds, a, draws, normal, target, drop)))
+    return [built[k] for k in range(len(trials))]
 
 
 def _pair_group(spec: CheckSpec, seeds, a, draws, normal: bool, target,
@@ -479,21 +629,30 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     return [out[k] for k in range(len(insts))]
 
 
-def run_trials(check: str, seeds, tol: ToleranceConfig, points, **draw) -> list[tuple]:
-    """Per seed, its instance or build OpineqError, and its report or OpineqError at
-    each of ``points`` (none after a build error): one :func:`build_group` with
-    options ``draw``, seed by seed if it raises, then :func:`evaluate_each`."""
+def run_trials(window, tol: ToleranceConfig, **draw) -> list[list[tuple]]:
+    """Per (check, seeds, points) segment of ``window``, per seed, its
+    instance or build OpineqError, and its report or OpineqError at each of
+    the segment's points (none after a build error): one
+    :func:`build_window` with options ``draw``, seed by seed if it raises,
+    then :func:`evaluate_each` per segment."""
     try:
-        built = build_group(check, seeds, **draw)
+        built = build_window([(check, seeds) for check, seeds, _ in window], **draw)
     except OpineqError:
-        built = []
-        for seed in seeds:
-            try:
-                built += build_group(check, (seed,), **draw)
-            except OpineqError as exc:
-                built.append(exc)
-    rows = iter(evaluate_each([i for i in built if isinstance(i, CheckInstance)], tol, points))
-    return [(inst, next(rows) if isinstance(inst, CheckInstance) else []) for inst in built]
+        built = [[_built_alone(check, seed, draw) for seed in seeds] for check, seeds, _ in window]
+    out = []
+    for (_, _, points), insts in zip(window, built):
+        rows = iter(evaluate_each([i for i in insts if isinstance(i, CheckInstance)], tol, points))
+        out.append([(inst, next(rows) if isinstance(inst, CheckInstance) else [])
+                    for inst in insts])
+    return out
+
+
+def _built_alone(check: str, seed: int, draw: dict):
+    """The seed's instance, or the OpineqError its build raises."""
+    try:
+        return build_group(check, (seed,), **draw)[0]
+    except OpineqError as exc:
+        return exc
 
 
 def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:

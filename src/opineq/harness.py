@@ -1,9 +1,10 @@
 """Batch verification runner and counterexample search.
 
-The runner derives per-trial seeds from a master seed, passes them in
-chunks to :func:`opineq.generators.run_trials`, which builds and
-evaluates them at each point :meth:`RunConfig.points` gives for the
-check's grid axis, and writes one JSON object per report line, in trial
+The runner derives per-trial seeds from a master seed, a window of
+trials at a time, passes each window to
+:func:`opineq.generators.run_trials`, which builds and evaluates its
+trials at each point :meth:`RunConfig.points` gives for their check's
+grid axis, and writes one JSON object per report line, in trial
 order, to the writer it is given.  Instances and reports are bit for bit what each trial gives
 alone, so grouping never shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
@@ -15,6 +16,7 @@ tolerance.  Search scores one candidate at a time through
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -25,11 +27,12 @@ from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_d
 from .core import DEFAULT_TOL, ToleranceConfig, as_integer, as_seed
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, check_shape, evaluate_instance, run_trials, trial_seed,
+    CheckInstance, InstanceDraw, check_shape, evaluate_instance, run_trials, trial_seeds,
 )
 
-# Trials built as one group, then evaluated and written; output does not
-# depend on it: an instance or report is the same alone or in any group.
+# (check, index) pairs seeded and built as one window, then evaluated and
+# written; output does not depend on it: an instance or report is the same
+# alone or in any window or group.
 GROUP_TRIALS = 64
 
 _ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds one per call
@@ -126,38 +129,56 @@ def _error_line(check: str, inst: CheckInstance | None, seed: int,
 def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
-    The trial seeds go :data:`GROUP_TRIALS` at a time through
-    :func:`run_trials`, which builds and evaluates them; their lines are
-    written in trial order.  Evaluation alone enforces the check's
-    hypotheses, so a violation is one error line per grid point; a build
-    error is one error line without an instance.
+    The (check, index) pairs go a window (:func:`_windows`) at a time
+    through :func:`trial_seeds` and :func:`run_trials`, which builds and
+    evaluates them; their lines are written in trial order.  Evaluation
+    alone enforces the check's hypotheses, so a violation is one error line
+    per grid point; a build error is one error line without an instance.
 
     Each report is written to ``writer``, any object with a ``write``
     method, as one sorted-key JSON line; without one, nothing is written.
     """
     summary = SuiteSummary()
-    for check in cfg.checks:
-        spec = check_spec(check)
-        points = cfg.points(spec.grid)
-        for start in range(0, cfg.trials, GROUP_TRIALS):
-            seeds = [trial_seed(cfg.seed, check, index)
-                     for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
-            trials = run_trials(check, seeds, cfg.tolerances, points, dim=cfg.dim,
-                                length=cfg.length, weights_mode=cfg.weights_mode)
-            for seed, (inst, row) in zip(seeds, trials):
+    for window in _windows(cfg):
+        segments = []
+        for check, members in itertools.groupby(zip(window, trial_seeds(cfg.seed, window)),
+                                                key=lambda member: member[0][0]):
+            segments.append((check, [seed for _, seed in members],
+                             cfg.points(check_spec(check).grid)))
+        trials = run_trials(segments, cfg.tolerances, dim=cfg.dim, length=cfg.length,
+                            weights_mode=cfg.weights_mode)
+        for (check, seeds, points), segment in zip(segments, trials):
+            axis = GRIDS[check_spec(check).grid]
+            for seed, (inst, row) in zip(seeds, segment):
                 if not isinstance(inst, CheckInstance):
                     summary.record(check, "error", None)
                     _emit(writer, _error_line(check, None, seed, inst))
                 for point, rep in zip(points, row):
                     if isinstance(rep, OpineqError):
                         summary.record(check, "error", None)
-                        extra = GRIDS[spec.grid].params(point)
-                        _emit(writer, _error_line(check, inst, seed, rep, extra))
+                        _emit(writer, _error_line(check, inst, seed, rep, axis.params(point)))
                         continue
                     summary.record(check, "pass" if rep.holds else "fail",
                                    rep.margin / rep.scale)
                     _emit(writer, rep.to_json_dict())
     return summary
+
+
+def _windows(cfg: RunConfig):
+    """The run's (check, index) pairs, check by check, in windows of at most
+    :data:`GROUP_TRIALS`.  A window holds whole chunks of a check's trials,
+    :data:`GROUP_TRIALS` at a time, so it splits a check's trials only where
+    a chunk ends, and each check is built and evaluated in those chunks."""
+    window = []
+    for check in cfg.checks:
+        for start in range(0, cfg.trials, GROUP_TRIALS):
+            chunk = [(check, index)
+                     for index in range(start, min(start + GROUP_TRIALS, cfg.trials))]
+            if len(window) + len(chunk) > GROUP_TRIALS:
+                yield window
+                window = []
+            window += chunk
+    yield window
 
 
 def _emit(writer, obj: dict) -> None:
@@ -198,6 +219,18 @@ class _SearchState:
         return out
 
 
+def search_options(check: str, drop: tuple[str, ...] = (), budget: int = 1000, seed: int = 0,
+                   dim: int | None = None, length: int | None = None) -> tuple:
+    """(drop, budget, seed) as :func:`search_counterexample` runs them;
+    UnknownCheck or InvalidSpec unless every option is valid."""
+    if check not in SEARCHABLE:
+        raise UnknownCheck(f"search does not support {check!r}")
+    if (budget := as_integer("budget", budget)) < 1:
+        raise InvalidSpec(f"budget must be >= 1, got {budget}")
+    check_shape(dim, length)
+    return validate_drop(drop), budget, as_seed("seed", seed)
+
+
 def search_counterexample(check: str, drop: tuple[str, ...] = (),
                           budget: int = 1000, seed: int = 0,
                           dim: int | None = None, length: int | None = None) -> SearchResult:
@@ -209,13 +242,8 @@ def search_counterexample(check: str, drop: tuple[str, ...] = (),
     and are rejected.  The result records the smallest margin seen; it
     never claims that no counterexample exists.
     """
-    if check not in SEARCHABLE:
-        raise UnknownCheck(f"search does not support {check!r}")
-    if (budget := as_integer("budget", budget)) < 1:
-        raise InvalidSpec(f"budget must be >= 1, got {budget}")
-    check_shape(dim, length)
-    drop = validate_drop(drop)
-    rng = np.random.default_rng(as_seed("seed", seed))
+    drop, budget, seed = search_options(check, drop, budget, seed, dim, length)
+    rng = np.random.default_rng(seed)
     best: tuple[float, InequalityReport, CheckInstance] | None = None
     evals = 0
     block = max(40, budget // 8)

@@ -23,6 +23,7 @@ from opineq.generators import (
     instance_from_json,
     run_trials,
     trial_seed,
+    trial_seeds,
 )
 from opineq.harness import (
     GROUP_TRIALS,
@@ -78,8 +79,9 @@ def _trials(check, tag, count, points=((),)):
     run_trials, the path a run takes; any build or evaluation error re-raised."""
     out = []
     for start in range(0, count, GROUP_TRIALS):
-        seeds = [trial_seed(MASTER, tag, i) for i in range(start, min(start + GROUP_TRIALS, count))]
-        for inst, reps in run_trials(check, seeds, DEFAULT_TOL, points):
+        seeds = trial_seeds(MASTER, [(tag, i)
+                                     for i in range(start, min(start + GROUP_TRIALS, count))])
+        for inst, reps in run_trials([(check, seeds, points)], DEFAULT_TOL)[0]:
             for rep in (inst, *reps):
                 if isinstance(rep, OpineqError):
                     raise rep

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from opineq import harness
 from opineq.checks import CHECK_SPECS
 from opineq.cli import _build_parser, cli_main
 from opineq.generators import (
@@ -90,6 +91,23 @@ def test_search_writes_replayable_instance(tmp_path, capsys):
     assert (replay_code == 0) == obj["holds"]
     rep = evaluate_instance(inst)
     assert obj["margin"] == pytest.approx(rep.margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/w.json"])
+def test_search_opens_its_out_before_the_first_evaluation(out, monkeypatch, tmp_path, capsys):
+    """As verify's: a path that cannot be opened is one "cannot open" line and
+    exit 1 before any of a large budget is spent."""
+    def evaluated(*args, **kwargs):
+        raise AssertionError("search evaluated before opening --out")
+
+    monkeypatch.setattr(harness, "evaluate_instance", evaluated)
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / out)
+    assert cli_main(["search", "--check", "check_cs", "--budget", "1000000",
+                     "--out", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: cannot open {path!r}: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_replay_reproduces_saved_margin(tmp_path, capsys):

@@ -128,9 +128,9 @@ def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
     def spoil(inst):
         return generic if spoiled and inst.seed == bad else inst
 
-    original = generators.build_group
-    monkeypatch.setattr(generators, "build_group", lambda check, seeds, **kw: [
-        spoil(inst) for inst in original(check, seeds, **kw)])
+    original = generators.build_window
+    monkeypatch.setattr(generators, "build_window", lambda segments, **kw: [
+        [spoil(inst) for inst in built] for built in original(segments, **kw)])
     calls = []
     normality = checks.HYPOTHESES["normality"]
 
@@ -229,11 +229,11 @@ def _first_errors(monkeypatch, spoil) -> list[str]:
     record(checks.check_gruss, inst.x, inst.y, inst.a, inst.e, inst.ball)
     record(evaluate_instance, inst)
     record(evaluate_group, [inst])
-    original = generators.build_group
+    original = generators.build_window
     lines = io.StringIO()
     with monkeypatch.context() as patch:
-        patch.setattr(generators, "build_group", lambda check, seeds, **kw: [
-            spoil(inst) for inst in original(check, seeds, **kw)])
+        patch.setattr(generators, "build_window", lambda segments, **kw: [
+            [spoil(inst) for inst in built] for built in original(segments, **kw)])
         run_suite(cfg, lines)
     out.append(json.loads(lines.getvalue())["params"]["error"])
     with pytest.raises(InvalidSpec) as info:

@@ -76,7 +76,8 @@ def test_a_build_error_stays_with_its_trial(monkeypatch):
 def test_run_trials_gives_each_seed_of_a_failed_group_build_its_own_error(monkeypatch):
     seeds = [trial_seed(6, "check_alpha", index) for index in range(5)]
     points = ((0.5,), (2.0,))
-    clean = run_trials("check_alpha", seeds, DEFAULT_TOL, points, dim=3, length=2)
+    window = [("check_alpha", seeds, points)]
+    clean = run_trials(window, DEFAULT_TOL, dim=3, length=2)[0]
     original = generators._draw
 
     def draw(spec, seed, *args):
@@ -85,7 +86,7 @@ def test_run_trials_gives_each_seed_of_a_failed_group_build_its_own_error(monkey
         return original(spec, seed, *args)
 
     monkeypatch.setattr(generators, "_draw", draw)
-    trials = run_trials("check_alpha", seeds, DEFAULT_TOL, points, dim=3, length=2)
+    trials = run_trials(window, DEFAULT_TOL, dim=3, length=2)[0]
     for k, ((inst, row), (want, want_row)) in enumerate(zip(trials, clean)):
         if k in (1, 3):
             assert str(inst) == f"spoiled draw {seeds[k]}" and row == []

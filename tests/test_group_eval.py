@@ -77,16 +77,17 @@ def test_an_error_stays_with_its_trial(monkeypatch):
     clean = io.StringIO()
     run_suite(cfg, clean)
     spoiled_seed = trial_seed(cfg.seed, "check_uin", 2)
-    original = generators.build_group
+    original = generators.build_window
 
-    def build(check, seeds, **kwargs):
-        def spoiled(seed):
-            generic = original(check, [seed], drop=("normality",), **kwargs)[0]
+    def build(segments, **kwargs):
+        def spoiled(check, seed):
+            generic = original([(check, [seed])], drop=("normality",), **kwargs)[0][0]
             return dataclasses.replace(generic, drop=())
-        insts = original(check, seeds, **kwargs)
-        return [spoiled(seed) if seed == spoiled_seed else inst for seed, inst in zip(seeds, insts)]
+        return [[spoiled(check, seed) if seed == spoiled_seed else inst
+                 for seed, inst in zip(seeds, insts)]
+                for (check, seeds), insts in zip(segments, original(segments, **kwargs))]
 
-    monkeypatch.setattr(generators, "build_group", build)
+    monkeypatch.setattr(generators, "build_window", build)
     out = io.StringIO()
     summary = run_suite(cfg, out)
     lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()
