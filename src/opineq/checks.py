@@ -63,11 +63,9 @@ class CheckSpec(NamedTuple):
     """One verified statement.  ``name`` is its ``check_*`` function here,
     looked up at call time.  After x and y the function takes the
     ``operands`` ("a"; "e", an element; "ball" = (m, M, p, P)) and
-    then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` draws x
-    and y: "pair", "unit_pair" (norm 1), "contractive_pair" (norm at the
-    contraction target) or "gruss" (ball points around a unit reference);
-    ``kind`` is the element kind its reports record, and ``kernel`` its
-    numerics over a :class:`Batch`, one row per report."""
+    then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` keys its
+    row of :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
+    reports record, and ``kernel`` its numerics over a :class:`Batch`, one row per report."""
 
     name: str
     anchor: str

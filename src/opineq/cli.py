@@ -102,13 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    tolerances = DEFAULT_TOL
-    if args.tol is not None:
-        tolerances = ToleranceConfig(tol_rel=args.tol)
     cfg = RunConfig(
         trials=args.trials,
         checks=_parse_checks(args.checks),
-        tolerances=tolerances,
+        tolerances=DEFAULT_TOL if args.tol is None else ToleranceConfig(tol_rel=args.tol),
         grids=_parse_grids(args),
         seed=args.seed,
         dim=args.dim,

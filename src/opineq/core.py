@@ -28,6 +28,13 @@ CLAMP = 1e-12
 _SQRT2 = math.sqrt(2)
 
 
+def is_real(v) -> bool:
+    """Whether v is a float, or an int (not a bool) small enough for float()."""
+    return isinstance(v, (float, np.floating)) or (
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """The one tolerance a run chooses: ``tol_rel``, relative, decides
@@ -37,20 +44,11 @@ class ToleranceConfig:
     tol_rel: float = 1e-8
 
     def __post_init__(self) -> None:
-        if not self.tol_rel >= 0:
-            raise InvalidSpec("tolerances must be nonnegative")
-        if not math.isfinite(self.tol_rel):
-            raise InvalidSpec("tolerances must be finite")
+        if not (is_real(self.tol_rel) and 0 <= self.tol_rel < math.inf):
+            raise InvalidSpec(f"tol_rel must be a finite nonnegative number, got {self.tol_rel!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def is_real(v) -> bool:
-    """Whether v is a float, or an int (not a bool) small enough for float()."""
-    return isinstance(v, (float, np.floating)) or (
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-        and abs(v) <= sys.float_info.max)
 
 
 def as_integer(tag: str, v) -> int:

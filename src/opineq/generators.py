@@ -1,6 +1,7 @@
 """Seeded instance generators and replayable instance containers.
 
-Every random instance entry in the package is drawn in this module.
+Every random instance entry in the package is drawn in this module, by
+its check's recipe row in :data:`RECIPES`.
 :func:`build_window` draws each trial from its own 64-bit seed's stream,
 numpy's ``default_rng(seed)``, seeding a window's streams in stacked
 passes (:func:`pcg64_states`), and builds each same-shape group of a
@@ -24,7 +25,7 @@ from __future__ import annotations
 import functools
 import zlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .checks import (  # CHECK_NAMES is re-exported
 from .core import (
     DEFAULT_TOL, ToleranceConfig, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
 )
-from .errors import InvalidSpec, OpineqError
+from .errors import InvalidSpec, OpineqError, UnknownCheck
 from .hmodule import (
     ModuleContext, ModuleElement, Stack, _same_ctx, element_from_json, element_to_json,
     matrix_from_json, matrix_to_json,
@@ -363,18 +364,18 @@ def _draw_gruss(rng: np.random.Generator, d: int, n: int, weights_mode: str, sca
     """The gruss draws in stream order, raw: weights; if ``scalar`` the seed
     of the sub-stream e's n scalars come from, else e's n matrices; the
     Gaussian of x and y's one frame if ``scalar``; the balls (m, M, p, P);
-    per ball point, parts, shrink."""
+    per ball point, parts, shrink.  Then, if ``scalar``, e's sub-stream."""
     weights = _draw_weights(rng, n, weights_mode)
     e = _sub_seed(rng) if scalar else _gaussians(rng, (d, d), n)
     frame = _gaussians(rng, (d, d)) if scalar else None
     ball = tuple(float(v) for _ in range(2) for v in sorted(rng.normal(0.0, 1.0, 2)))
     points = [(_gaussians(rng, (d,) if scalar else (d, d), n), rng.uniform(0.0, 0.95))
               for _ in range(2)]
-    return [weights, e, frame, ball, points]
+    draw = [weights, e, frame, ball, points]
+    return draw, [(draw, 1, functools.partial(_gaussians, shape=(n,)))] if scalar else []
 
 
-def _gruss_group(spec: CheckSpec, d: int, seeds, a, draws, scalar: bool,
-                 drop) -> list[CheckInstance]:
+def _gruss_group(spec: CheckSpec, d: int, seeds, a, draws, scalar: bool, target, drop):
     """Per trial, a unit reference e (scalar, else a right-normalized draw) and
     x, y strictly inside the balls [lo e, hi e] (in one frame if ``scalar``)."""
     weights, e, frames, balls, points = zip(*draws)
@@ -397,16 +398,6 @@ def _gruss_group(spec: CheckSpec, d: int, seeds, a, draws, scalar: bool,
             for k, (seed, ak, ek) in enumerate(zip(seeds, a, ModuleElement.rows(ctxs, e)))]
 
 
-def _recipe(spec: CheckSpec, drop, contraction: float = DEFAULT_CONTRACTION):
-    """(normal, target): x and y are drawn in unitary frames when normality
-    is enforced, and rescaled to module norm ``target``: none for "pair",
-    1 for "unit_pair" or once contraction is dropped, else ``contraction``."""
-    target = None
-    if spec.recipe != "pair":
-        target = 1.0 if spec.recipe == "unit_pair" or "contraction" in drop else contraction
-    return "normality" in spec.enforced(drop), target
-
-
 class InstanceDraw(NamedTuple):
     """Free parameters of one pair-recipe instance: ``px``/``py`` are the
     parts of x and y, or their diagonals in the unitary ``frames`` (ux, uy).
@@ -426,13 +417,17 @@ class InstanceDraw(NamedTuple):
     @classmethod
     def for_search(cls, check: str, rng: np.random.Generator, dim: int, length: int,
                    drop: tuple[str, ...]) -> "InstanceDraw":
-        """A search restart: random weights, both frames, px, py, then a."""
+        """A search restart of a check whose recipe row searches this class
+        (UnknownCheck for any other): random weights, both frames, px, py, then a."""
         spec = check_spec(check)
-        normal, target = _recipe(spec, drop)
+        if (row := RECIPES[spec.recipe]).search is not cls:
+            raise UnknownCheck(f"search does not support {check!r}")
+        normal = "normality" in spec.enforced(drop)
         weights = _draw_weights(rng, length, "random")
         frames = tuple(_haars(_cgauss(rng, (dim, dim), 2))) if normal else (None, None)
         px, py = _cgauss(rng, (length, dim) if normal else (length, dim, dim), 2)
         a = _cgauss(rng, (dim, dim))[0] if "a" in spec.operands else None
+        target = row.target_for(DEFAULT_CONTRACTION, drop)
         return cls(check, weights, px, py, frames, a, target, drop=drop)
 
     def perturbed(self, rng: np.random.Generator, sigma: float) -> "InstanceDraw":
@@ -470,15 +465,10 @@ def build_window(segments, *, dim: int | None = None, length: int | None = None,
     _check_options(dim, length, weights_mode, contraction)
     drop = validate_drop(drop)
     seeds = [[as_seed("seed", seed) for seed in group] for _, group in segments]
-    drawn, subs = [], []
     parents = _streams([seed for group in seeds for seed in group])
-    for spec, group in zip(specs, seeds):
-        normal = _recipe(spec, drop, contraction)[0]
-        drawn.append([])
-        for seed, rng in zip(group, parents):
-            shape, trial, trial_subs = _draw(spec, seed, rng, dim, length, weights_mode, normal)
-            drawn[-1].append((shape, trial))
-            subs += trial_subs
+    drawn = [[_draw(spec, seed, rng, dim, length, weights_mode, drop)
+              for seed, rng in zip(group, parents)] for spec, group in zip(specs, seeds)]
+    subs = [sub for trials in drawn for *_, trial_subs in trials for sub in trial_subs]
     for (draws, slot, drawer), rng in zip(subs, _streams([d[slot] for d, slot, _ in subs])):
         draws[slot] = drawer(rng)
     return [_build_drawn(spec, trials, drop, contraction) for spec, trials in zip(specs, drawn)]
@@ -492,45 +482,41 @@ def build_group(check: str, seeds, **options) -> list[CheckInstance]:
 
 
 def _draw(spec: CheckSpec, seed: int, rng: np.random.Generator, dim: int | None,
-          length: int | None, weights_mode: str, normal: bool):
-    """((d, n), (seed, a, the recipe's draws), sub-streams) of one trial, from
-    ``rng`` set to its stream: d and n unless given, a (raw), then the gruss
-    draws or the seeds of x's and y's sides.  A sub-stream (draws, slot,
-    drawer) is a slot that holds its seed until ``drawer``, on its stream,
-    replaces it."""
+          length: int | None, weights_mode: str, drop):
+    """((d, n), (seed, a, draws), sub-streams) of one trial from ``rng`` on its
+    stream: d and n unless given, a (raw), then its recipe row's ``draw``.  In a
+    sub-stream (draws, slot, drawer), the slot holds its seed until ``drawer`` fills it."""
     d = int(dim) if dim is not None else int(rng.integers(1, 7))
     n = int(length) if length is not None else int(rng.integers(1, 5))
     a = _gaussians(rng, (d, d))[0] if "a" in spec.operands else None
-    if spec.recipe == "gruss":
-        draw = _draw_gruss(rng, d, n, weights_mode, normal)
-        subs = [(draw, 1, functools.partial(_gaussians, shape=(n,)))] if normal else []
-    else:
-        draw = [_sub_seed(rng), _sub_seed(rng)]
-        side = functools.partial(_draw_side, d=d, n=n, weights_mode=weights_mode, normal=normal)
-        subs = [(draw, 0, side), (draw, 1, side)]
+    draw, subs = RECIPES[spec.recipe].draw(rng, d, n, weights_mode,
+                                           "normality" in spec.enforced(drop))
     return (d, n), (seed, a, draw), subs
 
 
+def _draw_pair(rng: np.random.Generator, d: int, n: int, weights_mode: str, normal: bool):
+    """The seeds of x's and y's sides, each drawn on its sub-stream by :func:`_draw_side`."""
+    draw = [_sub_seed(rng), _sub_seed(rng)]
+    side = functools.partial(_draw_side, d=d, n=n, weights_mode=weights_mode, normal=normal)
+    return draw, [(draw, 0, side), (draw, 1, side)]
+
+
 def _build_drawn(spec: CheckSpec, trials, drop, contraction: float) -> list[CheckInstance]:
-    """Each drawn trial's instance; the work after the draws runs once per
-    same-shape group."""
-    normal, target = _recipe(spec, drop, contraction)
+    """Each drawn trial's instance, its recipe row's ``build`` run per same-shape group."""
+    row = RECIPES[spec.recipe]
+    normal, target = "normality" in spec.enforced(drop), row.target_for(contraction, drop)
     groups: dict[tuple, list] = {}
-    for k, (shape, trial) in enumerate(trials):
-        groups.setdefault(shape, []).append((k, trial))
+    for k, (shape, trial, _) in enumerate(trials):
+        groups.setdefault(shape, []).append((k, *trial))
     built = {}
     for (d, _), members in groups.items():
-        ks, group = zip(*members)
-        seeds, a, draws = zip(*group)
+        ks, seeds, a, draws = zip(*members)
         a = complex_normals(np.array(a), 1) if "a" in spec.operands else a
-        built.update(zip(ks, _gruss_group(spec, d, seeds, a, draws, normal, drop)
-                         if spec.recipe == "gruss"
-                         else _pair_group(spec, seeds, a, draws, normal, target, drop)))
+        built.update(zip(ks, row.build(spec, d, seeds, a, draws, normal, target, drop)))
     return [built[k] for k in range(len(trials))]
 
 
-def _pair_group(spec: CheckSpec, seeds, a, draws, normal: bool, target,
-                drop) -> list[CheckInstance]:
+def _pair_group(spec: CheckSpec, d: int, seeds, a, draws, normal: bool, target, drop):
     """Each trial's sides as one draw (y's weights drawn, then discarded)."""
     kind = "generic" if "normality" in drop else spec.kind
     p = complex_normals(np.array([[side[2] for side in sides] for sides in draws]), 3)
@@ -542,19 +528,41 @@ def _pair_group(spec: CheckSpec, seeds, a, draws, normal: bool, target,
         for seed, ak, (sx, _), pk, f in zip(seeds, a, draws, p, frames)])
 
 
-def build_instance(check: str, seed: int, *, dim: int | None = None,
-                   length: int | None = None, weights_mode: str = "random",
-                   contraction: float = DEFAULT_CONTRACTION,
-                   drop: tuple[str, ...] = ()) -> CheckInstance:
-    """Materialize a random instance satisfying the check's hypotheses.
+class Recipe(NamedTuple):
+    """How a check's instances are drawn and built: x and y's module norm
+    ``target``, a trial's ``draw`` from its stream and sub-streams, a same-shape
+    group's ``build``, and the ``search`` draw class (none: not searched)."""
 
-    The check's registry row picks the recipe.  ``drop`` removes the named
-    hypotheses from the construction (normality falls back to generic
-    draws, contraction rescales to the unit sphere); the instance records
-    the dropped set so evaluation skips enforcing just those.
+    target: float | str | None
+    draw: Callable
+    build: Callable
+    search: type | None
+
+    def target_for(self, contraction: float, drop) -> float | None:
+        """None: as drawn; "contraction": the run's ``contraction``, 1 once dropped."""
+        if self.target == "contraction":
+            return 1.0 if "contraction" in drop else contraction
+        return self.target
+
+
+RECIPES = {  # by CheckSpec.recipe; x and y are drawn in unitary frames while normality is enforced
+    "pair": Recipe(None, _draw_pair, _pair_group, InstanceDraw),
+    "unit_pair": Recipe(1.0, _draw_pair, _pair_group, InstanceDraw),
+    "contractive_pair": Recipe("contraction", _draw_pair, _pair_group, InstanceDraw),
+    "gruss": Recipe(None, _draw_gruss, _gruss_group, None),  # ball points around a unit e
+}
+
+
+def build_instance(check: str, seed: int, **options) -> CheckInstance:
+    """Materialize a random instance satisfying the check's hypotheses, by
+    its recipe row, with :func:`build_window`'s options.
+
+    ``drop`` removes the named hypotheses from the construction (normality
+    falls back to generic draws, contraction rescales to the unit sphere);
+    the instance records the dropped set so evaluation skips enforcing just
+    those.
     """
-    return build_group(check, (seed,), dim=dim, length=length, weights_mode=weights_mode,
-                       contraction=contraction, drop=drop)[0]
+    return build_group(check, (seed,), **options)[0]
 
 
 def _point(spec: CheckSpec, params: dict) -> tuple:

@@ -27,7 +27,8 @@ from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_d
 from .core import DEFAULT_TOL, ToleranceConfig, as_integer, as_seed
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
-    CheckInstance, InstanceDraw, check_shape, evaluate_instance, run_trials, trial_seeds,
+    DEFAULT_CONTRACTION, RECIPES, CheckInstance, InstanceDraw, _check_options, check_shape,
+    evaluate_instance, run_trials, trial_seeds,
 )
 
 # (check, index) pairs seeded and built as one window, then evaluated and
@@ -78,7 +79,9 @@ class RunConfig:
             for k, point in enumerate(params):
                 if point in params[:k]:
                     raise InvalidSpec(f"grid point {point} is given twice")
-        check_shape(self.dim, self.length)
+        if not isinstance(self.tolerances, ToleranceConfig):
+            raise InvalidSpec(f"tolerances must be a ToleranceConfig, got {self.tolerances!r}")
+        _check_options(self.dim, self.length, self.weights_mode, DEFAULT_CONTRACTION)
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
         """The grid points the run evaluates a check of this axis at."""
@@ -193,8 +196,7 @@ def _emit(writer, obj: dict) -> None:
 # ---------------------------------------------------------------------------
 # counterexample search
 
-# Search climbs an InstanceDraw, which draws every recipe but the gruss balls.
-SEARCHABLE = tuple(name for name, spec in CHECK_SPECS.items() if spec.recipe != "gruss")
+SEARCHABLE = tuple(name for name, spec in CHECK_SPECS.items() if RECIPES[spec.recipe].search)
 
 _SIGMAS = (0.5, 0.1, 0.02)
 

@@ -20,7 +20,7 @@ from opineq.core import (
     psd_power,
     require_hermitians,
 )
-from opineq.errors import DimMismatch, NotHermitian, NotPSD, SingularNegativePower
+from opineq.errors import DimMismatch, InvalidSpec, NotHermitian, NotPSD, SingularNegativePower
 from opineq.reference import psd_order_leq
 
 RNG = np.random.default_rng(20260301)
@@ -205,6 +205,19 @@ def test_psd_order_known_pairs():
 def test_op_norm_matches_svd():
     m = _cg(5)
     assert op_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("value", ["1e-8", None, 10**400, True, np.nan, -1.0, np.inf, [1e-8]],
+                         ids=["str", "none", "huge-int", "bool", "nan", "negative", "inf", "list"])
+def test_tolerance_config_applies_the_number_rule(value):
+    with pytest.raises(InvalidSpec) as info:
+        ToleranceConfig(value)
+    assert str(info.value) == f"tol_rel must be a finite nonnegative number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [0, 0.0, 1e-8, np.float64(1e-3), np.int64(1)])
+def test_tolerance_config_accepts_finite_nonnegative_numbers(value):
+    assert ToleranceConfig(value).tol_rel == value
 
 
 @pytest.mark.parametrize("field", ["tol_rel"])

@@ -247,6 +247,18 @@ def test_run_config_validation():
         RunConfig(trials=1, checks=("check_cs",), grids={"alpha": ((-1.0,),)})
 
 
+def test_run_config_applies_the_draw_options_rule():
+    # the rule build_window applies, so a bad weights mode is refused before any trial
+    with pytest.raises(InvalidSpec, match="unknown weights mode 'bogus'"):
+        RunConfig(trials=2, seed=1, checks=("check_cs", "check_uin"), weights_mode="bogus")
+
+
+@pytest.mark.parametrize("tolerances", [1e-8, None, "1e-8", {"tol_rel": 1e-8}])
+def test_run_config_refuses_tolerances_that_are_not_a_tolerance_config(tolerances):
+    with pytest.raises(InvalidSpec, match="tolerances must be a ToleranceConfig"):
+        RunConfig(trials=1, checks=("check_cs",), tolerances=tolerances)
+
+
 @pytest.mark.parametrize("checks", [("check_cs", "check_cs"),
                                     ["check_uin", "check_cs", "check_uin"]])
 def test_a_run_refuses_a_check_named_twice(checks):

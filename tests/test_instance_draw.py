@@ -9,7 +9,7 @@ import pytest
 
 from opineq import generators
 from opineq.checks import CHECK_SPECS, validate_drop
-from opineq.errors import InvalidSpec
+from opineq.errors import InvalidSpec, UnknownCheck
 from opineq.generators import (
     InstanceDraw, build_instance, evaluate_instance, instance_from_json,
 )
@@ -48,6 +48,14 @@ def test_search_materializes_one_draw_per_evaluation(materialize_calls):
     result = search_counterexample("check_naopaka", drop=("normality",), budget=20, seed=1)
     assert result.evaluations == 20
     assert materialize_calls == ["check_naopaka"] * 20
+
+
+def test_search_draw_refuses_a_recipe_without_one():
+    rng = np.random.default_rng(0)
+    with pytest.raises(UnknownCheck, match="search does not support 'check_gruss'"):
+        InstanceDraw.for_search("check_gruss", rng, 2, 2, ())
+    with pytest.raises(UnknownCheck, match="no check named 'check_nope'"):
+        InstanceDraw.for_search("check_nope", rng, 2, 2, ())
 
 
 def test_perturbed_draw_moves_one_field_and_keeps_the_rest():

@@ -13,7 +13,9 @@ from opineq.checks import (
     CHECK_ANCHORS, CHECK_NAMES, CHECK_SPECS, GRIDS, HYPOTHESES, Batch, validate_pqr,
 )
 from opineq.errors import BadExponents, InvalidSpec, NotContractive, NotNormal
-from opineq.generators import InstanceDraw, assert_hypotheses, build_instance, evaluate_instance
+from opineq.generators import (
+    RECIPES, InstanceDraw, assert_hypotheses, build_instance, evaluate_instance,
+)
 from opineq.harness import SEARCHABLE, RunConfig, search_counterexample
 from opineq.hmodule import ModuleElement, is_normal, module_norm
 from opineq.transformer import ElementaryOperator, vectorize
@@ -32,6 +34,25 @@ def test_registry_rows_match_their_functions():
         positional = [p for p, v in params.items() if v.kind is v.POSITIONAL_OR_KEYWORD]
         assert positional == ["x", "y", *spec.operands, *grid_args[spec.grid]], name
         assert ("drop" in params) == bool(spec.hypotheses), name
+
+
+def test_every_recipe_is_a_used_row():
+    assert {spec.recipe for spec in CHECK_SPECS.values()} == set(RECIPES)
+
+
+def test_searchable_checks_are_those_whose_row_has_a_search_draw():
+    assert set(SEARCHABLE) == {name for name, spec in CHECK_SPECS.items()
+                               if RECIPES[spec.recipe].search is not None}
+    assert all(RECIPES[CHECK_SPECS[name].recipe].search is InstanceDraw for name in SEARCHABLE)
+
+
+def test_the_build_reads_the_recipe_row(monkeypatch):
+    assert module_norm(build_instance("check_interp", 3, dim=2, length=2).x) \
+        == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setitem(RECIPES, "unit_pair", RECIPES["unit_pair"]._replace(target=0.5))
+    inst = build_instance("check_interp", 3, dim=2, length=2)
+    assert module_norm(inst.x) == pytest.approx(0.5, abs=1e-12)
+    assert module_norm(inst.y) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_recorded_kinds():
