@@ -11,8 +11,8 @@ Hilbert-Schmidt value recorded as a redundant spot check.
 Each check has one numeric implementation, the kernel its
 :data:`CHECK_SPECS` row names, which evaluates a :class:`Batch`:
 same-shape instances, each at the same grid points, as one stack.
-:func:`require_preconditions` enforces its preconditions, and
-:func:`run_batch` runs the kernel and assembles the reports.  A
+:func:`run_batch` enforces its preconditions (:func:`require_preconditions`),
+then runs the kernel and assembles the reports.  A
 ``check_*`` function is a batch of one instance at one point (its
 ``drop`` names hypotheses not to enforce), and a run evaluates a group
 of trials as one batch; since every stacked operation treats each
@@ -555,8 +555,8 @@ CHECK_ANCHORS = {name: spec.anchor for name, spec in CHECK_SPECS.items()}
 def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Raise for the first precondition of the batch's check it breaks, in this
     order: the unit reference (if ``b.e`` is set), the row's hypotheses minus
-    ``b.drop`` (:func:`validate_drop`), the ball (if ``b.balls`` is set).  Every
-    route calls this, after :meth:`Batch.of` has checked the operands and points."""
+    ``b.drop`` (:func:`validate_drop`), the ball (if ``b.balls`` is set), after
+    :meth:`Batch.of` has checked the operands and points: :func:`run_batch` runs it first."""
     if b.e is not None:
         require_units(b.e, tol)
     for hypothesis in CHECK_SPECS[b.name].enforced(validate_drop(b.drop)):
@@ -566,10 +566,11 @@ def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> None:
 
 
 def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityReport]:
-    """Every report of a batch whose preconditions hold: run its check's
-    kernel and assemble.  A report's instance is built in one merge: the
+    """Every report of a batch: :func:`require_preconditions`, then its check's
+    kernel, then assembly.  A report's instance is built in one merge: the
     batch's shape, then its instance's digest, whose params get the grid
     point's, then the kernel's, laid over them."""
+    require_preconditions(b, tol)
     spec = CHECK_SPECS[b.name]
     grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
@@ -582,12 +583,10 @@ def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityRe
 def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
          digest: dict | None, a=None, point: tuple = (), drop=(), e: ModuleElement | None = None,
          ball=None) -> InequalityReport:
-    """A direct check call: the batch of this one instance at one point, its
-    preconditions enforced minus ``drop``, then run."""
-    b = Batch.of(name, drop, (x,), (y,), (a,), (e,), None if ball is None else (ball,),
-                 (point,), (digest,))
-    require_preconditions(b, tol)
-    return run_batch(b, tol)[0]
+    """A direct check call: the batch of this one instance at one point, run
+    with its preconditions enforced minus ``drop``."""
+    return run_batch(Batch.of(name, drop, (x,), (y,), (a,), (e,),
+                              None if ball is None else (ball,), (point,), (digest,)), tol)[0]
 
 
 # --------------------------------------------------------------------------

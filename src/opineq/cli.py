@@ -113,7 +113,7 @@ def _cmd_verify(args) -> int:
         weights_mode=args.weights,
     )
     with _open_out(args.out) as out:
-        summary = run_suite(cfg, out) if out else run_suite(cfg)
+        summary = run_suite(cfg, out)
     for name in cfg.checks:
         slot = summary.counts.get(name, {"pass": 0, "fail": 0, "error": 0})
         worst = summary.worst_margin.get(name)

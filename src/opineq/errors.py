@@ -29,15 +29,19 @@ class CtxMismatch(OpineqError):
     """Module elements from different contexts were combined."""
 
 
-class NotUnital(OpineqError):
+class PreconditionError(OpineqError):
+    """An instance breaks a hypothesis of its check, at every grid point alike."""
+
+
+class NotUnital(PreconditionError):
     """The reference element of a covariance context is not a unit vector."""
 
 
-class NotNormal(OpineqError):
+class NotNormal(PreconditionError):
     """A check hypothesis requires normal elements and the input is not normal."""
 
 
-class NotContractive(OpineqError):
+class NotContractive(PreconditionError):
     """A contraction hypothesis (norm or spectral radius below one) fails."""
 
 
@@ -45,7 +49,7 @@ class MaxTermsExceeded(OpineqError):
     """An operator series would need more terms than the configured cap."""
 
 
-class BallViolated(OpineqError):
+class BallViolated(PreconditionError):
     """An element is outside the ball its check hypothesis places it in."""
 
 

@@ -16,8 +16,8 @@ grid point, :func:`evaluate_group` a same-shape group at every given grid
 point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel call,
 with the same reports, :func:`evaluate_each` groups any instances and gives
 each its own reports or errors, and :func:`run_trials`, a run's one path,
-builds a window of trials from their seeds and evaluates them so.  Every route enforces
-preconditions by :func:`opineq.checks.require_preconditions`.
+builds a window of trials from their seeds and evaluates them so.  Every route reaches
+a kernel through :func:`opineq.checks.run_batch`, which enforces preconditions first.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .checks import (  # CHECK_NAMES is re-exported
 from .core import (
     DEFAULT_TOL, ToleranceConfig, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
 )
-from .errors import InvalidSpec, OpineqError, UnknownCheck
+from .errors import InvalidSpec, OpineqError, PreconditionError, UnknownCheck
 from .hmodule import (
     ModuleContext, ModuleElement, Stack, _same_ctx, element_from_json, element_to_json,
     matrix_from_json, matrix_to_json,
@@ -609,9 +609,7 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
         if spec.grid is not None:
             raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
         points = ((),)
-    batch = _batch(insts, points)
-    require_preconditions(batch, tol)
-    return run_batch(batch, tol)
+    return run_batch(_batch(insts, points), tol)
 
 
 def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
@@ -619,9 +617,7 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     at each of ``points``, each what :func:`evaluate_group` gives it alone.
     Instances of one dimension, length and drop set are evaluated as one
     group in one kernel call.  A group that raises is evaluated again
-    instance by instance: its preconditions are enforced once, on a batch of
-    it at every point, and an instance that meets them runs each point
-    alone."""
+    instance by instance (:func:`_alone`)."""
     groups: dict[tuple, list[int]] = {}
     for k, inst in enumerate(insts):
         groups.setdefault((*inst.shape, inst.drop), []).append(k)
@@ -664,18 +660,19 @@ def _built_alone(check: str, seed: int, draw: dict):
 
 
 def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
-    """One instance's report or OpineqError at each point, preconditions enforced once."""
+    """One instance's report or OpineqError at each point.  Its batch at all points
+    runs first; an operand, grid or precondition error (PreconditionError) there is
+    every point's, as is any error at one point; else each point runs alone."""
     try:
-        require_preconditions(_batch([inst], points), tol)
+        batch = _batch([inst], points)
     except OpineqError as exc:
         return [exc] * len(points)
-    row = []
-    for point in points:
-        try:
-            row += run_batch(_batch([inst], (point,)), tol)
-        except OpineqError as exc:
-            row.append(exc)
-    return row
+    try:
+        return run_batch(batch, tol)
+    except OpineqError as exc:
+        if isinstance(exc, PreconditionError) or len(points) == 1:
+            return [exc] * len(points)
+    return [out for point in points for out in _alone(inst, tol, (point,))]
 
 
 def _batch(insts, points) -> Batch:

@@ -153,7 +153,7 @@ def test_verify_with_no_evaluated_trial_is_not_ok(monkeypatch, capsys):
     from opineq import cli
     from opineq.harness import SuiteSummary
 
-    def only_errors(cfg):
+    def only_errors(cfg, writer=None):
         summary = SuiteSummary()
         for _ in range(cfg.trials):
             summary.record("check_cs", "error", None)

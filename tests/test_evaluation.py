@@ -33,6 +33,23 @@ def test_run_checks_each_hypothesis_once_per_evaluation(monkeypatch):
     assert len(calls) == 3
 
 
+def test_run_batch_enforces_the_preconditions_its_batch_keeps():
+    inst = build_instance("check_uin", 3, dim=3, length=2, drop=("normality",))
+
+    def batch(drop):
+        return checks.Batch.of("check_uin", drop, (inst.x,), (inst.y,), (inst.a,), None, None,
+                               ((),), (inst.digest(),))
+
+    kept = batch(())
+    with pytest.raises(NotNormal) as expected:
+        checks.HYPOTHESES["normality"](kept.x, kept.y, ToleranceConfig())
+    with pytest.raises(NotNormal) as info:
+        checks.run_batch(kept)
+    assert str(info.value) == str(expected.value)
+    (report,) = checks.run_batch(batch(("normality",)))
+    assert report.to_json_dict() == evaluate_group([inst])[0].to_json_dict()
+
+
 def test_rejected_instance_gives_one_error_line_per_grid_point():
     out = io.StringIO()
     cfg = RunConfig(trials=2, checks=("check_alpha",), dim=3,

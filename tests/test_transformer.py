@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from opineq import reference, transformer
-from opineq.checks import check_alpha, check_defect, check_radius_submult
-from opineq.core import op_norm, psd_power
-from opineq.generators import build_group
+from opineq.checks import InequalityReport, check_alpha, check_defect, check_radius_submult
+from opineq.core import DEFAULT_TOL, op_norm, psd_power
+from opineq.generators import build_group, evaluate_each
 from opineq.errors import (
     CtxMismatch,
     DimCap,
@@ -386,6 +386,19 @@ def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch):
     monkeypatch.setattr(transformer, "series_powers", counted)
     transformer.fractional_powers(xs, ys, a, (0.5, 1 / 3))
     assert len(seen) == 2 and all(np.array_equal(rows, a[ill]) for rows in seen)
+
+
+@pytest.mark.parametrize("drop", [(), ("normality",)], ids=["normal", "generic"])
+def test_generated_alpha_instances_send_no_fractional_row_to_the_series(monkeypatch, drop):
+    """Over 200 built check_alpha instances of random shape, every row of
+    (I - T)^alpha a at a non-integer alpha takes the eigen form: the
+    generators build no ill-conditioned eigenbasis, normal or not."""
+    insts = build_group("check_alpha", list(range(200)), drop=drop)
+    calls = []
+    monkeypatch.setattr(transformer, "series_powers", lambda *args: calls.append(args))
+    rows = evaluate_each(insts, DEFAULT_TOL, ((0.5,), (1.5,), (1 / 3,)))
+    assert calls == []
+    assert all(isinstance(report, InequalityReport) for row in rows for report in row)
 
 
 def test_fractional_power_exact_errors():
