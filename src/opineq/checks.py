@@ -8,19 +8,20 @@ smallest eigenvalue of ``rhs - lhs``.  Unitarily-invariant-norm claims are
 certified through the full Ky Fan family (Fan dominance), with a
 Hilbert-Schmidt value recorded as a redundant spot check.
 
-Each check has one numeric implementation, the kernel its
-:data:`CHECK_SPECS` row names, which evaluates a :class:`Batch`:
-same-shape instances, each at the same grid points, as one stack.
-:func:`run_batch` enforces its preconditions (:func:`require_preconditions`),
-then runs the kernel and assembles the reports.  A
-``check_*`` function is a batch of one instance at one point (its
-``drop`` names hypotheses not to enforce), and a run evaluates a group
-of trials as one batch; since every stacked operation treats each
-matrix on its own, a report is bit for bit the same either way.  Every
-route builds its batch with :meth:`Batch.of`, the one operand gate: an x,
-y or e that is not a module element, or a missing e, is InvalidSpec there
-before anything else is read.  The tests hold the kernels against
-:mod:`opineq.reference`, the paper's formulas coded plainly.
+Each check has one numeric implementation, the kernel its :data:`CHECK_SPECS`
+row names: ``kernel(b)`` takes only a :class:`Batch` (same-shape instances,
+each at the same grid points, as one stack) and gives both sides of every
+report, one (branches, detail) row per report; no kernel reads the tolerance.
+:func:`run_batch` enforces the batch's preconditions (:func:`require_preconditions`),
+runs the kernel and alone turns its rows into reports.  A ``check_*``
+function is a batch of one instance at one point (its ``drop`` names
+hypotheses not to enforce), and a run evaluates a group of trials as one
+batch; since every stacked operation treats each matrix on its own, a
+report is bit for bit the same either way.  Every route builds its batch
+with :meth:`Batch.of`, the one operand gate: an x, y or e that is not a
+module element, or a missing e, is InvalidSpec there before anything else
+is read.  The tests hold the kernels against :mod:`opineq.reference`, the
+paper's formulas coded plainly.
 
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
@@ -65,14 +66,15 @@ class CheckSpec(NamedTuple):
     ``operands`` ("a"; "e", an element; "ball" = (m, M, p, P)) and
     then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` keys its
     row of :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
-    reports record, and ``kernel`` its numerics over a :class:`Batch`, one row per report."""
+    reports record, and ``kernel(b)`` the numbers of a :class:`Batch`, one
+    (branches, detail) row per report in :func:`run_batch`'s order."""
 
     name: str
     anchor: str
     operands: tuple[str, ...]
     recipe: str
     kind: str
-    kernel: Callable[[Batch, ToleranceConfig], list]
+    kernel: Callable[[Batch], list]
     hypotheses: tuple[str, ...] = ()
     grid: str | None = None
 
@@ -328,22 +330,19 @@ def _ky_branches(s_lo: np.ndarray, s_hi: np.ndarray,
 
 
 def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
-            digest: dict, extra_detail: dict | None = None) -> InequalityReport:
+            digest: dict, extra_detail: dict | None) -> InequalityReport:
     """Assemble a report: headline is the branch with the worst margin/scale."""
     detail = {label: b.margin / b.scale for label, b in branches.items()}
     head = branches[min(detail, key=detail.__getitem__)]
-    if extra_detail:
-        detail.update(extra_detail)
+    detail.update(extra_detail or {})
     holds = all(b.margin >= -tol.tol_rel * b.scale for b in branches.values())
-    return InequalityReport(
-        name=name, lhs=head.lhs, rhs=head.rhs, margin=head.margin,
-        holds=holds, scale=head.scale, norm_detail=detail, instance=digest,
-    )
+    return InequalityReport(name=name, lhs=head.lhs, rhs=head.rhs, margin=head.margin, holds=holds,
+                            scale=head.scale, norm_detail=detail, instance=digest)
 
 
 def _family_rows(lo: np.ndarray, hi: np.ndarray) -> list:
     """Rows whose one branch, "family", is Ky Fan dominance lo <= hi."""
-    return [({"family": head}, detail, None)
+    return [({"family": head}, detail)
             for detail, head in _ky_branches(*svdvals(np.stack([lo, hi])))]
 
 
@@ -377,53 +376,53 @@ def _powers(eigs: tuple, exps: list) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# kernels: the numerics of each check over a Batch, one row
-# (branches, extra detail, report params besides the grid point's) per report;
-# each stage makes one LAPACK call, over every instance and grid point
+# kernels: the numerics of each check over a Batch, one row (branches, extra
+# detail or None) per report; each stage makes one LAPACK call, over every
+# instance and grid point
 
-def _cs(b: Batch, tol: ToleranceConfig) -> list:
+def _cs(b: Batch) -> list:
     m = weighted_products(b.x.weights, b.x.parts, b.y.parts)
     nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
     gy = herm(b.y.gram)
     # the squared branches, then the square-root ones
     branches = _psd_branches(np.concatenate([ct(m) @ m, moduli(m)]),
                              np.concatenate([nx2 * gy, np.sqrt(nx2) * psd_powers(gy, 0.5)]))
-    return [({"squared": s1, "sqrt": s2}, None, None)
+    return [({"squared": s1, "sqrt": s2}, None)
             for s1, s2 in zip(branches[:len(m)], branches[len(m):])]
 
 
-def _basic(b: Batch, tol: ToleranceConfig) -> list:
+def _basic(b: Batch) -> list:
     gx, gy = _sqrt_grams(b.x.conj, b.y.conj)
     s_val, s_rhs, s_a = svdvals(np.stack([_products(b), gx @ b.a @ gy, b.a]))
-    return [({"op": _scalar_branch(op, nx * ny * na), "tr": _scalar_branch(tr, rtr)}, None, None)
+    return [({"op": _scalar_branch(op, nx * ny * na), "tr": _scalar_branch(tr, rtr)}, None)
             for op, tr, nx, ny, na, rtr in zip(
                 s_val[:, 0].tolist(), norms_of(s_val, TRACE).tolist(), b.x.norms.tolist(),
                 b.y.norms.tolist(), s_a[:, 0].tolist(), norms_of(s_rhs, TRACE).tolist())]
 
 
-def _hs(b: Batch, tol: ToleranceConfig) -> list:
+def _hs(b: Batch) -> list:
     gx, gy = _sqrt_grams(b.x.conj, b.y.conj)
     lhs, rx, ry = norms_of(svdvals(np.stack([_products(b), b.a @ gy, gx @ b.a])),
                            HILBERT_SCHMIDT).tolist()
     return [({"x_weighted": _scalar_branch(l, nx * hx),
-              "y_weighted": _scalar_branch(l, ny * hy)}, None, None)
+              "y_weighted": _scalar_branch(l, ny * hy)}, None)
             for l, nx, ny, hx, hy in zip(lhs, b.x.norms.tolist(), b.y.norms.tolist(), rx, ry)]
 
 
-def _refinement(b: Batch, tol: ToleranceConfig) -> list:
+def _refinement(b: Batch) -> list:
     m = _products(b)
     aha = (ct(b.a) @ b.a)[:, None]
     nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
     rhs = nx2 * weighted_products(b.y.weights, b.y.parts, aha @ b.y.parts)
-    return [({"psd": branch}, None, None) for branch in _psd_branches(ct(m) @ m, rhs)]
+    return [({"psd": branch}, None) for branch in _psd_branches(ct(m) @ m, rhs)]
 
 
-def _uin(b: Batch, tol: ToleranceConfig) -> list:
+def _uin(b: Batch) -> list:
     gx, gy = _sqrt_grams(b.x, b.y)
     return _family_rows(_products(b), gx @ b.a @ gy)
 
 
-def _interp(b: Batch, tol: ToleranceConfig) -> list:
+def _interp(b: Batch) -> list:
     s_lhs = svdvals(_products(b))
     # K_x = <<x,x>^(q-1) xbar, xbar> per distinct q, then K_y likewise per r
     keys = [(side, s) for side in (0, 1)
@@ -450,7 +449,7 @@ def _interp(b: Batch, tol: ToleranceConfig) -> list:
                for k, (p, q, r) in enumerate(b.points)]
     return [({schatten(p).label: _scalar_branch(lhs, rhs)},
              {"sensitivity": float(abs(rhs10 - rhs) / max(rhs, 1.0)),
-              "min_inner_eig": min(mx, my)}, None)
+              "min_inner_eig": min(mx, my)})
             for (p, _, _), (lhs, rhs, rhs10, mx, my) in _instance_major(b, columns)]
 
 
@@ -460,12 +459,12 @@ def _defect_eigs(b: Batch) -> tuple:
     return psd_eigs(herm(eye - herm(np.stack([b.x.gram, b.y.gram]))))
 
 
-def _naopaka(b: Batch, tol: ToleranceConfig) -> list:
+def _naopaka(b: Batch) -> list:
     dx, dy = eig_powers(*_defect_eigs(b), 0.5)
     return _family_rows(dx @ b.a @ dy, b.a - _products(b))
 
 
-def _alpha(b: Batch, tol: ToleranceConfig) -> list:
+def _alpha(b: Batch) -> list:
     alphas = [alpha for (alpha,) in b.points]
     px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)
     los = px @ b.a @ py
@@ -476,7 +475,7 @@ def _alpha(b: Batch, tol: ToleranceConfig) -> list:
                         np.stack(his, axis=1).reshape(-1, d, d))
 
 
-def _defect(b: Batch, tol: ToleranceConfig) -> list:
+def _defect(b: Batch) -> list:
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
@@ -488,11 +487,11 @@ def _defect(b: Batch, tol: ToleranceConfig) -> list:
     s_lhs, s_rhs = svdvals(np.stack([dx @ b.a @ dy, dxb @ (b.a - _products(b)) @ dyb]))
     columns = [zip(norms_of(s_lhs[k], schatten(p)).tolist(), norms_of(s_rhs[k], schatten(p)).tolist())
                for k, (p, _, _) in enumerate(b.points)]
-    return [({schatten(p).label: _scalar_branch(l, h)}, None, None)
+    return [({schatten(p).label: _scalar_branch(l, h)}, None)
             for (p, _, _), (l, h) in _instance_major(b, columns)]
 
 
-def _gruss(b: Batch, tol: ToleranceConfig) -> list:
+def _gruss(b: Batch) -> list:
     x, y, e, w = b.x, b.y, b.e, b.x.weights
     # Phi(x, ay), Phi(x, x) and Phi(y, y) in one stack
     lo, phi_x, phi_y = covariances(np.stack([w] * 3), np.stack([x.parts, x.parts, y.parts]),
@@ -504,25 +503,23 @@ def _gruss(b: Batch, tol: ToleranceConfig) -> list:
         his.append(_column([0.25 * abs(big_m - m) * abs(big_p - p)
                             for m, big_m, p, big_p in b.balls]) * b.a)
     s_lo, *s_his = svdvals(np.stack([lo, *his]))
-    rows = [({"g3": head}, detail, {"ball": None})
-            for detail, head in _ky_branches(s_lo, s_his[0], prefix="g3_")]
+    rows = [({"g3": head}, detail) for detail, head in _ky_branches(s_lo, s_his[0], prefix="g3_")]
     if b.balls is not None:
-        for (branches, detail, params), (mm_detail, mm_head), ball in zip(
-                rows, _ky_branches(s_lo, s_his[1], prefix="mm_"), b.balls):
+        for (branches, detail), (mm_detail, mm_head) in zip(
+                rows, _ky_branches(s_lo, s_his[1], prefix="mm_")):
             branches["mm"] = mm_head
             detail.update(mm_detail)
-            params["ball"] = list(ball)
     return rows
 
 
-def _radius_submult(b: Batch, tol: ToleranceConfig) -> list:
+def _radius_submult(b: Batch) -> list:
     x, y, n = b.x, b.y, len(b.x.parts)
     rep = vectorized(np.concatenate([x.weights] * 3), np.concatenate([x.parts, x.parts, y.parts]),
                      np.concatenate([y.parts, x.parts, y.parts]))
     r_xy, r_xx, r_yy = spectral_radii(rep).reshape(3, n).tolist()
     lower = probe_lower_bounds(rep[:n]).tolist()
     return [({"radius_sq": _scalar_branch(rxy ** 2, rxx * ryy),
-              "opnorm_gap": _scalar_branch(low, nx * ny)}, None, None)
+              "opnorm_gap": _scalar_branch(low, nx * ny)}, None)
             for rxy, rxx, ryy, low, nx, ny in zip(r_xy, r_xx, r_yy, lower, x.norms.tolist(),
                                                   y.norms.tolist())]
 
@@ -567,17 +564,20 @@ def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> None:
 
 def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityReport]:
     """Every report of a batch: :func:`require_preconditions`, then its check's
-    kernel, then assembly.  A report's instance is built in one merge: the
-    batch's shape, then its instance's digest, whose params get the grid
-    point's, then the kernel's, laid over them."""
+    kernel, then the one assembly of its rows into reports: ``holds`` at ``tol``,
+    and an instance built in one merge: the batch's shape, then the instance's
+    digest, whose params get the grid point's and, for a check that takes a ball,
+    ``"ball"`` (the instance's ball as a list, or None) laid over them."""
     require_preconditions(b, tol)
     spec = CHECK_SPECS[b.name]
     grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
-    rows = [(digest or {}, point) for digest in b.digests for point in grid]
-    return [_finish(b.name, branches, tol, {**shape, **digest, "params": {
-                **digest.get("params", {}), **point, **(params or {})}}, extra)
-            for (branches, extra, params), (digest, point) in zip(spec.kernel(b, tol), rows)]
+    balls = [{"ball": None if ball is None else list(ball)} if "ball" in spec.operands else {}
+             for ball in b.balls or [None] * len(b.digests)]
+    instances = [{**shape, **digest, "params": {**digest.get("params", {}), **point, **ball}}
+                 for digest, ball in zip((d or {} for d in b.digests), balls) for point in grid]
+    return [_finish(b.name, branches, tol, instance, detail)
+            for (branches, detail), instance in zip(spec.kernel(b), instances)]
 
 
 def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,

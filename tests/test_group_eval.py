@@ -133,10 +133,10 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
     row = CHECK_SPECS["check_alpha"]
     original = row.kernel
 
-    def kernel(b, tol):
+    def kernel(b):
         if (0.5,) in b.points and any(digest["seed"] == bad for digest in b.digests):
             raise MaxTermsExceeded("spoiled at alpha 0.5")
-        return original(b, tol)
+        return original(b)
 
     monkeypatch.setitem(CHECK_SPECS, "check_alpha", row._replace(kernel=kernel))
     lines = _lines(cfg)

@@ -36,6 +36,33 @@ def test_registry_rows_match_their_functions():
         assert ("drop" in params) == bool(spec.hypotheses), name
 
 
+def _batch_of(inst, points, balls=None):
+    """inst at each of ``points`` as a batch of one instance."""
+    operands = CHECK_SPECS[inst.check].operands
+    return Batch.of(inst.check, inst.drop, (inst.x,), (inst.y,), (inst.a,),
+                    (inst.e,) if "e" in operands else None, balls, points, (inst.digest(),))
+
+
+def test_a_kernel_takes_only_its_batch_and_gives_one_pair_per_report():
+    for name, spec in CHECK_SPECS.items():
+        assert len(inspect.signature(spec.kernel).parameters) == 1, name
+        inst = build_instance(name, 5, dim=3, length=2)
+        points = GRIDS[spec.grid].points
+        rows = spec.kernel(_batch_of(inst, points, None if inst.ball is None else (inst.ball,)))
+        assert len(rows) == len(points), name
+        assert all(isinstance(row, tuple) and len(row) == 2 for row in rows), name
+
+
+def test_run_batch_records_a_gruss_batch_ball():
+    inst = build_instance("check_gruss", 5, dim=3, length=2)
+    assert inst.ball is not None
+    (bare,) = checks.run_batch(_batch_of(inst, ((),)))
+    assert "ball" in bare.instance["params"] and bare.instance["params"]["ball"] is None
+    (balled,) = checks.run_batch(_batch_of(inst, ((),), (inst.ball,)))
+    assert balled.instance["params"]["ball"] == list(inst.ball)
+    assert set(balled.norm_detail) > set(bare.norm_detail)
+
+
 def test_every_recipe_is_a_used_row():
     assert {spec.recipe for spec in CHECK_SPECS.values()} == set(RECIPES)
 
