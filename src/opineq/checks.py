@@ -13,24 +13,27 @@ row names: ``kernel(b)`` takes only a :class:`Batch` (same-shape instances,
 each at the same grid points, as one stack) and gives both sides of every
 report, one (branches, detail) row per report; no kernel reads the tolerance.
 :func:`run_batch` enforces the batch's preconditions (:func:`require_preconditions`),
-runs the kernel and alone turns its rows into reports.  A ``check_*``
-function is a batch of one instance at one point (its ``drop`` names
-hypotheses not to enforce), and a run evaluates a group of trials as one
-batch; since every stacked operation treats each matrix on its own, a
-report is bit for bit the same either way.  Every route builds its batch
-with :meth:`Batch.of`, the one operand gate: an x, y or e that is not a
-module element, or a missing e, is InvalidSpec there before anything else
-is read.  The tests hold the kernels against :mod:`opineq.reference`, the
-paper's formulas coded plainly.
+runs the kernel and alone turns its rows into reports.  Each public
+``check_*`` function is derived from its row: a batch of one instance at one
+point (its ``drop`` names hypotheses not to enforce), documented by its
+kernel's docstring, the statement whose two sides the kernel computes.  A
+run evaluates a group of trials as one batch; since every stacked operation
+treats each matrix on its own, a report is bit for bit the same either way.
+Every route builds its batch with :meth:`Batch.of`, the one operand gate: a
+batch without instances or points, an x, y or e that is not a module
+element, or a missing e, is InvalidSpec there before anything else is read.
+The tests hold the kernels against :mod:`opineq.reference`, the paper's
+formulas coded plainly.
 
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
 and every hypothesis from its one predicate here; adding a check means
-one row that names its kernel, plus its ``check_*`` function.
+one row that names its kernel.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable, NamedTuple
 
@@ -61,13 +64,15 @@ EPSILON_REG = 1e-10
 
 
 class CheckSpec(NamedTuple):
-    """One verified statement.  ``name`` is its ``check_*`` function here,
-    looked up at call time.  After x and y the function takes the
-    ``operands`` ("a"; "e", an element; "ball" = (m, M, p, P)) and
-    then the keys of its ``grid`` axis in :data:`GRIDS`.  ``recipe`` keys its
-    row of :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
+    """One verified statement.  ``name`` is the ``check_*`` function derived
+    from this row here, looked up at call time.  After x and y it takes the
+    ``operands`` ("a"; "e", an element; "ball" = (m, M, p, P), optional) and
+    then the keys of its ``grid`` axis in :data:`GRIDS`; it takes ``drop`` only
+    if the row has ``hypotheses``.  ``recipe`` keys its row of
+    :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
     reports record, and ``kernel(b)`` the numbers of a :class:`Batch`, one
-    (branches, detail) row per report in :func:`run_batch`'s order."""
+    (branches, detail) row per report in :func:`run_batch`'s order; its
+    docstring states the inequality and is the function's."""
 
     name: str
     anchor: str
@@ -272,12 +277,15 @@ class Batch(NamedTuple):
     @classmethod
     def of(cls, name: str, drop, xs, ys, a, es, balls, points, digests) -> "Batch":
         """The batch of check ``name`` and ``drop``, its operands checked in this order:
-        each x and y, and each e of a check that takes one, a module element
-        (InvalidSpec, also for an e that is None or missing), per instance x, y and e
-        in one context, each ``a`` (:func:`acting_stack`; read only if the check takes
-        one), ball (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`);
-        ``balls`` may be None."""
+        at least one instance and one grid point (InvalidSpec), each x and y, and each
+        e of a check that takes one, a module element (InvalidSpec, also for an e that
+        is None or missing), per instance x, y and e in one context, each ``a``
+        (:func:`acting_stack`; read only if the check takes one), ball
+        (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`); ``balls`` may
+        be None."""
         spec = CHECK_SPECS[name]
+        if not xs or not points:
+            raise InvalidSpec(f"a {name} batch needs at least one instance and one grid point")
         es = (es or [None] * len(xs)) if "e" in spec.operands else None
         for z in (*xs, *ys, *(es or ())):
             if not isinstance(z, ModuleElement):
@@ -381,6 +389,7 @@ def _powers(eigs: tuple, exps: list) -> np.ndarray:
 # instance and grid point
 
 def _cs(b: Batch) -> list:
+    """|<x,y>|^2 <= ||x||^2 <y,y> in the PSD order, plus its square root."""
     m = weighted_products(b.x.weights, b.x.parts, b.y.parts)
     nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
     gy = herm(b.y.gram)
@@ -392,6 +401,12 @@ def _cs(b: Batch) -> list:
 
 
 def _basic(b: Batch) -> list:
+    """Operator- and trace-norm bounds for <x, ay>; no normality needed.
+
+    The operator branch is ||<x,ay>|| <= ||x|| ||y|| ||a||; the trace
+    branch compares against the conjugated Gram square roots,
+    ||<xbar,xbar>^(1/2) a <ybar,ybar>^(1/2)||_1.
+    """
     gx, gy = _sqrt_grams(b.x.conj, b.y.conj)
     s_val, s_rhs, s_a = svdvals(np.stack([_products(b), gx @ b.a @ gy, b.a]))
     return [({"op": _scalar_branch(op, nx * ny * na), "tr": _scalar_branch(tr, rtr)}, None)
@@ -401,6 +416,8 @@ def _basic(b: Batch) -> list:
 
 
 def _hs(b: Batch) -> list:
+    """Hilbert-Schmidt bounds ||<x,ay>||_2 <= ||x|| ||a <ybar,ybar>^(1/2)||_2
+    and the mirrored ||y|| ||<xbar,xbar>^(1/2) a||_2."""
     gx, gy = _sqrt_grams(b.x.conj, b.y.conj)
     lhs, rx, ry = norms_of(svdvals(np.stack([_products(b), b.a @ gy, gx @ b.a])),
                            HILBERT_SCHMIDT).tolist()
@@ -410,6 +427,7 @@ def _hs(b: Batch) -> list:
 
 
 def _refinement(b: Batch) -> list:
+    """|<x,ay>|^2 <= ||x||^2 <y, a*a y> in the PSD order."""
     m = _products(b)
     aha = (ct(b.a) @ b.a)[:, None]
     nx2 = _column([v ** 2 for v in b.x.norms.tolist()])
@@ -418,11 +436,25 @@ def _refinement(b: Batch) -> list:
 
 
 def _uin(b: Batch) -> list:
+    """|||<x,ay>||| <= |||<x,x>^(1/2) a <y,y>^(1/2)||| for normal x, y,
+    certified over the whole Ky Fan family.
+
+    ``drop=("normality",)`` skips that precondition so a counterexample
+    search can probe instances outside the hypotheses.
+    """
     gx, gy = _sqrt_grams(b.x, b.y)
     return _family_rows(_products(b), gx @ b.a @ gy)
 
 
 def _interp(b: Batch) -> list:
+    """Schatten-p interpolation bound for exponents with 1/q + 1/r = 2/p.
+
+    lhs = ||<x,ay>||_p, rhs = ||K_x^(1/2q) a K_y^(1/2r)||_p with
+    K_x = <<x,x>^(q-1) xbar, xbar>.  The outer powers are taken of
+    K + EPSILON_REG and of K + 10 EPSILON_REG; their relative shift is
+    reported as ``sensitivity`` together with the smallest inner
+    eigenvalue, so near-singular instances can be recognized downstream.
+    """
     s_lhs = svdvals(_products(b))
     # K_x = <<x,x>^(q-1) xbar, xbar> per distinct q, then K_y likewise per r
     keys = [(side, s) for side in (0, 1)
@@ -460,11 +492,21 @@ def _defect_eigs(b: Batch) -> tuple:
 
 
 def _naopaka(b: Batch) -> list:
+    """|||(1-<x,x>)^(1/2) a (1-<y,y>)^(1/2)||| <= |||a - <x,ay>||| for
+    normal contractive x, y, over the whole Ky Fan family."""
     dx, dy = eig_powers(*_defect_eigs(b), 0.5)
     return _family_rows(dx @ b.a @ dy, b.a - _products(b))
 
 
 def _alpha(b: Batch) -> list:
+    """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
+
+    At alpha = 1 this coincides with check_naopaka branch for branch.
+    (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form
+    wherever the vectorized T has a well-conditioned eigenbasis, normal or
+    not, at non-integer alpha and at integer alpha past the roundoff bound;
+    else the stacked binomial series :func:`series_powers`.
+    """
     alphas = [alpha for (alpha,) in b.points]
     px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)
     los = px @ b.a @ py
@@ -476,6 +518,11 @@ def _alpha(b: Batch) -> list:
 
 
 def _defect(b: Batch) -> list:
+    """Defect-operator bound in Schatten-p norm for contractive x, y, no
+    normality required:
+
+    ||D_x^(1-1/q) a D_y^(1-1/r)||_p <= ||D_xbar^(-1/q) (a - <x,ay>) D_ybar^(-1/r)||_p
+    """
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
@@ -492,6 +539,16 @@ def _defect(b: Batch) -> list:
 
 
 def _gruss(b: Batch) -> list:
+    """Covariance (Gruss-type) bounds for Phi(x, ay) = <x,ay> - <x,e><e,ay>
+    with a unit reference element e of x's and y's context.
+
+    The main branch compares |||Phi(x,ay)||| with
+    |||Phi(x,x)^(1/2) a Phi(y,y)^(1/2)||| over the Ky Fan family.  A ball
+    (m, M, p, P), if given, must be 4 finite numbers.  First <e,e> = I is
+    checked at ``tol``, then normality unless ``drop`` names it, then, with a
+    ball, that x lies in [me, Me] and y in [pe, Pe]; the diameter bound
+    |||Phi(x,ay)||| <= (1/4) |||a||| |M-m| |P-p| is then reported as well.
+    """
     x, y, e, w = b.x, b.y, b.e, b.x.weights
     # Phi(x, ay), Phi(x, x) and Phi(y, y) in one stack
     lo, phi_x, phi_y = covariances(np.stack([w] * 3), np.stack([x.parts, x.parts, y.parts]),
@@ -513,6 +570,8 @@ def _gruss(b: Batch) -> list:
 
 
 def _radius_submult(b: Batch) -> list:
+    """r(T_{x,y})^2 <= r(T_{x,x}) r(T_{y,y}) via the vectorized spectra,
+    with the probe/product bracket on ||T_{x,y}|| as a companion branch."""
     x, y, n = b.x, b.y, len(b.x.parts)
     rep = vectorized(np.concatenate([x.weights] * 3), np.concatenate([x.parts, x.parts, y.parts]),
                      np.concatenate([y.parts, x.parts, y.parts]))
@@ -580,132 +639,33 @@ def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityRe
             for (branches, detail), instance in zip(spec.kernel(b), instances)]
 
 
-def _one(name: str, x: ModuleElement, y: ModuleElement, tol: ToleranceConfig,
-         digest: dict | None, a=None, point: tuple = (), drop=(), e: ModuleElement | None = None,
-         ball=None) -> InequalityReport:
-    """A direct check call: the batch of this one instance at one point, run
-    with its preconditions enforced minus ``drop``."""
-    return run_batch(Batch.of(name, drop, (x,), (y,), (a,), (e,),
-                              None if ball is None else (ball,), (point,), (digest,)), tol)[0]
-
-
 # --------------------------------------------------------------------------
-# checks: each is its kernel on one instance at one point
+# checks: each public ``check_*`` function is derived from its row
 
-def check_cs(x: ModuleElement, y: ModuleElement, *,
-             tol: ToleranceConfig = DEFAULT_TOL,
-             digest: dict | None = None) -> InequalityReport:
-    """|<x,y>|^2 <= ||x||^2 <y,y> in the PSD order, plus its square root."""
-    return _one("check_cs", x, y, tol, digest)
+def _check_function(spec: CheckSpec) -> Callable[..., InequalityReport]:
+    """The row's check on one instance at one point: x, y, the row's
+    ``operands`` (``ball`` defaults to None) and its grid keys, then keyword-only
+    ``tol``, ``drop`` (only with hypotheses) and ``digest``; its doc is the kernel's."""
+    par = inspect.Parameter
+    keys = GRIDS[spec.grid].keys
+    keywords = {"tol": DEFAULT_TOL, **({"drop": ()} if spec.hypotheses else {}), "digest": None}
+    signature = inspect.Signature(
+        [par(n, par.POSITIONAL_OR_KEYWORD, default=None if n == "ball" else par.empty)
+         for n in ("x", "y", *spec.operands, *keys)]
+        + [par(n, par.KEYWORD_ONLY, default=v) for n, v in keywords.items()])
 
+    def check(*args, **kwargs) -> InequalityReport:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        v = bound.arguments
+        ball = v.get("ball")
+        return run_batch(Batch.of(spec.name, v.get("drop", ()), (v["x"],), (v["y"],), (v.get("a"),),
+                                  (v.get("e"),), None if ball is None else (ball,),
+                                  (tuple(v[k] for k in keys),), (v["digest"],)), v["tol"])[0]
 
-def check_basic(x: ModuleElement, y: ModuleElement, a, *,
-                tol: ToleranceConfig = DEFAULT_TOL,
-                digest: dict | None = None) -> InequalityReport:
-    """Operator- and trace-norm bounds for <x, ay>; no normality needed.
-
-    The operator branch is ||<x,ay>|| <= ||x|| ||y|| ||a||; the trace
-    branch compares against the conjugated Gram square roots,
-    ||<xbar,xbar>^(1/2) a <ybar,ybar>^(1/2)||_1.
-    """
-    return _one("check_basic", x, y, tol, digest, a)
-
-
-def check_hs(x: ModuleElement, y: ModuleElement, a, *,
-             tol: ToleranceConfig = DEFAULT_TOL,
-             digest: dict | None = None) -> InequalityReport:
-    """Hilbert-Schmidt bounds ||<x,ay>||_2 <= ||x|| ||a <ybar,ybar>^(1/2)||_2
-    and the mirrored ||y|| ||<xbar,xbar>^(1/2) a||_2."""
-    return _one("check_hs", x, y, tol, digest, a)
-
-
-def check_refinement(x: ModuleElement, y: ModuleElement, a, *,
-                     tol: ToleranceConfig = DEFAULT_TOL,
-                     digest: dict | None = None) -> InequalityReport:
-    """|<x,ay>|^2 <= ||x||^2 <y, a*a y> in the PSD order."""
-    return _one("check_refinement", x, y, tol, digest, a)
+    check.__name__ = check.__qualname__ = spec.name
+    check.__doc__, check.__signature__ = spec.kernel.__doc__, signature
+    return check
 
 
-def check_uin(x: ModuleElement, y: ModuleElement, a, *,
-              tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
-              digest: dict | None = None) -> InequalityReport:
-    """|||<x,ay>||| <= |||<x,x>^(1/2) a <y,y>^(1/2)||| for normal x, y,
-    certified over the whole Ky Fan family.
-
-    ``drop=("normality",)`` skips that precondition so a counterexample
-    search can probe instances outside the hypotheses.
-    """
-    return _one("check_uin", x, y, tol, digest, a, drop=drop)
-
-
-def check_interp(x: ModuleElement, y: ModuleElement, a,
-                 p: float, q: float, r: float, *,
-                 tol: ToleranceConfig = DEFAULT_TOL,
-                 digest: dict | None = None) -> InequalityReport:
-    """Schatten-p interpolation bound for exponents with 1/q + 1/r = 2/p.
-
-    lhs = ||<x,ay>||_p, rhs = ||K_x^(1/2q) a K_y^(1/2r)||_p with
-    K_x = <<x,x>^(q-1) xbar, xbar>.  The outer powers are taken of
-    K + EPSILON_REG and of K + 10 EPSILON_REG; their relative shift is
-    reported as ``sensitivity`` together with the smallest inner
-    eigenvalue, so near-singular instances can be recognized downstream.
-    """
-    return _one("check_interp", x, y, tol, digest, a, (p, q, r))
-
-
-def check_naopaka(x: ModuleElement, y: ModuleElement, a, *,
-                  tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
-                  digest: dict | None = None) -> InequalityReport:
-    """|||(1-<x,x>)^(1/2) a (1-<y,y>)^(1/2)||| <= |||a - <x,ay>||| for
-    normal contractive x, y, over the whole Ky Fan family."""
-    return _one("check_naopaka", x, y, tol, digest, a, drop=drop)
-
-
-def check_alpha(x: ModuleElement, y: ModuleElement, a, alpha: float, *,
-                tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
-                digest: dict | None = None) -> InequalityReport:
-    """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
-
-    At alpha = 1 this coincides with check_naopaka branch for branch.
-    (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form
-    wherever the vectorized T has a well-conditioned eigenbasis, normal or
-    not, at non-integer alpha and at integer alpha past the roundoff bound;
-    else the stacked binomial series :func:`series_powers`.
-    """
-    return _one("check_alpha", x, y, tol, digest, a, (alpha,), drop)
-
-
-def check_defect(x: ModuleElement, y: ModuleElement, a,
-                 p: float, q: float, r: float, *,
-                 tol: ToleranceConfig = DEFAULT_TOL, drop: tuple[str, ...] = (),
-                 digest: dict | None = None) -> InequalityReport:
-    """Defect-operator bound in Schatten-p norm for contractive x, y, no
-    normality required:
-
-    ||D_x^(1-1/q) a D_y^(1-1/r)||_p <= ||D_xbar^(-1/q) (a - <x,ay>) D_ybar^(-1/r)||_p
-    """
-    return _one("check_defect", x, y, tol, digest, a, (p, q, r), drop)
-
-
-def check_gruss(x: ModuleElement, y: ModuleElement, a, e: ModuleElement,
-                ball=None, *, tol: ToleranceConfig = DEFAULT_TOL,
-                drop: tuple[str, ...] = (), digest: dict | None = None) -> InequalityReport:
-    """Covariance (Gruss-type) bounds for Phi(x, ay) = <x,ay> - <x,e><e,ay>
-    with a unit reference element e of x's and y's context.
-
-    The main branch compares |||Phi(x,ay)||| with
-    |||Phi(x,x)^(1/2) a Phi(y,y)^(1/2)||| over the Ky Fan family.  A ball
-    (m, M, p, P), if given, must be 4 finite numbers.  First <e,e> = I is
-    checked at ``tol``, then normality unless ``drop`` names it, then, with a
-    ball, that x lies in [me, Me] and y in [pe, Pe]; the diameter bound
-    |||Phi(x,ay)||| <= (1/4) |||a||| |M-m| |P-p| is then reported as well.
-    """
-    return _one("check_gruss", x, y, tol, digest, a, drop=drop, e=e, ball=ball)
-
-
-def check_radius_submult(x: ModuleElement, y: ModuleElement, *,
-                         tol: ToleranceConfig = DEFAULT_TOL,
-                         digest: dict | None = None) -> InequalityReport:
-    """r(T_{x,y})^2 <= r(T_{x,x}) r(T_{y,y}) via the vectorized spectra,
-    with the probe/product bracket on ||T_{x,y}|| as a companion branch."""
-    return _one("check_radius_submult", x, y, tol, digest)
+globals().update((spec.name, _check_function(spec)) for spec in CHECK_SPECS.values())

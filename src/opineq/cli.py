@@ -1,8 +1,9 @@
 """Command-line surface: verify / search / replay / list.
 
 Exit codes: 0 success, 1 at least one check failed, no trial of a
-verify run could be evaluated, or a replayed instance no longer holds;
-2 usage errors (bad options, exponents, alphas, tolerances, budgets or
+verify run could be evaluated, a replayed instance no longer holds, or an
+I/O failure (a missing ``--instance`` file, an ``--out`` that cannot be
+opened); 2 usage errors (bad options, exponents, alphas, tolerances, budgets or
 sizes, instance files that are not JSON, not an instance or do not fit
 their check's registry row, and replayed instances whose evaluation
 overflows to non-finite values or whose T is too large to vectorize).

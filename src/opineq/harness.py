@@ -225,7 +225,7 @@ def search_options(check: str, drop: tuple[str, ...] = (), budget: int = 1000, s
                    dim: int | None = None, length: int | None = None) -> tuple:
     """(drop, budget, seed) as :func:`search_counterexample` runs them;
     UnknownCheck or InvalidSpec unless every option is valid."""
-    if check not in SEARCHABLE:
+    if check_spec(check).name not in SEARCHABLE:
         raise UnknownCheck(f"search does not support {check!r}")
     if (budget := as_integer("budget", budget)) < 1:
         raise InvalidSpec(f"budget must be >= 1, got {budget}")

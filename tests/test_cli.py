@@ -513,3 +513,10 @@ def test_replay_refuses_a_kronecker_t_beyond_the_size_cap(check, params, tmp_pat
     assert cli_main(["replay", "--instance", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: vectorized size 1089 exceeds cap 1024\n"
+
+
+def test_search_names_an_unknown_check_as_unknown(capsys):
+    assert cli_main(["search", "--check", "check_nope", "--budget", "5"]) == 2
+    assert capsys.readouterr().err == "error: no check named 'check_nope'\n"
+    assert cli_main(["search", "--check", "check_gruss", "--budget", "5"]) == 2
+    assert capsys.readouterr().err == "error: search does not support 'check_gruss'\n"

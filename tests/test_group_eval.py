@@ -10,6 +10,7 @@ import pytest
 
 from opineq import generators, harness
 from opineq.cli import cli_main
+from opineq.core import DEFAULT_TOL
 from opineq.errors import InvalidSpec, MaxTermsExceeded
 from opineq.generators import (
     CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
@@ -153,3 +154,13 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
     with pytest.raises(MaxTermsExceeded, match="spoiled at alpha 0.5"):
         evaluate_instance(_at(inst, (0.5,)))
     assert evaluate_instance(_at(inst, (2.0,))).holds
+
+
+@pytest.mark.parametrize("check", CHECK_NAMES)
+def test_a_group_without_points_is_invalid_spec(check):
+    inst = build_instance(check, 3, dim=2, length=2)
+    with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
+        evaluate_group([inst], points=())
+    # a run gives such a trial its instance and no report
+    [[(built, reports)]] = generators.run_trials([(check, [3], ())], DEFAULT_TOL, dim=2, length=2)
+    assert built.to_json() == inst.to_json() and reports == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import json
 import math
 import sys
 
@@ -174,3 +175,43 @@ def test_records_refuse_assignment():
         assert isinstance(record, tuple) and not dataclasses.is_dataclass(record), name
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
+
+
+def test_each_check_function_is_derived_from_its_row():
+    for name, spec in CHECK_SPECS.items():
+        fn = getattr(checks, name)
+        assert fn.__name__ == fn.__qualname__ == name
+        assert fn.__module__ == "opineq.checks"
+        assert fn.__doc__ == spec.kernel.__doc__ and fn.__doc__.strip(), name
+
+
+def test_check_functions_refuse_what_their_rows_do_not_take():
+    for name, spec in CHECK_SPECS.items():
+        fn, inst = getattr(checks, name), build_instance(name, 3, dim=2, length=2)
+        args = [inst.x, inst.y, *(getattr(inst, op) for op in spec.operands),
+                *GRIDS[spec.grid].default]
+        assert fn(*args).name == name
+        with pytest.raises(TypeError):
+            fn(inst.x)
+        if spec.operands:
+            with pytest.raises(TypeError):
+                fn(inst.x, inst.y)
+        if spec.grid:
+            with pytest.raises(TypeError):
+                fn(*args[:-1])
+        if not spec.hypotheses:
+            with pytest.raises(TypeError):
+                fn(*args, drop=())
+
+
+def test_check_functions_take_their_optional_ball_and_grid_keys_by_keyword():
+    def same(r1, r2):
+        return json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
+
+    g = build_instance("check_gruss", 3, dim=2, length=2)
+    assert same(checks.check_gruss(g.x, g.y, g.a, g.e), checks.check_gruss(g.x, g.y, g.a, g.e, None))
+    assert same(checks.check_gruss(g.x, g.y, g.a, g.e),
+                checks.check_gruss(g.x, g.y, g.a, g.e, ball=None))
+    al = build_instance("check_alpha", 3, dim=2, length=2)
+    assert same(checks.check_alpha(al.x, al.y, al.a, alpha=0.5),
+                checks.check_alpha(al.x, al.y, al.a, 0.5))
