@@ -19,9 +19,9 @@ point (its ``drop`` names hypotheses not to enforce), documented by its
 kernel's docstring, the statement whose two sides the kernel computes.  A
 run evaluates a group of trials as one batch; since every stacked operation
 treats each matrix on its own, a report is bit for bit the same either way.
-Every route builds its batch with :meth:`Batch.of`, the one operand gate: a
-batch without instances or points, an x, y or e that is not a module
-element, or a missing e, is InvalidSpec there before anything else is read.
+Every route builds its batch with :meth:`Batch.of` from one row per instance,
+the one operand gate and group rule: no rows or points, two :func:`group_key`s,
+an x, y or e that is not a module element, or a missing e is InvalidSpec first.
 The tests hold the kernels against :mod:`opineq.reference`, the paper's
 formulas coded plainly.
 
@@ -275,30 +275,49 @@ class Batch(NamedTuple):
     digests: tuple                # one per instance
 
     @classmethod
-    def of(cls, name: str, drop, xs, ys, a, es, balls, points, digests) -> "Batch":
-        """The batch of check ``name`` and ``drop``, its operands checked in this order:
-        at least one instance and one grid point (InvalidSpec), each x and y, and each
-        e of a check that takes one, a module element (InvalidSpec, also for an e that
-        is None or missing), per instance x, y and e in one context, each ``a``
-        (:func:`acting_stack`; read only if the check takes one), ball
-        (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`); ``balls`` may
-        be None."""
-        spec = CHECK_SPECS[name]
-        if not xs or not points:
-            raise InvalidSpec(f"a {name} batch needs at least one instance and one grid point")
-        es = (es or [None] * len(xs)) if "e" in spec.operands else None
-        for z in (*xs, *ys, *(es or ())):
+    def of(cls, rows, points) -> "Batch":
+        """The batch of ``rows``, one mapping per instance: its ``check``, ``drop``
+        (default ``()``), ``x``, ``y``, the operands its check's row names and
+        ``digest`` (default None); other keys are ignored.  Checked in this order:
+        at least one row and one grid point, one :func:`group_key` (InvalidSpec),
+        the check (UnknownCheck), each x and y, and each e of a check that takes
+        one, a module element (InvalidSpec, also for one that is None or missing),
+        per instance x, y and e in one context, each ``a`` (:func:`acting_stack`),
+        a ball in every row or in none (InvalidSpec), each ball
+        (:func:`ball_bounds`) and grid point (:meth:`GridAxis.params`)."""
+        if not rows or not points:
+            raise InvalidSpec("a batch needs at least one instance and one grid point")
+        keys = [group_key(row) for row in rows]
+        if any(key != keys[0] for key in keys):
+            raise InvalidSpec(f"a group needs one (check, dim, len, drop), "
+                              f"got {sorted({str(k): k for k in keys}.values(), key=str)}")
+        spec = check_spec(keys[0][0])
+        ops = {op: [row.get(op) for row in rows] for op in ("x", "y", *spec.operands)}
+        elements = [ops[op] for op in ("x", "y", "e") if op in ops]
+        for z in (z for zs in elements for z in zs):
             if not isinstance(z, ModuleElement):
-                raise InvalidSpec(f"{name} takes module elements as "
-                                  f"{'x, y and e' if es else 'x and y'}, got {type(z).__name__}")
-        for operands in zip(xs, ys, *(() if es is None else (es,))):
+                raise InvalidSpec(f"{spec.name} takes module elements as "
+                                  f"{'x, y and e' if 'e' in ops else 'x and y'}, "
+                                  f"got {type(z).__name__}")
+        for operands in zip(*elements):
             _same_ctx(*operands)
-        axis = GRIDS[spec.grid]
-        return cls(name, drop, Stack.of(xs), Stack.of(ys),
-                   acting_stack(xs, a) if "a" in spec.operands else None,
-                   None if es is None else Stack.of(es),
-                   None if balls is None else tuple(map(ball_bounds, balls)),
-                   tuple(tuple(axis.params(point).values()) for point in points), tuple(digests))
+        a = acting_stack(ops["x"], ops["a"]) if "a" in ops else None
+        balls = ops.get("ball", [None])
+        if len({ball is None for ball in balls}) > 1:
+            raise InvalidSpec(f"a {spec.name} batch gives a ball in every row or in none")
+        return cls(spec.name, keys[0][3], Stack.of(ops["x"]), Stack.of(ops["y"]), a,
+                   Stack.of(ops["e"]) if "e" in ops else None,
+                   None if balls[0] is None else tuple(map(ball_bounds, balls)),
+                   tuple(tuple(GRIDS[spec.grid].params(p).values()) for p in points),
+                   tuple(row.get("digest") for row in rows))
+
+
+def group_key(row) -> tuple:
+    """What every row of one batch shares: (check, dim, len, drop as given); dim
+    and len are None for an x that is not a module element."""
+    x = row.get("x")
+    shape = (x.ctx.dim, x.ctx.length) if isinstance(x, ModuleElement) else (None, None)
+    return row.get("check"), *shape, row.get("drop", ())
 
 
 class _Branch(NamedTuple):
@@ -658,10 +677,8 @@ def _check_function(spec: CheckSpec) -> Callable[..., InequalityReport]:
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         v = bound.arguments
-        ball = v.get("ball")
-        return run_batch(Batch.of(spec.name, v.get("drop", ()), (v["x"],), (v["y"],), (v.get("a"),),
-                                  (v.get("e"),), None if ball is None else (ball,),
-                                  (tuple(v[k] for k in keys),), (v["digest"],)), v["tol"])[0]
+        return run_batch(Batch.of([{"check": spec.name, **v}], [tuple(v[k] for k in keys)]),
+                         v["tol"])[0]
 
     check.__name__ = check.__qualname__ = spec.name
     check.__doc__, check.__signature__ = spec.kernel.__doc__, signature

@@ -294,20 +294,12 @@ class CheckInstance:
     params: dict = field(default_factory=dict)
     drop: tuple[str, ...] = ()
 
-    @property
-    def shape(self) -> tuple:
-        """(dim, len) of x; (None, None) for an x that is not a module element,
-        which every evaluation route refuses in :meth:`Batch.of`."""
-        if not isinstance(self.x, ModuleElement):
-            return None, None
-        return self.x.ctx.dim, self.x.ctx.length
-
     def digest(self) -> dict:
         params = dict(self.params)
         params["kind"] = self.kind
         if self.drop:
             params["drop"] = list(self.drop)
-        dim, length = self.shape
+        _, dim, length, _ = checks.group_key(vars(self))
         return {"seed": self.seed, "dim": dim, "len": length, "params": params}
 
     def to_json(self) -> dict:
@@ -598,16 +590,15 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
 def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
                    points=None) -> list[InequalityReport]:
     """Evaluate instances of one check with one dimension, length and drop
-    set (InvalidSpec for a mix) at each of ``points`` in one kernel call; a
+    set (InvalidSpec for a mix or none) at each of ``points`` in one kernel call; a
     check with a grid needs them given (InvalidSpec otherwise), as its
     instances may record their own.  Report ``k * len(points) + j`` is, bit
     for bit, what evaluate_instance gives for instance k at point j.  Raises the first
     OpineqError any instance raises; :func:`evaluate_each` gives each
     instance's own."""
-    spec = check_spec(insts[0].check)
     if points is None:
-        if spec.grid is not None:
-            raise InvalidSpec(f"{spec.name} is evaluated at given {spec.grid} points")
+        if insts and (grid := check_spec(insts[0].check).grid) is not None:
+            raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
         points = ((),)
     return run_batch(_batch(insts, points), tol)
 
@@ -615,12 +606,12 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
 def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     """The evaluation policy of a run: per instance, its report or OpineqError
     at each of ``points``, each what :func:`evaluate_group` gives it alone.
-    Instances of one dimension, length and drop set are evaluated as one
+    Instances of one :func:`opineq.checks.group_key` are evaluated as one
     group in one kernel call.  A group that raises is evaluated again
     instance by instance (:func:`_alone`)."""
     groups: dict[tuple, list[int]] = {}
     for k, inst in enumerate(insts):
-        groups.setdefault((*inst.shape, inst.drop), []).append(k)
+        groups.setdefault(checks.group_key(vars(inst)), []).append(k)
     out = {}
     for members in groups.values():
         group = [insts[k] for k in members]
@@ -676,14 +667,5 @@ def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
 
 
 def _batch(insts, points) -> Batch:
-    """The instances at every point as one batch, with one digest per
-    instance; InvalidSpec unless they share one check, dimension, length and
-    drop set."""
-    groups = {(inst.check, *inst.shape, inst.drop) for inst in insts}
-    if len(groups) > 1:
-        raise InvalidSpec(f"a group needs one (check, dim, len, drop), "
-                          f"got {sorted(groups, key=str)}")
-    spec = check_spec(insts[0].check)
-    ops = {op: [getattr(inst, op) for inst in insts] for op in ("x", "y", *spec.operands)}
-    return Batch.of(spec.name, insts[0].drop, ops["x"], ops["y"], ops.get("a"), ops.get("e"),
-                    ops.get("ball"), points, [inst.digest() for inst in insts])
+    """The instances at every point as one batch, one :meth:`Batch.of` row each."""
+    return Batch.of([{**vars(inst), "digest": inst.digest()} for inst in insts], points)

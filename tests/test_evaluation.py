@@ -37,8 +37,8 @@ def test_run_batch_enforces_the_preconditions_its_batch_keeps():
     inst = build_instance("check_uin", 3, dim=3, length=2, drop=("normality",))
 
     def batch(drop):
-        return checks.Batch.of("check_uin", drop, (inst.x,), (inst.y,), (inst.a,), None, None,
-                               ((),), (inst.digest(),))
+        return checks.Batch.of([{"check": "check_uin", "drop": drop, "x": inst.x, "y": inst.y,
+                                 "a": inst.a, "digest": inst.digest()}], ((),))
 
     kept = batch(())
     with pytest.raises(NotNormal) as expected:
@@ -364,3 +364,58 @@ def test_an_operand_that_is_not_an_element_is_invalid_on_a_direct_call(call):
     inst = build_instance("check_gruss", 1, dim=2, length=2)
     with pytest.raises(InvalidSpec, match="takes module elements as"):
         call(inst.x, inst.y, inst.a, inst.e)
+
+
+def _without_ball():
+    return dataclasses.replace(build_instance("check_gruss", 3, dim=2, length=2), ball=None)
+
+
+@pytest.mark.parametrize("route", [
+    lambda inst: [evaluate_instance(inst)],
+    lambda inst: evaluate_group([inst]),
+    lambda inst: evaluate_each([inst], ToleranceConfig(), ((),))[0],
+    lambda inst: assert_hypotheses(inst) or [evaluate_instance(inst)],
+], ids=["evaluate_instance", "evaluate_group", "evaluate_each", "assert_hypotheses"])
+def test_a_gruss_instance_without_a_ball_gets_one_verdict_on_every_route(route):
+    inst = _without_ball()
+    (report,) = route(inst)
+    assert isinstance(report, checks.InequalityReport), report
+    assert report.instance["params"]["ball"] is None
+    assert "g3" in report.norm_detail
+    assert not any(key.startswith("mm") for key in report.norm_detail)
+    assert report.to_json_dict() == evaluate_instance(inst).to_json_dict()
+
+
+def test_a_batch_gives_a_ball_in_every_row_or_in_none():
+    bare = _without_ball()
+    balled = build_instance("check_gruss", 4, dim=2, length=2)
+    with pytest.raises(InvalidSpec, match="a ball in every row or in none"):
+        evaluate_group([balled, bare])
+    rows = evaluate_each([balled, bare], ToleranceConfig(), ((),))
+    assert [[r.to_json_dict() for r in row] for row in rows] == [
+        [evaluate_instance(inst).to_json_dict()] for inst in (balled, bare)]
+
+
+def test_an_empty_group_is_invalid_spec():
+    with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
+        evaluate_group([])
+    assert evaluate_each([], ToleranceConfig(), ((),)) == []
+
+
+def _row(inst, **changes):
+    return {"check": inst.check, "drop": inst.drop, "x": inst.x, "y": inst.y, "a": inst.a,
+            "digest": inst.digest(), **changes}
+
+
+def test_batch_of_refuses_rows_of_two_shapes():
+    rows = [_row(build_instance("check_uin", 1, dim=2, length=2)),
+            _row(build_instance("check_uin", 2, dim=3, length=2))]
+    with pytest.raises(InvalidSpec, match="a group needs one"):
+        checks.Batch.of(rows, ((),))
+
+
+def test_batch_of_refuses_a_row_without_y():
+    row = _row(build_instance("check_uin", 1, dim=2, length=2))
+    del row["y"]
+    with pytest.raises(InvalidSpec, match="takes module elements"):
+        checks.Batch.of([row], ((),))

@@ -37,11 +37,10 @@ def test_registry_rows_match_their_functions():
         assert ("drop" in params) == bool(spec.hypotheses), name
 
 
-def _batch_of(inst, points, balls=None):
+def _batch_of(inst, points, ball=None):
     """inst at each of ``points`` as a batch of one instance."""
-    operands = CHECK_SPECS[inst.check].operands
-    return Batch.of(inst.check, inst.drop, (inst.x,), (inst.y,), (inst.a,),
-                    (inst.e,) if "e" in operands else None, balls, points, (inst.digest(),))
+    return Batch.of([{"check": inst.check, "drop": inst.drop, "x": inst.x, "y": inst.y,
+                      "a": inst.a, "e": inst.e, "ball": ball, "digest": inst.digest()}], points)
 
 
 def test_a_kernel_takes_only_its_batch_and_gives_one_pair_per_report():
@@ -49,7 +48,7 @@ def test_a_kernel_takes_only_its_batch_and_gives_one_pair_per_report():
         assert len(inspect.signature(spec.kernel).parameters) == 1, name
         inst = build_instance(name, 5, dim=3, length=2)
         points = GRIDS[spec.grid].points
-        rows = spec.kernel(_batch_of(inst, points, None if inst.ball is None else (inst.ball,)))
+        rows = spec.kernel(_batch_of(inst, points, inst.ball))
         assert len(rows) == len(points), name
         assert all(isinstance(row, tuple) and len(row) == 2 for row in rows), name
 
@@ -59,7 +58,7 @@ def test_run_batch_records_a_gruss_batch_ball():
     assert inst.ball is not None
     (bare,) = checks.run_batch(_batch_of(inst, ((),)))
     assert "ball" in bare.instance["params"] and bare.instance["params"]["ball"] is None
-    (balled,) = checks.run_batch(_batch_of(inst, ((),), (inst.ball,)))
+    (balled,) = checks.run_batch(_batch_of(inst, ((),), inst.ball))
     assert balled.instance["params"]["ball"] == list(inst.ball)
     assert set(balled.norm_detail) > set(bare.norm_detail)
 
@@ -165,7 +164,7 @@ def test_records_refuse_assignment():
     inst = build_instance("check_cs", 2, dim=2, length=2)
     records = [
         CHECK_SPECS["check_cs"], GRIDS["pqr"], evaluate_instance(inst),
-        Batch.of("check_cs", (), (inst.x,), (inst.y,), None, None, None, ((),), (None,)),
+        Batch.of([{"check": "check_cs", "x": inst.x, "y": inst.y}], ((),)),
         InstanceDraw.for_search("check_uin", np.random.default_rng(0), 2, 2, ()),
         search_counterexample("check_cs", budget=1, dim=2, length=2),
         vectorize(ElementaryOperator(inst.x, inst.y)),
