@@ -12,11 +12,11 @@ Each check has one numeric implementation, the kernel its :data:`CHECK_SPECS`
 row names: ``kernel(b)`` takes only a :class:`Batch` (same-shape instances,
 each at the same grid points, as one stack) and gives both sides of every
 report, one (branches, detail) row per report; no kernel reads the tolerance.
-:func:`run_batch` enforces the batch's preconditions (:func:`require_preconditions`),
-runs the kernel and alone turns its rows into reports.  Each public
-``check_*`` function is derived from its row: a batch of one instance at one
-point (its ``drop`` names hypotheses not to enforce), documented by its
-kernel's docstring, the statement whose two sides the kernel computes.  A
+:func:`run_batch` enforces each instance's preconditions (:func:`require_preconditions`),
+runs the kernel once on the instances that meet them and alone turns its rows
+into reports.  Each public ``check_*`` function is derived from its row: a
+batch of one instance at one point (``drop`` names hypotheses not to enforce),
+documented by its kernel's docstring, the statement whose two sides it computes.  A
 run evaluates a group of trials as one batch; since every stacked operation
 treats each matrix on its own, a report is bit for bit the same either way.
 Every route builds its batch with :meth:`Batch.of` from one row per instance,
@@ -44,7 +44,8 @@ from .core import (
     op_norms, psd_eigs, psd_order_gaps, psd_powers, svdvals,
 )
 from .errors import (
-    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, UnknownCheck,
+    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, UnknownCheck, failures,
+    raise_first,
 )
 from .hmodule import (
     ModuleElement, Stack, _same_ctx, acting_stack, covariances, require_units,
@@ -96,40 +97,37 @@ def check_spec(name: str) -> CheckSpec:
 
 
 # --------------------------------------------------------------------------
-# hypotheses and parameter rules: each predicate takes stacks and raises
-# for the first element that fails
+# hypotheses and parameter rules: each predicate takes stacks and gives, per
+# element, None or the error that element raises alone
 
-def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = None) -> None:
+def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = None) -> list:
     """x and y must be normal.  Beside a reference e (the covariance
     setting) the parts of each must also mutually commute, and every part
     of e must be a scalar multiple of the identity: a scalar reference
     keeps the centered elements x - e<e,x> inside the module's normal
     cone, which is what the covariance bound consumes; a merely commuting
     non-scalar reference is not enough."""
-    for tag, ok, defect in zip("xy", *(v.reshape(2, -1) for v in x.is_normal(tol, y))):
-        if not ok.all():
-            raise NotNormal(f"{tag} has normality defect {defect[~ok][0]:.3e}")
+    sides = [(tag + " has normality defect {:.3e}", ok, defect)
+             for tag, ok, defect in zip("xy", *(v.reshape(2, -1) for v in x.is_normal(tol, y)))]
     if e is None:
-        return
+        return failures(NotNormal, *sides)
     d = e.parts.shape[-1]
     i, j = np.triu_indices(x.parts.shape[-3], 1)
     commutators = [z.parts[:, i] @ z.parts[:, j] - z.parts[:, j] @ z.parts[:, i] for z in (x, y)]
     centred = e.parts - (np.trace(e.parts, axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
     ok, worst = within(np.concatenate([*commutators, centred], axis=1), tol.tol_rel, lambda r: (
         np.maximum(1.0, np.maximum(x.norms[r] * x.norms[r], y.norms[r] * y.norms[r]))))
-    if not ok.all():
-        raise NotNormal(f"instance leaves the scalar-reference commuting family "
-                        f"by {worst[~ok][0]:.3e}")
+    return failures(NotNormal, *sides,
+                    ("instance leaves the scalar-reference commuting family by {:.3e}", ok, worst))
 
 
 def _require_contractive(x: Stack, y: Stack, tol: ToleranceConfig,
-                         e: Stack | None = None) -> None:
+                         e: Stack | None = None) -> list:
     tops = eigvalsh(herm(np.stack([x.gram, y.gram])))[..., -1]
-    for top, tag in zip(tops, "xy"):
-        bad = top > 1.0 - CONTRACTION_MARGIN + TOL_ABS
-        if bad.any():
-            raise NotContractive(f"<{tag},{tag}> has top eigenvalue {top[bad][0]:.6f}, "
-                                 f"above 1 - {CONTRACTION_MARGIN:g}")
+    oks = ~(tops > 1.0 - CONTRACTION_MARGIN + TOL_ABS)
+    return failures(NotContractive, *((f"<{t},{t}> has top eigenvalue {{:.6f}}, above 1 - "
+                                       f"{CONTRACTION_MARGIN:g}", ok, top)
+                                      for t, ok, top in zip("xy", oks, tops)))
 
 
 HYPOTHESES = {"normality": _require_normal, "contraction": _require_contractive}
@@ -157,11 +155,12 @@ def ball_bounds(ball) -> tuple[float, ...]:
     return tuple(map(float, ball))
 
 
-def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise BallViolated unless x lies in [me, Me] and y in [pe, Pe] for
-    ``(m, M, p, P)`` in ``balls``, one per element of the stacks x, y, e."""
+def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Per element of the stacks x, y, e and ``(m, M, p, P)`` in ``balls``, None
+    if x lies in [me, Me] and y in [pe, Pe], else its BallViolated."""
     bounds = np.array(balls, dtype=float)
     d = e.parts.shape[-1]
+    sides = []
     for z, lo, hi, tag in ((x, bounds[:, 0], bounds[:, 1], "x"),
                            (y, bounds[:, 2], bounds[:, 3], "y")):
         centre = e.parts @ (((hi + lo) / 2)[:, None, None, None] * np.eye(d))
@@ -169,9 +168,8 @@ def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         dist = np.sqrt(op_norms(weighted_products(z.weights, off, off)))
         radius = abs(hi - lo) / 2
         bad = dist > radius + TOL_ABS + tol.tol_rel * np.maximum(radius, 1.0)
-        if bad.any():
-            raise BallViolated(f"{tag} sits {dist[bad][0]:.6f} from the ball center, "
-                               f"radius {radius[bad][0]:.6f}")
+        sides.append((tag + " sits {:.6f} from the ball center, radius {:.6f}", ~bad, dist, radius))
+    return failures(BallViolated, *sides)
 
 
 def validate_pqr(p: float, q: float, r: float) -> None:
@@ -311,13 +309,21 @@ class Batch(NamedTuple):
                    tuple(tuple(GRIDS[spec.grid].params(p).values()) for p in points),
                    tuple(row.get("digest") for row in rows))
 
+    def rows(self, keep) -> "Batch":
+        """The instances ``keep`` indexes, each stack rebuilt from their rows."""
+        def take(v):
+            return (Stack(v.weights[keep], v.parts[keep]) if isinstance(v, Stack) else v[keep]
+                    if isinstance(v, np.ndarray) else v and tuple(v[k] for k in keep))
+        return self if len(keep) == len(self.digests) else self._replace(
+            **{f: take(getattr(self, f)) for f in ("x", "y", "a", "e", "balls", "digests")})
+
 
 def group_key(row) -> tuple:
-    """What every row of one batch shares: (check, dim, len, drop as given); dim
-    and len are None for an x that is not a module element."""
+    """What every row of one batch shares: (check, dim, len, :func:`validate_drop`
+    of its drop); dim and len are None for an x that is not a module element."""
     x = row.get("x")
     shape = (x.ctx.dim, x.ctx.length) if isinstance(x, ModuleElement) else (None, None)
-    return row.get("check"), *shape, row.get("drop", ())
+    return row.get("check"), *shape, validate_drop(row.get("drop", ()))
 
 
 class _Branch(NamedTuple):
@@ -627,35 +633,37 @@ CHECK_NAMES = tuple(CHECK_SPECS)
 CHECK_ANCHORS = {name: spec.anchor for name, spec in CHECK_SPECS.items()}
 
 
-def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise for the first precondition of the batch's check it breaks, in this
-    order: the unit reference (if ``b.e`` is set), the row's hypotheses minus
-    ``b.drop`` (:func:`validate_drop`), the ball (if ``b.balls`` is set), after
-    :meth:`Batch.of` has checked the operands and points: :func:`run_batch` runs it first."""
+def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Per instance, None or the error it raises alone for the first precondition
+    of the batch's check it breaks, in this order: the unit reference (if ``b.e``
+    is set), the row's hypotheses minus ``b.drop``, the ball (if ``b.balls`` is
+    set), after :meth:`Batch.of` has checked the operands, drop and points."""
+    verdicts = [[None] * len(b.digests)]
     if b.e is not None:
-        require_units(b.e, tol)
-    for hypothesis in CHECK_SPECS[b.name].enforced(validate_drop(b.drop)):
-        HYPOTHESES[hypothesis](b.x, b.y, tol, b.e)
+        verdicts.append(require_units(b.e, tol))
+    verdicts += [HYPOTHESES[h](b.x, b.y, tol, b.e) for h in CHECK_SPECS[b.name].enforced(b.drop)]
     if b.balls is not None:
-        require_in_ball(b.x, b.y, b.e, b.balls, tol)
+        verdicts.append(require_in_ball(b.x, b.y, b.e, b.balls, tol))
+    return [next(filter(None, row), None) for row in zip(*verdicts)]
 
 
-def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list[InequalityReport]:
-    """Every report of a batch: :func:`require_preconditions`, then its check's
-    kernel, then the one assembly of its rows into reports: ``holds`` at ``tol``,
-    and an instance built in one merge: the batch's shape, then the instance's
-    digest, whose params get the grid point's and, for a check that takes a ball,
-    ``"ball"`` (the instance's ball as a list, or None) laid over them."""
-    require_preconditions(b, tol)
+def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Per (instance, point), instance-major, the instance's error from
+    :func:`require_preconditions` or its report: the kernel runs once, on the rest
+    (:meth:`Batch.rows`); ``holds`` is decided at ``tol``, and each instance's digest
+    is laid over the batch's shape, its params under the point's and ``"ball"``."""
+    errors = require_preconditions(b, tol)
+    kept = b.rows([k for k, error in enumerate(errors) if error is None])
     spec = CHECK_SPECS[b.name]
     grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
     balls = [{"ball": None if ball is None else list(ball)} if "ball" in spec.operands else {}
-             for ball in b.balls or [None] * len(b.digests)]
+             for ball in kept.balls or [None] * len(kept.digests)]
     instances = [{**shape, **digest, "params": {**digest.get("params", {}), **point, **ball}}
-                 for digest, ball in zip((d or {} for d in b.digests), balls) for point in grid]
-    return [_finish(b.name, branches, tol, instance, detail)
-            for (branches, detail), instance in zip(spec.kernel(b), instances)]
+                 for digest, ball in zip((d or {} for d in kept.digests), balls) for point in grid]
+    reports = (_finish(b.name, branches, tol, instance, detail) for (branches, detail), instance
+               in zip(spec.kernel(kept) if kept.digests else (), instances))
+    return [error or next(reports) for error in errors for _ in b.points]
 
 
 # --------------------------------------------------------------------------
@@ -677,8 +685,8 @@ def _check_function(spec: CheckSpec) -> Callable[..., InequalityReport]:
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         v = bound.arguments
-        return run_batch(Batch.of([{"check": spec.name, **v}], [tuple(v[k] for k in keys)]),
-                         v["tol"])[0]
+        return raise_first(run_batch(Batch.of([{"check": spec.name, **v}],
+                                              [tuple(v[k] for k in keys)]), v["tol"]))[0]
 
     check.__name__ = check.__qualname__ = spec.name
     check.__doc__, check.__signature__ = spec.kernel.__doc__, signature

@@ -1,4 +1,4 @@
-"""Exception types shared across the laboratory."""
+"""Exception types shared across the laboratory, and per-row lists of them."""
 
 
 class OpineqError(Exception):
@@ -29,19 +29,15 @@ class CtxMismatch(OpineqError):
     """Module elements from different contexts were combined."""
 
 
-class PreconditionError(OpineqError):
-    """An instance breaks a hypothesis of its check, at every grid point alike."""
-
-
-class NotUnital(PreconditionError):
+class NotUnital(OpineqError):
     """The reference element of a covariance context is not a unit vector."""
 
 
-class NotNormal(PreconditionError):
+class NotNormal(OpineqError):
     """A check hypothesis requires normal elements and the input is not normal."""
 
 
-class NotContractive(PreconditionError):
+class NotContractive(OpineqError):
     """A contraction hypothesis (norm or spectral radius below one) fails."""
 
 
@@ -49,7 +45,7 @@ class MaxTermsExceeded(OpineqError):
     """An operator series would need more terms than the configured cap."""
 
 
-class BallViolated(PreconditionError):
+class BallViolated(OpineqError):
     """An element is outside the ball its check hypothesis places it in."""
 
 
@@ -76,3 +72,17 @@ class UnknownCheck(OpineqError):
 
 class IOFailure(OpineqError):
     """Reading or writing reports/instances failed."""
+
+
+def failures(error: type, *sides) -> list:
+    """Per row, None where each side (message, ok, *values) has ``ok``, else ``error``
+    of the first failing side's message formatted with its row of ``values``."""
+    return [next((error(side[0].format(*v)) for side, (ok, *v) in zip(sides, row) if not ok), None)
+            for row in zip(*(zip(*side[1:]) for side in sides))]
+
+
+def raise_first(outcomes: list) -> list:
+    """``outcomes`` if none is an error, else raise the first."""
+    if errors := [o for o in outcomes if isinstance(o, OpineqError)]:
+        raise errors[0]
+    return outcomes

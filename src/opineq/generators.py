@@ -37,7 +37,7 @@ from .checks import (  # CHECK_NAMES is re-exported
 from .core import (
     DEFAULT_TOL, ToleranceConfig, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
 )
-from .errors import InvalidSpec, OpineqError, PreconditionError, UnknownCheck
+from .errors import InvalidSpec, OpineqError, UnknownCheck, raise_first
 from .hmodule import (
     ModuleContext, ModuleElement, Stack, _same_ctx, element_from_json, element_to_json,
     matrix_from_json, matrix_to_json,
@@ -570,7 +570,7 @@ def assert_hypotheses(inst: CheckInstance) -> None:
     checks them.  Runs do not call it; evaluation alone enforces them."""
     spec = check_spec(inst.check)
     try:
-        require_preconditions(_batch([inst], (_point(spec, inst.params),)))
+        raise_first(require_preconditions(_batch([inst], (_point(spec, inst.params),))))
     except OpineqError as exc:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
@@ -600,24 +600,27 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
         if insts and (grid := check_spec(insts[0].check).grid) is not None:
             raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
         points = ((),)
-    return run_batch(_batch(insts, points), tol)
+    return raise_first(run_batch(_batch(insts, points), tol))
 
 
 def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     """The evaluation policy of a run: per instance, its report or OpineqError
     at each of ``points``, each what :func:`evaluate_group` gives it alone.
-    Instances of one :func:`opineq.checks.group_key` are evaluated as one
-    group in one kernel call.  A group that raises is evaluated again
+    Instances of one :func:`opineq.checks.group_key` (each alone if it has
+    none) are one :func:`run_batch`; a group that raises is evaluated again
     instance by instance (:func:`_alone`)."""
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple | int, list[int]] = {}
     for k, inst in enumerate(insts):
-        groups.setdefault(checks.group_key(vars(inst)), []).append(k)
+        try:
+            groups.setdefault(checks.group_key(vars(inst)), []).append(k)
+        except InvalidSpec:
+            groups[k] = [k]
     out = {}
     for members in groups.values():
         group = [insts[k] for k in members]
         try:
-            reports = evaluate_group(group, tol, points)
-            rows = [reports[i * len(points):(i + 1) * len(points)] for i in range(len(group))]
+            outs = run_batch(_batch(group, points), tol)
+            rows = [outs[i * len(points):(i + 1) * len(points)] for i in range(len(group))]
         except OpineqError:
             rows = [_alone(inst, tol, points) for inst in group]
         out.update(zip(members, rows))
@@ -652,8 +655,8 @@ def _built_alone(check: str, seed: int, draw: dict):
 
 def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
     """One instance's report or OpineqError at each point.  Its batch at all points
-    runs first; an operand, grid or precondition error (PreconditionError) there is
-    every point's, as is any error at one point; else each point runs alone."""
+    runs first; an operand or grid error there is every point's, as is any error
+    at one point; after a kernel error each point runs alone."""
     try:
         batch = _batch([inst], points)
     except OpineqError as exc:
@@ -661,8 +664,8 @@ def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
     try:
         return run_batch(batch, tol)
     except OpineqError as exc:
-        if isinstance(exc, PreconditionError) or len(points) == 1:
-            return [exc] * len(points)
+        if len(points) == 1:
+            return [exc]
     return [out for point in points for out in _alone(inst, tol, (point,))]
 
 

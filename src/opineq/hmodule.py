@@ -32,7 +32,7 @@ from .core import (
     DEFAULT_TOL, ToleranceConfig, as_integer, as_matrix, complex_array, ct, finite, is_real,
     op_norms,
 )
-from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital
+from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital, failures
 
 
 @dataclass(frozen=True)
@@ -297,11 +297,10 @@ def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[boo
     return bool(ok[0]), float(op_norms(x.stack.normality_defects[0]).max())
 
 
-def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Raise NotUnital unless <e, e> = I to tol_rel, for every element e of a stack."""
+def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+    """Per element e of a stack, None if <e, e> = I to tol_rel, else its NotUnital."""
     ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], cfg.tol_rel, lambda r: 1)
-    if not ok.all():
-        raise NotUnital(f"<e, e> deviates from the identity by {defect[~ok][0]:.3e}")
+    return failures(NotUnital, ("<e, e> deviates from the identity by {:.3e}", ok, defect))
 
 
 def covariances(w: np.ndarray, xs: np.ndarray, ys: np.ndarray, es: np.ndarray) -> np.ndarray:

@@ -10,9 +10,11 @@ import pytest
 from opineq import checks, generators, harness, hmodule
 from opineq.checks import GRIDS
 from opineq.core import ToleranceConfig
-from opineq.errors import BallViolated, InvalidSpec, NotNormal, NotUnital, OpineqError
+from opineq.errors import (
+    BallViolated, InvalidSpec, NotNormal, NotUnital, OpineqError, raise_first,
+)
 from opineq.generators import (
-    CHECK_NAMES, assert_hypotheses, build_instance, evaluate_each, evaluate_group,
+    CHECK_NAMES, assert_hypotheses, build_group, build_instance, evaluate_each, evaluate_group,
     evaluate_instance, trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
@@ -41,11 +43,10 @@ def test_run_batch_enforces_the_preconditions_its_batch_keeps():
                                  "a": inst.a, "digest": inst.digest()}], ((),))
 
     kept = batch(())
-    with pytest.raises(NotNormal) as expected:
-        checks.HYPOTHESES["normality"](kept.x, kept.y, ToleranceConfig())
-    with pytest.raises(NotNormal) as info:
-        checks.run_batch(kept)
-    assert str(info.value) == str(expected.value)
+    (expected,) = checks.HYPOTHESES["normality"](kept.x, kept.y, ToleranceConfig())
+    (error,) = checks.run_batch(kept)
+    assert isinstance(expected, NotNormal) and isinstance(error, NotNormal)
+    assert str(error) == str(expected)
     (report,) = checks.run_batch(batch(("normality",)))
     assert report.to_json_dict() == evaluate_group([inst])[0].to_json_dict()
 
@@ -131,10 +132,11 @@ def _each_alone(cfg, check, spoil=lambda inst: inst):
 
 @pytest.mark.parametrize("spoiled", [False, True], ids=["tol0", "one_generic"])
 def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
-    """At tol 0 every instance breaks normality: the group's call, then one
-    per instance, 5 in all (13 if enforced per point).  With one generic
-    instance at the default tolerance, the others are evaluated at every
-    point without enforcing again: 5 calls, not 13."""
+    """At tol 0 every instance breaks normality; at the default tolerance one
+    generic instance does.  Either way the group is enforced once, in one call
+    for all four instances at every point (5 calls when a group that raised was
+    re-run instance by instance, 13 if enforced per point), and each line is
+    what the instance gives alone."""
     tol = ToleranceConfig() if spoiled else ToleranceConfig(tol_rel=0.0)
     cfg = RunConfig(trials=4, checks=("check_alpha",), seed=1, dim=3, length=2, tolerances=tol)
     bad = trial_seed(cfg.seed, "check_alpha", 2)
@@ -158,7 +160,7 @@ def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
     monkeypatch.setitem(checks.HYPOTHESES, "normality", counted)
     out = io.StringIO()
     summary = run_suite(cfg, out)
-    assert len(calls) == 5
+    assert len(calls) == 1 and len(calls[0][0].parts) == 4
     errors = 3 if spoiled else 12
     assert summary.counts["check_alpha"]["error"] == errors
     assert [json.loads(line) for line in out.getvalue().splitlines()] == _each_alone(
@@ -419,3 +421,81 @@ def test_batch_of_refuses_a_row_without_y():
     del row["y"]
     with pytest.raises(InvalidSpec, match="takes module elements"):
         checks.Batch.of([row], ((),))
+
+
+DROP_ROUTES = {
+    "evaluate_instance": evaluate_instance,
+    "evaluate_group": lambda inst: evaluate_group([inst])[0],
+    "evaluate_each": lambda inst: raise_first(evaluate_each([inst], ToleranceConfig(), [()])[0])[0],
+}
+
+
+@pytest.mark.parametrize("route", DROP_ROUTES.values(), ids=DROP_ROUTES)
+@pytest.mark.parametrize("kind", [list, set], ids=["list", "set"])
+def test_a_list_drop_groups_like_its_tuple_and_a_set_drop_is_invalid(route, kind):
+    inst = build_instance("check_uin", 3, dim=2, length=2, drop=("normality",))
+    other = dataclasses.replace(inst, drop=kind(inst.drop))
+    if kind is set:
+        with pytest.raises(InvalidSpec, match="drop must be a tuple or list"):
+            route(other)
+        return
+    assert checks.group_key(vars(other)) == checks.group_key(vars(inst))
+    assert route(other).margin == evaluate_instance(inst).margin
+    (mixed, tupled), = [evaluate_each([other, inst], ToleranceConfig(), ((),))]
+    assert mixed[0].to_json_dict() == tupled[0].to_json_dict()
+
+
+def test_one_instance_that_breaks_normality_leaves_one_kernel_call_for_the_rest(monkeypatch):
+    """A 64-trial check_naopaka group with one non-normal instance: the kernel
+    runs once, on the 63 others, and every line is what its instance gives alone."""
+    cfg = RunConfig(trials=64, checks=("check_naopaka",), seed=0, dim=4, length=3)
+    bad = trial_seed(cfg.seed, "check_naopaka", 17)
+    generic = dataclasses.replace(
+        build_instance("check_naopaka", bad, dim=4, length=3, drop=("normality",)), drop=())
+    original = generators.build_window
+    monkeypatch.setattr(generators, "build_window", lambda segments, **kw: [
+        [generic if inst.seed == bad else inst for inst in built]
+        for built in original(segments, **kw)])
+    spec = checks.CHECK_SPECS["check_naopaka"]
+    sizes = []
+
+    def counted(b):
+        sizes.append(len(b.digests))
+        return spec.kernel(b)
+
+    monkeypatch.setitem(checks.CHECK_SPECS, "check_naopaka", spec._replace(kernel=counted))
+    out = io.StringIO()
+    summary = run_suite(cfg, out)
+    assert sizes == [63]
+    assert summary.counts["check_naopaka"]["error"] == 1
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    with pytest.raises(NotNormal) as info:
+        evaluate_instance(generic)
+    assert lines[17] == harness._error_line("check_naopaka", generic, bad, info.value)
+    assert [line for k, line in enumerate(lines) if k != 17] == [
+        evaluate_instance(build_instance("check_naopaka", trial_seed(cfg.seed, "check_naopaka", k),
+                                         dim=4, length=3)).to_json_dict()
+        for k in range(cfg.trials) if k != 17]
+
+
+def test_a_gruss_group_gives_each_instance_its_own_error_or_report():
+    """The kept rows of a gruss batch keep their own unit reference and ball."""
+    insts = build_group("check_gruss", range(6), dim=2, length=2)
+    insts[1] = dataclasses.replace(insts[1], e=(1 + 1e-3) * insts[1].e)  # not a unit
+    insts[4] = dataclasses.replace(insts[4], x=insts[4].x + 10.0 * insts[4].e)  # off its ball
+
+    def line(outcome):
+        if isinstance(outcome, OpineqError):
+            return f"{type(outcome).__name__}: {outcome}"
+        return outcome.to_json_dict()
+
+    def alone(inst):
+        try:
+            return line(evaluate_instance(inst))
+        except OpineqError as exc:
+            return line(exc)
+
+    got = [line(out) for (out,) in evaluate_each(insts, ToleranceConfig(), ((),))]
+    assert got == [alone(inst) for inst in insts]
+    assert got[1].startswith("NotUnital: ") and got[4].startswith("BallViolated: ")
+    assert sum(isinstance(g, dict) for g in got) == 4

@@ -11,7 +11,6 @@ import pytest
 
 from opineq import checks, transformer
 from opineq.core import DEFAULT_TOL, ToleranceConfig, ct, op_norms
-from opineq.errors import NotNormal, NotUnital
 from opineq.generators import build_group
 from opineq.hmodule import (
     ModuleContext, ModuleElement, Stack, is_normal, require_units, weighted_products, within,
@@ -38,6 +37,11 @@ def _svd_normality(parts, w=WEIGHTS):
     mats = [g @ p - p @ g for p in parts] + [g - gbar]
     nx = math.sqrt(np.linalg.norm(g, 2))
     return max(np.linalg.norm(m, 2) for m in mats), max(1.0, nx**2, nx**3)
+
+
+def _verdicts(errors):
+    """A predicate's per-element entries as None or (type name, message)."""
+    return [None if e is None else (type(e).__name__, str(e)) for e in errors]
 
 
 def _element_at(ratio, tol, seed, d=3):
@@ -93,12 +97,9 @@ def test_normality_verdicts_and_messages_are_the_svds(tol):
     assert ok.tolist() == expected.tolist()
     assert [is_normal(z, cfg) for z in xs] == [(bool(v), float(s)) for v, s in zip(expected, svd)]
     y = Stack.of([_element_at(0.0, 0.0, 50 + k) for k in range(len(xs))])
-    if expected.all():
-        checks._require_normal(x, y, cfg)
-    else:
-        with pytest.raises(NotNormal) as err:
-            checks._require_normal(x, y, cfg)
-        assert str(err.value) == f"x has normality defect {svd[~expected][0]:.3e}"
+    assert _verdicts(checks._require_normal(x, y, cfg)) == [
+        None if ok else ("NotNormal", f"x has normality defect {v:.3e}")
+        for ok, v in zip(expected, svd)]
 
 
 @pytest.mark.parametrize("tol", TOLS)
@@ -112,12 +113,9 @@ def test_unit_reference_verdicts_and_messages_are_the_svds(tol, d):
     svd = op_norms(es.gram - np.eye(d))
     expected = svd <= tol
     assert expected[0]
-    if expected.all():
-        require_units(es, ToleranceConfig(tol_rel=tol))
-    else:
-        with pytest.raises(NotUnital) as err:
-            require_units(es, ToleranceConfig(tol_rel=tol))
-        assert str(err.value) == f"<e, e> deviates from the identity by {svd[~expected][0]:.3e}"
+    assert _verdicts(require_units(es, ToleranceConfig(tol_rel=tol))) == [
+        None if ok else ("NotUnital", f"<e, e> deviates from the identity by {v:.3e}")
+        for ok, v in zip(expected, svd)]
 
 
 @pytest.mark.parametrize("tol", TOLS + (1e-300,))
@@ -160,11 +158,15 @@ def test_a_normal_frame_group_decides_normality_without_svd(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    checks._require_normal(x, y, DEFAULT_TOL)
+    assert checks._require_normal(x, y, DEFAULT_TOL) == [None] * len(insts)
     assert calls == []
-    with pytest.raises(NotNormal):  # at tol 0 the screen leaves roundoff open
-        checks._require_normal(x, y, ToleranceConfig(tol_rel=0.0))
+    # at tol 0 the screen leaves roundoff open: each element fails, as it does alone
+    exact = ToleranceConfig(tol_rel=0.0)
+    errors = _verdicts(checks._require_normal(x, y, exact))
     assert calls
+    assert all(e is not None and e[0] == "NotNormal" for e in errors)
+    assert errors == [_verdicts(checks._require_normal(i.x.stack, i.y.stack, exact))[0]
+                      for i in insts]
 
 
 def _per_part(w, xs, ys):
