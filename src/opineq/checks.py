@@ -527,10 +527,9 @@ def _alpha(b: Batch) -> list:
     """|||(1-<x,x>)^(a/2) a (1-<y,y>)^(a/2)||| <= |||(I-T)^alpha a|||.
 
     At alpha = 1 this coincides with check_naopaka branch for branch.
-    (I-T)^alpha a is :func:`fractional_powers`': the exact eigen form
-    wherever the vectorized T has a well-conditioned eigenbasis, normal or
-    not, at non-integer alpha and at integer alpha past the roundoff bound;
-    else the stacked binomial series :func:`series_powers`.
+    (I-T)^alpha a is :func:`fractional_powers`': the finite binomial sum
+    at integer alpha <= FINITE_MAX, else the exact eigen form, which an
+    ill-conditioned or defective eigenbasis refuses, normal or not.
     """
     alphas = [alpha for (alpha,) in b.points]
     px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)

@@ -5,13 +5,12 @@ spectral radii and norm bounds, (I - T)^alpha, and the defect operator
 built from the resolvent-summed Gram matrix.
 
 (I - T)^alpha a has one path, :func:`fractional_powers`, over a stack of
-operators, and one rule for its eigen form V (1 - w)^alpha V^(-1): a row
-takes it exactly when cond(V) eps <= SERIES_TAIL, normal or not.  The
-other rows, and integer alpha below the terminating series' roundoff
-bound, take :func:`series_powers`, the binomial series stacked, truncated
-at SERIES_TAIL and capped at MAX_TERMS terms.  Its oracle, the series of
-one operator, and the other plain forms the engine is tested against live
-in :mod:`opineq.reference`; no engine code calls them.
+operators, with one rule per alpha: an integer alpha <= FINITE_MAX takes
+the finite binomial sum, and every other alpha the eigen form
+V (1 - w)^alpha V^(-1), which a stack whose eigenbasis has
+cond(V) eps > SERIES_TAIL refuses.  Its oracle, the truncated binomial
+series of one operator, and the other plain forms the engine is tested
+against live in :mod:`opineq.reference`; no engine code calls them.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when that bound is below one; the
@@ -33,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import complex_normals, finite, herm, psd_powers
-from .errors import DimCap, InvalidSpec, MaxTermsExceeded, NotContractive, OpineqError
+from .errors import DimCap, InvalidSpec, NotContractive, OpineqError
 from .hmodule import (
     ModuleElement, Stack, _frozen, _same_ctx, acting, module_norm, weighted_products,
 )
@@ -45,11 +44,10 @@ DIM_CAP = 1024
 # Gaussian probes of the induced-norm lower bound, besides the identity
 PROBE_SAMPLES = 32
 
-# truncation target of the series, and the limit of cond(V) eps for the eigen form
-# and of eps (1 + gamma)^alpha, the roundoff of a terminating series
+# the limit of cond(V) eps for the eigen form, and of the finite sum's roundoff
 SERIES_TAIL = 1e-10
-# most terms a series may take
-MAX_TERMS = 10_000
+# largest integer alpha with eps (1 + gamma)^alpha <= SERIES_TAIL at every gamma < 1
+FINITE_MAX = int(math.log2(SERIES_TAIL / np.finfo(float).eps))
 
 # fixed seed: the probe set for the induced-norm lower bound must be reproducible
 _PROBE_SEED = 0x0FAB
@@ -170,39 +168,27 @@ def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:
     return OperatorNormBounds(float(lower), module_norm(t.x) * module_norm(t.y))
 
 
-def _eigen_forms(rep: np.ndarray, a: np.ndarray) -> tuple:
+def _eigen_forms(rep: np.ndarray, a: np.ndarray, alpha: float) -> tuple:
     """The alpha-independent part of (I - T)^alpha a for a stack of
-    vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d),
-    per operator: eigenvalues w and eigenvectors V of T, V^(-1) vec(a), and
-    whether the eigen form applies, that is cond(V) eps <= SERIES_TAIL.
-    Rows where it does not (an ill-conditioned or defective eigenbasis) hold
-    zeros in V^(-1) vec(a)."""
+    vectorized operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d):
+    eigenvalues w and eigenvectors V of each T and V^(-1) vec(a).  OpineqError,
+    naming ``alpha``, if some eigenbasis has cond(V) eps > SERIES_TAIL (an
+    ill-conditioned or defective T)."""
     w, v = np.linalg.eig(rep)
-    ok = ~(np.linalg.cond(v) * np.finfo(float).eps > SERIES_TAIL)
-    sol = np.zeros(w.shape, dtype=complex)
-    if ok.any():
-        sol[ok] = np.linalg.solve(v[ok], vec(a[ok])[..., None])[..., 0]
-    return w, v, sol, ok
+    if (np.linalg.cond(v) * np.finfo(float).eps > SERIES_TAIL).any():
+        raise OpineqError(f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective")
+    return w, v, np.linalg.solve(v, vec(a)[..., None])[..., 0]
 
 
-def series_powers(rep: np.ndarray, a: np.ndarray, alpha: float,
-                  gammas: np.ndarray) -> np.ndarray:
-    """:func:`opineq.reference.binomial_series` by its recurrence, order and
-    stops, each row's own, on stacks of vectorized T, a and gamma = ||x|| ||y||:
-    the same bits as that series fed each row's Kronecker step."""
-    acc, term, live, coeff, n = a.copy(), a, np.ones(len(a), dtype=bool), 1.0, 0
-    while (nxt := coeff * (alpha - n) / (n + 1.0)) != 0.0:
-        live &= (gammas > 0.0) | (n < 1)
-        if n + 1 > alpha:  # each row's tail bound, in the reference series' arithmetic
-            tails = [abs(nxt) * g ** (n + 1) / (1.0 - g) for g in gammas.tolist()]
-            live &= (gammas <= 0.0) | (np.array(tails) > SERIES_TAIL)
-        if not live.any():
-            break
-        if n + 1 >= MAX_TERMS:
-            raise MaxTermsExceeded(f"binomial series exceeded {MAX_TERMS} terms")
+def finite_sum(rep: np.ndarray, a: np.ndarray, alpha: float) -> np.ndarray:
+    """sum_j C(alpha, j) (-T)^j a for an integer alpha, on stacks of vectorized T
+    and a, with C(alpha, j+1) = C(alpha, j) (alpha - j) / (j + 1): the
+    order and coefficients of :func:`opineq.reference.binomial_series`."""
+    acc, term, coeff = a.copy(), a, 1.0
+    for n in range(int(alpha)):
+        coeff = coeff * (alpha - n) / (n + 1.0)
         term = unvec((rep @ vec(term)[..., None])[..., 0], a.shape[-1])
-        acc[live] += ((-1.0 if (n + 1) % 2 else 1.0) * nxt) * term[live]
-        coeff, n = nxt, n + 1
+        acc += ((-1.0 if (n + 1) % 2 else 1.0) * coeff) * term
     return acc
 
 
@@ -210,38 +196,26 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> list[np.ndar
     """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
     (B, d, d), one stack per (valid) alpha; requires ||x|| ||y|| < 1.
 
-    The spectrum of the vectorized R lies in the disc of radius
-    gamma = ||x|| ||y|| < 1, so wherever R = V diag(w) V^(-1),
+    An integer alpha <= FINITE_MAX takes :func:`finite_sum`, whose roundoff
+    eps (1 + gamma)^alpha stays within SERIES_TAIL.  Every other alpha takes
+    the eigen form: the spectrum of the vectorized R lies in the disc of
+    radius gamma = ||x|| ||y|| < 1, so wherever R = V diag(w) V^(-1),
     V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series sums,
-    with an error of order cond(V) eps.  A row takes this eigen form when
-    cond(V) eps <= SERIES_TAIL, at non-integer alpha, and at integer alpha
-    where the terminating series' roundoff bound eps (1 + gamma)^alpha
-    exceeds SERIES_TAIL (so never below alpha = 18.8); such an integer row
-    whose eigenbasis is ill-conditioned or defective raises OpineqError.
-    The other rows take :func:`series_powers` in one call.
+    with an error of order cond(V) eps; a stack with cond(V) eps >
+    SERIES_TAIL in some row raises OpineqError.
     """
     gammas = x.norms * y.norms  # below one for the series to converge
     if (bad := gammas >= 1.0).any():
         raise NotContractive(f"binomial series requires ||x|| ||y|| < 1, got {gammas[bad][0]:.6f}")
     rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
     for alpha in alphas:
-        integer = float(alpha).is_integer()
-        # eps (1 + gamma)^alpha > SERIES_TAIL, taken in logarithms so that it cannot overflow
-        eigen = alpha * np.log1p(gammas) > math.log(SERIES_TAIL / np.finfo(float).eps)
-        eigen |= not integer
-        if not eigen.any():
-            out.append(series_powers(rep, a, alpha, gammas))
+        if float(alpha).is_integer() and alpha <= FINITE_MAX:
+            out.append(finite_sum(rep, a, alpha))
             continue
         if forms is None:
-            forms = _eigen_forms(rep, a)
-        w, v, sol, ok = forms
-        if integer and (eigen & ~ok).any():
-            raise OpineqError(f"integer alpha {alpha}: roundoff bound eps (1 + gamma)^alpha > "
-                              f"SERIES_TAIL, and T's eigenbasis is ill-conditioned or defective")
-        hi = unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1])
-        if (series := ~(eigen & ok)).any():
-            hi[series] = series_powers(rep[series], a[series], alpha, gammas[series])
-        out.append(hi)
+            forms = _eigen_forms(rep, a, alpha)
+        w, v, sol = forms
+        out.append(unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1]))
     return out
 
 

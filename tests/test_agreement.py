@@ -1,7 +1,7 @@
 """The reference module's plain forms give what the check kernels give: Fan
-dominance and the PSD order bit for bit, (I - T)^alpha bit for bit when the
-series is fed the engine's Kronecker step and within a stated bound when it
-applies T term by term."""
+dominance and the PSD order bit for bit, (I - T)^alpha at integer alpha bit
+for bit when the series is fed the engine's Kronecker step, and within a
+stated bound otherwise or when it applies T term by term."""
 
 import dataclasses
 
@@ -85,7 +85,7 @@ def test_fractional_power_exact_is_check_alpha_rhs(alpha, drop, monkeypatch, kro
 @pytest.mark.parametrize("drop", [(), ("normality",)], ids=["normal", "non_normal"])
 def test_term_by_term_series_agrees_with_the_engine(drop):
     """The reference series with T applied term by term and its own gamma
-    against fractional_power_exact (eigen form or stacked Kronecker series).
+    against fractional_power_exact (eigen form or finite sum).
     Both sums stop at tail bounds of SERIES_TAIL ||a||, so they may differ by
     twice that; integer alpha terminates, leaving only roundoff.  Measured on
     these 2 x 360 cases, in units of ||a||: for non-integer alpha 2.0e-12

@@ -5,33 +5,51 @@ A witness shows a bound sharp where a randomized pass cannot: a right-hand
 side that is too large still passes every random trial, but not these.
 
 - x = y = I (n = 1): <x, a y> = a and <x, x> = <y, y> = I, so ``check_hs``,
-  ``check_refinement`` and ``check_uin`` compare a with itself.
+  ``check_refinement``, ``check_uin`` and ``check_basic`` compare a with
+  itself, and ``check_cs`` compares <x, y> = I with <x, x> = <y, y> = I.
+- x = y = U, a unitary (n = 1): <x, a y> = U* a U and <x, x> = <y, y> = I,
+  so both sides of ``check_uin`` are unitarily invariant norms of a.
 - x = y = 0.7 I: T(a) = 0.49 a, so (I - T)^alpha a = 0.51^alpha a, which is
-  (1 - <x,x>)^(alpha/2) a (1 - <y,y>)^(alpha/2) for ``check_alpha``; the
-  defect operators are 0.51^(1/2) I, so both sides of ``check_defect`` are
+  (1 - <x,x>)^(alpha/2) a (1 - <y,y>)^(alpha/2) for ``check_alpha``, and at
+  alpha = 1 both sides of ``check_naopaka`` are 0.51 a; the defect
+  operators are 0.51^(1/2) I, so both sides of ``check_defect`` are
   0.51^(1 - (1/q + 1/r)/2) ||a||_p.
+- x = y = 1e-3 I at alpha = 20000: both sides of ``check_alpha`` are
+  (1 - 1e-6)^20000 a, far past the binomial series' term cap but within
+  the eigen form.
 - x = y (here non-normal, n = 2): r(T_{x,y})^2 = r(T_{x,x}) r(T_{y,y}), the
   ``radius_sq`` branch of ``check_radius_submult``.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from opineq.checks import GRIDS
 from opineq.cli import cli_main
+from opineq.core import DEFAULT_TOL
+from opineq.generators import build_instance, evaluate_each
+from opineq.hmodule import ModuleElement
 
 EQ_TOL = 1e-10  # equality witnesses, normalized margins
 CORPUS = Path(__file__).parent / "corpus"
 
 # witness file -> the norm_detail entries at equality (None: every entry)
 WITNESSES = {
+    "check_cs_identity": None,
+    "check_basic_identity": None,
     "check_hs_identity": None,
     "check_refinement_identity": None,
     "check_uin_identity": None,
+    "check_uin_unitary": None,
+    "check_naopaka_scalar": None,
     "check_alpha_scalar_0.5": None,
     "check_alpha_scalar_1": None,
     "check_alpha_scalar_2": None,
+    "check_alpha_small_20000": None,
     "check_defect_scalar": None,
     "check_radius_submult_x_eq_y": ("radius_sq",),
 }
@@ -50,3 +68,19 @@ def test_an_equality_witness_replays_at_zero_margin(name, capsys):
     assert name.startswith(rep["name"] + "_")
     keys = WITNESSES[name] or tuple(rep["norm_detail"])
     assert keys and all(abs(rep["norm_detail"][k]) <= EQ_TOL for k in keys), rep["norm_detail"]
+
+
+def test_check_interp_keeps_its_known_bias_at_a_projection():
+    """Not an equality witness yet: at x = y = diag(1, 1, 0) (n = 1) the exact
+    margin of ``check_interp`` is 0 at every point, but its outer powers of
+    K + EPSILON_REG leave a positive bias.  Pinned at the four default points,
+    with ``a`` and the context of one built instance, within 1e-12 (relative
+    above magnitude 1, as the pinned reference margins), so that a change of
+    the bias shows here."""
+    inst = build_instance("check_interp", 5, dim=3, length=1)
+    z = ModuleElement(inst.x.ctx, (np.diag([1.0, 1.0, 0.0]).astype(complex),))
+    (row,) = evaluate_each([dataclasses.replace(inst, x=z, y=z)], DEFAULT_TOL, GRIDS["pqr"].points)
+    bias = [1.6596596702522174e-06, 8.650491613620571e-04, 2.220048066612586e-04,
+            7.895061104570767e-09]
+    assert all(rep.holds for rep in row)
+    assert [rep.margin / rep.scale for rep in row] == pytest.approx(bias, rel=1e-12, abs=1e-12)

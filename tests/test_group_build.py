@@ -112,38 +112,54 @@ def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, leng
     assert calls == []
 
     inst = build_instance("check_alpha", trial_seed(seed, "check_alpha", 0), dim=dim, length=length)
+    sums = []
 
-    def series(rep, a, alpha, gammas):
+    def series(rep, a, alpha):
+        sums.append(alpha)
         return kron_series(inst.x, inst.y, a[0], alpha)[None]
 
-    monkeypatch.setattr(transformer, "series_powers", series)
+    monkeypatch.setattr(transformer, "finite_sum", series)
     reference = io.StringIO()
     run_suite(cfg, reference)
-    assert calls and kernel.getvalue() == reference.getvalue()
+    assert calls and sums == [1.0, 2.0] and kernel.getvalue() == reference.getvalue()
+
+
+def _stacked(dim, length, drop=("normality",)):
+    """Built check_alpha instances at three contraction targets, so that the
+    rows of one stack have different gamma = ||x|| ||y||, and their stacks."""
+    insts = [inst for seeds, target in (([0], 0.999), ([1, 2], 0.9), ([3, 4], 0.5))
+             for inst in build_group("check_alpha", seeds, dim=dim, length=length,
+                                     contraction=target, drop=drop)]
+    xs, ys = checks.Stack.of([i.x for i in insts]), checks.Stack.of([i.y for i in insts])
+    return insts, xs, ys, np.array([inst.a for inst in insts])
 
 
 def test_stacked_terminating_sum_is_each_series(kron_series):
-    insts = build_group("check_alpha", list(range(6)), dim=3, length=2)
-    xs, ys = checks.Stack.of([i.x for i in insts]), checks.Stack.of([i.y for i in insts])
-    rep = transformer.vectorized(xs.weights, xs.parts, ys.parts)
-    a = np.array([inst.a for inst in insts])
-    for alpha in (1.0, 2.0, 3.0):
-        stacked = transformer.series_powers(rep, a, alpha, xs.norms * ys.norms)
-        for inst, got in zip(insts, stacked):
-            assert np.array_equal(got, kron_series(inst.x, inst.y, inst.a, alpha))
+    """At every integer alpha up to FINITE_MAX, (I - T)^alpha a of a stack is
+    each row's reference series fed the engine's Kronecker step, bit for bit,
+    normal or not, over rows of different gamma."""
+    assert transformer.FINITE_MAX == 18
+    alphas = range(1, transformer.FINITE_MAX + 1)
+    for drop in ((), ("normality",)):
+        insts, xs, ys, a = _stacked(3, 2, drop)
+        for alpha, stacked in zip(alphas, transformer.fractional_powers(xs, ys, a, alphas)):
+            for inst, got in zip(insts, stacked):
+                assert np.array_equal(got, kron_series(inst.x, inst.y, inst.a, alpha))
 
 
 @pytest.mark.parametrize("dim, length", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 1), (6, 2)])
 def test_stacked_series_stops_where_each_row_does(dim, length, kron_series):
-    """Each row of one stack stops where its own series does: generic (non-normal)
-    operators at three contraction targets, so the rows' series differ in length."""
-    insts = [inst for seeds, target in (([0], 0.999), ([1, 2], 0.9), ([3, 4], 0.5))
-             for inst in build_group("check_alpha", seeds, dim=dim, length=length,
-                                     contraction=target, drop=("normality",))]
-    xs, ys = checks.Stack.of([i.x for i in insts]), checks.Stack.of([i.y for i in insts])
-    rep = transformer.vectorized(xs.weights, xs.parts, ys.parts)
-    a = np.array([inst.a for inst in insts])
-    for alpha in (1.0, 2.0, 3.0, 0.5, 1.5, 1 / 3, 2.7):
-        stacked = transformer.series_powers(rep, a, alpha, xs.norms * ys.norms)
+    """Each row of one stack gives what it gives alone, over generic
+    (non-normal) rows of different gamma: the finite sum stops after alpha
+    terms, where each row's reference series stops at its first zero
+    coefficient, and the eigen form of a row (non-integer alpha, and integer
+    alpha past FINITE_MAX) does not depend on the rows beside it."""
+    insts, xs, ys, a = _stacked(dim, length)
+    alphas = (1.0, 2.0, 3.0, 18.0, 0.5, 1.5, 1 / 3, 2.7, 19.0)
+    for alpha, stacked in zip(alphas, transformer.fractional_powers(xs, ys, a, alphas)):
         for inst, got in zip(insts, stacked):
-            assert np.array_equal(got, kron_series(inst.x, inst.y, inst.a, alpha))
+            if alpha <= transformer.FINITE_MAX and alpha.is_integer():
+                assert np.array_equal(got, kron_series(inst.x, inst.y, inst.a, alpha))
+            else:
+                t = transformer.ElementaryOperator(inst.x, inst.y)
+                assert np.array_equal(got, transformer.fractional_power_exact(t, alpha, inst.a))

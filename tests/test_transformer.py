@@ -323,33 +323,36 @@ def _defective_pair():
     return ElementaryOperator(z, z)
 
 
-def test_fractional_power_exact_falls_back_to_series(monkeypatch, kron_series):
+def test_fractional_power_exact_without_an_eigen_form(monkeypatch, kron_series):
+    """A defective or ill-conditioned eigenbasis refuses the eigen form, so every
+    alpha but an integer up to FINITE_MAX is one OpineqError naming alpha; the
+    finite sum of an integer alpha is the reference series, bit for bit."""
     t = _pair(3, 2)  # a non-normal vectorized T
     t = ElementaryOperator((0.8 / module_norm(t.x)) * t.x, (0.8 / module_norm(t.y)) * t.y)
     a = _cg(3)
-    # a defective vectorized T has no eigen form: the series output, bit for bit
     defective = _defective_pair()
-    for alpha in (0.5, 1.5):
-        assert np.array_equal(fractional_power_exact(defective, alpha, a),
-                              kron_series(defective.x, defective.y, a, alpha))
-    # integer alpha below the roundoff bound takes the terminating series, normal or not
+    for alpha in (0.5, 1.5, 19):
+        with pytest.raises(OpineqError, match=rf"^alpha {alpha}: T's eigenbasis is "
+                                              r"ill-conditioned or defective$"):
+            fractional_power_exact(defective, alpha, a)
+    # integer alpha up to FINITE_MAX takes the finite sum, defective, normal or not
     normal = _normal_pair(3, 2)
-    for tt in (t, normal):
+    for tt in (defective, t, normal):
         for alpha in (1, 2.0, 3):
             assert np.array_equal(fractional_power_exact(tt, alpha, a),
                                   kron_series(tt.x, tt.y, a, alpha))
-    # an eigenbasis whose conditioning cannot meet SERIES_TAIL falls back too
+    # an eigenbasis whose conditioning cannot meet SERIES_TAIL is refused too
     monkeypatch.setattr(transformer, "SERIES_TAIL", 1e-17)
-    monkeypatch.setattr(reference, "SERIES_TAIL", 1e-17)
-    assert np.array_equal(fractional_power_exact(normal, 0.5, a),
-                          kron_series(normal.x, normal.y, a, 0.5))
+    with pytest.raises(OpineqError, match="^alpha 0.5: T's eigenbasis"):
+        fractional_power_exact(normal, 0.5, a)
+    assert np.array_equal(fractional_power_exact(normal, 2, a), kron_series(normal.x, normal.y, a, 2))
 
 
-@pytest.mark.parametrize("alpha", [20, 60, 100, 400])
+@pytest.mark.parametrize("alpha", [18, 19, 20, 60, 100, 400])
 def test_large_integer_alpha_agrees_with_matrix_power(alpha):
-    """Where eps (1 + gamma)^alpha exceeds SERIES_TAIL, an integer alpha takes
-    the eigen form, normal or not; the terminating series is off by 1.1 at
-    alpha = 100."""
+    """Up to FINITE_MAX = 18 an integer alpha takes the finite sum, whose
+    roundoff eps (1 + gamma)^alpha stays within SERIES_TAIL; past it, the eigen
+    form, normal or not (the finite sum is off by 1.1 at alpha = 100)."""
     for drop in ((), ("normality",)):
         for inst in build_group("check_alpha", range(20), drop=drop):
             rep = reference.kron_matrix(inst.x.ctx.weights, inst.x.parts, inst.y.parts)
@@ -360,14 +363,15 @@ def test_large_integer_alpha_agrees_with_matrix_power(alpha):
 
 
 def test_large_integer_alpha_without_the_eigen_form_is_an_error():
-    with pytest.raises(OpineqError, match=r"roundoff bound eps \(1 \+ gamma\)\^alpha"):
+    with pytest.raises(OpineqError, match="^alpha 100: T's eigenbasis is ill-conditioned"):
         fractional_power_exact(_defective_pair(), 100, _cg(3))
 
 
-def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch):
-    """Normal or not, a row reaches series_powers exactly when its eigenbasis
-    has cond(V) eps > SERIES_TAIL: eight built non-normal rows and the
-    defective 0.8 J_3 in one stack, at non-integer alpha."""
+def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch, kron_series):
+    """Eight built non-normal rows take the eigen form together, from one
+    eigendecomposition of the stack, within the series' tail bounds of the
+    reference series; with the defective 0.8 J_3 beside them, the stack is one
+    OpineqError at a non-integer alpha and the finite sum at an integer one."""
     insts = build_group("check_alpha", list(range(8)), dim=3, length=1, drop=("normality",))
     z = _defective_pair().x
     xs, ys = Stack.of([i.x for i in insts] + [z]), Stack.of([i.y for i in insts] + [z])
@@ -377,27 +381,33 @@ def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch):
     assert (np.linalg.norm(rep @ rep_h - rep_h @ rep, axis=(-2, -1)) > 1e-3 * size ** 2).all()
     ill = np.linalg.cond(np.linalg.eig(rep)[1]) * np.finfo(float).eps > transformer.SERIES_TAIL
     assert ill.tolist() == [False] * 8 + [True]
-    seen, original = [], transformer.series_powers
+    seen, original = [], transformer._eigen_forms
 
-    def counted(rep, a, alpha, gammas):
-        seen.append(a)
-        return original(rep, a, alpha, gammas)
+    def counted(rep, a, alpha):
+        seen.append(alpha)
+        return original(rep, a, alpha)
 
-    monkeypatch.setattr(transformer, "series_powers", counted)
-    transformer.fractional_powers(xs, ys, a, (0.5, 1 / 3))
-    assert len(seen) == 2 and all(np.array_equal(rows, a[ill]) for rows in seen)
+    monkeypatch.setattr(transformer, "_eigen_forms", counted)
+    well = Stack.of([i.x for i in insts]), Stack.of([i.y for i in insts])
+    for alpha, his in zip((0.5, 1 / 3), transformer.fractional_powers(*well, a[:8], (0.5, 1 / 3))):
+        for inst, hi in zip(insts, his):
+            gap = op_norm(hi - kron_series(inst.x, inst.y, inst.a, alpha))
+            assert gap <= 2 * reference.SERIES_TAIL * op_norm(inst.a)
+    assert seen == [0.5]
+    with pytest.raises(OpineqError, match="^alpha 0.5: T's eigenbasis"):
+        transformer.fractional_powers(xs, ys, a, (0.5, 1 / 3))
+    sums = transformer.fractional_powers(xs, ys, a, (1, 2))
+    assert seen == [0.5, 0.5] and [len(s) for s in sums] == [9, 9]
 
 
 @pytest.mark.parametrize("drop", [(), ("normality",)], ids=["normal", "generic"])
-def test_generated_alpha_instances_send_no_fractional_row_to_the_series(monkeypatch, drop):
+def test_generated_alpha_instances_all_take_the_eigen_form(drop):
     """Over 200 built check_alpha instances of random shape, every row of
-    (I - T)^alpha a at a non-integer alpha takes the eigen form: the
-    generators build no ill-conditioned eigenbasis, normal or not."""
+    (I - T)^alpha a at a non-integer alpha, and at alpha = 19, the first
+    integer past FINITE_MAX, takes the eigen form: the generators build no
+    ill-conditioned eigenbasis, normal or not, so no report is an error."""
     insts = build_group("check_alpha", list(range(200)), drop=drop)
-    calls = []
-    monkeypatch.setattr(transformer, "series_powers", lambda *args: calls.append(args))
-    rows = evaluate_each(insts, DEFAULT_TOL, ((0.5,), (1.5,), (1 / 3,)))
-    assert calls == []
+    rows = evaluate_each(insts, DEFAULT_TOL, ((0.5,), (1.5,), (1 / 3,), (19.0,)))
     assert all(isinstance(report, InequalityReport) for row in rows for report in row)
 
 
