@@ -10,11 +10,12 @@ Hilbert-Schmidt value recorded as a redundant spot check.
 
 Each check has one numeric implementation, the kernel its :data:`CHECK_SPECS`
 row names: ``kernel(b)`` takes only a :class:`Batch` (same-shape instances,
-each at the same grid points, as one stack) and gives both sides of every
-report, one (branches, detail) row per report; no kernel reads the tolerance.
-:func:`run_batch` enforces each instance's preconditions (:func:`require_preconditions`),
-runs the kernel once on the instances that meet them and alone turns its rows
-into reports.  Each public ``check_*`` function is derived from its row: a
+each at the same grid points, as one stack) and gives one row per report:
+both sides as (branches, detail), or its own OpineqError (a domain its
+formula leaves); no kernel reads the tolerance.  :func:`run_batch` enforces
+each instance's preconditions (:func:`require_preconditions`), runs the
+kernel once on the instances that meet them and alone turns its rows into
+reports.  Each public ``check_*`` function is derived from its row: a
 batch of one instance at one point (``drop`` names hypotheses not to enforce),
 documented by its kernel's docstring, the statement whose two sides it computes.  A
 run evaluates a group of trials as one batch; since every stacked operation
@@ -44,8 +45,8 @@ from .core import (
     op_norms, psd_eigs, psd_order_gaps, psd_powers, svdvals,
 )
 from .errors import (
-    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, UnknownCheck, failures,
-    raise_first,
+    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, OpineqError, UnknownCheck,
+    failures, raise_first,
 )
 from .hmodule import (
     ModuleElement, Stack, _same_ctx, acting_stack, covariances, require_units,
@@ -72,8 +73,8 @@ class CheckSpec(NamedTuple):
     if the row has ``hypotheses``.  ``recipe`` keys its row of
     :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
     reports record, and ``kernel(b)`` the numbers of a :class:`Batch`, one
-    (branches, detail) row per report in :func:`run_batch`'s order; its
-    docstring states the inequality and is the function's."""
+    (branches, detail) row or OpineqError per report in :func:`run_batch`'s
+    order; its docstring states the inequality and is the function's."""
 
     name: str
     anchor: str
@@ -362,8 +363,8 @@ def _ky_branches(s_lo: np.ndarray, s_hi: np.ndarray,
     return out
 
 
-def _finish(name: str, branches: dict[str, _Branch], tol: ToleranceConfig,
-            digest: dict, extra_detail: dict | None) -> InequalityReport:
+def _finish(name: str, tol: ToleranceConfig, digest: dict, branches: dict[str, _Branch],
+            extra_detail: dict | None) -> InequalityReport:
     """Assemble a report: headline is the branch with the worst margin/scale."""
     detail = {label: b.margin / b.scale for label, b in branches.items()}
     head = branches[min(detail, key=detail.__getitem__)]
@@ -410,8 +411,8 @@ def _powers(eigs: tuple, exps: list) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # kernels: the numerics of each check over a Batch, one row (branches, extra
-# detail or None) per report; each stage makes one LAPACK call, over every
-# instance and grid point
+# detail or None) or OpineqError per report; each stage makes one LAPACK
+# call, over every instance and grid point
 
 def _cs(b: Batch) -> list:
     """|<x,y>|^2 <= ||x||^2 <y,y> in the PSD order, plus its square root."""
@@ -534,11 +535,11 @@ def _alpha(b: Batch) -> list:
     alphas = [alpha for (alpha,) in b.points]
     px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)
     los = px @ b.a @ py
-    his = fractional_powers(b.x, b.y, b.a, alphas)
+    his, errors = fractional_powers(b.x, b.y, b.a, alphas)
     d = b.a.shape[-1]
     # one stack per point, interleaved into report order
-    return _family_rows(los.swapaxes(0, 1).reshape(-1, d, d),
-                        np.stack(his, axis=1).reshape(-1, d, d))
+    rows = _family_rows(los.swapaxes(0, 1).reshape(-1, d, d), np.stack(his, 1).reshape(-1, d, d))
+    return [error or row for error, row in zip((e for es in zip(*errors) for e in es), rows)]
 
 
 def _defect(b: Batch) -> list:
@@ -550,7 +551,8 @@ def _defect(b: Batch) -> list:
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
-    eigs = (v.reshape(4, len(x.parts), *v.shape[1:]) for v in psd_eigs(defect_operators(four)))
+    deltas, errors = defect_operators(four)
+    eigs = (v.reshape(4, len(x.parts), *v.shape[1:]) for v in psd_eigs(deltas))
     qs, rs = [q for _, q, _ in b.points], [r for _, _, r in b.points]
     # D_x^(1-1/q), D_y^(1-1/r), D_xbar^(-1/q) and D_ybar^(-1/r) at every point
     dx, dy, dxb, dyb = _powers(eigs, [[1 - 1 / q for q in qs], [1 - 1 / r for r in rs],
@@ -558,8 +560,10 @@ def _defect(b: Batch) -> list:
     s_lhs, s_rhs = svdvals(np.stack([dx @ b.a @ dy, dxb @ (b.a - _products(b)) @ dyb]))
     columns = [zip(norms_of(s_lhs[k], schatten(p)).tolist(), norms_of(s_rhs[k], schatten(p)).tolist())
                for k, (p, _, _) in enumerate(b.points)]
-    return [({schatten(p).label: _scalar_branch(l, h)}, None)
-            for (p, _, _), (l, h) in _instance_major(b, columns)]
+    # an instance's error is the first of x, y, xbar and ybar's
+    firsts = [next(filter(None, errors[k::len(x.parts)]), None) for k in range(len(x.parts))]
+    return [firsts[k // len(b.points)] or ({schatten(p).label: _scalar_branch(l, h)}, None)
+            for k, ((p, _, _), (l, h)) in enumerate(_instance_major(b, columns))]
 
 
 def _gruss(b: Batch) -> list:
@@ -648,9 +652,9 @@ def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
 
 def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Per (instance, point), instance-major, the instance's error from
-    :func:`require_preconditions` or its report: the kernel runs once, on the rest
-    (:meth:`Batch.rows`); ``holds`` is decided at ``tol``, and each instance's digest
-    is laid over the batch's shape, its params under the point's and ``"ball"``."""
+    :func:`require_preconditions`, else its kernel row's error or report: the kernel
+    runs once, on the rest (:meth:`Batch.rows`); ``holds`` is decided at ``tol``, and each
+    digest is laid over the batch's shape, its params under the point's and ``"ball"``."""
     errors = require_preconditions(b, tol)
     kept = b.rows([k for k, error in enumerate(errors) if error is None])
     spec = CHECK_SPECS[b.name]
@@ -660,8 +664,8 @@ def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
              for ball in kept.balls or [None] * len(kept.digests)]
     instances = [{**shape, **digest, "params": {**digest.get("params", {}), **point, **ball}}
                  for digest, ball in zip((d or {} for d in kept.digests), balls) for point in grid]
-    reports = (_finish(b.name, branches, tol, instance, detail) for (branches, detail), instance
-               in zip(spec.kernel(kept) if kept.digests else (), instances))
+    reports = (row if isinstance(row, OpineqError) else _finish(b.name, tol, instance, *row)
+               for row, instance in zip(spec.kernel(kept) if kept.digests else (), instances))
     return [error or next(reports) for error in errors for _ in b.points]
 
 

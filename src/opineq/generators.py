@@ -596,19 +596,24 @@ def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
     for bit, what evaluate_instance gives for instance k at point j.  Raises the first
     OpineqError any instance raises; :func:`evaluate_each` gives each
     instance's own."""
-    if points is None:
-        if insts and (grid := check_spec(insts[0].check).grid) is not None:
-            raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
-        points = ((),)
-    return raise_first(run_batch(_batch(insts, points), tol))
+    return raise_first(run_batch(_batch(insts, _points(insts, points)), tol))
+
+
+def _points(insts, points) -> tuple:
+    """``points``, else the one point () of a check without a grid (InvalidSpec with one)."""
+    if points is None and insts and (grid := check_spec(insts[0].check).grid) is not None:
+        raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
+    return ((),) if points is None else points
 
 
 def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     """The evaluation policy of a run: per instance, its report or OpineqError
-    at each of ``points``, each what :func:`evaluate_group` gives it alone.
-    Instances of one :func:`opineq.checks.group_key` (each alone if it has
-    none) are one :func:`run_batch`; a group that raises is evaluated again
-    instance by instance (:func:`_alone`)."""
+    at each of ``points`` (:func:`evaluate_group`'s rule without them), each
+    what :func:`evaluate_group` gives it alone.  Instances of one
+    :func:`opineq.checks.group_key` (each alone if it has none) are one
+    :func:`run_batch`; a group whose batch raises is evaluated instance by
+    instance, and what an instance's batch raises is every point's error."""
+    points = _points(insts, points)
     groups: dict[tuple | int, list[int]] = {}
     for k, inst in enumerate(insts):
         try:
@@ -617,13 +622,12 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
             groups[k] = [k]
     out = {}
     for members in groups.values():
-        group = [insts[k] for k in members]
         try:
-            outs = run_batch(_batch(group, points), tol)
-            rows = [outs[i * len(points):(i + 1) * len(points)] for i in range(len(group))]
-        except OpineqError:
-            rows = [_alone(inst, tol, points) for inst in group]
-        out.update(zip(members, rows))
+            outs = run_batch(_batch([insts[k] for k in members], points), tol)
+        except OpineqError as exc:
+            outs = ([exc] * len(points) if len(members) == 1 else
+                    [o for k in members for o in evaluate_each([insts[k]], tol, points)[0]])
+        out.update((k, outs[i * len(points):(i + 1) * len(points)]) for i, k in enumerate(members))
     return [out[k] for k in range(len(insts))]
 
 
@@ -651,22 +655,6 @@ def _built_alone(check: str, seed: int, draw: dict):
         return build_group(check, (seed,), **draw)[0]
     except OpineqError as exc:
         return exc
-
-
-def _alone(inst: CheckInstance, tol: ToleranceConfig, points) -> list:
-    """One instance's report or OpineqError at each point.  Its batch at all points
-    runs first; an operand or grid error there is every point's, as is any error
-    at one point; after a kernel error each point runs alone."""
-    try:
-        batch = _batch([inst], points)
-    except OpineqError as exc:
-        return [exc] * len(points)
-    try:
-        return run_batch(batch, tol)
-    except OpineqError as exc:
-        if len(points) == 1:
-            return [exc]
-    return [out for point in points for out in _alone(inst, tol, (point,))]
 
 
 def _batch(insts, points) -> Batch:

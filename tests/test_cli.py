@@ -121,6 +121,31 @@ def test_replay_reproduces_saved_margin(tmp_path, capsys):
     assert obj["holds"] is True
 
 
+def test_a_defect_instance_just_inside_the_unit_sphere_replays_as_one_error_line(
+        tmp_path, capsys):
+    """Its x has ||x|| = 1 - 1.1e-16 and a float T_{x,x} with the eigenvalue 1:
+    replay exits 1 with one stderr line, not a LinAlgError traceback."""
+    inst = build_instance("check_defect", 52, dim=1, length=1, drop=("contraction",))
+    path = tmp_path / "defect.json"
+    path.write_text(json.dumps(inst.to_json(), sort_keys=True))
+    assert cli_main(["replay", "--instance", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: defect needs spectral radius < 1, got 1.000000\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_contraction_dropped_defect_search_at_d1_runs_its_budget(seed, tmp_path, capsys):
+    """Each of these searches met a singular solve and crashed; each now spends
+    its budget and writes a witness that replays with exit 0 or 1."""
+    path = tmp_path / "w.json"
+    assert cli_main(["search", "--check", "check_defect", "--drop", "contraction", "--dim", "1",
+                     "--len", "1", "--budget", "200", "--seed", str(seed), "--out", str(path)]) == 0
+    assert "after 200 evaluations" in capsys.readouterr().out
+    assert cli_main(["replay", "--instance", str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_replay_missing_file_is_runtime_error(capsys):
     assert cli_main(["replay", "--instance", "/nonexistent/inst.json"]) == 1
     assert "error" in capsys.readouterr().err

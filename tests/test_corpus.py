@@ -19,6 +19,11 @@ side that is too large still passes every random trial, but not these.
   the eigen form.
 - x = y (here non-normal, n = 2): r(T_{x,y})^2 = r(T_{x,x}) r(T_{y,y}), the
   ``radius_sq`` branch of ``check_radius_submult``.
+- x = y an isometric stack (n = 3, d = 3, unit weights): x_t is the t-th
+  d x d block of the first d columns of a Haar unitary of size nd, so
+  <x, x> = sum_t x_t* x_t = I.  Then ``check_cs`` compares I with I in both
+  branches, and in ``check_radius_submult`` T_{x,x}(I) = I gives the probe
+  bound ||x|| ||y|| = 1 (``opnorm_gap``) besides ``radius_sq``.
 """
 
 import dataclasses
@@ -52,6 +57,8 @@ WITNESSES = {
     "check_alpha_small_20000": None,
     "check_defect_scalar": None,
     "check_radius_submult_x_eq_y": ("radius_sq",),
+    "check_cs_isometric_stack": None,
+    "check_radius_submult_isometric_stack": None,
 }
 
 

@@ -11,12 +11,14 @@ import pytest
 from opineq import generators, harness
 from opineq.cli import cli_main
 from opineq.core import DEFAULT_TOL
-from opineq.errors import InvalidSpec, MaxTermsExceeded
+from opineq.errors import InvalidSpec, MaxTermsExceeded, NotContractive, OpineqError
 from opineq.generators import (
-    CHECK_NAMES, build_instance, evaluate_group, evaluate_instance, trial_seed,
+    CHECK_NAMES, build_group, build_instance, evaluate_each, evaluate_group, evaluate_instance,
+    trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
-from opineq.checks import CHECK_SPECS, GRIDS
+from opineq.checks import CHECK_SPECS, GRIDS, InequalityReport
+from opineq.hmodule import ModuleElement
 
 
 def _lines(cfg):
@@ -126,21 +128,24 @@ def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
 
 
 def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
-    """One instance's kernel raises at alpha = 0.5 only: the group raises, and
-    evaluate_each evaluates each instance alone, point by point."""
+    """One instance's kernel row at alpha = 0.5 is its error: the run's one
+    kernel call gives that line alone its error, and every other line is
+    the clean run's."""
     cfg = RunConfig(trials=4, checks=("check_alpha",), seed=5, dim=3, length=2)
     clean = _serialized(_lines(cfg))
     bad = trial_seed(cfg.seed, "check_alpha", 1)
     row = CHECK_SPECS["check_alpha"]
-    original = row.kernel
+    original, calls = row.kernel, []
 
     def kernel(b):
-        if (0.5,) in b.points and any(digest["seed"] == bad for digest in b.digests):
-            raise MaxTermsExceeded("spoiled at alpha 0.5")
-        return original(b)
+        calls.append(len(b.digests))
+        cells = ((digest["seed"], point) for digest in b.digests for point in b.points)
+        return [MaxTermsExceeded("spoiled at alpha 0.5") if cell == (bad, (0.5,)) else out
+                for cell, out in zip(cells, original(b))]
 
     monkeypatch.setitem(CHECK_SPECS, "check_alpha", row._replace(kernel=kernel))
     lines = _lines(cfg)
+    assert calls == [4]
     alphas = GRIDS["alpha"].points
     k = len(alphas) + alphas.index((0.5,))
     assert lines[k]["params"]["alpha"] == 0.5 and lines[k]["margin"] is None
@@ -164,3 +169,83 @@ def test_a_group_without_points_is_invalid_spec(check):
     # a run gives such a trial its instance and no report
     [[(built, reports)]] = generators.run_trials([(check, [3], ())], DEFAULT_TOL, dim=2, length=2)
     assert built.to_json() == inst.to_json() and reports == []
+
+
+def _kernel_calls(monkeypatch, check):
+    """The batch size of every later kernel call of ``check``'s row, in order."""
+    row, calls = CHECK_SPECS[check], []
+
+    def kernel(b):
+        calls.append(len(b.digests))
+        return row.kernel(b)
+
+    monkeypatch.setitem(CHECK_SPECS, check, row._replace(kernel=kernel))
+    return calls
+
+
+def _line(inst, point, outcome):
+    """The run line of ``inst``'s report or error at ``point``."""
+    if isinstance(outcome, OpineqError):
+        axis = GRIDS[CHECK_SPECS[inst.check].grid]
+        return harness._error_line(inst.check, inst, inst.seed, outcome, axis.params(point))
+    return outcome.to_json_dict()
+
+
+def _line_alone(inst, point):
+    """The run line of ``inst`` evaluated alone at ``point``."""
+    try:
+        return _line(inst, point, evaluate_instance(_at(inst, point)))
+    except OpineqError as exc:
+        return _line(inst, point, exc)
+
+
+def _ill_conditioned_beside_two_good():
+    """Two built non-normal check_alpha instances with x = y = 0.8 J_3 between
+    them: J_3 is the nilpotent Jordan block, so the vectorized T is defective."""
+    good = build_group("check_alpha", [0, 1], dim=3, length=1, drop=("normality",))
+    z = ModuleElement(good[0].x.ctx, (0.8 * np.eye(3, k=1),))
+    return [good[0], dataclasses.replace(good[0], x=z, y=z, seed=None), good[1]]
+
+
+# groups whose kernel gives some rows their own error, and that error's type
+KERNEL_ERROR_GROUPS = {
+    "alpha_contraction_dropped": (lambda: build_group(
+        "check_alpha", range(10), dim=3, length=2, drop=("contraction",)), NotContractive),
+    "defect_d1_contraction_dropped": (lambda: build_group(
+        "check_defect", range(30), dim=1, length=1, drop=("contraction",)), NotContractive),
+    "alpha_ill_conditioned_row": (_ill_conditioned_beside_two_good, OpineqError),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_ERROR_GROUPS)
+def test_a_kernel_error_row_costs_no_second_kernel_call(name, monkeypatch):
+    """A row whose (I - T)^alpha or defect operator leaves its domain is that
+    row's own error in the group's one kernel call (a whole-group error took
+    26, 143 and 7 calls here, re-running the group instance by instance and
+    point by point), and every line is what the instance gives alone."""
+    build, error = KERNEL_ERROR_GROUPS[name]
+    insts = build()
+    points = GRIDS[CHECK_SPECS[insts[0].check].grid].points
+    calls = _kernel_calls(monkeypatch, insts[0].check)
+    rows = evaluate_each(insts, DEFAULT_TOL, points)
+    assert calls == [len(insts)]
+    kinds = {type(outcome) for row in rows for outcome in row}
+    assert kinds == {InequalityReport, error}
+    lines = [_line(inst, point, outcome)
+             for inst, row in zip(insts, rows) for point, outcome in zip(points, row)]
+    assert _serialized(lines) == _serialized([_line_alone(inst, point)
+                                              for inst in insts for point in points])
+
+
+def test_evaluate_each_without_points_takes_evaluate_groups_rule():
+    """Without points, a check without a grid is evaluated at its one point ()
+    and a check with one is InvalidSpec, as in evaluate_group."""
+    insts = [build_instance("check_cs", 1), build_instance("check_radius_submult", 2)]
+    rows = evaluate_each(insts, DEFAULT_TOL, None)
+    assert [[r.to_json_dict() for r in row] for row in rows] == [
+        [evaluate_group([inst])[0].to_json_dict()] for inst in insts]
+    for check in ("check_alpha", "check_interp"):
+        inst = build_instance(check, 1)
+        for route in (evaluate_group, lambda insts: evaluate_each(insts, DEFAULT_TOL, None)):
+            with pytest.raises(InvalidSpec, match=f"^{check} is evaluated at given"):
+                route([inst])

@@ -10,7 +10,7 @@ import pytest
 from opineq import reference, transformer
 from opineq.checks import InequalityReport, check_alpha, check_defect, check_radius_submult
 from opineq.core import DEFAULT_TOL, op_norm, psd_power
-from opineq.generators import build_group, evaluate_each
+from opineq.generators import build_group, build_instance, evaluate_each
 from opineq.errors import (
     CtxMismatch,
     DimCap,
@@ -341,6 +341,14 @@ def test_fractional_power_exact_without_an_eigen_form(monkeypatch, kron_series):
         for alpha in (1, 2.0, 3):
             assert np.array_equal(fractional_power_exact(tt, alpha, a),
                                   kron_series(tt.x, tt.y, a, alpha))
+    # stacked, the refusal is the defective row's own error, beside a normal row
+    beside = _normal_pair(3, 1)
+    xs, ys = Stack.of([defective.x, beside.x]), Stack.of([defective.y, beside.y])
+    powers, errors = transformer.fractional_powers(xs, ys, np.array([a, a]), (0.5, 1.5, 19))
+    for alpha, (bad, good), stacked in zip((0.5, 1.5, 19), errors, powers):
+        assert type(bad) is OpineqError and good is None
+        assert str(bad) == f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective"
+        assert np.array_equal(stacked[1], fractional_power_exact(beside, alpha, a))
     # an eigenbasis whose conditioning cannot meet SERIES_TAIL is refused too
     monkeypatch.setattr(transformer, "SERIES_TAIL", 1e-17)
     with pytest.raises(OpineqError, match="^alpha 0.5: T's eigenbasis"):
@@ -363,15 +371,22 @@ def test_large_integer_alpha_agrees_with_matrix_power(alpha):
 
 
 def test_large_integer_alpha_without_the_eigen_form_is_an_error():
+    """Past FINITE_MAX the defective 0.8 J_3 is refused: the stack of one raises,
+    and in a stack the error is its row's, at that alpha only."""
     with pytest.raises(OpineqError, match="^alpha 100: T's eigenbasis is ill-conditioned"):
         fractional_power_exact(_defective_pair(), 100, _cg(3))
+    z = _defective_pair().x
+    _, errors = transformer.fractional_powers(z.stack, z.stack, _cg(3)[None], (18, 100))
+    assert errors[0] == [None] and type(errors[1][0]) is OpineqError
+    assert str(errors[1][0]) == "alpha 100: T's eigenbasis is ill-conditioned or defective"
 
 
 def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch, kron_series):
     """Eight built non-normal rows take the eigen form together, from one
     eigendecomposition of the stack, within the series' tail bounds of the
-    reference series; with the defective 0.8 J_3 beside them, the stack is one
-    OpineqError at a non-integer alpha and the finite sum at an integer one."""
+    reference series; with the defective 0.8 J_3 beside them, that row alone is
+    an OpineqError at each non-integer alpha, the others keep their bits, and
+    an integer alpha takes the finite sum in every row."""
     insts = build_group("check_alpha", list(range(8)), dim=3, length=1, drop=("normality",))
     z = _defective_pair().x
     xs, ys = Stack.of([i.x for i in insts] + [z]), Stack.of([i.y for i in insts] + [z])
@@ -383,21 +398,27 @@ def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch, kron_serie
     assert ill.tolist() == [False] * 8 + [True]
     seen, original = [], transformer._eigen_forms
 
-    def counted(rep, a, alpha):
-        seen.append(alpha)
-        return original(rep, a, alpha)
+    def counted(rep, a):
+        seen.append(len(rep))
+        return original(rep, a)
 
     monkeypatch.setattr(transformer, "_eigen_forms", counted)
     well = Stack.of([i.x for i in insts]), Stack.of([i.y for i in insts])
-    for alpha, his in zip((0.5, 1 / 3), transformer.fractional_powers(*well, a[:8], (0.5, 1 / 3))):
+    alphas = (0.5, 1 / 3)
+    powers, errors = transformer.fractional_powers(*well, a[:8], alphas)
+    assert errors == [[None] * 8] * 2
+    for alpha, his in zip(alphas, powers):
         for inst, hi in zip(insts, his):
             gap = op_norm(hi - kron_series(inst.x, inst.y, inst.a, alpha))
             assert gap <= 2 * reference.SERIES_TAIL * op_norm(inst.a)
-    assert seen == [0.5]
-    with pytest.raises(OpineqError, match="^alpha 0.5: T's eigenbasis"):
-        transformer.fractional_powers(xs, ys, a, (0.5, 1 / 3))
-    sums = transformer.fractional_powers(xs, ys, a, (1, 2))
-    assert seen == [0.5, 0.5] and [len(s) for s in sums] == [9, 9]
+    assert seen == [8]
+    mixed, errors = transformer.fractional_powers(xs, ys, a, alphas)
+    for alpha, row_errors, his, good in zip(alphas, errors, mixed, powers):
+        assert row_errors[:8] == [None] * 8 and type(row_errors[8]) is OpineqError
+        assert str(row_errors[8]) == f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective"
+        assert np.array_equal(his[:8], good)
+    sums, errors = transformer.fractional_powers(xs, ys, a, (1, 2))
+    assert seen == [8, 9] and [len(s) for s in sums] == [9, 9] and errors == [[None] * 9] * 2
 
 
 @pytest.mark.parametrize("drop", [(), ("normality",)], ids=["normal", "generic"])
@@ -442,6 +463,46 @@ def test_defect_operator_guard_by_norm_bound(monkeypatch):
     assert module_norm(z) ** 2 == pytest.approx(1.4)
     partial = reference.defect_operator(z.ctx.weights, z.parts, 200)
     assert op_norm(defect_operator(z) - partial) <= 1e-10
+
+
+def test_a_row_outside_the_contraction_domain_is_its_own_error():
+    """A stacked (I - T)^alpha or defect operator gives a row with
+    ||x|| ||y|| >= 1, or r(T_{z,z}) >= 1, its own NotContractive, raises
+    nothing for the stack and gives each other row what it gives alone; the
+    stacks of one raise it."""
+    insts = build_group("check_alpha", [0, 1], dim=2, length=2, drop=("normality",))
+    (x0, y0), (x1, y1) = [(inst.x, inst.y) for inst in insts]
+    far = 2.0 * x0
+    a = np.array([insts[0].a, insts[0].a, insts[1].a])
+    alphas = (0.5, 2.0)
+    powers, errors = transformer.fractional_powers(Stack.of([x0, far, x1]),
+                                                   Stack.of([y0, far, y1]), a, alphas)
+    gamma = Stack.of([far]).norms[0] ** 2
+    for alpha, stacked, (first, bad, last) in zip(alphas, powers, errors):
+        assert first is None and last is None and type(bad) is NotContractive
+        assert str(bad) == f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}"
+        for k, x, y in ((0, x0, y0), (2, x1, y1)):
+            assert np.array_equal(stacked[k], fractional_power_exact(ElementaryOperator(x, y),
+                                                                     alpha, a[k]))
+    deltas, (first, bad, last) = transformer.defect_operators(Stack.of([x0, far, x1]))
+    assert first is None and last is None and type(bad) is NotContractive
+    assert np.array_equal(deltas[0], defect_operator(x0))
+    assert np.array_equal(deltas[2], defect_operator(x1))
+    with pytest.raises(NotContractive, match="^binomial series requires"):
+        fractional_power_exact(ElementaryOperator(far, far), 0.5, a[0])
+    with pytest.raises(NotContractive, match="^defect needs spectral radius < 1"):
+        defect_operator(far)
+
+
+def test_the_norm_bound_settles_the_defect_guard_only_below_one_minus_series_tail():
+    """This built x has ||x|| = 1 - 1.1e-16, yet its float T_{x,x} has the
+    eigenvalue 1, so a norm bound below one would send it to a singular solve:
+    the dense radius decides it, and it is NotContractive."""
+    x = build_instance("check_defect", 52, dim=1, length=1, drop=("contraction",)).x
+    assert 1.0 - transformer.SERIES_TAIL <= module_norm(x) < 1.0
+    assert transformer.spectral_radius(ElementaryOperator(x, x)) == 1.0
+    with pytest.raises(NotContractive, match="^defect needs spectral radius < 1, got 1.000000$"):
+        defect_operator(x)
 
 
 def test_operator_norm_probe_product_matches_loop():
