@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, artifact round trips."""
 
+import dataclasses
 import functools
 import json
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from opineq import harness
-from opineq.checks import CHECK_SPECS
+from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.cli import _build_parser, cli_main
 from opineq.generators import (
     CHECK_NAMES, CheckInstance, build_instance, evaluate_instance, instance_from_json,
@@ -73,24 +74,29 @@ def test_verify_usage_errors(capsys):
     capsys.readouterr()
 
 
+_SEARCHES = [  # search options, the replay's exit codes
+    (["--check", "check_naopaka", "--drop", "normality", "--budget", "150", "--seed", "5",
+      "--dim", "2", "--len", "2"], (0, 1)),
+    (["--check", "check_uin", "--drop", "normality", "--budget", "100", "--seed", "7"], (1,)),
+    *[(["--check", check, "--budget", "50", "--seed", "7"], (0,))
+      for check in ("check_alpha", "check_defect", "check_interp", "check_radius_submult")],
+]
+
+
 def test_search_writes_replayable_instance(tmp_path, capsys):
     path = tmp_path / "instance.json"
-    code = cli_main(["search", "--check", "check_naopaka", "--drop", "normality",
-                     "--budget", "150", "--seed", "5", "--dim", "2", "--len", "2",
-                     "--out", str(path)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "best normalized margin" in out and "drop: normality" in out
-    saved = json.loads(path.read_text())
-    inst = instance_from_json(saved)
-    assert inst.check == "check_naopaka" and inst.drop == ("normality",)
-    replay_code = cli_main(["replay", "--instance", str(path)])
-    replay_out = capsys.readouterr().out
-    obj = json.loads(replay_out)
-    assert replay_code in (0, 1)
-    assert (replay_code == 0) == obj["holds"]
-    rep = evaluate_instance(inst)
-    assert obj["margin"] == pytest.approx(rep.margin, abs=1e-12)
+    for argv, replayed in _SEARCHES:
+        assert cli_main(["search", *argv, "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        drop = ("normality",) if "--drop" in argv else ()
+        assert "best normalized margin" in out and f"drop: {', '.join(drop) or 'none'}" in out
+        inst = instance_from_json(json.loads(path.read_text()))
+        assert inst.check == argv[1] and inst.drop == drop
+        replay_code = cli_main(["replay", "--instance", str(path)])
+        obj = json.loads(capsys.readouterr().out)
+        assert replay_code in replayed
+        assert (replay_code == 0) == obj["holds"]
+        assert obj["margin"] == pytest.approx(evaluate_instance(inst).margin, abs=1e-12)
 
 
 @pytest.mark.parametrize("out", ["dir", "missing/w.json"])
@@ -111,14 +117,20 @@ def test_search_opens_its_out_before_the_first_evaluation(out, monkeypatch, tmp_
 
 
 def test_replay_reproduces_saved_margin(tmp_path, capsys):
-    inst = build_instance("check_cs", 12, dim=3, length=2)
-    want = evaluate_instance(inst)
-    path = tmp_path / "cs.json"
-    path.write_text(json.dumps(inst.to_json(), sort_keys=True))
-    assert cli_main(["replay", "--instance", str(path)]) == 0
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["margin"] == pytest.approx(want.margin, abs=1e-12)
-    assert obj["holds"] is True
+    """Also at alpha = 100 without normality, past FINITE_MAX: one report line."""
+    alpha = build_instance("check_alpha", 5, dim=3, length=2, drop=("normality",))
+    for inst in (build_instance("check_cs", 12, dim=3, length=2),
+                 build_instance("check_gruss", 11, dim=3, length=2),
+                 dataclasses.replace(alpha, params={"alpha": 100})):
+        want = evaluate_instance(inst)
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(inst.to_json(), sort_keys=True))
+        assert cli_main(["replay", "--instance", str(path)]) == 0
+        captured = capsys.readouterr()
+        obj = json.loads(captured.out)
+        assert captured.err == "" and len(captured.out.splitlines()) == 1
+        assert obj["margin"] == pytest.approx(want.margin, abs=1e-12)
+        assert obj["holds"] is True
 
 
 def test_a_defect_instance_just_inside_the_unit_sphere_replays_as_one_error_line(
@@ -141,7 +153,8 @@ def test_a_contraction_dropped_defect_search_at_d1_runs_its_budget(seed, tmp_pat
     path = tmp_path / "w.json"
     assert cli_main(["search", "--check", "check_defect", "--drop", "contraction", "--dim", "1",
                      "--len", "1", "--budget", "200", "--seed", str(seed), "--out", str(path)]) == 0
-    assert "after 200 evaluations" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "after 200 evaluations" in captured.out and captured.err == ""
     assert cli_main(["replay", "--instance", str(path)]) in (0, 1)
     assert capsys.readouterr().err == ""
 
@@ -208,15 +221,21 @@ def test_bad_exponents_and_alphas_are_usage_errors(argv, capsys):
                                                   ("check_interp", "--pqr", "-2,2,2"),
                                                   ("check_alpha", "--alph", "-1,2"),
                                                   ("check_alpha", "--al", "-1,2"),
-                                                  ("check_interp", "--pq", "-2,2,2")])
+                                                  ("check_interp", "--pq", "-2,2,2"),
+                                                  ("check_interp", "--pq", "-2,2"),
+                                                  ("check_alpha", "--alpha", "0.5,1"),
+                                                  ("check_interp", "--pqr", "2,2")])
 def test_a_grid_value_that_starts_with_a_minus_is_a_point(check, option, value, capsys):
     """``--alpha -1,2`` reaches the grid rule as ``--alpha=-1,2`` does, also
-    under an abbreviation argparse resolves to the option."""
+    under an abbreviation argparse resolves to the option; a point with the
+    wrong number of numbers is refused as one."""
     errs = []
     for given in ([option, value], [f"{option}={value}"]):
         assert cli_main(["verify", "--checks", check, *given, "--trials", "1"]) == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] and "grid" in errs[0]
+    keys = GRIDS[CHECK_SPECS[check].grid].keys
+    assert ("needs one number per key" in errs[0]) == (len(value.split(",")) != len(keys))
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -313,7 +332,7 @@ def test_replay_with_an_overflowing_part_is_a_usage_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan"])
 def test_infinite_tolerance_is_a_usage_error(value, capsys):
     assert cli_main(["verify", "--trials", "1", "--tol", value]) == 2
     captured = capsys.readouterr()
@@ -343,6 +362,10 @@ def _gruss_without_ball_tail(obj):
     obj["ball"] = obj["ball"][:2]
 
 
+def _gruss_with_a_3_number_ball(obj):
+    obj["ball"] = obj["ball"][:3]
+
+
 def _gruss_with_a_huge_int_bound(obj):
     obj["ball"][0] = 10 ** 400
 
@@ -365,12 +388,13 @@ def _cs_with_y_in_another_context(obj):
 
 @pytest.mark.parametrize("check, spoil, needle", [
     ("check_gruss", _gruss_without_ball_tail, "ball must be 4 finite numbers"),
+    ("check_gruss", _gruss_with_a_3_number_ball, "ball must be 4 finite numbers"),
     ("check_gruss", _gruss_with_a_huge_int_bound, "ball must be 4 finite numbers"),
     ("check_gruss", _gruss_without_e, "takes operands"),
     ("check_gruss", _gruss_without_ball, "takes operands"),
     ("check_basic", _basic_without_a, "takes operands"),
     ("check_cs", _cs_with_y_in_another_context, "share one dim and weights"),
-], ids=["ball_of_2", "ball_huge_int", "e_null", "ball_null", "a_null", "two_contexts"])
+], ids=["ball_of_2", "ball_of_3", "ball_huge_int", "e_null", "ball_null", "a_null", "two_contexts"])
 def test_replay_rejects_an_instance_its_registry_row_does_not_fit(
         check, spoil, needle, tmp_path, capsys):
     obj = build_instance(check, 12, dim=2, length=2).to_json()

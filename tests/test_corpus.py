@@ -24,6 +24,11 @@ side that is too large still passes every random trial, but not these.
   <x, x> = sum_t x_t* x_t = I.  Then ``check_cs`` compares I with I in both
   branches, and in ``check_radius_submult`` T_{x,x}(I) = I gives the probe
   bound ||x|| ||y|| = 1 (``opnorm_gap``) besides ``radius_sq``.
+- x = y = (I/sqrt 2, -I/sqrt 2) and e = (I/sqrt 2, I/sqrt 2) (n = 2, d = 3,
+  unit weights), ball (-1, 1, -1, 1): <x, e> = 0, so Phi(x, a y) = <x, a x>
+  = a and Phi(x, x) = <x, x> = I, and ``check_gruss``'s main branch compares
+  |||a||| with itself; ||x - 0 e|| = 1 is the ball's radius, so the diameter
+  bound (1/4) |||a||| |M - m| |P - p| is |||a||| too (g3 and mm).
 """
 
 import dataclasses
@@ -59,6 +64,7 @@ WITNESSES = {
     "check_radius_submult_x_eq_y": ("radius_sq",),
     "check_cs_isometric_stack": None,
     "check_radius_submult_isometric_stack": None,
+    "check_gruss_orthogonal": None,
 }
 
 

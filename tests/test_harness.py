@@ -318,7 +318,7 @@ def test_run_suite_file_output(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert len(lines) == 3 and "\n3 report lines; overall OK" in capsys.readouterr().out
     bad = str(tmp_path / "missing" / "x.jsonl")
-    assert cli_main(["verify", "--checks", "check_hs", "--trials", "1", "--out", bad]) == 1
+    assert cli_main(["verify", "--trials", "1", "--out", bad]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot open {bad!r}: [Errno") and len(err.splitlines()) == 1
 

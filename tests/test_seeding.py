@@ -75,16 +75,17 @@ def test_windows_write_each_checks_own_run_in_order(trials):
     """Windows hold several checks' trials (3, 20) or part of one check's
     (GROUP_TRIALS + 3); the run's lines are each check's single-check run,
     concatenated."""
-    checks = ("check_gruss", "check_cs", "check_alpha", "check_uin")
-
     def lines(names):
         out = io.StringIO()
         run_suite(RunConfig(trials=trials, checks=names, seed=2 ** 32 + 5), out)
         return out.getvalue().splitlines()
 
-    together = lines(checks)
-    alone = [line for check in checks for line in lines((check,))]
-    assert len(together) == trials * (3 + len(GRIDS["alpha"].points)) and together == alone
+    checks = ("check_gruss", "check_cs", "check_alpha", "check_uin")
+    alone = {check: lines((check,)) for check in checks}
+    for names in (checks[:3], checks):
+        together = lines(names)
+        assert len(together) == trials * (len(names) - 1 + len(GRIDS["alpha"].points))
+        assert together == [line for check in names for line in alone[check]]
 
 
 
