@@ -8,7 +8,7 @@ of Cauchy-Schwarz-type norm inequalities by seeded randomized testing
 with replayable instances.
 """
 
-from .core import DEFAULT_TOL, ToleranceConfig
+from .core import DEFAULT_TOL
 from .errors import OpineqError
 from .hmodule import (
     ModuleContext, ModuleElement, conjugate, element, inner, is_normal, left_act, module_norm,
@@ -36,7 +36,6 @@ __all__ = [
     "NormKind",
     "OpineqError",
     "RunConfig",
-    "ToleranceConfig",
     "apply",
     "build_instance",
     "conjugate",

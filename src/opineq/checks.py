@@ -41,8 +41,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, TOL_ABS, ToleranceConfig, ct, eig_powers, eigvalsh, herm, is_real, moduli,
-    op_norms, psd_eigs, psd_order_gaps, psd_powers, svdvals,
+    DEFAULT_TOL, TOL_ABS, as_tolerance, ct, eig_powers, eigvalsh, herm, is_real, moduli,
+    psd_eigs, psd_order_gaps, psd_powers, svdvals,
 )
 from .errors import (
     BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, OpineqError, UnknownCheck,
@@ -101,7 +101,7 @@ def check_spec(name: str) -> CheckSpec:
 # hypotheses and parameter rules: each predicate takes stacks and gives, per
 # element, None or the error that element raises alone
 
-def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = None) -> list:
+def _require_normal(x: Stack, y: Stack, tol: float, e: Stack | None = None) -> list:
     """x and y must be normal.  Beside a reference e (the covariance
     setting) the parts of each must also mutually commute, and every part
     of e must be a scalar multiple of the identity: a scalar reference
@@ -116,13 +116,13 @@ def _require_normal(x: Stack, y: Stack, tol: ToleranceConfig, e: Stack | None = 
     i, j = np.triu_indices(x.parts.shape[-3], 1)
     commutators = [z.parts[:, i] @ z.parts[:, j] - z.parts[:, j] @ z.parts[:, i] for z in (x, y)]
     centred = e.parts - (np.trace(e.parts, axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
-    ok, worst = within(np.concatenate([*commutators, centred], axis=1), tol.tol_rel, lambda r: (
+    ok, worst = within(np.concatenate([*commutators, centred], axis=1), tol, lambda r: (
         np.maximum(1.0, np.maximum(x.norms[r] * x.norms[r], y.norms[r] * y.norms[r]))))
     return failures(NotNormal, *sides,
                     ("instance leaves the scalar-reference commuting family by {:.3e}", ok, worst))
 
 
-def _require_contractive(x: Stack, y: Stack, tol: ToleranceConfig,
+def _require_contractive(x: Stack, y: Stack, tol: float,
                          e: Stack | None = None) -> list:
     tops = eigvalsh(herm(np.stack([x.gram, y.gram])))[..., -1]
     oks = ~(tops > 1.0 - CONTRACTION_MARGIN + TOL_ABS)
@@ -156,7 +156,7 @@ def ball_bounds(ball) -> tuple[float, ...]:
     return tuple(map(float, ball))
 
 
-def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def require_in_ball(x, y, e, balls, tol: float = DEFAULT_TOL) -> list:
     """Per element of the stacks x, y, e and ``(m, M, p, P)`` in ``balls``, None
     if x lies in [me, Me] and y in [pe, Pe], else its BallViolated."""
     bounds = np.array(balls, dtype=float)
@@ -165,10 +165,9 @@ def require_in_ball(x, y, e, balls, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     for z, lo, hi, tag in ((x, bounds[:, 0], bounds[:, 1], "x"),
                            (y, bounds[:, 2], bounds[:, 3], "y")):
         centre = e.parts @ (((hi + lo) / 2)[:, None, None, None] * np.eye(d))
-        off = z.parts - centre
-        dist = np.sqrt(op_norms(weighted_products(z.weights, off, off)))
+        dist = Stack(z.weights, z.parts - centre).norms
         radius = abs(hi - lo) / 2
-        bad = dist > radius + TOL_ABS + tol.tol_rel * np.maximum(radius, 1.0)
+        bad = dist > radius + TOL_ABS + tol * np.maximum(radius, 1.0)
         sides.append((tag + " sits {:.6f} from the ball center, radius {:.6f}", ~bad, dist, radius))
     return failures(BallViolated, *sides)
 
@@ -363,13 +362,13 @@ def _ky_branches(s_lo: np.ndarray, s_hi: np.ndarray,
     return out
 
 
-def _finish(name: str, tol: ToleranceConfig, digest: dict, branches: dict[str, _Branch],
+def _finish(name: str, tol: float, digest: dict, branches: dict[str, _Branch],
             extra_detail: dict | None) -> InequalityReport:
     """Assemble a report: headline is the branch with the worst margin/scale."""
     detail = {label: b.margin / b.scale for label, b in branches.items()}
     head = branches[min(detail, key=detail.__getitem__)]
     detail.update(extra_detail or {})
-    holds = all(b.margin >= -tol.tol_rel * b.scale for b in branches.values())
+    holds = all(b.margin >= -tol * b.scale for b in branches.values())
     return InequalityReport(name=name, lhs=head.lhs, rhs=head.rhs, margin=head.margin, holds=holds,
                             scale=head.scale, norm_detail=detail, instance=digest)
 
@@ -636,11 +635,12 @@ CHECK_NAMES = tuple(CHECK_SPECS)
 CHECK_ANCHORS = {name: spec.anchor for name, spec in CHECK_SPECS.items()}
 
 
-def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def require_preconditions(b: Batch, tol: float = DEFAULT_TOL) -> list:
     """Per instance, None or the error it raises alone for the first precondition
     of the batch's check it breaks, in this order: the unit reference (if ``b.e``
     is set), the row's hypotheses minus ``b.drop``, the ball (if ``b.balls`` is
     set), after :meth:`Batch.of` has checked the operands, drop and points."""
+    tol = as_tolerance(tol)
     verdicts = [[None] * len(b.digests)]
     if b.e is not None:
         verdicts.append(require_units(b.e, tol))
@@ -650,12 +650,12 @@ def require_preconditions(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     return [next(filter(None, row), None) for row in zip(*verdicts)]
 
 
-def run_batch(b: Batch, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def run_batch(b: Batch, tol: float = DEFAULT_TOL) -> list:
     """Per (instance, point), instance-major, the instance's error from
     :func:`require_preconditions`, else its kernel row's error or report: the kernel
     runs once, on the rest (:meth:`Batch.rows`); ``holds`` is decided at ``tol``, and each
     digest is laid over the batch's shape, its params under the point's and ``"ball"``."""
-    errors = require_preconditions(b, tol)
+    errors = require_preconditions(b, tol := as_tolerance(tol))
     kept = b.rows([k for k, error in enumerate(errors) if error is None])
     spec = CHECK_SPECS[b.name]
     grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]

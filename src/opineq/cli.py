@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .checks import CHECK_ANCHORS, CHECK_NAMES, GRIDS, HYPOTHESES
-from .core import DEFAULT_TOL, ToleranceConfig
+from .core import DEFAULT_TOL
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import evaluate_instance, instance_from_json
 from .harness import RunConfig, run_suite, search_counterexample, search_options
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--len", type=int, default=None, dest="length",
                         help="fix the tuple length (default: random 1..4)")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=None,
+    verify.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="override the relative tolerance")
     for axis, row in GRIDS.items():
         if axis:
@@ -106,7 +106,7 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(
         trials=args.trials,
         checks=_parse_checks(args.checks),
-        tolerances=DEFAULT_TOL if args.tol is None else ToleranceConfig(tol_rel=args.tol),
+        tol=args.tol,
         grids=_parse_grids(args),
         seed=args.seed,
         dim=args.dim,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,20 +34,17 @@ def is_real(v) -> bool:
         and abs(v) <= sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The one tolerance a run chooses: ``tol_rel``, relative, decides
-    margins and hypothesis verdicts.  Fixed limits, the PSD round-off
-    limit too, are module constants next to the code that reads them."""
-
-    tol_rel: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (is_real(self.tol_rel) and 0 <= self.tol_rel < math.inf):
-            raise InvalidSpec(f"tol_rel must be a finite nonnegative number, got {self.tol_rel!r}")
+# the one relative tolerance a run chooses: it decides margins and hypothesis
+# verdicts; fixed limits, the PSD round-off limit too, are the constants above
+DEFAULT_TOL = 1e-8
 
 
-DEFAULT_TOL = ToleranceConfig()
+def as_tolerance(v) -> float:
+    """v as a relative tolerance: a number by :func:`is_real`, finite and
+    nonnegative; InvalidSpec otherwise (so None, "1e-8", True, -1, nan, inf)."""
+    if not (is_real(v) and 0 <= v < math.inf):
+        raise InvalidSpec(f"tol_rel must be a finite nonnegative number, got {v!r}")
+    return float(v)
 
 
 def as_integer(tag: str, v) -> int:

@@ -35,7 +35,7 @@ from .checks import (  # CHECK_NAMES is re-exported
     require_preconditions, run_batch, validate_drop,
 )
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
+    DEFAULT_TOL, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
 )
 from .errors import InvalidSpec, OpineqError, UnknownCheck, raise_first
 from .hmodule import (
@@ -261,6 +261,8 @@ def trial_seeds(master: int, pairs) -> list[int]:
     """:func:`trial_seed` of each (check, index) pair, in one stacked pass."""
     master_words, rows = _words(as_seed("seed", master)), []
     for check, index in pairs:
+        if not isinstance(check, str):
+            raise InvalidSpec(f"check must be a string, got {check!r}")
         if (index := as_integer("index", index)) < 0:
             raise InvalidSpec(f"index must be >= 0, got {index}")
         rows.append(master_words + [zlib.crc32(check.encode("utf-8"))] + _words(index))
@@ -273,7 +275,7 @@ def trial_seeds(master: int, pairs) -> list[int]:
 
 def trial_seed(master: int, check: str, index: int) -> int:
     """Derive an independent per-trial seed from the master seed, the check
-    name and the trial counter, an integer >= 0 (:func:`as_integer`): the
+    name (a string) and the trial counter, an integer >= 0 (:func:`as_integer`): the
     first uint64 of ``SeedSequence([master, crc32(check), index])``; stable
     across runs and platforms."""
     return trial_seeds(master, [(check, index)])[0]
@@ -334,18 +336,21 @@ def instance_from_json(obj: dict) -> CheckInstance:
         e = element_from_json(obj["e"]) if "e" in given else None
         _same_ctx(x, *(z for z in (y, e) if z is not None))
         ball = ball_bounds(obj["ball"]) if "ball" in given else None
-        params = dict(obj.get("params", {}))
+        params, kind = obj.get("params", {}), obj.get("kind", "generic")
+        if not isinstance(params, dict) or not isinstance(kind, str):
+            raise InvalidSpec(f"params must be a JSON object and kind a string, "
+                              f"got {params!r} and {kind!r}")
         GRIDS[spec.grid].params(_point(spec, params))
         return CheckInstance(
             check=spec.name,
             seed=None if obj.get("seed") is None else as_seed("seed", obj["seed"]),
-            kind=obj.get("kind", "generic"),
+            kind=kind,
             x=x,
             y=y,
             a=matrix_from_json(obj["a"], x.ctx.dim) if "a" in given else None,
             e=e,
             ball=ball,
-            params=params,
+            params=dict(params),
             drop=validate_drop(obj.get("drop", ())),
         )
     except (LookupError, TypeError, ValueError, OverflowError, OpineqError) as exc:
@@ -575,7 +580,7 @@ def assert_hypotheses(inst: CheckInstance) -> None:
         raise InvalidSpec(f"generated {inst.check} instance: {exc}") from exc
 
 
-def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -> InequalityReport:
+def evaluate_instance(inst: CheckInstance, tol: float = DEFAULT_TOL) -> InequalityReport:
     """Run the instance's check, looked up on :mod:`opineq.checks` at call
     time, at the grid point its params record (each key they omit at the axis
     default); the check enforces its preconditions minus ``inst.drop``."""
@@ -587,7 +592,7 @@ def evaluate_instance(inst: CheckInstance, tol: ToleranceConfig = DEFAULT_TOL) -
     return getattr(checks, spec.name)(*args, *_point(spec, inst.params), **kwargs)
 
 
-def evaluate_group(insts, tol: ToleranceConfig = DEFAULT_TOL,
+def evaluate_group(insts, tol: float = DEFAULT_TOL,
                    points=None) -> list[InequalityReport]:
     """Evaluate instances of one check with one dimension, length and drop
     set (InvalidSpec for a mix or none) at each of ``points`` in one kernel call; a
@@ -606,7 +611,7 @@ def _points(insts, points) -> tuple:
     return ((),) if points is None else points
 
 
-def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
+def evaluate_each(insts, tol: float, points) -> list[list]:
     """The evaluation policy of a run: per instance, its report or OpineqError
     at each of ``points`` (:func:`evaluate_group`'s rule without them), each
     what :func:`evaluate_group` gives it alone.  Instances of one
@@ -631,7 +636,7 @@ def evaluate_each(insts, tol: ToleranceConfig, points) -> list[list]:
     return [out[k] for k in range(len(insts))]
 
 
-def run_trials(window, tol: ToleranceConfig, **draw) -> list[list[tuple]]:
+def run_trials(window, tol: float, **draw) -> list[list[tuple]]:
     """Per (check, seeds, points) segment of ``window``, per seed, its
     instance or build OpineqError, and its report or OpineqError at each of
     the segment's points (none after a build error): one

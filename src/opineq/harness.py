@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_drop
-from .core import DEFAULT_TOL, ToleranceConfig, as_integer, as_seed
+from .core import DEFAULT_TOL, as_integer, as_seed, as_tolerance
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
     DEFAULT_CONTRACTION, RECIPES, CheckInstance, InstanceDraw, _check_options, check_shape,
@@ -46,7 +46,7 @@ class RunConfig:
 
     trials: int
     checks: tuple[str, ...]
-    tolerances: ToleranceConfig = DEFAULT_TOL
+    tol: float = DEFAULT_TOL
     grids: dict = field(default_factory=dict, hash=False)
     seed: int = 0
     dim: int | None = None
@@ -54,6 +54,7 @@ class RunConfig:
     weights_mode: str = "random"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tol", as_tolerance(self.tol))
         object.__setattr__(self, "trials", as_integer("trials", self.trials))
         object.__setattr__(self, "seed", as_seed("seed", self.seed))
         if self.trials < 1:
@@ -67,7 +68,7 @@ class RunConfig:
             check_spec(name)
             if name in self.checks[:k]:
                 raise InvalidSpec(f"check {name!r} is named twice")
-        if not isinstance(self.grids, dict) or not set(self.grids) <= set(GRIDS):
+        if not isinstance(self.grids, dict) or not set(self.grids) <= GRIDS.keys() - {None}:
             raise InvalidSpec(f"grids must map axes {[*filter(None, GRIDS)]}, got {self.grids!r}")
         for axis, row in GRIDS.items():
             try:
@@ -79,8 +80,6 @@ class RunConfig:
             for k, point in enumerate(params):
                 if point in params[:k]:
                     raise InvalidSpec(f"grid point {point} is given twice")
-        if not isinstance(self.tolerances, ToleranceConfig):
-            raise InvalidSpec(f"tolerances must be a ToleranceConfig, got {self.tolerances!r}")
         _check_options(self.dim, self.length, self.weights_mode, DEFAULT_CONTRACTION)
 
     def points(self, axis: str | None) -> tuple[tuple, ...]:
@@ -148,7 +147,7 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
                                                 key=lambda member: member[0][0]):
             segments.append((check, [seed for _, seed in members],
                              cfg.points(check_spec(check).grid)))
-        trials = run_trials(segments, cfg.tolerances, dim=cfg.dim, length=cfg.length,
+        trials = run_trials(segments, cfg.tol, dim=cfg.dim, length=cfg.length,
                             weights_mode=cfg.weights_mode)
         for (check, seeds, points), segment in zip(segments, trials):
             axis = GRIDS[check_spec(check).grid]

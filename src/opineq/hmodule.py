@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL, ToleranceConfig, as_integer, as_matrix, complex_array, ct, finite, is_real,
+    DEFAULT_TOL, as_integer, as_matrix, as_tolerance, complex_array, ct, finite, is_real,
     op_norms,
 )
 from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital, failures
@@ -145,12 +145,12 @@ class Stack:
         return _frozen(np.concatenate([g @ self.parts - self.parts @ g,
                                        (self.gram - self.conj.gram)[:, None]], axis=1))
 
-    def is_normal(self, cfg: ToleranceConfig = DEFAULT_TOL,
+    def is_normal(self, tol: float = DEFAULT_TOL,
                   *others: "Stack") -> tuple[np.ndarray, np.ndarray]:
         """Per element of this stack, then of ``others``, whether its normality defect
         is within tol_rel at its scale, and the defect where the SVD ran; see :func:`is_normal`."""
         zs = (self, *others)
-        return within(np.concatenate([z.normality_defects for z in zs]), cfg.tol_rel, lambda rows: (
+        return within(np.concatenate([z.normality_defects for z in zs]), tol, lambda rows: (
             np.array([max(1.0, nx**2, nx**3)
                       for nx in np.concatenate([z.norms for z in zs])[rows].tolist()])))
 
@@ -286,20 +286,20 @@ def module_norm(x: ModuleElement) -> float:
     return float(x.stack.norms[0])
 
 
-def is_normal(x: ModuleElement, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
+def is_normal(x: ModuleElement, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether x commutes with its Gram matrix and conjugation preserves it.
 
     The defect is the larger of max_t ||<x,x> x_t - x_t <x,x>|| and
     ||<x,x> - <xbar,xbar>||; it is compared against tol_rel at the scale
     of ||x||^3 (the natural size of the commutator term); the defect is the SVD's.
     """
-    ok, _ = x.stack.is_normal(cfg)
+    ok, _ = x.stack.is_normal(as_tolerance(tol))
     return bool(ok[0]), float(op_norms(x.stack.normality_defects[0]).max())
 
 
-def require_units(es: Stack, cfg: ToleranceConfig = DEFAULT_TOL) -> list:
+def require_units(es: Stack, tol: float = DEFAULT_TOL) -> list:
     """Per element e of a stack, None if <e, e> = I to tol_rel, else its NotUnital."""
-    ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], cfg.tol_rel, lambda r: 1)
+    ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], tol, lambda r: 1)
     return failures(NotUnital, ("<e, e> deviates from the identity by {:.3e}", ok, defect))
 
 

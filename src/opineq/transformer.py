@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import complex_normals, finite, herm, psd_powers
+from .core import complex_normals, finite, herm, op_norms, psd_powers
 from .errors import DimCap, InvalidSpec, NotContractive, OpineqError, failures, raise_first
 from .hmodule import (
     ModuleElement, Stack, _frozen, _same_ctx, acting, module_norm, weighted_products,
@@ -142,9 +142,7 @@ def _probes(d: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(_PROBE_SEED)
     gauss = rng.standard_normal((PROBE_SAMPLES, 2, d, d))
     probes = np.concatenate([np.eye(d, dtype=complex)[None], complex_normals(gauss, 1)])
-    probes_vec = probes.transpose(0, 2, 1).reshape(PROBE_SAMPLES + 1, d * d)
-    norms = np.linalg.norm(probes, ord=2, axis=(1, 2))
-    return _frozen(probes_vec), _frozen(norms)
+    return _frozen(vec(probes)), _frozen(op_norms(probes))
 
 
 def probe_lower_bounds(rep: np.ndarray) -> np.ndarray:
@@ -154,7 +152,7 @@ def probe_lower_bounds(rep: np.ndarray) -> np.ndarray:
     probes_vec, norms = _probes(d)
     # the images come back transposed, which leaves their operator norms unchanged
     images = (probes_vec @ rep.swapaxes(-1, -2)).reshape(rep.shape[:-2] + (PROBE_SAMPLES + 1, d, d))
-    return (np.linalg.norm(images, ord=2, axis=(-2, -1)) / norms).max(axis=-1)
+    return (op_norms(images) / norms).max(axis=-1)
 
 
 def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:

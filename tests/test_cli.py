@@ -386,6 +386,14 @@ def _cs_with_y_in_another_context(obj):
     obj["y"]["weights"] = [2.0 * w for w in obj["y"]["weights"]]
 
 
+def _alpha_with_params_as_pairs(obj):
+    obj["params"] = [["alpha", 0.5]]
+
+
+def _cs_with_a_list_kind(obj):
+    obj["kind"] = [1]
+
+
 @pytest.mark.parametrize("check, spoil, needle", [
     ("check_gruss", _gruss_without_ball_tail, "ball must be 4 finite numbers"),
     ("check_gruss", _gruss_with_a_3_number_ball, "ball must be 4 finite numbers"),
@@ -394,7 +402,10 @@ def _cs_with_y_in_another_context(obj):
     ("check_gruss", _gruss_without_ball, "takes operands"),
     ("check_basic", _basic_without_a, "takes operands"),
     ("check_cs", _cs_with_y_in_another_context, "share one dim and weights"),
-], ids=["ball_of_2", "ball_of_3", "ball_huge_int", "e_null", "ball_null", "a_null", "two_contexts"])
+    ("check_alpha", _alpha_with_params_as_pairs, "a JSON object and kind a string, got [["),
+    ("check_cs", _cs_with_a_list_kind, "a JSON object and kind a string, got {} and [1]"),
+], ids=["ball_of_2", "ball_of_3", "ball_huge_int", "e_null", "ball_null", "a_null", "two_contexts",
+        "params_pairs", "kind_list"])
 def test_replay_rejects_an_instance_its_registry_row_does_not_fit(
         check, spoil, needle, tmp_path, capsys):
     obj = build_instance(check, 12, dim=2, length=2).to_json()

@@ -5,7 +5,6 @@ import pytest
 
 from opineq import transformer
 from opineq.checks import GRIDS
-from opineq.core import ToleranceConfig
 from opineq.hmodule import conjugate, element, inner, is_normal, module_norm
 from opineq.harness import RunConfig, run_suite
 
@@ -44,7 +43,7 @@ def test_defect_trial_vectorizes_each_element_once(monkeypatch):
 @pytest.mark.parametrize("loose_first", [False, True])
 def test_normality_verdict_follows_each_callers_tolerance(loose_first):
     z = element(_parts())
-    tight, loose = ToleranceConfig(tol_rel=0.0), ToleranceConfig(tol_rel=1e3)
+    tight, loose = 0.0, 1e3
     order = (loose, tight) if loose_first else (tight, loose)
     verdicts = {cfg: is_normal(z, cfg) for cfg in order}
     assert verdicts[tight][0] is False

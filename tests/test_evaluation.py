@@ -9,7 +9,7 @@ import pytest
 
 from opineq import checks, generators, harness, hmodule
 from opineq.checks import GRIDS
-from opineq.core import ToleranceConfig
+from opineq.core import DEFAULT_TOL
 from opineq.errors import (
     BallViolated, InvalidSpec, NotNormal, NotUnital, OpineqError, raise_first,
 )
@@ -43,7 +43,7 @@ def test_run_batch_enforces_the_preconditions_its_batch_keeps():
                                  "a": inst.a, "digest": inst.digest()}], ((),))
 
     kept = batch(())
-    (expected,) = checks.HYPOTHESES["normality"](kept.x, kept.y, ToleranceConfig())
+    (expected,) = checks.HYPOTHESES["normality"](kept.x, kept.y, DEFAULT_TOL)
     (error,) = checks.run_batch(kept)
     assert isinstance(expected, NotNormal) and isinstance(error, NotNormal)
     assert str(error) == str(expected)
@@ -53,8 +53,7 @@ def test_run_batch_enforces_the_preconditions_its_batch_keeps():
 
 def test_rejected_instance_gives_one_error_line_per_grid_point():
     out = io.StringIO()
-    cfg = RunConfig(trials=2, checks=("check_alpha",), dim=3,
-                    tolerances=ToleranceConfig(tol_rel=0.0))
+    cfg = RunConfig(trials=2, checks=("check_alpha",), dim=3, tol=0.0)
     summary = run_suite(cfg, out)
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
     assert summary.counts["check_alpha"]["error"] == len(lines) == 6
@@ -75,9 +74,8 @@ def test_build_instance_checks_the_shape_for_every_recipe():
 def test_unit_reference_checked_at_the_run_tolerance():
     inst = build_instance("check_gruss", 3, dim=1, length=2)
     off = dataclasses.replace(inst, e=(1 + 1e-12) * inst.e)
-    tight = ToleranceConfig(tol_rel=1e-14)
     with pytest.raises(NotUnital):
-        evaluate_instance(off, tight)
+        evaluate_instance(off, 1e-14)
     assert evaluate_instance(off).holds
 
 
@@ -124,7 +122,7 @@ def _each_alone(cfg, check, spoil=lambda inst: inst):
             params = GRIDS["alpha"].params(point)
             try:
                 at = dataclasses.replace(inst, params={**inst.params, **params})
-                out.append(evaluate_instance(at, cfg.tolerances).to_json_dict())
+                out.append(evaluate_instance(at, cfg.tol).to_json_dict())
             except OpineqError as exc:
                 out.append(harness._error_line(check, inst, seed, exc, params))
     return out
@@ -137,8 +135,8 @@ def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
     for all four instances at every point (5 calls when a group that raised was
     re-run instance by instance, 13 if enforced per point), and each line is
     what the instance gives alone."""
-    tol = ToleranceConfig() if spoiled else ToleranceConfig(tol_rel=0.0)
-    cfg = RunConfig(trials=4, checks=("check_alpha",), seed=1, dim=3, length=2, tolerances=tol)
+    tol = DEFAULT_TOL if spoiled else 0.0
+    cfg = RunConfig(trials=4, checks=("check_alpha",), seed=1, dim=3, length=2, tol=tol)
     bad = trial_seed(cfg.seed, "check_alpha", 2)
 
     generic = dataclasses.replace(
@@ -202,8 +200,8 @@ def test_a_grid_that_is_not_a_sequence_of_points_is_rejected(grid):
 
 
 @pytest.mark.parametrize("grids", [{"beta": ((1.0,),)}, {"Pqr": ((2.0, 2.0, 2.0),)},
-                                   (("pqr", ((2.0, 2.0, 2.0),)),), None],
-                         ids=["unknown_axis", "axis_case", "pairs", "none"])
+                                   (("pqr", ((2.0, 2.0, 2.0),)),), None, {None: ((),)}],
+                         ids=["unknown_axis", "axis_case", "pairs", "none", "no_grid_axis"])
 def test_grids_must_map_known_axes(grids):
     with pytest.raises(InvalidSpec, match="grids must map axes"):
         RunConfig(trials=1, checks=("check_cs",), grids=grids)
@@ -322,7 +320,7 @@ def test_an_x_that_is_not_an_element_is_refused_beside_a_good_instance():
     bad = dataclasses.replace(good, x="x")
     with pytest.raises(InvalidSpec, match="a group needs one"):
         evaluate_group([good, bad])
-    (report,), (error,) = evaluate_each([good, bad], ToleranceConfig(), ((),))
+    (report,), (error,) = evaluate_each([good, bad], DEFAULT_TOL, ((),))
     assert report.to_json_dict() == evaluate_instance(good).to_json_dict()
     assert isinstance(error, InvalidSpec) and "takes module elements" in str(error)
 
@@ -375,7 +373,7 @@ def _without_ball():
 @pytest.mark.parametrize("route", [
     lambda inst: [evaluate_instance(inst)],
     lambda inst: evaluate_group([inst]),
-    lambda inst: evaluate_each([inst], ToleranceConfig(), ((),))[0],
+    lambda inst: evaluate_each([inst], DEFAULT_TOL, ((),))[0],
     lambda inst: assert_hypotheses(inst) or [evaluate_instance(inst)],
 ], ids=["evaluate_instance", "evaluate_group", "evaluate_each", "assert_hypotheses"])
 def test_a_gruss_instance_without_a_ball_gets_one_verdict_on_every_route(route):
@@ -393,7 +391,7 @@ def test_a_batch_gives_a_ball_in_every_row_or_in_none():
     balled = build_instance("check_gruss", 4, dim=2, length=2)
     with pytest.raises(InvalidSpec, match="a ball in every row or in none"):
         evaluate_group([balled, bare])
-    rows = evaluate_each([balled, bare], ToleranceConfig(), ((),))
+    rows = evaluate_each([balled, bare], DEFAULT_TOL, ((),))
     assert [[r.to_json_dict() for r in row] for row in rows] == [
         [evaluate_instance(inst).to_json_dict()] for inst in (balled, bare)]
 
@@ -401,7 +399,7 @@ def test_a_batch_gives_a_ball_in_every_row_or_in_none():
 def test_an_empty_group_is_invalid_spec():
     with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
         evaluate_group([])
-    assert evaluate_each([], ToleranceConfig(), ((),)) == []
+    assert evaluate_each([], DEFAULT_TOL, ((),)) == []
 
 
 def _row(inst, **changes):
@@ -426,7 +424,7 @@ def test_batch_of_refuses_a_row_without_y():
 DROP_ROUTES = {
     "evaluate_instance": evaluate_instance,
     "evaluate_group": lambda inst: evaluate_group([inst])[0],
-    "evaluate_each": lambda inst: raise_first(evaluate_each([inst], ToleranceConfig(), [()])[0])[0],
+    "evaluate_each": lambda inst: raise_first(evaluate_each([inst], DEFAULT_TOL, [()])[0])[0],
 }
 
 
@@ -441,7 +439,7 @@ def test_a_list_drop_groups_like_its_tuple_and_a_set_drop_is_invalid(route, kind
         return
     assert checks.group_key(vars(other)) == checks.group_key(vars(inst))
     assert route(other).margin == evaluate_instance(inst).margin
-    (mixed, tupled), = [evaluate_each([other, inst], ToleranceConfig(), ((),))]
+    (mixed, tupled), = [evaluate_each([other, inst], DEFAULT_TOL, ((),))]
     assert mixed[0].to_json_dict() == tupled[0].to_json_dict()
 
 
@@ -495,7 +493,7 @@ def test_a_gruss_group_gives_each_instance_its_own_error_or_report():
         except OpineqError as exc:
             return line(exc)
 
-    got = [line(out) for (out,) in evaluate_each(insts, ToleranceConfig(), ((),))]
+    got = [line(out) for (out,) in evaluate_each(insts, DEFAULT_TOL, ((),))]
     assert got == [alone(inst) for inst in insts]
     assert got[1].startswith("NotUnital: ") and got[4].startswith("BallViolated: ")
     assert sum(isinstance(g, dict) for g in got) == 4

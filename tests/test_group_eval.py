@@ -46,7 +46,7 @@ def _alone(check, cfg):
         inst = build_instance(check, trial_seed(cfg.seed, check, index), dim=cfg.dim,
                               length=cfg.length, weights_mode=cfg.weights_mode)
         for point in points:
-            out.append(evaluate_instance(_at(inst, point), cfg.tolerances).to_json_dict())
+            out.append(evaluate_instance(_at(inst, point), cfg.tol).to_json_dict())
     return out
 
 

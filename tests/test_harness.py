@@ -10,7 +10,7 @@ import pytest
 from opineq import harness
 from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.cli import cli_main
-from opineq.core import ToleranceConfig, op_norm
+from opineq.core import op_norm
 from opineq.errors import InvalidSpec, NotNormal, OpineqError, UnknownCheck
 from opineq.generators import (
     CHECK_NAMES,
@@ -23,6 +23,7 @@ from opineq.generators import (
     gen_element,
     instance_from_json,
     trial_seed,
+    trial_seeds,
 )
 from opineq.harness import (
     RunConfig,
@@ -108,6 +109,14 @@ def test_trial_index_follows_the_integer_rule():
         assert str(info.value) == message
     assert trial_seed(1, "check_cs", 2.0) == trial_seed(1, "check_cs", np.int64(2)) \
         == trial_seed(1, "check_cs", 2)
+
+
+@pytest.mark.parametrize("check", [3, None, b"check_cs"], ids=repr)
+def test_trial_check_must_be_a_string(check):
+    for derive in (lambda: trial_seed(1, check, 0), lambda: trial_seeds(1, [(check, 0)])):
+        with pytest.raises(InvalidSpec) as info:
+            derive()
+        assert str(info.value) == f"check must be a string, got {check!r}"
 
 
 def test_build_instance_satisfies_hypotheses():
@@ -253,10 +262,11 @@ def test_run_config_applies_the_draw_options_rule():
         RunConfig(trials=2, seed=1, checks=("check_cs", "check_uin"), weights_mode="bogus")
 
 
-@pytest.mark.parametrize("tolerances", [1e-8, None, "1e-8", {"tol_rel": 1e-8}])
-def test_run_config_refuses_tolerances_that_are_not_a_tolerance_config(tolerances):
-    with pytest.raises(InvalidSpec, match="tolerances must be a ToleranceConfig"):
-        RunConfig(trials=1, checks=("check_cs",), tolerances=tolerances)
+@pytest.mark.parametrize("tol", [None, "1e-8", {"tol_rel": 1e-8}])
+def test_run_config_refuses_tolerances_that_are_not_a_tolerance_config(tol):
+    with pytest.raises(InvalidSpec) as info:
+        RunConfig(trials=1, checks=("check_cs",), tol=tol)
+    assert str(info.value) == f"tol_rel must be a finite nonnegative number, got {tol!r}"
 
 
 @pytest.mark.parametrize("checks", [("check_cs", "check_cs"),
@@ -295,8 +305,7 @@ def test_run_suite_alpha_grid():
 def test_run_suite_error_routing():
     # a zero tolerance rejects the roundoff normality defect of generated
     # normal tuples in the normality-gated check: error lines, never failures
-    cfg = RunConfig(trials=5, checks=("check_uin",), seed=1, dim=3,
-                    tolerances=ToleranceConfig(tol_rel=0.0))
+    cfg = RunConfig(trials=5, checks=("check_uin",), seed=1, dim=3, tol=0.0)
     out = io.StringIO()
     summary = run_suite(cfg, out)
     slot = summary.counts["check_uin"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opineq import checks, transformer
-from opineq.core import DEFAULT_TOL, ToleranceConfig, ct, op_norms
+from opineq.core import DEFAULT_TOL, ct, op_norms
 from opineq.generators import build_group
 from opineq.hmodule import (
     ModuleContext, ModuleElement, Stack, is_normal, require_units, weighted_products, within,
@@ -75,7 +75,6 @@ def _element_at(ratio, tol, seed, d=3):
 
 @pytest.mark.parametrize("tol", TOLS)
 def test_normality_verdicts_and_messages_are_the_svds(tol):
-    cfg = ToleranceConfig(tol_rel=tol)
     xs = [_element_at(ratio, tol, seed) for seed, ratio in enumerate(RATIOS)]
     if tol == 0:  # a frame-normal element: roundoff defect, rejected at tol 0
         rng = np.random.default_rng(99)
@@ -93,11 +92,11 @@ def test_normality_verdicts_and_messages_are_the_svds(tol):
             assert defect == pytest.approx(_svd_normality(z.parts)[0], rel=1e-10)
     else:
         assert list(expected) == [True] * len(RATIOS) + [False]
-    ok, _ = x.is_normal(cfg)
+    ok, _ = x.is_normal(tol)
     assert ok.tolist() == expected.tolist()
-    assert [is_normal(z, cfg) for z in xs] == [(bool(v), float(s)) for v, s in zip(expected, svd)]
+    assert [is_normal(z, tol) for z in xs] == [(bool(v), float(s)) for v, s in zip(expected, svd)]
     y = Stack.of([_element_at(0.0, 0.0, 50 + k) for k in range(len(xs))])
-    assert _verdicts(checks._require_normal(x, y, cfg)) == [
+    assert _verdicts(checks._require_normal(x, y, tol)) == [
         None if ok else ("NotNormal", f"x has normality defect {v:.3e}")
         for ok, v in zip(expected, svd)]
 
@@ -113,7 +112,7 @@ def test_unit_reference_verdicts_and_messages_are_the_svds(tol, d):
     svd = op_norms(es.gram - np.eye(d))
     expected = svd <= tol
     assert expected[0]
-    assert _verdicts(require_units(es, ToleranceConfig(tol_rel=tol))) == [
+    assert _verdicts(require_units(es, tol)) == [
         None if ok else ("NotUnital", f"<e, e> deviates from the identity by {v:.3e}")
         for ok, v in zip(expected, svd)]
 
@@ -161,11 +160,10 @@ def test_a_normal_frame_group_decides_normality_without_svd(monkeypatch):
     assert checks._require_normal(x, y, DEFAULT_TOL) == [None] * len(insts)
     assert calls == []
     # at tol 0 the screen leaves roundoff open: each element fails, as it does alone
-    exact = ToleranceConfig(tol_rel=0.0)
-    errors = _verdicts(checks._require_normal(x, y, exact))
+    errors = _verdicts(checks._require_normal(x, y, 0.0))
     assert calls
     assert all(e is not None and e[0] == "NotNormal" for e in errors)
-    assert errors == [_verdicts(checks._require_normal(i.x.stack, i.y.stack, exact))[0]
+    assert errors == [_verdicts(checks._require_normal(i.x.stack, i.y.stack, 0.0))[0]
                       for i in insts]
 
 
