@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL, TOL_ABS, as_tolerance, ct, eig_powers, eigvalsh, herm, is_real, moduli,
-    psd_eigs, psd_order_gaps, psd_powers, svdvals,
+    psd_eigs, psd_order_gaps, psd_powers, scales, svdvals,
 )
 from .errors import (
     BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, OpineqError, UnknownCheck,
@@ -116,8 +116,8 @@ def _require_normal(x: Stack, y: Stack, tol: float, e: Stack | None = None) -> l
     i, j = np.triu_indices(x.parts.shape[-3], 1)
     commutators = [z.parts[:, i] @ z.parts[:, j] - z.parts[:, j] @ z.parts[:, i] for z in (x, y)]
     centred = e.parts - (np.trace(e.parts, axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
-    ok, worst = within(np.concatenate([*commutators, centred], axis=1), tol, lambda r: (
-        np.maximum(1.0, np.maximum(x.norms[r] * x.norms[r], y.norms[r] * y.norms[r]))))
+    ok, worst = within(np.concatenate([*commutators, centred], axis=1), tol,
+                       lambda r: (x.norms[r] * x.norms[r], y.norms[r] * y.norms[r]))
     return failures(NotNormal, *sides,
                     ("instance leaves the scalar-reference commuting family by {:.3e}", ok, worst))
 
@@ -167,7 +167,7 @@ def require_in_ball(x, y, e, balls, tol: float = DEFAULT_TOL) -> list:
         centre = e.parts @ (((hi + lo) / 2)[:, None, None, None] * np.eye(d))
         dist = Stack(z.weights, z.parts - centre).norms
         radius = abs(hi - lo) / 2
-        bad = dist > radius + TOL_ABS + tol * np.maximum(radius, 1.0)
+        bad = dist > radius + TOL_ABS + tol * scales(radius)
         sides.append((tag + " sits {:.6f} from the ball center, radius {:.6f}", ~bad, dist, radius))
     return failures(BallViolated, *sides)
 
@@ -334,8 +334,7 @@ class _Branch(NamedTuple):
 
 
 def _scalar_branch(lhs: float, rhs: float) -> _Branch:
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return _Branch(float(lhs), float(rhs), float(rhs - lhs), scale)
+    return _Branch(float(lhs), float(rhs), float(rhs - lhs), float(scales(abs(lhs), abs(rhs))))
 
 
 def _psd_branches(lo: np.ndarray, hi: np.ndarray) -> list[_Branch]:
@@ -505,7 +504,7 @@ def _interp(b: Batch) -> list:
                    low[0, q - 1], low[1, r - 1])
                for k, (p, q, r) in enumerate(b.points)]
     return [({schatten(p).label: _scalar_branch(lhs, rhs)},
-             {"sensitivity": float(abs(rhs10 - rhs) / max(rhs, 1.0)),
+             {"sensitivity": float(abs(rhs10 - rhs) / scales(rhs)),
               "min_inner_eig": min(mx, my)})
             for (p, _, _), (lhs, rhs, rhs10, mx, my) in _instance_major(b, columns)]
 

@@ -10,6 +10,7 @@ an eigendecomposition that clamps negative round-off eigenvalues to zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -45,6 +46,12 @@ def as_tolerance(v) -> float:
     if not (is_real(v) and 0 <= v < math.inf):
         raise InvalidSpec(f"tol_rel must be a finite nonnegative number, got {v!r}")
     return float(v)
+
+
+def scales(*sizes):
+    """The comparison scale: elementwise, the largest of ``sizes`` and 1 (1.0 without
+    sizes).  The engine's one floor; every margin and hypothesis screen takes its scale here."""
+    return functools.reduce(np.maximum, sizes, 1.0)
 
 
 def as_integer(tag: str, v) -> int:
@@ -186,10 +193,9 @@ def psd_powers(h: np.ndarray, s: float) -> np.ndarray:
 def psd_order_gaps(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """lo <= hi in the PSD order for each pair of matrices of two stacks: the
     margin (smallest eigenvalue of herm(hi) - herm(lo)), ||lo||, ||hi|| and
-    the comparison scale max(||lo||, ||hi||, 1)."""
+    the comparison scale :func:`scales` of ||lo|| and ||hi||."""
     n_lo, n_hi = op_norms(np.stack([lo, hi]))
-    return (eigvalsh(herm(hi) - herm(lo))[..., 0], n_lo, n_hi,
-            np.maximum(np.maximum(n_lo, n_hi), 1.0))
+    return eigvalsh(herm(hi) - herm(lo))[..., 0], n_lo, n_hi, scales(n_lo, n_hi)
 
 
 def moduli(a: np.ndarray) -> np.ndarray:

@@ -12,11 +12,11 @@ check as one stack; :func:`build_group` is its window of one check and
 margin can be replayed bit for bit.
 
 Evaluation is here too: :func:`evaluate_instance` runs one instance at one
-grid point, :func:`evaluate_group` a same-shape group at every given grid
-point (a tuple, keyed by :data:`opineq.checks.GRIDS`) in one kernel call,
-with the same reports, :func:`evaluate_each` groups any instances and gives
-each its own reports or errors, and :func:`run_trials`, a run's one path,
-builds a window of trials from their seeds and evaluates them so.  Every route reaches
+grid point, :func:`evaluate_each` groups any instances, evaluates each
+same-shape group at every given grid point (a tuple, keyed by
+:data:`opineq.checks.GRIDS`) in one kernel call and gives each instance its
+own reports or errors, the same as alone, and :func:`run_trials`, a run's
+one path, builds a window of trials from their seeds and evaluates them so.  Every route reaches
 a kernel through :func:`opineq.checks.run_batch`, which enforces preconditions first.
 """
 
@@ -592,33 +592,17 @@ def evaluate_instance(inst: CheckInstance, tol: float = DEFAULT_TOL) -> Inequali
     return getattr(checks, spec.name)(*args, *_point(spec, inst.params), **kwargs)
 
 
-def evaluate_group(insts, tol: float = DEFAULT_TOL,
-                   points=None) -> list[InequalityReport]:
-    """Evaluate instances of one check with one dimension, length and drop
-    set (InvalidSpec for a mix or none) at each of ``points`` in one kernel call; a
-    check with a grid needs them given (InvalidSpec otherwise), as its
-    instances may record their own.  Report ``k * len(points) + j`` is, bit
-    for bit, what evaluate_instance gives for instance k at point j.  Raises the first
-    OpineqError any instance raises; :func:`evaluate_each` gives each
-    instance's own."""
-    return raise_first(run_batch(_batch(insts, _points(insts, points)), tol))
-
-
-def _points(insts, points) -> tuple:
-    """``points``, else the one point () of a check without a grid (InvalidSpec with one)."""
-    if points is None and insts and (grid := check_spec(insts[0].check).grid) is not None:
-        raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
-    return ((),) if points is None else points
-
-
 def evaluate_each(insts, tol: float, points) -> list[list]:
     """The evaluation policy of a run: per instance, its report or OpineqError
-    at each of ``points`` (:func:`evaluate_group`'s rule without them), each
-    what :func:`evaluate_group` gives it alone.  Instances of one
+    at each of ``points`` (None: the one point () of a check without a grid,
+    InvalidSpec for a check with one), each bit for bit what
+    :func:`evaluate_instance` gives it at that point.  Instances of one
     :func:`opineq.checks.group_key` (each alone if it has none) are one
     :func:`run_batch`; a group whose batch raises is evaluated instance by
     instance, and what an instance's batch raises is every point's error."""
-    points = _points(insts, points)
+    if points is None and insts and (grid := check_spec(insts[0].check).grid) is not None:
+        raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
+    points = ((),) if points is None else points
     groups: dict[tuple | int, list[int]] = {}
     for k, inst in enumerate(insts):
         try:

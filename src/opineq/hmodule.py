@@ -30,19 +30,21 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL, as_integer, as_matrix, as_tolerance, complex_array, ct, finite, is_real,
-    op_norms,
+    op_norms, scales,
 )
 from .errors import CtxMismatch, DimMismatch, InvalidSpec, NotUnital, failures
 
 
 @dataclass(frozen=True)
 class ModuleContext:
-    """The module of n-tuples of d x d matrices with positive weights."""
+    """The module of n-tuples of d x d matrices with positive weights; ``dim``
+    is an integer by :func:`~opineq.core.as_integer`."""
 
     dim: int
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", as_integer("dim", self.dim))
         if self.dim < 1:
             raise InvalidSpec("dim must be >= 1")
         if len(self.weights) < 1:
@@ -90,11 +92,12 @@ def weighted_products(w: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     return total
 
 
-def within(defects: np.ndarray, tol_rel: float, scale) -> tuple[np.ndarray, np.ndarray]:
+def within(defects: np.ndarray, tol_rel: float, sizes=lambda r: ()) -> tuple[np.ndarray, ...]:
     """Per element b of a (B, k, d, d) stack of defect matrices: whether
-    max_j ||defects[b, j]|| <= tol_rel * scale(rows)[b], and that norm where the
-    SVD ran.  Frobenius norms within tol_rel / 2 pass b without it, as the SVD
-    would at any scale >= 1 (``scale`` sees only the rows left open)."""
+    max_j ||defects[b, j]|| <= tol_rel * scales(*sizes(rows))[b], and that norm
+    where the SVD ran.  ``sizes`` gives the element's raw sizes for the rows left
+    open only; :func:`scales` puts the scale at 1 or above, so Frobenius norms
+    within tol_rel / 2 pass b without the SVD, as the SVD would pass it."""
     limit = tol_rel / 2  # below 1e-150 squares may underflow, so only zero defects pass
     ok = (np.linalg.norm(defects, axis=(-2, -1)).max(axis=-1) <= limit if limit >= 1e-150
           else ~defects.any(axis=(-3, -2, -1)))
@@ -102,7 +105,7 @@ def within(defects: np.ndarray, tol_rel: float, scale) -> tuple[np.ndarray, np.n
     rows = np.flatnonzero(~ok)
     if len(rows):
         defect[rows] = op_norms(defects[rows]).max(axis=-1)
-        ok[rows] = defect[rows] <= tol_rel * scale(rows)
+        ok[rows] = defect[rows] <= tol_rel * scales(*sizes(rows))
     return ok, defect
 
 
@@ -151,8 +154,7 @@ class Stack:
         is within tol_rel at its scale, and the defect where the SVD ran; see :func:`is_normal`."""
         zs = (self, *others)
         return within(np.concatenate([z.normality_defects for z in zs]), tol, lambda rows: (
-            np.array([max(1.0, nx**2, nx**3)
-                      for nx in np.concatenate([z.norms for z in zs])[rows].tolist()])))
+            (nx := np.concatenate([z.norms for z in zs])[rows]) ** 2, nx**3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +293,7 @@ def is_normal(x: ModuleElement, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
     The defect is the larger of max_t ||<x,x> x_t - x_t <x,x>|| and
     ||<x,x> - <xbar,xbar>||; it is compared against tol_rel at the scale
-    of ||x||^3 (the natural size of the commutator term); the defect is the SVD's.
+    :func:`~opineq.core.scales` of ||x||^2 and ||x||^3; the defect is the SVD's.
     """
     ok, _ = x.stack.is_normal(as_tolerance(tol))
     return bool(ok[0]), float(op_norms(x.stack.normality_defects[0]).max())
@@ -299,7 +301,7 @@ def is_normal(x: ModuleElement, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
 def require_units(es: Stack, tol: float = DEFAULT_TOL) -> list:
     """Per element e of a stack, None if <e, e> = I to tol_rel, else its NotUnital."""
-    ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], tol, lambda r: 1)
+    ok, defect = within((es.gram - np.eye(es.parts.shape[-1]))[:, None], tol)
     return failures(NotUnital, ("<e, e> deviates from the identity by {:.3e}", ok, defect))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, svdvals
-from .errors import DimMismatch, InvalidK
+from .core import as_integer, as_matrix, is_real, scales, svdvals
+from .errors import DimMismatch, InvalidK, InvalidSpec
 
 _TAGS = {"operator", "trace", "hilbert_schmidt", "schatten", "ky_fan", "ky_fan_dual"}
 # smallest normal float: a Schatten sum below it has lost precision
@@ -23,7 +23,8 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class NormKind:
-    """Tag for one member of the supported norm families."""
+    """Tag for one member of the supported norm families; a Schatten ``p`` is a number
+    by ``is_real``, kept as a float, and a Ky Fan ``k`` an integer by ``as_integer``."""
 
     tag: str
     p: float | None = None
@@ -31,11 +32,15 @@ class NormKind:
 
     def __post_init__(self) -> None:
         if self.tag not in _TAGS:
-            raise ValueError(f"unknown norm tag {self.tag!r}")
-        if self.tag == "schatten" and (self.p is None or not 1 <= self.p < math.inf):
-            raise ValueError(f"Schatten exponent must be finite and satisfy p >= 1, got {self.p}")
-        if self.tag in {"ky_fan", "ky_fan_dual"} and (self.k is None or self.k < 1):
-            raise InvalidK("Ky Fan order must satisfy k >= 1")
+            raise InvalidSpec(f"unknown norm tag {self.tag!r}")
+        if self.tag == "schatten":
+            if not (is_real(self.p) and 1 <= self.p < math.inf):
+                raise InvalidSpec(f"Schatten exponent must be finite and p >= 1, got {self.p!r}")
+            object.__setattr__(self, "p", float(self.p))
+        if self.tag in {"ky_fan", "ky_fan_dual"}:
+            object.__setattr__(self, "k", as_integer("Ky Fan order", self.k))
+            if self.k < 1:
+                raise InvalidK("Ky Fan order must satisfy k >= 1")
 
     @property
     def label(self) -> str:
@@ -52,16 +57,16 @@ HILBERT_SCHMIDT = NormKind("hilbert_schmidt")
 
 
 def schatten(p: float) -> NormKind:
-    return NormKind("schatten", p=float(p))
+    return NormKind("schatten", p=p)
 
 
 def ky_fan(k: int) -> NormKind:
-    return NormKind("ky_fan", k=int(k))
+    return NormKind("ky_fan", k=k)
 
 
 def ky_fan_dual(k: int) -> NormKind:
     """max(operator norm, trace norm / k), the dual of the Ky Fan k-norm."""
-    return NormKind("ky_fan_dual", k=int(k))
+    return NormKind("ky_fan_dual", k=k)
 
 
 def singular_values(m) -> np.ndarray:
@@ -116,8 +121,8 @@ def ky_fan_profile(m) -> np.ndarray:
 def fan_gaps(s_lo: np.ndarray, s_hi: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ky Fan dominance lo <= hi for each pair of rows of descending singular
     values (..., d): the profiles of lo and hi, their gaps ||hi||_(k) -
-    ||lo||_(k) for k = 1..d, and the scale max(||lo||_1, ||hi||_1, 1)."""
+    ||lo||_(k) for k = 1..d, and the scale :func:`scales` of their trace norms."""
     p_lo, p_hi = ky_fan_profiles(s_lo), ky_fan_profiles(s_hi)
     if p_lo.shape != p_hi.shape:
         raise DimMismatch(f"dimension mismatch {p_lo.shape[-1]} vs {p_hi.shape[-1]}")
-    return p_lo, p_hi, p_hi - p_lo, np.maximum(np.maximum(p_lo[..., -1], p_hi[..., -1]), 1.0)
+    return p_lo, p_hi, p_hi - p_lo, scales(p_lo[..., -1], p_hi[..., -1])

@@ -29,6 +29,14 @@ side that is too large still passes every random trial, but not these.
   = a and Phi(x, x) = <x, x> = I, and ``check_gruss``'s main branch compares
   |||a||| with itself; ||x - 0 e|| = 1 is the ball's radius, so the diameter
   bound (1/4) |||a||| |M - m| |P - p| is |||a||| too (g3 and mm).
+
+A refutation witness shows a hypothesis needed: the same check, the
+hypothesis dropped, fails by a margin known exactly.
+
+- x = y = E12 (n = 1, d = 2, unit weight) and a = E11, normality dropped:
+  <x, a y> = E21 E11 E12 = E22, but <x, x> = E22, so the right-hand side of
+  ``check_uin`` is E22 E11 E22 = 0 and every Ky Fan gap is -1 at scale 1.
+  x is not normal: <x, x> - <xbar, xbar> = E22 - E11 has norm 1.
 """
 
 import dataclasses
@@ -38,11 +46,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opineq.checks import GRIDS
+from opineq.checks import GRIDS, check_uin
 from opineq.cli import cli_main
 from opineq.core import DEFAULT_TOL
+from opineq.errors import NotNormal
 from opineq.generators import build_instance, evaluate_each
-from opineq.hmodule import ModuleElement
+from opineq.hmodule import ModuleElement, element
 
 EQ_TOL = 1e-10  # equality witnesses, normalized margins
 CORPUS = Path(__file__).parent / "corpus"
@@ -67,9 +76,15 @@ WITNESSES = {
     "check_gruss_orthogonal": None,
 }
 
+# refutation file -> (lhs, rhs) with its hypothesis dropped, and the error
+# message it gets with the hypothesis kept
+REFUTATIONS = {
+    "check_uin_normality_e12": ((1.0, 0.0), "x has normality defect 1.000e+00"),
+}
+
 
 def test_every_corpus_file_is_a_witness():
-    assert sorted(p.stem for p in CORPUS.glob("*.json")) == sorted(WITNESSES)
+    assert sorted(p.stem for p in CORPUS.glob("*.json")) == sorted([*WITNESSES, *REFUTATIONS])
 
 
 @pytest.mark.parametrize("name", WITNESSES)
@@ -81,6 +96,40 @@ def test_an_equality_witness_replays_at_zero_margin(name, capsys):
     assert name.startswith(rep["name"] + "_")
     keys = WITNESSES[name] or tuple(rep["norm_detail"])
     assert keys and all(abs(rep["norm_detail"][k]) <= EQ_TOL for k in keys), rep["norm_detail"]
+
+
+@pytest.mark.parametrize("name", REFUTATIONS)
+def test_a_refutation_witness_fails_exactly_and_needs_its_hypothesis(name, capsys, tmp_path):
+    (lhs, rhs), message = REFUTATIONS[name]
+    path = CORPUS / f"{name}.json"
+    assert cli_main(["replay", "--instance", str(path)]) == 1
+    out = capsys.readouterr()
+    rep = json.loads(out.out)
+    assert not rep["holds"] and out.err == ""
+    assert abs(rep["lhs"] - lhs) <= 1e-12 and abs(rep["rhs"] - rhs) <= 1e-12
+    fans = [v for k, v in rep["norm_detail"].items() if k.startswith("ky_fan_")]
+    assert fans and all(abs(v + 1.0) <= 1e-12 for v in fans), rep["norm_detail"]
+    # kept, the hypothesis refuses the instance
+    kept = tmp_path / "kept.json"
+    kept.write_text(json.dumps({**json.loads(path.read_text()), "drop": []}))
+    assert cli_main(["replay", "--instance", str(kept)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_uin_keeps_its_floor_bias_below_unit_size():
+    """The comparison scale has a floor of 1 (``core.scales``), so below unit
+    size tol_rel acts as an absolute 1e-8.  At x = s E12 (n = 1) and a = E11,
+    <x, a x> = s^2 E22 while the right-hand side is 0, and the normality defect
+    is s^2: at s = 1e-3 the hypothesis refuses x, but at s = 1e-4 both the
+    defect and the margin sit within 1e-8 and the check reads ``holds``.  A
+    scale-free verdict refutes it."""
+    e12, e11 = np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 0.0])
+    with pytest.raises(NotNormal, match="x has normality defect 1.000e-06"):
+        check_uin(element([1e-3 * e12]), element([1e-3 * e12]), e11)
+    x = element([1e-4 * e12])
+    rep = check_uin(x, x, e11)
+    assert rep.holds and rep.scale == 1.0
+    assert rep.lhs == pytest.approx(1e-8, rel=1e-12) and rep.rhs == 0.0
 
 
 def test_check_interp_keeps_its_known_bias_at_a_projection():

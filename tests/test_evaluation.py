@@ -14,8 +14,8 @@ from opineq.errors import (
     BallViolated, InvalidSpec, NotNormal, NotUnital, OpineqError, raise_first,
 )
 from opineq.generators import (
-    CHECK_NAMES, assert_hypotheses, build_group, build_instance, evaluate_each, evaluate_group,
-    evaluate_instance, trial_seed,
+    CHECK_NAMES, assert_hypotheses, build_group, build_instance, evaluate_each, evaluate_instance,
+    trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
 from opineq.hmodule import ModuleContext, ModuleElement
@@ -48,7 +48,7 @@ def test_run_batch_enforces_the_preconditions_its_batch_keeps():
     assert isinstance(expected, NotNormal) and isinstance(error, NotNormal)
     assert str(error) == str(expected)
     (report,) = checks.run_batch(batch(("normality",)))
-    assert report.to_json_dict() == evaluate_group([inst])[0].to_json_dict()
+    assert report.to_json_dict() == evaluate_each([inst], DEFAULT_TOL, ((),))[0][0].to_json_dict()
 
 
 def test_rejected_instance_gives_one_error_line_per_grid_point():
@@ -104,9 +104,10 @@ def _mixed_groups():
 
 @pytest.mark.parametrize("mix", ["drop", "check", "shape"])
 def test_evaluate_group_rejects_a_mixed_group(mix):
+    """Every group route builds its batch with Batch.of, which refuses two group keys."""
     group = _mixed_groups()[mix]
     with pytest.raises(InvalidSpec, match="a group needs one"):
-        evaluate_group(group)
+        checks.Batch.of([_row(i) for i in group], ((),))
     if mix == "drop":  # alone, the second instance is not normal
         with pytest.raises(NotNormal):
             evaluate_instance(group[1])
@@ -169,11 +170,11 @@ def test_a_grid_point_of_the_wrong_length_is_rejected():
     inst = build_instance("check_interp", 1)
     for pqr in ((2.0, 2.0), (4.0, 4.0), (2.0, 2.0, 2.0, 2.0)):
         with pytest.raises(InvalidSpec, match="needs one number per key"):
-            evaluate_group([inst], points=(pqr,))
+            checks.Batch.of([_row(inst)], (pqr,))
         with pytest.raises(InvalidSpec, match="needs one number per key"):
             RunConfig(trials=1, checks=("check_interp",), grids={"pqr": (pqr,)})
     with pytest.raises(InvalidSpec, match="needs one number per key"):
-        evaluate_group([build_instance("check_cs", 1)], points=((2.0,),))
+        checks.Batch.of([_row(build_instance("check_cs", 1))], ((2.0,),))
 
 
 @pytest.mark.parametrize("check, grid", [
@@ -230,7 +231,7 @@ def test_integer_grid_entries_give_the_lines_of_their_floats():
 
 def _first_errors(monkeypatch, spoil) -> list[str]:
     """The first error of one spoiled check_gruss instance through each route,
-    as ``"Type: message"``: a direct call, evaluate_instance, evaluate_group,
+    as ``"Type: message"``: a direct call, evaluate_instance,
     a run's error line (the group raises, so evaluate_each) and
     assert_hypotheses (inside its InvalidSpec)."""
     cfg = RunConfig(trials=1, checks=("check_gruss",), seed=3, dim=2, length=2)
@@ -245,7 +246,6 @@ def _first_errors(monkeypatch, spoil) -> list[str]:
 
     record(checks.check_gruss, inst.x, inst.y, inst.a, inst.e, inst.ball)
     record(evaluate_instance, inst)
-    record(evaluate_group, [inst])
     original = generators.build_window
     lines = io.StringIO()
     with monkeypatch.context() as patch:
@@ -281,14 +281,14 @@ def test_normality_comes_before_the_ball_on_every_route(monkeypatch):
     outside = _non_normal(build_instance("check_gruss", trial_seed(3, "check_gruss", 0),
                                          dim=2, length=2), 50.0)
     with pytest.raises(BallViolated):  # the instance breaks the ball too
-        evaluate_group([dataclasses.replace(outside, drop=("normality",))])
+        evaluate_instance(dataclasses.replace(outside, drop=("normality",)))
 
 
 def test_an_integer_point_is_recorded_as_the_float_it_is_evaluated_at():
     inst = dataclasses.replace(build_instance("check_interp", 5, dim=2, length=2),
                                params={"p": 3, "q": 2, "r": 6})
     alone = json.dumps(evaluate_instance(inst).to_json_dict(), sort_keys=True)
-    grouped = json.dumps(evaluate_group([inst], points=((3, 2, 6),))[0].to_json_dict(),
+    grouped = json.dumps(evaluate_each([inst], DEFAULT_TOL, ((3, 2, 6),))[0][0].to_json_dict(),
                          sort_keys=True)
     assert alone == grouped
     assert '"p": 3.0' in alone
@@ -319,7 +319,7 @@ def test_an_x_that_is_not_an_element_is_refused_beside_a_good_instance():
     good = build_instance("check_cs", 1)
     bad = dataclasses.replace(good, x="x")
     with pytest.raises(InvalidSpec, match="a group needs one"):
-        evaluate_group([good, bad])
+        checks.Batch.of([_row(good), _row(bad)], ((),))
     (report,), (error,) = evaluate_each([good, bad], DEFAULT_TOL, ((),))
     assert report.to_json_dict() == evaluate_instance(good).to_json_dict()
     assert isinstance(error, InvalidSpec) and "takes module elements" in str(error)
@@ -372,10 +372,9 @@ def _without_ball():
 
 @pytest.mark.parametrize("route", [
     lambda inst: [evaluate_instance(inst)],
-    lambda inst: evaluate_group([inst]),
     lambda inst: evaluate_each([inst], DEFAULT_TOL, ((),))[0],
     lambda inst: assert_hypotheses(inst) or [evaluate_instance(inst)],
-], ids=["evaluate_instance", "evaluate_group", "evaluate_each", "assert_hypotheses"])
+], ids=["evaluate_instance", "evaluate_each", "assert_hypotheses"])
 def test_a_gruss_instance_without_a_ball_gets_one_verdict_on_every_route(route):
     inst = _without_ball()
     (report,) = route(inst)
@@ -390,7 +389,7 @@ def test_a_batch_gives_a_ball_in_every_row_or_in_none():
     bare = _without_ball()
     balled = build_instance("check_gruss", 4, dim=2, length=2)
     with pytest.raises(InvalidSpec, match="a ball in every row or in none"):
-        evaluate_group([balled, bare])
+        generators._batch([balled, bare], ((),))
     rows = evaluate_each([balled, bare], DEFAULT_TOL, ((),))
     assert [[r.to_json_dict() for r in row] for row in rows] == [
         [evaluate_instance(inst).to_json_dict()] for inst in (balled, bare)]
@@ -398,7 +397,7 @@ def test_a_batch_gives_a_ball_in_every_row_or_in_none():
 
 def test_an_empty_group_is_invalid_spec():
     with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
-        evaluate_group([])
+        checks.Batch.of([], ((),))
     assert evaluate_each([], DEFAULT_TOL, ((),)) == []
 
 
@@ -423,7 +422,6 @@ def test_batch_of_refuses_a_row_without_y():
 
 DROP_ROUTES = {
     "evaluate_instance": evaluate_instance,
-    "evaluate_group": lambda inst: evaluate_group([inst])[0],
     "evaluate_each": lambda inst: raise_first(evaluate_each([inst], DEFAULT_TOL, [()])[0])[0],
 }
 

@@ -13,8 +13,7 @@ from opineq.cli import cli_main
 from opineq.core import DEFAULT_TOL
 from opineq.errors import InvalidSpec, MaxTermsExceeded, NotContractive, OpineqError
 from opineq.generators import (
-    CHECK_NAMES, build_group, build_instance, evaluate_each, evaluate_group, evaluate_instance,
-    trial_seed,
+    CHECK_NAMES, build_group, build_instance, evaluate_each, evaluate_instance, trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
 from opineq.checks import CHECK_SPECS, GRIDS, InequalityReport
@@ -67,9 +66,10 @@ def test_a_grid_check_group_is_evaluated_at_given_points():
     insts = [build_instance("check_interp", seed, dim=2, length=2) for seed in (1, 2)]
     insts[1] = dataclasses.replace(insts[1], params={"p": 3.0, "q": 2.0, "r": 6.0})
     with pytest.raises(InvalidSpec, match="given pqr points"):
-        evaluate_group(insts)
+        evaluate_each(insts, DEFAULT_TOL, None)
     points = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0))
-    grouped = [rep.to_json_dict() for rep in evaluate_group(insts, points=points)]
+    grouped = [rep.to_json_dict()
+               for row in evaluate_each(insts, DEFAULT_TOL, points) for rep in row]
     assert grouped == [evaluate_instance(_at(inst, point)).to_json_dict()
                        for inst in insts for point in points]
     assert evaluate_instance(insts[1]).to_json_dict() == grouped[3]
@@ -154,8 +154,8 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
     assert lines[:k] + lines[k + 1:] == clean[:k] + clean[k + 1:]
     # the other routes read the same row
     inst = build_instance("check_alpha", bad, dim=3, length=2)
-    with pytest.raises(MaxTermsExceeded, match="spoiled at alpha 0.5"):
-        evaluate_group([inst], points=((0.5,),))
+    [(error,)] = evaluate_each([inst], DEFAULT_TOL, ((0.5,),))
+    assert isinstance(error, MaxTermsExceeded) and str(error) == "spoiled at alpha 0.5"
     with pytest.raises(MaxTermsExceeded, match="spoiled at alpha 0.5"):
         evaluate_instance(_at(inst, (0.5,)))
     assert evaluate_instance(_at(inst, (2.0,))).holds
@@ -165,7 +165,8 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
 def test_a_group_without_points_is_invalid_spec(check):
     inst = build_instance(check, 3, dim=2, length=2)
     with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
-        evaluate_group([inst], points=())
+        generators._batch([inst], ())
+    assert evaluate_each([inst], DEFAULT_TOL, ()) == [[]]
     # a run gives such a trial its instance and no report
     [[(built, reports)]] = generators.run_trials([(check, [3], ())], DEFAULT_TOL, dim=2, length=2)
     assert built.to_json() == inst.to_json() and reports == []
@@ -237,15 +238,13 @@ def test_a_kernel_error_row_costs_no_second_kernel_call(name, monkeypatch):
                                               for inst in insts for point in points])
 
 
-def test_evaluate_each_without_points_takes_evaluate_groups_rule():
+def test_evaluate_each_without_points_takes_the_one_point_rule():
     """Without points, a check without a grid is evaluated at its one point ()
-    and a check with one is InvalidSpec, as in evaluate_group."""
+    and a check with one is InvalidSpec."""
     insts = [build_instance("check_cs", 1), build_instance("check_radius_submult", 2)]
     rows = evaluate_each(insts, DEFAULT_TOL, None)
     assert [[r.to_json_dict() for r in row] for row in rows] == [
-        [evaluate_group([inst])[0].to_json_dict()] for inst in insts]
+        [evaluate_instance(inst).to_json_dict()] for inst in insts]
     for check in ("check_alpha", "check_interp"):
-        inst = build_instance(check, 1)
-        for route in (evaluate_group, lambda insts: evaluate_each(insts, DEFAULT_TOL, None)):
-            with pytest.raises(InvalidSpec, match=f"^{check} is evaluated at given"):
-                route([inst])
+        with pytest.raises(InvalidSpec, match=f"^{check} is evaluated at given"):
+            evaluate_each([build_instance(check, 1)], DEFAULT_TOL, None)

@@ -1,6 +1,8 @@
 """Weighted matrix-tuple module: inner product, actions, conjugation,
 normality, the covariance form, and JSON serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -65,8 +67,17 @@ def test_context_validation():
         ModuleContext(2, (1.0, -0.5))
     with pytest.raises(ValueError):
         ModuleContext(2, (1.0, np.inf))
+    for dim in (True, "2", 2.5, None):
+        with pytest.raises(InvalidSpec, match="dim must be an integer"):
+            ModuleContext(dim, (1.0,))
+    with pytest.raises(InvalidSpec, match="dim must be an integer"):
+        uniform_context("2", 1)
     ctx = uniform_context(3, 4)
     assert ctx.length == 4 and ctx.weights == (1.0,) * 4
+    # an integer dim of another type is kept as an int, which JSON writes
+    z = ModuleElement(ModuleContext(np.int64(2), (1.0,)), (np.eye(2),))
+    assert type(z.ctx.dim) is int and z.ctx == ModuleContext(2.0, (1.0,))
+    assert element_from_json(json.loads(json.dumps(element_to_json(z)))).ctx == z.ctx
 
 
 def test_element_construction_and_immutability():

@@ -18,7 +18,7 @@ from opineq.norms import (
     schatten,
     singular_values,
 )
-from opineq.errors import DimMismatch, InvalidK
+from opineq.errors import DimMismatch, InvalidK, InvalidSpec
 from opineq.reference import dual_pairing, fan_dominance_leq
 
 RNG = np.random.default_rng(48151623)
@@ -60,12 +60,19 @@ def test_norm_known_values():
 
 
 def test_norm_kind_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec, match="unknown norm tag"):
         NormKind("bogus")
-    with pytest.raises(ValueError):
-        schatten(0.5)
+    for p in (0.5, "3", True, None):
+        with pytest.raises(InvalidSpec, match="Schatten exponent"):
+            schatten(p)
+    for make in (ky_fan, ky_fan_dual):
+        for k in (2.5, "2", True, None):
+            with pytest.raises(InvalidSpec, match="Ky Fan order must be an integer"):
+                make(k)
     with pytest.raises(InvalidK):
         ky_fan(0)
+    assert ky_fan(np.int64(2)) == ky_fan(2.0) == ky_fan(2) and type(ky_fan(2.0).k) is int
+    assert schatten(np.int64(3)) == schatten(3.0) and type(schatten(3).p) is float
     with pytest.raises(InvalidK):
         norm(np.eye(2), ky_fan(5))
     assert schatten(1.5).label == "schatten_1.5"

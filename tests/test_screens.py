@@ -120,7 +120,10 @@ def test_unit_reference_verdicts_and_messages_are_the_svds(tol, d):
 @pytest.mark.parametrize("tol", TOLS + (1e-300,))
 def test_the_screen_never_changes_a_verdict(tol):
     rng = np.random.default_rng(5)
-    scales = np.array([1.0, 1.5, 1.0, 2.0, 1.0])
+    # two raw sizes per element, some below 1: its scale is the larger, at least 1
+    sizes = np.array([[0.5, 1.0], [1.5, 0.2], [0.1, 0.3], [2.0, 1.9], [0.0, 1.0],
+                      [0.5, 0.5], [1.0, 0.0]])
+    scales = np.maximum(sizes.max(axis=1), 1.0)
     mats = []
     for ratio, s in zip(RATIOS, scales):
         u, v = _cgauss(rng, 4), _cgauss(rng, 4)
@@ -131,19 +134,37 @@ def test_the_screen_never_changes_a_verdict(tol):
     mats.append([np.zeros((4, 4)), 1e-170 * _cgauss(rng, (4, 4))])  # squares underflow
     mats.append([np.zeros((4, 4)), np.zeros((4, 4))])
     defects = np.array(mats)
-    scales = np.append(scales, [1.0, 1.0])
     svd = op_norms(defects).max(axis=-1)
     opened = []
 
-    def scale(rows):
+    def size(rows):
         opened.extend(rows.tolist())
-        return scales[rows]
+        return sizes[rows, 0], sizes[rows, 1]
 
-    ok, defect = within(defects, tol, scale)
+    ok, defect = within(defects, tol, size)
     assert ok.tolist() == (svd <= tol * scales).tolist()
     assert np.array_equal(defect[opened], svd[opened])
     assert np.isnan(np.delete(defect, opened)).all()
     assert len(defects) - 1 not in opened  # an exactly zero defect never needs the SVD
+
+
+def test_a_screen_takes_its_scale_at_one_below_unit_size():
+    """Two defects of operator norm 4e-9, given size 0.1: the scale is 1, so
+    both pass at tol 1e-8, the rank-one one by the Frobenius screen and
+    4e-9 I by the SVD.  A scale of 0.1 would pass the first and not the second."""
+    rank_one = np.zeros((4, 4), dtype=complex)
+    rank_one[0, 0] = 4e-9
+    defects = np.array([[rank_one], [4e-9 * np.eye(4, dtype=complex)]])
+    opened = []
+
+    def size(rows):
+        opened.extend(rows.tolist())
+        return (np.full(len(rows), 0.1),)
+
+    ok, defect = within(defects, 1e-8, size)
+    assert ok.tolist() == [True, True]
+    assert opened == [1] and defect[1] == pytest.approx(4e-9, rel=1e-12)
+    assert within(defects, 1e-8)[0].tolist() == [True, True]
 
 
 def test_a_normal_frame_group_decides_normality_without_svd(monkeypatch):

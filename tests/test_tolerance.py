@@ -10,7 +10,7 @@ from opineq import checks, generators
 from opineq.checks import CHECK_NAMES, CHECK_SPECS
 from opineq.errors import InvalidSpec, OpineqError
 from opineq.generators import (
-    build_instance, evaluate_each, evaluate_group, evaluate_instance, run_trials,
+    build_instance, evaluate_each, evaluate_instance, run_trials,
 )
 from opineq.harness import RunConfig
 from opineq.hmodule import is_normal
@@ -46,8 +46,6 @@ def _batch_route(kernel):
 ROUTES = {
     **{name: _check_route(name) for name in CHECK_NAMES},
     "evaluate_instance": lambda tol: evaluate_instance(_instance("check_gruss"), tol),
-    "evaluate_group": lambda tol: evaluate_group(
-        [_instance("check_alpha")], tol, _points(_instance("check_alpha"))),
     "run_batch": _batch_route(checks.run_batch),
     "require_preconditions": _batch_route(checks.require_preconditions),
     "is_normal": lambda tol: is_normal(_instance("check_uin").x, tol),
