@@ -19,7 +19,7 @@ from .transformer import (
     ElementaryOperator, apply, defect_operator, fractional_power_exact, spectral_radius, vectorize,
 )
 from .checks import CHECK_ANCHORS, InequalityReport
-from .generators import CheckInstance, GeneratorSpec, build_instance, gen_element
+from .generators import CheckInstance, build_instance
 from .harness import RunConfig, run_suite, search_counterexample
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "CheckInstance",
     "DEFAULT_TOL",
     "ElementaryOperator",
-    "GeneratorSpec",
     "InequalityReport",
     "ModuleContext",
     "ModuleElement",
@@ -42,7 +41,6 @@ __all__ = [
     "defect_operator",
     "element",
     "fractional_power_exact",
-    "gen_element",
     "inner",
     "is_normal",
     "ky_fan",

@@ -93,7 +93,7 @@ class CheckSpec(NamedTuple):
 def check_spec(name: str) -> CheckSpec:
     try:
         return CHECK_SPECS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise UnknownCheck(f"no check named {name!r}") from None
 
 
@@ -140,7 +140,7 @@ def validate_drop(drop) -> tuple[str, ...]:
     if not isinstance(drop, (tuple, list)):
         raise InvalidSpec(f"drop must be a tuple or list of hypothesis names, not {drop!r}")
     for k, name in enumerate(drop):
-        if name not in HYPOTHESES:
+        if not isinstance(name, str) or name not in HYPOTHESES:
             raise InvalidSpec(f"unknown hypothesis {name!r}; known: {', '.join(HYPOTHESES)}")
         if name in drop[:k]:
             raise InvalidSpec(f"hypothesis {name!r} is dropped twice")
@@ -192,13 +192,17 @@ class GridAxis(NamedTuple):
     validate: Callable[..., None]
 
     def params(self, point) -> dict:
-        """One point's report parameters, as floats; InvalidSpec unless one int or
-        float per key, then what the axis rule ``validate`` raises for them."""
+        """One point's report parameters, as floats; InvalidSpec unless a sequence of
+        one int or float per key, then what the axis rule ``validate`` raises for them."""
+        try:
+            point = tuple(point)
+        except TypeError:
+            raise InvalidSpec(f"grid point {point!r} is not a sequence of numbers") from None
         if len(point) != len(self.keys):
-            raise InvalidSpec(f"grid point {tuple(point)} needs one number per key "
+            raise InvalidSpec(f"grid point {point} needs one number per key "
                               f"of ({', '.join(self.keys)})")
         if not all(map(is_real, point)):
-            raise InvalidSpec(f"grid parameters must be real numbers, got {tuple(point)}")
+            raise InvalidSpec(f"grid parameters must be real numbers, got {point}")
         params = dict(zip(self.keys, map(float, point)))
         try:
             self.validate(*params.values())

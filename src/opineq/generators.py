@@ -35,15 +35,13 @@ from .checks import (  # CHECK_NAMES is re-exported
     require_preconditions, run_batch, validate_drop,
 )
 from .core import (
-    DEFAULT_TOL, as_integer, as_seed, complex_normals, ct, herm, psd_powers,
+    DEFAULT_TOL, as_integer, as_seed, complex_normals, ct, herm, is_real, psd_powers,
 )
 from .errors import InvalidSpec, OpineqError, UnknownCheck, raise_first
 from .hmodule import (
     ModuleContext, ModuleElement, Stack, _same_ctx, element_from_json, element_to_json,
     matrix_from_json, matrix_to_json,
 )
-
-KINDS = ("generic", "normal_commuting", "contractive", "gruss")
 
 DEFAULT_CONTRACTION = 0.999
 
@@ -64,30 +62,10 @@ def _check_options(dim: int | None, length: int | None, weights_mode: str,
                    contraction: float) -> None:
     """Raise InvalidSpec unless the draw options are valid, for every recipe."""
     check_shape(dim, length)
-    if not 0 < contraction < 1:
+    if not (is_real(contraction) and 0 < contraction < 1):
         raise InvalidSpec("contraction must lie in (0, 1)")
-    if weights_mode not in ("uniform", "random"):
+    if not isinstance(weights_mode, str) or weights_mode not in ("uniform", "random"):
         raise InvalidSpec(f"unknown weights mode {weights_mode!r}")
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Recipe for one random module element."""
-
-    seed: int
-    dim: int
-    length: int
-    kind: str
-    contraction: float = DEFAULT_CONTRACTION
-    weights_mode: str = "uniform"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", as_seed("seed", self.seed))
-        for tag, name in (("dim", "dim"), ("len", "length")):
-            object.__setattr__(self, name, as_integer(tag, getattr(self, name)))
-        if self.kind not in KINDS:
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
-        _check_options(self.dim, self.length, self.weights_mode, self.contraction)
 
 
 def _gaussians(rng: np.random.Generator, shape, count: int = 1) -> np.ndarray:
@@ -131,21 +109,6 @@ def _framed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _sub_seed(rng: np.random.Generator) -> int:
     """The seed of a sub-stream, drawn from its parent stream."""
     return int(rng.integers(0, 2**64 - 1, dtype=np.uint64))
-
-
-def gen_element(spec: GeneratorSpec) -> ModuleElement:
-    """Draw one element; the ``gruss`` kind yields a unit reference element
-    with scalar parts, the ``e`` operand of ``check_gruss``."""
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "gruss":
-        ctx = ModuleContext(spec.dim, _draw_weights(rng, spec.length, spec.weights_mode))
-        return ModuleElement.rows([ctx], _scalar_unit_parts([ctx], _cgauss(rng, (spec.length,))))[0]
-    weights, g, p = _draw_side(rng, spec.dim, spec.length, spec.weights_mode,
-                               spec.kind == "normal_commuting")
-    p = complex_normals(p, 1)[None]
-    parts = p if g is None else _framed(_haars(complex_normals(g, 1)), p)
-    target = spec.contraction if spec.kind == "contractive" else None
-    return ModuleElement.rows([ModuleContext(spec.dim, weights)], parts, target)[0]
 
 
 def _scalar_unit_parts(ctxs, lam: np.ndarray) -> np.ndarray:
@@ -560,6 +523,22 @@ def build_instance(check: str, seed: int, **options) -> CheckInstance:
     those.
     """
     return build_group(check, (seed,), **options)[0]
+
+
+def gen_element(seed: int, dim: int, length: int, kind: str, *,
+                contraction: float = DEFAULT_CONTRACTION,
+                weights_mode: str = "uniform") -> ModuleElement:
+    """The x :func:`build_instance` draws, with these options, for the first
+    :data:`~opineq.checks.CHECK_SPECS` row whose ``kind`` is ``kind``; for
+    ``"gruss"`` that instance's unit reference e.  InvalidSpec for a kind no
+    row has."""
+    spec = next((s for s in checks.CHECK_SPECS.values()
+                 if isinstance(kind, str) and s.kind == kind), None)
+    if spec is None:
+        raise InvalidSpec(f"unknown kind {kind!r}")
+    inst = build_instance(spec.name, seed, dim=dim, length=length, contraction=contraction,
+                          weights_mode=weights_mode)
+    return inst.e if kind == "gruss" else inst.x
 
 
 def _point(spec: CheckSpec, params: dict) -> tuple:

@@ -72,7 +72,7 @@ class RunConfig:
             raise InvalidSpec(f"grids must map axes {[*filter(None, GRIDS)]}, got {self.grids!r}")
         for axis, row in GRIDS.items():
             try:
-                params = [row.params(point) for point in self.points(axis)]
+                params = [row.params(tuple(point)) for point in self.points(axis)]
             except TypeError:
                 raise InvalidSpec(f"the {axis} grid must be a sequence of points") from None
             if not params:

@@ -47,11 +47,15 @@ class ModuleContext:
         object.__setattr__(self, "dim", as_integer("dim", self.dim))
         if self.dim < 1:
             raise InvalidSpec("dim must be >= 1")
-        if len(self.weights) < 1:
+        try:
+            weights = tuple(self.weights)
+        except TypeError:
+            raise InvalidSpec(f"weights must be a sequence, got {self.weights!r}") from None
+        if len(weights) < 1:
             raise InvalidSpec("length must be >= 1")
-        if not all(is_real(v) and math.isfinite(v) and v > 0 for v in self.weights):
+        if not all(is_real(v) and math.isfinite(v) and v > 0 for v in weights):
             raise InvalidSpec("weights must be strictly positive and finite")
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        object.__setattr__(self, "weights", tuple(map(float, weights)))
 
     @property
     def length(self) -> int:
@@ -228,7 +232,7 @@ def element(parts, weights=None) -> ModuleElement:
     if weights is None:
         ctx = uniform_context(d, len(mats))
     else:
-        ctx = ModuleContext(d, tuple(weights))
+        ctx = ModuleContext(d, weights)
     return ModuleElement(ctx, tuple(mats))
 
 

@@ -31,7 +31,7 @@ class NormKind:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
+        if not isinstance(self.tag, str) or self.tag not in _TAGS:
             raise InvalidSpec(f"unknown norm tag {self.tag!r}")
         if self.tag == "schatten":
             if not (is_real(self.p) and 1 <= self.p < math.inf):

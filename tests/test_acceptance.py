@@ -16,7 +16,6 @@ from opineq.checks import GRIDS, check_basic, check_cs, check_naopaka
 from opineq.core import DEFAULT_TOL, hermitian_part, op_norm, psd_power
 from opineq.errors import OpineqError
 from opineq.generators import (
-    GeneratorSpec,
     build_group,
     evaluate_instance,
     gen_element,
@@ -201,8 +200,7 @@ def test_criterion_08_defect_operators():
     worst = _worst("check_defect", "acc8", 300, GRIDS["pqr"].points)
     closed = 0.0
     for i in range(100):
-        z = gen_element(GeneratorSpec(trial_seed(MASTER, "acc8n", i),
-                                      3, 2, "normal_commuting"))
+        z = gen_element(trial_seed(MASTER, "acc8n", i), 3, 2, "normal_commuting")
         z = (0.9 / module_norm(z)) * z
         w, zs = z.ctx.weights, z.parts
         # the closed form (I - <z,z>)^(1/2) for normal z, against the engine

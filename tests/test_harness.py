@@ -15,7 +15,6 @@ from opineq.errors import InvalidSpec, NotNormal, OpineqError, UnknownCheck
 from opineq.generators import (
     CHECK_NAMES,
     CheckInstance,
-    GeneratorSpec,
     assert_hypotheses,
     build_group,
     build_instance,
@@ -38,9 +37,9 @@ JSON_KEYS = {"name", "seed", "dim", "len", "params", "lhs", "rhs", "margin",
              "holds", "norm_detail"}
 
 
-def test_generator_spec_validation():
+def test_gen_element_validation():
     good = dict(seed=1, dim=2, length=2, kind="generic")
-    GeneratorSpec(**good)
+    gen_element(**good)
     for bad in (
         dict(good, seed=-1),
         dict(good, dim=0),
@@ -53,32 +52,42 @@ def test_generator_spec_validation():
         dict(good, weights_mode="exotic"),
     ):
         with pytest.raises(InvalidSpec):
-            GeneratorSpec(**bad)
+            gen_element(**bad)
 
 
 def test_gen_element_kinds():
-    normal = gen_element(GeneratorSpec(3, 3, 2, "normal_commuting"))
+    normal = gen_element(3, 3, 2, "normal_commuting")
     ok, defect = is_normal(normal)
     assert ok and defect <= 1e-10
-    contr = gen_element(GeneratorSpec(4, 3, 2, "contractive", contraction=0.75))
+    contr = gen_element(4, 3, 2, "contractive", contraction=0.75)
     assert op_norm(inner(contr, contr)) == pytest.approx(0.75 ** 2, abs=1e-10)
-    e = gen_element(GeneratorSpec(5, 3, 2, "gruss"))
+    e = gen_element(5, 3, 2, "gruss")
     assert op_norm(inner(e, e) - np.eye(3)) <= 1e-12
     for part in e.parts:
         lam = part[0, 0]
         assert np.allclose(part, lam * np.eye(3))
-    tiny = gen_element(GeneratorSpec(6, 1, 1, "generic"))
+    tiny = gen_element(6, 1, 1, "generic")
     assert tiny.parts[0].shape == (1, 1)
 
 
 def test_gen_element_weights_and_determinism():
-    uni = gen_element(GeneratorSpec(7, 2, 3, "generic", weights_mode="uniform"))
+    uni = gen_element(7, 2, 3, "generic", weights_mode="uniform")
     assert uni.ctx.weights == (1.0, 1.0, 1.0)
-    rnd = gen_element(GeneratorSpec(7, 2, 3, "generic", weights_mode="random"))
+    rnd = gen_element(7, 2, 3, "generic", weights_mode="random")
     assert all(0.1 <= w <= 2.0 for w in rnd.ctx.weights)
-    again = gen_element(GeneratorSpec(7, 2, 3, "generic", weights_mode="random"))
+    again = gen_element(7, 2, 3, "generic", weights_mode="random")
     assert rnd.ctx.weights == again.ctx.weights
     assert all(np.array_equal(p, q) for p, q in zip(rnd.parts, again.parts))
+
+
+@pytest.mark.parametrize("kind, check", [("generic", "check_cs"), ("normal_commuting", "check_uin"),
+                                         ("contractive", "check_defect"), ("gruss", "check_gruss")])
+def test_gen_element_is_the_x_of_its_kinds_first_check(kind, check):
+    assert next(spec.name for spec in CHECK_SPECS.values() if spec.kind == kind) == check
+    options = dict(dim=3, length=2, contraction=0.8, weights_mode="random")
+    inst = build_instance(check, 11, **options)
+    want = inst.e if kind == "gruss" else inst.x
+    assert element_to_json(gen_element(11, kind=kind, **options)) == element_to_json(want)
 
 
 def test_gen_haar_unitary():
@@ -169,8 +178,9 @@ def test_build_instance_drop_and_overrides():
     inst = dataclasses.replace(inst, params={**inst.params, **GRIDS["alpha"].params((0.5,))})
     rep = evaluate_instance(inst)
     assert rep.instance["params"]["alpha"] == 0.5
-    with pytest.raises(UnknownCheck):
-        build_instance("check_bogus", 0)
+    for check in ("check_bogus", ["x"]):
+        with pytest.raises(UnknownCheck):
+            build_instance(check, 0)
     with pytest.raises(UnknownCheck):
         evaluate_instance(CheckInstance(check="nope", seed=0, kind="generic",
                                         x=inst.x, y=inst.y))
@@ -193,14 +203,14 @@ def test_run_counts_are_integers(field, value):
         RunConfig(**{"trials": 1, "checks": ("check_cs",), field: value})
 
 
-def test_generator_spec_takes_integers_by_the_one_rule():
+def test_gen_element_takes_integers_by_the_one_rule():
     for field, value in (("seed", 1.5), ("dim", 2.7), ("length", True)):
         with pytest.raises(InvalidSpec, match="must be an integer"):
-            GeneratorSpec(**{"seed": 1, "dim": 2, "length": 2, "kind": "generic", field: value})
-    spec = GeneratorSpec(7.0, 3.0, 2.0, "generic")
-    assert (spec.seed, spec.dim, spec.length) == (7, 3, 2)
-    twin = gen_element(GeneratorSpec(7, 3, 2, "generic"))
-    assert element_to_json(gen_element(spec)) == element_to_json(twin)
+            gen_element(**{"seed": 1, "dim": 2, "length": 2, "kind": "generic", field: value})
+    z = gen_element(7.0, 3.0, 2.0, "generic")
+    assert (z.ctx.dim, z.ctx.length) == (3, 2) and type(z.ctx.dim) is int
+    twin = gen_element(7, 3, 2, "generic")
+    assert element_to_json(z) == element_to_json(twin)
 
 
 BAD_SEEDS = {"negative": -1, "2^64": 2 ** 64, "fraction": 2.7, "bool": True}
@@ -211,7 +221,7 @@ def test_every_route_refuses_a_seed_outside_64_bits_with_one_message(seed):
     messages = set()
     for route in (lambda: build_group("check_cs", [1, seed]),
                   lambda: build_instance("check_cs", seed),
-                  lambda: GeneratorSpec(seed, 2, 2, "generic"),
+                  lambda: gen_element(seed, 2, 2, "generic"),
                   lambda: RunConfig(trials=1, checks=("check_cs",), seed=seed),
                   lambda: trial_seed(seed, "check_cs", 0),
                   lambda: search_counterexample("check_cs", budget=3, seed=seed)):
@@ -224,7 +234,9 @@ def test_every_route_refuses_a_seed_outside_64_bits_with_one_message(seed):
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
 def test_seeds_at_both_ends_of_64_bits_run(seed):
     assert build_instance("check_cs", seed).seed == seed
-    assert GeneratorSpec(seed, 2, 2, "generic").seed == seed
+    z = gen_element(seed, 2, 2, "generic")
+    assert element_to_json(z) == element_to_json(
+        build_instance("check_cs", seed, dim=2, length=2, weights_mode="uniform").x)
     assert 0 <= trial_seed(seed, "check_cs", 0) < 2 ** 64
     summary = run_suite(RunConfig(trials=2, checks=("check_cs",), seed=seed))
     assert summary.counts["check_cs"] == {"pass": 2, "fail": 0, "error": 0}
@@ -248,8 +260,9 @@ def test_run_config_validation():
         RunConfig(trials=0, checks=("check_cs",))
     with pytest.raises(InvalidSpec):
         RunConfig(trials=1, checks=())
-    with pytest.raises(UnknownCheck):
-        RunConfig(trials=1, checks=("check_nope",))
+    for check in ("check_nope", ["x"]):
+        with pytest.raises(UnknownCheck):
+            RunConfig(trials=1, checks=(check,))
     with pytest.raises(InvalidSpec):
         RunConfig(trials=1, checks=("check_cs",), grids={"pqr": ((2, 3, 3),)})
     with pytest.raises(InvalidSpec):
@@ -440,8 +453,9 @@ def test_grid_and_unconditional_checks_search_at_the_default_point_and_replay(ch
 def test_search_rejects_unsupported_checks():
     with pytest.raises(UnknownCheck):
         search_counterexample("check_gruss")
-    with pytest.raises(UnknownCheck):
-        search_counterexample("check_bogus")
+    for check in ("check_bogus", ["x"]):
+        with pytest.raises(UnknownCheck):
+            search_counterexample(check)
 
 
 def test_default_grids_satisfy_relations():

@@ -67,6 +67,11 @@ def test_context_validation():
         ModuleContext(2, (1.0, -0.5))
     with pytest.raises(ValueError):
         ModuleContext(2, (1.0, np.inf))
+    for weights in (1.0, None):
+        with pytest.raises(InvalidSpec, match="weights must be a sequence"):
+            ModuleContext(2, weights)
+    with pytest.raises(InvalidSpec, match="weights must be a sequence"):
+        element([np.eye(2)], weights=1.0)
     for dim in (True, "2", 2.5, None):
         with pytest.raises(InvalidSpec, match="dim must be an integer"):
             ModuleContext(dim, (1.0,))

@@ -54,8 +54,9 @@ def test_search_draw_refuses_a_recipe_without_one():
     rng = np.random.default_rng(0)
     with pytest.raises(UnknownCheck, match="search does not support 'check_gruss'"):
         InstanceDraw.for_search("check_gruss", rng, 2, 2, ())
-    with pytest.raises(UnknownCheck, match="no check named 'check_nope'"):
-        InstanceDraw.for_search("check_nope", rng, 2, 2, ())
+    for check in ("check_nope", ["x"]):
+        with pytest.raises(UnknownCheck, match=re.escape(f"no check named {check!r}")):
+            InstanceDraw.for_search(check, rng, 2, 2, ())
 
 
 def test_perturbed_draw_moves_one_field_and_keeps_the_rest():
@@ -72,6 +73,8 @@ def test_perturbed_draw_moves_one_field_and_keeps_the_rest():
 @pytest.mark.parametrize("options, needle", [
     (dict(weights_mode="exotic"), "unknown weights mode 'exotic'"),
     (dict(contraction=1.5), "contraction must lie in (0, 1)"),
+    (dict(contraction=None), "contraction must lie in (0, 1)"),
+    (dict(weights_mode=np.array(["uniform", "random"])), "unknown weights mode"),
 ])
 @pytest.mark.parametrize("check", ["check_gruss", "check_cs"])
 def test_build_options_are_validated_for_every_recipe(check, options, needle):
@@ -79,7 +82,8 @@ def test_build_options_are_validated_for_every_recipe(check, options, needle):
         build_instance(check, 1, **options)
 
 
-@pytest.mark.parametrize("drop", ["normality", ("normalty",), ["contraction", "bogus"]])
+@pytest.mark.parametrize("drop", ["normality", ("normalty",), ["contraction", "bogus"],
+                                  (["normality"],)])
 def test_validate_drop_rejects_bare_strings_and_unknown_names(drop):
     with pytest.raises(InvalidSpec):
         validate_drop(drop)

@@ -60,8 +60,9 @@ def test_norm_known_values():
 
 
 def test_norm_kind_validation():
-    with pytest.raises(InvalidSpec, match="unknown norm tag"):
-        NormKind("bogus")
+    for tag in ("bogus", ["x"]):
+        with pytest.raises(InvalidSpec, match="unknown norm tag"):
+            NormKind(tag)
     for p in (0.5, "3", True, None):
         with pytest.raises(InvalidSpec, match="Schatten exponent"):
             schatten(p)
