@@ -148,9 +148,10 @@ def validate_drop(drop) -> tuple[str, ...]:
 
 
 def ball_bounds(ball) -> tuple[float, ...]:
-    """``ball`` as the floats (m, M, p, P); InvalidSpec unless it is 4 finite
-    real numbers."""
-    if (not isinstance(ball, (tuple, list, np.ndarray)) or len(ball) != 4
+    """``ball`` as the floats (m, M, p, P); InvalidSpec unless it is a tuple, list
+    or 1-d array of 4 finite real numbers."""
+    vector = isinstance(ball, (tuple, list)) or isinstance(ball, np.ndarray) and ball.ndim == 1
+    if (not vector or len(ball) != 4
             or not all(is_real(v) and math.isfinite(v) for v in ball)):
         raise InvalidSpec(f"ball must be 4 finite numbers (m, M, p, P), got {ball!r}")
     return tuple(map(float, ball))

@@ -11,13 +11,13 @@ check as one stack; :func:`build_group` is its window of one check and
 :class:`CheckInstance` serializes to JSON exactly, so any reported
 margin can be replayed bit for bit.
 
-Evaluation is here too: :func:`evaluate_instance` runs one instance at one
-grid point, :func:`evaluate_each` groups any instances, evaluates each
-same-shape group at every given grid point (a tuple, keyed by
+Evaluation is here too: :func:`evaluate_each` groups any instances,
+evaluates each same-shape group at every given grid point (a tuple, keyed by
 :data:`opineq.checks.GRIDS`) in one kernel call and gives each instance its
-own reports or errors, the same as alone, and :func:`run_trials`, a run's
-one path, builds a window of trials from their seeds and evaluates them so.  Every route reaches
-a kernel through :func:`opineq.checks.run_batch`, which enforces preconditions first.
+own reports or errors; :func:`evaluate_instance` is its case of one, and
+:func:`run_trials`, a run's one path, builds a window of trials from their
+seeds and evaluates them so.  Every route reaches a kernel through
+:func:`opineq.checks.run_batch`, which enforces preconditions first.
 """
 
 from __future__ import annotations
@@ -560,15 +560,11 @@ def assert_hypotheses(inst: CheckInstance) -> None:
 
 
 def evaluate_instance(inst: CheckInstance, tol: float = DEFAULT_TOL) -> InequalityReport:
-    """Run the instance's check, looked up on :mod:`opineq.checks` at call
-    time, at the grid point its params record (each key they omit at the axis
-    default); the check enforces its preconditions minus ``inst.drop``."""
-    spec = check_spec(inst.check)
-    args = [inst.x, inst.y, *(getattr(inst, op) for op in spec.operands)]
-    kwargs = {"tol": tol, "digest": inst.digest()}
-    if spec.hypotheses:
-        kwargs["drop"] = inst.drop
-    return getattr(checks, spec.name)(*args, *_point(spec, inst.params), **kwargs)
+    """:func:`evaluate_each` of the one instance at the grid point its params
+    record (each key they omit at the axis default): its report, else the
+    first error, such as a precondition it breaks other than ``inst.drop``."""
+    point = _point(check_spec(inst.check), inst.params)
+    return raise_first(evaluate_each([inst], tol, (point,))[0])[0]
 
 
 def evaluate_each(insts, tol: float, points) -> list[list]:

@@ -15,7 +15,7 @@ from opineq.errors import (
 )
 from opineq.generators import (
     CHECK_NAMES, assert_hypotheses, build_group, build_instance, evaluate_each, evaluate_instance,
-    trial_seed,
+    instance_from_json, trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
 from opineq.hmodule import ModuleContext, ModuleElement
@@ -370,11 +370,17 @@ def _without_ball():
     return dataclasses.replace(build_instance("check_gruss", 3, dim=2, length=2), ball=None)
 
 
-@pytest.mark.parametrize("route", [
-    lambda inst: [evaluate_instance(inst)],
-    lambda inst: evaluate_each([inst], DEFAULT_TOL, ((),))[0],
-    lambda inst: assert_hypotheses(inst) or [evaluate_instance(inst)],
-], ids=["evaluate_instance", "evaluate_each", "assert_hypotheses"])
+ROUTES = {
+    "evaluate_instance": lambda inst: [evaluate_instance(inst)],
+    "evaluate_each": lambda inst: evaluate_each([inst], DEFAULT_TOL, ((),))[0],
+    "assert_hypotheses": lambda inst: assert_hypotheses(inst) or [evaluate_instance(inst)],
+}
+# a file must give its check's every operand, so a gruss instance without a ball has no replay
+REPLAY_ROUTES = {**ROUTES, "replay": lambda inst: [evaluate_instance(
+    instance_from_json(json.loads(json.dumps(inst.to_json()))))]}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES)
 def test_a_gruss_instance_without_a_ball_gets_one_verdict_on_every_route(route):
     inst = _without_ball()
     (report,) = route(inst)
@@ -383,6 +389,17 @@ def test_a_gruss_instance_without_a_ball_gets_one_verdict_on_every_route(route):
     assert "g3" in report.norm_detail
     assert not any(key.startswith("mm") for key in report.norm_detail)
     assert report.to_json_dict() == evaluate_instance(inst).to_json_dict()
+
+
+@pytest.mark.parametrize("route", REPLAY_ROUTES.values(), ids=REPLAY_ROUTES)
+def test_a_drop_the_check_lacks_gives_the_same_bytes_on_every_route(route):
+    """check_cs has no hypotheses: a witness that drops normality is evaluated
+    as the check function evaluates it given no drop, and records the drop."""
+    inst = build_instance("check_cs", 3, drop=("normality",))
+    (report,) = route(inst)
+    direct = checks.check_cs(inst.x, inst.y, digest=inst.digest())
+    assert json.dumps(report.to_json_dict()) == json.dumps(direct.to_json_dict())
+    assert report.instance["params"]["drop"] == ["normality"]
 
 
 def test_a_batch_gives_a_ball_in_every_row_or_in_none():

@@ -1,7 +1,7 @@
 """Every input rule refuses junk with its own error: a call given None, a
-bool, nan or an infinity, a string, a list or a dict where it expects a
-name, a number or a sequence returns or raises an OpineqError, never a raw
-TypeError, KeyError or ValueError."""
+bool, nan or an infinity, a string, a list, a dict or a numpy array where it
+expects a name, a number or a sequence returns or raises an OpineqError,
+never a raw TypeError, KeyError or ValueError."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -17,7 +17,8 @@ from opineq.norms import NormKind
 # junk, with some values each rule accepts, so that calls also return
 JUNK = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
-    | st.sampled_from(["check_cs", "normality", "schatten", "uniform", "alpha", 0.5, 2, 3.0]),
+    | st.sampled_from(["check_cs", "normality", "schatten", "uniform", "alpha", 0.5, 2, 3.0])
+    | st.sampled_from([np.array(1.0), np.array("ab"), np.zeros(3), np.zeros((4, 2))]),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=3),
     max_leaves=6)

@@ -136,16 +136,17 @@ def test_one_exponent_and_alpha_rule():
             RunConfig(trials=1, checks=("check_alpha",), grids={"alpha": ((bad,),)})
 
 
-def test_check_dispatch_is_late_bound(monkeypatch):
-    """Rebinding a check function wherever opineq binds it, as a tracer
-    does, must reach every evaluation."""
-    calls = dict.fromkeys(CHECK_NAMES, 0)
+def test_evaluate_instance_reaches_its_kernel_by_one_run_batch(monkeypatch):
+    """Rebinding run_batch and every check function wherever opineq binds
+    them, as a tracer does: an instance evaluated alone is one run_batch
+    call, by the run's own route, and calls no check function."""
+    calls = []
     wrappers = {}
-    for name in CHECK_NAMES:
+    for name in ("run_batch", *CHECK_NAMES):
         original = getattr(checks, name)
 
         def wrapper(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
+            calls.append(_name)
             return _fn(*args, **kwargs)
 
         wrappers[id(original)] = wrapper
@@ -155,8 +156,10 @@ def test_check_dispatch_is_late_bound(monkeypatch):
                 if id(value) in wrappers:
                     monkeypatch.setattr(module, key, wrappers[id(value)])
     for name in CHECK_NAMES:
-        evaluate_instance(build_instance(name, 7, dim=2, length=2))
-    assert calls == dict.fromkeys(CHECK_NAMES, 1)
+        inst = build_instance(name, 7, dim=2, length=2)
+        calls.clear()
+        evaluate_instance(inst)
+        assert calls == ["run_batch"], name
 
 
 def test_records_refuse_assignment():
