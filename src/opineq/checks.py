@@ -654,6 +654,11 @@ def require_preconditions(b: Batch, tol: float = DEFAULT_TOL) -> list:
     return [next(filter(None, row), None) for row in zip(*verdicts)]
 
 
+def ball_param(spec: CheckSpec, ball) -> dict:
+    """The ``"ball"`` param of a report or error line of ``spec``'s check, if it takes a ball."""
+    return {"ball": None if ball is None else list(ball)} if "ball" in spec.operands else {}
+
+
 def run_batch(b: Batch, tol: float = DEFAULT_TOL) -> list:
     """Per (instance, point), instance-major, the instance's error from
     :func:`require_preconditions`, else its kernel row's error or report: the kernel
@@ -664,8 +669,7 @@ def run_batch(b: Batch, tol: float = DEFAULT_TOL) -> list:
     spec = CHECK_SPECS[b.name]
     grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]
     shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
-    balls = [{"ball": None if ball is None else list(ball)} if "ball" in spec.operands else {}
-             for ball in kept.balls or [None] * len(kept.digests)]
+    balls = [ball_param(spec, ball) for ball in kept.balls or [None] * len(kept.digests)]
     instances = [{**shape, **digest, "params": {**digest.get("params", {}), **point, **ball}}
                  for digest, ball in zip((d or {} for d in kept.digests), balls) for point in grid]
     reports = (row if isinstance(row, OpineqError) else _finish(b.name, tol, instance, *row)

@@ -13,11 +13,11 @@ margin can be replayed bit for bit.
 
 Evaluation is here too: :func:`evaluate_each` groups any instances,
 evaluates each same-shape group at every given grid point (a tuple, keyed by
-:data:`opineq.checks.GRIDS`) in one kernel call and gives each instance its
-own reports or errors; :func:`evaluate_instance` is its case of one, and
-:func:`run_trials`, a run's one path, builds a window of trials from their
-seeds and evaluates them so.  Every route reaches a kernel through
-:func:`opineq.checks.run_batch`, which enforces preconditions first.
+:data:`opineq.checks.GRIDS`) in one kernel call, cell by cell if it raises,
+and gives each (instance, point) cell what it gets alone; :func:`evaluate_instance`
+is its case of one, and :func:`run_trials`, a run's one path, builds a window
+of trials from their seeds and evaluates them so.  Every route reaches a kernel
+through :func:`opineq.checks.run_batch`, which enforces preconditions first.
 """
 
 from __future__ import annotations
@@ -569,15 +569,10 @@ def evaluate_instance(inst: CheckInstance, tol: float = DEFAULT_TOL) -> Inequali
 
 def evaluate_each(insts, tol: float, points) -> list[list]:
     """The evaluation policy of a run: per instance, its report or OpineqError
-    at each of ``points`` (None: the one point () of a check without a grid,
-    InvalidSpec for a check with one), each bit for bit what
-    :func:`evaluate_instance` gives it at that point.  Instances of one
-    :func:`opineq.checks.group_key` (each alone if it has none) are one
-    :func:`run_batch`; a group whose batch raises is evaluated instance by
-    instance, and what an instance's batch raises is every point's error."""
-    if points is None and insts and (grid := check_spec(insts[0].check).grid) is not None:
-        raise InvalidSpec(f"{insts[0].check} is evaluated at given {grid} points")
-    points = ((),) if points is None else points
+    at each of ``points`` (None is :meth:`Batch.of`'s InvalidSpec), each cell
+    bit for bit what :func:`evaluate_instance` gives it at that point.  The
+    instances of one :func:`opineq.checks.group_key` (each alone if it has none)
+    are one :func:`run_batch`, evaluated again cell by cell if it raises."""
     groups: dict[tuple | int, list[int]] = {}
     for k, inst in enumerate(insts):
         try:
@@ -588,9 +583,11 @@ def evaluate_each(insts, tol: float, points) -> list[list]:
     for members in groups.values():
         try:
             outs = run_batch(_batch([insts[k] for k in members], points), tol)
-        except OpineqError as exc:
-            outs = ([exc] * len(points) if len(members) == 1 else
-                    [o for k in members for o in evaluate_each([insts[k]], tol, points)[0]])
+        except OpineqError:
+            if points is None:
+                raise
+            outs = [_caught(lambda: run_batch(_batch([insts[k]], (point,)), tol)[0])
+                    for k in members for point in points]
         out.update((k, outs[i * len(points):(i + 1) * len(points)]) for i, k in enumerate(members))
     return [out[k] for k in range(len(insts))]
 
@@ -598,25 +595,26 @@ def evaluate_each(insts, tol: float, points) -> list[list]:
 def run_trials(window, tol: float, **draw) -> list[list[tuple]]:
     """Per (check, seeds, points) segment of ``window``, per seed, its
     instance or build OpineqError, and its report or OpineqError at each of
-    the segment's points (none after a build error): one
+    the segment's points (the build error at each, after one): one
     :func:`build_window` with options ``draw``, seed by seed if it raises,
     then :func:`evaluate_each` per segment."""
     try:
         built = build_window([(check, seeds) for check, seeds, _ in window], **draw)
     except OpineqError:
-        built = [[_built_alone(check, seed, draw) for seed in seeds] for check, seeds, _ in window]
+        built = [[_caught(build_instance, check, seed, **draw) for seed in seeds]
+                 for check, seeds, _ in window]
     out = []
     for (_, _, points), insts in zip(window, built):
         rows = iter(evaluate_each([i for i in insts if isinstance(i, CheckInstance)], tol, points))
-        out.append([(inst, next(rows) if isinstance(inst, CheckInstance) else [])
+        out.append([(inst, next(rows) if isinstance(inst, CheckInstance) else [inst] * len(points))
                     for inst in insts])
     return out
 
 
-def _built_alone(check: str, seed: int, draw: dict):
-    """The seed's instance, or the OpineqError its build raises."""
+def _caught(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, or the OpineqError it raises."""
     try:
-        return build_group(check, (seed,), **draw)[0]
+        return call(*args, **kwargs)
     except OpineqError as exc:
         return exc
 

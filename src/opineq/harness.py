@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, validate_drop
+from .checks import CHECK_SPECS, GRIDS, InequalityReport, ball_param, check_spec, validate_drop
 from .core import DEFAULT_TOL, as_integer, as_seed, as_tolerance
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
@@ -118,12 +118,13 @@ class SuiteSummary:
         return "OK"
 
 
-def _error_line(check: str, inst: CheckInstance | None, seed: int,
-                exc: OpineqError, extra: dict | None = None) -> dict:
-    """A report line with null margins whose params name the error."""
-    digest = inst.digest() if inst is not None else {
-        "seed": seed, "dim": None, "len": None, "params": {}}
-    params = {**digest["params"], **(extra or {}), "error": f"{type(exc).__name__}: {exc}"}
+def _error_line(check: str, inst, seed: int, exc: OpineqError, extra: dict | None = None) -> dict:
+    """A report line with null margins whose params name the error; an ``inst``
+    that is not an instance (a build error) records no shape and no ball."""
+    built = isinstance(inst, CheckInstance)
+    digest = inst.digest() if built else {"seed": seed, "dim": None, "len": None, "params": {}}
+    ball = ball_param(check_spec(check), inst.ball) if built else {}
+    params = {**digest["params"], **(extra or {}), **ball, "error": f"{type(exc).__name__}: {exc}"}
     return InequalityReport(check, None, None, None, None, None, norm_detail={},
                             instance={**digest, "params": params}).to_json_dict()
 
@@ -134,8 +135,8 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     The (check, index) pairs go a window (:func:`_windows`) at a time
     through :func:`trial_seeds` and :func:`run_trials`, which builds and
     evaluates them; their lines are written in trial order.  Evaluation
-    alone enforces the check's hypotheses, so a violation is one error line
-    per grid point; a build error is one error line without an instance.
+    alone enforces the check's hypotheses, so a violation, like a build
+    error, is one error line per grid point (a build error's has no instance).
 
     Each report is written to ``writer``, any object with a ``write``
     method, as one sorted-key JSON line; without one, nothing is written.
@@ -152,9 +153,6 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
         for (check, seeds, points), segment in zip(segments, trials):
             axis = GRIDS[check_spec(check).grid]
             for seed, (inst, row) in zip(seeds, segment):
-                if not isinstance(inst, CheckInstance):
-                    summary.record(check, "error", None)
-                    _emit(writer, _error_line(check, None, seed, inst))
                 for point, rep in zip(points, row):
                     if isinstance(rep, OpineqError):
                         summary.record(check, "error", None)

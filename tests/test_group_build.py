@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from opineq import checks, generators, transformer
-from opineq.checks import CHECK_SPECS
+from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.core import DEFAULT_TOL
 from opineq.errors import InvalidSpec
 from opineq.generators import CHECK_NAMES, build_group, build_instance, run_trials, trial_seed
@@ -51,26 +51,34 @@ def test_a_group_takes_one_stacked_qr(monkeypatch):
 
 
 def test_a_build_error_stays_with_its_trial(monkeypatch):
-    cfg = RunConfig(trials=5, checks=("check_naopaka",), seed=6, dim=3, length=2)
-    clean = io.StringIO()
-    run_suite(cfg, clean)
-    spoiled_seed = trial_seed(cfg.seed, "check_naopaka", 3)
-    original = generators._draw
+    """A trial whose build raises is one error line per grid point, each with
+    its point's params and no shape; every other line is as in a clean run."""
+    for check in ("check_naopaka", "check_alpha"):
+        cfg = RunConfig(trials=5, checks=(check,), seed=6, dim=3, length=2)
+        clean = io.StringIO()
+        run_suite(cfg, clean)
+        spoiled_seed = trial_seed(cfg.seed, check, 3)
+        original = generators._draw
 
-    def draw(spec, seed, *args):
-        if seed == spoiled_seed:
-            raise InvalidSpec("spoiled draw")
-        return original(spec, seed, *args)
+        def draw(spec, seed, *args):
+            if seed == spoiled_seed:
+                raise InvalidSpec("spoiled draw")
+            return original(spec, seed, *args)
 
-    monkeypatch.setattr(generators, "_draw", draw)
-    out = io.StringIO()
-    summary = run_suite(cfg, out)
-    lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()
-    assert summary.counts["check_naopaka"] == {"pass": 4, "fail": 0, "error": 1}
-    spoiled = json.loads(lines[3])
-    assert spoiled["seed"] == spoiled_seed and spoiled["dim"] is None
-    assert spoiled["params"]["error"] == "InvalidSpec: spoiled draw"
-    assert [lines[k] for k in (0, 1, 2, 4)] == [before[k] for k in (0, 1, 2, 4)]
+        out = io.StringIO()
+        with monkeypatch.context() as patch:
+            patch.setattr(generators, "_draw", draw)
+            summary = run_suite(cfg, out)
+        axis = GRIDS[CHECK_SPECS[check].grid]
+        spoiled = slice(3 * len(axis.points), 4 * len(axis.points))
+        lines, before = out.getvalue().splitlines(), clean.getvalue().splitlines()
+        assert summary.counts[check] == {"pass": 4 * len(axis.points), "fail": 0,
+                                         "error": len(axis.points)}
+        for point, line in zip(axis.points, map(json.loads, lines[spoiled])):
+            assert line["seed"] == spoiled_seed and line["dim"] is None
+            assert line["params"] == {**axis.params(point), "error": "InvalidSpec: spoiled draw"}
+        del lines[spoiled], before[spoiled]
+        assert lines == before
 
 
 def test_run_trials_gives_each_seed_of_a_failed_group_build_its_own_error(monkeypatch):
@@ -89,7 +97,7 @@ def test_run_trials_gives_each_seed_of_a_failed_group_build_its_own_error(monkey
     trials = run_trials(window, DEFAULT_TOL, dim=3, length=2)[0]
     for k, ((inst, row), (want, want_row)) in enumerate(zip(trials, clean)):
         if k in (1, 3):
-            assert str(inst) == f"spoiled draw {seeds[k]}" and row == []
+            assert str(inst) == f"spoiled draw {seeds[k]}" and row == [inst, inst]
         else:
             assert _text(inst) == _text(want) and len(row) == 2
             assert [r.to_json_dict() for r in row] == [r.to_json_dict() for r in want_row]

@@ -65,7 +65,7 @@ def test_grouped_lines_equal_each_instance_alone(check, shape):
 def test_a_grid_check_group_is_evaluated_at_given_points():
     insts = [build_instance("check_interp", seed, dim=2, length=2) for seed in (1, 2)]
     insts[1] = dataclasses.replace(insts[1], params={"p": 3.0, "q": 2.0, "r": 6.0})
-    with pytest.raises(InvalidSpec, match="given pqr points"):
+    with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
         evaluate_each(insts, DEFAULT_TOL, None)
     points = ((2.0, 2.0, 2.0), (3.0, 2.0, 6.0))
     grouped = [rep.to_json_dict()
@@ -238,13 +238,29 @@ def test_a_kernel_error_row_costs_no_second_kernel_call(name, monkeypatch):
                                               for inst in insts for point in points])
 
 
-def test_evaluate_each_without_points_takes_the_one_point_rule():
-    """Without points, a check without a grid is evaluated at its one point ()
-    and a check with one is InvalidSpec."""
+def test_evaluate_each_without_points_is_invalid_spec():
+    """Without points, every check is Batch.of's InvalidSpec, with a grid or
+    without; at the one point () a check without a grid is evaluated as alone."""
     insts = [build_instance("check_cs", 1), build_instance("check_radius_submult", 2)]
-    rows = evaluate_each(insts, DEFAULT_TOL, None)
+    rows = evaluate_each(insts, DEFAULT_TOL, ((),))
     assert [[r.to_json_dict() for r in row] for row in rows] == [
         [evaluate_instance(inst).to_json_dict()] for inst in insts]
-    for check in ("check_alpha", "check_interp"):
-        with pytest.raises(InvalidSpec, match=f"^{check} is evaluated at given"):
-            evaluate_each([build_instance(check, 1)], DEFAULT_TOL, None)
+    for inst in insts + [build_instance(check, 1) for check in ("check_alpha", "check_interp")]:
+        with pytest.raises(InvalidSpec, match="at least one instance and one grid point"):
+            evaluate_each([inst], DEFAULT_TOL, None)
+
+
+def test_each_cell_of_a_raising_batch_gets_what_it_gets_alone():
+    """At alpha 3000 some rows overflow and their batch raises; every other
+    cell, the alpha 0.5 cells of those rows included, is what it is alone
+    (numpy's overflow warnings off, as in the CLI)."""
+    insts = [build_instance("check_alpha", seed) for seed in range(20)]
+    points = ((0.5,), (3000.0,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = evaluate_each(insts, DEFAULT_TOL, points)
+        alone = [_line_alone(inst, point) for inst in insts for point in points]
+    lines = [_line(inst, point, outcome)
+             for inst, row in zip(insts, rows) for point, outcome in zip(points, row)]
+    assert _serialized(lines) == _serialized(alone)
+    assert all(isinstance(row[0], InequalityReport) and row[0].holds for row in rows)
+    assert any(isinstance(row[1], InvalidSpec) for row in rows)

@@ -27,10 +27,11 @@ RUNS = {
     # exact SVD verdicts; each instance's precondition error at each of its points
     "tol_0": ("--checks check_alpha,check_uin,check_gruss,check_naopaka --trials 4 --seed 1 "
               "--tol 0", 0, 24,
-              {'"error"': 23, "NotNormal": 19, "NotUnital": 4, '"check_alpha".*"error"': 12}),
+              {'"error"': 23, "NotNormal": 19, "NotUnital": 4, '"check_alpha".*"error"': 12,
+               r'"ball": \[.*NotUnital': 4}),
     # PSD round-off does not follow --tol
     "psd_tol_0": ("--checks check_gruss,check_defect --trials 20 --seed 0 --tol 0", 0, 100,
-                  {'"error"': 18, "NotUnital": 18}),
+                  {'"error"': 18, "NotUnital": 18, r'"ball": \[.*NotUnital': 18}),
     "psd_tol_1e-3": ("--checks check_gruss,check_defect --trials 20 --seed 0 --tol 1e-3", 0, 100,
                      {}),
     "default": ("--trials 20 --seed 0", 0, 380, {}),
