@@ -10,21 +10,22 @@ Hilbert-Schmidt value recorded as a redundant spot check.
 
 Each check has one numeric implementation, the kernel its :data:`CHECK_SPECS`
 row names: ``kernel(b)`` takes only a :class:`Batch` (same-shape instances,
-each at the same grid points, as one stack) and gives one row per report:
-both sides as (branches, detail), or its own OpineqError (a domain its
-formula leaves); no kernel reads the tolerance.  :func:`run_batch` enforces
-each instance's preconditions (:func:`require_preconditions`), runs the
-kernel once on the instances that meet them and alone turns its rows into
-reports.  Each public ``check_*`` function is derived from its row: a
-batch of one instance at one point (``drop`` names hypotheses not to enforce),
-documented by its kernel's docstring, the statement whose two sides it computes.  A
-run evaluates a group of trials as one batch; since every stacked operation
-treats each matrix on its own, a report is bit for bit the same either way.
-Every route builds its batch with :meth:`Batch.of` from one row per instance,
-the one operand gate and group rule: no rows or points, two :func:`group_key`s,
-an x, y or e that is not a module element, or a missing e is InvalidSpec first.
-The tests hold the kernels against :mod:`opineq.reference`, the paper's
-formulas coded plainly.
+each at the same grid points, as one stack) and gives one row per report,
+both sides as (branches, detail), or raises (a domain its formula leaves, at
+any instance or point); no kernel reads the tolerance.  :func:`run_batch`
+enforces each instance's preconditions (:func:`require_preconditions`), runs
+the kernel once on the instances that meet them and alone turns its rows into
+reports; :func:`opineq.generators.evaluate_each` gives each cell of a batch
+that raises what it gets alone.  Each public ``check_*`` function is derived
+from its row: a batch of one instance at one point (``drop`` names hypotheses
+not to enforce), documented by its kernel's docstring, the statement whose two
+sides it computes.  A run evaluates a group of trials as one batch; since every
+stacked operation treats each matrix on its own, a report is bit for bit the
+same either way.  Every route builds its batch with :meth:`Batch.of` from one
+row per instance, the one operand gate and group rule: no rows or points, two
+:func:`group_key`s, an x, y or e that is not a module element, or a missing e
+is InvalidSpec first.  The tests hold the kernels against
+:mod:`opineq.reference`, the paper's formulas coded plainly.
 
 Generators, runner, search and CLI read each check from its one row in
 :data:`CHECK_SPECS`, every grid axis from its one row in :data:`GRIDS`,
@@ -45,8 +46,8 @@ from .core import (
     psd_eigs, psd_order_gaps, psd_powers, scales, svdvals,
 )
 from .errors import (
-    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, OpineqError, UnknownCheck,
-    failures, raise_first,
+    BadExponents, BallViolated, InvalidSpec, NotContractive, NotNormal, UnknownCheck, failures,
+    raise_first,
 )
 from .hmodule import (
     ModuleElement, Stack, _same_ctx, acting_stack, covariances, require_units,
@@ -73,8 +74,8 @@ class CheckSpec(NamedTuple):
     if the row has ``hypotheses``.  ``recipe`` keys its row of
     :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
     reports record, and ``kernel(b)`` the numbers of a :class:`Batch`, one
-    (branches, detail) row or OpineqError per report in :func:`run_batch`'s
-    order; its docstring states the inequality and is the function's."""
+    (branches, detail) row per report in :func:`run_batch`'s order, or the
+    OpineqError it raises; its docstring states the inequality and is the function's."""
 
     name: str
     anchor: str
@@ -414,8 +415,8 @@ def _powers(eigs: tuple, exps: list) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # kernels: the numerics of each check over a Batch, one row (branches, extra
-# detail or None) or OpineqError per report; each stage makes one LAPACK
-# call, over every instance and grid point
+# detail or None) per report, or a raise; each stage makes one LAPACK call,
+# over every instance and grid point
 
 def _cs(b: Batch) -> list:
     """|<x,y>|^2 <= ||x||^2 <y,y> in the PSD order, plus its square root."""
@@ -538,11 +539,10 @@ def _alpha(b: Batch) -> list:
     alphas = [alpha for (alpha,) in b.points]
     px, py = _powers(_defect_eigs(b), [[alpha / 2 for alpha in alphas]] * 2)
     los = px @ b.a @ py
-    his, errors = fractional_powers(b.x, b.y, b.a, alphas)
+    his = fractional_powers(b.x, b.y, b.a, alphas)
     d = b.a.shape[-1]
     # one stack per point, interleaved into report order
-    rows = _family_rows(los.swapaxes(0, 1).reshape(-1, d, d), np.stack(his, 1).reshape(-1, d, d))
-    return [error or row for error, row in zip((e for es in zip(*errors) for e in es), rows)]
+    return _family_rows(los.swapaxes(0, 1).reshape(-1, d, d), np.stack(his, 1).reshape(-1, d, d))
 
 
 def _defect(b: Batch) -> list:
@@ -554,7 +554,7 @@ def _defect(b: Batch) -> list:
     x, y = b.x, b.y
     four = Stack(np.concatenate([x.weights, y.weights] * 2),
                  np.concatenate([x.parts, y.parts, x.conj.parts, y.conj.parts]))
-    deltas, errors = defect_operators(four)
+    deltas = defect_operators(four)
     eigs = (v.reshape(4, len(x.parts), *v.shape[1:]) for v in psd_eigs(deltas))
     qs, rs = [q for _, q, _ in b.points], [r for _, _, r in b.points]
     # D_x^(1-1/q), D_y^(1-1/r), D_xbar^(-1/q) and D_ybar^(-1/r) at every point
@@ -563,10 +563,8 @@ def _defect(b: Batch) -> list:
     s_lhs, s_rhs = svdvals(np.stack([dx @ b.a @ dy, dxb @ (b.a - _products(b)) @ dyb]))
     columns = [zip(norms_of(s_lhs[k], schatten(p)).tolist(), norms_of(s_rhs[k], schatten(p)).tolist())
                for k, (p, _, _) in enumerate(b.points)]
-    # an instance's error is the first of x, y, xbar and ybar's
-    firsts = [next(filter(None, errors[k::len(x.parts)]), None) for k in range(len(x.parts))]
-    return [firsts[k // len(b.points)] or ({schatten(p).label: _scalar_branch(l, h)}, None)
-            for k, ((p, _, _), (l, h)) in enumerate(_instance_major(b, columns))]
+    return [({schatten(p).label: _scalar_branch(l, h)}, None)
+            for (p, _, _), (l, h) in _instance_major(b, columns)]
 
 
 def _gruss(b: Batch) -> list:
@@ -661,9 +659,10 @@ def ball_param(spec: CheckSpec, ball) -> dict:
 
 def run_batch(b: Batch, tol: float = DEFAULT_TOL) -> list:
     """Per (instance, point), instance-major, the instance's error from
-    :func:`require_preconditions`, else its kernel row's error or report: the kernel
-    runs once, on the rest (:meth:`Batch.rows`); ``holds`` is decided at ``tol``, and each
-    digest is laid over the batch's shape, its params under the point's and ``"ball"``."""
+    :func:`require_preconditions`, else its kernel row's report: the kernel runs once,
+    on the rest (:meth:`Batch.rows`), and what it raises, the batch raises; ``holds`` is
+    decided at ``tol``, and each digest is laid over the batch's shape, its params under
+    the point's and ``"ball"``."""
     errors = require_preconditions(b, tol := as_tolerance(tol))
     kept = b.rows([k for k, error in enumerate(errors) if error is None])
     spec = CHECK_SPECS[b.name]
@@ -672,7 +671,7 @@ def run_batch(b: Batch, tol: float = DEFAULT_TOL) -> list:
     balls = [ball_param(spec, ball) for ball in kept.balls or [None] * len(kept.digests)]
     instances = [{**shape, **digest, "params": {**digest.get("params", {}), **point, **ball}}
                  for digest, ball in zip((d or {} for d in kept.digests), balls) for point in grid]
-    reports = (row if isinstance(row, OpineqError) else _finish(b.name, tol, instance, *row)
+    reports = (_finish(b.name, tol, instance, *row)
                for row, instance in zip(spec.kernel(kept) if kept.digests else (), instances))
     return [error or next(reports) for error in errors for _ in b.points]
 

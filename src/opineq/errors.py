@@ -81,8 +81,8 @@ def failures(error: type, *sides) -> list:
             for row in zip(*(zip(*side[1:]) for side in sides))]
 
 
-def raise_first(outcomes: list, value=None):
-    """``value`` (``outcomes`` without one) if no outcome is an error, else raise the first."""
+def raise_first(outcomes: list) -> list:
+    """``outcomes`` if none is an error, else raise the first."""
     if errors := [o for o in outcomes if isinstance(o, OpineqError)]:
         raise errors[0]
-    return outcomes if value is None else value
+    return outcomes

@@ -572,7 +572,8 @@ def evaluate_each(insts, tol: float, points) -> list[list]:
     at each of ``points`` (None is :meth:`Batch.of`'s InvalidSpec), each cell
     bit for bit what :func:`evaluate_instance` gives it at that point.  The
     instances of one :func:`opineq.checks.group_key` (each alone if it has none)
-    are one :func:`run_batch`, evaluated again cell by cell if it raises."""
+    are one :func:`run_batch`; if it raises, that is the outcome of a group of
+    one cell, and every cell of a larger group is evaluated again alone."""
     groups: dict[tuple | int, list[int]] = {}
     for k, inst in enumerate(insts):
         try:
@@ -583,11 +584,12 @@ def evaluate_each(insts, tol: float, points) -> list[list]:
     for members in groups.values():
         try:
             outs = run_batch(_batch([insts[k] for k in members], points), tol)
-        except OpineqError:
+        except OpineqError as exc:
             if points is None:
                 raise
-            outs = [_caught(lambda: run_batch(_batch([insts[k]], (point,)), tol)[0])
-                    for k in members for point in points]
+            outs = [exc] if len(members) * len(points) == 1 else [
+                _caught(lambda: run_batch(_batch([insts[k]], (point,)), tol)[0])
+                for k in members for point in points]
         out.update((k, outs[i * len(points):(i + 1) * len(points)]) for i, k in enumerate(members))
     return [out[k] for k in range(len(insts))]
 

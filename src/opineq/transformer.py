@@ -7,19 +7,22 @@ built from the resolvent-summed Gram matrix.
 (I - T)^alpha a has one path, :func:`fractional_powers`, over a stack of
 operators, with one rule per alpha: an integer alpha <= FINITE_MAX takes
 the finite binomial sum, and every other alpha the eigen form
-V (1 - w)^alpha V^(-1), which a row whose eigenbasis has
-cond(V) eps > SERIES_TAIL refuses.  Its oracle, the truncated binomial
+V (1 - w)^alpha V^(-1), which refuses a stack with any row whose
+eigenbasis has cond(V) eps > SERIES_TAIL.  Its oracle, the truncated binomial
 series of one operator, and the other plain forms the engine is tested
 against live in :mod:`opineq.reference`; no engine code calls them.
 
 The defect operator's contraction guard is decided by the norm bound
 r(T_{z,z}) <= min(||z||, ||zbar||)^2 when min(||z||, ||zbar||) < 1 - SERIES_TAIL,
-else by the dense eigenvalues of T_{z,z}.  A row that fails a guard is its own error.
+else by the dense eigenvalues of T_{z,z}.
 
 Application, vectorization, spectral radii, the probe bound, the eigen
 (I - T)^alpha and the defect operators each have one stacked form over
 many operators at once, which the check kernels call; the per-operator
-functions are its case of one.
+functions are its case of one.  A stacked form gives numbers for every row
+or raises: the first row outside its domain (||x|| ||y|| >= 1,
+r(T_{z,z}) >= 1, an eigenbasis the eigen form refuses) raises what it
+raises alone.
 """
 
 from __future__ import annotations
@@ -166,21 +169,15 @@ def operator_norm_T(t: ElementaryOperator) -> OperatorNormBounds:
     return OperatorNormBounds(float(lower), module_norm(t.x) * module_norm(t.y))
 
 
-def _kept(m: np.ndarray, ok: np.ndarray, fill=0.0) -> np.ndarray:
-    """The stack ``m`` with ``fill`` in place of each matrix whose row fails ``ok``;
-    ``m`` itself when every row passes."""
-    return m if ok.all() else np.where(ok[:, None, None], m, fill)
-
-
-def _eigen_forms(rep: np.ndarray, a: np.ndarray) -> tuple:
+def _eigen_forms(rep: np.ndarray, a: np.ndarray, alpha: float) -> tuple:
     """The alpha-independent part of (I - T)^alpha a for a stack of vectorized
     operators ``rep`` (B, d^2, d^2) and operands ``a`` (B, d, d): eigenvalues w and
-    eigenvectors V of each T, V^(-1) vec(a) (V = I in a row whose T is ill-conditioned
-    or defective) and per row whether cond(V) eps <= SERIES_TAIL."""
+    eigenvectors V of each T and V^(-1) vec(a); an OpineqError naming ``alpha``
+    unless every row has cond(V) eps <= SERIES_TAIL."""
     w, v = np.linalg.eig(rep)
-    well = ~(np.linalg.cond(v) * np.finfo(float).eps > SERIES_TAIL)
-    sol = np.linalg.solve(_kept(v, well, np.eye(v.shape[-1])), vec(a)[..., None])[..., 0]
-    return w, v, sol, well
+    if (np.linalg.cond(v) * np.finfo(float).eps > SERIES_TAIL).any():
+        raise OpineqError(f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective")
+    return w, v, np.linalg.solve(v, vec(a)[..., None])[..., 0]
 
 
 def finite_sum(rep: np.ndarray, a: np.ndarray, alpha: float) -> np.ndarray:
@@ -195,46 +192,41 @@ def finite_sum(rep: np.ndarray, a: np.ndarray, alpha: float) -> np.ndarray:
     return acc
 
 
-def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> tuple[list, list]:
+def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> list:
     """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
-    (B, d, d), one stack per (valid) alpha, and per alpha each row's None or
-    error: NotContractive unless ||x|| ||y|| < 1 (T = 0 stands in for the row).
+    (B, d, d), one stack per (valid) alpha; DimCap beyond the vectorization cap,
+    then the first row's NotContractive unless every ||x|| ||y|| < 1.
 
     An integer alpha <= FINITE_MAX takes :func:`finite_sum`, whose roundoff
     eps (1 + gamma)^alpha stays within SERIES_TAIL.  Every other alpha takes
     the eigen form: the spectrum of the vectorized R lies in the disc of
     radius gamma = ||x|| ||y|| < 1, so wherever R = V diag(w) V^(-1),
     V (1 - w)^alpha V^(-1) vec(a) is exactly what the binomial series sums,
-    with an error of order cond(V) eps; a row with cond(V) eps >
-    SERIES_TAIL is an OpineqError at that alpha, and no value.
+    with an error of order cond(V) eps; a row with cond(V) eps > SERIES_TAIL
+    raises an OpineqError at the first alpha that takes the eigen form.
     """
+    rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
     gammas = x.norms * y.norms  # below one for the series to converge
-    refused = failures(NotContractive, ("binomial series requires ||x|| ||y|| < 1, got {:.6f}",
-                                        ok := ~(gammas >= 1.0), gammas))
-    rep, forms, out, errors = _kept(vectorized(x.weights, x.parts, y.parts), ok), None, [], []
+    raise_first(failures(NotContractive, ("binomial series requires ||x|| ||y|| < 1, got {:.6f}",
+                                          ~(gammas >= 1.0), gammas)))
     for alpha in alphas:
-        well = ok  # the finite sum refuses no row
         if float(alpha).is_integer() and alpha <= FINITE_MAX:
             out.append(finite_sum(rep, a, alpha))
         else:
-            w, v, sol, well = forms = forms or _eigen_forms(rep, a)
+            w, v, sol = forms = forms or _eigen_forms(rep, a, alpha)
             out.append(unvec((v @ ((1.0 - w) ** alpha * sol)[..., None])[..., 0], a.shape[-1]))
-        errors.append([r or e for r, e in zip(refused, failures(OpineqError, (
-            f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective", well)))])
-    return out, errors
+    return out
 
 
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
-    """(I - T)^alpha a: :func:`fractional_powers` on a stack of one, raising its
-    error; DimCap beyond the vectorization cap."""
+    """(I - T)^alpha a: :func:`fractional_powers` on a stack of one."""
     validate_alpha(alpha)
-    (out,), (errors,) = fractional_powers(t.x.stack, t.y.stack, acting(t.x, a)[None], (alpha,))
-    return raise_first(errors, out[0])
+    return fractional_powers(t.x.stack, t.y.stack, acting(t.x, a)[None], (alpha,))[0][0]
 
 
-def defect_operators(zs: Stack) -> tuple[np.ndarray, list]:
-    """Delta_z of every element of a stack, and per element None or its
-    NotContractive, for which T_{z,z} = 0 stands in; see :func:`defect_operator`."""
+def defect_operators(zs: Stack) -> np.ndarray:
+    """Delta_z of every element of a stack, raising the first element's
+    NotContractive; see :func:`defect_operator`."""
     rep = vectorized(zs.weights, zs.parts, zs.parts)
     # r(T_{z,z}) <= ||z||^2, and <= ||zbar||^2 by the trace adjoint T_{zbar,zbar}: either
     # norm below 1 - SERIES_TAIL settles the guard (a float T_{z,z} at 1 - eps has eigenvalue 1)
@@ -242,11 +234,12 @@ def defect_operators(zs: Stack) -> tuple[np.ndarray, list]:
     unsettled = (zs.norms >= 1.0 - SERIES_TAIL) & (zs.conj.norms >= 1.0 - SERIES_TAIL)
     if unsettled.any():
         radius[unsettled] = spectral_radii(rep[unsettled])
+    raise_first(failures(NotContractive, ("defect needs spectral radius < 1, got {:.6f}",
+                                          radius < 1.0, radius)))
     d = zs.parts.shape[-1]
     rhs = np.broadcast_to(vec(np.eye(d, dtype=complex))[:, None], rep.shape[:-1] + (1,))
-    g = np.linalg.solve(np.eye(d * d, dtype=complex) - _kept(rep, radius < 1.0), rhs)[..., 0]
-    return psd_powers(herm(unvec(g, d)), -0.5), failures(
-        NotContractive, ("defect needs spectral radius < 1, got {:.6f}", radius < 1.0, radius))
+    g = np.linalg.solve(np.eye(d * d, dtype=complex) - rep, rhs)[..., 0]
+    return psd_powers(herm(unvec(g, d)), -0.5)
 
 
 def defect_operator(z: ModuleElement) -> np.ndarray:
@@ -258,7 +251,6 @@ def defect_operator(z: ModuleElement) -> np.ndarray:
     square root is well conditioned.  The radius is bounded by
     min(||z||, ||zbar||)^2 (Cauchy-Schwarz); the dense eigenvalues are
     computed only when that bound does not settle it.  It is
-    :func:`defect_operators` on z's stack of one, raising its error.
+    :func:`defect_operators` on z's stack of one.
     """
-    deltas, errors = defect_operators(z.stack)
-    return raise_first(errors, deltas[0])
+    return defect_operators(z.stack)[0]

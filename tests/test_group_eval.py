@@ -128,9 +128,9 @@ def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
 
 
 def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
-    """One instance's kernel row at alpha = 0.5 is its error: the run's one
-    kernel call gives that line alone its error, and every other line is
-    the clean run's."""
+    """The kernel raises for any batch holding one instance's alpha = 0.5 cell:
+    the run's group call raises, each cell is evaluated again alone, and that
+    line alone is the error; every other line is the clean run's."""
     cfg = RunConfig(trials=4, checks=("check_alpha",), seed=5, dim=3, length=2)
     clean = _serialized(_lines(cfg))
     bad = trial_seed(cfg.seed, "check_alpha", 1)
@@ -139,23 +139,25 @@ def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
 
     def kernel(b):
         calls.append(len(b.digests))
-        cells = ((digest["seed"], point) for digest in b.digests for point in b.points)
-        return [MaxTermsExceeded("spoiled at alpha 0.5") if cell == (bad, (0.5,)) else out
-                for cell, out in zip(cells, original(b))]
+        if (bad, (0.5,)) in [(digest["seed"], point) for digest in b.digests for point in b.points]:
+            raise MaxTermsExceeded("spoiled at alpha 0.5")
+        return original(b)
 
     monkeypatch.setitem(CHECK_SPECS, "check_alpha", row._replace(kernel=kernel))
     lines = _lines(cfg)
-    assert calls == [4]
     alphas = GRIDS["alpha"].points
+    assert calls == [4] + [1] * (4 * len(alphas))
     k = len(alphas) + alphas.index((0.5,))
     assert lines[k]["params"]["alpha"] == 0.5 and lines[k]["margin"] is None
     assert lines[k]["params"]["error"] == "MaxTermsExceeded: spoiled at alpha 0.5"
     lines = _serialized(lines)
     assert lines[:k] + lines[k + 1:] == clean[:k] + clean[k + 1:]
-    # the other routes read the same row
+    # the other routes give the same cell the same error, a group of one cell
+    # from its one call
     inst = build_instance("check_alpha", bad, dim=3, length=2)
     [(error,)] = evaluate_each([inst], DEFAULT_TOL, ((0.5,),))
     assert isinstance(error, MaxTermsExceeded) and str(error) == "spoiled at alpha 0.5"
+    assert calls[4 * len(alphas) + 1:] == [1]
     with pytest.raises(MaxTermsExceeded, match="spoiled at alpha 0.5"):
         evaluate_instance(_at(inst, (0.5,)))
     assert evaluate_instance(_at(inst, (2.0,))).holds
@@ -208,34 +210,48 @@ def _ill_conditioned_beside_two_good():
     return [good[0], dataclasses.replace(good[0], x=z, y=z, seed=None), good[1]]
 
 
-# groups whose kernel gives some rows their own error, and that error's type
+# groups whose kernel raises at some cells, that error's type and the kernel calls
+# of their evaluation
 KERNEL_ERROR_GROUPS = {
     "alpha_contraction_dropped": (lambda: build_group(
-        "check_alpha", range(10), dim=3, length=2, drop=("contraction",)), NotContractive),
+        "check_alpha", range(10), dim=3, length=2, drop=("contraction",)), NotContractive, 31),
     "defect_d1_contraction_dropped": (lambda: build_group(
-        "check_defect", range(30), dim=1, length=1, drop=("contraction",)), NotContractive),
-    "alpha_ill_conditioned_row": (_ill_conditioned_beside_two_good, OpineqError),
+        "check_defect", range(30), dim=1, length=1, drop=("contraction",)), NotContractive, 121),
+    "alpha_ill_conditioned_row": (_ill_conditioned_beside_two_good, OpineqError, 10),
 }
 
 
 @pytest.mark.parametrize("name", KERNEL_ERROR_GROUPS)
-def test_a_kernel_error_row_costs_no_second_kernel_call(name, monkeypatch):
-    """A row whose (I - T)^alpha or defect operator leaves its domain is that
-    row's own error in the group's one kernel call (a whole-group error took
-    26, 143 and 7 calls here, re-running the group instance by instance and
-    point by point), and every line is what the instance gives alone."""
-    build, error = KERNEL_ERROR_GROUPS[name]
+def test_a_kernel_error_costs_a_call_per_cell(name, monkeypatch):
+    """A group with a cell whose (I - T)^alpha or defect operator leaves its
+    domain raises from its one kernel call, and each of its cells is evaluated
+    again alone: 1 + cells kernel calls, and every line is what the instance
+    gives alone."""
+    build, error, count = KERNEL_ERROR_GROUPS[name]
     insts = build()
     points = GRIDS[CHECK_SPECS[insts[0].check].grid].points
     calls = _kernel_calls(monkeypatch, insts[0].check)
     rows = evaluate_each(insts, DEFAULT_TOL, points)
-    assert calls == [len(insts)]
+    assert calls == [len(insts)] + [1] * (len(insts) * len(points)) and len(calls) == count
     kinds = {type(outcome) for row in rows for outcome in row}
     assert kinds == {InequalityReport, error}
     lines = [_line(inst, point, outcome)
              for inst, row in zip(insts, rows) for point, outcome in zip(points, row)]
     assert _serialized(lines) == _serialized([_line_alone(inst, point)
                                               for inst in insts for point in points])
+
+
+def test_a_refused_candidate_costs_one_kernel_call(monkeypatch):
+    """A search candidate is a group of one cell: check_alpha with contraction
+    dropped, at ||x|| ||y|| = 1 + eps by the roundoff of its rescale to the unit
+    sphere, raises NotContractive from its one kernel call, which is its outcome."""
+    inst = build_instance("check_alpha", 1, dim=3, length=2, drop=("contraction",))
+    assert inst.x.stack.norms[0] * inst.y.stack.norms[0] == np.nextafter(1.0, 2.0)
+    calls = _kernel_calls(monkeypatch, "check_alpha")
+    with pytest.raises(NotContractive, match=r"^binomial series requires \|\|x\|\| \|\|y\|\| "
+                                             r"< 1, got 1\.000000$"):
+        evaluate_instance(inst)
+    assert calls == [1]
 
 
 def test_evaluate_each_without_points_is_invalid_spec():

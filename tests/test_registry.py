@@ -9,13 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from opineq import checks
+from opineq import checks, generators
 from opineq.checks import (
     CHECK_ANCHORS, CHECK_NAMES, CHECK_SPECS, GRIDS, HYPOTHESES, Batch, validate_pqr,
 )
 from opineq.errors import BadExponents, InvalidSpec, NotContractive, NotNormal
 from opineq.generators import (
-    RECIPES, InstanceDraw, assert_hypotheses, build_instance, evaluate_instance,
+    RECIPES, InstanceDraw, assert_hypotheses, build_group, build_instance, evaluate_instance,
 )
 from opineq.harness import SEARCHABLE, RunConfig, search_counterexample
 from opineq.hmodule import ModuleElement, is_normal, module_norm
@@ -44,13 +44,24 @@ def _batch_of(inst, points, ball=None):
 
 
 def test_a_kernel_takes_only_its_batch_and_gives_one_pair_per_report():
+    """A kernel gives numbers or raises: on built instances of random shape, one
+    batch per shape at the check's default points, every row is a pair of float
+    branches by label and a detail dict or None."""
     for name, spec in CHECK_SPECS.items():
         assert len(inspect.signature(spec.kernel).parameters) == 1, name
-        inst = build_instance(name, 5, dim=3, length=2)
-        points = GRIDS[spec.grid].points
-        rows = spec.kernel(_batch_of(inst, points, inst.ball))
-        assert len(rows) == len(points), name
-        assert all(isinstance(row, tuple) and len(row) == 2 for row in rows), name
+        points, groups = GRIDS[spec.grid].points, {}
+        for inst in build_group(name, range(24)):
+            groups.setdefault((inst.x.ctx.dim, inst.x.ctx.length), []).append(inst)
+        for group in groups.values():
+            rows = spec.kernel(generators._batch(group, points))
+            assert len(rows) == len(group) * len(points), name
+            for row in rows:
+                assert type(row) is tuple and len(row) == 2, (name, row)
+                branches, detail = row
+                assert branches and all(isinstance(label, str) and len(branch) == 4
+                                        and all(type(v) is float for v in branch)
+                                        for label, branch in branches.items()), name
+                assert detail is None or type(detail) is dict, name
 
 
 def test_run_batch_records_a_gruss_batch_ball():

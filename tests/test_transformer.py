@@ -341,13 +341,19 @@ def test_fractional_power_exact_without_an_eigen_form(monkeypatch, kron_series):
         for alpha in (1, 2.0, 3):
             assert np.array_equal(fractional_power_exact(tt, alpha, a),
                                   kron_series(tt.x, tt.y, a, alpha))
-    # stacked, the refusal is the defective row's own error, beside a normal row
+    # stacked beside a normal row, the defective row refuses the stack at the
+    # first alpha the eigen form takes, with its message alone; the finite sums
+    # of both rows are each row's alone
     beside = _normal_pair(3, 1)
     xs, ys = Stack.of([defective.x, beside.x]), Stack.of([defective.y, beside.y])
-    powers, errors = transformer.fractional_powers(xs, ys, np.array([a, a]), (0.5, 1.5, 19))
-    for alpha, (bad, good), stacked in zip((0.5, 1.5, 19), errors, powers):
-        assert type(bad) is OpineqError and good is None
-        assert str(bad) == f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective"
+    for alpha in (0.5, 1.5, 19):
+        with pytest.raises(OpineqError) as info:
+            transformer.fractional_powers(xs, ys, np.array([a, a]), (2, alpha, 0.25))
+        assert type(info.value) is OpineqError
+        assert str(info.value) == f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective"
+    sums = transformer.fractional_powers(xs, ys, np.array([a, a]), (1, 2))
+    for alpha, stacked in zip((1, 2), sums):
+        assert np.array_equal(stacked[0], fractional_power_exact(defective, alpha, a))
         assert np.array_equal(stacked[1], fractional_power_exact(beside, alpha, a))
     # an eigenbasis whose conditioning cannot meet SERIES_TAIL is refused too
     monkeypatch.setattr(transformer, "SERIES_TAIL", 1e-17)
@@ -372,21 +378,24 @@ def test_large_integer_alpha_agrees_with_matrix_power(alpha):
 
 def test_large_integer_alpha_without_the_eigen_form_is_an_error():
     """Past FINITE_MAX the defective 0.8 J_3 is refused: the stack of one raises,
-    and in a stack the error is its row's, at that alpha only."""
+    beside alpha = 18 too, naming alpha = 100; at 18 alone it is the finite sum."""
     with pytest.raises(OpineqError, match="^alpha 100: T's eigenbasis is ill-conditioned"):
         fractional_power_exact(_defective_pair(), 100, _cg(3))
-    z = _defective_pair().x
-    _, errors = transformer.fractional_powers(z.stack, z.stack, _cg(3)[None], (18, 100))
-    assert errors[0] == [None] and type(errors[1][0]) is OpineqError
-    assert str(errors[1][0]) == "alpha 100: T's eigenbasis is ill-conditioned or defective"
+    z, a = _defective_pair().x, _cg(3)[None]
+    with pytest.raises(OpineqError) as info:
+        transformer.fractional_powers(z.stack, z.stack, a, (18, 100))
+    assert type(info.value) is OpineqError
+    assert str(info.value) == "alpha 100: T's eigenbasis is ill-conditioned or defective"
+    (sums,) = transformer.fractional_powers(z.stack, z.stack, a, (18,))
+    assert np.array_equal(sums[0], fractional_power_exact(_defective_pair(), 18, a[0]))
 
 
 def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch, kron_series):
     """Eight built non-normal rows take the eigen form together, from one
     eigendecomposition of the stack, within the series' tail bounds of the
-    reference series; with the defective 0.8 J_3 beside them, that row alone is
-    an OpineqError at each non-integer alpha, the others keep their bits, and
-    an integer alpha takes the finite sum in every row."""
+    reference series; with the defective 0.8 J_3 beside them, the stack raises
+    that row's OpineqError at each non-integer alpha, and an integer alpha takes
+    the finite sum in every row, each row's bits the same either way."""
     insts = build_group("check_alpha", list(range(8)), dim=3, length=1, drop=("normality",))
     z = _defective_pair().x
     xs, ys = Stack.of([i.x for i in insts] + [z]), Stack.of([i.y for i in insts] + [z])
@@ -398,27 +407,28 @@ def test_every_well_conditioned_row_takes_the_eigen_form(monkeypatch, kron_serie
     assert ill.tolist() == [False] * 8 + [True]
     seen, original = [], transformer._eigen_forms
 
-    def counted(rep, a):
+    def counted(rep, a, alpha):
         seen.append(len(rep))
-        return original(rep, a)
+        return original(rep, a, alpha)
 
     monkeypatch.setattr(transformer, "_eigen_forms", counted)
     well = Stack.of([i.x for i in insts]), Stack.of([i.y for i in insts])
     alphas = (0.5, 1 / 3)
-    powers, errors = transformer.fractional_powers(*well, a[:8], alphas)
-    assert errors == [[None] * 8] * 2
+    powers = transformer.fractional_powers(*well, a[:8], alphas)
     for alpha, his in zip(alphas, powers):
         for inst, hi in zip(insts, his):
             gap = op_norm(hi - kron_series(inst.x, inst.y, inst.a, alpha))
             assert gap <= 2 * reference.SERIES_TAIL * op_norm(inst.a)
     assert seen == [8]
-    mixed, errors = transformer.fractional_powers(xs, ys, a, alphas)
-    for alpha, row_errors, his, good in zip(alphas, errors, mixed, powers):
-        assert row_errors[:8] == [None] * 8 and type(row_errors[8]) is OpineqError
-        assert str(row_errors[8]) == f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective"
-        assert np.array_equal(his[:8], good)
-    sums, errors = transformer.fractional_powers(xs, ys, a, (1, 2))
-    assert seen == [8, 9] and [len(s) for s in sums] == [9, 9] and errors == [[None] * 9] * 2
+    for alpha in alphas:
+        with pytest.raises(OpineqError) as info:
+            transformer.fractional_powers(xs, ys, a, (alpha,))
+        assert type(info.value) is OpineqError
+        assert str(info.value) == f"alpha {alpha}: T's eigenbasis is ill-conditioned or defective"
+    sums = transformer.fractional_powers(xs, ys, a, (1, 2))
+    assert seen == [8, 9, 9] and [len(s) for s in sums] == [9, 9]
+    for stacked, alone in zip(sums, transformer.fractional_powers(*well, a[:8], (1, 2))):
+        assert np.array_equal(stacked[:8], alone)
 
 
 @pytest.mark.parametrize("drop", [(), ("normality",)], ids=["normal", "generic"])
@@ -466,32 +476,44 @@ def test_defect_operator_guard_by_norm_bound(monkeypatch):
 
 
 def test_a_row_outside_the_contraction_domain_is_its_own_error():
-    """A stacked (I - T)^alpha or defect operator gives a row with
-    ||x|| ||y|| >= 1, or r(T_{z,z}) >= 1, its own NotContractive, raises
-    nothing for the stack and gives each other row what it gives alone; the
-    stacks of one raise it."""
+    """A stacked (I - T)^alpha or defect operator with rows of ||x|| ||y|| >= 1,
+    or of r(T_{z,z}) >= 1, raises the first such row's own NotContractive, the
+    one its stack of one raises; without them, each other row gives what it
+    gives alone."""
     insts = build_group("check_alpha", [0, 1], dim=2, length=2, drop=("normality",))
     (x0, y0), (x1, y1) = [(inst.x, inst.y) for inst in insts]
-    far = 2.0 * x0
-    a = np.array([insts[0].a, insts[0].a, insts[1].a])
-    alphas = (0.5, 2.0)
-    powers, errors = transformer.fractional_powers(Stack.of([x0, far, x1]),
-                                                   Stack.of([y0, far, y1]), a, alphas)
+    far, farther = 2.0 * x0, 3.0 * x0
+    xs, ys = Stack.of([x0, far, farther, x1]), Stack.of([y0, far, farther, y1])
+    a = np.array([insts[0].a, insts[0].a, insts[0].a, insts[1].a])
     gamma = Stack.of([far]).norms[0] ** 2
-    for alpha, stacked, (first, bad, last) in zip(alphas, powers, errors):
-        assert first is None and last is None and type(bad) is NotContractive
-        assert str(bad) == f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}"
-        for k, x, y in ((0, x0, y0), (2, x1, y1)):
-            assert np.array_equal(stacked[k], fractional_power_exact(ElementaryOperator(x, y),
-                                                                     alpha, a[k]))
-    deltas, (first, bad, last) = transformer.defect_operators(Stack.of([x0, far, x1]))
-    assert first is None and last is None and type(bad) is NotContractive
-    assert np.array_equal(deltas[0], defect_operator(x0))
-    assert np.array_equal(deltas[2], defect_operator(x1))
-    with pytest.raises(NotContractive, match="^binomial series requires"):
-        fractional_power_exact(ElementaryOperator(far, far), 0.5, a[0])
-    with pytest.raises(NotContractive, match="^defect needs spectral radius < 1"):
+    for alpha in (0.5, 2.0):
+        with pytest.raises(NotContractive) as stacked:
+            transformer.fractional_powers(xs, ys, a, (alpha,))
+        with pytest.raises(NotContractive) as alone:
+            fractional_power_exact(ElementaryOperator(far, far), alpha, a[1])
+        assert str(stacked.value) == str(alone.value) \
+            == f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}"
+        (kept,) = transformer.fractional_powers(Stack.of([x0, x1]), Stack.of([y0, y1]),
+                                                a[[0, 3]], (alpha,))
+        for got, x, y, ak in zip(kept, (x0, x1), (y0, y1), a[[0, 3]]):
+            assert np.array_equal(got, fractional_power_exact(ElementaryOperator(x, y), alpha, ak))
+    with pytest.raises(NotContractive) as stacked:
+        transformer.defect_operators(xs)
+    with pytest.raises(NotContractive, match="^defect needs spectral radius < 1") as alone:
         defect_operator(far)
+    assert str(stacked.value) == str(alone.value)
+    deltas = transformer.defect_operators(Stack.of([x0, x1]))
+    assert np.array_equal(deltas[0], defect_operator(x0))
+    assert np.array_equal(deltas[1], defect_operator(x1))
+
+
+def test_the_defect_guard_comes_before_the_stages_after_it():
+    """x = y = 2 (d = 1) with contraction dropped has r(T_{x,x}) = 4: its
+    NotContractive is raised before a - <x,ay> at a = 1e308 overflows."""
+    x = element([2.0 * np.eye(1)])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NotContractive, match="^defect needs spectral radius < 1, got 4.000000$"):
+        check_defect(x, x, 1e308 * np.eye(1), 2.0, 2.0, 2.0, drop=("contraction",))
 
 
 def test_the_norm_bound_settles_the_defect_guard_only_below_one_minus_series_tail():
