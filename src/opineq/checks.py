@@ -11,9 +11,9 @@ Hilbert-Schmidt value recorded as a redundant spot check.
 Each check has one numeric implementation, the kernel its :data:`CHECK_SPECS`
 row names: ``kernel(b)`` takes only a :class:`Batch` (same-shape instances,
 each at the same grid points, as one stack) and gives one row per report,
-both sides as (branches, detail), or raises (a domain its formula leaves, at
-any instance or point); no kernel reads the tolerance.  :func:`run_batch`
-enforces each instance's preconditions (:func:`require_preconditions`), runs
+both sides as (branches, detail), or raises (a refused eigenbasis, overflow);
+no kernel reads the tolerance.  :func:`run_batch` enforces each instance's
+preconditions, its row's domain last (:func:`require_preconditions`), runs
 the kernel once on the instances that meet them and alone turns its rows into
 reports; :func:`opineq.generators.evaluate_each` gives each cell of a batch
 that raises what it gets alone.  Each public ``check_*`` function is derived
@@ -55,8 +55,8 @@ from .hmodule import (
 )
 from .norms import HILBERT_SCHMIDT, TRACE, fan_gaps, norms_of, schatten
 from .transformer import (
-    applied, defect_operators, fractional_powers, probe_lower_bounds, spectral_radii,
-    validate_alpha, vectorized,
+    applied, defect_domain, defect_operators, fractional_powers, probe_lower_bounds,
+    series_domain, spectral_radii, validate_alpha, vectorized,
 )
 
 # Contractive hypotheses are enforced with this much slack below 1 so the
@@ -75,7 +75,8 @@ class CheckSpec(NamedTuple):
     :data:`opineq.generators.RECIPES`; ``kind`` is the element kind its
     reports record, and ``kernel(b)`` the numbers of a :class:`Batch`, one
     (branches, detail) row per report in :func:`run_batch`'s order, or the
-    OpineqError it raises; its docstring states the inequality and is the function's."""
+    OpineqError it raises; its docstring states the inequality and is the function's.
+    ``domain(x, y)`` is the kernel's per-row precondition, which no ``drop`` removes."""
 
     name: str
     anchor: str
@@ -85,6 +86,7 @@ class CheckSpec(NamedTuple):
     kernel: Callable[[Batch], list]
     hypotheses: tuple[str, ...] = ()
     grid: str | None = None
+    domain: Callable[[Stack, Stack], list] = lambda x, y: [None] * len(x.parts)
 
     def enforced(self, drop=()) -> tuple[str, ...]:
         """The hypotheses left once the ``drop`` ones are removed."""
@@ -624,10 +626,11 @@ CHECK_SPECS = {spec.name: spec for spec in (
               grid="pqr"),
     CheckSpec("check_naopaka", "Theorem (Naopaka)", ("a",), "contractive_pair",
               "normal_commuting", _naopaka, ("normality", "contraction")),
-    CheckSpec("check_alpha", "Eq. (AOTalpha)", ("a",), "contractive_pair",
-              "normal_commuting", _alpha, ("normality", "contraction"), grid="alpha"),
+    CheckSpec("check_alpha", "Eq. (AOTalpha)", ("a",), "contractive_pair", "normal_commuting",
+              _alpha, ("normality", "contraction"), grid="alpha", domain=series_domain),
     CheckSpec("check_defect", "Eq. (Defekt)", ("a",), "contractive_pair", "contractive",
-              _defect, ("contraction",), grid="pqr"),
+              _defect, ("contraction",), grid="pqr",
+              domain=lambda x, y: defect_domain(x, y, x.conj, y.conj)),
     CheckSpec("check_gruss", "Eqs. (Gruss3)/(GrussMm)", ("a", "e", "ball"), "gruss",
               "gruss", _gruss, ("normality",)),
     CheckSpec("check_radius_submult", "Remark (spectral radius)", (), "pair", "generic",
@@ -641,14 +644,14 @@ def require_preconditions(b: Batch, tol: float = DEFAULT_TOL) -> list:
     """Per instance, None or the error it raises alone for the first precondition
     of the batch's check it breaks, in this order: the unit reference (if ``b.e``
     is set), the row's hypotheses minus ``b.drop``, the ball (if ``b.balls`` is
-    set), after :meth:`Batch.of` has checked the operands, drop and points."""
-    tol = as_tolerance(tol)
-    verdicts = [[None] * len(b.digests)]
-    if b.e is not None:
-        verdicts.append(require_units(b.e, tol))
-    verdicts += [HYPOTHESES[h](b.x, b.y, tol, b.e) for h in CHECK_SPECS[b.name].enforced(b.drop)]
+    set), the row's ``domain`` whatever is dropped, after :meth:`Batch.of` has
+    checked the operands, drop and points."""
+    tol, spec = as_tolerance(tol), CHECK_SPECS[b.name]
+    verdicts = [require_units(b.e, tol)] if b.e is not None else []
+    verdicts += [HYPOTHESES[h](b.x, b.y, tol, b.e) for h in spec.enforced(b.drop)]
     if b.balls is not None:
         verdicts.append(require_in_ball(b.x, b.y, b.e, b.balls, tol))
+    verdicts.append(spec.domain(b.x, b.y))
     return [next(filter(None, row), None) for row in zip(*verdicts)]
 
 

@@ -12,17 +12,13 @@ eigenbasis has cond(V) eps > SERIES_TAIL.  Its oracle, the truncated binomial
 series of one operator, and the other plain forms the engine is tested
 against live in :mod:`opineq.reference`; no engine code calls them.
 
-The defect operator's contraction guard is decided by the norm bound
-r(T_{z,z}) <= min(||z||, ||zbar||)^2 when min(||z||, ||zbar||) < 1 - SERIES_TAIL,
-else by the dense eigenvalues of T_{z,z}.
-
 Application, vectorization, spectral radii, the probe bound, the eigen
 (I - T)^alpha and the defect operators each have one stacked form over
 many operators at once, which the check kernels call; the per-operator
-functions are its case of one.  A stacked form gives numbers for every row
-or raises: the first row outside its domain (||x|| ||y|| >= 1,
-r(T_{z,z}) >= 1, an eigenbasis the eigen form refuses) raises what it
-raises alone.
+functions are its case of one.  A stacked form takes only rows inside its
+domain, decided once, by :func:`series_domain` (||x|| ||y|| < 1) or
+:func:`defect_domain` (r(T_{z,z}) < 1): the checks enforce it per row, and
+the per-operator forms raise the first row's refusal.
 """
 
 from __future__ import annotations
@@ -192,10 +188,31 @@ def finite_sum(rep: np.ndarray, a: np.ndarray, alpha: float) -> np.ndarray:
     return acc
 
 
+def series_domain(x: Stack, y: Stack) -> list:
+    """Per row, None or its NotContractive unless ||x|| ||y|| < 1, the series' domain."""
+    gammas = x.norms * y.norms
+    return failures(NotContractive, ("binomial series requires ||x|| ||y|| < 1, got {:.6f}",
+                                     ~(gammas >= 1.0), gammas))
+
+
+def defect_domain(*zs: Stack) -> list:
+    """Per row of the equal-shape stacks ``zs``, None or the NotContractive of the first z
+    with r(T_{z,z}) >= 1: settled by r <= m^2 where m = min(||z||, ||zbar||) < 1 - SERIES_TAIL
+    (a float T_{z,z} at 1 - eps has eigenvalue 1), else by the dense eigenvalues of T_{z,z}."""
+    z = Stack(np.concatenate([s.weights for s in zs]), np.concatenate([s.parts for s in zs]))
+    radius = np.zeros(len(z.parts))
+    unsettled = (z.norms >= 1.0 - SERIES_TAIL) & (z.conj.norms >= 1.0 - SERIES_TAIL)
+    if unsettled.any():
+        parts = z.parts[unsettled]
+        radius[unsettled] = spectral_radii(vectorized(z.weights[unsettled], parts, parts))
+    return failures(NotContractive, *(("defect needs spectral radius < 1, got {:.6f}", r < 1.0, r)
+                                      for r in radius.reshape(len(zs), -1)))
+
+
 def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> list:
     """(I - T_{x,y})^alpha a per operator of the stacks and matrix of ``a``
-    (B, d, d), one stack per (valid) alpha; DimCap beyond the vectorization cap,
-    then the first row's NotContractive unless every ||x|| ||y|| < 1.
+    (B, d, d) inside :func:`series_domain`, one stack per (valid) alpha; DimCap
+    beyond the vectorization cap.
 
     An integer alpha <= FINITE_MAX takes :func:`finite_sum`, whose roundoff
     eps (1 + gamma)^alpha stays within SERIES_TAIL.  Every other alpha takes
@@ -206,9 +223,6 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> list:
     raises an OpineqError at the first alpha that takes the eigen form.
     """
     rep, forms, out = vectorized(x.weights, x.parts, y.parts), None, []
-    gammas = x.norms * y.norms  # below one for the series to converge
-    raise_first(failures(NotContractive, ("binomial series requires ||x|| ||y|| < 1, got {:.6f}",
-                                          ~(gammas >= 1.0), gammas)))
     for alpha in alphas:
         if float(alpha).is_integer() and alpha <= FINITE_MAX:
             out.append(finite_sum(rep, a, alpha))
@@ -221,21 +235,15 @@ def fractional_powers(x: Stack, y: Stack, a: np.ndarray, alphas) -> list:
 def fractional_power_exact(t: ElementaryOperator, alpha: float, a) -> np.ndarray:
     """(I - T)^alpha a: :func:`fractional_powers` on a stack of one."""
     validate_alpha(alpha)
-    return fractional_powers(t.x.stack, t.y.stack, acting(t.x, a)[None], (alpha,))[0][0]
+    a = acting(t.x, a)
+    raise_first(series_domain(t.x.stack, t.y.stack))
+    return fractional_powers(t.x.stack, t.y.stack, a[None], (alpha,))[0][0]
 
 
 def defect_operators(zs: Stack) -> np.ndarray:
-    """Delta_z of every element of a stack, raising the first element's
-    NotContractive; see :func:`defect_operator`."""
+    """Delta_z of every element of a stack inside :func:`defect_domain`; see
+    :func:`defect_operator`."""
     rep = vectorized(zs.weights, zs.parts, zs.parts)
-    # r(T_{z,z}) <= ||z||^2, and <= ||zbar||^2 by the trace adjoint T_{zbar,zbar}: either
-    # norm below 1 - SERIES_TAIL settles the guard (a float T_{z,z} at 1 - eps has eigenvalue 1)
-    radius = np.zeros(len(rep))
-    unsettled = (zs.norms >= 1.0 - SERIES_TAIL) & (zs.conj.norms >= 1.0 - SERIES_TAIL)
-    if unsettled.any():
-        radius[unsettled] = spectral_radii(rep[unsettled])
-    raise_first(failures(NotContractive, ("defect needs spectral radius < 1, got {:.6f}",
-                                          radius < 1.0, radius)))
     d = zs.parts.shape[-1]
     rhs = np.broadcast_to(vec(np.eye(d, dtype=complex))[:, None], rep.shape[:-1] + (1,))
     g = np.linalg.solve(np.eye(d * d, dtype=complex) - rep, rhs)[..., 0]
@@ -248,9 +256,8 @@ def defect_operator(z: ModuleElement) -> np.ndarray:
     The sum of the grade-n Gram matrices is obtained from the resolvent
     of the vectorized representation, which converges exactly when the
     spectral radius of T_{z,z} is below one; G >= I so the inverse
-    square root is well conditioned.  The radius is bounded by
-    min(||z||, ||zbar||)^2 (Cauchy-Schwarz); the dense eigenvalues are
-    computed only when that bound does not settle it.  It is
-    :func:`defect_operators` on z's stack of one.
+    square root is well conditioned.  :func:`defect_domain` decides that
+    radius, and :func:`defect_operators` on z's stack of one gives Delta_z.
     """
+    raise_first(defect_domain(z.stack))
     return defect_operators(z.stack)[0]

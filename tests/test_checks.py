@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opineq import checks
 from opineq.checks import (
     CHECK_ANCHORS,
     check_alpha,
@@ -274,6 +275,35 @@ def test_naopaka_hypothesis_errors():
         check_naopaka(x, y, _cg(2))
     rep = check_naopaka(x, y, _cg(2), drop=("normality",))
     assert isinstance(rep.holds, bool)
+
+
+def test_the_contraction_screen_allows_tol_abs_above_its_margin():
+    """<x,x> = c I passes at c = 1 - 1e-3 + 5e-11, within TOL_ABS = 1e-10 of the
+    contraction margin, and is NotContractive at 1 - 1e-3 + 2e-10."""
+    a = _cg(2)
+    inside = element([np.sqrt(1 - 1e-3 + 5e-11) * np.eye(2)])
+    assert check_naopaka(inside, inside, a).holds
+    outside = element([np.sqrt(1 - 1e-3 + 2e-10) * np.eye(2)])
+    with pytest.raises(NotContractive, match="top eigenvalue 0.999000, above 1 - 0.001"):
+        check_naopaka(outside, outside, a)
+
+
+def test_a_scalar_branch_scales_by_both_sides():
+    """A scalar branch's scale is max(|lhs|, |rhs|, 1), so the normalized margin
+    of a failing report is taken at its larger side."""
+    for lhs, rhs in ((4.0, 2.0), (-4.0, 2.0), (2.0, -4.0), (0.5, 0.25), (-3.0, -2.0)):
+        assert checks._scalar_branch(lhs, rhs) == (lhs, rhs, rhs - lhs,
+                                                   max(abs(lhs), abs(rhs), 1.0))
+
+
+def test_a_ky_fan_scale_takes_the_lower_sides_trace_norm():
+    """check_uin without normality at x = y = E12 and a = diag(5, 2): the lower
+    side <x, a y> = 5 E22 outweighs the upper E22 a E22 = 2 E22, so every Ky Fan
+    gap is -3 at the scale 5 of the lower side's trace norm."""
+    e12 = element([np.array([[0.0, 1.0], [0.0, 0.0]])])
+    rep = check_uin(e12, e12, np.diag([5.0, 2.0]), drop=("normality",))
+    assert not rep.holds and (rep.lhs, rep.rhs, rep.margin, rep.scale) == (5.0, 2.0, -3.0, 5.0)
+    assert rep.norm_detail["family"] == rep.norm_detail["ky_fan_2"] == -0.6
 
 
 def test_drop_skips_only_the_named_hypotheses():

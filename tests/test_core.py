@@ -123,6 +123,15 @@ def test_psd_power_negative_and_rejections():
     assert np.allclose(psd_power(noisy, 0.5), np.diag([1.0, 0.0]), atol=1e-7)
 
 
+@pytest.mark.parametrize("size", [1.0, 1e4])
+def test_psd_round_off_is_clamped_down_to_1e_8_of_the_norm(size):
+    """A negative eigenvalue down to 1e-8 ||h|| is round-off, clamped to 0; one
+    past it is NotPSD, at unit size and above it."""
+    assert np.array_equal(psd_power(np.diag([size, -0.5e-8 * size]), 1.0), np.diag([size, 0.0]))
+    with pytest.raises(NotPSD, match="below -"):
+        psd_power(np.diag([size, -2e-8 * size]), 1.0)
+
+
 def test_herm_eig_rejects_a_self_adjointness_defect_above_tol_abs(monkeypatch):
     def skewed(defect):
         return np.array([[1.0, defect], [0.0, 2.0]])

@@ -16,8 +16,10 @@ from opineq.generators import (
     CHECK_NAMES, build_group, build_instance, evaluate_each, evaluate_instance, trial_seed,
 )
 from opineq.harness import RunConfig, run_suite
-from opineq.checks import CHECK_SPECS, GRIDS, InequalityReport
-from opineq.hmodule import ModuleElement
+from opineq.checks import (
+    CHECK_SPECS, GRIDS, InequalityReport, check_alpha, check_defect, require_preconditions,
+)
+from opineq.hmodule import ModuleElement, element
 
 
 def _lines(cfg):
@@ -210,29 +212,36 @@ def _ill_conditioned_beside_two_good():
     return [good[0], dataclasses.replace(good[0], x=z, y=z, seed=None), good[1]]
 
 
-# groups whose kernel raises at some cells, that error's type and the kernel calls
-# of their evaluation
+# groups with cells outside their check's domain or whose kernel raises, that
+# error's type and the kernel calls of their evaluation: a domain refusal costs
+# none, so the contraction-dropped groups take one call on their kept rows
 KERNEL_ERROR_GROUPS = {
     "alpha_contraction_dropped": (lambda: build_group(
-        "check_alpha", range(10), dim=3, length=2, drop=("contraction",)), NotContractive, 31),
+        "check_alpha", range(10), dim=3, length=2, drop=("contraction",)), NotContractive, 1),
     "defect_d1_contraction_dropped": (lambda: build_group(
-        "check_defect", range(30), dim=1, length=1, drop=("contraction",)), NotContractive, 121),
+        "check_defect", range(30), dim=1, length=1, drop=("contraction",)), NotContractive, 1),
+    "alpha_d1_contraction_dropped": (lambda: build_group(
+        "check_alpha", range(12), dim=1, length=1, drop=("contraction",)), NotContractive, 1),
+    "alpha_d6_len3_contraction_dropped": (lambda: build_group(
+        "check_alpha", range(12), dim=6, length=3, drop=("contraction",)), NotContractive, 1),
     "alpha_ill_conditioned_row": (_ill_conditioned_beside_two_good, OpineqError, 10),
 }
 
 
 @pytest.mark.parametrize("name", KERNEL_ERROR_GROUPS)
 def test_a_kernel_error_costs_a_call_per_cell(name, monkeypatch):
-    """A group with a cell whose (I - T)^alpha or defect operator leaves its
-    domain raises from its one kernel call, and each of its cells is evaluated
-    again alone: 1 + cells kernel calls, and every line is what the instance
-    gives alone."""
+    """An instance outside its check's domain is refused by its preconditions,
+    before the kernel, which runs once on the rest; a group whose kernel raises
+    (an ill-conditioned eigenbasis at alpha 0.5) has each of its cells
+    evaluated again alone: 1 + cells kernel calls.  Every line is what the
+    instance gives alone."""
     build, error, count = KERNEL_ERROR_GROUPS[name]
     insts = build()
     points = GRIDS[CHECK_SPECS[insts[0].check].grid].points
+    kept = require_preconditions(generators._batch(insts, points)).count(None)
     calls = _kernel_calls(monkeypatch, insts[0].check)
     rows = evaluate_each(insts, DEFAULT_TOL, points)
-    assert calls == [len(insts)] + [1] * (len(insts) * len(points)) and len(calls) == count
+    assert calls == [kept] + [1] * (count - 1) and count in (1, 1 + len(insts) * len(points))
     kinds = {type(outcome) for row in rows for outcome in row}
     assert kinds == {InequalityReport, error}
     lines = [_line(inst, point, outcome)
@@ -241,17 +250,26 @@ def test_a_kernel_error_costs_a_call_per_cell(name, monkeypatch):
                                               for inst in insts for point in points])
 
 
-def test_a_refused_candidate_costs_one_kernel_call(monkeypatch):
+def test_a_refused_candidate_costs_no_kernel_call(monkeypatch):
     """A search candidate is a group of one cell: check_alpha with contraction
-    dropped, at ||x|| ||y|| = 1 + eps by the roundoff of its rescale to the unit
-    sphere, raises NotContractive from its one kernel call, which is its outcome."""
+    dropped, at ||x|| ||y|| = 1 exactly (scalar parts, so on every BLAS kernel),
+    is refused by its domain precondition, with no kernel call; x = 2 I_1 is
+    refused so by check_alpha and by check_defect alike."""
     inst = build_instance("check_alpha", 1, dim=3, length=2, drop=("contraction",))
-    assert inst.x.stack.norms[0] * inst.y.stack.norms[0] == np.nextafter(1.0, 2.0)
+    unit = element([np.eye(3), np.zeros((3, 3))])
+    inst = dataclasses.replace(inst, x=unit, y=unit)
+    assert unit.stack.norms[0] == 1.0
     calls = _kernel_calls(monkeypatch, "check_alpha")
     with pytest.raises(NotContractive, match=r"^binomial series requires \|\|x\|\| \|\|y\|\| "
                                              r"< 1, got 1\.000000$"):
         evaluate_instance(inst)
-    assert calls == [1]
+    assert calls == []
+    two = element([2.0 * np.eye(1)])
+    with pytest.raises(NotContractive, match=r"^binomial series requires .*, got 4\.000000$"):
+        check_alpha(two, two, np.eye(1), 1.0, drop=("normality", "contraction"))
+    with pytest.raises(NotContractive, match=r"^defect needs spectral radius < 1, got 4\.000000$"):
+        check_defect(two, two, np.eye(1), 2.0, 2.0, 2.0, drop=("contraction",))
+    assert calls == []
 
 
 def test_evaluate_each_without_points_is_invalid_spec():

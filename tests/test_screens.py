@@ -215,10 +215,15 @@ def test_weighted_products_are_the_per_part_loop(b, n):
         assert _bits(weighted_products(w, left, right)) == _bits(_per_part(w, left, right))
         assert _bits(weighted_products(w[0], left[0], right[0])) == _bits(
             _per_part(w[0], left[0], right[0]))
-    # the case the order of summation decides: -0.0 terms sum to +0.0
-    terms = (w[..., None, None] * (ct(es) @ -es)).view(float)
+    # the case the order of summation decides: -0.0 terms sum to +0.0.  The
+    # off-diagonal products of es are exact zeros whose sign the BLAS kernel picks;
+    # weights of both signs make one of each pair -0.0 on every kernel
+    signed, left, right = np.stack([w, -w]), np.stack([es, es]), np.stack([-es, -es])
+    terms = (signed[..., None, None] * (ct(left) @ right)).view(float)
     assert (np.signbit(terms) & (terms == 0)).any()
-    total = weighted_products(w, es, -es).view(float)
+    total = weighted_products(signed, left, right)
+    assert _bits(total) == _bits(_per_part(signed, left, right))
+    total = total.view(float)
     assert not (np.signbit(total) & (total == 0)).any()
 
 

@@ -476,32 +476,38 @@ def test_defect_operator_guard_by_norm_bound(monkeypatch):
 
 
 def test_a_row_outside_the_contraction_domain_is_its_own_error():
-    """A stacked (I - T)^alpha or defect operator with rows of ||x|| ||y|| >= 1,
-    or of r(T_{z,z}) >= 1, raises the first such row's own NotContractive, the
-    one its stack of one raises; without them, each other row gives what it
+    """The domain predicates give, per row of a stack with rows of
+    ||x|| ||y|| >= 1 or of r(T_{z,z}) >= 1, the NotContractive its stack of one
+    raises through fractional_power_exact or defect_operator, and None for the
+    others, whose stacked (I - T)^alpha and defect operators are what each
     gives alone."""
     insts = build_group("check_alpha", [0, 1], dim=2, length=2, drop=("normality",))
     (x0, y0), (x1, y1) = [(inst.x, inst.y) for inst in insts]
     far, farther = 2.0 * x0, 3.0 * x0
     xs, ys = Stack.of([x0, far, farther, x1]), Stack.of([y0, far, farther, y1])
     a = np.array([insts[0].a, insts[0].a, insts[0].a, insts[1].a])
-    gamma = Stack.of([far]).norms[0] ** 2
+    refused = transformer.series_domain(xs, ys)
+    assert refused[0] is None and refused[3] is None
+    for k, z in ((1, far), (2, farther)):
+        gamma = Stack.of([z]).norms[0] ** 2
+        assert str(refused[k]) == f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}"
+        for alpha in (0.5, 2.0):
+            with pytest.raises(NotContractive) as alone:
+                fractional_power_exact(ElementaryOperator(z, z), alpha, a[k])
+            assert str(alone.value) == str(refused[k])
     for alpha in (0.5, 2.0):
-        with pytest.raises(NotContractive) as stacked:
-            transformer.fractional_powers(xs, ys, a, (alpha,))
-        with pytest.raises(NotContractive) as alone:
-            fractional_power_exact(ElementaryOperator(far, far), alpha, a[1])
-        assert str(stacked.value) == str(alone.value) \
-            == f"binomial series requires ||x|| ||y|| < 1, got {gamma:.6f}"
         (kept,) = transformer.fractional_powers(Stack.of([x0, x1]), Stack.of([y0, y1]),
                                                 a[[0, 3]], (alpha,))
         for got, x, y, ak in zip(kept, (x0, x1), (y0, y1), a[[0, 3]]):
             assert np.array_equal(got, fractional_power_exact(ElementaryOperator(x, y), alpha, ak))
-    with pytest.raises(NotContractive) as stacked:
-        transformer.defect_operators(xs)
-    with pytest.raises(NotContractive, match="^defect needs spectral radius < 1") as alone:
-        defect_operator(far)
-    assert str(stacked.value) == str(alone.value)
+    # the defect domain of several stacks is the first refusing stack's, row by row
+    refused = transformer.defect_domain(xs, ys)
+    assert refused[0] is None and refused[3] is None
+    for k, z in ((1, far), (2, farther)):
+        with pytest.raises(NotContractive, match="^defect needs spectral radius < 1") as alone:
+            defect_operator(z)
+        assert str(refused[k]) == str(alone.value)
+    assert transformer.defect_domain(Stack.of([x0, x0]), Stack.of([x1, far]))[1] is not None
     deltas = transformer.defect_operators(Stack.of([x0, x1]))
     assert np.array_equal(deltas[0], defect_operator(x0))
     assert np.array_equal(deltas[1], defect_operator(x1))
