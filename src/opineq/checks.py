@@ -230,7 +230,7 @@ class InequalityReport(NamedTuple):
     ``margin >= -tol_rel * scale`` over every branch.  ``norm_detail``
     entries are per-branch margins already divided by that branch's scale,
     so a consumer can compare them against a relative tolerance directly.
-    ``instance`` carries ``{seed, dim, len, params}`` for replay.
+    ``instance`` is its :func:`line_record`: ``{seed, dim, len, params}``, for replay.
     """
 
     name: str
@@ -243,18 +243,22 @@ class InequalityReport(NamedTuple):
     instance: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.instance.get("seed"),
-            "dim": self.instance.get("dim"),
-            "len": self.instance.get("len"),
-            "params": self.instance.get("params", {}),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "holds": self.holds,
-            "norm_detail": self.norm_detail,
-        }
+        return {"name": self.name, **self.instance, "lhs": self.lhs, "rhs": self.rhs,
+                "margin": self.margin, "holds": self.holds, "norm_detail": self.norm_detail}
+
+
+def line_record(name: str, digest: dict, point: dict, error: Exception | None = None) -> dict:
+    """The seed, dim, len and params of one JSONL line of check ``name``, the one rule
+    for report, error and build-error lines: ``digest``'s (an instance's, a direct call's
+    shape, or a build error's trial seed alone), its params under the grid ``point``'s,
+    the digest's ``"ball"`` if the check takes one, and the ``error``."""
+    params = {**digest.get("params", {}), **point}
+    if "ball" in digest and "ball" in CHECK_SPECS[name].operands:
+        params["ball"] = None if digest["ball"] is None else list(digest["ball"])
+    if error is not None:
+        params["error"] = f"{type(error).__name__}: {error}"
+    return {"seed": digest.get("seed"), "dim": digest.get("dim"), "len": digest.get("len"),
+            "params": params}
 
 
 # --------------------------------------------------------------------------
@@ -655,25 +659,20 @@ def require_preconditions(b: Batch, tol: float = DEFAULT_TOL) -> list:
     return [next(filter(None, row), None) for row in zip(*verdicts)]
 
 
-def ball_param(spec: CheckSpec, ball) -> dict:
-    """The ``"ball"`` param of a report or error line of ``spec``'s check, if it takes a ball."""
-    return {"ball": None if ball is None else list(ball)} if "ball" in spec.operands else {}
-
-
 def run_batch(b: Batch, tol: float = DEFAULT_TOL) -> list:
     """Per (instance, point), instance-major, the instance's error from
     :func:`require_preconditions`, else its kernel row's report: the kernel runs once,
     on the rest (:meth:`Batch.rows`), and what it raises, the batch raises; ``holds`` is
-    decided at ``tol``, and each digest is laid over the batch's shape, its params under
-    the point's and ``"ball"``."""
+    decided at ``tol``, and each report's ``instance`` is the :func:`line_record` of its
+    digest laid over the batch's shape, with its ball, at its point."""
     errors = require_preconditions(b, tol := as_tolerance(tol))
     kept = b.rows([k for k, error in enumerate(errors) if error is None])
     spec = CHECK_SPECS[b.name]
     grid = [dict(zip(GRIDS[spec.grid].keys, point)) for point in b.points]
-    shape = {"seed": None, "dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
-    balls = [ball_param(spec, ball) for ball in kept.balls or [None] * len(kept.digests)]
-    instances = [{**shape, **digest, "params": {**digest.get("params", {}), **point, **ball}}
-                 for digest, ball in zip((d or {} for d in kept.digests), balls) for point in grid]
+    shape = {"dim": b.x.parts.shape[-1], "len": b.x.parts.shape[-3]}
+    instances = [line_record(b.name, {**shape, **(digest or {}), "ball": ball}, point)
+                 for digest, ball in zip(kept.digests, kept.balls or [None] * len(kept.digests))
+                 for point in grid]
     reports = (_finish(b.name, tol, instance, *row)
                for row, instance in zip(spec.kernel(kept) if kept.digests else (), instances))
     return [error or next(reports) for error in errors for _ in b.points]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import CHECK_SPECS, GRIDS, InequalityReport, ball_param, check_spec, validate_drop
+from .checks import CHECK_SPECS, GRIDS, InequalityReport, check_spec, line_record, validate_drop
 from .core import DEFAULT_TOL, as_integer, as_seed, as_tolerance
 from .errors import InvalidSpec, IOFailure, OpineqError, UnknownCheck
 from .generators import (
@@ -42,7 +42,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(sort_keys=True) builds
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a verification run depends on, explicitly; ``grids`` maps a
-    :data:`GRIDS` axis to its points, and an axis it omits takes its row's."""
+    :data:`GRIDS` axis to its points, and an axis it omits takes its row's.
+    ``grid_params`` maps every axis to its points' params, validated once, here."""
 
     trials: int
     checks: tuple[str, ...]
@@ -52,6 +53,7 @@ class RunConfig:
     dim: int | None = None
     length: int | None = None
     weights_mode: str = "random"
+    grid_params: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tol", as_tolerance(self.tol))
@@ -70,9 +72,10 @@ class RunConfig:
                 raise InvalidSpec(f"check {name!r} is named twice")
         if not isinstance(self.grids, dict) or not set(self.grids) <= GRIDS.keys() - {None}:
             raise InvalidSpec(f"grids must map axes {[*filter(None, GRIDS)]}, got {self.grids!r}")
+        object.__setattr__(self, "grid_params", {})
         for axis, row in GRIDS.items():
             try:
-                params = [row.params(tuple(point)) for point in self.points(axis)]
+                params = self.grid_params[axis] = [row.params(tuple(p)) for p in self.points(axis)]
             except TypeError:
                 raise InvalidSpec(f"the {axis} grid must be a sequence of points") from None
             if not params:
@@ -118,17 +121,6 @@ class SuiteSummary:
         return "OK"
 
 
-def _error_line(check: str, inst, seed: int, exc: OpineqError, extra: dict | None = None) -> dict:
-    """A report line with null margins whose params name the error; an ``inst``
-    that is not an instance (a build error) records no shape and no ball."""
-    built = isinstance(inst, CheckInstance)
-    digest = inst.digest() if built else {"seed": seed, "dim": None, "len": None, "params": {}}
-    ball = ball_param(check_spec(check), inst.ball) if built else {}
-    params = {**digest["params"], **(extra or {}), **ball, "error": f"{type(exc).__name__}: {exc}"}
-    return InequalityReport(check, None, None, None, None, None, norm_detail={},
-                            instance={**digest, "params": params}).to_json_dict()
-
-
 def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
@@ -138,8 +130,9 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     alone enforces the check's hypotheses, so a violation, like a build
     error, is one error line per grid point (a build error's has no instance).
 
-    Each report is written to ``writer``, any object with a ``write``
-    method, as one sorted-key JSON line; without one, nothing is written.
+    Each cell goes to ``writer``, any object with a ``write`` method, through
+    :func:`write_cell` at its point's :attr:`RunConfig.grid_params`; without
+    one, nothing is written.
     """
     summary = SuiteSummary()
     for window in _windows(cfg):
@@ -150,18 +143,28 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
                              cfg.points(check_spec(check).grid)))
         trials = run_trials(segments, cfg.tol, dim=cfg.dim, length=cfg.length,
                             weights_mode=cfg.weights_mode)
-        for (check, seeds, points), segment in zip(segments, trials):
-            axis = GRIDS[check_spec(check).grid]
+        for (check, seeds, _), segment in zip(segments, trials):
             for seed, (inst, row) in zip(seeds, segment):
-                for point, rep in zip(points, row):
+                for params, rep in zip(cfg.grid_params[check_spec(check).grid], row):
                     if isinstance(rep, OpineqError):
                         summary.record(check, "error", None)
-                        _emit(writer, _error_line(check, inst, seed, rep, axis.params(point)))
-                        continue
-                    summary.record(check, "pass" if rep.holds else "fail",
-                                   rep.margin / rep.scale)
-                    _emit(writer, rep.to_json_dict())
+                    else:
+                        summary.record(check, "pass" if rep.holds else "fail",
+                                       rep.margin / rep.scale)
+                    write_cell(writer, check, seed, inst, params, rep)
     return summary
+
+
+def write_cell(writer, check: str, seed: int, inst, params: dict, outcome) -> None:
+    """Write one (trial, grid point) cell to ``writer`` (nothing without one) as one
+    sorted-key JSON line: a report's own, else null margins under the
+    :func:`~opineq.checks.line_record` of the error ``outcome`` at the point's
+    ``params``, for ``inst`` with its ball, or, if the build failed, for ``seed``."""
+    if isinstance(outcome, InequalityReport):
+        return _emit(writer, outcome.to_json_dict())
+    digest = {**inst.digest(), "ball": inst.ball} if isinstance(inst, CheckInstance) else {"seed": seed}
+    _emit(writer, {"name": check, **dict.fromkeys(("lhs", "rhs", "margin", "holds")),
+                   **line_record(check, digest, params, outcome), "norm_detail": {}})
 
 
 def _windows(cfg: RunConfig):
@@ -186,7 +189,7 @@ def _emit(writer, obj: dict) -> None:
         return
     try:
         writer.write(_ENCODER.encode(obj) + "\n")
-    except OSError as exc:  # pragma: no cover - exercised via bad paths only
+    except OSError as exc:
         raise IOFailure(f"cannot write report line: {exc}") from exc
 
 

@@ -64,6 +64,8 @@ def test_as_matrix_validation():
         as_matrix([[np.inf, 0], [0, 1]])
     out = as_matrix([[1, 2], [3, 4]])
     assert out.dtype == complex
+    # an int past int64 makes an object array, cast since a float holds it
+    assert as_matrix([[2 ** 70]]) == np.array([[2.0 ** 70]], dtype=complex)
 
 
 def test_adjoint_is_involutive():

@@ -115,18 +115,19 @@ def test_evaluate_group_rejects_a_mixed_group(mix):
 
 def _each_alone(cfg, check, spoil=lambda inst: inst):
     """Each trial's lines as evaluate_instance gives them, one point at a time."""
-    out = []
+    out = io.StringIO()
     for index in range(cfg.trials):
         seed = trial_seed(cfg.seed, check, index)
         inst = spoil(build_instance(check, seed, dim=cfg.dim, length=cfg.length))
         for point in cfg.points("alpha"):
             params = GRIDS["alpha"].params(point)
             try:
-                at = dataclasses.replace(inst, params={**inst.params, **params})
-                out.append(evaluate_instance(at, cfg.tol).to_json_dict())
+                outcome = evaluate_instance(
+                    dataclasses.replace(inst, params={**inst.params, **params}), cfg.tol)
             except OpineqError as exc:
-                out.append(harness._error_line(check, inst, seed, exc, params))
-    return out
+                outcome = exc
+            harness.write_cell(out, check, seed, inst, params, outcome)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
 
 
 @pytest.mark.parametrize("spoiled", [False, True], ids=["tol0", "one_generic"])
@@ -484,7 +485,9 @@ def test_one_instance_that_breaks_normality_leaves_one_kernel_call_for_the_rest(
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
     with pytest.raises(NotNormal) as info:
         evaluate_instance(generic)
-    assert lines[17] == harness._error_line("check_naopaka", generic, bad, info.value)
+    alone = io.StringIO()
+    harness.write_cell(alone, "check_naopaka", bad, generic, {}, info.value)
+    assert lines[17] == json.loads(alone.getvalue())
     assert [line for k, line in enumerate(lines) if k != 17] == [
         evaluate_instance(build_instance("check_naopaka", trial_seed(cfg.seed, "check_naopaka", k),
                                          dim=4, length=3)).to_json_dict()

@@ -190,10 +190,10 @@ def _kernel_calls(monkeypatch, check):
 
 def _line(inst, point, outcome):
     """The run line of ``inst``'s report or error at ``point``."""
-    if isinstance(outcome, OpineqError):
-        axis = GRIDS[CHECK_SPECS[inst.check].grid]
-        return harness._error_line(inst.check, inst, inst.seed, outcome, axis.params(point))
-    return outcome.to_json_dict()
+    out = io.StringIO()
+    harness.write_cell(out, inst.check, inst.seed, inst,
+                       GRIDS[CHECK_SPECS[inst.check].grid].params(point), outcome)
+    return json.loads(out.getvalue())
 
 
 def _line_alone(inst, point):

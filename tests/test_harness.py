@@ -11,7 +11,7 @@ from opineq import harness
 from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.cli import cli_main
 from opineq.core import op_norm
-from opineq.errors import InvalidSpec, NotNormal, OpineqError, UnknownCheck
+from opineq.errors import InvalidSpec, IOFailure, NotNormal, OpineqError, UnknownCheck
 from opineq.generators import (
     CHECK_NAMES,
     CheckInstance,
@@ -343,6 +343,13 @@ def test_run_suite_file_output(tmp_path, capsys):
     assert cli_main(["verify", "--trials", "1", "--out", bad]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot open {bad!r}: [Errno") and len(err.splitlines()) == 1
+
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    with pytest.raises(IOFailure, match=r"^cannot write report line: \[Errno 28\] No space"):
+        run_suite(RunConfig(trials=1, checks=("check_cs",)), Full())
 
 
 def test_run_suite_without_a_writer_creates_no_file(tmp_path, monkeypatch):

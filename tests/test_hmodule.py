@@ -91,6 +91,8 @@ def test_element_construction_and_immutability():
         ModuleElement(ctx, (np.eye(2),))  # wrong part count
     with pytest.raises(DimMismatch):
         ModuleElement(ctx, (np.eye(2), np.eye(3)))
+    with pytest.raises(DimMismatch, match="at least one part"):
+        element([])
     x = ModuleElement(ctx, (np.eye(2), np.zeros((2, 2))))
     with pytest.raises(ValueError):
         x.parts[0][0, 0] = 5.0  # parts are frozen
@@ -108,6 +110,8 @@ def test_element_arithmetic():
     two = 2.0 * x
     assert all(np.allclose(a, 2 * b) for a, b in zip(two.parts, x.parts))
     assert all(np.allclose(a, b) for a, b in zip((x * 1j).parts, (1j * x).parts))
+    with pytest.raises(TypeError):
+        x * "a"  # a scalar product only: __mul__ gives NotImplemented
     other = _rand_element(d=3)
     with pytest.raises(CtxMismatch):
         x + other

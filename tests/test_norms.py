@@ -13,6 +13,7 @@ from opineq.norms import (
     norms_of,
     ky_fan,
     ky_fan_dual,
+    fan_gaps,
     ky_fan_profile,
     norm,
     schatten,
@@ -149,6 +150,8 @@ def test_fan_dominance_known_cases():
     assert not holds and worst_k == 1 and margin == pytest.approx(-1.0)
     with pytest.raises(DimMismatch):
         fan_dominance_leq(np.eye(2), np.eye(3))
+    with pytest.raises(DimMismatch):
+        fan_gaps(np.ones((1, 2)), np.ones((1, 3)))
 
 
 def test_fan_dominance_implies_schatten_ordering():

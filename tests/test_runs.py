@@ -13,6 +13,7 @@ runs are all precondition errors, which an instance has at every point.
 """
 
 import dataclasses
+import io
 import json
 import re
 from collections import Counter
@@ -20,7 +21,7 @@ from collections import Counter
 import pytest
 
 from opineq import harness
-from opineq.checks import CHECK_SPECS, GRIDS
+from opineq.checks import CHECK_SPECS, GRIDS, GridAxis
 from opineq.cli import _build_parser, _parse_checks, _parse_grids, cli_main
 from opineq.errors import OpineqError
 from opineq.generators import build_instance, evaluate_instance, trial_seed
@@ -65,7 +66,7 @@ def _refuse(constant):
 def _cells_alone(args) -> list[str]:
     """The lines of a verify run, each cell built and evaluated alone at the run's
     tolerance and written as the run writes it."""
-    grids, lines = _parse_grids(args), []
+    grids, out = _parse_grids(args), io.StringIO()
     for check in _parse_checks(args.checks):
         axis = GRIDS[CHECK_SPECS[check].grid]
         for index in range(args.trials):
@@ -75,12 +76,12 @@ def _cells_alone(args) -> list[str]:
             for point in grids.get(CHECK_SPECS[check].grid, axis.points):
                 params = axis.params(point)
                 try:
-                    line = evaluate_instance(dataclasses.replace(
-                        inst, params={**inst.params, **params}), args.tol).to_json_dict()
+                    outcome = evaluate_instance(dataclasses.replace(
+                        inst, params={**inst.params, **params}), args.tol)
                 except OpineqError as exc:
-                    line = harness._error_line(check, inst, seed, exc, params)
-                lines.append(harness._ENCODER.encode(line))
-    return lines
+                    outcome = exc
+                harness.write_cell(out, check, seed, inst, params, outcome)
+    return out.getvalue().splitlines()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -111,3 +112,19 @@ def test_a_fixed_seed_run_writes_its_counts(name, tmp_path, capsys):
         assert [tuple(p[k] for k in GRIDS[axis].keys) for p in params] == list(
             grids.get(axis, GRIDS[axis].points))
         assert len({p.get("error") for p in params}) == 1
+
+
+@pytest.mark.parametrize("tol", [(), ("--tol", "3e-16")], ids=["default_tol", "tol_3e-16"])
+def test_a_run_validates_each_grid_point_once(tol, monkeypatch, tmp_path):
+    """The tol_3e-16 row's run, at its tolerance and at the default: RunConfig
+    validates the points of the three axes (1 + 4 + 3) and each group's batch its
+    one point (one check_uin and one check_naopaka group), 10 GridAxis.params calls;
+    an error line, of which only the tol_3e-16 run writes any, validates nothing again."""
+    calls, params = [], GridAxis.params
+    monkeypatch.setattr(GridAxis, "params", lambda axis, point: calls.append(point)
+                        or params(axis, point))
+    out = tmp_path / "reports.jsonl"
+    argv = RUNS["tol_3e-16"][0].replace("--tol 3e-16", "").split()
+    assert cli_main(["verify", *argv, *tol, "--out", str(out)]) == 0
+    assert ('"error"' in out.read_text()) == bool(tol)
+    assert len(calls) == 10
