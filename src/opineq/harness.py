@@ -6,7 +6,8 @@ trials at a time, passes each window to
 trials at each point :meth:`RunConfig.points` gives for their check's
 grid axis, and writes one JSON object per report line, in trial
 order, to the writer it is given.  Instances and reports are bit for bit what each trial gives
-alone, so grouping never shows.
+alone, so neither grouping nor the worker process that evaluates half of
+each window where it can (:func:`_window_cells`) ever shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
 (null margins), not as failures; a run fails only when a
 hypothesis-satisfying instance yields a negative margin beyond
@@ -16,8 +17,18 @@ tolerance.  Search scores one candidate at a time through
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import functools
+import gc
 import itertools
 import json
+import os
+import pickle
+import signal
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -125,14 +136,10 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     """Run every configured check over ``cfg.trials`` derived-seed instances.
 
     The (check, index) pairs go a window (:func:`_windows`) at a time
-    through :func:`trial_seeds` and :func:`run_trials`, which builds and
-    evaluates them; their lines are written in trial order.  Evaluation
-    alone enforces the check's hypotheses, so a violation, like a build
-    error, is one error line per grid point (a build error's has no instance).
-
-    Each cell goes to ``writer``, any object with a ``write`` method, through
-    :func:`write_cell` at its point's :attr:`RunConfig.grid_params`; without
-    one, nothing is written.
+    through :func:`trial_seeds` and :func:`_window_cells`.  Each cell, a
+    report or an error (a violated hypothesis or a failed build), goes as
+    the line :func:`write_cell` builds to ``writer``, any object with a
+    ``write`` method, in trial order; without one, nothing is written.
     """
     summary = SuiteSummary()
     for window in _windows(cfg):
@@ -141,30 +148,24 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
                                                 key=lambda member: member[0][0]):
             segments.append((check, [seed for _, seed in members],
                              cfg.points(check_spec(check).grid)))
-        trials = run_trials(segments, cfg.tol, dim=cfg.dim, length=cfg.length,
-                            weights_mode=cfg.weights_mode)
-        for (check, seeds, _), segment in zip(segments, trials):
-            for seed, (inst, row) in zip(seeds, segment):
-                for params, rep in zip(cfg.grid_params[check_spec(check).grid], row):
-                    if isinstance(rep, OpineqError):
-                        summary.record(check, "error", None)
-                    else:
-                        summary.record(check, "pass" if rep.holds else "fail",
-                                       rep.margin / rep.scale)
-                    write_cell(writer, check, seed, inst, params, rep)
+        for check, line, outcome, margin in _window_cells(cfg, segments):
+            summary.record(check, outcome, margin)
+            _emit(writer, line)
     return summary
 
 
-def write_cell(writer, check: str, seed: int, inst, params: dict, outcome) -> None:
-    """Write one (trial, grid point) cell to ``writer`` (nothing without one) as one
-    sorted-key JSON line: a report's own, else null margins under the
-    :func:`~opineq.checks.line_record` of the error ``outcome`` at the point's
-    ``params``, for ``inst`` with its ball, or, if the build failed, for ``seed``."""
+def write_cell(writer, check: str, seed: int, inst, params: dict, outcome) -> str:
+    """One (trial, grid point) cell as one sorted-key JSON line, written to
+    ``writer`` (nothing without one) and returned: a report's own, else null
+    margins under the :func:`~opineq.checks.line_record` of the error
+    ``outcome`` at the point's ``params``, for ``inst`` with its ball, or, if the
+    build failed, for ``seed``."""
     if isinstance(outcome, InequalityReport):
-        return _emit(writer, outcome.to_json_dict())
+        return _emit(writer, _ENCODER.encode(outcome.to_json_dict()) + "\n")
     digest = {**inst.digest(), "ball": inst.ball} if isinstance(inst, CheckInstance) else {"seed": seed}
-    _emit(writer, {"name": check, **dict.fromkeys(("lhs", "rhs", "margin", "holds")),
-                   **line_record(check, digest, params, outcome), "norm_detail": {}})
+    return _emit(writer, _ENCODER.encode({
+        "name": check, **dict.fromkeys(("lhs", "rhs", "margin", "holds")),
+        **line_record(check, digest, params, outcome), "norm_detail": {}}) + "\n")
 
 
 def _windows(cfg: RunConfig):
@@ -184,13 +185,161 @@ def _windows(cfg: RunConfig):
     yield window
 
 
-def _emit(writer, obj: dict) -> None:
-    if writer is None:
-        return
+def _emit(writer, line: str) -> str:
+    if writer is not None:
+        try:
+            writer.write(line)
+        except OSError as exc:
+            raise IOFailure(f"cannot write report line: {exc}") from exc
+    return line
+
+
+def _cells(cfg: RunConfig, segments) -> list[list[tuple]]:
+    """Per (check, seeds, points) segment, its cells in trial order as what the writer
+    and :meth:`SuiteSummary.record` take: (check, line, outcome, normalized margin)."""
+    trials = run_trials(segments, cfg.tol, dim=cfg.dim, length=cfg.length,
+                        weights_mode=cfg.weights_mode)
+    return [[(check, write_cell(None, check, seed, inst, params, rep),
+              *(("error", None) if isinstance(rep, OpineqError)
+                else ("pass" if rep.holds else "fail", rep.margin / rep.scale)))
+             for seed, (inst, row) in zip(seeds, segment)
+             for params, rep in zip(cfg.grid_params[check_spec(check).grid], row)]
+            for (check, seeds, _), segment in zip(segments, trials)]
+
+
+# ---------------------------------------------------------------------------
+# the worker: a process forked from this one evaluates half of every window
+
+_WORKER = None  # this import's worker, once forked: (pid, request pipe, reply pipe, reap)
+
+
+def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
+    """A window's cells in trial order.  Where :func:`_send` reaches the worker, it
+    evaluates alternate segments (of one segment, the second half of the seeds) and
+    this process the rest.  A worker's half that raises or warns, or whose worker is
+    gone, is evaluated here, and a window whose own half raises, here alone."""
+    if len(segments) > 1:
+        mine, theirs = segments[0::2], segments[1::2]
+    else:
+        (check, seeds, points), = segments
+        half = len(seeds) // 2
+        mine, theirs = [(check, seeds[:half], points)], [(check, seeds[half:], points)]
+    if mine[0][1] and _send((np.geterr(), warnings.filters, cfg, theirs)):  # not one trial
+        try:
+            own = _cells(cfg, mine)
+        except Exception:
+            own = None
+        finally:
+            reply = _receive()
+        if own is not None:
+            cells = reply if reply is not None else _cells(cfg, theirs)
+            return [cell for pair in itertools.zip_longest(own, cells, fillvalue=())
+                    for part in pair for cell in part]
+    return [cell for part in _cells(cfg, segments) for cell in part]
+
+
+def _send(request) -> bool:
+    """Whether ``request`` went to the worker, forked first if there is none; not
+    off Linux or without ``os.fork``, on one CPU, with a second Python thread alive
+    or with numpy set to call or log on an error."""
+    global _WORKER
+    if not (sys.platform.startswith("linux") and hasattr(os, "fork")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
+            and not {"call", "log"} & set(request[0].values())):
+        return False
     try:
-        writer.write(_ENCODER.encode(obj) + "\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write report line: {exc}") from exc
+        data = pickle.dumps(request)
+    except (pickle.PicklingError, AttributeError, TypeError):  # a filter's local category, say
+        return False
+    try:
+        _WORKER = _WORKER or _fork()
+        _WORKER[1].write(data)
+        _WORKER[1].flush()
+        return True
+    except (OSError, ValueError):  # the fork failed, the worker is gone, or this process was
+        _close()                   # forked from the worker's, so its copy of the pipe is closed
+    except BaseException:  # an interrupt may leave half a request in the pipe
+        _close()
+        raise
+    return False
+
+
+def _receive():
+    """The worker's cells; None if they raised or warned, or it is gone (discarded)."""
+    try:
+        return pickle.load(_WORKER[2])
+    except (EOFError, OSError, pickle.UnpicklingError):  # the worker is gone
+        _close()
+    except BaseException:  # an interrupt would leave the reply unread
+        _close()
+        raise
+
+
+def _fork() -> tuple:
+    """A new worker.  It ignores SIGINT, touches nothing it inherits (fds 0-2 go to
+    /dev/null, the garbage collector frees none of it) and leaves by ``os._exit``,
+    so nothing, an unflushed ``--out`` say, is flushed twice."""
+    fds = (*os.pipe(), *os.pipe())  # the request pipe's read and write ends, then the reply's
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(null, fd)
+            for fd in fds[1:3]:  # the caller's ends: held here, neither pipe would ever end
+                os.close(fd)
+            gc.freeze()
+            _serve(os.fdopen(fds[0], "rb"), os.fdopen(fds[3], "wb"))
+        finally:
+            os._exit(0)
+    os.close(fds[0])
+    os.close(fds[3])
+    worker = (pid, os.fdopen(fds[1], "wb"), os.fdopen(fds[2], "rb"),
+              functools.partial(os.waitpid, pid, 0))
+    # Hooks that hold nothing of this module, so a re-import can free it.  At exit:
+    # close both pipes, then wait.  A process forked from this one closes its copy of
+    # the request pipe, lest the worker wait for it, and waits for no worker.
+    for hook in (worker[3], worker[2].close, worker[1].close):
+        atexit.register(hook)
+    for hook in (worker[1].close, functools.partial(atexit.unregister, worker[3])):
+        os.register_at_fork(after_in_child=hook)
+    return worker
+
+
+def _serve(requests, replies) -> None:
+    """The worker's loop until its requests end: each request's cells under its
+    errstate and filters, or None if they raise or show a warning."""
+    while True:
+        try:
+            err, filters, cfg, segments = pickle.load(requests)
+        except EOFError:
+            return
+        np.seterr(**err)
+        warnings.filters = list(filters)
+        with warnings.catch_warnings(record=True) as shown:
+            try:
+                cells = _cells(cfg, segments)
+            except Exception:
+                cells = None
+        replies.write(pickle.dumps(None if shown else cells))
+        replies.flush()
+
+
+def _close() -> None:
+    """Discard this import's worker, if any, as at exit: close its pipes, which
+    ends it, then wait for it."""
+    global _WORKER
+    worker, _WORKER = _WORKER, None
+    for hook in (worker[1].close, worker[2].close, worker[3]) if worker else ():
+        atexit.unregister(hook)
+        with contextlib.suppress(OSError):  # a broken pipe, or a worker not its child
+            hook()
 
 
 # ---------------------------------------------------------------------------

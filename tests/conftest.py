@@ -2,8 +2,24 @@
 
 import pytest
 
-from opineq import reference, transformer
+from opineq import harness, reference, transformer
 from opineq.hmodule import module_norm
+
+
+@pytest.fixture(autouse=True)
+def fresh_worker():
+    """No test meets a run's worker process forked before its patches: the
+    worker is discarded before and after each test."""
+    harness._close()
+    yield
+    harness._close()
+
+
+@pytest.fixture
+def serial(monkeypatch):
+    """Runs stay in one process (through the harness's one seam, ``_send``), so a
+    test that counts calls across a run counts all of them."""
+    monkeypatch.setattr(harness, "_send", lambda request: False)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -169,6 +170,18 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "check_cs" in proc.stdout
+
+
+def test_no_worker_outlives_the_process_that_forked_it():
+    """A process that ran a split verify exits, and its worker is gone with it."""
+    script = ("import sys; from opineq import cli, harness; "
+              "status = cli.cli_main(['verify', '--trials', '2', '--seed', '0']); "
+              "print(harness._WORKER[0], file=sys.stderr); sys.exit(status)")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0 and "overall OK" in proc.stdout
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(proc.stderr), 0)
 
 
 @pytest.mark.parametrize("argv, needle", [

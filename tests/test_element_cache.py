@@ -24,7 +24,7 @@ def _contractive(d=3, n=2):
     return (0.9 / module_norm(z)) * z
 
 
-def test_defect_trial_vectorizes_each_element_once(monkeypatch):
+def test_defect_trial_vectorizes_each_element_once(monkeypatch, serial):
     calls = []
     original = transformer.vectorized
 

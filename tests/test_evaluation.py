@@ -21,7 +21,7 @@ from opineq.harness import RunConfig, run_suite
 from opineq.hmodule import ModuleContext, ModuleElement
 
 
-def test_run_checks_each_hypothesis_once_per_evaluation(monkeypatch):
+def test_run_checks_each_hypothesis_once_per_evaluation(monkeypatch, serial):
     calls = []
     normality = checks.HYPOTHESES["normality"]
 
@@ -131,7 +131,7 @@ def _each_alone(cfg, check, spoil=lambda inst: inst):
 
 
 @pytest.mark.parametrize("spoiled", [False, True], ids=["tol0", "one_generic"])
-def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, spoiled):
+def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, serial, spoiled):
     """At tol 0 every instance breaks normality; at the default tolerance one
     generic instance does.  Either way the group is enforced once, in one call
     for all four instances at every point (5 calls when a group that raised was
@@ -459,7 +459,8 @@ def test_a_list_drop_groups_like_its_tuple_and_a_set_drop_is_invalid(route, kind
     assert mixed[0].to_json_dict() == tupled[0].to_json_dict()
 
 
-def test_one_instance_that_breaks_normality_leaves_one_kernel_call_for_the_rest(monkeypatch):
+def test_one_instance_that_breaks_normality_leaves_one_kernel_call_for_the_rest(monkeypatch,
+                                                                                serial):
     """A 64-trial check_naopaka group with one non-normal instance: the kernel
     runs once, on the 63 others, and every line is what its instance gives alone."""
     cfg = RunConfig(trials=64, checks=("check_naopaka",), seed=0, dim=4, length=3)

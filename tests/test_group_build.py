@@ -36,7 +36,7 @@ def test_grouped_build_equals_each_seed_alone(check):
                 assert [_text(inst) for inst in grouped] == [_text(inst) for inst in alone]
 
 
-def test_a_group_takes_one_stacked_qr(monkeypatch):
+def test_a_group_takes_one_stacked_qr(monkeypatch, serial):
     shapes = []
     original = np.linalg.qr
 
@@ -50,7 +50,7 @@ def test_a_group_takes_one_stacked_qr(monkeypatch):
     assert shapes == [(5, 2, 6, 6)]
 
 
-def test_a_build_error_stays_with_its_trial(monkeypatch):
+def test_a_build_error_stays_with_its_trial(monkeypatch, serial):
     """A trial whose build raises is one error line per grid point, each with
     its point's params and no shape; every other line is as in a clean run."""
     for check in ("check_naopaka", "check_alpha"):
@@ -105,7 +105,7 @@ def test_run_trials_gives_each_seed_of_a_failed_group_build_its_own_error(monkey
 
 @pytest.mark.parametrize("seed, dim, length", [(1, None, None), (2, 3, 2), (3, 1, 1), (4, 6, 4)])
 def test_integer_alpha_sums_the_series_without_vectorizing_again(seed, dim, length, monkeypatch,
-                                                                kron_series):
+                                                                serial, kron_series):
     cfg = RunConfig(trials=1, checks=("check_alpha",), seed=seed, dim=dim, length=length)
     calls = []
     original = transformer.vectorize

@@ -77,7 +77,7 @@ def test_a_grid_check_group_is_evaluated_at_given_points():
     assert evaluate_instance(insts[1]).to_json_dict() == grouped[3]
 
 
-def test_an_error_stays_with_its_trial(monkeypatch):
+def test_an_error_stays_with_its_trial(monkeypatch, serial):
     cfg = RunConfig(trials=5, checks=("check_uin",), seed=2, dim=3, length=2)
     clean = io.StringIO()
     run_suite(cfg, clean)
@@ -114,7 +114,7 @@ def test_output_does_not_depend_on_the_group_size(args, monkeypatch, tmp_path, c
     assert grouped and grouped == (tmp_path / "alone.jsonl").read_bytes()
 
 
-def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
+def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch, serial):
     calls = []
     original = np.linalg.eigh
 
@@ -129,7 +129,7 @@ def test_defect_trial_decomposes_each_defect_operator_once(monkeypatch):
     assert len(calls) <= 4 and [shape[0] for shape in calls] == [4, 4]
 
 
-def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch):
+def test_a_kernel_error_at_one_point_stays_at_that_point(monkeypatch, serial):
     """The kernel raises for any batch holding one instance's alpha = 0.5 cell:
     the run's group call raises, each cell is evaluated again alone, and that
     line alone is the error; every other line is the clean run's."""

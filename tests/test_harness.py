@@ -3,6 +3,11 @@
 import dataclasses
 import io
 import json
+import os
+import pickle
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +355,138 @@ def test_run_suite_file_output(tmp_path, capsys):
 
     with pytest.raises(IOFailure, match=r"^cannot write report line: \[Errno 28\] No space"):
         run_suite(RunConfig(trials=1, checks=("check_cs",)), Full())
+
+
+def _second_thread(patch):
+    """Start a thread; the returned call ends it."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    return lambda: (stop.set(), thread.join(timeout=60))
+
+
+def _local_filter(patch):
+    """Add a warning filter on a class pickle cannot name; the returned call removes it."""
+    class Local(Warning):
+        pass
+
+    guard = warnings.catch_warnings()
+    guard.__enter__()
+    warnings.filterwarnings("ignore", category=Local)
+    return lambda: guard.__exit__(None, None, None)
+
+
+# verify arguments, and the gate that keeps a run in one process (it may return the
+# call that lifts it)
+STAYS = {
+    "second_thread": ("--trials 2", _second_thread),
+    "local_filter": ("--trials 2", _local_filter),
+    "one_cpu": ("--trials 2",
+                lambda patch: patch.setattr(os, "sched_getaffinity", lambda pid: {0})),
+    "one_trial": ("--checks check_cs --trials 1", lambda patch: None),
+}
+
+
+@pytest.mark.parametrize("name", STAYS)
+def test_a_run_stays_in_one_process(name, monkeypatch, tmp_path, capsys):
+    """With a second Python thread alive, a warning filter pickle cannot send, on
+    one CPU or for a window of one trial, a run forks no worker and writes what it
+    writes split."""
+    args, gate = STAYS[name]
+    argv = ["verify", *args.split(), "--seed", "3", "--out", str(tmp_path / "split.jsonl")]
+    assert cli_main(argv) == 0
+    assert (harness._WORKER is None) == args.endswith("--trials 1")
+    harness._close()
+
+    forks = []
+
+    def fork():  # a run that forks anyway stays in one process: record the call
+        forks.append(1)
+        raise OSError("a run forked a worker")
+
+    with monkeypatch.context() as patch:
+        release = gate(patch)
+        patch.setattr(os, "fork", fork)
+        try:
+            assert cli_main([*argv[:-1], str(tmp_path / "alone.jsonl")]) == 0
+        finally:
+            if release:
+                release()
+    assert forks == [] and harness._WORKER is None
+    assert (tmp_path / "split.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("checks", [("check_cs", "check_alpha"), ("check_alpha", "check_cs")],
+                         ids=["worker_half", "own_half"])
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_a_split_run_warns_and_raises_as_one_process_does(checks, action, monkeypatch,
+                                                          capsys):
+    """CI's alpha = 3000 run under numpy's default errstate: with RuntimeWarning an
+    error, split and serial runs raise the same exception, whichever half
+    overflows; shown once, they show the same warnings.  The worker serving them
+    was forked by a CLI run, under the CLI's errstate, with every warning ignored."""
+    cfg = RunConfig(trials=3, checks=checks, grids={"alpha": ((0.5,), (3000.0,))}, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli_main(["verify", "--trials", "2", "--seed", "0"]) == 0
+    pid = harness._WORKER[0]
+
+    def run():
+        for module in (m for name, m in sys.modules.items() if name.startswith("opineq")):
+            vars(module).pop("__warningregistry__", None)
+        with np.errstate(all="warn", under="ignore"), warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(action, RuntimeWarning)
+            try:
+                out = io.StringIO()
+                run_suite(cfg, out)
+                raised = None
+            except RuntimeWarning as exc:
+                raised = (type(exc), str(exc))
+        return raised, [(str(w.message), w.filename, w.lineno) for w in shown], \
+            out.getvalue() if raised is None else None
+
+    split = run()
+    raised, shown, _ = split
+    assert harness._WORKER[0] == pid
+    assert (raised is not None, bool(shown)) == (action == "error", action != "error")
+    monkeypatch.setattr(harness, "_send", lambda request: False)
+    assert run() == split
+
+
+@pytest.mark.parametrize("where", ["own_half", "reply"])
+def test_an_interrupted_run_leaves_the_next_runs_bytes(where, monkeypatch):
+    """An interrupt while this process evaluates its half drains the worker's reply,
+    so the worker serves on; one while the reply is read discards the worker.
+    Either way the next run writes what a one-process run writes."""
+    cfg = RunConfig(trials=30, checks=("check_cs", "check_uin", "check_hs"), seed=9)  # 2 windows
+
+    def lines():
+        out = io.StringIO()
+        run_suite(cfg, out)
+        return out.getvalue()
+
+    first, caller = lines(), os.getpid()
+    pid, cells = harness._WORKER[0], harness._cells
+
+    def interrupt(original):
+        def call(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return original(*args)
+        return call
+
+    with monkeypatch.context() as patch:
+        if where == "own_half":
+            patch.setattr(harness, "_cells", interrupt(cells))
+        else:
+            patch.setattr(pickle, "load", interrupt(pickle.load))
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(cfg)
+    assert (harness._WORKER is not None and harness._WORKER[0] == pid) == (where == "own_half")
+    assert lines() == first
+    monkeypatch.setattr(harness, "_send", lambda request: False)
+    assert lines() == first
 
 
 def test_run_suite_without_a_writer_creates_no_file(tmp_path, monkeypatch):

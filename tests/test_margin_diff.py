@@ -5,6 +5,8 @@ allowances let it pass."""
 import importlib.util
 import json
 import math
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,29 @@ def test_the_command_list_runs_every_fixed_seed_row():
     assert commands[:len(test_runs.RUNS)] == [
         ["verify", *args.split()] for args, *_ in test_runs.RUNS.values()]
     assert len(commands) == len(test_runs.RUNS) + len(margin_diff.COMMANDS)
+
+
+@pytest.mark.parametrize("coretype", [None, "Prescott"])
+def test_each_command_runs_from_its_tree_under_the_kernel_asked_for(coretype, tmp_path,
+                                                                     monkeypatch):
+    """Every command of a tree, the import check first, gets the tree's ``src`` on
+    PYTHONPATH and, with ``--coretype K``, OPENBLAS_CORETYPE=K; without it, the
+    caller's environment is passed on as it is."""
+    tree, seen = tmp_path / "tree", []
+
+    def run(argv, cwd, env, **kwargs):
+        seen.append((argv[1:], env))
+        out = str(tree / "src" / "opineq" / "__init__.py") if argv[1] == "-c" else ""
+        return subprocess.CompletedProcess(argv, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(margin_diff.subprocess, "run", run)
+    commands = [["list"], ["verify", "--trials", "1"]]
+    margin_diff.run_tree(tree, commands, tmp_path / "out", coretype)
+    assert [argv[2:] if argv[0] == "-m" else argv[:1] for argv, _ in seen] == [
+        ["-c"], ["list"], ["verify", "--trials", "1", "--out", "01.jsonl"]]
+    want = os.environ.get("OPENBLAS_CORETYPE") if coretype is None else coretype
+    for _, env in seen:
+        assert env["PYTHONPATH"] == str(tree / "src")
+        assert env.get("OPENBLAS_CORETYPE") == want
+        assert {k: v for k, v in env.items() if k not in ("PYTHONPATH", "OPENBLAS_CORETYPE")} == {
+            k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "OPENBLAS_CORETYPE")}

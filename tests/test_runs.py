@@ -15,7 +15,9 @@ runs are all precondition errors, which an instance has at every point.
 import dataclasses
 import io
 import json
+import os
 import re
+import signal
 from collections import Counter
 
 import pytest
@@ -115,7 +117,7 @@ def test_a_fixed_seed_run_writes_its_counts(name, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", [(), ("--tol", "3e-16")], ids=["default_tol", "tol_3e-16"])
-def test_a_run_validates_each_grid_point_once(tol, monkeypatch, tmp_path):
+def test_a_run_validates_each_grid_point_once(tol, monkeypatch, serial, tmp_path):
     """The tol_3e-16 row's run, at its tolerance and at the default: RunConfig
     validates the points of the three axes (1 + 4 + 3) and each group's batch its
     one point (one check_uin and one check_naopaka group), 10 GridAxis.params calls;
@@ -128,3 +130,33 @@ def test_a_run_validates_each_grid_point_once(tol, monkeypatch, tmp_path):
     assert cli_main(["verify", *argv, *tol, "--out", str(out)]) == 0
     assert ('"error"' in out.read_text()) == bool(tol)
     assert len(calls) == 10
+
+
+# RUNS, a window of one segment, whose seeds the worker and the caller halve, and
+# the group_boundary row after a worker was killed
+SPLITS = {**{name: (row[0], False) for name, row in RUNS.items()},
+          "one_segment": ("--checks check_uin --trials 64 --seed 4", False),
+          "killed_worker": (RUNS["group_boundary"][0], True)}
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_a_split_run_writes_what_a_one_process_run_writes(name, monkeypatch, tmp_path, capsys):
+    """Exit code, stdout and JSONL are the same bytes whether a forked worker
+    evaluates half of each window or the run stays in one process.  A worker
+    killed between two runs is replaced, and the next run's bytes stay."""
+    args, kill = SPLITS[name]
+
+    def run(tag):
+        out = tmp_path / f"{tag}.jsonl"
+        status = cli_main(["verify", *args.split(), "--out", str(out)])
+        return status, capsys.readouterr().out, out.read_bytes()
+
+    split = run("split")
+    pid = harness._WORKER[0]
+    if kill:
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        assert run("after_kill") == split
+        assert harness._WORKER[0] != pid
+    monkeypatch.setattr(harness, "_send", lambda request: False)
+    assert run("serial") == split

@@ -55,7 +55,7 @@ def test_a_window_draws_what_default_rng_draws():
         assert rng.integers(1, 7) == fresh.integers(1, 7)
 
 
-def test_a_run_calls_no_per_trial_numpy_seeding(monkeypatch):
+def test_a_run_calls_no_per_trial_numpy_seeding(monkeypatch, serial):
     calls = []
 
     def counted(name, original):

@@ -1,6 +1,6 @@
 """Margin-diff gate: what a change moves in opineq's output.
 
-    python tools/margin_diff.py PARENT [--allow CHECK[:BOUND]] ...
+    python tools/margin_diff.py PARENT [--allow CHECK[:BOUND]] ... [--coretype K]
 
 Exports PARENT with ``git archive`` and runs one fixed command list through
 ``python -m opineq`` in that tree and in this checkout (its working files,
@@ -24,7 +24,9 @@ bound.  A change that no check owns (an exit code, a line count, a verdict
 line) is never allowed.
 
 Uses only git, the CLI and the standard library.  The fixed-seed bytes depend
-on the BLAS kernel, so both trees run on the one machine, under one kernel.
+on the BLAS kernel, so both trees run on the one machine, under one kernel:
+the machine's own, or OpenBLAS's kernel K with ``--coretype K``, which sets
+``OPENBLAS_CORETYPE=K`` for every command of both trees.
 """
 
 from __future__ import annotations
@@ -102,12 +104,15 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run_tree(tree: Path, commands, work: Path) -> None:
-    """Run each command as ``python -m opineq`` from ``tree``'s ``src``, in ``work``:
-    command k writes its exit code, stdout and stderr to ``k.rc``, ``k.stdout`` and
-    ``k.stderr``, and a verify run its JSONL to ``k.jsonl``."""
+def run_tree(tree: Path, commands, work: Path, coretype: str | None = None) -> None:
+    """Run each command as ``python -m opineq`` from ``tree``'s ``src``, in ``work``,
+    under ``OPENBLAS_CORETYPE=coretype`` if given: command k writes its exit code,
+    stdout and stderr to ``k.rc``, ``k.stdout`` and ``k.stderr``, and a verify run
+    its JSONL to ``k.jsonl``."""
     work.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
     found = subprocess.run([sys.executable, "-c", "import opineq; print(opineq.__file__)"],
                            cwd=work, env=env, capture_output=True, text=True)
     if Path(found.stdout.strip()).parent != (tree / "src" / "opineq").resolve():
@@ -256,20 +261,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--allow", action="append", default=[], type=_allowance,
                         metavar="CHECK[:BOUND]",
                         help="allow CHECK's moves, up to BOUND in a normalized margin if given")
+    parser.add_argument("--coretype", metavar="K",
+                        help="run both trees under OPENBLAS_CORETYPE=K (default: the machine's)")
     args = parser.parse_args(argv)
     commands = command_list()
     with tempfile.TemporaryDirectory(prefix="margin-diff-") as tmp:
         tmp = Path(tmp)
         try:
             export(args.parent, tmp / "parent")
-            run_tree(tmp / "parent", commands, tmp / "parent-out")
-            run_tree(ROOT, commands, tmp / "change-out")
+            run_tree(tmp / "parent", commands, tmp / "parent-out", args.coretype)
+            run_tree(ROOT, commands, tmp / "change-out", args.coretype)
         except (subprocess.CalledProcessError, RuntimeError, OSError, tarfile.TarError) as exc:
             detail = getattr(exc, "stderr", b"") or b""
             print(f"error: {exc} {detail.decode(errors='replace')}".rstrip(), file=sys.stderr)
             return 2
         text, ok = report(compare_dirs(tmp / "parent-out", tmp / "change-out"), dict(args.allow))
-    print(f"margin-diff: {args.parent} against {ROOT}, {len(commands)} commands")
+    kernel = f", OPENBLAS_CORETYPE={args.coretype}" if args.coretype else ""
+    print(f"margin-diff: {args.parent} against {ROOT}, {len(commands)} commands{kernel}")
     print(text)
     return 0 if ok else 1
 
