@@ -6,7 +6,7 @@ trials at a time, passes each window to
 trials at each point :meth:`RunConfig.points` gives for their check's
 grid axis, and writes one JSON object per report line, in trial
 order, to the writer it is given.  Instances and reports are bit for bit what each trial gives
-alone, so neither grouping nor the worker process that evaluates half of
+alone, so neither grouping nor the worker process that evaluates a third of
 each window where it can (:func:`_window_cells`) ever shows.
 Instances that violate a check's hypotheses surface as ``error`` lines
 (null margins), not as failures; a run fails only when a
@@ -208,33 +208,34 @@ def _cells(cfg: RunConfig, segments) -> list[list[tuple]]:
 
 
 # ---------------------------------------------------------------------------
-# the worker: a process forked from this one evaluates half of every window
+# the worker: a process forked from this one evaluates a third of every window
 
 _WORKER = None  # this import's worker, once forked: (pid, request pipe, reply pipe, reap)
 
 
 def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
     """A window's cells in trial order.  Where :func:`_send` reaches the worker, it
-    evaluates alternate segments (of one segment, the second half of the seeds) and
-    this process the rest.  A worker's half that raises or warns, or whose worker is
-    gone, is evaluated here, and a window whose own half raises, here alone."""
-    if len(segments) > 1:
-        mine, theirs = segments[0::2], segments[1::2]
-    else:
+    evaluates every third segment from the second (of one segment, the last third of
+    the seeds) and this process the rest.  A worker's part that raises or warns, or
+    whose worker is gone, is evaluated here, and a window whose own part raises, here
+    alone.  The caller keeps the larger part, so a window's time follows the caller's
+    CPU unless the worker's runs at well under two thirds of its speed."""
+    pieces = segments
+    if len(segments) == 1:
         (check, seeds, points), = segments
-        half = len(seeds) // 2
-        mine, theirs = [(check, seeds[:half], points)], [(check, seeds[half:], points)]
-    if mine[0][1] and _send((np.geterr(), warnings.filters, cfg, theirs)):  # not one trial
+        cut = len(seeds) - len(seeds) // 3
+        pieces = [(check, seeds[:cut], points), (check, seeds[cut:], points)]
+    theirs = pieces[1::3]
+    if theirs[0][1] and _send((np.geterr(), warnings.filters, cfg, theirs)):  # 1 segment: 3+ trials
         try:
-            own = _cells(cfg, mine)
+            own = _cells(cfg, [p for k, p in enumerate(pieces) if k % 3 != 1])
         except Exception:
             own = None
         finally:
             reply = _receive()
         if own is not None:
-            cells = reply if reply is not None else _cells(cfg, theirs)
-            return [cell for pair in itertools.zip_longest(own, cells, fillvalue=())
-                    for part in pair for cell in part]
+            parts = (iter(own), iter(reply if reply is not None else _cells(cfg, theirs)))
+            return [cell for k in range(len(pieces)) for cell in next(parts[k % 3 == 1])]
     return [cell for part in _cells(cfg, segments) for cell in part]
 
 

@@ -417,6 +417,18 @@ def test_a_run_stays_in_one_process(name, monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_the_worker_is_sent_every_third_segment(monkeypatch):
+    """The worker's part of a window is every third segment from the second, or of a
+    window of one segment, the last third of its seeds; a window of one segment of
+    two trials stays in the caller."""
+    sent = []
+    monkeypatch.setattr(harness, "_send", lambda request: sent.append(request[3]) or False)
+    for checks, trials in ((tuple(CHECK_SPECS), 2), (("check_uin",), 64), (("check_uin",), 2)):
+        run_suite(RunConfig(trials=trials, checks=checks, seed=0))
+    assert [[(check, len(seeds)) for check, seeds, _ in part] for part in sent] == [
+        [(check, 2) for check in tuple(CHECK_SPECS)[1::3]], [("check_uin", 21)]]
+
+
 @pytest.mark.parametrize("checks", [("check_cs", "check_alpha"), ("check_alpha", "check_cs")],
                          ids=["worker_half", "own_half"])
 @pytest.mark.parametrize("action", ["error", "default"])

@@ -132,7 +132,7 @@ def test_a_run_validates_each_grid_point_once(tol, monkeypatch, serial, tmp_path
     assert len(calls) == 10
 
 
-# RUNS, a window of one segment, whose seeds the worker and the caller halve, and
+# RUNS, a window of one segment, whose seeds the caller and the worker split, and
 # the group_boundary row after a worker was killed
 SPLITS = {**{name: (row[0], False) for name, row in RUNS.items()},
           "one_segment": ("--checks check_uin --trials 64 --seed 4", False),
@@ -142,7 +142,7 @@ SPLITS = {**{name: (row[0], False) for name, row in RUNS.items()},
 @pytest.mark.parametrize("name", SPLITS)
 def test_a_split_run_writes_what_a_one_process_run_writes(name, monkeypatch, tmp_path, capsys):
     """Exit code, stdout and JSONL are the same bytes whether a forked worker
-    evaluates half of each window or the run stays in one process.  A worker
+    evaluates a third of each window or the run stays in one process.  A worker
     killed between two runs is replaced, and the next run's bytes stay."""
     args, kill = SPLITS[name]
 
