@@ -216,8 +216,8 @@ _WORKER = None  # this import's worker, once forked: (pid, request pipe, reply p
 def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
     """A window's cells in trial order.  Where :func:`_send` reaches the worker, it
     evaluates every third segment from the second (of one segment, the last third of
-    the seeds) and this process the rest.  A worker's part that raises or warns, or
-    whose worker is gone, is evaluated here, and a window whose own part raises, here
+    the seeds) and this process the rest.  A worker's part that raises, or whose
+    worker is gone, is evaluated here, and a window whose own part raises, here
     alone.  The caller keeps the larger part, so a window's time follows the caller's
     CPU unless the worker's runs at well under two thirds of its speed."""
     pieces = segments
@@ -226,7 +226,7 @@ def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
         cut = len(seeds) - len(seeds) // 3
         pieces = [(check, seeds[:cut], points), (check, seeds[cut:], points)]
     theirs = pieces[1::3]
-    if theirs[0][1] and _send((np.geterr(), warnings.filters, cfg, theirs)):  # 1 segment: 3+ trials
+    if theirs[0][1] and _send((cfg, theirs)):  # 1 segment: 3+ trials
         try:
             own = _cells(cfg, [p for k, p in enumerate(pieces) if k % 3 != 1])
         except Exception:
@@ -241,16 +241,14 @@ def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
 
 def _send(request) -> bool:
     """Whether ``request`` went to the worker, forked first if there is none; not
-    off Linux or without ``os.fork``, on one CPU, with a second Python thread alive
-    or with numpy set to call or log on an error."""
+    off Linux, on one CPU or with a second Python thread alive."""
     global _WORKER
-    if not (sys.platform.startswith("linux") and hasattr(os, "fork")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1
-            and not {"call", "log"} & set(request[0].values())):
+    if not (sys.platform.startswith("linux") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1):
         return False
     try:
         data = pickle.dumps(request)
-    except (pickle.PicklingError, AttributeError, TypeError):  # a filter's local category, say
+    except (pickle.PicklingError, AttributeError, TypeError):  # a grid point of a local class, say
         return False
     try:
         _WORKER = _WORKER or _fork()
@@ -266,7 +264,7 @@ def _send(request) -> bool:
 
 
 def _receive():
-    """The worker's cells; None if they raised or warned, or it is gone (discarded)."""
+    """The worker's cells; None if they raised, or it is gone (discarded)."""
     try:
         return pickle.load(_WORKER[2])
     except (EOFError, OSError, pickle.UnpicklingError):  # the worker is gone
@@ -279,7 +277,8 @@ def _receive():
 def _fork() -> tuple:
     """A new worker.  It ignores SIGINT, touches nothing it inherits (fds 0-2 go to
     /dev/null, the garbage collector frees none of it) and leaves by ``os._exit``,
-    so nothing, an unflushed ``--out`` say, is flushed twice."""
+    so nothing, an unflushed ``--out`` say, is flushed twice.  Each floating-point
+    event and warning raises in it, so the caller shows them (:func:`_window_cells`)."""
     fds = (*os.pipe(), *os.pipe())  # the request pipe's read and write ends, then the reply's
     try:
         pid = os.fork()
@@ -296,6 +295,8 @@ def _fork() -> tuple:
             for fd in fds[1:3]:  # the caller's ends: held here, neither pipe would ever end
                 os.close(fd)
             gc.freeze()
+            np.seterr(all="raise")
+            warnings.simplefilter("error")
             _serve(os.fdopen(fds[0], "rb"), os.fdopen(fds[3], "wb"))
         finally:
             os._exit(0)
@@ -314,21 +315,18 @@ def _fork() -> tuple:
 
 
 def _serve(requests, replies) -> None:
-    """The worker's loop until its requests end: each request's cells under its
-    errstate and filters, or None if they raise or show a warning."""
+    """The worker's loop until its requests end: each request's cells, or None if
+    evaluating them raised anything."""
     while True:
         try:
-            err, filters, cfg, segments = pickle.load(requests)
+            cfg, segments = pickle.load(requests)
         except EOFError:
             return
-        np.seterr(**err)
-        warnings.filters = list(filters)
-        with warnings.catch_warnings(record=True) as shown:
-            try:
-                cells = _cells(cfg, segments)
-            except Exception:
-                cells = None
-        replies.write(pickle.dumps(None if shown else cells))
+        try:
+            cells = _cells(cfg, segments)
+        except Exception:
+            cells = None
+        replies.write(pickle.dumps(cells))
         replies.flush()
 
 

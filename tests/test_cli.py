@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -172,16 +173,63 @@ def test_module_entry_point():
     assert "check_cs" in proc.stdout
 
 
+# a new Python's script up to a split verify run, and the rest
+_SPLIT_RUN = """
+import gc, os, sys, weakref
+from opineq import cli, harness
+status = cli.cli_main(["verify", "--trials", "2", "--seed", "0"])
+sys.stdout.flush()
+"""
+
+
+def _python(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", _SPLIT_RUN + textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
 def test_no_worker_outlives_the_process_that_forked_it():
     """A process that ran a split verify exits, and its worker is gone with it."""
-    script = ("import sys; from opineq import cli, harness; "
-              "status = cli.cli_main(['verify', '--trials', '2', '--seed', '0']); "
-              "print(harness._WORKER[0], file=sys.stderr); sys.exit(status)")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    proc = _python("print(harness._WORKER[0], file=sys.stderr); sys.exit(status)")
     assert proc.returncode == 0 and "overall OK" in proc.stdout
     with pytest.raises(ProcessLookupError):
         os.kill(int(proc.stderr), 0)
+
+
+def test_an_abandoned_import_is_freed():
+    """A process that ran a split verify, then dropped every opineq module and its
+    own references, frees the import: the worker's exit hooks hold none of it."""
+    proc = _python("""
+        assert status == 0 and harness._WORKER is not None
+        ref = weakref.ref(harness._cells)
+        for name in [name for name in sys.modules if name.startswith("opineq")]:
+            del sys.modules[name]
+        del cli, harness
+        gc.collect()
+        assert ref() is None, "the abandoned import is alive"
+    """)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_process_forked_from_the_caller_holds_and_waits_for_no_worker():
+    """A child forked from a process that ran a split verify closes its copy of the
+    worker's request pipe, so the parent's ``_close`` ends and reaps the worker while
+    the child still runs; the child exits normally and waits for no worker."""
+    proc = _python("""
+        assert status == 0 and harness._WORKER is not None
+        hold, release = os.pipe()
+        child = os.fork()
+        if child == 0:
+            os.close(release)
+            os.read(hold, 1)  # until the parent closes its end
+            sys.exit(0)
+        os.close(hold)
+        harness._close()
+        assert os.waitpid(child, os.WNOHANG) == (0, 0), "the child ended first"
+        os.close(release)
+        assert os.waitpid(child, 0) == (child, 0)
+    """)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -1,6 +1,7 @@
 """Generators, batch runner, counterexample search: determinism and routing."""
 
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opineq import harness
+from opineq import cli, harness
 from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.cli import cli_main
 from opineq.core import op_norm
@@ -365,22 +366,20 @@ def _second_thread(patch):
     return lambda: (stop.set(), thread.join(timeout=60))
 
 
-def _local_filter(patch):
-    """Add a warning filter on a class pickle cannot name; the returned call removes it."""
-    class Local(Warning):
+def _local_point(patch):
+    """Parse every grid number as an instance of a float subclass pickle cannot name."""
+    class Local(float):
         pass
 
-    guard = warnings.catch_warnings()
-    guard.__enter__()
-    warnings.filterwarnings("ignore", category=Local)
-    return lambda: guard.__exit__(None, None, None)
+    ratio = cli._ratio
+    patch.setattr(cli, "_ratio", lambda text: Local(ratio(text)))
 
 
 # verify arguments, and the gate that keeps a run in one process (it may return the
 # call that lifts it)
 STAYS = {
     "second_thread": ("--trials 2", _second_thread),
-    "local_filter": ("--trials 2", _local_filter),
+    "local_point": ("--alpha 0.5 --alpha 3 --trials 2", _local_point),
     "one_cpu": ("--trials 2",
                 lambda patch: patch.setattr(os, "sched_getaffinity", lambda pid: {0})),
     "one_trial": ("--checks check_cs --trials 1", lambda patch: None),
@@ -389,8 +388,8 @@ STAYS = {
 
 @pytest.mark.parametrize("name", STAYS)
 def test_a_run_stays_in_one_process(name, monkeypatch, tmp_path, capsys):
-    """With a second Python thread alive, a warning filter pickle cannot send, on
-    one CPU or for a window of one trial, a run forks no worker and writes what it
+    """With a second Python thread alive, a grid point pickle cannot send, on one
+    CPU or for a window of one trial, a run forks no worker and writes what it
     writes split."""
     args, gate = STAYS[name]
     argv = ["verify", *args.split(), "--seed", "3", "--out", str(tmp_path / "split.jsonl")]
@@ -422,7 +421,7 @@ def test_the_worker_is_sent_every_third_segment(monkeypatch):
     window of one segment, the last third of its seeds; a window of one segment of
     two trials stays in the caller."""
     sent = []
-    monkeypatch.setattr(harness, "_send", lambda request: sent.append(request[3]) or False)
+    monkeypatch.setattr(harness, "_send", lambda request: sent.append(request[1]) or False)
     for checks, trials in ((tuple(CHECK_SPECS), 2), (("check_uin",), 64), (("check_uin",), 2)):
         run_suite(RunConfig(trials=trials, checks=checks, seed=0))
     assert [[(check, len(seeds)) for check, seeds, _ in part] for part in sent] == [
@@ -431,24 +430,39 @@ def test_the_worker_is_sent_every_third_segment(monkeypatch):
 
 @pytest.mark.parametrize("checks", [("check_cs", "check_alpha"), ("check_alpha", "check_cs")],
                          ids=["worker_half", "own_half"])
-@pytest.mark.parametrize("action", ["error", "default"])
-def test_a_split_run_warns_and_raises_as_one_process_does(checks, action, monkeypatch,
-                                                          capsys):
-    """CI's alpha = 3000 run under numpy's default errstate: with RuntimeWarning an
-    error, split and serial runs raise the same exception, whichever half
-    overflows; shown once, they show the same warnings.  The worker serving them
-    was forked by a CLI run, under the CLI's errstate, with every warning ignored."""
+@pytest.mark.parametrize("mode, action", [("warn", "error"), ("warn", "default"), ("print", None),
+                                          ("call", None), ("log", None)],
+                         ids=["error", "default", "print", "call", "log"])
+def test_a_split_run_warns_and_raises_as_one_process_does(checks, mode, action, monkeypatch,
+                                                          capfd):
+    """CI's alpha = 3000 run under each numpy error mode but raise: with RuntimeWarning
+    an error, split and serial runs raise the same exception, whichever part
+    overflows; shown once, they show the same warnings; printed, called or logged,
+    the same stderr bytes, calls or log lines.  The worker serving them was forked
+    by a CLI run, under the CLI's errstate, with every warning ignored; its part
+    that overflows comes back None, and the caller evaluates it again."""
     cfg = RunConfig(trials=3, checks=checks, grids={"alpha": ((0.5,), (3000.0,))}, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert cli_main(["verify", "--trials", "2", "--seed", "0"]) == 0
-    pid = harness._WORKER[0]
+    pid, receive, replies, calls = harness._WORKER[0], harness._receive, [], []
+    monkeypatch.setattr(harness, "_receive", lambda: replies.append(receive()) or replies[-1])
+
+    class Log:
+        def write(self, text):
+            calls.append(text)
+
+    handler = {"call": lambda kind, flag: calls.append((kind, flag)), "log": Log()}.get(mode)
 
     def run():
         for module in (m for name, m in sys.modules.items() if name.startswith("opineq")):
             vars(module).pop("__warningregistry__", None)
-        with np.errstate(all="warn", under="ignore"), warnings.catch_warnings(record=True) as shown:
-            warnings.simplefilter(action, RuntimeWarning)
+        calls.clear()
+        capfd.readouterr()
+        with np.errstate(all=mode, under="ignore", call=handler), \
+                warnings.catch_warnings(record=True) as shown:
+            if action:
+                warnings.simplefilter(action, RuntimeWarning)
             try:
                 out = io.StringIO()
                 run_suite(cfg, out)
@@ -456,14 +470,41 @@ def test_a_split_run_warns_and_raises_as_one_process_does(checks, action, monkey
             except RuntimeWarning as exc:
                 raised = (type(exc), str(exc))
         return raised, [(str(w.message), w.filename, w.lineno) for w in shown], \
-            out.getvalue() if raised is None else None
+            out.getvalue() if raised is None else None, list(calls), capfd.readouterr().err
 
     split = run()
-    raised, shown, _ = split
+    raised, shown, _, called, err = split
     assert harness._WORKER[0] == pid
-    assert (raised is not None, bool(shown)) == (action == "error", action != "error")
+    assert [reply is None for reply in replies] == [checks[1] == "check_alpha"]
+    assert (raised is not None, bool(shown)) == (action == "error", action == "default")
+    assert (bool(called), bool(err)) == (mode in ("call", "log"), mode == "print")
     monkeypatch.setattr(harness, "_send", lambda request: False)
     assert run() == split
+
+
+def test_a_failed_fork_leaves_no_pipe_and_no_worker(monkeypatch):
+    """Where the gate passes but ``os.fork`` fails, the run closes the pipes it opened
+    for the worker, keeps no worker and writes what a one-process run writes."""
+    cfg = RunConfig(trials=30, checks=("check_cs", "check_uin", "check_hs"), seed=9)  # 2 windows
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def lines():
+        out = io.StringIO()
+        run_suite(cfg, out)
+        return out.getvalue()
+
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        patch.setattr(os, "fork", fork)
+        failed = lines()
+    assert forks and harness._WORKER is None and sorted(os.listdir("/proc/self/fd")) == fds
+    monkeypatch.setattr(harness, "_send", lambda request: False)
+    assert lines() == failed
 
 
 @pytest.mark.parametrize("where", ["own_half", "reply"])

@@ -5,8 +5,9 @@
 Exports PARENT with ``git archive`` and runs one fixed command list through
 ``python -m opineq`` in that tree and in this checkout (its working files,
 committed or not): every row of ``tests/test_runs.py``, the commands of
-:data:`COMMANDS` (two larger verify runs, CI's console-script commands, and a
-contraction-dropped ``check_alpha`` search with the replay of its witness).
+:data:`COMMANDS` (two larger verify runs, a run of one-segment windows, CI's
+console-script commands, and a contraction-dropped ``check_alpha`` search with
+the replay of its witness).
 Every verify run also writes its JSONL with ``--out``.
 
 It then compares the two trees' outputs command by command: exit codes,
@@ -52,6 +53,8 @@ ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = (
     "verify --trials 200 --seed 123",
     "verify --trials 40 --seed 3 --dim 6 --len 4",
+    # one segment per window, whose seeds the caller and the worker split
+    "verify --checks check_uin --trials 64 --seed 4",
     # CI's console-script commands
     "list",
     "verify --trials 2 --seed 0",
