@@ -74,11 +74,10 @@ class RunConfig:
             raise InvalidSpec("trials must be >= 1")
         if not isinstance(self.checks, (tuple, list)):
             raise InvalidSpec(f"checks must be a tuple or list of check names, not {self.checks!r}")
-        object.__setattr__(self, "checks", tuple(self.checks))
+        object.__setattr__(self, "checks", tuple(check_spec(name).name for name in self.checks))
         if not self.checks:
             raise InvalidSpec("at least one check is required")
         for k, name in enumerate(self.checks):
-            check_spec(name)
             if name in self.checks[:k]:
                 raise InvalidSpec(f"check {name!r} is named twice")
         if not isinstance(self.grids, dict) or not set(self.grids) <= GRIDS.keys() - {None}:
@@ -142,13 +141,15 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
     ``write`` method, in trial order; without one, nothing is written.
     """
     summary = SuiteSummary()
+    run = (cfg.tol, *(v if v is None else int(v) for v in (cfg.dim, cfg.length)),
+           str(cfg.weights_mode))  # plain data, as the worker's request must be
     for window in _windows(cfg):
         segments = []
         for check, members in itertools.groupby(zip(window, trial_seeds(cfg.seed, window)),
                                                 key=lambda member: member[0][0]):
             segments.append((check, [seed for _, seed in members],
-                             cfg.points(check_spec(check).grid)))
-        for check, line, outcome, margin in _window_cells(cfg, segments):
+                             cfg.grid_params[check_spec(check).grid]))
+        for check, line, outcome, margin in _window_cells(run, segments):
             summary.record(check, outcome, margin)
             _emit(writer, line)
     return summary
@@ -156,16 +157,16 @@ def run_suite(cfg: RunConfig, writer=None) -> SuiteSummary:
 
 def write_cell(writer, check: str, seed: int, inst, params: dict, outcome) -> str:
     """One (trial, grid point) cell as one sorted-key JSON line, written to
-    ``writer`` (nothing without one) and returned: a report's own, else null
-    margins under the :func:`~opineq.checks.line_record` of the error
-    ``outcome`` at the point's ``params``, for ``inst`` with its ball, or, if the
-    build failed, for ``seed``."""
-    if isinstance(outcome, InequalityReport):
-        return _emit(writer, _ENCODER.encode(outcome.to_json_dict()) + "\n")
-    digest = {**inst.digest(), "ball": inst.ball} if isinstance(inst, CheckInstance) else {"seed": seed}
-    return _emit(writer, _ENCODER.encode({
-        "name": check, **dict.fromkeys(("lhs", "rhs", "margin", "holds")),
-        **line_record(check, digest, params, outcome), "norm_detail": {}}) + "\n")
+    ``writer`` (nothing without one) and returned: a report's own, else a report of
+    null numbers, ``{}`` detail and the :func:`~opineq.checks.line_record` of the
+    error ``outcome`` at the point's ``params``, for ``inst`` with its ball, or, if
+    the build failed, for ``seed``."""
+    if not isinstance(outcome, InequalityReport):
+        digest = ({**inst.digest(), "ball": inst.ball} if isinstance(inst, CheckInstance)
+                  else {"seed": seed})
+        outcome = InequalityReport(check, *[None] * 5, {},
+                                   line_record(check, digest, params, outcome))
+    return _emit(writer, _ENCODER.encode(outcome.to_json_dict()) + "\n")
 
 
 def _windows(cfg: RunConfig):
@@ -194,17 +195,20 @@ def _emit(writer, line: str) -> str:
     return line
 
 
-def _cells(cfg: RunConfig, segments) -> list[list[tuple]]:
-    """Per (check, seeds, points) segment, its cells in trial order as what the writer
-    and :meth:`SuiteSummary.record` take: (check, line, outcome, normalized margin)."""
-    trials = run_trials(segments, cfg.tol, dim=cfg.dim, length=cfg.length,
-                        weights_mode=cfg.weights_mode)
+def _cells(run: tuple, segments) -> list[list[tuple]]:
+    """Per (check, seeds, grid params) segment of the run ``(tol, dim, length,
+    weights_mode)``, its cells in trial order as what the writer and
+    :meth:`SuiteSummary.record` take: (check, line, outcome, normalized margin)."""
+    tol, dim, length, weights_mode = run
+    trials = run_trials([(check, seeds, [tuple(p.values()) for p in grid])
+                         for check, seeds, grid in segments],
+                        tol, dim=dim, length=length, weights_mode=weights_mode)
     return [[(check, write_cell(None, check, seed, inst, params, rep),
               *(("error", None) if isinstance(rep, OpineqError)
                 else ("pass" if rep.holds else "fail", rep.margin / rep.scale)))
              for seed, (inst, row) in zip(seeds, segment)
-             for params, rep in zip(cfg.grid_params[check_spec(check).grid], row)]
-            for (check, seeds, _), segment in zip(segments, trials)]
+             for params, rep in zip(grid, row)]
+            for (check, seeds, grid), segment in zip(segments, trials)]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,7 @@ def _cells(cfg: RunConfig, segments) -> list[list[tuple]]:
 _WORKER = None  # this import's worker, once forked: (pid, request pipe, reply pipe, reap)
 
 
-def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
+def _window_cells(run: tuple, segments) -> list[tuple]:
     """A window's cells in trial order.  Where :func:`_send` reaches the worker, it
     evaluates every third segment from the second (of one segment, the last third of
     the seeds) and this process the rest.  A worker's part that raises, or whose
@@ -222,21 +226,21 @@ def _window_cells(cfg: RunConfig, segments) -> list[tuple]:
     CPU unless the worker's runs at well under two thirds of its speed."""
     pieces = segments
     if len(segments) == 1:
-        (check, seeds, points), = segments
+        (check, seeds, grid), = segments
         cut = len(seeds) - len(seeds) // 3
-        pieces = [(check, seeds[:cut], points), (check, seeds[cut:], points)]
+        pieces = [(check, seeds[:cut], grid), (check, seeds[cut:], grid)]
     theirs = pieces[1::3]
-    if theirs[0][1] and _send((cfg, theirs)):  # 1 segment: 3+ trials
+    if theirs[0][1] and _send((run, theirs)):  # 1 segment: 3+ trials
         try:
-            own = _cells(cfg, [p for k, p in enumerate(pieces) if k % 3 != 1])
+            own = _cells(run, [p for k, p in enumerate(pieces) if k % 3 != 1])
         except Exception:
             own = None
         finally:
             reply = _receive()
         if own is not None:
-            parts = (iter(own), iter(reply if reply is not None else _cells(cfg, theirs)))
+            parts = (iter(own), iter(reply if reply is not None else _cells(run, theirs)))
             return [cell for k in range(len(pieces)) for cell in next(parts[k % 3 == 1])]
-    return [cell for part in _cells(cfg, segments) for cell in part]
+    return [cell for part in _cells(run, segments) for cell in part]
 
 
 def _send(request) -> bool:
@@ -247,12 +251,8 @@ def _send(request) -> bool:
             and threading.active_count() == 1):
         return False
     try:
-        data = pickle.dumps(request)
-    except (pickle.PicklingError, AttributeError, TypeError):  # a grid point of a local class, say
-        return False
-    try:
         _WORKER = _WORKER or _fork()
-        _WORKER[1].write(data)
+        _WORKER[1].write(pickle.dumps(request))
         _WORKER[1].flush()
         return True
     except (OSError, ValueError):  # the fork failed, the worker is gone, or this process was
@@ -319,11 +319,11 @@ def _serve(requests, replies) -> None:
     evaluating them raised anything."""
     while True:
         try:
-            cfg, segments = pickle.load(requests)
+            run, segments = pickle.load(requests)
         except EOFError:
             return
         try:
-            cells = _cells(cfg, segments)
+            cells = _cells(run, segments)
         except Exception:
             cells = None
         replies.write(pickle.dumps(cells))

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from opineq import checks, generators, harness, hmodule
+from opineq import checks, generators, hmodule
 from opineq.checks import GRIDS
 from opineq.core import DEFAULT_TOL
 from opineq.errors import (
@@ -113,25 +113,9 @@ def test_evaluate_group_rejects_a_mixed_group(mix):
             evaluate_instance(group[1])
 
 
-def _each_alone(cfg, check, spoil=lambda inst: inst):
-    """Each trial's lines as evaluate_instance gives them, one point at a time."""
-    out = io.StringIO()
-    for index in range(cfg.trials):
-        seed = trial_seed(cfg.seed, check, index)
-        inst = spoil(build_instance(check, seed, dim=cfg.dim, length=cfg.length))
-        for point in cfg.points("alpha"):
-            params = GRIDS["alpha"].params(point)
-            try:
-                outcome = evaluate_instance(
-                    dataclasses.replace(inst, params={**inst.params, **params}), cfg.tol)
-            except OpineqError as exc:
-                outcome = exc
-            harness.write_cell(out, check, seed, inst, params, outcome)
-    return [json.loads(line) for line in out.getvalue().splitlines()]
-
-
 @pytest.mark.parametrize("spoiled", [False, True], ids=["tol0", "one_generic"])
-def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, serial, spoiled):
+def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, serial, spoiled,
+                                                         cells_alone):
     """At tol 0 every instance breaks normality; at the default tolerance one
     generic instance does.  Either way the group is enforced once, in one call
     for all four instances at every point (5 calls when a group that raised was
@@ -163,8 +147,7 @@ def test_a_group_that_raises_enforces_each_instance_once(monkeypatch, serial, sp
     assert len(calls) == 1 and len(calls[0][0].parts) == 4
     errors = 3 if spoiled else 12
     assert summary.counts["check_alpha"]["error"] == errors
-    assert [json.loads(line) for line in out.getvalue().splitlines()] == _each_alone(
-        cfg, "check_alpha", spoil)
+    assert out.getvalue().splitlines() == cells_alone(cfg, {2: generic} if spoiled else {})
 
 
 def test_a_grid_point_of_the_wrong_length_is_rejected():
@@ -460,7 +443,8 @@ def test_a_list_drop_groups_like_its_tuple_and_a_set_drop_is_invalid(route, kind
 
 
 def test_one_instance_that_breaks_normality_leaves_one_kernel_call_for_the_rest(monkeypatch,
-                                                                                serial):
+                                                                                serial,
+                                                                                cells_alone):
     """A 64-trial check_naopaka group with one non-normal instance: the kernel
     runs once, on the 63 others, and every line is what its instance gives alone."""
     cfg = RunConfig(trials=64, checks=("check_naopaka",), seed=0, dim=4, length=3)
@@ -483,16 +467,9 @@ def test_one_instance_that_breaks_normality_leaves_one_kernel_call_for_the_rest(
     summary = run_suite(cfg, out)
     assert sizes == [63]
     assert summary.counts["check_naopaka"]["error"] == 1
-    lines = [json.loads(line) for line in out.getvalue().splitlines()]
-    with pytest.raises(NotNormal) as info:
+    with pytest.raises(NotNormal):
         evaluate_instance(generic)
-    alone = io.StringIO()
-    harness.write_cell(alone, "check_naopaka", bad, generic, {}, info.value)
-    assert lines[17] == json.loads(alone.getvalue())
-    assert [line for k, line in enumerate(lines) if k != 17] == [
-        evaluate_instance(build_instance("check_naopaka", trial_seed(cfg.seed, "check_naopaka", k),
-                                         dim=4, length=3)).to_json_dict()
-        for k in range(cfg.trials) if k != 17]
+    assert out.getvalue().splitlines() == cells_alone(cfg, {17: generic})
 
 
 def test_a_gruss_group_gives_each_instance_its_own_error_or_report():

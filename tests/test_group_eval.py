@@ -39,18 +39,6 @@ def _at(inst, point):
     return dataclasses.replace(inst, params={**inst.params, **axis.params(point)})
 
 
-def _alone(check, cfg):
-    """Each trial built and evaluated alone, one grid point at a time."""
-    points = GRIDS[CHECK_SPECS[check].grid].points
-    out = []
-    for index in range(cfg.trials):
-        inst = build_instance(check, trial_seed(cfg.seed, check, index), dim=cfg.dim,
-                              length=cfg.length, weights_mode=cfg.weights_mode)
-        for point in points:
-            out.append(evaluate_instance(_at(inst, point), cfg.tol).to_json_dict())
-    return out
-
-
 def test_every_check_has_one_kernel():
     kernels = [CHECK_SPECS[name].kernel for name in CHECK_NAMES]
     assert all(map(callable, kernels)) and len(set(kernels)) == len(CHECK_NAMES)
@@ -59,9 +47,9 @@ def test_every_check_has_one_kernel():
 @pytest.mark.parametrize("check", CHECK_NAMES)
 @pytest.mark.parametrize("shape", [(3, 2), (None, None), (1, 4), (6, 4)],
                          ids=["dim3_len2", "random", "dim1_len4", "dim6_len4"])
-def test_grouped_lines_equal_each_instance_alone(check, shape):
+def test_grouped_lines_equal_each_instance_alone(check, shape, cells_alone):
     cfg = RunConfig(trials=25, checks=(check,), seed=17, dim=shape[0], length=shape[1])
-    assert _serialized(_lines(cfg)) == _serialized(_alone(check, cfg))
+    assert _serialized(_lines(cfg)) == cells_alone(cfg)
 
 
 def test_a_grid_check_group_is_evaluated_at_given_points():
@@ -196,14 +184,6 @@ def _line(inst, point, outcome):
     return json.loads(out.getvalue())
 
 
-def _line_alone(inst, point):
-    """The run line of ``inst`` evaluated alone at ``point``."""
-    try:
-        return _line(inst, point, evaluate_instance(_at(inst, point)))
-    except OpineqError as exc:
-        return _line(inst, point, exc)
-
-
 def _ill_conditioned_beside_two_good():
     """Two built non-normal check_alpha instances with x = y = 0.8 J_3 between
     them: J_3 is the nilpotent Jordan block, so the vectorized T is defective."""
@@ -229,7 +209,7 @@ KERNEL_ERROR_GROUPS = {
 
 
 @pytest.mark.parametrize("name", KERNEL_ERROR_GROUPS)
-def test_a_kernel_error_costs_a_call_per_cell(name, monkeypatch):
+def test_a_kernel_error_costs_a_call_per_cell(name, monkeypatch, cells_alone):
     """An instance outside its check's domain is refused by its preconditions,
     before the kernel, which runs once on the rest; a group whose kernel raises
     (an ill-conditioned eigenbasis at alpha 0.5) has each of its cells
@@ -246,8 +226,8 @@ def test_a_kernel_error_costs_a_call_per_cell(name, monkeypatch):
     assert kinds == {InequalityReport, error}
     lines = [_line(inst, point, outcome)
              for inst, row in zip(insts, rows) for point, outcome in zip(points, row)]
-    assert _serialized(lines) == _serialized([_line_alone(inst, point)
-                                              for inst in insts for point in points])
+    cfg = RunConfig(trials=len(insts), checks=(insts[0].check,))
+    assert _serialized(lines) == cells_alone(cfg, dict(enumerate(insts)))
 
 
 def test_a_refused_candidate_costs_no_kernel_call(monkeypatch):
@@ -284,17 +264,18 @@ def test_evaluate_each_without_points_is_invalid_spec():
             evaluate_each([inst], DEFAULT_TOL, None)
 
 
-def test_each_cell_of_a_raising_batch_gets_what_it_gets_alone():
+def test_each_cell_of_a_raising_batch_gets_what_it_gets_alone(cells_alone):
     """At alpha 3000 some rows overflow and their batch raises; every other
     cell, the alpha 0.5 cells of those rows included, is what it is alone
     (numpy's overflow warnings off, as in the CLI)."""
     insts = [build_instance("check_alpha", seed) for seed in range(20)]
     points = ((0.5,), (3000.0,))
+    cfg = RunConfig(trials=len(insts), checks=("check_alpha",), grids={"alpha": points})
     with np.errstate(over="ignore", invalid="ignore"):
         rows = evaluate_each(insts, DEFAULT_TOL, points)
-        alone = [_line_alone(inst, point) for inst in insts for point in points]
+        alone = cells_alone(cfg, dict(enumerate(insts)))
     lines = [_line(inst, point, outcome)
              for inst, row in zip(insts, rows) for point, outcome in zip(points, row)]
-    assert _serialized(lines) == _serialized(alone)
+    assert _serialized(lines) == alone
     assert all(isinstance(row[0], InequalityReport) and row[0].holds for row in rows)
     assert any(isinstance(row[1], InvalidSpec) for row in rows)

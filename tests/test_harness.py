@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from opineq import cli, harness
+from opineq import harness
 from opineq.checks import CHECK_SPECS, GRIDS
 from opineq.cli import cli_main
 from opineq.core import op_norm
@@ -366,20 +366,10 @@ def _second_thread(patch):
     return lambda: (stop.set(), thread.join(timeout=60))
 
 
-def _local_point(patch):
-    """Parse every grid number as an instance of a float subclass pickle cannot name."""
-    class Local(float):
-        pass
-
-    ratio = cli._ratio
-    patch.setattr(cli, "_ratio", lambda text: Local(ratio(text)))
-
-
 # verify arguments, and the gate that keeps a run in one process (it may return the
 # call that lifts it)
 STAYS = {
     "second_thread": ("--trials 2", _second_thread),
-    "local_point": ("--alpha 0.5 --alpha 3 --trials 2", _local_point),
     "one_cpu": ("--trials 2",
                 lambda patch: patch.setattr(os, "sched_getaffinity", lambda pid: {0})),
     "one_trial": ("--checks check_cs --trials 1", lambda patch: None),
@@ -388,9 +378,8 @@ STAYS = {
 
 @pytest.mark.parametrize("name", STAYS)
 def test_a_run_stays_in_one_process(name, monkeypatch, tmp_path, capsys):
-    """With a second Python thread alive, a grid point pickle cannot send, on one
-    CPU or for a window of one trial, a run forks no worker and writes what it
-    writes split."""
+    """With a second Python thread alive, on one CPU or for a window of one trial,
+    a run forks no worker and writes what it writes split."""
     args, gate = STAYS[name]
     argv = ["verify", *args.split(), "--seed", "3", "--out", str(tmp_path / "split.jsonl")]
     assert cli_main(argv) == 0

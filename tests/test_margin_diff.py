@@ -82,6 +82,13 @@ def test_an_error_a_verdict_and_a_printed_margin_are_moves_of_their_check():
     assert counts.delta == math.inf
     [text] = margin_diff.line_moves("19 report lines; overall OK", "19 report lines", "s")
     assert text.check is None
+    # lhs and margin move, every normalized margin keeps its bits: |delta margin| / 4
+    raw = json.loads(LINES[1]) | {"lhs": 4.0, "margin": 1.0 + 2e-12}
+    [move] = margin_diff.line_moves(LINES[1], json.dumps(raw), "r")
+    assert (move.check, move.branch) == ("check_cs", "raw")
+    assert move.delta == pytest.approx(5e-13, rel=1e-3)
+    assert [margin_diff.report([move], allow)[1] for allow in (
+        {"check_cs": 1e-12}, {"check_cs": 1e-13}, {})] == [True, False, False]
 
 
 def test_the_command_list_runs_every_fixed_seed_row():

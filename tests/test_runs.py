@@ -12,8 +12,6 @@ grid order, and a trial's lines share one error or none: the errors of these
 runs are all precondition errors, which an instance has at every point.
 """
 
-import dataclasses
-import io
 import json
 import os
 import re
@@ -23,11 +21,9 @@ from collections import Counter
 
 import pytest
 
-from opineq import harness
+from opineq import cli, harness
 from opineq.checks import CHECK_SPECS, GRIDS, GridAxis
 from opineq.cli import _build_parser, _parse_checks, _parse_grids, cli_main
-from opineq.errors import OpineqError
-from opineq.generators import build_instance, evaluate_instance, trial_seed
 
 PATTERNS = ('"error"', "NotNormal", "NotUnital")
 
@@ -66,30 +62,9 @@ def _refuse(constant):
     raise ValueError(f"bare {constant} in a report line")
 
 
-def _cells_alone(args) -> list[str]:
-    """The lines of a verify run, each cell built and evaluated alone at the run's
-    tolerance and written as the run writes it."""
-    grids, out = _parse_grids(args), io.StringIO()
-    for check in _parse_checks(args.checks):
-        axis = GRIDS[CHECK_SPECS[check].grid]
-        for index in range(args.trials):
-            seed = trial_seed(args.seed, check, index)
-            inst = build_instance(check, seed, dim=args.dim, length=args.length,
-                                  weights_mode=args.weights)
-            for point in grids.get(CHECK_SPECS[check].grid, axis.points):
-                params = axis.params(point)
-                try:
-                    outcome = evaluate_instance(dataclasses.replace(
-                        inst, params={**inst.params, **params}), args.tol)
-                except OpineqError as exc:
-                    outcome = exc
-                harness.write_cell(out, check, seed, inst, params, outcome)
-    return out.getvalue().splitlines()
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", RUNS)
-def test_a_fixed_seed_run_writes_its_counts(name, tmp_path, capsys):
+def test_a_fixed_seed_run_writes_its_counts(name, tmp_path, capsys, cells_alone):
     args, status, count, counts = RUNS[name]
     argv = ["verify", *args.split()]
     out = tmp_path / "reports.jsonl"
@@ -97,8 +72,11 @@ def test_a_fixed_seed_run_writes_its_counts(name, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     lines = out.read_text().splitlines()
     parsed = _build_parser().parse_args(argv)
+    cfg = harness.RunConfig(trials=parsed.trials, checks=_parse_checks(parsed.checks),
+                            tol=parsed.tol, grids=_parse_grids(parsed), seed=parsed.seed,
+                            dim=parsed.dim, length=parsed.length, weights_mode=parsed.weights)
     if isinstance(counts, tuple):
-        alone = _cells_alone(parsed)
+        alone = cells_alone(cfg)
         counts = {p: sum(bool(re.search(p, line)) for line in alone) for p in PATTERNS + counts}
         assert all(counts[p] > 0 for p in RUNS[name][3])
     want = dict.fromkeys(PATTERNS, 0) | counts
@@ -107,13 +85,10 @@ def test_a_fixed_seed_run_writes_its_counts(name, tmp_path, capsys):
     trials = {}
     for report in (json.loads(line, parse_constant=_refuse) for line in lines):
         trials.setdefault((report["name"], report["seed"]), []).append(report["params"])
-    grids = _parse_grids(parsed)
-    assert Counter(check for check, _ in trials) == dict.fromkeys(_parse_checks(parsed.checks),
-                                                                  parsed.trials)
+    assert Counter(check for check, _ in trials) == dict.fromkeys(cfg.checks, cfg.trials)
     for (check, _), params in trials.items():
         axis = CHECK_SPECS[check].grid
-        assert [tuple(p[k] for k in GRIDS[axis].keys) for p in params] == list(
-            grids.get(axis, GRIDS[axis].points))
+        assert [tuple(p[k] for k in GRIDS[axis].keys) for p in params] == list(cfg.points(axis))
         assert len({p.get("error") for p in params}) == 1
 
 
@@ -134,12 +109,15 @@ def test_a_run_validates_each_grid_point_once(tol, monkeypatch, serial, tmp_path
 
 
 # RUNS, a window of one segment, whose seeds the caller and the worker split, the
-# group_boundary row after a worker was killed, and a run under a warning filter on a
-# class pickle cannot name (the worker raises every warning, whatever the filters)
+# group_boundary row after a worker was killed, a run under a warning filter on a
+# class pickle cannot name (the worker raises every warning, whatever the filters),
+# and one whose grid points, checks, dim, length and weights mode are of such classes
+# (the worker's request holds plain values)
 SPLITS = {**{name: (row[0], False) for name, row in RUNS.items()},
           "one_segment": ("--checks check_uin --trials 64 --seed 4", False),
           "killed_worker": (RUNS["group_boundary"][0], True),
-          "local_filter": ("--trials 2 --seed 3", False)}
+          "local_filter": ("--trials 2 --seed 3", False),
+          "local_values": ("--alpha 0.5 --alpha 3 --trials 2 --seed 3 --dim 3 --len 2", False)}
 
 
 @pytest.mark.parametrize("name", SPLITS)
@@ -154,6 +132,14 @@ def test_a_split_run_writes_what_a_one_process_run_writes(name, monkeypatch, tmp
         guard.__enter__()
         request.addfinalizer(lambda: guard.__exit__(None, None, None))
         warnings.filterwarnings("ignore", category=type("Local", (Warning,), {}))
+    if name == "local_values":
+        local = {kind: type("Local", (kind,), {}) for kind in (float, int, str)}
+        ratio, config = cli._ratio, cli.RunConfig
+        monkeypatch.setattr(cli, "_ratio", lambda text: local[float](ratio(text)))
+        monkeypatch.setattr(cli, "RunConfig", lambda checks, dim, length, weights_mode, **kw:
+                            config(checks=tuple(map(local[str], checks)), dim=local[int](dim),
+                                   length=local[int](length),
+                                   weights_mode=local[str](weights_mode), **kw))
 
     def run(tag):
         out = tmp_path / f"{tag}.jsonl"

@@ -22,7 +22,9 @@ CHECK`` allows every move of CHECK's lines; ``--allow CHECK:BOUND`` allows
 only moves of at most BOUND in a normalized margin.  A move that no margin
 measures (an error, a verdict, a witness, a record) is allowed only without a
 bound.  A change that no check owns (an exit code, a line count, a verdict
-line) is never allowed.
+line) is never allowed.  A "raw" move is a report line whose lhs, rhs or
+margin moved while every normalized margin kept its bits: its delta is
+|delta margin| / max(|lhs|, |rhs|, 1), taken over both lines.
 
 Uses only git, the CLI and the standard library.  The fixed-seed bytes depend
 on the BLAS kernel, so both trees run on the one machine, under one kernel:
@@ -160,7 +162,7 @@ def line_moves(a: str, b: str, where: str) -> list[Move]:
     """The moves of one changed line: a report line's per ``norm_detail`` branch,
     with its error, verdict or record if they changed; a witness file's; a
     summary line's by its printed margin; else one that no check owns.  A report line
-    whose lhs, rhs or margin alone moved is a "raw" move."""
+    whose lhs, rhs or margin alone moved is a "raw" move, at its sides' scale."""
     ja, jb = _object(a), _object(b)
     if ja is not None and jb is not None:
         check = ja.get("name", ja.get("check"))
@@ -178,7 +180,9 @@ def line_moves(a: str, b: str, where: str) -> list[Move]:
         elif _record(ja) != _record(jb):
             moves.append(Move(check, "record", math.inf, where))
         elif not moves:
-            moves.append(Move(check, "raw", math.inf, where))
+            side = max(_delta(0.0, line.get(k)) for line in (ja, jb) for k in ("lhs", "rhs"))
+            delta = _delta(ja.get("margin"), jb.get("margin")) / max(1.0, side)
+            moves.append(Move(check, "raw", delta if side < math.inf else math.inf, where))
         return moves
     pa, pb = _PRINTED.fullmatch(a), _PRINTED.fullmatch(b)
     if pa and pb and pa[1] == pb[1]:
